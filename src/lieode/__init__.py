@@ -13,15 +13,14 @@ from .errors import (DegenerateInput, InputError, InternalInvariantError,
 from .parsing import OdeSpec, parse_ode, print_ode
 from .determining import LinDiffSystem, Slot, determining_system
 from .involutive import (InvolutiveSystem, Ranking, alt_ranking,
-                         audit_involutive, complete, default_ranking,
-                         solution_dimension)
+                         audit_involutive, complete, default_ranking)
 from .liealgebra import (CASE_CONSTANT, CASE_NONCONSTANT, CASE_NONE,
                          CASE_TRIVIAL, Certificate, LieAlgebraTable,
                          SeriesSolution, Subalgebra, certify, derived_algebra,
                          is_abelian, series_basis, structure_constants)
 from .recovery import (AffineClass, CharPoly, affine_class, affine_equivalent,
-                       class_to_ode, classify_pair, recover_charpoly,
-                       recovery_details, root_affine_image, trivial_class)
+                       class_to_ode, classify_pair, recovery_details,
+                       root_affine_image, trivial_class)
 from .pushforward import (OracleInstance, PointTransformation, default_corpus,
                           push_linear, shipped_transformations)
 from .pipeline import RecoveryReport, RunReport, analyze
@@ -40,7 +39,6 @@ __all__ = [
     "audit_involutive", "certify", "class_to_ode", "classify_pair",
     "complete", "default_corpus", "default_ranking", "derived_algebra",
     "determining_system", "is_abelian", "parse_ode", "print_ode",
-    "push_linear", "recover_charpoly", "recovery_details",
-    "root_affine_image", "series_basis", "shipped_transformations",
-    "solution_dimension", "structure_constants", "trivial_class",
+    "push_linear", "recovery_details", "root_affine_image", "series_basis",
+    "shipped_transformations", "structure_constants", "trivial_class",
 ]

@@ -16,9 +16,8 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .errors import InputError, InternalInvariantError
-from .liealgebra import CASE_NONCONSTANT
-from .parsing import print_ode
-from .pipeline import RunReport, analyze, format_equation
+from .parsing import format_ratfunc, print_ode
+from .pipeline import RunReport, analyze
 from .pushforward import PointTransformation, push_linear
 from .recovery import AffineClass, CharPoly, affine_class, classify_pair
 
@@ -53,7 +52,6 @@ def _class_json(c: AffineClass) -> dict:
 
 
 def _equation_json(eq) -> dict:
-    from .parsing import format_ratfunc
     return {s.label(): format_ratfunc(c) for s, c in eq.items()}
 
 

@@ -285,10 +285,6 @@ def complete(system, ranking: Optional[Ranking] = None) -> InvolutiveSystem:
                                   for i, e in enumerate(ordered)])
 
 
-def solution_dimension(inv: InvolutiveSystem) -> int:
-    return inv.dimension
-
-
 def audit_involutive(inv: InvolutiveSystem, original=None) -> bool:
     """Post-hoc passivity check: cross-derivatives and originals reduce to zero."""
     eqs = inv._eqs

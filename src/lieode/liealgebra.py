@@ -12,12 +12,15 @@ delta basis, which gives the structure constants.  Three safety nets are
 always on: the bracket's full Taylor table must be consistent with the
 solved forms (closure of the solution space under the bracket), the tables
 must satisfy antisymmetry and the Jacobi identity exactly, and recomputing
-one order deeper must reproduce the same constants.
+one order deeper must reproduce the same constants.  The normal-form table
+one order deeper (N+1) is evaluated once; restricted to order N it serves
+the N pass, and in full it yields the N+1 basis and checks.
 
 The linearization certificate is then a pure function of the dimension m,
 the order n, and the derived algebra: linearizable iff (n=2 and m=8), or
 (n>=3 and m=n+4), or (n>=3, m in {n+1, n+2} and the derived algebra is
-abelian of dimension n).
+abelian of dimension n).  ``certify`` computes the derived algebra once and
+hands it on in the certificate.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .determining import ETA, XI, LinDiffPoly, Slot
 from .errors import DegenerateInput, InternalInvariantError, SingularPoint
 from .involutive import InvolutiveSystem
-from .linalg import Vec, in_span, row_space_basis
+from .linalg import Vec, row_space_basis
 from .polys import MPoly
 
 Point = Tuple[Fraction, Fraction]
@@ -109,32 +112,39 @@ class SeriesSolution:
         return MPoly(("x", "y"), terms)
 
 
+def _evaluate_at(table: Dict[Slot, LinDiffPoly],
+                 point: Point) -> Dict[Slot, Dict[Slot, Fraction]]:
+    try:
+        return evaluate_table(table, point)
+    except DegenerateInput as exc:
+        raise SingularPoint(
+            "singular expansion point (%s, %s): %s"
+            % (point[0], point[1], exc)) from exc
+
+
+def _delta_basis(point: Point, N: int, params: Tuple[Slot, ...],
+                 ev: Dict[Slot, Dict[Slot, Fraction]]) -> List[SeriesSolution]:
+    """One solution per parametric slot, read off an evaluated table."""
+    return [SeriesSolution(point, N, params,
+                           {s: vals.get(p, _0) for s, vals in ev.items()})
+            for p in params]
+
+
 def series_basis(inv: InvolutiveSystem,
                  point: Optional[Point] = None,
-                 N: Optional[int] = None,
-                 _table=None) -> List[SeriesSolution]:
+                 N: Optional[int] = None) -> List[SeriesSolution]:
     """Delta-initial-data basis of the solution space, one per parametric slot."""
     min_n = inv.max_parametric_order() + 2
     if N is None:
         N = min_n
     if N < min_n:
         raise ValueError("truncation order %d below required %d" % (N, min_n))
-    table = _table if _table is not None else normal_form_table(inv, N)
+    table = normal_form_table(inv, N)
     if point is None:
         point, ev = choose_expansion_point(table)
     else:
-        try:
-            ev = evaluate_table(table, point)
-        except DegenerateInput as exc:
-            raise SingularPoint(
-                "singular expansion point (%s, %s): %s"
-                % (point[0], point[1], exc)) from exc
-    params = tuple(inv.parametric)
-    out = []
-    for p in params:
-        data = {s: vals.get(p, _0) for s, vals in ev.items()}
-        out.append(SeriesSolution(point, N, params, data))
-    return out
+        ev = _evaluate_at(table, point)
+    return _delta_basis(point, N, tuple(inv.parametric), ev)
 
 
 def _truncate(p: MPoly, deg: int) -> MPoly:
@@ -220,11 +230,9 @@ class LieAlgebraTable:
 
 
 def _raw_structure_constants(basis: Sequence[SeriesSolution],
-                             ev: Optional[Dict[Slot, Dict[Slot, Fraction]]] = None,
+                             ev: Dict[Slot, Dict[Slot, Fraction]],
                              ) -> LieAlgebraTable:
     m = len(basis)
-    if m == 0:
-        return LieAlgebraTable(0, [])
     N = basis[0].N
     params = basis[0].parametric
     max_param_order = max((p.order for p in params), default=0)
@@ -236,19 +244,17 @@ def _raw_structure_constants(basis: Sequence[SeriesSolution],
         for j in range(i + 1, m):
             br = _bracket_taylor(tay[i], tay[j], N - 1)
             data = _taylor_data(br, N - 1)
+            # closure check: the bracket's whole Taylor table must agree
+            # with the solved forms applied to its parametric data
+            for s, vals in ev.items():
+                if s.order > N - 1:
+                    continue
+                recon = sum((c * data[q] for q, c in vals.items()), _0)
+                if recon != data[s]:
+                    raise InternalInvariantError(
+                        "bracket of basis elements %d,%d leaves the "
+                        "solution space at slot %s" % (i, j, s.label()))
             coords = [data[p] for p in params]
-            if ev is not None:
-                # closure check: the bracket's whole Taylor table must agree
-                # with the solved forms applied to its parametric data
-                for s, vals in ev.items():
-                    if s.order > N - 1:
-                        continue
-                    recon = sum((vals.get(p, _0) * coords[k]
-                                 for k, p in enumerate(params)), _0)
-                    if recon != data[s]:
-                        raise InternalInvariantError(
-                            "bracket of basis elements %d,%d leaves the "
-                            "solution space at slot %s" % (i, j, s.label()))
             C[i][j] = coords
             C[j][i] = [-c for c in coords]
     table = LieAlgebraTable(m, C)
@@ -257,25 +263,24 @@ def _raw_structure_constants(basis: Sequence[SeriesSolution],
 
 
 def structure_constants(basis: Sequence[SeriesSolution],
-                        inv: Optional[InvolutiveSystem] = None) -> LieAlgebraTable:
+                        inv: InvolutiveSystem) -> LieAlgebraTable:
     """Structure constants of the algebra spanned by a series basis.
 
-    With the involutive system available the computation is verified twice
-    over: the bracket tables are checked to stay inside the solution space,
-    and everything is recomputed at truncation N+1 and must agree.
+    The normal-form table at truncation N+1 is built and evaluated at the
+    basis point once.  Restricted to slots of order <= N it is the closure
+    table for the basis itself; in full it gives the delta basis at N+1 and
+    that basis's closure table.  Both passes check that every bracket stays
+    inside the solution space and validate antisymmetry and Jacobi, and the
+    N+1 constants must equal the N ones.
     """
-    if inv is None:
-        return _raw_structure_constants(basis)
     if not basis:
         return LieAlgebraTable(0, [])
     N = basis[0].N
     point = basis[0].point
-    ev = evaluate_table(normal_form_table(inv, N), point)
+    ev = _evaluate_at(normal_form_table(inv, N + 1), point)
     table = _raw_structure_constants(basis, ev)
-    deeper = series_basis(inv, point=point, N=N + 1)
-    ev1 = evaluate_table(normal_form_table(inv, N + 1), point)
-    check = _raw_structure_constants(deeper, ev1)
-    if check.C != table.C:
+    deeper = _delta_basis(point, N + 1, basis[0].parametric, ev)
+    if _raw_structure_constants(deeper, ev).C != table.C:
         raise InternalInvariantError(
             "structure constants changed between truncation orders %d and %d"
             % (N, N + 1))
@@ -284,6 +289,8 @@ def structure_constants(basis: Sequence[SeriesSolution],
 
 @dataclasses.dataclass
 class Subalgebra:
+    """Subspace of ``parent`` spanned by ``basis``, kept in rref."""
+
     parent: LieAlgebraTable
     basis: List[Vec]
 
@@ -292,7 +299,13 @@ class Subalgebra:
         return len(self.basis)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        return in_span(v, self.basis)
+        """Eliminate v against the rref rows; in the span iff nothing is left."""
+        rest = list(v)
+        for row in self.basis:
+            f = rest[next(k for k, c in enumerate(row) if c)]
+            if f:
+                rest = [a - f * b for a, b in zip(rest, row)]
+        return not any(rest)
 
 
 def derived_algebra(L: LieAlgebraTable) -> Subalgebra:
@@ -325,6 +338,8 @@ class Certificate:
     n: int
     derived_dimension: int
     derived_abelian: bool
+    derived: Optional[Subalgebra] = dataclasses.field(
+        default=None, compare=False, repr=False)
 
     @property
     def linearizable(self) -> bool:
@@ -372,7 +387,7 @@ def certify(n: int, L: LieAlgebraTable) -> Certificate:
     else:
         case = CASE_NONCONSTANT
     return Certificate("linearizable" if lin else "not-linearizable",
-                       case, m, n, dd, ab)
+                       case, m, n, dd, ab, D)
 
 
 def solution_data_from_components(xi, eta, point: Point, N: int) -> Dict[Slot, Fraction]:

@@ -16,43 +16,20 @@ from __future__ import annotations
 import dataclasses
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
-from .determining import LinDiffPoly, LinDiffSystem, Slot, determining_system
+from .determining import LinDiffSystem, determining_system
 from .involutive import InvolutiveSystem, Ranking, complete
 from .liealgebra import (CASE_CONSTANT, CASE_NONCONSTANT, CASE_TRIVIAL,
                          Certificate, LieAlgebraTable, Point, Subalgebra,
-                         assert_dimension_bounds, certify, derived_algebra,
-                         series_basis, structure_constants)
+                         assert_dimension_bounds, certify, series_basis,
+                         structure_constants)
 from .linalg import Mat, Vec
-from .parsing import OdeSpec, format_ratfunc, parse_ode, print_ode
+from .parsing import OdeSpec, parse_ode
 from .recovery import (AffineClass, CharPoly, affine_class, class_to_ode,
                        recovery_details, trivial_class)
 
 NOTE_NONCONSTANT = "nonconstant coefficients — recovery out of scope"
-
-
-def format_equation(eq: LinDiffPoly, ranking=None) -> str:
-    """Render one linear determining equation, highest slot first."""
-    slots = sorted(eq, key=ranking.key if ranking else None, reverse=bool(ranking))
-    parts = []
-    for s in slots:
-        c = format_ratfunc(eq[s])
-        if c == "1":
-            term = s.label()
-        elif c == "-1":
-            term = "-" + s.label()
-        elif ("+" in c[1:]) or ("-" in c[1:]) or "/" in c:
-            term = "(%s)*%s" % (c, s.label())
-        else:
-            term = "%s*%s" % (c, s.label())
-        if parts and not term.startswith("-"):
-            parts.append("+ " + term)
-        elif parts:
-            parts.append("- " + term[1:])
-        else:
-            parts.append(term)
-    return " ".join(parts) + " = 0" if parts else "0 = 0"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,23 +47,6 @@ class RecoveryReport:
     representative_ode: str
     representative: Optional[Vec] = None
     action_matrix: Optional[Mat] = None
-
-    def as_dict(self) -> dict:
-        out = {
-            "char_poly": [str(c) for c in self.char_poly.full_coeffs()],
-            "affine_class": {
-                "degree": self.affine.degree,
-                "support": list(self.affine.support),
-                "canonical_invariants": [
-                    [j, str(v)] for j, v in self.affine.canonical],
-                "trivial": self.affine.is_trivial,
-            },
-            "representative_ode": self.representative_ode,
-        }
-        if self.action_matrix is not None:
-            out["action_matrix"] = [[str(v) for v in row]
-                                    for row in self.action_matrix]
-        return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -150,8 +110,8 @@ def analyze(source,
     timings["structure"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    derived = derived_algebra(table)
     cert = certify(ode.n, table)
+    derived = cert.derived
     timings["certify"] = time.perf_counter() - t
 
     recovery = None

@@ -230,7 +230,7 @@ def factor_space(L: LieAlgebraTable, D: Subalgebra) -> Tuple[Vec, Vec]:
 
 def adjoint_on_derived(L: LieAlgebraTable, D: Subalgebra, e: Sequence[Fraction]) -> Mat:
     """Matrix of [e, .] on D's basis; column i holds the coords of [e, d_i]."""
-    if in_span(e, D.basis):
+    if D.contains(e):
         raise ValueError("representative lies in the derived algebra")
     r = D.dimension
     cols: List[Vec] = []
@@ -257,11 +257,6 @@ def recovery_details(L: LieAlgebraTable, D: Subalgebra):
     raise InternalInvariantError(
         "all factor-space candidates act as scalars; an all-equal spectrum "
         "belongs to the maximal class, not to m = n+2")
-
-
-def recover_charpoly(L: LieAlgebraTable, D: Subalgebra) -> CharPoly:
-    """Characteristic polynomial of the target, up to affine root maps."""
-    return recovery_details(L, D)[2]
 
 
 def trivial_class(n: int) -> AffineClass:

@@ -11,8 +11,7 @@ from fractions import Fraction
 import pytest
 
 from lieode.determining import determining_system
-from lieode.involutive import (alt_ranking, audit_involutive, complete,
-                               solution_dimension)
+from lieode.involutive import alt_ranking, audit_involutive, complete
 from lieode.liealgebra import (LieAlgebraTable, derived_algebra, is_abelian)
 from lieode.linalg import charpoly as matrix_charpoly
 from lieode.linalg import inverse, mat_mul
@@ -242,4 +241,4 @@ def test_criterion_10_involutivity_audit(reference_reports):
             assert audit_involutive(r.involutive, determining_system(r.ode))
             other = complete(determining_system(r.ode), ranking=alt_ranking())
             assert audit_involutive(other)
-            assert solution_dimension(other) == r.m, key
+            assert other.dimension == r.m, key

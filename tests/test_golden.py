@@ -1,0 +1,29 @@
+"""Golden regression: byte-exact CLI documents for one input per certificate case.
+
+``data/golden_cli.json`` holds the exit code and stdout of
+``lieode symmetries|recover ODE --json-only`` for five equations: the
+maximal ``y'' = 0`` (trivial), the README constant-coefficient example,
+``y''' + x*y = 0`` (nonconstant coefficients), and two negative controls.
+It pins structure constants, derived-algebra data, recovered classes and
+action matrices, so any change to an exact answer shows up here.
+"""
+import contextlib
+import io
+import json
+import pathlib
+
+import pytest
+
+from lieode.cli import main
+
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "golden_cli.json")
+                    .read_text(encoding="utf-8"))["cases"]
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"][:2]))
+def test_cli_output_matches_golden(case):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(case["argv"]))
+    assert code == case["exit_code"]
+    assert out.getvalue() == case["stdout"]

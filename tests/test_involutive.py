@@ -7,8 +7,7 @@ import pytest
 from lieode.determining import ETA, XI, Slot, determining_system, substitute_generator
 from lieode.errors import InternalInvariantError
 from lieode.involutive import (alt_ranking, audit_involutive, complete,
-                               default_ranking, lin_derive, reduce,
-                               solution_dimension)
+                               default_ranking, lin_derive, reduce)
 from lieode.parsing import parse_ode
 from lieode.ratfunc import RatFunc
 
@@ -77,7 +76,7 @@ DIMENSION_ORACLE = [
 @pytest.mark.parametrize("text,dim", DIMENSION_ORACLE)
 def test_solution_dimensions(text, dim):
     inv = complete(determining_system(parse_ode(text)))
-    assert solution_dimension(inv) == dim
+    assert inv.dimension == dim
 
 
 @pytest.mark.parametrize("text,dim", DIMENSION_ORACLE)
