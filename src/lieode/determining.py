@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import InternalInvariantError
-from .jets import JetPoly, jet_name, jet_order_of, substitute_top, total_derivative
+from .jets import JetPoly, jet_order_of, substitute_top, total_derivative
 from .parsing import OdeSpec
 from .polys import MPoly, divexact, gcd, lcm, var_rank
 from .ratfunc import RatFunc

@@ -39,20 +39,12 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return out
 
 
-def mat_vec(a: Mat, v: Sequence[Fraction]) -> Vec:
-    return [sum((row[j] * v[j] for j in range(len(v))), _0) for row in a]
-
-
 def mat_add(a: Mat, b: Mat) -> Mat:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_scale(a: Mat, c: Fraction) -> Mat:
     return [[c * x for x in row] for row in a]
-
-
-def transpose(a: Mat) -> Mat:
-    return [list(col) for col in zip(*a)]
 
 
 def trace(a: Mat) -> Fraction:

@@ -1,10 +1,11 @@
 """Parsing and printing of scalar ODEs in quasi-linear normal form.
 
 Accepted input shapes are ``y'' + <expr> = 0`` and ``y'' = <expr>`` (any
-derivative order >= 2 on the left).  The parser builds a small expression
-tree, lowers it to an exact rational function of the jet coordinates, clears
-the denominator, and solves for the highest derivative.  Equations that are
-not linear in their highest derivative are rejected.
+derivative order >= 2 on the left).  The parser evaluates as it parses: each
+grammar rule returns an exact rational function of the jet coordinates.  The
+equation's two sides are subtracted, the denominator cleared, and the result
+solved for the highest derivative.  Equations that are not linear in their
+highest derivative are rejected.
 
 Operator precedence: ^ binds tighter than unary minus, which binds tighter
 than * and /, which bind tighter than + and -.  ^ takes a bare (possibly
@@ -12,73 +13,23 @@ negative) integer exponent; parenthesized exponents and chained ^ are
 rejected so that y^(k) stays unambiguous — parenthesize the base instead,
 as in (x^2)^3.  Implicit multiplication is rejected.  Derivative
 markers are primes (up to four) or ``y^(k)``; ``y^2`` is a square while
-``y^(2)`` is a second derivative.  exp and log are admitted only in point
+``y^(2)`` is a second derivative.  Parentheses and function calls nest at
+most MAX_NESTING deep.  exp and log are admitted only in point
 transformation expressions, never in ODE text.
 """
 from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .errors import InputError, NotQuasiLinear, OdeSyntaxError, OrderTooLow
 from .jets import JetPoly, jet_name, jet_order_of
-from .polys import MPoly, _mono_key, var_rank
+from .polys import MPoly, _mono_key
 from .ratfunc import RatFunc
 
 MAX_PRIMES = 4
-
-
-# -- expression trees ---------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class Num:
-    value: Fraction
-    pos: int = 0
-
-
-@dataclasses.dataclass(frozen=True)
-class Coord:
-    index: int  # 0 = independent coordinate, 1 = dependent coordinate
-    pos: int = 0
-
-
-@dataclasses.dataclass(frozen=True)
-class DerivY:
-    order: int
-    pos: int = 0
-
-
-@dataclasses.dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
-    pos: int = 0
-
-
-@dataclasses.dataclass(frozen=True)
-class BinOp:
-    op: str  # + - * /
-    left: "Expr"
-    right: "Expr"
-    pos: int = 0
-
-
-@dataclasses.dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: int
-    pos: int = 0
-
-
-@dataclasses.dataclass(frozen=True)
-class Call:
-    func: str  # exp | log
-    arg: "Expr"
-    pos: int = 0
-
-
-Expr = object
+MAX_NESTING = 100
 
 
 # -- tokenizer ----------------------------------------------------------------
@@ -126,13 +77,14 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
 
 class _Parser:
     def __init__(self, text: str, coords: Tuple[str, str],
-                 allow_funcs: bool, allow_derivatives: bool):
-        self.text = text
+                 call: Optional[Callable[[str, RatFunc], RatFunc]],
+                 allow_derivatives: bool):
         self.tokens = _tokenize(text)
         self.k = 0
         self.coords = coords
-        self.allow_funcs = allow_funcs
+        self.call = call
         self.allow_derivatives = allow_derivatives
+        self.depth = 0
 
     def peek(self, ahead: int = 0):
         return self.tokens[min(self.k + ahead, len(self.tokens) - 1)]
@@ -149,45 +101,59 @@ class _Parser:
             raise OdeSyntaxError(f"expected {what}", t[2])
         return t
 
+    def expect_end(self, what: str) -> None:
+        t = self.peek()
+        if t[0] != "end":
+            raise OdeSyntaxError(f"unexpected {t[1]!r} {what}", t[2])
+
     # expr := term (("+"|"-") term)*
-    def expr(self):
-        node = self.term()
+    def expr(self) -> RatFunc:
+        value = self.term()
         while self.peek()[0] in "+-":
-            op, _, pos = self.take()
-            node = BinOp(op, node, self.term(), pos)
-        return node
+            op = self.take()[0]
+            rhs = self.term()
+            value = value + rhs if op == "+" else value - rhs
+        return value
 
     # term := unary (("*"|"/") unary)*
-    def term(self):
-        node = self.unary()
+    def term(self) -> RatFunc:
+        value = self.unary()
         while self.peek()[0] in "*/":
-            op, _, pos = self.take()
-            node = BinOp(op, node, self.unary(), pos)
-        return node
+            op = self.take()[0]
+            rhs = self.unary()
+            if op == "*":
+                value = value * rhs
+            elif rhs.is_zero():
+                raise InputError("division by zero in input expression")
+            else:
+                value = value / rhs
+        return value
 
-    # unary := "-" unary | factor
-    def unary(self):
-        if self.peek()[0] == "-":
-            _, _, pos = self.take()
-            return Neg(self.unary(), pos)
-        return self.factor()
+    # unary := "-"* factor
+    def unary(self) -> RatFunc:
+        negate = False
+        while self.peek()[0] == "-":
+            self.take()
+            negate = not negate
+        value = self.factor()
+        return -value if negate else value
 
-    # factor := atom ("^" exponent)*, right-associative
-    def factor(self):
+    # factor := atom ["^" exponent]; chained ^ is rejected
+    def factor(self) -> RatFunc:
         base = self.atom()
+        if self.peek()[0] != "^":
+            return base
+        self.take()
+        if self.peek()[0] == "(":
+            raise OdeSyntaxError(
+                "parenthesized exponents are not allowed; "
+                "derivative markers y^(k) attach to bare y only", self.peek()[2])
+        exp = self._exponent()
         if self.peek()[0] == "^":
-            _, _, pos = self.take()
-            if self.peek()[0] == "(":
-                raise OdeSyntaxError(
-                    "parenthesized exponents are not allowed; "
-                    "derivative markers y^(k) attach to bare y only", self.peek()[2])
-            exp = self._exponent()
-            rest = base
-            # fold further ^ right-associatively into the integer exponent
-            while self.peek()[0] == "^":
-                raise OdeSyntaxError("chained ^ is ambiguous; parenthesize", self.peek()[2])
-            return Pow(rest, exp, pos)
-        return base
+            raise OdeSyntaxError("chained ^ is ambiguous; parenthesize", self.peek()[2])
+        if exp < 0 and base.is_zero():
+            raise InputError("zero raised to a negative power")
+        return base ** exp
 
     def _exponent(self) -> int:
         neg = False
@@ -198,38 +164,46 @@ class _Parser:
         val = int(t[1])
         return -val if neg else val
 
-    def atom(self):
+    def atom(self) -> RatFunc:
         kind, val, pos = self.peek()
         if kind == "int":
             self.take()
-            return Num(Fraction(int(val)), pos)
+            return RatFunc.const(Fraction(int(val)))
         if kind == "(":
             self.take()
-            node = self.expr()
-            self.expect(")", "a closing parenthesis")
-            return node
+            return self._nested(pos)
         if kind == "name":
             self.take()
             if val in ("exp", "log"):
-                if not self.allow_funcs:
+                if self.call is None:
                     raise OdeSyntaxError(
                         f"{val} is only allowed in transformation expressions", pos)
                 self.expect("(", f"'(' after {val}")
-                arg = self.expr()
-                self.expect(")", "a closing parenthesis")
-                return Call(val, arg, pos)
+                return self.call(val, self._nested(pos))
             if val == self.coords[0]:
                 if self.peek()[0] == "primes":
                     raise OdeSyntaxError(
                         f"derivative markers attach to {self.coords[1]} only", self.peek()[2])
-                return Coord(0, pos)
+                return RatFunc.variable(val)
             if val == self.coords[1]:
-                return self._dependent(pos)
+                return self._dependent()
             raise OdeSyntaxError(f"unknown symbol {val!r}", pos)
         raise OdeSyntaxError("expected a number, coordinate or parenthesis", pos)
 
-    def _dependent(self, pos: int):
+    def _nested(self, pos: int) -> RatFunc:
+        """The expression after an opening parenthesis, up to its closing one."""
+        if self.depth == MAX_NESTING:
+            raise OdeSyntaxError(
+                f"parentheses and calls nest at most {MAX_NESTING} deep", pos)
+        self.depth += 1
+        value = self.expr()
+        self.expect(")", "a closing parenthesis")
+        self.depth -= 1
+        return value
+
+    def _dependent(self) -> RatFunc:
         kind, val, p2 = self.peek()
+        order = 0
         if kind == "primes":
             self.take()
             order = len(val)
@@ -238,8 +212,7 @@ class _Parser:
                     f"at most {MAX_PRIMES} primes; write {self.coords[1]}^({order})", p2)
             if not self.allow_derivatives:
                 raise OdeSyntaxError("derivatives are not allowed here", p2)
-            return DerivY(order, pos)
-        if kind == "^" and self.peek(1)[0] == "(":
+        elif kind == "^" and self.peek(1)[0] == "(":
             self.take()  # ^
             self.take()  # (
             t = self.expect("int", "a derivative order")
@@ -247,57 +220,22 @@ class _Parser:
             self.expect(")", "a closing parenthesis")
             if not self.allow_derivatives:
                 raise OdeSyntaxError("derivatives are not allowed here", p2)
-            if order == 0:
-                return Coord(1, pos)
-            return DerivY(order, pos)
-        return Coord(1, pos)
+        return RatFunc.variable(jet_name(order) if order else self.coords[1])
 
 
-def parse_expr_tree(text: str, coords: Tuple[str, str] = ("x", "y"), *,
-                    allow_funcs: bool = False,
-                    allow_derivatives: bool = True):
-    """Parse one expression into a tree; raises OdeSyntaxError with position."""
-    p = _Parser(text, coords, allow_funcs, allow_derivatives)
-    node = p.expr()
-    t = p.peek()
-    if t[0] != "end":
-        raise OdeSyntaxError(f"unexpected {t[1]!r} (implicit multiplication "
-                             "is not supported)", t[2])
-    return node
+def parse_expr(text: str, coords: Tuple[str, str] = ("x", "y"), *,
+               call: Optional[Callable[[str, RatFunc], RatFunc]] = None,
+               allow_derivatives: bool = True) -> RatFunc:
+    """Evaluate one expression to an exact rational function.
 
-
-# -- lowering to rational jet functions ----------------------------------------
-
-
-def lower_jet(node) -> RatFunc:
-    """Lower a function-free tree to a RatFunc in the jet coordinates."""
-    if isinstance(node, Num):
-        return RatFunc.const(node.value)
-    if isinstance(node, Coord):
-        return RatFunc.variable("x" if node.index == 0 else "y")
-    if isinstance(node, DerivY):
-        return RatFunc.variable(jet_name(node.order))
-    if isinstance(node, Neg):
-        return -lower_jet(node.arg)
-    if isinstance(node, Pow):
-        base = lower_jet(node.base)
-        if node.exponent < 0 and base.is_zero():
-            raise InputError("zero raised to a negative power")
-        return base ** node.exponent
-    if isinstance(node, BinOp):
-        a, b = lower_jet(node.left), lower_jet(node.right)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if b.is_zero():
-            raise InputError("division by zero in input expression")
-        return a / b
-    if isinstance(node, Call):
-        raise InputError(f"{node.func} is not allowed in ODE text")
-    raise TypeError(f"unexpected node {node!r}")
+    A coordinate becomes the variable of the same name, ``y'`` and ``y^(k)``
+    the jet variables.  ``call(func, arg)`` evaluates ``exp``/``log``; without
+    it they are rejected.  Syntax errors raise OdeSyntaxError with position.
+    """
+    p = _Parser(text, coords, call, allow_derivatives)
+    value = p.expr()
+    p.expect_end("(implicit multiplication is not supported)")
+    return value
 
 
 # -- the ODE type --------------------------------------------------------------
@@ -321,14 +259,11 @@ class OdeSpec:
 
 
 def parse_ode(text: str) -> OdeSpec:
-    p = _Parser(text, ("x", "y"), allow_funcs=False, allow_derivatives=True)
+    p = _Parser(text, ("x", "y"), call=None, allow_derivatives=True)
     lhs = p.expr()
     p.expect("=", "'='")
-    rhs = p.expr()
-    t = p.peek()
-    if t[0] != "end":
-        raise OdeSyntaxError(f"unexpected {t[1]!r} after the equation", t[2])
-    rf = lower_jet(lhs) - lower_jet(rhs)
+    rf = lhs - p.expr()
+    p.expect_end("after the equation")
     num = rf.num
     if num.is_zero():
         raise OrderTooLow("equation reduces to 0 = 0")
@@ -421,10 +356,6 @@ def format_ratfunc(r: RatFunc) -> str:
     if _den_needs_parens(r.den):
         den_s = f"({den_s})"
     return f"{num_s}/{den_s}"
-
-
-def format_jetpoly(p: JetPoly) -> str:
-    return format_ratfunc(p.expr)
 
 
 def print_ode(o: OdeSpec) -> str:

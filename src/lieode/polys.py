@@ -13,7 +13,7 @@ machinery) < anything else alphabetically.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 Q = Fraction
 
@@ -97,9 +97,6 @@ class MPoly:
         if self.vars:
             raise ValueError("not a constant polynomial")
         return self.terms.get((), Fraction(0))
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def degree_in(self, name: str) -> int:
         if name not in self.vars:

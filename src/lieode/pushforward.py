@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, InternalInvariantError, NonRationalInstance
 from .jets import JetPoly, jet_name
-from .parsing import (BinOp, Call, Coord, DerivY, Neg, Num, OdeSpec, Pow,
-                      parse_expr_tree, print_ode)
+from .parsing import OdeSpec, parse_expr
 from .ratfunc import RatFunc
 from .recovery import CharPoly, affine_class, affine_equivalent
 
@@ -100,39 +99,6 @@ class TranscendentalRegistry:
         return out
 
 
-def lower_transformation_expr(node, reg: TranscendentalRegistry) -> RatFunc:
-    """Lower a transformation expression tree, adjoining exp/log symbols."""
-    if isinstance(node, Num):
-        return RatFunc.const(node.value)
-    if isinstance(node, Coord):
-        return RatFunc.variable("x" if node.index == 0 else "y")
-    if isinstance(node, DerivY):
-        raise InputError("derivatives are not allowed in transformations")
-    if isinstance(node, Neg):
-        return -lower_transformation_expr(node.arg, reg)
-    if isinstance(node, Pow):
-        base = lower_transformation_expr(node.base, reg)
-        if node.exponent < 0 and base.is_zero():
-            raise InputError("zero raised to a negative power")
-        return base ** node.exponent
-    if isinstance(node, BinOp):
-        a = lower_transformation_expr(node.left, reg)
-        b = lower_transformation_expr(node.right, reg)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if b.is_zero():
-            raise InputError("division by zero in transformation expression")
-        return a / b
-    if isinstance(node, Call):
-        arg = lower_transformation_expr(node.arg, reg)
-        return reg.adjoin(node.func, arg)
-    raise TypeError("unexpected node %r" % (node,))
-
-
 def _has_symbols(f: RatFunc, reg: TranscendentalRegistry) -> bool:
     return any(reg.is_symbol(v) for v in f.variables())
 
@@ -145,14 +111,9 @@ class PointTransformation:
     phi_text: str
 
     def __post_init__(self):
-        self.registry = TranscendentalRegistry()
-        psi_tree = parse_expr_tree(self.psi_text, allow_funcs=True,
-                                   allow_derivatives=False)
-        phi_tree = parse_expr_tree(self.phi_text, allow_funcs=True,
-                                   allow_derivatives=False)
-        self.psi = lower_transformation_expr(psi_tree, self.registry)
-        self.phi = lower_transformation_expr(phi_tree, self.registry)
-        reg = self.registry
+        self.registry = reg = TranscendentalRegistry()
+        self.psi = parse_expr(self.psi_text, call=reg.adjoin, allow_derivatives=False)
+        self.phi = parse_expr(self.phi_text, call=reg.adjoin, allow_derivatives=False)
         self.jacobian = (reg.partial_of(self.phi, "x") * reg.partial_of(self.psi, "y")
                          - reg.partial_of(self.phi, "y") * reg.partial_of(self.psi, "x"))
         if self.jacobian.is_zero():
@@ -238,8 +199,8 @@ def pulled_back_generator(T: PointTransformation, tau_text: str, mu_text: str
     (callers must treat None as "check skipped", never as success).
     """
     reg = T.registry
-    tau = _lower_target_function(tau_text, T, reg)
-    mu = _lower_target_function(mu_text, T, reg)
+    tau = _lower_target_function(tau_text, T)
+    mu = _lower_target_function(mu_text, T)
     J = T.jacobian
     psi_x = reg.partial_of(T.psi, "x")
     psi_y = reg.partial_of(T.psi, "y")
@@ -252,38 +213,9 @@ def pulled_back_generator(T: PointTransformation, tau_text: str, mu_text: str
     return xi, eta
 
 
-def _lower_target_function(text: str, T: PointTransformation,
-                           reg: TranscendentalRegistry) -> RatFunc:
-    tree = parse_expr_tree(text, coords=("t", "u"), allow_funcs=False,
-                           allow_derivatives=False)
-    f = lower_jet_in_target(tree)
+def _lower_target_function(text: str, T: PointTransformation) -> RatFunc:
+    f = parse_expr(text, coords=("t", "u"), allow_derivatives=False)
     return f.subs_var("t", T.phi).subs_var("u", T.psi)
-
-
-def lower_jet_in_target(node) -> RatFunc:
-    if isinstance(node, Num):
-        return RatFunc.const(node.value)
-    if isinstance(node, Coord):
-        return RatFunc.variable("t" if node.index == 0 else "u")
-    if isinstance(node, Neg):
-        return -lower_jet_in_target(node.arg)
-    if isinstance(node, Pow):
-        return lower_jet_in_target(node.base) ** node.exponent
-    if isinstance(node, BinOp):
-        a = lower_jet_in_target(node.left)
-        b = lower_jet_in_target(node.right)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if b.is_zero():
-            raise InputError("division by zero in generator expression")
-        return a / b
-    if isinstance(node, DerivY):
-        raise InputError("derivatives are not allowed in generator expressions")
-    raise TypeError("unexpected node %r" % (node,))
 
 
 def shipped_transformations() -> List[PointTransformation]:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .errors import DegenerateInput
-from .polys import MPoly, divexact, gcd, lcm
+from .polys import MPoly, divexact, gcd
 
 Scalar = Union[int, Fraction]
 
@@ -220,11 +220,3 @@ class RatFunc:
             raise DegenerateInput(
                 f"denominator becomes identically zero after substituting {name}")
         return horner(self.num) / den
-
-
-def common_denominator(fns) -> MPoly:
-    """lcm of the denominators of an iterable of RatFunc."""
-    d = MPoly.const(1)
-    for f in fns:
-        d = lcm(d, f.den)
-    return d

@@ -54,6 +54,25 @@ def test_exit_two_with_usage_errors():
     assert run("equiv", "1,0")[0] == 2
 
 
+def test_deep_nesting_is_an_input_error_not_a_verdict():
+    # input nested beyond the parser's limit is the caller's error; it must
+    # never surface as exit code 1, which reads as "not linearizable"
+    code, _, err = run("certify", "y'' = " + "(" * 200 + "y" + ")" * 200)
+    assert code == 2
+    assert "nest at most" in err
+    code, _, err = run("oracle", "--poly", "0,0,1",
+                       "--psi", "exp(" * 400 + "y" + ")" * 400, "--phi", "x")
+    assert code == 2
+    assert "nest at most" in err
+
+
+def test_long_minus_run_is_not_nesting():
+    # 3000 minus signs cancel: the equation is y'' = y
+    code, out, _ = run("certify", "y'' = " + "-" * 3000 + "y", "--json-only")
+    assert code == 0
+    assert (code, out) == run("certify", "y'' = y", "--json-only")[:2]
+
+
 # -- json contract --------------------------------------------------------------------
 
 

@@ -8,15 +8,16 @@ from hypothesis import strategies as st
 from lieode.errors import (InputError, NotQuasiLinear, OdeSyntaxError,
                            OrderTooLow)
 from lieode.jets import JetPoly
-from lieode.parsing import (MAX_PRIMES, OdeSpec, deriv_marker, lower_jet,
-                            parse_expr_tree, parse_ode, print_ode)
+from lieode.parsing import (MAX_NESTING, MAX_PRIMES, OdeSpec, deriv_marker,
+                            parse_expr, parse_ode, print_ode)
+from lieode.pushforward import PointTransformation, pulled_back_generator
 from lieode.ratfunc import RatFunc
 
 from conftest import rationals
 
 
 def rf(text):
-    return lower_jet(parse_expr_tree(text))
+    return parse_expr(text)
 
 
 def jet(k):
@@ -83,17 +84,51 @@ def test_division_by_zero_constant():
 
 def test_functions_only_in_transformation_context():
     with pytest.raises(OdeSyntaxError):
-        parse_expr_tree("exp(y)")
-    node = parse_expr_tree("exp(y)", allow_funcs=True)
-    assert node is not None
-    # and even then they may not reach the jet lowering
-    with pytest.raises(InputError):
-        lower_jet(node)
+        parse_expr("exp(y)")
+    with pytest.raises(OdeSyntaxError, match="only allowed in transformation"):
+        parse_ode("y'' = exp(y)")
+    # with a call hook, the hook receives the function name and its
+    # evaluated argument
+    seen = []
+
+    def call(func, arg):
+        seen.append((func, arg))
+        return RatFunc.variable("t1")
+
+    assert parse_expr("exp(y)", call=call) == RatFunc.variable("t1")
+    assert seen == [("exp", RatFunc.variable("y"))]
 
 
 def test_derivatives_can_be_disallowed():
     with pytest.raises(OdeSyntaxError):
-        parse_expr_tree("y'", allow_derivatives=False)
+        parse_expr("y'", allow_derivatives=False)
+
+
+# The same two guards hold wherever an expression is read: the ODE text, a
+# point transformation, and a generator on the target side (coordinates t, u).
+_GUARD_ENTRY_POINTS = {
+    "ode": lambda e: parse_ode("y'' = " + e),
+    "transformation": lambda e: PointTransformation(e, "x"),
+    "generator": lambda e: pulled_back_generator(
+        PointTransformation("y", "x"), e.replace("x", "t").replace("y", "u"), "0"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_GUARD_ENTRY_POINTS))
+@pytest.mark.parametrize("expr", ["1/(y-y)", "x/(2*y - y - y)",
+                                  "(y-y)^-2", "(x - x)^-1 + y"])
+def test_zero_guards_hold_at_every_entry_point(entry, expr):
+    with pytest.raises(InputError, match="zero"):
+        _GUARD_ENTRY_POINTS[entry](expr)
+
+
+def test_nesting_limit():
+    assert rf("(" * MAX_NESTING + "y" + ")" * MAX_NESTING) == RatFunc.variable("y")
+    text = "y + " + "(" * (MAX_NESTING + 1) + "y" + ")" * (MAX_NESTING + 1)
+    with pytest.raises(OdeSyntaxError) as err:
+        rf(text)
+    # reported at the first parenthesis beyond the limit
+    assert err.value.position == 4 + MAX_NESTING
 
 
 # -- equation normal form ---------------------------------------------------------
@@ -189,3 +224,20 @@ def ode_specs(draw):
 @given(ode_specs())
 def test_print_parse_roundtrip(ode):
     assert parse_ode(print_ode(ode)) == ode
+
+
+# -- grammar totality ---------------------------------------------------------------
+
+_ALPHABET = ["x", "y", "'", "(", ")", "+", "-", "*", "/", "^", "=", "exp"] + \
+    [str(d) for d in range(10)]
+
+
+@given(st.lists(st.sampled_from(_ALPHABET), max_size=12))
+def test_parse_ode_is_total_over_the_grammar_alphabet(tokens):
+    # tokens are space-separated, so exponents stay single digits and any
+    # power expansion stays small
+    try:
+        ode = parse_ode(" ".join(tokens))
+    except InputError:
+        return
+    assert isinstance(ode, OdeSpec)
