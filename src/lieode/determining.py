@@ -12,8 +12,9 @@ jet variables.  Collecting the coefficient of every monomial in
 (y', ..., y^(n-1)) produces the linear PDE system whose solution space is
 the symmetry algebra.
 
-Slot-linear expressions are dictionaries Slot -> JetPoly; the generated
-equations are dictionaries Slot -> RatFunc in (x, y) only.
+Slot-linear expressions are dictionaries Slot -> RatFunc (LinDiffPoly); the
+invariance condition has coefficients in the jet variables, the generated
+equations have coefficients in (x, y) only.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import InternalInvariantError
-from .jets import JetPoly, jet_order_of, substitute_top, total_derivative
+from .jets import jet_name, jet_order_of, substitute_top, total_derivative
 from .parsing import OdeSpec
 from .polys import MPoly, divexact, gcd, lcm, var_rank
 from .ratfunc import RatFunc
@@ -55,93 +56,47 @@ class Slot(NamedTuple):
         return f"{self.unknown}_" + "x" * self.dx + "y" * self.dy
 
 
-SlotExpr = Dict[Slot, JetPoly]
 LinDiffPoly = Dict[Slot, RatFunc]
 
 
-def sx_add(a: SlotExpr, b: SlotExpr) -> SlotExpr:
-    out = dict(a)
-    for s, c in b.items():
-        v = out.get(s)
-        v = c if v is None else v + c
-        if v.is_zero():
-            out.pop(s, None)
-        else:
-            out[s] = v
-    return out
+def add_term(out: LinDiffPoly, slot: Slot, value: RatFunc) -> None:
+    """Add value into out[slot] in place, dropping the slot when it cancels."""
+    old = out.get(slot)
+    if old is not None:
+        value = old + value
+    if value.is_zero():
+        out.pop(slot, None)
+    else:
+        out[slot] = value
 
 
-def sx_scale(a: SlotExpr, c) -> SlotExpr:
-    if isinstance(c, (int, Fraction)):
-        c = JetPoly.const(c)
-    out = {}
-    for s, v in a.items():
-        w = v * c
-        if not w.is_zero():
-            out[s] = w
-    return out
-
-
-def sx_total_derivative(a: SlotExpr) -> SlotExpr:
+def sx_total_derivative(a: LinDiffPoly) -> LinDiffPoly:
     """D_x of a slot-linear expression.
 
     Coefficients differentiate totally; a slot, being a function of (x, y)
     restricted to a curve, differentiates to its x-shift plus y' times its
     y-shift.
     """
-    out: SlotExpr = {}
-
-    def put(s, v):
-        old = out.get(s)
-        v = v if old is None else old + v
-        if v.is_zero():
-            out.pop(s, None)
-        else:
-            out[s] = v
-
-    y1 = JetPoly.coordinate(1)
+    out: LinDiffPoly = {}
+    y1 = RatFunc.variable(jet_name(1))
     for s, c in a.items():
-        dc = total_derivative(c)
-        if not dc.is_zero():
-            put(s, dc)
-        put(s.derive(1, 0), c)
-        put(s.derive(0, 1), c * y1)
+        add_term(out, s, total_derivative(c))
+        add_term(out, s.derive(1, 0), c)
+        add_term(out, s.derive(0, 1), c * y1)
     return out
 
 
-def xi_expr() -> SlotExpr:
-    return {Slot(XI, 0, 0): JetPoly.const(1)}
-
-
-def eta_expr() -> SlotExpr:
-    return {Slot(ETA, 0, 0): JetPoly.const(1)}
-
-
-def prolong(prev: SlotExpr, k: int) -> SlotExpr:
-    """One prolongation step: eta^(k) from eta^(k-1)."""
-    dxi = sx_total_derivative(xi_expr())
-    return sx_add(sx_total_derivative(prev),
-                  sx_scale(dxi, -JetPoly.coordinate(k)))
-
-
-def prolonged_eta(k: int) -> SlotExpr:
-    e = eta_expr()
-    for i in range(1, k + 1):
-        e = prolong(e, i)
-    return e
-
-
-def sx_substitute_top(a: SlotExpr, n: int, f: JetPoly) -> SlotExpr:
-    out = {}
-    for s, c in a.items():
-        v = substitute_top(c, n, f)
-        if not v.is_zero():
-            out[s] = v
-    return out
-
-
-def max_slot_order(a) -> int:
-    return max((s.order for s in a), default=0)
+def prolonged_eta(n: int) -> List[LinDiffPoly]:
+    """[eta^(0), ..., eta^(n)], each step eta^(k) = D_x eta^(k-1) - y^(k) D_x xi."""
+    dxi = sx_total_derivative({Slot(XI, 0, 0): RatFunc.one()})
+    etas = [{Slot(ETA, 0, 0): RatFunc.one()}]
+    for k in range(1, n + 1):
+        e = sx_total_derivative(etas[-1])
+        minus_yk = -RatFunc.variable(jet_name(k))
+        for s, c in dxi.items():
+            add_term(e, s, c * minus_yk)
+        etas.append(e)
+    return etas
 
 
 # -- generation -----------------------------------------------------------------
@@ -182,24 +137,25 @@ def _canonical_scale(eq: LinDiffPoly) -> LinDiffPoly:
     return {s: v / c for s, v in eq.items()}
 
 
-def invariance_expression(ode: OdeSpec) -> SlotExpr:
+def invariance_expression(ode: OdeSpec) -> LinDiffPoly:
     """X(y^(n) + f) restricted to solutions, as a slot-linear expression."""
     n, f = ode.n, ode.f
-    expr = prolonged_eta(n)
-    expr = sx_add(expr, sx_scale(xi_expr(), f.partial_x()))
-    for k in range(0, n):
-        pk = f.partial(k)
+    etas = prolonged_eta(n)
+    expr = dict(etas[n])
+    add_term(expr, Slot(XI, 0, 0), f.derivative("x"))
+    for k in range(n):
+        pk = f.derivative(jet_name(k))
         if pk.is_zero():
             continue
-        if k == 0:
-            expr = sx_add(expr, sx_scale(eta_expr(), pk))
-        else:
-            expr = sx_add(expr, sx_scale(prolonged_eta(k), pk))
-    expr = sx_substitute_top(expr, n, f)
-    if max_slot_order(expr) > n:
+        for s, c in etas[k].items():
+            add_term(expr, s, c * pk)
+    out: LinDiffPoly = {}
+    for s, c in expr.items():
+        add_term(out, s, substitute_top(c, n, f))
+    if max((s.order for s in out), default=0) > n:
         raise InternalInvariantError(
             "prolongation produced slot derivatives beyond the equation order")
-    return expr
+    return out
 
 
 def _jet_content(p: MPoly) -> MPoly:
@@ -230,13 +186,13 @@ def determining_system(ode: OdeSpec) -> LinDiffSystem:
     # (x, y) alone stay in the rational coefficients
     den = MPoly.const(1)
     for c in expr.values():
-        den = lcm(den, c.expr.den)
+        den = lcm(den, c.den)
     content = _jet_content(den)
     den_jet = divexact(den, content)
 
     collected: Dict[Tuple[Tuple[str, int], ...], LinDiffPoly] = {}
     for slot, c in expr.items():
-        scaled_num = c.expr.num * divexact(den, c.expr.den)
+        scaled_num = c.num * divexact(den, c.den)
         # scaled_num / content == c * den_jet; split monomials into jet part
         # and (x, y) part
         for e, q in scaled_num.terms.items():

@@ -29,7 +29,7 @@ import dataclasses
 import itertools
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .determining import ETA, XI, LinDiffPoly, LinDiffSystem, Slot
+from .determining import ETA, XI, LinDiffPoly, LinDiffSystem, Slot, add_term
 from .errors import InternalInvariantError
 from .ratfunc import RatFunc
 
@@ -71,21 +71,10 @@ def alt_ranking() -> Ranking:
 def lin_derive(eq: LinDiffPoly, var: str) -> LinDiffPoly:
     """Differentiate an equation with respect to x or y (product rule)."""
     out: LinDiffPoly = {}
-
-    def put(s, v):
-        old = out.get(s)
-        v = v if old is None else old + v
-        if v.is_zero():
-            out.pop(s, None)
-        else:
-            out[s] = v
-
     step = (1, 0) if var == "x" else (0, 1)
     for s, c in eq.items():
-        dc = c.derivative(var)
-        if not dc.is_zero():
-            put(s, dc)
-        put(s.derive(*step), c)
+        add_term(out, s, c.derivative(var))
+        add_term(out, s.derive(*step), c)
     return out
 
 
@@ -143,11 +132,7 @@ def reduce(p: LinDiffPoly, eqs: Sequence[_Eq], ranking: Ranking) -> LinDiffPoly:
         c = work[best]
         d = best_eq.derived(best.dx - best_eq.lead.dx, best.dy - best_eq.lead.dy)
         for t, v in d.items():
-            nv = work.get(t, RatFunc.zero()) - c * v
-            if nv.is_zero():
-                work.pop(t, None)
-            else:
-                work[t] = nv
+            add_term(work, t, -(c * v))
         if best in work:  # the lead of d is monic at `best`, must cancel
             raise InternalInvariantError("reduction failed to eliminate a slot")
 
@@ -160,11 +145,7 @@ def _cross(a: _Eq, b: _Eq) -> LinDiffPoly:
     db = b.derived(lx - b.lead.dx, ly - b.lead.dy)
     out = dict(da)
     for s, c in db.items():
-        v = out.get(s, RatFunc.zero()) - c
-        if v.is_zero():
-            out.pop(s, None)
-        else:
-            out[s] = v
+        add_term(out, s, -c)
     return out
 
 

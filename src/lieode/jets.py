@@ -1,28 +1,22 @@
-"""Differential polynomials on the jet space of curves y(x).
+"""Rational functions on the jet space of curves y(x).
 
 Jet coordinates are x, y, y', y'', ... with internal names "x", "y", "y1",
-"y2", ...  A JetPoly wraps a RatFunc in these coordinates together with an
-explicit order bound; constructors compute the tight bound and validate a
-declared one, which catches accidental order escalation in the prolongation
-and substitution code.
+"y2", ...  Jet-space expressions are plain RatFunc values in these names;
+``jet_order`` reads off the highest derivative an expression involves.
 
 Two operations carry the calculus:
 
 * ``total_derivative`` applies D_x = d/dx + sum_k y^(k+1) d/dy^(k), raising
-  the order bound by at most one.
+  the jet order by at most one.
 * ``substitute_top(p, n, f)`` eliminates y^(n) and every higher derivative
   using y^(n) = -f and total derivatives of that relation, which is how
   invariance conditions are evaluated on solutions of y^(n) + f = 0.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Union
-
+from .errors import InternalInvariantError
 from .polys import MPoly
 from .ratfunc import RatFunc
-
-Scalar = Union[int, Fraction]
 
 
 def jet_name(k: int) -> str:
@@ -41,117 +35,9 @@ def jet_order_of(name: str) -> int:
     return -1
 
 
-def _max_jet_order(rf: RatFunc) -> int:
-    k = -1
-    for v in set(rf.num.vars) | set(rf.den.vars):
-        k = max(k, jet_order_of(v))
-    return k
-
-
-class JetPoly:
-    """Rational function of x, y, y', ..., y^(order)."""
-
-    __slots__ = ("expr", "order")
-
-    def __init__(self, expr: RatFunc, order: int = None):
-        tight = _max_jet_order(expr)
-        if order is None:
-            order = max(tight, 0)
-        elif tight > order:
-            raise ValueError(
-                f"expression involves y^({tight}) beyond declared order {order}")
-        object.__setattr__(self, "expr", expr)
-        object.__setattr__(self, "order", order)
-
-    def __setattr__(self, *a):  # pragma: no cover - guard
-        raise AttributeError("JetPoly is immutable")
-
-    @staticmethod
-    def zero() -> "JetPoly":
-        return JetPoly(RatFunc.zero(), 0)
-
-    @staticmethod
-    def const(c: Scalar) -> "JetPoly":
-        return JetPoly(RatFunc.const(c), 0)
-
-    @staticmethod
-    def coordinate(k: int) -> "JetPoly":
-        """y^(k) as a JetPoly; coordinate(-1) is not a thing, use x()."""
-        return JetPoly(RatFunc.variable(jet_name(k)), k)
-
-    @staticmethod
-    def x() -> "JetPoly":
-        return JetPoly(RatFunc.variable("x"), 0)
-
-    def is_zero(self) -> bool:
-        return self.expr.is_zero()
-
-    def tight_order(self) -> int:
-        return max(_max_jet_order(self.expr), 0)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.expr == RatFunc.const(other)
-        if not isinstance(other, JetPoly):
-            return NotImplemented
-        return self.expr == other.expr
-
-    def __hash__(self) -> int:
-        return hash(self.expr)
-
-    def __repr__(self) -> str:
-        return repr(self.expr)
-
-    @staticmethod
-    def _coerce(v):
-        if isinstance(v, JetPoly):
-            return v
-        if isinstance(v, (int, Fraction)):
-            return JetPoly.const(v)
-        if isinstance(v, RatFunc):
-            return JetPoly(v)
-        return None
-
-    def _binop(self, other, op):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return JetPoly(op(self.expr, o.expr), max(self.order, o.order))
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return JetPoly(-self.expr, self.order)
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binop(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binop(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._binop(other, lambda a, b: b / a)
-
-    def __pow__(self, k: int):
-        return JetPoly(self.expr ** k, self.order)
-
-    def partial(self, k: int) -> "JetPoly":
-        """Formal partial derivative with respect to y^(k)."""
-        return JetPoly(self.expr.derivative(jet_name(k)), self.order)
-
-    def partial_x(self) -> "JetPoly":
-        return JetPoly(self.expr.derivative("x"), self.order)
+def jet_order(rf: RatFunc) -> int:
+    """Highest k such that rf involves y^(k); 0 when it involves none."""
+    return max([0] + [jet_order_of(v) for v in rf.num.vars + rf.den.vars])
 
 
 def _total_derivative_mpoly(p: MPoly, top: int) -> MPoly:
@@ -163,46 +49,44 @@ def _total_derivative_mpoly(p: MPoly, top: int) -> MPoly:
     return out
 
 
-def total_derivative(p: JetPoly) -> JetPoly:
-    """Total x-derivative along curves; order bound rises by at most one."""
-    top = p.order
-    num, den = p.expr.num, p.expr.den
+def total_derivative(p: RatFunc) -> RatFunc:
+    """Total x-derivative along curves; the jet order rises by at most one."""
+    top = jet_order(p)
+    num, den = p.num, p.den
     dnum = _total_derivative_mpoly(num, top)
     dden = _total_derivative_mpoly(den, top)
     if dden.is_zero():
-        expr = RatFunc(dnum, den)
+        out = RatFunc(dnum, den)
     else:
-        expr = RatFunc(dnum * den - num * dden, den * den)
-    out = JetPoly(expr)
-    if out.order > p.order + 1:
-        raise AssertionError("total derivative escalated jet order by more than one")
+        out = RatFunc(dnum * den - num * dden, den * den)
+    if jet_order(out) > top + 1:
+        raise InternalInvariantError(
+            "total derivative escalated jet order by more than one")
     return out
 
 
-def substitute_top(p: JetPoly, n: int, f: JetPoly) -> JetPoly:
+def substitute_top(p: RatFunc, n: int, f: RatFunc) -> RatFunc:
     """Eliminate y^(n) and above from p using y^(n) = -f, f of order <= n-1.
 
     Substituting twice is a no-op because the result involves only jets of
     order < n.  Raises DegenerateInput when a denominator collapses to zero
     under the substitution.
     """
-    if f.order > n - 1:
-        raise ValueError(f"f has order {f.order}, expected <= {n - 1}")
-    if p.order < n:
+    if jet_order(f) > n - 1:
+        raise ValueError(f"f has order {jet_order(f)}, expected <= {n - 1}")
+    top = jet_order(p)
+    if top < n:
         return p
     # g[k] = value of y^(n+k) on solutions, expressed with jets of order < n
     g = [-f]
-    for k in range(1, p.order - n + 1):
-        d = total_derivative(g[k - 1])  # order <= n
-        if d.order >= n:
-            d = JetPoly(d.expr.subs_var(jet_name(n), g[0].expr), n - 1)
+    for k in range(1, top - n + 1):
+        d = total_derivative(g[k - 1]).subs_var(jet_name(n), g[0])
+        if jet_order(d) > n - 1:
+            raise InternalInvariantError(
+                f"y^({n + k}) on solutions still involves y^({n}) or above")
         g.append(d)
-    expr = p.expr
-    for k in range(p.order - n, -1, -1):
-        name = jet_name(n + k)
-        if not expr.free_of(name):
-            expr = expr.subs_var(name, g[k].expr)
-    result = JetPoly(expr)
-    if result.order > n - 1:
-        raise AssertionError("substitute_top left a top-order jet behind")
-    return result
+    for k in range(top - n, -1, -1):
+        p = p.subs_var(jet_name(n + k), g[k])
+    if jet_order(p) > n - 1:
+        raise InternalInvariantError("substitute_top left a top-order jet behind")
+    return p

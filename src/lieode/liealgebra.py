@@ -38,6 +38,10 @@ from .polys import MPoly
 
 Point = Tuple[Fraction, Fraction]
 
+# Highest truncation order a caller may request: the series and structure
+# work grows steeply with N, and nothing bounds an explicit request otherwise.
+MAX_TRUNCATION = 24
+
 _0 = Fraction(0)
 _1 = Fraction(1)
 
@@ -137,8 +141,10 @@ def series_basis(inv: InvolutiveSystem,
     min_n = inv.max_parametric_order() + 2
     if N is None:
         N = min_n
-    if N < min_n:
+    elif N < min_n:
         raise ValueError("truncation order %d below required %d" % (N, min_n))
+    elif N > MAX_TRUNCATION:
+        raise ValueError("truncation order %d above limit %d" % (N, MAX_TRUNCATION))
     table = normal_form_table(inv, N)
     if point is None:
         point, ev = choose_expansion_point(table)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
 from .errors import InputError, NotQuasiLinear, OdeSyntaxError, OrderTooLow
-from .jets import JetPoly, jet_name, jet_order_of
+from .jets import jet_name, jet_order, jet_order_of
 from .polys import MPoly, _mono_key
 from .ratfunc import RatFunc
 
@@ -246,12 +246,12 @@ class OdeSpec:
     """y^(n) + f(x, y, ..., y^(n-1)) = 0 with rational f."""
 
     n: int
-    f: JetPoly
+    f: RatFunc
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("order must be at least 1")
-        if self.f.tight_order() > self.n - 1:
+        if jet_order(self.f) > self.n - 1:
             raise ValueError("f involves the highest derivative")
 
     def __str__(self) -> str:
@@ -277,7 +277,7 @@ def parse_ode(text: str) -> OdeSpec:
             f"equation is nonlinear in its highest derivative y^({n})")
     low, lead = num.coeffs_in(top)
     f = RatFunc(low) / RatFunc(lead)
-    return OdeSpec(n, JetPoly(f))
+    return OdeSpec(n, f)
 
 
 # -- printing -------------------------------------------------------------------
@@ -362,7 +362,7 @@ def print_ode(o: OdeSpec) -> str:
     head = deriv_marker(o.n)
     if o.f.is_zero():
         return f"{head} = 0"
-    s = format_ratfunc(o.f.expr)
+    s = format_ratfunc(o.f)
     if s.startswith("-"):
         return f"{head} - {s[1:]} = 0"
     return f"{head} + {s} = 0"

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, Optional
 
 from .determining import LinDiffSystem, determining_system
-from .involutive import InvolutiveSystem, Ranking, complete
+from .involutive import InvolutiveSystem, complete
 from .liealgebra import (CASE_CONSTANT, CASE_NONCONSTANT, CASE_TRIVIAL,
                          Certificate, LieAlgebraTable, Point, Subalgebra,
                          assert_dimension_bounds, certify, series_basis,
@@ -76,14 +76,12 @@ class RunReport:
 
 def analyze(source,
             point: Optional[Point] = None,
-            max_order: Optional[int] = None,
-            ranking: Optional[Ranking] = None) -> RunReport:
+            max_order: Optional[int] = None) -> RunReport:
     """Run the full decision chain on an equation (text or parsed form).
 
     ``point`` fixes the series expansion point instead of the automatic
     choice; ``max_order`` raises the Taylor truncation order above the
-    minimum the completion dictates; ``ranking`` overrides the slot order
-    used for the completion.
+    minimum the completion dictates.
     """
     timings: Dict[str, float] = {}
     t_all = time.perf_counter()
@@ -97,7 +95,7 @@ def analyze(source,
     timings["determining"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    inv = complete(detsys, ranking)
+    inv = complete(detsys)
     timings["completion"] = time.perf_counter() - t
     assert_dimension_bounds(ode.n, inv.dimension)
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, InternalInvariantError, NonRationalInstance
-from .jets import JetPoly, jet_name
+from .jets import jet_name
 from .parsing import OdeSpec, parse_expr
 from .ratfunc import RatFunc
 from .recovery import CharPoly, affine_class, affine_equivalent
@@ -186,7 +186,7 @@ def push_linear(p: CharPoly, T: PointTransformation) -> OracleInstance:
             % (p, T.name))
     if not f.free_of(top):
         raise InternalInvariantError("highest derivative failed to isolate")
-    ode = OdeSpec(n, JetPoly(f))
+    ode = OdeSpec(n, f)
     case = "trivial" if is_staircase_class(p) else "constant-coefficients"
     return OracleInstance(ode, p, T, case)
 

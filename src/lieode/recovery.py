@@ -97,7 +97,8 @@ def root_affine_image(p: CharPoly, k: Fraction, b: Fraction) -> CharPoly:
         # (z - b)^j expanded ascending
         for i in range(j + 1):
             out[i] += scale * math.comb(j, i) * (-b) ** (j - i)
-    assert out[n] == 1
+    if out[n] != 1:
+        raise InternalInvariantError("affine root image lost monicity")
     return CharPoly(tuple(out[:n]))
 
 
@@ -172,7 +173,8 @@ def affine_class(p: CharPoly) -> AffineClass:
         g = math.gcd(*support)
         reduced = [j // g for j in support]
         gg, weights = _extended_gcd_combination(reduced)
-        assert gg == 1
+        if gg != 1:
+            raise InternalInvariantError("reduced support degrees are not coprime")
         T = _1
         for idx, j in enumerate(support):
             w = weights.get(idx, 0)

@@ -221,6 +221,9 @@ def test_max_order_floor():
     code, _, err = run("certify", "y'' = 0", "--max-order", "2")
     assert code == 2 and "below required" in err
     assert run("certify", "y'' = 0", "--max-order", "5")[0] == 0
+    code, _, err = run("certify", "y''=y", "--max-order", "100000000")
+    assert code == 2 and "above limit" in err
+    assert run("certify", "y''' = 0", "--max-order", "24")[0] == 0
 
 
 def test_dump_flags_and_timings():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lieode.errors import (InputError, NotQuasiLinear, OdeSyntaxError,
                            OrderTooLow)
-from lieode.jets import JetPoly
+from lieode.jets import jet_name
 from lieode.parsing import (MAX_NESTING, MAX_PRIMES, OdeSpec, deriv_marker,
                             parse_expr, parse_ode, print_ode)
 from lieode.pushforward import PointTransformation, pulled_back_generator
@@ -21,7 +21,7 @@ def rf(text):
 
 
 def jet(k):
-    return JetPoly.coordinate(k)
+    return RatFunc.variable(jet_name(k))
 
 
 # -- expression grammar -----------------------------------------------------------
@@ -150,11 +150,11 @@ def test_parse_ode_moves_rhs():
 def test_parse_ode_divides_leading_coefficient():
     # 2*y'' + y' = 0 → f = y'/2  [DERIVED]
     ode = parse_ode("2*y'' + y' = 0")
-    assert ode.f == jet(1) / JetPoly.const(2)
+    assert ode.f == jet(1) / RatFunc.const(2)
     # x*y''' - y = 0 → f = -y/x
     ode = parse_ode("x*y''' - y = 0")
     assert ode.n == 3
-    assert ode.f == -jet(0) / JetPoly.x()
+    assert ode.f == -jet(0) / RatFunc.variable("x")
 
 
 def test_parse_ode_top_derivative_may_sit_on_the_right():
@@ -181,6 +181,15 @@ def test_order_too_low():
         parse_ode("y'' - y'' = y")   # top derivative cancels
 
 
+def test_ode_spec_validates_its_order():
+    # an order below one, and an f involving y^(n) itself, are not y^(n) + f = 0
+    with pytest.raises(ValueError):
+        OdeSpec(0, RatFunc.variable("x"))
+    with pytest.raises(ValueError):
+        OdeSpec(2, jet(2))
+    assert OdeSpec(2, jet(1) * jet(0)).n == 2
+
+
 def test_missing_equals_sign():
     with pytest.raises(OdeSyntaxError):
         parse_ode("y'' + y")
@@ -205,18 +214,18 @@ def test_deriv_marker_shapes():
 def ode_specs(draw):
     """Random quasi-linear equations with small rational f."""
     n = draw(st.integers(2, 4))
-    coords = [JetPoly.x()] + [jet(k) for k in range(n)]
-    num = JetPoly.zero()
+    coords = [RatFunc.variable("x")] + [jet(k) for k in range(n)]
+    num = RatFunc.zero()
     for _ in range(draw(st.integers(1, 3))):
-        term = JetPoly.const(draw(rationals(max_abs=5, max_den=3)))
+        term = RatFunc.const(draw(rationals(max_abs=5, max_den=3)))
         for _ in range(draw(st.integers(0, 2))):
             term = term * draw(st.sampled_from(coords))
         num = num + term
     den = draw(st.sampled_from([
-        JetPoly.const(1),
+        RatFunc.one(),
         jet(0),
-        JetPoly.const(1) + jet(0) * jet(0),
-        JetPoly.x(),
+        RatFunc.one() + jet(0) * jet(0),
+        RatFunc.variable("x"),
     ]))
     return OdeSpec(n, num / den)
 
