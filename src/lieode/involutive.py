@@ -157,8 +157,6 @@ class InvolutiveSystem:
     parametric: List[Slot]
 
     _eqs: List[_Eq] = dataclasses.field(default=None, repr=False)
-    _nf_cache: Dict[Slot, LinDiffPoly] = dataclasses.field(
-        default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self._eqs is None:
@@ -174,11 +172,7 @@ class InvolutiveSystem:
 
     def normal_form(self, slot: Slot) -> LinDiffPoly:
         """Express one slot through parametric slots on solutions."""
-        got = self._nf_cache.get(slot)
-        if got is None:
-            got = self.reduce({slot: RatFunc.one()})
-            self._nf_cache[slot] = got
-        return dict(got)
+        return self.reduce({slot: RatFunc.one()})
 
     def max_parametric_order(self) -> int:
         return max((s.order for s in self.parametric), default=0)

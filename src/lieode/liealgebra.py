@@ -5,16 +5,18 @@ solution space.  Fixing an expansion point and assigning delta initial data
 (one parametric slot set to 1, the rest to 0) determines every other Taylor
 coefficient through the solved-form equations; doing this for each parametric
 slot yields a canonical basis of the symmetry algebra as truncated series.
+The normal-form table is built and evaluated once, through order N+1, so each
+basis element carries its derivative values one order past the truncation
+order N.
 
-Brackets of basis elements are computed on the truncated Taylor polynomials;
-the parametric Taylor data of a bracket are exactly its coordinates in the
-delta basis, which gives the structure constants.  Three safety nets are
-always on: the bracket's full Taylor table must be consistent with the
-solved forms (closure of the solution space under the bracket), the tables
-must satisfy antisymmetry and the Jacobi identity exactly, and recomputing
-one order deeper must reproduce the same constants.  The normal-form table
-one order deeper (N+1) is evaluated once; restricted to order N it serves
-the N pass, and in full it yields the N+1 basis and checks.
+Brackets are taken directly on those values by Leibniz's rule: the value of a
+bracket at order k reads the data of both fields up to order k+1, so it is
+known through order N.  Its values at the parametric slots are its
+coordinates in the delta basis, which gives the structure constants.  Two
+safety nets are always on: at every slot of order <= N the bracket must equal
+the combination of basis elements named by its coordinates (closure of the
+solution space under the bracket), and the constants must satisfy
+antisymmetry and the Jacobi identity exactly.
 
 The linearization certificate is then a pure function of the dimension m,
 the order n, and the derived algebra: linearizable iff (n=2 and m=8), or
@@ -27,20 +29,22 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .determining import ETA, XI, LinDiffPoly, Slot
 from .errors import DegenerateInput, InternalInvariantError, SingularPoint
 from .involutive import InvolutiveSystem
 from .linalg import Vec, row_space_basis
-from .polys import MPoly
 
 Point = Tuple[Fraction, Fraction]
 
 # Highest truncation order a caller may request: the series and structure
 # work grows steeply with N, and nothing bounds an explicit request otherwise.
 MAX_TRUNCATION = 24
+
+# Candidate expansion points tried before giving up.
+POINT_TRIES = 40
 
 _0 = Fraction(0)
 _1 = Fraction(1)
@@ -77,61 +81,30 @@ def evaluate_table(table: Dict[Slot, LinDiffPoly],
             for s, nf in table.items()}
 
 
-def choose_expansion_point(table: Dict[Slot, LinDiffPoly],
-                           tries: int = 40):
+def choose_expansion_point(table: Dict[Slot, LinDiffPoly]):
     """First point of the fixed sequence avoiding all denominator zeros."""
-    for point in itertools.islice(expansion_points(), tries):
+    for point in itertools.islice(expansion_points(), POINT_TRIES):
         try:
             return point, evaluate_table(table, point)
         except DegenerateInput:
             continue
     raise InternalInvariantError(
-        "no valid expansion point among %d candidates" % tries)
+        "no valid expansion point among %d candidates" % POINT_TRIES)
 
 
 @dataclasses.dataclass(frozen=True)
 class SeriesSolution:
     """Truncated Taylor data of one symmetry generator.
 
-    ``data`` maps every slot of order <= N to the value of that derivative
-    at the expansion point; ``coords`` are the values at the parametric
-    slots (the coordinates in the delta basis).
+    ``data`` maps every slot of order <= N + 1 to the value of that
+    derivative at the expansion point; the extra order lets brackets be
+    taken through order N.
     """
 
     point: Point
     N: int
     parametric: Tuple[Slot, ...]
     data: Dict[Slot, Fraction]
-
-    @property
-    def coords(self) -> Tuple[Fraction, ...]:
-        return tuple(self.data[p] for p in self.parametric)
-
-    def taylor(self, unknown: str) -> MPoly:
-        """Taylor polynomial in local coordinates (x - x0, y - y0)."""
-        terms = {}
-        for s, v in self.data.items():
-            if s.unknown == unknown and v:
-                terms[(s.dx, s.dy)] = v / (factorial(s.dx) * factorial(s.dy))
-        return MPoly(("x", "y"), terms)
-
-
-def _evaluate_at(table: Dict[Slot, LinDiffPoly],
-                 point: Point) -> Dict[Slot, Dict[Slot, Fraction]]:
-    try:
-        return evaluate_table(table, point)
-    except DegenerateInput as exc:
-        raise SingularPoint(
-            "singular expansion point (%s, %s): %s"
-            % (point[0], point[1], exc)) from exc
-
-
-def _delta_basis(point: Point, N: int, params: Tuple[Slot, ...],
-                 ev: Dict[Slot, Dict[Slot, Fraction]]) -> List[SeriesSolution]:
-    """One solution per parametric slot, read off an evaluated table."""
-    return [SeriesSolution(point, N, params,
-                           {s: vals.get(p, _0) for s, vals in ev.items()})
-            for p in params]
 
 
 def series_basis(inv: InvolutiveSystem,
@@ -145,49 +118,46 @@ def series_basis(inv: InvolutiveSystem,
         raise ValueError("truncation order %d below required %d" % (N, min_n))
     elif N > MAX_TRUNCATION:
         raise ValueError("truncation order %d above limit %d" % (N, MAX_TRUNCATION))
-    table = normal_form_table(inv, N)
+    table = normal_form_table(inv, N + 1)
     if point is None:
         point, ev = choose_expansion_point(table)
     else:
-        ev = _evaluate_at(table, point)
-    return _delta_basis(point, N, tuple(inv.parametric), ev)
+        try:
+            ev = evaluate_table(table, point)
+        except DegenerateInput as exc:
+            raise SingularPoint(
+                "singular expansion point (%s, %s): %s"
+                % (point[0], point[1], exc)) from exc
+    params = tuple(inv.parametric)
+    return [SeriesSolution(point, N, params,
+                           {s: vals.get(p, _0) for s, vals in ev.items()})
+            for p in params]
 
 
-def _truncate(p: MPoly, deg: int) -> MPoly:
-    return MPoly(p.vars, {e: c for e, c in p.terms.items() if sum(e) <= deg})
+def _bracket_data(a: Dict[Slot, Fraction], b: Dict[Slot, Fraction],
+                  N: int) -> Dict[Slot, Fraction]:
+    """Derivative values through order N of the commutator of two fields.
 
-
-def _mono_coeff(p: MPoly, dx: int, dy: int) -> Fraction:
-    exps = [0] * len(p.vars)
-    for name, e in (("x", dx), ("y", dy)):
-        if name in p.vars:
-            exps[p.vars.index(name)] = e
-        elif e:
-            return _0
-    return p.terms.get(tuple(exps), _0)
-
-
-def _bracket_taylor(a: Tuple[MPoly, MPoly], b: Tuple[MPoly, MPoly],
-                    deg: int) -> Tuple[MPoly, MPoly]:
-    """Commutator components of two vector fields, truncated to degree deg."""
-    axi, aeta = a
-    bxi, beta = b
-    cxi = (axi * bxi.derivative("x") + aeta * bxi.derivative("y")
-           - bxi * axi.derivative("x") - beta * axi.derivative("y"))
-    ceta = (axi * beta.derivative("x") + aeta * beta.derivative("y")
-            - bxi * aeta.derivative("x") - beta * aeta.derivative("y"))
-    return _truncate(cxi, deg), _truncate(ceta, deg)
-
-
-def _taylor_data(pair: Tuple[MPoly, MPoly], max_order: int) -> Dict[Slot, Fraction]:
-    """Slot table (derivative values) of truncated Taylor components."""
-    out: Dict[Slot, Fraction] = {}
-    for unk, comp in ((XI, pair[0]), (ETA, pair[1])):
-        for total in range(max_order + 1):
-            for i in range(total + 1):
-                j = total - i
-                out[Slot(unk, i, j)] = (_mono_coeff(comp, i, j)
-                                        * factorial(i) * factorial(j))
+    Leibniz's rule on [a,b]^u = a^xi b^u_x + a^eta b^u_y - (a <-> b), summed
+    over the nonzero data only: a^w at slot (p, q) times the derivative
+    (r, t) of b^u_w contributes C(p+r, p) C(q+t, q) a^w_pq (b^u_w)_rt at
+    slot (u, p+r, q+t).
+    """
+    out = {Slot(u, i, total - i): _0 for u in (XI, ETA)
+           for total in range(N + 1) for i in range(total + 1)}
+    for f, g, sign in ((a, b, 1), (b, a, -1)):
+        g_nonzero = [(s, v) for s, v in g.items() if v]
+        for w, fv in f.items():
+            if not fv or w.order > N:
+                continue
+            ex, ey = (1, 0) if w.unknown == XI else (0, 1)
+            for s, gv in g_nonzero:
+                r, t = s.dx - ex, s.dy - ey
+                if r < 0 or t < 0 or w.order + r + t > N:
+                    continue
+                i, j = w.dx + r, w.dy + t
+                out[Slot(s.unknown, i, j)] += (
+                    sign * comb(i, w.dx) * comb(j, w.dy)) * fv * gv
     return out
 
 
@@ -235,61 +205,34 @@ class LieAlgebraTable:
                             "Jacobi identity fails at (%d,%d,%d)" % (i, j, k))
 
 
-def _raw_structure_constants(basis: Sequence[SeriesSolution],
-                             ev: Dict[Slot, Dict[Slot, Fraction]],
-                             ) -> LieAlgebraTable:
+def structure_constants(basis: Sequence[SeriesSolution]) -> LieAlgebraTable:
+    """Structure constants of the algebra spanned by a series basis.
+
+    Each bracket's coordinates are its values at the parametric slots.  At
+    every slot of order <= N the bracket must equal the combination of basis
+    elements those coordinates name, or it has left the solution space; the
+    finished table must satisfy antisymmetry and Jacobi.
+    """
     m = len(basis)
+    if not m:
+        return LieAlgebraTable(0, [])
     N = basis[0].N
     params = basis[0].parametric
-    max_param_order = max((p.order for p in params), default=0)
-    if N < max_param_order + 1:
-        raise ValueError("truncation too low to read bracket initial data")
-    tay = [(sol.taylor(XI), sol.taylor(ETA)) for sol in basis]
     C = [[[_0] * m for _ in range(m)] for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            br = _bracket_taylor(tay[i], tay[j], N - 1)
-            data = _taylor_data(br, N - 1)
-            # closure check: the bracket's whole Taylor table must agree
-            # with the solved forms applied to its parametric data
-            for s, vals in ev.items():
-                if s.order > N - 1:
-                    continue
-                recon = sum((c * data[q] for q, c in vals.items()), _0)
-                if recon != data[s]:
+            data = _bracket_data(basis[i].data, basis[j].data, N)
+            coords = [data[p] for p in params]
+            terms = [(c, basis[k].data) for k, c in enumerate(coords) if c]
+            for s, value in data.items():
+                if sum((c * d[s] for c, d in terms), _0) != value:
                     raise InternalInvariantError(
                         "bracket of basis elements %d,%d leaves the "
                         "solution space at slot %s" % (i, j, s.label()))
-            coords = [data[p] for p in params]
             C[i][j] = coords
             C[j][i] = [-c for c in coords]
     table = LieAlgebraTable(m, C)
     table.validate()
-    return table
-
-
-def structure_constants(basis: Sequence[SeriesSolution],
-                        inv: InvolutiveSystem) -> LieAlgebraTable:
-    """Structure constants of the algebra spanned by a series basis.
-
-    The normal-form table at truncation N+1 is built and evaluated at the
-    basis point once.  Restricted to slots of order <= N it is the closure
-    table for the basis itself; in full it gives the delta basis at N+1 and
-    that basis's closure table.  Both passes check that every bracket stays
-    inside the solution space and validate antisymmetry and Jacobi, and the
-    N+1 constants must equal the N ones.
-    """
-    if not basis:
-        return LieAlgebraTable(0, [])
-    N = basis[0].N
-    point = basis[0].point
-    ev = _evaluate_at(normal_form_table(inv, N + 1), point)
-    table = _raw_structure_constants(basis, ev)
-    deeper = _delta_basis(point, N + 1, basis[0].parametric, ev)
-    if _raw_structure_constants(deeper, ev).C != table.C:
-        raise InternalInvariantError(
-            "structure constants changed between truncation orders %d and %d"
-            % (N, N + 1))
     return table
 
 

@@ -21,7 +21,7 @@ from typing import Dict, Optional
 from .determining import LinDiffSystem, determining_system
 from .involutive import InvolutiveSystem, complete
 from .liealgebra import (CASE_CONSTANT, CASE_NONCONSTANT, CASE_TRIVIAL,
-                         Certificate, LieAlgebraTable, Point, Subalgebra,
+                         Certificate, LieAlgebraTable, Point,
                          assert_dimension_bounds, certify, series_basis,
                          structure_constants)
 from .linalg import Mat, Vec
@@ -59,7 +59,6 @@ class RunReport:
     basis_point: Point
     truncation_order: int
     algebra: LieAlgebraTable
-    derived: Subalgebra
     certificate: Certificate
     recovery: Optional[RecoveryReport]
     note: Optional[str]
@@ -104,12 +103,11 @@ def analyze(source,
     timings["series"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    table = structure_constants(basis, inv)
+    table = structure_constants(basis)
     timings["structure"] = time.perf_counter() - t
 
     t = time.perf_counter()
     cert = certify(ode.n, table)
-    derived = cert.derived
     timings["certify"] = time.perf_counter() - t
 
     recovery = None
@@ -122,7 +120,7 @@ def analyze(source,
             affine=cls,
             representative_ode=class_to_ode(cls))
     elif cert.case == CASE_CONSTANT:
-        e, A, p = recovery_details(table, derived)
+        e, A, p = recovery_details(table, cert.derived)
         recovery = RecoveryReport(
             char_poly=p,
             affine=affine_class(p),
@@ -137,5 +135,5 @@ def analyze(source,
     return RunReport(ode=ode, determining=detsys, involutive=inv,
                      basis_point=basis[0].point if basis else (Fraction(0), Fraction(0)),
                      truncation_order=basis[0].N if basis else 0,
-                     algebra=table, derived=derived, certificate=cert,
+                     algebra=table, certificate=cert,
                      recovery=recovery, note=note, timings=timings)

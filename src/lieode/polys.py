@@ -278,19 +278,6 @@ class MPoly:
             raise ValueError(f"unbound variables in evaluation: {missing}")
         return r.as_const()
 
-    def subs_polys(self, images: Mapping[str, "MPoly"]) -> "MPoly":
-        """Simultaneous substitution of polynomials for variables."""
-        out = MPoly.zero()
-        for e, c in self.terms.items():
-            term = MPoly.const(c)
-            for v, k in zip(self.vars, e):
-                if not k:
-                    continue
-                img = images.get(v)
-                term = term * (img ** k if img is not None else MPoly((v,), {(k,): Fraction(1)}))
-            out = out + term
-        return out
-
     def coeffs_in(self, name: str):
         """Dense coefficient list in one variable; entries are MPoly without it."""
         if name not in self.vars:

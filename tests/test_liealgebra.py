@@ -1,4 +1,5 @@
 """Series bases, structure constants, derived algebras, certificates."""
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ Y = RatFunc.variable("y")
 def run(text):
     inv = complete(determining_system(parse_ode(text)))
     basis = series_basis(inv)
-    table = structure_constants(basis, inv)
+    table = structure_constants(basis)
     return inv, basis, table
 
 
@@ -39,6 +40,10 @@ def test_series_basis_is_delta_initial_data():
     for i, sol in enumerate(basis):
         for j, p in enumerate(params):
             assert sol.data[p] == (1 if i == j else 0)
+        # one order past N, so that brackets are known through order N
+        N = sol.N
+        assert {s.order for s in sol.data} == set(range(N + 2))
+        assert len(sol.data) == (N + 2) * (N + 3)
 
 
 def test_series_basis_truncation_floor():
@@ -85,7 +90,7 @@ def test_translation_scaling_bracket():
            {Slot(ETA, 0, 0): ONE}]
     inv = complete(eqs)
     basis = series_basis(inv)
-    table = structure_constants(basis, inv)
+    table = structure_constants(basis)
     assert table.m == 2
     assert table.C[0][1] == [F(1), F(0)]
     assert table.C[1][0] == [F(-1), F(0)]
@@ -97,7 +102,7 @@ def test_constants_algebra_is_abelian():
     eqs = [{Slot(XI, 1, 0): ONE}, {Slot(XI, 0, 1): ONE},
            {Slot(ETA, 1, 0): ONE}, {Slot(ETA, 0, 1): ONE}]
     inv = complete(eqs)
-    table = structure_constants(series_basis(inv), inv)
+    table = structure_constants(series_basis(inv))
     assert all(c == 0 for row in table.C for vec in row for c in vec)
     assert derived_algebra(table).dimension == 0
 
@@ -136,10 +141,30 @@ def test_validate_rejects_broken_jacobi():
         LieAlgebraTable(m, C).validate()
 
 
+def test_closure_check_fires_on_a_corrupted_datum():
+    # one wrong value at order N, or at order N+1 (which the order-N bracket
+    # values read), takes some bracket out of the solution space  [DERIVED]
+    _, basis, _ = run("y'' = 0")
+    N = basis[0].N
+    assert (N, len(basis)) == (4, 8)
+    cases = [(k, s) for k, sol in enumerate(basis)
+             for s in sol.data if s.order == N]
+    assert len(cases) == 80
+    cases.append((2, Slot(XI, N + 1, 0)))
+    for k, s in cases:
+        broken = list(basis)
+        data = dict(basis[k].data)
+        data[s] += 1
+        broken[k] = dataclasses.replace(basis[k], data=data)
+        with pytest.raises(InternalInvariantError,
+                           match="leaves the solution space"):
+            structure_constants(broken)
+
+
 def test_structure_constants_stable_under_deeper_truncation():
     inv, basis, table = run("y''' + 3*y'*y'' + (y')^3 - 2*(y'' + (y')^2) + y' = 0")
     deeper = series_basis(inv, point=basis[0].point, N=basis[0].N + 2)
-    assert structure_constants(deeper, inv).C == table.C
+    assert structure_constants(deeper).C == table.C
 
 
 def test_structure_constants_stable_across_expansion_points():
@@ -150,7 +175,7 @@ def test_structure_constants_stable_across_expansion_points():
             basis = series_basis(inv, point=p)
         except SingularPoint:
             continue
-        table = structure_constants(basis, inv)
+        table = structure_constants(basis)
         cert = certify(2, table)
         invariants.append((cert.m, cert.derived_dimension,
                            cert.derived_abelian))

@@ -80,14 +80,6 @@ def test_eval_matches_substitution(p, vx, vy):
     assert full.as_const() == p.eval_all({"x": vx, "y": vy})
 
 
-def test_subs_polys_composition():
-    # shifting x by +1 then -1 is the identity  [TRIVIAL]
-    p = (X + Y) ** 3 - 2 * X * Y
-    shifted = p.subs_polys({"x": X + MPoly.const(1)})
-    back = shifted.subs_polys({"x": X - MPoly.const(1)})
-    assert back == p
-
-
 # -- coefficient extraction -------------------------------------------------------
 
 
