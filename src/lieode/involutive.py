@@ -156,12 +156,7 @@ class InvolutiveSystem:
     leads: List[Slot]
     parametric: List[Slot]
 
-    _eqs: List[_Eq] = dataclasses.field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self._eqs is None:
-            self._eqs = [_Eq(t, l, i)
-                         for i, (t, l) in enumerate(zip(self.equations, self.leads))]
+    _eqs: List[_Eq] = dataclasses.field(repr=False)
 
     @property
     def dimension(self) -> int:
@@ -169,10 +164,6 @@ class InvolutiveSystem:
 
     def reduce(self, p: LinDiffPoly) -> LinDiffPoly:
         return reduce(p, self._eqs, self.ranking)
-
-    def normal_form(self, slot: Slot) -> LinDiffPoly:
-        """Express one slot through parametric slots on solutions."""
-        return self.reduce({slot: RatFunc.one()})
 
     def max_parametric_order(self) -> int:
         return max((s.order for s in self.parametric), default=0)
@@ -256,8 +247,7 @@ def complete(system, ranking: Optional[Ranking] = None) -> InvolutiveSystem:
     leads = [e.lead for e in ordered]
     parametric = _parametric_slots(leads, ranking)
     return InvolutiveSystem(ranking, [e.terms for e in ordered], leads, parametric,
-                            _eqs=[_Eq(e.terms, e.lead, i)
-                                  for i, e in enumerate(ordered)])
+                            ordered)
 
 
 def audit_involutive(inv: InvolutiveSystem, original=None) -> bool:

@@ -5,9 +5,11 @@ solution space.  Fixing an expansion point and assigning delta initial data
 (one parametric slot set to 1, the rest to 0) determines every other Taylor
 coefficient through the solved-form equations; doing this for each parametric
 slot yields a canonical basis of the symmetry algebra as truncated series.
-The normal-form table is built and evaluated once, through order N+1, so each
-basis element carries its derivative values one order past the truncation
-order N.
+The values come by forward substitution at the point: in ranking order, each
+non-parametric slot is solved from the prolonged equation it leads, all of
+whose other slots rank lower.  The table is built once, through order N+1,
+so each basis element carries its derivative values one order past the
+truncation order N.
 
 Brackets are taken directly on those values by Leibniz's rule: the value of a
 bracket at order k reads the data of both fields up to order k+1, so it is
@@ -32,7 +34,7 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .determining import ETA, XI, LinDiffPoly, Slot
+from .determining import ETA, XI, Slot
 from .errors import DegenerateInput, InternalInvariantError, SingularPoint
 from .involutive import InvolutiveSystem
 from .linalg import Vec, row_space_basis
@@ -63,29 +65,41 @@ def expansion_points() -> Iterator[Point]:
         k += 1
 
 
-def normal_form_table(inv: InvolutiveSystem, N: int) -> Dict[Slot, LinDiffPoly]:
-    """Normal form of every slot of order <= N over the parametric slots."""
-    table: Dict[Slot, LinDiffPoly] = {}
-    for unk in (XI, ETA):
-        for total in range(N + 1):
-            for i in range(total + 1):
-                s = Slot(unk, i, total - i)
-                table[s] = inv.normal_form(s)
+def normal_form_table(inv: InvolutiveSystem, N: int,
+                      point: Point) -> Dict[Slot, Dict[Slot, Fraction]]:
+    """Value at ``point`` of the normal form of every slot of order <= N.
+
+    Forward substitution in ranking order, reducing each slot by the first
+    equation whose lead divides it, as ``involutive.reduce`` does.  Raises
+    ``DegenerateInput`` when a coefficient's denominator vanishes there.
+    """
+    env = {"x": point[0], "y": point[1]}
+    table: Dict[Slot, Dict[Slot, Fraction]] = {}
+    for s in inv.ranking.sorted(Slot(unk, i, total - i) for unk in (XI, ETA)
+                                for total in range(N + 1)
+                                for i in range(total + 1)):
+        e = next((e for e in inv._eqs if e.lead.divides(s)), None)
+        if e is None:
+            table[s] = {s: _1}
+            continue
+        d = dict(e.derived(s.dx - e.lead.dx, s.dy - e.lead.dy))
+        if d.pop(s, None) != 1 or not table.keys() >= d.keys():
+            raise InternalInvariantError("equation for slot %s is not monic "
+                                         "over lower slots" % s.label())
+        row: Dict[Slot, Fraction] = {}
+        for t, c in d.items():
+            v = c.eval_all(env)
+            for q, w in table[t].items():
+                row[q] = row.get(q, _0) - v * w
+        table[s] = {q: w for q, w in row.items() if w}
     return table
 
 
-def evaluate_table(table: Dict[Slot, LinDiffPoly],
-                   point: Point) -> Dict[Slot, Dict[Slot, Fraction]]:
-    env = {"x": point[0], "y": point[1]}
-    return {s: {q: c.eval_all(env) for q, c in nf.items()}
-            for s, nf in table.items()}
-
-
-def choose_expansion_point(table: Dict[Slot, LinDiffPoly]):
+def choose_expansion_point(inv: InvolutiveSystem, N: int):
     """First point of the fixed sequence avoiding all denominator zeros."""
     for point in itertools.islice(expansion_points(), POINT_TRIES):
         try:
-            return point, evaluate_table(table, point)
+            return point, normal_form_table(inv, N, point)
         except DegenerateInput:
             continue
     raise InternalInvariantError(
@@ -118,12 +132,11 @@ def series_basis(inv: InvolutiveSystem,
         raise ValueError("truncation order %d below required %d" % (N, min_n))
     elif N > MAX_TRUNCATION:
         raise ValueError("truncation order %d above limit %d" % (N, MAX_TRUNCATION))
-    table = normal_form_table(inv, N + 1)
     if point is None:
-        point, ev = choose_expansion_point(table)
+        point, ev = choose_expansion_point(inv, N + 1)
     else:
         try:
-            ev = evaluate_table(table, point)
+            ev = normal_form_table(inv, N + 1, point)
         except DegenerateInput as exc:
             raise SingularPoint(
                 "singular expansion point (%s, %s): %s"

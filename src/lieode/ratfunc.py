@@ -191,12 +191,6 @@ class RatFunc:
             return RatFunc(dn, self.den)
         return RatFunc(dn * self.den - self.num * dd, self.den * self.den)
 
-    def subs_values(self, values: Mapping[str, Fraction]) -> "RatFunc":
-        den = self.den.subs_values(values)
-        if den.is_zero():
-            raise DegenerateInput("denominator vanishes at substitution point")
-        return RatFunc(self.num.subs_values(values), den)
-
     def eval_all(self, values: Mapping[str, Fraction]) -> Fraction:
         den = self.den.eval_all(values)
         if den == 0:

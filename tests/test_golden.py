@@ -8,6 +8,9 @@ It pins structure constants, derived-algebra data, recovered classes and
 action matrices, so any change to an exact answer shows up here.  For each
 equation it also holds ``recover ODE --json-only --dump-detsys
 --dump-involutive``, which pins the determining and involutive systems.
+A sixteenth case, ``symmetries "y'' - y/x^4 = 0" --json-only``, pins an
+8-dimensional algebra computed at a point other than the origin (x = 0 is
+singular there, so the automatic point is (1, 1)).
 """
 import contextlib
 import io

@@ -11,11 +11,15 @@ from lieode.involutive import complete
 from lieode.liealgebra import (CASE_CONSTANT, CASE_NONCONSTANT, CASE_NONE,
                                CASE_TRIVIAL, Certificate, LieAlgebraTable,
                                assert_dimension_bounds, certify,
-                               derived_algebra, expansion_points, is_abelian,
-                               series_basis, solution_data_from_components,
+                               choose_expansion_point, derived_algebra,
+                               expansion_points, is_abelian,
+                               normal_form_table, series_basis,
+                               solution_data_from_components,
                                structure_constants)
 from lieode.parsing import parse_ode
 from lieode.ratfunc import RatFunc
+
+from conftest import REFERENCE_INPUTS
 
 F = Fraction
 ONE = RatFunc.one()
@@ -62,6 +66,37 @@ def test_automatic_point_avoids_singularities():
     inv = complete(determining_system(parse_ode("y'' + y'/x = 0")))
     basis = series_basis(inv)
     assert basis[0].point[0] != 0    # x = 0 meets the coefficient pole
+
+
+@pytest.mark.parametrize("text", list(REFERENCE_INPUTS.values()) + [
+    "y'' - y/x^4 = 0",
+    "y'' + (-3*x^2*(y')^3 - 6*x*y*(y')^2 - 3*y^2*y' - 2*(y')^2)/y = 0",
+])
+def test_table_matches_evaluated_symbolic_normal_forms(text):
+    # forward substitution at the point agrees with the symbolic normal form
+    # of every slot, evaluated afterwards; the last two inputs have their
+    # automatic point at (1, 1), off the singular line  [DERIVED]
+    inv = complete(determining_system(parse_ode(text)))
+    point, table = choose_expansion_point(inv, inv.max_parametric_order() + 3)
+    env = {"x": point[0], "y": point[1]}
+    for s, row in table.items():
+        ref = {q: c.eval_all(env) for q, c in inv.reduce({s: ONE}).items()}
+        assert row == {q: v for q, v in ref.items() if v}, s.label()
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda terms, lead: terms.update({lead: terms[lead] * 2}),
+    lambda terms, lead: terms.update({lead.derive(1, 0): ONE}),
+], ids=["lead-doubled", "slot-above-lead"])
+def test_forward_substitution_guard_fires(corrupt):
+    # an equation that is no longer monic, or that names a slot above its
+    # lead, must not yield a KeyError or silently wrong data  [DERIVED]
+    inv = complete(determining_system(parse_ode("y'' = 0")))
+    e = inv._eqs[0]
+    corrupt(e.terms, e.lead)
+    e.invalidate()
+    with pytest.raises(InternalInvariantError, match="not monic over lower"):
+        normal_form_table(inv, inv.max_parametric_order() + 2, (F(0), F(0)))
 
 
 def test_generators_reconstruct_from_series_basis():
