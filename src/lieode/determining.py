@@ -3,29 +3,33 @@
 A symmetry generator xi(x,y) d/dx + eta(x,y) d/dy acts on jets through its
 prolongation; the k-th prolonged coefficient obeys
 
-    eta^(k) = D_x eta^(k-1) - y^(k) D_x xi.
+    eta^(k) = D_x eta^(k-1) - y^(k) D_x xi
+
+(Olver, *Applications of Lie Groups to Differential Equations*, 2.3).  It is
+linear in the unknown functions xi, eta and their partial derivatives
+("slots"), with coefficients polynomial in the jet variables.
 
 Applying the prolonged operator to y^(n) + f and restricting to solutions
-(y^(n) := -f) yields an expression linear in the unknown functions xi, eta
-and their partial derivatives ("slots"), with coefficients rational in the
-jet variables.  Collecting the coefficient of every monomial in
-(y', ..., y^(n-1)) produces the linear PDE system whose solution space is
-the symmetry algebra.
-
-Slot-linear expressions are dictionaries Slot -> RatFunc (LinDiffPoly); the
-invariance condition has coefficients in the jet variables, the generated
-equations have coefficients in (x, y) only.
+(y^(n) := -f) gives the invariance condition.  Write f = P/Q, let
+G = gcd(Q, dQ/dv for every variable v of Q) and R = Q/G, the squarefree part
+of Q.  Times Q*R the condition is a polynomial: eta^(n) = A + B y^(n)
+contributes R (Q A - P B), and xi and eta^(k), k < n, carry the factor
+(P_v Q - P Q_v)/G with v = x or y^(k).  Q*R rather than Q^2: a repeated jet
+factor of Q, as in Q = (1 + y')^2, would otherwise multiply the condition by
+a jet polynomial and mix the collected monomials.  Collecting the coefficient
+of every monomial in (y', ..., y^(n-1)) produces the linear PDE system whose
+solution space is the symmetry algebra; only there does a coefficient become
+a RatFunc in (x, y), scaled so that its highest slot has coefficient one.
 """
 from __future__ import annotations
 
 import dataclasses
-from fractions import Fraction
 from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import InternalInvariantError
-from .jets import jet_name, jet_order_of, substitute_top, total_derivative
+from .jets import jet_name, jet_order_of, total_derivative
 from .parsing import OdeSpec
-from .polys import MPoly, divexact, gcd, lcm, var_rank
+from .polys import MPoly, divexact, gcd
 from .ratfunc import RatFunc
 
 XI = "xi"
@@ -57,9 +61,10 @@ class Slot(NamedTuple):
 
 
 LinDiffPoly = Dict[Slot, RatFunc]
+JetLin = Dict[Slot, MPoly]
 
 
-def add_term(out: LinDiffPoly, slot: Slot, value: RatFunc) -> None:
+def add_term(out: dict, slot: Slot, value) -> None:
     """Add value into out[slot] in place, dropping the slot when it cancels."""
     old = out.get(slot)
     if old is not None:
@@ -70,15 +75,15 @@ def add_term(out: LinDiffPoly, slot: Slot, value: RatFunc) -> None:
         out[slot] = value
 
 
-def sx_total_derivative(a: LinDiffPoly) -> LinDiffPoly:
+def sx_total_derivative(a: JetLin) -> JetLin:
     """D_x of a slot-linear expression.
 
     Coefficients differentiate totally; a slot, being a function of (x, y)
     restricted to a curve, differentiates to its x-shift plus y' times its
     y-shift.
     """
-    out: LinDiffPoly = {}
-    y1 = RatFunc.variable(jet_name(1))
+    out: JetLin = {}
+    y1 = MPoly.variable(jet_name(1))
     for s, c in a.items():
         add_term(out, s, total_derivative(c))
         add_term(out, s.derive(1, 0), c)
@@ -86,13 +91,13 @@ def sx_total_derivative(a: LinDiffPoly) -> LinDiffPoly:
     return out
 
 
-def prolonged_eta(n: int) -> List[LinDiffPoly]:
+def prolonged_eta(n: int) -> List[JetLin]:
     """[eta^(0), ..., eta^(n)], each step eta^(k) = D_x eta^(k-1) - y^(k) D_x xi."""
-    dxi = sx_total_derivative({Slot(XI, 0, 0): RatFunc.one()})
-    etas = [{Slot(ETA, 0, 0): RatFunc.one()}]
+    dxi = sx_total_derivative({Slot(XI, 0, 0): MPoly.const(1)})
+    etas = [{Slot(ETA, 0, 0): MPoly.const(1)}]
     for k in range(1, n + 1):
         e = sx_total_derivative(etas[-1])
-        minus_yk = -RatFunc.variable(jet_name(k))
+        minus_yk = -MPoly.variable(jet_name(k))
         for s, c in dxi.items():
             add_term(e, s, c * minus_yk)
         etas.append(e)
@@ -104,28 +109,13 @@ def prolonged_eta(n: int) -> List[LinDiffPoly]:
 
 @dataclasses.dataclass
 class LinDiffSystem:
-    """Raw determining system with provenance back to jet monomials."""
+    """Raw determining system: one equation per collected jet monomial."""
 
     ode: OdeSpec
     equations: List[LinDiffPoly]
-    provenance: List[Tuple[str, ...]]
 
     def __len__(self) -> int:
         return len(self.equations)
-
-
-def _jet_monomial_label(names, exps) -> str:
-    from .parsing import deriv_marker
-
-    bits = []
-    for v, e in zip(names, exps):
-        k = jet_order_of(v)
-        d = deriv_marker(k) if k >= 0 else v
-        if e == 1:
-            bits.append(d)
-        else:
-            bits.append(f"({d})^{e}" if k >= 1 else f"{d}^{e}")
-    return "*".join(bits) if bits else "1"
 
 
 def _canonical_scale(eq: LinDiffPoly) -> LinDiffPoly:
@@ -137,98 +127,58 @@ def _canonical_scale(eq: LinDiffPoly) -> LinDiffPoly:
     return {s: v / c for s, v in eq.items()}
 
 
-def invariance_expression(ode: OdeSpec) -> LinDiffPoly:
-    """X(y^(n) + f) restricted to solutions, as a slot-linear expression."""
-    n, f = ode.n, ode.f
+def invariance_expression(ode: OdeSpec) -> JetLin:
+    """Q*R times X(y^(n) + f) restricted to solutions, f = P/Q, R = Q/G."""
+    n, P, Q = ode.n, ode.f.num, ode.f.den
+    G = Q
+    for v in Q.vars:
+        G = gcd(G, Q.derivative(v))
+    R = divexact(Q, G)
     etas = prolonged_eta(n)
-    expr = dict(etas[n])
-    add_term(expr, Slot(XI, 0, 0), f.derivative("x"))
-    for k in range(n):
-        pk = f.derivative(jet_name(k))
-        if pk.is_zero():
+    top = jet_name(n)
+    out: JetLin = {}
+    for s, c in etas[n].items():
+        if c.degree_in(top) > 1:
+            raise InternalInvariantError(
+                "prolonged coefficient is not linear in the top derivative")
+        a, b = (c.coeffs_in(top) + [MPoly.zero()])[:2]
+        add_term(out, s, R * (Q * a - P * b))
+    # Q*R * f_v = (P_v Q - P Q_v) / G, a polynomial since G divides Q and Q_v
+    for lin, v in [({Slot(XI, 0, 0): MPoly.const(1)}, "x")] + [
+            (etas[k], jet_name(k)) for k in range(n)]:
+        fv = divexact(P.derivative(v) * Q - P * Q.derivative(v), G)
+        if fv.is_zero():
             continue
-        for s, c in etas[k].items():
-            add_term(expr, s, c * pk)
-    out: LinDiffPoly = {}
-    for s, c in expr.items():
-        add_term(out, s, substitute_top(c, n, f))
+        for s, c in lin.items():
+            add_term(out, s, c * fv)
     if max((s.order for s in out), default=0) > n:
         raise InternalInvariantError(
             "prolongation produced slot derivatives beyond the equation order")
     return out
 
 
-def _jet_content(p: MPoly) -> MPoly:
-    """gcd of the coefficients of p viewed as a polynomial in the jet variables."""
-    jet_idx = [i for i, v in enumerate(p.vars) if jet_order_of(v) >= 1]
-    if not jet_idx:
-        return p
-    buckets: Dict[Tuple[int, ...], Dict[Tuple[int, ...], Fraction]] = {}
-    base_idx = [i for i in range(len(p.vars)) if i not in jet_idx]
-    base_vars = tuple(p.vars[i] for i in base_idx)
-    for e, c in p.terms.items():
-        jkey = tuple(e[i] for i in jet_idx)
-        bkey = tuple(e[i] for i in base_idx)
-        buckets.setdefault(jkey, {})[bkey] = c
-    g = MPoly.zero()
-    for part in buckets.values():
-        g = gcd(g, MPoly(base_vars, part))
-        if g.is_const() and not g.is_zero():
-            return MPoly.const(1)
-    return g
-
-
 def determining_system(ode: OdeSpec) -> LinDiffSystem:
     """Generate, collect and deduplicate the determining equations."""
-    expr = invariance_expression(ode)
-
-    # clear denominators in the jet variables only: factors depending on
-    # (x, y) alone stay in the rational coefficients
-    den = MPoly.const(1)
-    for c in expr.values():
-        den = lcm(den, c.den)
-    content = _jet_content(den)
-    den_jet = divexact(den, content)
-
     collected: Dict[Tuple[Tuple[str, int], ...], LinDiffPoly] = {}
-    for slot, c in expr.items():
-        scaled_num = c.num * divexact(den, c.den)
-        # scaled_num / content == c * den_jet; split monomials into jet part
-        # and (x, y) part
-        for e, q in scaled_num.terms.items():
-            jet_part = []
-            base = {}
-            for v, k in zip(scaled_num.vars, e):
-                if jet_order_of(v) >= 1:
-                    if k:
-                        jet_part.append((v, k))
-                else:
-                    base[v] = k
-            key = tuple(sorted(jet_part))
-            bucket = collected.setdefault(key, {})
-            names = tuple(sorted(base, key=var_rank))
-            mono = MPoly(names, {tuple(base[v] for v in names): q})
-            prev = bucket.get(slot, RatFunc.zero())
-            bucket[slot] = prev + RatFunc(mono, content)
+    for slot, c in invariance_expression(ode).items():
+        # x and y rank before every jet variable, so they lead c.vars
+        b = sum(1 for v in c.vars if jet_order_of(v) < 1)
+        parts: Dict[Tuple[Tuple[str, int], ...], Dict] = {}
+        for e, q in c.terms.items():
+            key = tuple(sorted((v, k) for v, k in zip(c.vars[b:], e[b:]) if k))
+            parts.setdefault(key, {})[e[:b]] = q
+        for key, terms in parts.items():
+            collected.setdefault(key, {})[slot] = RatFunc(MPoly(c.vars[:b], terms))
 
     equations: List[LinDiffPoly] = []
-    provenance: List[Tuple[str, ...]] = []
-    seen: Dict[Tuple, int] = {}
+    seen = set()
     for key in sorted(collected):
-        eq = {s: v for s, v in collected[key].items() if not v.is_zero()}
-        if not eq:
-            continue
-        eq = _canonical_scale(eq)
+        eq = _canonical_scale(collected[key])
         sig = tuple(sorted(eq.items()))
-        names, exps = zip(*key) if key else ((), ())
-        label = _jet_monomial_label(names, exps)
-        if sig in seen:
-            provenance[seen[sig]] = tuple(sorted(provenance[seen[sig]] + (label,)))
-            continue
-        seen[sig] = len(equations)
-        equations.append(eq)
-        provenance.append((label,))
-    return LinDiffSystem(ode, equations, provenance)
+        if sig not in seen:
+            seen.add(sig)
+            equations.append(eq)
+    return LinDiffSystem(ode, equations)
 
 
 def substitute_generator(eq: LinDiffPoly, xi: RatFunc, eta: RatFunc) -> RatFunc:

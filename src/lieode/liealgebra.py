@@ -35,7 +35,7 @@ from math import comb
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .determining import ETA, XI, Slot
-from .errors import DegenerateInput, InternalInvariantError, SingularPoint
+from .errors import InternalInvariantError, SingularPoint
 from .involutive import InvolutiveSystem
 from .linalg import Vec, row_space_basis
 
@@ -70,8 +70,8 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
     """Value at ``point`` of the normal form of every slot of order <= N.
 
     Forward substitution in ranking order, reducing each slot by the first
-    equation whose lead divides it, as ``involutive.reduce`` does.  Raises
-    ``DegenerateInput`` when a coefficient's denominator vanishes there.
+    equation whose lead divides it, as ``involutive.reduce`` does.  ``point``
+    must be regular (see ``is_regular_point``).
     """
     env = {"x": point[0], "y": point[1]}
     table: Dict[Slot, Dict[Slot, Fraction]] = {}
@@ -95,13 +95,21 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
     return table
 
 
-def choose_expansion_point(inv: InvolutiveSystem, N: int):
-    """First point of the fixed sequence avoiding all denominator zeros."""
+def is_regular_point(inv: InvolutiveSystem, point: Point) -> bool:
+    """True when no coefficient denominator of the completed equations vanishes.
+
+    Derivatives of an equation only have factors of its own denominators, so
+    every table entry is then defined at the point.
+    """
+    env = {"x": point[0], "y": point[1]}
+    return all(c.den.eval_all(env) for eq in inv.equations for c in eq.values())
+
+
+def choose_expansion_point(inv: InvolutiveSystem) -> Point:
+    """First regular point of the fixed sequence."""
     for point in itertools.islice(expansion_points(), POINT_TRIES):
-        try:
-            return point, normal_form_table(inv, N, point)
-        except DegenerateInput:
-            continue
+        if is_regular_point(inv, point):
+            return point
     raise InternalInvariantError(
         "no valid expansion point among %d candidates" % POINT_TRIES)
 
@@ -133,14 +141,12 @@ def series_basis(inv: InvolutiveSystem,
     elif N > MAX_TRUNCATION:
         raise ValueError("truncation order %d above limit %d" % (N, MAX_TRUNCATION))
     if point is None:
-        point, ev = choose_expansion_point(inv, N + 1)
-    else:
-        try:
-            ev = normal_form_table(inv, N + 1, point)
-        except DegenerateInput as exc:
-            raise SingularPoint(
-                "singular expansion point (%s, %s): %s"
-                % (point[0], point[1], exc)) from exc
+        point = choose_expansion_point(inv)
+    elif not is_regular_point(inv, point):
+        raise SingularPoint(
+            "singular expansion point (%s, %s): a coefficient denominator "
+            "vanishes there" % (point[0], point[1]))
+    ev = normal_form_table(inv, N + 1, point)
     params = tuple(inv.parametric)
     return [SeriesSolution(point, N, params,
                            {s: vals.get(p, _0) for s, vals in ev.items()})

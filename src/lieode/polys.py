@@ -480,8 +480,3 @@ def gcd(a: MPoly, b: MPoly) -> MPoly:
         g = g * _mono_poly(common)
     return _monic(g)
 
-
-def lcm(a: MPoly, b: MPoly) -> MPoly:
-    if a.is_zero() or b.is_zero():
-        return MPoly.zero()
-    return _monic(divexact(a * b, gcd(a, b)))

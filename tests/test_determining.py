@@ -2,16 +2,22 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lieode.determining import (ETA, XI, Slot, determining_system,
-                                prolonged_eta, substitute_generator)
+                                invariance_expression, prolonged_eta,
+                                substitute_generator)
 from lieode.jets import jet_name, jet_order
-from lieode.parsing import parse_ode
+from lieode.parsing import OdeSpec, parse_ode
+from lieode.polys import MPoly, gcd
 from lieode.ratfunc import RatFunc
+
+from conftest import nonzero_rationals, rationals
 
 
 def jet(k):
-    return RatFunc.variable(jet_name(k))
+    return MPoly.variable(jet_name(k))
 
 
 X = RatFunc.variable("x")
@@ -36,7 +42,7 @@ def test_first_prolongation_formula():
     # eta^(1) = eta_x + (eta_y - xi_x) y' - xi_y (y')^2  [PAPER]
     got = prolonged_eta(1)[1]
     expected = {
-        Slot(ETA, 1, 0): RatFunc.one(),
+        Slot(ETA, 1, 0): MPoly.const(1),
         Slot(ETA, 0, 1): jet(1),
         Slot(XI, 1, 0): -jet(1),
         Slot(XI, 0, 1): -(jet(1) * jet(1)),
@@ -50,15 +56,15 @@ def test_second_prolongation_formula():
     got = prolonged_eta(2)[2]
     y1, y2 = jet(1), jet(2)
     expected = {
-        Slot(ETA, 2, 0): RatFunc.one(),
-        Slot(ETA, 1, 1): RatFunc.const(2) * y1,
+        Slot(ETA, 2, 0): MPoly.const(1),
+        Slot(ETA, 1, 1): 2 * y1,
         Slot(XI, 2, 0): -y1,
         Slot(ETA, 0, 2): y1 * y1,
-        Slot(XI, 1, 1): RatFunc.const(-2) * y1 * y1,
+        Slot(XI, 1, 1): -2 * y1 * y1,
         Slot(XI, 0, 2): -(y1 ** 3),
         Slot(ETA, 0, 1): y2,
-        Slot(XI, 1, 0): RatFunc.const(-2) * y2,
-        Slot(XI, 0, 1): RatFunc.const(-3) * y1 * y2,
+        Slot(XI, 1, 0): -2 * y2,
+        Slot(XI, 0, 1): -3 * y1 * y2,
     }
     assert got == expected
 
@@ -66,7 +72,60 @@ def test_second_prolongation_formula():
 def test_prolongation_recursion_order_bound():
     for k in (1, 2, 3):
         expr = prolonged_eta(k)[k]
-        assert max(jet_order(p) for p in expr.values()) <= k
+        assert max(jet_order(RatFunc(p)) for p in expr.values()) <= k
+
+
+# -- the invariance condition and its multiplier ------------------------------------
+
+
+@st.composite
+def quotient_odes(draw):
+    """y^(n) + P/Q = 0 with small P, Q; Q sometimes holds a squared factor in y'."""
+    n = draw(st.sampled_from([2, 3]))
+    coords = [MPoly.variable("x")] + [jet(k) for k in range(n)]
+
+    def poly(max_terms):
+        total = MPoly.zero()
+        for _ in range(draw(st.integers(1, max_terms))):
+            term = MPoly.const(draw(rationals(max_abs=3, max_den=2)))
+            for _ in range(draw(st.integers(0, 2))):
+                term = term * draw(st.sampled_from(coords))
+            total = total + term
+        return total
+
+    P, Q = poly(3), poly(2)
+    if draw(st.booleans()):
+        Q = Q * (MPoly.const(1) + draw(nonzero_rationals(3, 2)) * jet(1)) ** 2
+    assume(not Q.is_zero())
+    return OdeSpec(n, RatFunc(P, Q))
+
+
+def _textbook_condition(ode):
+    """eta^(n) on y^(n) = -f, plus xi f_x + sum_k eta^(k) f_{y^(k)}, over RatFunc."""
+    n, f = ode.n, ode.f
+    etas = prolonged_eta(n)
+    out = {s: RatFunc(c).subs_var(jet_name(n), -f) for s, c in etas[n].items()}
+    terms = [({Slot(XI, 0, 0): MPoly.const(1)}, "x")] + [
+        (etas[k], jet_name(k)) for k in range(n)]
+    for lin, v in terms:
+        fv = f.derivative(v)
+        for s, c in lin.items():
+            out[s] = out.get(s, ZERO) + RatFunc(c) * fv
+    return {s: c for s, c in out.items() if not c.is_zero()}
+
+
+@settings(max_examples=25)
+@given(quotient_odes())
+def test_invariance_expression_is_textbook_condition_times_QR(ode):
+    # the polynomial condition divided by Q*R, with R the squarefree part of
+    # Q, is the textbook invariance condition on solutions  [DERIVED]
+    Q = ode.f.den
+    G = Q
+    for v in Q.vars:
+        G = gcd(G, Q.derivative(v))
+    QR = RatFunc(Q * Q, G)
+    got = {s: RatFunc(c) / QR for s, c in invariance_expression(ode).items()}
+    assert got == _textbook_condition(ode)
 
 
 # -- the classical free-particle system --------------------------------------------
@@ -87,12 +146,6 @@ def test_free_particle_determining_equations():
     matched = [any(_up_to_scale(eq, want) for eq in system.equations)
                for want in expected]
     assert all(matched)
-
-
-def test_provenance_tracks_jet_monomials():
-    system = determining_system(parse_ode("y'' = 0"))
-    labels = {lab for labs in system.provenance for lab in labs}
-    assert labels == {"1", "y'", "(y')^2", "(y')^3"}
 
 
 # -- membership oracle: known symmetries annihilate the system ---------------------

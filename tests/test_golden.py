@@ -10,7 +10,11 @@ equation it also holds ``recover ODE --json-only --dump-detsys
 --dump-involutive``, which pins the determining and involutive systems.
 A sixteenth case, ``symmetries "y'' - y/x^4 = 0" --json-only``, pins an
 8-dimensional algebra computed at a point other than the origin (x = 0 is
-singular there, so the automatic point is (1, 1)).
+singular there, so the automatic point is (1, 1)).  A seventeenth case,
+``recover "y'' = y/(1+y')^2" --json-only --dump-detsys --dump-involutive``,
+pins the determining system of an equation whose denominator has a repeated
+jet factor: multiplying the invariance condition by Q^2 instead of Q times
+the squarefree part of Q would change it.
 """
 import contextlib
 import io

@@ -77,7 +77,8 @@ def test_table_matches_evaluated_symbolic_normal_forms(text):
     # of every slot, evaluated afterwards; the last two inputs have their
     # automatic point at (1, 1), off the singular line  [DERIVED]
     inv = complete(determining_system(parse_ode(text)))
-    point, table = choose_expansion_point(inv, inv.max_parametric_order() + 3)
+    point = choose_expansion_point(inv)
+    table = normal_form_table(inv, inv.max_parametric_order() + 3, point)
     env = {"x": point[0], "y": point[1]}
     for s, row in table.items():
         ref = {q: c.eval_all(env) for q, c in inv.reduce({s: ONE}).items()}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lieode.polys import MPoly, divexact, gcd, lcm, try_divexact, var_rank
+from lieode.polys import MPoly, divexact, gcd, try_divexact, var_rank
 
 from conftest import rationals
 
@@ -140,11 +140,6 @@ def test_gcd_divides_and_sees_common_factor(a, b, c):
         assert try_divexact(v, g) is not None
     if not c.is_zero() and not (u.is_zero() or v.is_zero()):
         assert try_divexact(g, c) is not None
-
-
-def test_lcm_oracle():
-    u, v = X * Y, X * X
-    assert _associate(lcm(u, v), X * X * Y)
 
 
 def test_var_rank_orders_jet_names():
