@@ -5,7 +5,8 @@ are identical across runs for a fixed input unless ``--timings`` is given);
 a short human summary goes to stderr, suppressed by ``--json-only``.
 
 Exit codes: 0 linearizable (resp. equivalent), 1 not, 2 input error,
-3 internal invariant breach.
+3 internal error: an invariant breach, or an ArithmeticError, RecursionError
+or ValueError that escaped the engine.  A crash is never a verdict.
 """
 from __future__ import annotations
 
@@ -295,7 +296,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except InternalInvariantError as exc:
+    except (InternalInvariantError, ArithmeticError, RecursionError,
+            ValueError) as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
 

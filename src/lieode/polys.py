@@ -290,6 +290,20 @@ class MPoly:
             buckets[e[i]][e[:i] + e[i + 1:]] = c
         return [MPoly(rest, b) for b in buckets]
 
+    def coeffs_over(self, names) -> list:
+        """Nonzero coefficients over the monomials in `names`; entries are
+        MPoly without those variables."""
+        idx = [i for i, v in enumerate(self.vars) if v in names]
+        if not idx:
+            return [self]
+        keep = [i for i in range(len(self.vars)) if i not in idx]
+        rest = tuple(self.vars[i] for i in keep)
+        buckets: Dict[Tuple[int, ...], Dict[Tuple[int, ...], Fraction]] = {}
+        for e, c in self.terms.items():
+            bucket = buckets.setdefault(tuple(e[i] for i in idx), {})
+            bucket[tuple(e[i] for i in keep)] = c
+        return [MPoly(rest, b) for b in buckets.values()]
+
     @staticmethod
     def from_coeffs(coeffs: Sequence["MPoly"], name: str) -> "MPoly":
         out = MPoly.zero()
@@ -433,7 +447,17 @@ def _prem(u: Sequence[MPoly], v: Sequence[MPoly]):
 
 
 def gcd(a: MPoly, b: MPoly) -> MPoly:
-    """GCD over Q[vars], normalized with leading coefficient 1."""
+    """GCD over Q[vars], normalized with leading coefficient 1.
+
+    After the common monomial is split off, variables that only one operand
+    has are eliminated first: the gcd cannot contain them, so it divides
+    every coefficient of that operand taken over them, and it is the content
+    of those coefficients together with the other operand's (Geddes, Czapor
+    and Labahn, *Algorithms for Computer Algebra*, 1992, section 7.1).  The
+    content folds smallest coefficients first and stops at the first
+    constant, which is where most calls from `RatFunc` end.  Only operands
+    over the same variables reach Euclid (one variable) or the primitive PRS.
+    """
     if a.is_zero():
         return _monic(b)
     if b.is_zero():
@@ -448,7 +472,12 @@ def gcd(a: MPoly, b: MPoly) -> MPoly:
     if not shared:
         out = _mono_poly(common) if common else MPoly.const(1)
         return _monic(out)
-    if len(a0.vars) == 1 and len(b0.vars) == 1 and a0.vars == b0.vars:
+    only_a = set(a0.vars).difference(shared)
+    only_b = set(b0.vars).difference(shared)
+    if only_a or only_b:
+        parts = a0.coeffs_over(only_a) + b0.coeffs_over(only_b)
+        g = _content(sorted(parts, key=lambda p: len(p.terms)))
+    elif len(a0.vars) == 1:
         g = _gcd_univar(a0, b0, a0.vars[0])
     else:
         v = min(shared, key=lambda n: max(a0.degree_in(n), b0.degree_in(n)))

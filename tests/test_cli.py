@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from lieode.cli import (EXIT_INPUT_ERROR, EXIT_LINEARIZABLE, EXIT_NEGATIVE,
-                        main)
+import lieode.cli
+from lieode.cli import (EXIT_INPUT_ERROR, EXIT_INTERNAL, EXIT_LINEARIZABLE,
+                        EXIT_NEGATIVE, main)
 
 CONSTANT_EXAMPLE = "y''' + 3*y'*y'' + (y')^3 - 2*(y'' + (y')^2) + y' = 0"
 
@@ -64,6 +65,37 @@ def test_deep_nesting_is_an_input_error_not_a_verdict():
                        "--psi", "exp(" * 400 + "y" + ")" * 400, "--phi", "x")
     assert code == 2
     assert "nest at most" in err
+
+
+def _raiser(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("exc", [ArithmeticError("inexact polynomial division"),
+                                 ZeroDivisionError("division by zero"),
+                                 RecursionError("maximum recursion depth")])
+def test_engine_crash_in_analysis_is_exit_three(monkeypatch, exc):
+    # a crash must never read as exit code 1, "not linearizable"
+    monkeypatch.setattr(lieode.cli, "analyze", _raiser(exc))
+    for command in ("certify", "recover", "symmetries"):
+        code, out, err = run(command, "y'' = 0")
+        assert code == EXIT_INTERNAL == 3
+        assert out == ""
+        assert err.startswith("internal error: ")
+
+
+@pytest.mark.parametrize("exc", [ArithmeticError("inexact polynomial division"),
+                                 ValueError("not a constant polynomial"),
+                                 RecursionError("maximum recursion depth")])
+def test_engine_crash_in_oracle_is_exit_three(monkeypatch, exc):
+    monkeypatch.setattr(lieode.cli, "push_linear", _raiser(exc))
+    code, out, err = run("oracle", "--poly", "0,0,1", "--psi", "exp(y)",
+                         "--phi", "x")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "internal error: %s\n" % exc
 
 
 def test_long_minus_run_is_not_nesting():

@@ -2,7 +2,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lieode.polys import MPoly, divexact, gcd, try_divexact, var_rank
@@ -140,6 +140,34 @@ def test_gcd_divides_and_sees_common_factor(a, b, c):
         assert try_divexact(v, g) is not None
     if not c.is_zero() and not (u.is_zero() or v.is_zero()):
         assert try_divexact(g, c) is not None
+
+
+def test_gcd_oracle_one_sided_variable():
+    # y1 occurs only in the first operand, so the gcd is free of it  [DERIVED]
+    Y1 = MPoly.variable("y1")
+    u = (X + Y) * (Y1 * Y1 + X)
+    v = (X + Y) * (X - MPoly.const(1))
+    assert gcd(u, v) == X + Y
+
+
+def _over_xy_or_x(max_terms):
+    return st.sampled_from([("x", "y"), ("x",)]).flatmap(
+        lambda names: mpolys(names, max_terms=max_terms, max_exp=2))
+
+
+@settings(max_examples=40)
+@given(mpolys(("x", "y", "y1"), max_terms=3, max_exp=2), _over_xy_or_x(3),
+       _over_xy_or_x(2))
+def test_gcd_over_unequal_variable_sets(a, b, c):
+    assume(not (a.is_zero() or b.is_zero() or c.is_zero()))
+    u, v = a * c, b * c
+    g = gcd(u, v)
+    assert g.leading_coeff() == 1
+    assert try_divexact(u, g) is not None
+    assert try_divexact(v, g) is not None
+    assert try_divexact(g, c) is not None
+    assert gcd(v, u) == g
+    assert _associate(g, c * gcd(a, b))
 
 
 def test_var_rank_orders_jet_names():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from lieode import analyze
 from lieode.determining import determining_system, substitute_generator
 from lieode.errors import InputError, NonRationalInstance
 from lieode.parsing import print_ode
@@ -68,6 +69,35 @@ def test_non_staircase_source_is_rejected_under_time_change():
 def test_reciprocal_image():
     inst = push_linear(roots(0, 0), PointTransformation("1/y", "x"))
     assert print_ode(inst.ode) == "y'' - 2*(y')^2/y = 0"
+
+
+# -- images that once exceeded the time budget ---------------------------------------
+# The pairs that bench/data/oracle.json lists as over_budget_pairs, untranslated.
+# Each arithmetic-progression spectrum makes the image reducible to u^(n) = 0,
+# so the image has the maximal algebra, m = n + 4 (Mahomed-Leach).
+
+
+@pytest.mark.parametrize("source, psi, phi", [
+    ((0, 0, 0), "y/(1+x^2)", "x"),
+    ((-1, 0, 1, 2), "y", "x+y"),
+    ((-1, 0, 1), "y", "x*y"),
+])
+def test_once_over_budget_pairs_are_trivial(source, psi, phi):
+    inst = push_linear(roots(*source), PointTransformation(psi, phi))
+    assert inst.expected_case == "trivial"
+    cert = analyze(inst.ode).certificate
+    assert cert.m == inst.ode.n + 4
+    assert cert.case == "trivial"
+
+
+def test_shifted_corpus_image_is_trivial():
+    # corpus-50 (the u=y/x, t=1/x image of the roots {-1, 0, 1, 2}) under
+    # x -> x+1, y -> y+1, one of bench/data/corpus.json's over_budget_shifts
+    text = ("y'''' + (8*(x+1)^6*y''' + 2*(x+1)^5*y''' + 12*(x+1)^5*y''"
+            " + 6*(x+1)^4*y'' - (x+1)^3*y'' - 2*(x+1)*y' + 2*(y+1))"
+            "/(x+1)^7 = 0")
+    cert = analyze(text).certificate
+    assert (cert.n, cert.m, cert.case) == (4, 8, "trivial")
 
 
 # -- staircase spectra ----------------------------------------------------------------
