@@ -1,9 +1,22 @@
 """Sparse multivariate polynomial arithmetic over exact rationals.
 
-A polynomial maps exponent tuples to nonzero Fraction coefficients and
-carries an ordered tuple of variable names.  Values are canonical: zero
-coefficients are dropped, unused variables are pruned, and variables are
-kept in a fixed global order, so ``==`` is equality of mathematical values.
+A polynomial is stored as integer numerators over one common denominator:
+``num`` maps exponent tuples to nonzero ``int`` coefficients and ``den`` is a
+positive ``int`` with ``gcd(den, *num.values()) == 1``, so the coefficient of
+a monomial is ``num[e] / den``.  ``vars`` is the tuple of variable names,
+sorted by ``var_rank``, and every one of them occurs in some term.  Under
+these invariants the representation of a value is unique, so ``==`` and
+``hash`` are equality of mathematical values; ``terms`` shows the
+coefficients as ``Fraction`` values.
+
+``MPoly(vars, terms)`` canonicalizes arbitrary input and is the entry point
+for other modules.  Inside this module, results are built by ``_new``, which
+trusts its input and only cancels the common factor of ``den`` and the
+numerators, or by ``_new_pruned``, which also drops variables that no longer
+occur; the latter is used only where a variable can disappear (a sum that
+cancelled a term, a derivative, coefficient extraction, a monomial strip and
+a quotient).  A product of nonzero polynomials keeps all its variables,
+since degrees add in an integral domain.
 
 The leading monomial is graded lexicographic with higher-ranked variables
 more significant; the variable ranking is x < y < y' < y'' < ... < t1 < t2
@@ -13,9 +26,12 @@ machinery) < anything else alphabetically.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd as _igcd, lcm as _ilcm
+from operator import add as _add, sub as _sub
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 Q = Fraction
+Exps = Tuple[int, ...]
 
 
 def var_rank(name: str) -> tuple:
@@ -31,7 +47,7 @@ def var_rank(name: str) -> tuple:
     return (4, 0, name)
 
 
-def _mono_key(exps: Tuple[int, ...]) -> tuple:
+def _mono_key(exps: Exps) -> tuple:
     # graded, then lex with the last (highest-ranked) variable most significant
     return (sum(exps), tuple(reversed(exps)))
 
@@ -39,56 +55,48 @@ def _mono_key(exps: Tuple[int, ...]) -> tuple:
 class MPoly:
     """Immutable sparse polynomial in named variables over Q."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "num", "den")
 
-    def __init__(self, vars: Sequence[str], terms: Mapping[Tuple[int, ...], Fraction]):
-        clean: Dict[Tuple[int, ...], Fraction] = {}
-        for exps, c in terms.items():
-            if c:
-                clean[tuple(exps)] = Fraction(c)
+    def __new__(cls, vars: Sequence[str], terms: Mapping[Exps, Fraction]):
+        clean = {tuple(e): Fraction(c) for e, c in terms.items() if c}
+        den = _ilcm(*(c.denominator for c in clean.values()))
+        num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
         vars = tuple(vars)
-        # prune variables that never occur, keep canonical order
-        used = [i for i in range(len(vars)) if any(e[i] for e in clean)]
-        if len(used) != len(vars) or list(vars) != sorted(vars, key=var_rank):
-            kept = sorted(used, key=lambda i: var_rank(vars[i]))
-            newvars = tuple(vars[i] for i in kept)
-            newterms: Dict[Tuple[int, ...], Fraction] = {}
-            for exps, c in clean.items():
-                key = tuple(exps[i] for i in kept)
-                if key in newterms:
-                    s = newterms[key] + c
-                    if s:
-                        newterms[key] = s
-                    else:
-                        del newterms[key]
-                else:
-                    newterms[key] = c
-            vars, clean = newvars, newterms
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", clean)
+        order = sorted(range(len(vars)), key=lambda i: var_rank(vars[i]))
+        if order != list(range(len(vars))):
+            vars = tuple(vars[i] for i in order)
+            num = {tuple(e[i] for i in order): c for e, c in num.items()}
+        return _new_pruned(vars, num, den)
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("MPoly is immutable")
+
+    @property
+    def terms(self) -> Dict[Exps, Fraction]:
+        """Coefficients as a fresh dict of ``Fraction`` values."""
+        d = self.den
+        return {e: Fraction(c, d) for e, c in self.num.items()}
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero() -> "MPoly":
-        return MPoly((), {})
+        return _new((), {}, 1)
 
     @staticmethod
     def const(c) -> "MPoly":
-        c = Fraction(c)
-        return MPoly((), {(): c} if c else {})
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        return _new((), {(): c.numerator} if c else {}, c.denominator)
 
     @staticmethod
     def variable(name: str) -> "MPoly":
-        return MPoly((name,), {(1,): Fraction(1)})
+        return _new((name,), {(1,): 1}, 1)
 
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_const(self) -> bool:
         return not self.vars
@@ -96,43 +104,44 @@ class MPoly:
     def as_const(self) -> Fraction:
         if self.vars:
             raise ValueError("not a constant polynomial")
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.num.get((), 0), self.den)
 
     def degree_in(self, name: str) -> int:
         if name not in self.vars:
             return 0
         i = self.vars.index(name)
-        return max((e[i] for e in self.terms), default=0)
+        return max((e[i] for e in self.num), default=0)
 
-    def leading(self) -> Tuple[Tuple[int, ...], Fraction]:
+    def leading(self) -> Tuple[Exps, Fraction]:
         """Leading (monomial, coefficient) under graded lex."""
-        if not self.terms:
+        if not self.num:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=_mono_key)
-        return m, self.terms[m]
+        m = max(self.num, key=_mono_key)
+        return m, Fraction(self.num[m], self.den)
 
     def leading_coeff(self) -> Fraction:
         return self.leading()[1]
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = MPoly.const(other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return (self.vars == other.vars and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self) -> int:
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, self.den, frozenset(self.num.items())))
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         bits = []
-        for e in sorted(self.terms, key=_mono_key, reverse=True):
-            c = self.terms[e]
+        for e in sorted(self.num, key=_mono_key, reverse=True):
+            c = Fraction(self.num[e], self.den)
             mono = "*".join(
                 f"{v}^{k}" if k > 1 else v
                 for v, k in zip(self.vars, e)
@@ -147,14 +156,15 @@ class MPoly:
     # -- alignment ---------------------------------------------------------
 
     def _aligned(self, other: "MPoly"):
+        """(common vars, own numerators, other's numerators) over the union."""
         if self.vars == other.vars:
-            return self.vars, self.terms, other.terms
+            return self.vars, self.num, other.num
         allvars = tuple(sorted(set(self.vars) | set(other.vars), key=var_rank))
 
         def lift(p: "MPoly"):
             idx = [allvars.index(v) for v in p.vars]
             out = {}
-            for e, c in p.terms.items():
+            for e, c in p.num.items():
                 key = [0] * len(allvars)
                 for i, k in zip(idx, e):
                     key[i] = k
@@ -165,61 +175,79 @@ class MPoly:
 
     # -- arithmetic --------------------------------------------------------
 
+    def _plus(self, other: "MPoly", sign: int) -> "MPoly":
+        """self + sign * other."""
+        if not other.num:
+            return self
+        if not self.num and sign == 1:
+            return other
+        vs, a, b = self._aligned(other)
+        da, db = self.den, other.den
+        den = da if da == db else _ilcm(da, db)
+        sa, sb = den // da, sign * (den // db)
+        out = dict(a) if sa == 1 else {e: c * sa for e, c in a.items()}
+        cancelled = False
+        for e, c in b.items():
+            s = out.get(e, 0) + c * sb
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+                cancelled = True
+        return (_new_pruned if cancelled else _new)(vs, out, den)
+
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MPoly.const(other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        vs, a, b = self._aligned(other)
-        out = dict(a)
-        for e, c in b.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return MPoly(vs, out)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _new(self.vars, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MPoly.const(other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self, n: int, d: int) -> "MPoly":
+        """self * n / d for integers n != 0 and d > 0."""
+        return _new(self.vars, {e: c * n for e, c in self.num.items()},
+                    self.den * d)
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            if not other:
                 return MPoly.zero()
-            return MPoly(self.vars, {e: v * c for e, v in self.terms.items()})
+            return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, MPoly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        if not self.num or not other.num:
             return MPoly.zero()
-        if self.is_const():
-            return other * self.as_const()
-        if other.is_const():
-            return self * other.as_const()
+        if not self.vars:
+            return other._scaled(self.num[()], self.den)
+        if not other.vars:
+            return self._scaled(other.num[()], other.den)
         vs, a, b = self._aligned(other)
-        out: Dict[Tuple[int, ...], Fraction] = {}
+        out: Dict[Exps, int] = {}
+        get = out.get
         for ea, ca in a.items():
             for eb, cb in b.items():
-                key = tuple(i + j for i, j in zip(ea, eb))
-                s = out.get(key, Fraction(0)) + ca * cb
+                key = tuple(map(_add, ea, eb))
+                s = get(key, 0) + ca * cb
                 if s:
                     out[key] = s
                 else:
-                    out.pop(key, None)
-        return MPoly(vs, out)
+                    del out[key]
+        return _new(vs, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -241,35 +269,44 @@ class MPoly:
         if name not in self.vars:
             return MPoly.zero()
         i = self.vars.index(name)
-        out: Dict[Tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                key = e[:i] + (e[i] - 1,) + e[i + 1:]
-                out[key] = out.get(key, Fraction(0)) + c * e[i]
-        return MPoly(self.vars, out)
+        out: Dict[Exps, int] = {}
+        for e, c in self.num.items():
+            k = e[i]
+            if k:
+                out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+        return _new_pruned(self.vars, out, self.den)
 
     def subs_values(self, values: Mapping[str, Fraction]) -> "MPoly":
-        """Partially evaluate at rational points (remaining vars stay symbolic)."""
-        hit = [v for v in self.vars if v in values]
+        """Partially evaluate at rational points (remaining vars stay symbolic).
+
+        Each substituted variable of degree d at p/q contributes the integer
+        p^k q^(d-k) to a term of degree k and q^d to the denominator.
+        """
+        hit = [i for i, v in enumerate(self.vars) if v in values]
         if not hit:
             return self
-        out: Dict[Tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            key = []
-            for v, k in zip(self.vars, e):
-                if v in values:
-                    c = c * Fraction(values[v]) ** k
-                    key.append(0)
-                else:
-                    key.append(k)
+        den = self.den
+        scales = []
+        for i in hit:
+            f = Fraction(values[self.vars[i]])
+            p, q = f.numerator, f.denominator
+            d = max(e[i] for e in self.num)
+            scales.append((i, [p ** k * q ** (d - k) for k in range(d + 1)]))
+            den *= q ** d
+        out: Dict[Exps, int] = {}
+        for e, c in self.num.items():
+            key = list(e)
+            for i, s in scales:
+                c *= s[e[i]]
+                key[i] = 0
             if c:
                 k2 = tuple(key)
-                s = out.get(k2, Fraction(0)) + c
+                s = out.get(k2, 0) + c
                 if s:
                     out[k2] = s
                 else:
-                    out.pop(k2, None)
-        return MPoly(self.vars, out)
+                    del out[k2]
+        return _new_pruned(self.vars, out, den)
 
     def eval_all(self, values: Mapping[str, Fraction]) -> Fraction:
         r = self.subs_values(values)
@@ -286,9 +323,9 @@ class MPoly:
         deg = self.degree_in(name)
         rest = self.vars[:i] + self.vars[i + 1:]
         buckets: list = [dict() for _ in range(deg + 1)]
-        for e, c in self.terms.items():
+        for e, c in self.num.items():
             buckets[e[i]][e[:i] + e[i + 1:]] = c
-        return [MPoly(rest, b) for b in buckets]
+        return [_new_pruned(rest, b, self.den) for b in buckets]
 
     def coeffs_over(self, names) -> list:
         """Nonzero coefficients over the monomials in `names`; entries are
@@ -298,11 +335,11 @@ class MPoly:
             return [self]
         keep = [i for i in range(len(self.vars)) if i not in idx]
         rest = tuple(self.vars[i] for i in keep)
-        buckets: Dict[Tuple[int, ...], Dict[Tuple[int, ...], Fraction]] = {}
-        for e, c in self.terms.items():
+        buckets: Dict[Exps, Dict[Exps, int]] = {}
+        for e, c in self.num.items():
             bucket = buckets.setdefault(tuple(e[i] for i in idx), {})
             bucket[tuple(e[i] for i in keep)] = c
-        return [MPoly(rest, b) for b in buckets.values()]
+        return [_new_pruned(rest, b, self.den) for b in buckets.values()]
 
     @staticmethod
     def from_coeffs(coeffs: Sequence["MPoly"], name: str) -> "MPoly":
@@ -315,11 +352,50 @@ class MPoly:
         return out
 
 
+_alloc = object.__new__
+_set_vars = MPoly.vars.__set__
+_set_num = MPoly.num.__set__
+_set_den = MPoly.den.__set__
+
+
+def _new(vars: Tuple[str, ...], num: Dict[Exps, int], den: int) -> MPoly:
+    """Trusted constructor: `vars` sorted and all used, `num` nonzero ints,
+    `den` > 0.  Only the common factor of `den` and the numerators is
+    cancelled."""
+    if den != 1:
+        g = _igcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {e: c // g for e, c in num.items()}
+    p = _alloc(MPoly)
+    _set_vars(p, vars)
+    _set_num(p, num)
+    _set_den(p, den)
+    return p
+
+
+def _new_pruned(vars: Tuple[str, ...], num: Dict[Exps, int], den: int) -> MPoly:
+    """`_new` for results where a variable may no longer occur."""
+    if not num:
+        return _new((), num, 1)
+    used = [i for i, col in enumerate(zip(*num)) if any(col)]
+    if len(used) != len(vars):
+        vars = tuple(vars[i] for i in used)
+        num = {tuple([e[i] for i in used]): c for e, c in num.items()}
+    return _new(vars, num, den)
+
+
 # -- exact division ---------------------------------------------------------
 
 
 def try_divexact(a: MPoly, b: MPoly) -> Optional[MPoly]:
-    """Return a/b when b divides a exactly, else None."""
+    """Return a/b when b divides a exactly, else None.
+
+    Divides the integer numerators of `a` by the primitive part of `b` over
+    Z.  By Gauss's lemma a primitive divisor of an integral polynomial
+    leaves an integral quotient, so a quotient coefficient that is not an
+    integer shows the division is inexact.
+    """
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero():
@@ -328,25 +404,33 @@ def try_divexact(a: MPoly, b: MPoly) -> Optional[MPoly]:
         inv = 1 / b.as_const()
         return a * inv
     vs, ta, tb = a._aligned(b)
+    content = _igcd(*tb.values())
+    if content != 1:
+        tb = {e: c // content for e, c in tb.items()}
     rem = dict(ta)
     lead_b = max(tb, key=_mono_key)
     cb = tb[lead_b]
-    quot: Dict[Tuple[int, ...], Fraction] = {}
+    quot: Dict[Exps, int] = {}
     while rem:
         lead_r = max(rem, key=_mono_key)
-        diff = tuple(i - j for i, j in zip(lead_r, lead_b))
-        if any(d < 0 for d in diff):
+        diff = tuple(map(_sub, lead_r, lead_b))
+        if min(diff) < 0:
             return None
-        cq = rem[lead_r] / cb
+        cq, r = divmod(rem[lead_r], cb)
+        if r:
+            return None
         quot[diff] = cq
         for e, c in tb.items():
-            key = tuple(i + j for i, j in zip(e, diff))
-            s = rem.get(key, Fraction(0)) - c * cq
+            key = tuple(map(_add, e, diff))
+            s = rem.get(key, 0) - c * cq
             if s:
                 rem[key] = s
             else:
-                rem.pop(key, None)
-    return MPoly(vs, quot)
+                del rem[key]
+    # a / b = (A / den_a) / (content * B / den_b) = quot * den_b / (den_a * content)
+    if b.den != 1:
+        quot = {e: c * b.den for e, c in quot.items()}
+    return _new_pruned(vs, quot, a.den * content)
 
 
 def divexact(a: MPoly, b: MPoly) -> MPoly:
@@ -360,59 +444,66 @@ def divexact(a: MPoly, b: MPoly) -> MPoly:
 
 
 def _monic(p: MPoly) -> MPoly:
+    """p divided by its leading coefficient: the leading numerator becomes
+    the denominator."""
     if p.is_zero():
         return p
-    return p * (1 / p.leading_coeff())
+    lead = p.num[max(p.num, key=_mono_key)]
+    if lead == 1 and p.den == 1:
+        return p
+    num = p.num if lead > 0 else {e: -c for e, c in p.num.items()}
+    return _new(p.vars, num, abs(lead))
 
 
 def _strip_monomial(p: MPoly):
-    """Factor out the largest common monomial; return (monomial exps, vars, stripped)."""
-    mins = None
-    for e in p.terms:
-        mins = e if mins is None else tuple(min(i, j) for i, j in zip(mins, e))
-    if mins is None or not any(mins):
+    """Factor out the largest common monomial; return (monomial exps, stripped)."""
+    mins = tuple(map(min, zip(*p.num)))
+    if not any(mins):
         return {}, p
-    stripped = MPoly(p.vars, {tuple(i - j for i, j in zip(e, mins)): c
-                              for e, c in p.terms.items()})
+    stripped = _new_pruned(p.vars, {tuple(map(_sub, e, mins)): c
+                                    for e, c in p.num.items()}, p.den)
     mono = {v: k for v, k in zip(p.vars, mins) if k}
     return mono, stripped
 
 
 def _mono_poly(mono: Mapping[str, int]) -> MPoly:
     names = tuple(sorted(mono, key=var_rank))
-    return MPoly(names, {tuple(mono[v] for v in names): Fraction(1)})
+    return _new(names, {tuple(mono[v] for v in names): 1}, 1)
+
+
+def _primitive(f: Dict[int, int]) -> Dict[int, int]:
+    g = _igcd(*f.values())
+    return f if g == 1 else {k: v // g for k, v in f.items()}
 
 
 def _gcd_univar(a: MPoly, b: MPoly, name: str) -> MPoly:
-    """Euclid over Q[name] for polynomials involving only `name`."""
-    fa = {e[0] if e else 0: c for e, c in a.terms.items()}
-    fb = {e[0] if e else 0: c for e, c in b.terms.items()}
-
-    def norm(d):
-        return {k: v for k, v in d.items() if v}
-
-    fa, fb = norm(fa), norm(fb)
+    """Primitive Euclid over Z[name] for polynomials involving only `name`."""
+    fa = _primitive({e[0] if e else 0: c for e, c in a.num.items()})
+    fb = _primitive({e[0] if e else 0: c for e, c in b.num.items()})
     while fb:
-        da, db = max(fa), max(fb)
-        if da < db:
+        db = max(fb)
+        if max(fa) < db:
             fa, fb = fb, fa
             continue
-        lc = fb[max(fb)]
+        lc = fb[db]
         while fa and max(fa) >= db:
             dd = max(fa)
-            q = fa[dd] / lc
+            # fa <- (lc * fa - c * name^(dd - db) * fb) / gcd(lc, c)
+            g = _igcd(lc, fa[dd])
+            m1, m2 = lc // g, fa[dd] // g
+            if m1 != 1:
+                fa = {k: v * m1 for k, v in fa.items()}
             for k, v in fb.items():
                 kk = k + dd - db
-                s = fa.get(kk, Fraction(0)) - q * v
+                s = fa.get(kk, 0) - m2 * v
                 if s:
                     fa[kk] = s
                 else:
                     fa.pop(kk, None)
+        if fa:
+            fa = _primitive(fa)
         fa, fb = fb, fa
-    if not fa:
-        return MPoly.zero()
-    lc = fa[max(fa)]
-    return MPoly((name,), {(k,): v / lc for k, v in fa.items()})
+    return _monic(_new_pruned((name,), {(k,): v for k, v in fa.items()}, 1))
 
 
 def _content(coeffs: Sequence[MPoly]) -> MPoly:
@@ -476,7 +567,7 @@ def gcd(a: MPoly, b: MPoly) -> MPoly:
     only_b = set(b0.vars).difference(shared)
     if only_a or only_b:
         parts = a0.coeffs_over(only_a) + b0.coeffs_over(only_b)
-        g = _content(sorted(parts, key=lambda p: len(p.terms)))
+        g = _content(sorted(parts, key=lambda p: len(p.num)))
     elif len(a0.vars) == 1:
         g = _gcd_univar(a0, b0, a0.vars[0])
     else:
@@ -508,4 +599,3 @@ def gcd(a: MPoly, b: MPoly) -> MPoly:
     if common:
         g = g * _mono_poly(common)
     return _monic(g)
-

@@ -1,13 +1,15 @@
 """Multivariate polynomial arithmetic: ring laws, calculus, gcd."""
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lieode.polys import MPoly, divexact, gcd, try_divexact, var_rank
+from lieode.polys import (MPoly, _strip_monomial, divexact, gcd, try_divexact,
+                          var_rank)
 
-from conftest import rationals
+from conftest import nonzero_rationals, rationals
 
 X = MPoly.variable("x")
 Y = MPoly.variable("y")
@@ -73,11 +75,50 @@ def test_derivative_oracle():
     assert p.derivative("x") == 2 * X * Y + MPoly.const(3)
 
 
+def _plain_eval(p, point):
+    """Term-by-term evaluation in Fraction arithmetic."""
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        for v, k in zip(p.vars, e):
+            c *= Fraction(point[v]) ** k
+        total += c
+    return total
+
+
 @given(mpolys(), rationals(), rationals())
 def test_eval_matches_substitution(p, vx, vy):
-    full = p.subs_values({"x": vx, "y": vy})
+    point = {"x": vx, "y": vy}
+    full = p.subs_values(point)
     assert full.is_const()
-    assert full.as_const() == p.eval_all({"x": vx, "y": vy})
+    value = p.eval_all(point)
+    assert full.as_const() == value == _plain_eval(p, point)
+    assert type(value) is Fraction
+
+
+@pytest.mark.parametrize("point", [
+    {"x": Fraction(1, 2), "y": Fraction(1, 3)},
+    {"x": -1, "y": Fraction(-2, 3)},
+    {"x": Fraction(-1, 2), "y": -3},
+])
+def test_eval_oracle_fractional_and_negative_points(point):
+    # 3/4 x^3 y - 2 x y^2 + 5/6 y - 7: the candidate expansion points have
+    # fractional or negative coordinates, so denominators must be cleared
+    p = (Fraction(3, 4) * X ** 3 * Y - 2 * X * Y ** 2 + Fraction(5, 6) * Y
+         - MPoly.const(7))
+    value = p.eval_all(point)
+    assert value == _plain_eval(p, point)
+    assert type(value) is Fraction
+    assert type(p.subs_values({"x": point["x"]}).eval_all(point)) is Fraction
+
+
+def test_scalar_queries_return_fractions():
+    # no int or float escapes: every exact scalar a polynomial hands out
+    # is a Fraction
+    for c in (MPoly.const(3), MPoly.const(Fraction(-1, 2)), MPoly.zero()):
+        assert type(c.as_const()) is Fraction
+    for p in (2 * X + Y, X * Y - MPoly.const(Fraction(1, 3)), Fraction(5, 7) * Y):
+        assert type(p.leading_coeff()) is Fraction
+        assert type(p.eval_all({"x": 2, "y": 3})) is Fraction
 
 
 # -- coefficient extraction -------------------------------------------------------
@@ -108,6 +149,26 @@ def test_divexact_roundtrip(a, b):
 
 def test_try_divexact_rejects_nondivisor():
     assert try_divexact(X * X + Y, X + Y) is None
+
+
+def test_exact_division_oracles():
+    one = MPoly.const(1)
+    half = Fraction(1, 2)
+    # (2x + 2) / (4x + 4) = 1/2  [TRIVIAL]
+    assert divexact(2 * X + 2, 4 * X + 4) == MPoly.const(half)
+    # (x^2 - 1/4) / (x + 1/2) = x - 1/2  [TRIVIAL]
+    assert try_divexact(X * X - MPoly.const(Fraction(1, 4)),
+                        X + MPoly.const(half)) == X - MPoly.const(half)
+    # x^2 + 1 has no real root, 2x + 1 has root -1/2  [TRIVIAL]
+    assert try_divexact(X * X + one, 2 * X + one) is None
+    # divisor -6xy + 4x - 2: negative leading coefficient, content 2  [DERIVED]
+    b = -6 * X * Y + 4 * X - 2
+    q = Fraction(1, 3) * X - Y + MPoly.const(Fraction(5, 2))
+    assert try_divexact(b * q, b) == q
+    assert try_divexact(b * q, -b) == -q
+    assert try_divexact(b * q + one, b) is None
+    assert try_divexact(Fraction(3, 7) * b * q, Fraction(2, 5) * b) == \
+        Fraction(15, 14) * q
 
 
 def _associate(p, q):
@@ -168,6 +229,50 @@ def test_gcd_over_unequal_variable_sets(a, b, c):
     assert try_divexact(g, c) is not None
     assert gcd(v, u) == g
     assert _associate(g, c * gcd(a, b))
+
+
+# -- canonical form --------------------------------------------------------------
+
+
+def _assert_canonical(r):
+    """Integer numerators over a reduced positive denominator, variables
+    sorted and all used: the form under which == is equality of values."""
+    assert isinstance(r, MPoly)
+    assert r == MPoly(r.vars, r.terms)
+    assert type(r.den) is int and r.den > 0
+    assert all(type(c) is int and c for c in r.num.values())
+    assert math.gcd(r.den, *r.num.values()) == 1
+    assert list(r.vars) == sorted(r.vars, key=var_rank)
+    assert all(any(e[i] for e in r.num) for i in range(len(r.vars)))
+
+
+JET_NAMES = ("x", "y", "y1")
+
+
+@settings(max_examples=30)
+@given(mpolys(JET_NAMES, max_terms=3, max_exp=2),
+       mpolys(JET_NAMES, max_terms=3, max_exp=2),
+       nonzero_rationals(), st.sampled_from(JET_NAMES))
+def test_results_are_canonical(a, b, c, name):
+    results = [a + b, a - b, (a + b) - b, a - a, a * b, a * c, c * a, -a,
+               a ** 2, a ** 0, a.derivative(name), gcd(a, b), _strip_monomial(a)[1]]
+    results += a.coeffs_in(name) + a.coeffs_over({name, "y"})
+    if not b.is_zero():
+        results.append(divexact(a * b, b))
+    for r in results:
+        _assert_canonical(r)
+
+
+def test_canonical_form_oracles():
+    # a variable left behind or an unreduced denominator would break ==
+    Y1 = MPoly.variable("y1")
+    assert ((X + Y) - Y).vars == ("x",)
+    assert (X * Y1 - Y1 * X + Y).vars == ("y",)
+    half_x = Fraction(1, 2) * X
+    assert (half_x + half_x).den == 1 and half_x + half_x == X
+    assert (Fraction(2, 3) * X * Fraction(3, 2)) == X
+    assert MPoly(("y1", "x"), {(1, 0): Fraction(2, 4), (0, 0): 0}).vars == ("y1",)
+    assert MPoly(("y", "x"), {(1, 2): 1}) == X * X * Y
 
 
 def test_var_rank_orders_jet_names():
