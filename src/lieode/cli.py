@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -232,9 +233,27 @@ def cmd_oracle(args) -> int:
 
 # -- parser -----------------------------------------------------------------------
 
+# A dash followed by a digit, dot or slash starts a number, never an option:
+# "-1,0,1" is a coefficient list and "-1,2" a point.
+_NEGATIVE_VALUE = re.compile(r"-[\d./]")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads every argument that starts with a negative number as a value.
+
+    argparse itself does so only for a bare number such as "-1", and has no
+    public hook for more.  With this class "--poly -1,0,1" and
+    "equiv -1,0,1 1,1" need no "=" or "--".  Subparsers inherit the class.
+    """
+
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE_VALUE.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lieode",
         description="Decide point-equivalence of a quasi-linear ODE "
                     "y^(n) + f(x, y, ..., y^(n-1)) = 0 to a linear equation, "

@@ -14,11 +14,20 @@ truncation order N.
 Brackets are taken directly on those values by Leibniz's rule: the value of a
 bracket at order k reads the data of both fields up to order k+1, so it is
 known through order N.  Its values at the parametric slots are its
-coordinates in the delta basis, which gives the structure constants.  Two
-safety nets are always on: at every slot of order <= N the bracket must equal
-the combination of basis elements named by its coordinates (closure of the
-solution space under the bracket), and the constants must satisfy
-antisymmetry and the Jacobi identity exactly.
+coordinates in the delta basis, which gives the structure constants.
+
+The algebra stages run on integers.  All basis data share one common
+denominator D (every element reads the same table), so each element is a
+sparse list of integer numerators and a bracket of two of them is D^2 times
+the bracket.  ``LieAlgebraTable`` likewise keeps the numerators of its
+constants over their common denominator E, and the derived algebra comes
+from fraction-free Gauss-Jordan on them (``linalg.integer_rref``).  Fractions
+are built only for the public values: ``SeriesSolution.data``, the table's
+``C`` and ``Subalgebra.basis``.  The safety nets are checked on numerators,
+exactly: at every slot of order <= N the bracket must equal the combination
+of basis elements named by its coordinates (closure of the solution space
+under the bracket), the constants must satisfy antisymmetry and the Jacobi
+identity, and the derived algebra must be closed under the bracket.
 
 The linearization certificate is then a pure function of the dimension m,
 the order n, and the derived algebra: linearizable iff (n=2 and m=8), or
@@ -31,13 +40,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .determining import ETA, XI, Slot
 from .errors import InternalInvariantError, SingularPoint
 from .involutive import InvolutiveSystem
-from .linalg import Vec, row_space_basis
+from .linalg import Vec, eliminate, integer_row, integer_rref
 
 Point = Tuple[Fraction, Fraction]
 
@@ -153,103 +162,147 @@ def series_basis(inv: InvolutiveSystem,
             for p in params]
 
 
-def _bracket_data(a: Dict[Slot, Fraction], b: Dict[Slot, Fraction],
-                  N: int) -> Dict[Slot, Fraction]:
-    """Derivative values through order N of the commutator of two fields.
-
-    Leibniz's rule on [a,b]^u = a^xi b^u_x + a^eta b^u_y - (a <-> b), summed
-    over the nonzero data only: a^w at slot (p, q) times the derivative
-    (r, t) of b^u_w contributes C(p+r, p) C(q+t, q) a^w_pq (b^u_w)_rt at
-    slot (u, p+r, q+t).
-    """
-    out = {Slot(u, i, total - i): _0 for u in (XI, ETA)
-           for total in range(N + 1) for i in range(total + 1)}
-    for f, g, sign in ((a, b, 1), (b, a, -1)):
-        g_nonzero = [(s, v) for s, v in g.items() if v]
-        for w, fv in f.items():
-            if not fv or w.order > N:
-                continue
-            ex, ey = (1, 0) if w.unknown == XI else (0, 1)
-            for s, gv in g_nonzero:
-                r, t = s.dx - ex, s.dy - ey
-                if r < 0 or t < 0 or w.order + r + t > N:
-                    continue
-                i, j = w.dx + r, w.dy + t
-                out[Slot(s.unknown, i, j)] += (
-                    sign * comb(i, w.dx) * comb(j, w.dy)) * fv * gv
-    return out
-
-
 @dataclasses.dataclass
 class LieAlgebraTable:
-    """Structure constants C[i][j][k] with [X_i, X_j] = sum_k C[i][j][k] X_k."""
+    """Structure constants C[i][j][k] with [X_i, X_j] = sum_k C[i][j][k] X_k.
+
+    The constructor also keeps the numerators E * C over their common
+    denominator E, dense and as sparse (k, numerator) rows; brackets and
+    the checks run on those integers.
+    """
 
     m: int
     C: List[List[List[Fraction]]]
 
-    def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-        out = [_0] * self.m
-        for i, ui in enumerate(u):
-            if not ui:
+    def __post_init__(self) -> None:
+        E = self._den = lcm(*(c.denominator for row in self.C
+                              for vec in row for c in vec if c))
+        self._num = [[[c.numerator * (E // c.denominator) if c else 0
+                       for c in vec] for vec in row] for row in self.C]
+        self._sparse = [[[(k, c) for k, c in enumerate(vec) if c]
+                         for vec in row] for row in self._num]
+
+    def _bracket_numerators(self, u: Sequence[int],
+                            v: Sequence[int]) -> List[int]:
+        """E * [u, v] for integer coordinate vectors u, v."""
+        out = [0] * self.m
+        vs = [(j, b) for j, b in enumerate(v) if b]
+        for i, a in enumerate(u):
+            if not a:
                 continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                row = self.C[i][j]
-                f = ui * vj
-                for k in range(self.m):
-                    if row[k]:
-                        out[k] += f * row[k]
+            row = self._sparse[i]
+            for j, b in vs:
+                f = a * b
+                for k, c in row[j]:
+                    out[k] += f * c
         return out
 
+    def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
+        (un, ud), (vn, vd) = integer_row(u), integer_row(v)
+        d = ud * vd * self._den
+        return [Fraction(c, d) if c else _0
+                for c in self._bracket_numerators(un, vn)]
+
     def validate(self) -> None:
-        """Exact antisymmetry and Jacobi identity; raises on violation."""
-        m = self.m
+        """Exact antisymmetry and Jacobi identity; raises on violation.
+
+        Both are checked on the numerators: Jacobi is homogeneous, so the
+        scale E^2 of its terms changes nothing.
+        """
+        m, num, sparse = self.m, self._num, self._sparse
         for i in range(m):
             for j in range(m):
                 for k in range(m):
-                    if self.C[i][j][k] != -self.C[j][i][k]:
+                    if num[i][j][k] != -num[j][i][k]:
                         raise InternalInvariantError(
                             "structure constants not antisymmetric at "
                             "(%d,%d,%d)" % (i, j, k))
-        basis = [[_1 if t == i else _0 for t in range(m)] for i in range(m)]
-        for i in range(m):
-            for j in range(i + 1, m):
-                for k in range(j + 1, m):
-                    s = self.bracket(basis[i], self.C[j][k])
-                    t = self.bracket(basis[j], self.C[k][i])
-                    u = self.bracket(basis[k], self.C[i][j])
-                    if any(a + b + c for a, b, c in zip(s, t, u)):
-                        raise InternalInvariantError(
-                            "Jacobi identity fails at (%d,%d,%d)" % (i, j, k))
+        for i, j, k in itertools.combinations(range(m), 3):
+            # [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]]
+            out = [0] * m
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for l, x in sparse[b][c]:
+                    for q, y in sparse[a][l]:
+                        out[q] += x * y
+            if any(out):
+                raise InternalInvariantError(
+                    "Jacobi identity fails at (%d,%d,%d)" % (i, j, k))
+
+
+def _slot_index(N: int) -> Dict[Slot, int]:
+    """Position of every slot of order <= N: unknown, then order, then dx."""
+    return {Slot(u, i, total - i): k for k, (u, total, i) in enumerate(
+        (u, total, i) for u in (XI, ETA)
+        for total in range(N + 1) for i in range(total + 1))}
 
 
 def structure_constants(basis: Sequence[SeriesSolution]) -> LieAlgebraTable:
     """Structure constants of the algebra spanned by a series basis.
 
-    Each bracket's coordinates are its values at the parametric slots.  At
-    every slot of order <= N the bracket must equal the combination of basis
-    elements those coordinates name, or it has left the solution space; the
-    finished table must satisfy antisymmetry and Jacobi.
+    All data are scaled by one common denominator D, so each element is a
+    sparse list of integer numerators.  The bracket of two scaled fields is
+    D^2 times the bracket, by Leibniz's rule on [a,b]^u = a^xi b^u_x +
+    a^eta b^u_y - (a <-> b): a^w at slot (p, q) times the derivative (r, t)
+    of b^u_w adds C(p+r, p) C(q+t, q) a^w_pq (b^u_w)_rt at slot
+    (u, p+r, q+t), which is known through order N.  Its values at the
+    parametric slots are the coordinates; at every slot of order <= N the
+    bracket times D must equal the combination of scaled basis elements they
+    name, or it has left the solution space.  The finished table must
+    satisfy antisymmetry and Jacobi.
     """
     m = len(basis)
     if not m:
         return LieAlgebraTable(0, [])
     N = basis[0].N
-    params = basis[0].parametric
+    index = _slot_index(N)
+    D = lcm(*(v.denominator for sol in basis for v in sol.data.values()))
+    binom = [[comb(n, k) for k in range(n + 1)] for n in range(N + 1)]
+    tri = [k * (k + 1) // 2 for k in range(N + 1)]
+    # Per element: its nonzero values of order <= N, as (unknown is eta,
+    # order, dx, dy, numerator) and as (index, numerator); and per
+    # derivative direction x, y the nonzero derivatives, as (order, index of
+    # the unknown's order-0 slot, dx, dy, numerator) sorted by order.
+    values, cols, derivs = [], [], []
+    for sol in basis:
+        nz = [(s, v.numerator * (D // v.denominator))
+              for s, v in sol.data.items() if v]
+        values.append([(s.unknown == ETA, s.order, s.dx, s.dy, v)
+                       for s, v in nz if s.order <= N])
+        cols.append([(index[s], v) for s, v in nz if s.order <= N])
+        derivs.append(tuple(
+            sorted((s.order - 1, index[Slot(s.unknown, 0, 0)],
+                    s.dx - ex, s.dy - ey, v)
+                   for s, v in nz if s.dx >= ex and s.dy >= ey)
+            for ex, ey in ((1, 0), (0, 1))))
+    coord_at = [index[p] for p in basis[0].parametric]
+    D2 = D * D
     C = [[[_0] * m for _ in range(m)] for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            data = _bracket_data(basis[i].data, basis[j].data, N)
-            coords = [data[p] for p in params]
-            terms = [(c, basis[k].data) for k, c in enumerate(coords) if c]
-            for s, value in data.items():
-                if sum((c * d[s] for c, d in terms), _0) != value:
-                    raise InternalInvariantError(
-                        "bracket of basis elements %d,%d leaves the "
-                        "solution space at slot %s" % (i, j, s.label()))
-            C[i][j] = coords
-            C[j][i] = [-c for c in coords]
+            br = [0] * len(index)
+            for f, g, sign in ((i, j, 1), (j, i, -1)):
+                dg = derivs[g]
+                for eta, o, p, q, fv in values[f]:
+                    fv *= sign
+                    for og, base, r, t, gv in dg[eta]:
+                        if o + og > N:
+                            break
+                        br[base + tri[o + og] + p + r] += (
+                            binom[p + r][p] * binom[q + t][q] * fv * gv)
+            coords = [br[k] for k in coord_at]
+            span = [0] * len(index)
+            for c, col in zip(coords, cols):
+                if c:
+                    for k, v in col:
+                        span[k] += c * v
+            bad = next((k for k, (a, b) in enumerate(zip(br, span))
+                        if D * a != b), None)
+            if bad is not None:
+                raise InternalInvariantError(
+                    "bracket of basis elements %d,%d leaves the solution "
+                    "space at slot %s" % (i, j, list(index)[bad].label()))
+            C[i][j] = [Fraction(c, D2) if c else _0 for c in coords]
+            C[j][i] = [-c for c in C[i][j]]
     table = LieAlgebraTable(m, C)
     table.validate()
     return table
@@ -266,30 +319,28 @@ class Subalgebra:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        """Eliminate v against the rref rows; in the span iff nothing is left."""
-        rest = list(v)
-        for row in self.basis:
-            f = rest[next(k for k, c in enumerate(row) if c)]
-            if f:
-                rest = [a - f * b for a, b in zip(rest, row)]
-        return not any(rest)
-
 
 def derived_algebra(L: LieAlgebraTable) -> Subalgebra:
-    """Span of all pairwise brackets, as a row-reduced canonical basis."""
-    vectors = [L.C[i][j] for i in range(L.m) for j in range(i + 1, L.m)]
-    sub = Subalgebra(L, row_space_basis(vectors))
-    for u in sub.basis:
-        for v in sub.basis:
-            if not sub.contains(L.bracket(u, v)):
+    """Span of all pairwise brackets, as a row-reduced canonical basis.
+
+    Fraction-free Gauss-Jordan on the bracket numerators gives the rows, and
+    the bracket of any two rows must eliminate to zero against them
+    (closure).  Each row is divided by its pivot only at the end.
+    """
+    rows = integer_rref(L._num[i][j] for i in range(L.m)
+                        for j in range(i + 1, L.m))
+    for _, u in rows:
+        for _, v in rows:
+            if any(eliminate(L._bracket_numerators(u, v), rows)):
                 raise InternalInvariantError("derived algebra is not closed")
-    return sub
+    return Subalgebra(L, [[Fraction(a, row[c]) if a else _0 for a in row]
+                          for c, row in rows])
 
 
 def is_abelian(S: Subalgebra) -> bool:
-    return all(not any(S.parent.bracket(u, v))
-               for i, u in enumerate(S.basis) for v in S.basis[i + 1:])
+    rows = [integer_row(u)[0] for u in S.basis]
+    return all(not any(S.parent._bracket_numerators(u, v))
+               for i, u in enumerate(rows) for v in rows[i + 1:])
 
 
 CASE_TRIVIAL = "trivial"

@@ -2,15 +2,20 @@
 
 Matrices are plain lists of lists of ``fractions.Fraction``; everything here
 is elimination-based and exact, which is all the symmetry computations need
-(the matrices involved are at most 8x8).
+(the matrices involved are at most 8x8).  Row spaces and span membership
+also come fraction-free: ``integer_rref`` runs Gauss-Jordan on integer rows,
+keeping each row primitive, and ``eliminate`` clears a vector against it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 Vec = List[Fraction]
 Mat = List[List[Fraction]]
+# Fraction-free rref: (pivot column, primitive integer row) by pivot column.
+IntRows = List[Tuple[int, List[int]]]
 
 _0 = Fraction(0)
 _1 = Fraction(1)
@@ -76,10 +81,6 @@ def rref(a: Mat) -> Tuple[Mat, List[int]]:
     return m, pivots
 
 
-def rank(a: Mat) -> int:
-    return len(rref(a)[1])
-
-
 def row_space_basis(vectors: Sequence[Sequence[Fraction]]) -> List[Vec]:
     """Canonical basis (rref rows) of the span of the given vectors."""
     vs = [list(v) for v in vectors if any(v)]
@@ -89,10 +90,62 @@ def row_space_basis(vectors: Sequence[Sequence[Fraction]]) -> List[Vec]:
     return [m[i] for i in range(len(pivots))]
 
 
+def integer_row(v: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """(numerators, d) with v = numerators / d, d the lcm of v's denominators."""
+    d = lcm(*(a.denominator for a in v))
+    return [a.numerator * (d // a.denominator) for a in v], d
+
+
+def eliminate(v: Sequence[int], rows: IntRows) -> List[int]:
+    """v cleared at every pivot column of a fraction-free rref.
+
+    Each step scales v by a pivot and subtracts a multiple of its row; the
+    rows vanish at each other's pivots, so a cleared column stays clear.
+    The result is zero iff v lies in the span of ``rows``.
+    """
+    v = list(v)
+    for c, row in rows:
+        f = v[c]
+        if f:
+            p = row[c]
+            v = [p * a - f * b for a, b in zip(v, row)]
+    return v
+
+
+def _primitive(v: List[int], pivot: int) -> List[int]:
+    g = gcd(*v)
+    if v[pivot] < 0:
+        g = -g
+    return v if g == 1 else [a // g for a in v]
+
+
+def integer_rref(vectors: Iterable[Sequence[int]]) -> IntRows:
+    """Fraction-free Gauss-Jordan on integer vectors.
+
+    Each vector is eliminated against the rows so far; a nonzero remainder
+    is made primitive with a positive pivot and cleared from the other rows.
+    Every row then vanishes at the others' pivot columns, so dividing each
+    by its pivot gives the rref of the span, which is unique.
+    """
+    rows: IntRows = []
+    for v in vectors:
+        v = eliminate(v, rows)
+        c = next((k for k, a in enumerate(v) if a), None)
+        if c is None:
+            continue
+        v = _primitive(v, c)
+        p = v[c]
+        rows = [(d, _primitive([p * a - row[c] * b for a, b in zip(row, v)], d)
+                 if row[c] else row) for d, row in rows]
+        rows.append((c, v))
+        rows.sort()
+    return rows
+
+
 def in_span(v: Sequence[Fraction], basis: Sequence[Sequence[Fraction]]) -> bool:
-    if not any(v):
-        return True
-    return rank(list(basis) + [list(v)]) == rank(list(basis))
+    """One fraction-free elimination of ``basis``, then v cleared against it."""
+    rows = integer_rref(integer_row(b)[0] for b in basis)
+    return not any(eliminate(integer_row(v)[0], rows))
 
 
 def solve(a: Mat, b: Sequence[Fraction]) -> Optional[Vec]:

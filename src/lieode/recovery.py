@@ -232,7 +232,7 @@ def factor_space(L: LieAlgebraTable, D: Subalgebra) -> Tuple[Vec, Vec]:
 
 def adjoint_on_derived(L: LieAlgebraTable, D: Subalgebra, e: Sequence[Fraction]) -> Mat:
     """Matrix of [e, .] on D's basis; column i holds the coords of [e, d_i]."""
-    if D.contains(e):
+    if in_span(e, D.basis):
         raise ValueError("representative lies in the derived algebra")
     r = D.dimension
     cols: List[Vec] = []

@@ -271,3 +271,25 @@ def test_dump_flags_and_timings():
     assert set(doc["timings"]) >= {"parse", "determining", "completion",
                                    "series", "structure", "certify", "total"}
     assert all(isinstance(v, float) for v in doc["timings"].values())
+
+
+@pytest.mark.parametrize("argv,spelled", [
+    (("oracle", "--poly", "-1,0,1", "--psi", "y", "--phi", "x*y"),
+     ("oracle", "--json-only", "--poly=-1,0,1", "--psi", "y", "--phi", "x*y")),
+    (("equiv", "-1,0,1", "-2,0,1"),
+     ("equiv", "--json-only", "--", "-1,0,1", "-2,0,1")),
+    (("certify", "y''=0", "--point", "-1,2"),
+     ("certify", "--json-only", "y''=0", "--point=-1,2")),
+], ids=["oracle-poly", "equiv-lists", "certify-point"])
+def test_values_starting_with_a_minus_sign(argv, spelled):
+    # a value with a leading negative number parses as it does after "="
+    # or "--"  [DERIVED]
+    code, out, _ = run(*argv, "--json-only")
+    assert code == 0 and json.loads(out)
+    assert run(*spelled)[:2] == (code, out)
+
+
+def test_unknown_options_are_still_usage_errors():
+    assert run("certify", "y''=0", "--bogus")[0] == 2
+    assert run("certify", "y''=0", "-z")[0] == 2
+    assert run("equiv", "1,1", "-q")[0] == 2

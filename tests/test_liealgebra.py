@@ -2,9 +2,11 @@
 import dataclasses
 import itertools
 from fractions import Fraction
+from math import comb, lcm
 
 import pytest
 
+import lieode.liealgebra
 from lieode.determining import ETA, XI, Slot, determining_system
 from lieode.errors import InternalInvariantError, SingularPoint
 from lieode.involutive import complete
@@ -16,6 +18,7 @@ from lieode.liealgebra import (CASE_CONSTANT, CASE_NONCONSTANT, CASE_NONE,
                                normal_form_table, series_basis,
                                solution_data_from_components,
                                structure_constants)
+from lieode.linalg import row_space_basis
 from lieode.parsing import parse_ode
 from lieode.ratfunc import RatFunc
 
@@ -120,6 +123,57 @@ def test_generators_reconstruct_from_series_basis():
 # -- structure constants -------------------------------------------------------------
 
 
+def reference_bracket_data(a, b, N):
+    """Fraction values through order N of the commutator of two fields.
+
+    Leibniz's rule on [a,b]^u = a^xi b^u_x + a^eta b^u_y - (a <-> b): a^w
+    at slot (p, q) times the derivative (r, t) of b^u_w contributes
+    C(p+r, p) C(q+t, q) a^w_pq (b^u_w)_rt at slot (u, p+r, q+t).
+    """
+    out = {Slot(u, i, total - i): F(0) for u in (XI, ETA)
+           for total in range(N + 1) for i in range(total + 1)}
+    for f, g, sign in ((a, b, 1), (b, a, -1)):
+        for w, fv in f.items():
+            ex, ey = (1, 0) if w.unknown == XI else (0, 1)
+            for s, gv in g.items():
+                r, t = s.dx - ex, s.dy - ey
+                if r < 0 or t < 0 or w.order + r + t > N:
+                    continue
+                i, j = w.dx + r, w.dy + t
+                out[Slot(s.unknown, i, j)] += (
+                    sign * comb(i, w.dx) * comb(j, w.dy)) * fv * gv
+    return out
+
+
+def reference_structure_constants(basis):
+    """Coordinates of the reference brackets: their parametric values."""
+    m, N, params = len(basis), basis[0].N, basis[0].parametric
+    C = [[[F(0)] * m for _ in range(m)] for _ in range(m)]
+    for i, j in itertools.combinations(range(m), 2):
+        data = reference_bracket_data(basis[i].data, basis[j].data, N)
+        C[i][j] = [data[p] for p in params]
+        C[j][i] = [-c for c in C[i][j]]
+    return C
+
+
+def common_denominator(basis):
+    return lcm(*(v.denominator for sol in basis for v in sol.data.values()))
+
+
+@pytest.mark.parametrize("text,den", [
+    (text, None) for text in REFERENCE_INPUTS.values()] + [
+    ("y''''=y^2", 4),
+    ("y'''=2*y*y''-3*(y')^2", 3),
+])
+def test_structure_constants_match_fraction_reference(text, den):
+    # the integer brackets over one common denominator agree with Leibniz's
+    # rule taken on the Fraction data  [DERIVED]
+    _, basis, table = run(text)
+    if den is not None:
+        assert common_denominator(basis) == den
+    assert table.C == reference_structure_constants(basis)
+
+
 def test_translation_scaling_bracket():
     # {d_x, x d_x}: [e1, e2] = e1, so C[0][1] = (1, 0)  [PAPER]
     eqs = [{Slot(XI, 2, 0): ONE}, {Slot(XI, 0, 1): ONE},
@@ -177,6 +231,68 @@ def test_validate_rejects_broken_jacobi():
         LieAlgebraTable(m, C).validate()
 
 
+def _sl2_table(scale):
+    # sl2 with h = e2: [e0, e1] = h, [h, e0] = 2 e0, [h, e1] = -2 e1, every
+    # constant times ``scale``  [DERIVED]
+    m = 3
+    C = [[[F(0)] * m for _ in range(m)] for _ in range(m)]
+
+    def setbr(i, j, vec):
+        C[i][j] = [scale * v for v in vec]
+        C[j][i] = [-scale * v for v in vec]
+
+    setbr(0, 1, (0, 0, 1))
+    setbr(2, 0, (2, 0, 0))
+    setbr(2, 1, (0, -2, 0))
+    return C
+
+
+def test_fractional_sl2_table_is_valid_and_perfect():
+    C = _sl2_table(F(1, 3))
+    L = LieAlgebraTable(3, C)
+    L.validate()
+    D = derived_algebra(L)
+    assert D.dimension == 3 and not is_abelian(D)
+    vectors = [C[i][j] for i, j in itertools.combinations(range(3), 2)]
+    assert D.basis == row_space_basis(vectors)
+
+
+def test_validate_rejects_fractional_broken_tables():
+    # constants with denominator 3: one flipped sign breaks Jacobi, one
+    # transpose left unnegated breaks antisymmetry
+    C = _sl2_table(F(1, 3))
+    C[2][1] = [F(0), F(2, 3), F(0)]
+    C[1][2] = [-c for c in C[2][1]]
+    with pytest.raises(InternalInvariantError, match="Jacobi"):
+        LieAlgebraTable(3, C).validate()
+    C = _sl2_table(F(1, 3))
+    C[1][0] = list(C[0][1])
+    with pytest.raises(InternalInvariantError, match="antisymmetric"):
+        LieAlgebraTable(3, C).validate()
+
+
+def test_derived_algebra_closure_guard_fires(monkeypatch):
+    # brackets of derived elements lie in the span by bilinearity, so only a
+    # faulty reduction can trip the guard: drop the last row  [DERIVED]
+    reduce_rows = lieode.liealgebra.integer_rref
+    monkeypatch.setattr(lieode.liealgebra, "integer_rref",
+                        lambda vs: reduce_rows(vs)[:-1])
+    with pytest.raises(InternalInvariantError, match="not closed"):
+        derived_algebra(LieAlgebraTable(3, _sl2_table(F(1, 3))))
+
+
+@pytest.mark.parametrize("text", list(REFERENCE_INPUTS.values()) + [
+    "y'''=2*y*y''-3*(y')^2",
+])
+def test_derived_algebra_is_the_rref_of_the_brackets(text):
+    # fraction-free elimination gives the canonical basis that rref over the
+    # rationals gives; the last input has constants with denominator 3
+    _, _, table = run(text)
+    vectors = [table.C[i][j]
+               for i, j in itertools.combinations(range(table.m), 2)]
+    assert derived_algebra(table).basis == row_space_basis(vectors)
+
+
 def test_closure_check_fires_on_a_corrupted_datum():
     # one wrong value at order N, or at order N+1 (which the order-N bracket
     # values read), takes some bracket out of the solution space  [DERIVED]
@@ -191,6 +307,27 @@ def test_closure_check_fires_on_a_corrupted_datum():
         broken = list(basis)
         data = dict(basis[k].data)
         data[s] += 1
+        broken[k] = dataclasses.replace(basis[k], data=data)
+        with pytest.raises(InternalInvariantError,
+                           match="leaves the solution space"):
+            structure_constants(broken)
+
+
+def test_closure_check_fires_on_a_fractional_datum():
+    # data with common denominator 4, basis d_x and (1-x)/4 d_x + y d_y at
+    # (1, 1): one value moved by 1/7, at order N or at an order-N+1 slot
+    # that [d_x, .] reads, takes a bracket out of the solution space
+    # [DERIVED]
+    _, basis, _ = run("y''''=y^2")
+    N = basis[0].N
+    assert common_denominator(basis) == 4
+    cases = [(0, s) for s in basis[0].data if s.order == N]
+    cases += [(1, Slot(XI, N, 0)), (1, Slot(ETA, N, 0)),
+              (0, Slot(ETA, 0, N + 1))]
+    for k, s in cases:
+        broken = list(basis)
+        data = dict(basis[k].data)
+        data[s] += F(1, 7)
         broken[k] = dataclasses.replace(basis[k], data=data)
         with pytest.raises(InternalInvariantError,
                            match="leaves the solution space"):
