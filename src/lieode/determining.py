@@ -118,13 +118,10 @@ class LinDiffSystem:
         return len(self.equations)
 
 
-def _canonical_scale(eq: LinDiffPoly) -> LinDiffPoly:
+def _canonical_scale(eq: JetLin) -> LinDiffPoly:
     """Divide by the coefficient of the plain-tuple-maximal slot."""
-    top = max(eq)
-    c = eq[top]
-    if c == RatFunc.one():
-        return eq
-    return {s: v / c for s, v in eq.items()}
+    c = eq[max(eq)]
+    return {s: RatFunc(v, c) for s, v in eq.items()}
 
 
 def invariance_expression(ode: OdeSpec) -> JetLin:
@@ -159,7 +156,7 @@ def invariance_expression(ode: OdeSpec) -> JetLin:
 
 def determining_system(ode: OdeSpec) -> LinDiffSystem:
     """Generate, collect and deduplicate the determining equations."""
-    collected: Dict[Tuple[Tuple[str, int], ...], LinDiffPoly] = {}
+    collected: Dict[Tuple[Tuple[str, int], ...], JetLin] = {}
     for slot, c in invariance_expression(ode).items():
         # x and y rank before every jet variable, so they lead c.vars
         b = sum(1 for v in c.vars if jet_order_of(v) < 1)
@@ -168,7 +165,7 @@ def determining_system(ode: OdeSpec) -> LinDiffSystem:
             key = tuple(sorted((v, k) for v, k in zip(c.vars[b:], e[b:]) if k))
             parts.setdefault(key, {})[e[:b]] = q
         for key, terms in parts.items():
-            collected.setdefault(key, {})[slot] = RatFunc(MPoly(c.vars[:b], terms))
+            collected.setdefault(key, {})[slot] = MPoly(c.vars[:b], terms)
 
     equations: List[LinDiffPoly] = []
     seen = set()

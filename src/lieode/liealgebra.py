@@ -20,14 +20,14 @@ The algebra stages run on integers.  All basis data share one common
 denominator D (every element reads the same table), so each element is a
 sparse list of integer numerators and a bracket of two of them is D^2 times
 the bracket.  ``LieAlgebraTable`` likewise keeps the numerators of its
-constants over their common denominator E, and the derived algebra comes
-from fraction-free Gauss-Jordan on them (``linalg.integer_rref``).  Fractions
-are built only for the public values: ``SeriesSolution.data``, the table's
-``C`` and ``Subalgebra.basis``.  The safety nets are checked on numerators,
-exactly: at every slot of order <= N the bracket must equal the combination
-of basis elements named by its coordinates (closure of the solution space
-under the bracket), the constants must satisfy antisymmetry and the Jacobi
-identity, and the derived algebra must be closed under the bracket.
+constants over their common denominator E, and the derived algebra is kept
+as fraction-free Gauss-Jordan rows of them (``linalg.integer_rref``).
+Fractions are built only for the public values: ``SeriesSolution.data``, the
+table's ``C`` and the view ``Subalgebra.basis``.  The safety nets are checked
+on numerators, exactly: at every slot of order <= N the bracket must equal
+the combination of basis elements named by its coordinates (closure of the
+solution space under the bracket), the constants must satisfy antisymmetry
+and the Jacobi identity, and the derived algebra must be closed.
 
 The linearization certificate is then a pure function of the dimension m,
 the order n, and the derived algebra: linearizable iff (n=2 and m=8), or
@@ -46,7 +46,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .determining import ETA, XI, Slot
 from .errors import InternalInvariantError, SingularPoint
 from .involutive import InvolutiveSystem
-from .linalg import Vec, eliminate, integer_row, integer_rref
+from .linalg import IntRows, Vec, eliminate, integer_rref
 
 Point = Tuple[Fraction, Fraction]
 
@@ -197,12 +197,6 @@ class LieAlgebraTable:
                     out[k] += f * c
         return out
 
-    def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-        (un, ud), (vn, vd) = integer_row(u), integer_row(v)
-        d = ud * vd * self._den
-        return [Fraction(c, d) if c else _0
-                for c in self._bracket_numerators(un, vn)]
-
     def validate(self) -> None:
         """Exact antisymmetry and Jacobi identity; raises on violation.
 
@@ -310,37 +304,41 @@ def structure_constants(basis: Sequence[SeriesSolution]) -> LieAlgebraTable:
 
 @dataclasses.dataclass
 class Subalgebra:
-    """Subspace of ``parent`` spanned by ``basis``, kept in rref."""
+    """Span of the fraction-free rref ``rows``, and whether it is abelian."""
 
-    parent: LieAlgebraTable
-    basis: List[Vec]
+    rows: IntRows
+    abelian: bool
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @property
+    def basis(self) -> List[Vec]:
+        """The rref basis over the rationals: each row over its pivot."""
+        return [[Fraction(a, row[c]) if a else _0 for a in row]
+                for c, row in self.rows]
 
 
 def derived_algebra(L: LieAlgebraTable) -> Subalgebra:
-    """Span of all pairwise brackets, as a row-reduced canonical basis.
+    """Span of all pairwise brackets, as fraction-free rref rows.
 
-    Fraction-free Gauss-Jordan on the bracket numerators gives the rows, and
-    the bracket of any two rows must eliminate to zero against them
-    (closure).  Each row is divided by its pivot only at the end.
+    The bracket of two rows must eliminate to zero against them (closure);
+    the table is antisymmetric, so each pair is bracketed once, and the
+    same brackets say whether the derived algebra is abelian.
     """
     rows = integer_rref(L._num[i][j] for i in range(L.m)
                         for j in range(i + 1, L.m))
-    for _, u in rows:
-        for _, v in rows:
-            if any(eliminate(L._bracket_numerators(u, v), rows)):
-                raise InternalInvariantError("derived algebra is not closed")
-    return Subalgebra(L, [[Fraction(a, row[c]) if a else _0 for a in row]
-                          for c, row in rows])
-
-
-def is_abelian(S: Subalgebra) -> bool:
-    rows = [integer_row(u)[0] for u in S.basis]
-    return all(not any(S.parent._bracket_numerators(u, v))
-               for i, u in enumerate(rows) for v in rows[i + 1:])
+    abelian = True
+    for i, (_, u) in enumerate(rows):
+        for _, v in rows[i + 1:]:
+            br = L._bracket_numerators(u, v)
+            if any(br):
+                abelian = False
+                if any(eliminate(br, rows)):
+                    raise InternalInvariantError(
+                        "derived algebra is not closed")
+    return Subalgebra(rows, abelian)
 
 
 CASE_TRIVIAL = "trivial"
@@ -392,7 +390,7 @@ def certify(n: int, L: LieAlgebraTable) -> Certificate:
     assert_dimension_bounds(n, m)
     D = derived_algebra(L)
     dd = D.dimension
-    ab = is_abelian(D)
+    ab = D.abelian
     if n == 2:
         lin = (m == 8)
     else:

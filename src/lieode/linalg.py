@@ -3,14 +3,15 @@
 Matrices are plain lists of lists of ``fractions.Fraction``; everything here
 is elimination-based and exact, which is all the symmetry computations need
 (the matrices involved are at most 8x8).  Row spaces and span membership
-also come fraction-free: ``integer_rref`` runs Gauss-Jordan on integer rows,
+come fraction-free: ``integer_rref`` runs Gauss-Jordan on integer rows,
 keeping each row primitive, and ``eliminate`` clears a vector against it.
+``rref`` and the ``Fraction`` helpers built on it are test references.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 Vec = List[Fraction]
 Mat = List[List[Fraction]]
@@ -119,15 +120,16 @@ def _primitive(v: List[int], pivot: int) -> List[int]:
     return v if g == 1 else [a // g for a in v]
 
 
-def integer_rref(vectors: Iterable[Sequence[int]]) -> IntRows:
-    """Fraction-free Gauss-Jordan on integer vectors.
+def integer_rref(vectors: Iterable[Sequence[int]],
+                 rows: IntRows = ()) -> IntRows:
+    """Fraction-free Gauss-Jordan on integer vectors, extending ``rows``.
 
     Each vector is eliminated against the rows so far; a nonzero remainder
     is made primitive with a positive pivot and cleared from the other rows.
     Every row then vanishes at the others' pivot columns, so dividing each
     by its pivot gives the rref of the span, which is unique.
     """
-    rows: IntRows = []
+    rows = list(rows)
     for v in vectors:
         v = eliminate(v, rows)
         c = next((k for k, a in enumerate(v) if a), None)
@@ -146,20 +148,6 @@ def in_span(v: Sequence[Fraction], basis: Sequence[Sequence[Fraction]]) -> bool:
     """One fraction-free elimination of ``basis``, then v cleared against it."""
     rows = integer_rref(integer_row(b)[0] for b in basis)
     return not any(eliminate(integer_row(v)[0], rows))
-
-
-def solve(a: Mat, b: Sequence[Fraction]) -> Optional[Vec]:
-    """One solution of A x = b, or None if the system is inconsistent."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [list(a[i]) + [Fraction(b[i])] for i in range(rows)]
-    m, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [_0] * cols
-    for i, c in enumerate(pivots):
-        x[c] = m[i][cols]
-    return x
 
 
 def inverse(a: Mat) -> Mat:

@@ -132,7 +132,10 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        out = object.__new__(RatFunc)   # -num/den is already canonical
+        object.__setattr__(out, "num", -self.num)
+        object.__setattr__(out, "den", self.den)
+        return out
 
     def __sub__(self, other):
         o = self._coerce(other)

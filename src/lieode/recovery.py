@@ -27,7 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalInvariantError
 from .liealgebra import LieAlgebraTable, Subalgebra
-from .linalg import Mat, Vec, charpoly as matrix_charpoly, in_span, is_scalar_matrix, solve
+from .linalg import (Mat, Vec, charpoly as matrix_charpoly, eliminate,
+                     integer_row, integer_rref, is_scalar_matrix)
 from .parsing import deriv_marker
 
 _0 = Fraction(0)
@@ -219,33 +220,37 @@ def factor_space(L: LieAlgebraTable, D: Subalgebra) -> Tuple[Vec, Vec]:
         raise ValueError("factor space requires codimension 2, got %d"
                          % (L.m - D.dimension))
     reps: List[Vec] = []
-    span = [list(v) for v in D.basis]
+    rows = D.rows
     for i in range(L.m):
-        cand = [_1 if t == i else _0 for t in range(L.m)]
-        if not in_span(cand, span):
-            reps.append(cand)
-            span.append(cand)
+        unit = [int(t == i) for t in range(L.m)]
+        grown = integer_rref([unit], rows)
+        if len(grown) > len(rows):
+            rows = grown
+            reps.append([Fraction(a) for a in unit])
             if len(reps) == 2:
                 return reps[0], reps[1]
     raise InternalInvariantError("failed to complete derived basis to the full algebra")
 
 
 def adjoint_on_derived(L: LieAlgebraTable, D: Subalgebra, e: Sequence[Fraction]) -> Mat:
-    """Matrix of [e, .] on D's basis; column i holds the coords of [e, d_i]."""
-    if in_span(e, D.basis):
+    """Matrix of [e, .] on D's basis; column i holds the coords of [e, d_i].
+
+    For e = u/e_den and d_i = row_i/p_i, the numerator bracket of u and
+    row_i is E*e_den*p_i*[e, d_i]; its coordinates are its pivot entries.
+    """
+    u, e_den = integer_row(e)
+    if not any(eliminate(u, D.rows)):
         raise ValueError("representative lies in the derived algebra")
-    r = D.dimension
     cols: List[Vec] = []
-    mat_T = [list(row) for row in zip(*D.basis)] if r else []
-    for d in D.basis:
-        w = L.bracket(e, d)
-        coords = solve(mat_T, w)
-        if coords is None:
+    for c, row in D.rows:
+        w = L._bracket_numerators(u, row)
+        if any(eliminate(w, D.rows)):
             raise InternalInvariantError(
                 "bracket with the derived algebra leaves its span "
                 "(ideal property violated)")
-        cols.append(coords)
-    return [[cols[j][i] for j in range(r)] for i in range(r)]
+        scale = L._den * e_den * row[c]
+        cols.append([Fraction(w[k], scale) for k, _ in D.rows])
+    return [list(coords) for coords in zip(*cols)]
 
 
 def recovery_details(L: LieAlgebraTable, D: Subalgebra):

@@ -28,6 +28,13 @@ def nonzero_rationals(max_abs: int = 9, max_den: int = 4):
     return rationals(max_abs, max_den).filter(bool)
 
 
+def fraction_bracket(C, u, v):
+    """[u, v] over the rationals, straight from structure constants C."""
+    m = len(C)
+    return [sum((u[i] * v[j] * C[i][j][k] for i in range(m)
+                 for j in range(m)), Fraction(0)) for k in range(m)]
+
+
 # The five reference equations exercised throughout the suite:
 # a maximal-symmetry input, three images of constant-coefficient linear
 # equations under u = e^y, and a non-linearizable control.  "exp_image3"

@@ -12,7 +12,7 @@ import pytest
 
 from lieode.determining import determining_system
 from lieode.involutive import alt_ranking, audit_involutive, complete
-from lieode.liealgebra import (LieAlgebraTable, derived_algebra, is_abelian)
+from lieode.liealgebra import LieAlgebraTable, derived_algebra
 from lieode.linalg import charpoly as matrix_charpoly
 from lieode.linalg import inverse, mat_mul
 from lieode.pipeline import analyze

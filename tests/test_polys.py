@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from lieode.polys import (MPoly, _strip_monomial, divexact, gcd, try_divexact,
                           var_rank)
+from lieode.ratfunc import RatFunc
 
 from conftest import nonzero_rationals, rationals
 
@@ -261,6 +262,27 @@ def test_results_are_canonical(a, b, c, name):
         results.append(divexact(a * b, b))
     for r in results:
         _assert_canonical(r)
+
+
+@st.composite
+def ratfuncs(draw):
+    num = draw(mpolys(JET_NAMES, max_terms=3, max_exp=2))
+    den = draw(mpolys(JET_NAMES, max_terms=2, max_exp=2))
+    assume(not den.is_zero())
+    return RatFunc(num, den)
+
+
+@settings(max_examples=30)
+@given(ratfuncs(), ratfuncs(), st.sampled_from(JET_NAMES))
+def test_ratfunc_results_are_canonical(a, b, name):
+    # a result built without the gcd and monic pass must still be the pair
+    # that pass would give: coprime, denominator with leading coefficient 1
+    results = [-a, -b, a + b, a - b, a - a, a * b, a.derivative(name)]
+    if not b.is_zero():
+        results.append(a / b)
+    for r in results:
+        assert r == RatFunc(r.num, r.den)
+        assert r.den.leading_coeff() == 1
 
 
 def test_canonical_form_oracles():

@@ -17,7 +17,7 @@ from lieode.recovery import (REASON_DEGREE, REASON_EQUIVALENT, REASON_PATTERN,
                              classify_pair, factor_space, recovery_details,
                              trivial_class)
 
-from conftest import nonzero_rationals, rationals
+from conftest import fraction_bracket, nonzero_rationals, rationals
 
 F = Fraction
 
@@ -222,6 +222,27 @@ def test_representative_choice_does_not_change_the_class():
         if is_scalar_matrix(A):
             continue
         assert affine_class(CharPoly(tuple(matrix_charpoly(A)))) == reference
+
+
+@pytest.mark.parametrize("source", ["example", "cc_image3"])
+def test_adjoint_columns_reproduce_the_brackets(source, reference_reports):
+    # column i of A holds the coordinates of [e, d_i] in D's basis; rebuild
+    # the bracket from C over the rationals and compare  [DERIVED]
+    if source == "example":
+        L = _example_table()
+        D = derived_algebra(L)
+    else:
+        report = reference_reports[source]
+        L, D = report.algebra, report.certificate.derived
+    e1, e2 = factor_space(L, D)
+    basis = D.basis
+    for e in (e1, e2, [a + b for a, b in zip(e1, e2)],
+              [F(1, 2) * a - F(3) * b for a, b in zip(e1, e2)]):
+        A = adjoint_on_derived(L, D, e)
+        for i, d in enumerate(basis):
+            combo = [sum((A[k][i] * dk[t] for k, dk in enumerate(basis)),
+                         F(0)) for t in range(L.m)]
+            assert combo == fraction_bracket(L.C, e, d)
 
 
 def test_factor_space_requires_codimension_two():
