@@ -1,12 +1,15 @@
 """CLI replay: byte-exact output on every frozen bench input.
 
 ``data/cli_replay_sha256.json`` holds, for each input of
-``bench/data/{corpus,controls,rational}.json`` and each of two commands,
+``bench/data/{corpus,controls,rational}.json`` and each of three commands,
 the exit code and the sha256 of stdout.  The commands are
-``recover ODE --json-only --dump-detsys --dump-involutive`` and
-``symmetries ODE --json-only``, so the determining and involutive systems,
-the structure constants, the derived algebra, the certificate and the
-recovered class are all pinned.  The bench files are only read.
+``recover ODE --json-only --dump-detsys --dump-involutive``,
+``symmetries ODE --json-only`` and ``symmetries ODE --json-only
+--max-order 10``, so the determining and involutive systems, the structure
+constants, the derived algebra, the certificate and the recovered class are
+all pinned, the last at a deep truncation order, where the series stage
+does the most work.  An input whose minimum order exceeds 10 pins its exit
+code 2 there.  The bench files are only read.
 
 After a change that is meant to alter an exact answer, rewrite the file
 with ``PYTHONPATH=src python tests/test_cli_replay.py`` and review the diff.
@@ -27,6 +30,8 @@ COMMANDS = {
     "recover": ["recover", None, "--json-only", "--dump-detsys",
                 "--dump-involutive"],
     "symmetries": ["symmetries", None, "--json-only"],
+    "symmetries-deep": ["symmetries", None, "--json-only", "--max-order",
+                        "10"],
 }
 PINNED = pathlib.Path(__file__).parent / "data" / "cli_replay_sha256.json"
 
