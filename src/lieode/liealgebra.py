@@ -9,7 +9,12 @@ The values come by forward substitution at the point: in ranking order, each
 non-parametric slot is solved from the prolonged equation it leads, all of
 whose other slots rank lower.  The table is built once, through order N+1,
 so each basis element carries its derivative values one order past the
-truncation order N.
+truncation order N.  It is built in Taylor mode, the power-series form of
+Riquier's existence theorem (Reid, EJAM 1991): each coefficient of a
+completed equation is expanded once as a truncated series at the point, and
+a prolonged equation's values there are Leibniz sums over those series, so
+no equation is differentiated symbolically.  The series division needs no
+gcd, since at a regular point no denominator vanishes.
 
 Brackets are taken directly on those values by Leibniz's rule: the value of a
 bracket at order k reads the data of both fields up to order k+1, so it is
@@ -40,13 +45,15 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, perm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .determining import ETA, XI, Slot
 from .errors import InternalInvariantError, SingularPoint
 from .involutive import InvolutiveSystem
 from .linalg import IntRows, Vec, eliminate, integer_rref
+from .polys import MPoly
+from .ratfunc import RatFunc
 
 Point = Tuple[Fraction, Fraction]
 
@@ -74,6 +81,79 @@ def expansion_points() -> Iterator[Point]:
         k += 1
 
 
+# Taylor coefficients by x-order i: the (j, T[i, j]) sorted by y-order j.
+_TaylorRows = List[List[Tuple[int, Fraction]]]
+
+
+def _shifted(p: MPoly, point: Point,
+             K: int) -> Tuple[Dict[Tuple[int, int], int], int]:
+    """``p(x0 + u, y0 + v)`` through total degree K in (u, v).
+
+    Returns the nonzero integer numerators by exponent (i, j) of u^i v^j
+    and their common positive denominator.  With x0 = a/b and y0 = c/d, a
+    term x^e y^f of p adds C(e, i) C(f, j) a^(e-i) b^(E-e+i) c^(f-j)
+    d^(F-f+j) to (i, j), over p's denominator times b^E d^F, where E and F
+    are p's degrees in x and y.
+    """
+    idx = [p.vars.index(v) if v in p.vars else None for v in ("x", "y")]
+    if len(p.vars) != sum(i is not None for i in idx):
+        raise InternalInvariantError(
+            "coefficient %r is not a function of (x, y) alone" % (p,))
+    terms = [tuple(e[i] if i is not None else 0 for i in idx) + (n,)
+             for e, n in p.num.items()]
+    E = max((e for e, _, _ in terms), default=0)
+    F = max((f for _, f, _ in terms), default=0)
+    (a, b), (c, d) = ((v.numerator, v.denominator) for v in point)
+    xs: Dict[Tuple[int, int], int] = {}
+    for e, f, n in terms:
+        for i in range(min(e, K) + 1):
+            key = (i, f)
+            xs[key] = xs.get(key, 0) + (
+                n * comb(e, i) * a ** (e - i) * b ** (E - e + i))
+    out: Dict[Tuple[int, int], int] = {}
+    for (i, f), n in xs.items():
+        if n:
+            for j in range(min(f, K - i) + 1):
+                key = (i, j)
+                out[key] = out.get(key, 0) + (
+                    n * comb(f, j) * c ** (f - j) * d ** (F - f + j))
+    return {k: n for k, n in out.items() if n}, p.den * b ** E * d ** F
+
+
+def taylor_coefficients(c: RatFunc, point: Point,
+                        K: int) -> Dict[Tuple[int, int], Fraction]:
+    """Nonzero Taylor coefficients of c at ``point`` through total order K.
+
+    ``c = sum T[i, j] (x - x0)^i (y - y0)^j``.  Numerator and denominator
+    are shifted to the point and divided as series; the denominator's
+    constant term q0 is its value there, which must be nonzero.  On integer
+    numerators: with the shifted P/sP and Q/sQ, U[g] = q0^(|g|+1) (P/Q)[g]
+    satisfies U[g] = P[g] q0^|g| - sum over nonzero Q[h], 0 < h <= g, of
+    Q[h] U[g-h] q0^(|h|-1), and T[g] = U[g] sQ / (q0^(|g|+1) sP).
+    """
+    P, sP = _shifted(c.num, point, K)
+    Q, sQ = _shifted(c.den, point, K)
+    q0 = Q.pop((0, 0), 0)
+    if not q0:
+        raise _singular(point)
+    pw = [q0 ** k for k in range(K + 2)]
+    U: Dict[Tuple[int, int], int] = {}
+    out: Dict[Tuple[int, int], Fraction] = {}
+    for total in range(K + 1):
+        for i in range(total + 1):
+            j = total - i
+            u = P.get((i, j), 0) * pw[total]
+            for (hi, hj), q in Q.items():
+                if hi <= i and hj <= j:
+                    w = U.get((i - hi, j - hj))
+                    if w:
+                        u -= q * w * pw[hi + hj - 1]
+            if u:
+                U[i, j] = u
+                out[i, j] = Fraction(u * sQ, pw[total + 1] * sP)
+    return out
+
+
 def normal_form_table(inv: InvolutiveSystem, N: int,
                       point: Point) -> Dict[Slot, Dict[Slot, Fraction]]:
     """Value at ``point`` of the normal form of every slot of order <= N.
@@ -81,8 +161,21 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
     Forward substitution in ranking order, reducing each slot by the first
     equation whose lead divides it, as ``involutive.reduce`` does.  ``point``
     must be regular (see ``is_regular_point``).
+
+    Taylor mode: each equation u_L + sum_t c_t u_t = 0 that is used has
+    each tail coefficient c_t expanded once, to order N - |L|, by
+    ``taylor_coefficients``.  Its derivative of multi-index a solves slot
+    L + a; by Leibniz's rule the value there is
+    -sum_t sum_{b <= a} C(a, b) d^b c_t(point) table[t + a - b], and
+    C(a, b) d^b c_t = a!/(a-b)! T_b over the nonzero Taylor coefficients
+    T_b.  No equation is prolonged symbolically.  The lead coefficient must
+    be exactly 1 and every t + a already tabled (the lower t + a - b rank
+    below it), or the guard raises.
     """
-    env = {"x": point[0], "y": point[1]}
+    fall = [[perm(n, k) for k in range(n + 1)] for n in range(N + 1)]
+    # per equation used: (tail slot, its coefficient's Taylor rows), or None
+    # when the lead coefficient is not 1
+    tails: Dict[object, Optional[List[Tuple[Slot, _TaylorRows]]]] = {}
     table: Dict[Slot, Dict[Slot, Fraction]] = {}
     for s in inv.ranking.sorted(Slot(unk, i, total - i) for unk in (XI, ETA)
                                 for total in range(N + 1)
@@ -91,17 +184,43 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
         if e is None:
             table[s] = {s: _1}
             continue
-        d = dict(e.derived(s.dx - e.lead.dx, s.dy - e.lead.dy))
-        if d.pop(s, None) != 1 or not table.keys() >= d.keys():
+        ax, ay = s.dx - e.lead.dx, s.dy - e.lead.dy
+        if e not in tails:
+            tails[e] = [
+                (t, _by_x_order(taylor_coefficients(c, point,
+                                                    N - e.lead.order)))
+                for t, c in e.terms.items() if t != e.lead
+            ] if e.terms.get(e.lead) == 1 else None
+        expanded = tails[e]
+        if expanded is None or any(t.derive(ax, ay) not in table
+                                   for t, _ in expanded):
             raise InternalInvariantError("equation for slot %s is not monic "
                                          "over lower slots" % s.label())
-        row: Dict[Slot, Fraction] = {}
-        for t, c in d.items():
-            v = c.eval_all(env)
-            for q, w in table[t].items():
-                row[q] = row.get(q, _0) - v * w
-        table[s] = {q: w for q, w in row.items() if w}
+        coef: Dict[Slot, Fraction] = {}
+        for t, rows in expanded:
+            for i, row in enumerate(rows[:ax + 1]):
+                fi = fall[ax][i]
+                for j, v in row:
+                    if j > ay:
+                        break
+                    q = Slot(t.unknown, t.dx + ax - i, t.dy + ay - j)
+                    coef[q] = coef.get(q, _0) - fi * fall[ay][j] * v
+        out: Dict[Slot, Fraction] = {}
+        for q, w in coef.items():
+            if w:
+                for r, v in table[q].items():
+                    out[r] = out.get(r, _0) + w * v
+        table[s] = {r: v for r, v in out.items() if v}
     return table
+
+
+def _by_x_order(T: Dict[Tuple[int, int], Fraction]) -> _TaylorRows:
+    """Taylor coefficients grouped by x-order, each group sorted by y-order."""
+    rows: _TaylorRows = [
+        [] for _ in range(max((i for i, _ in T), default=-1) + 1)]
+    for (i, j), v in sorted(T.items()):
+        rows[i].append((j, v))
+    return rows
 
 
 def is_regular_point(inv: InvolutiveSystem, point: Point) -> bool:
@@ -112,6 +231,12 @@ def is_regular_point(inv: InvolutiveSystem, point: Point) -> bool:
     """
     env = {"x": point[0], "y": point[1]}
     return all(c.den.eval_all(env) for eq in inv.equations for c in eq.values())
+
+
+def _singular(point: Point) -> SingularPoint:
+    return SingularPoint(
+        "singular expansion point (%s, %s): a coefficient denominator "
+        "vanishes there" % (point[0], point[1]))
 
 
 def choose_expansion_point(inv: InvolutiveSystem) -> Point:
@@ -152,9 +277,7 @@ def series_basis(inv: InvolutiveSystem,
     if point is None:
         point = choose_expansion_point(inv)
     elif not is_regular_point(inv, point):
-        raise SingularPoint(
-            "singular expansion point (%s, %s): a coefficient denominator "
-            "vanishes there" % (point[0], point[1]))
+        raise _singular(point)
     ev = normal_form_table(inv, N + 1, point)
     params = tuple(inv.parametric)
     return [SeriesSolution(point, N, params,
@@ -405,26 +528,3 @@ def certify(n: int, L: LieAlgebraTable) -> Certificate:
         case = CASE_NONCONSTANT
     return Certificate("linearizable" if lin else "not-linearizable",
                        case, m, n, dd, ab, D)
-
-
-def solution_data_from_components(xi, eta, point: Point, N: int) -> Dict[Slot, Fraction]:
-    """Taylor slot table of an explicitly given generator (xi(x,y), eta(x,y)).
-
-    Test helper: lets known closed-form symmetries be compared against the
-    series basis (membership in its span, equality of reconstructed tables).
-    """
-    env = {"x": point[0], "y": point[1]}
-    out: Dict[Slot, Fraction] = {}
-    for unk, comp in ((XI, xi), (ETA, eta)):
-        row = comp
-        by_index = {(0, 0): row}
-        for total in range(1, N + 1):
-            for i in range(total + 1):
-                j = total - i
-                if i:
-                    by_index[(i, j)] = by_index[(i - 1, j)].derivative("x")
-                else:
-                    by_index[(i, j)] = by_index[(i, j - 1)].derivative("y")
-        for (i, j), fn in by_index.items():
-            out[Slot(unk, i, j)] = fn.eval_all(env)
-    return out

@@ -4,11 +4,17 @@ A RatFunc is a pair of MPoly values num/den with den != 0, gcd(num, den) = 1
 and the denominator's graded-lex leading coefficient equal to 1.  Under that
 normalization the representation of a value is unique, so ``==`` decides
 mathematical equality.
+
+``RatFunc(num, den)`` normalizes arbitrary input.  Sums, products, quotients
+and powers of canonical operands are built by ``_new``, which trusts that
+its pair is coprime and only scales the denominator's leading coefficient to
+1: they take the gcds that can be nontrivial and no others (Henrici's
+algorithms, Knuth, TAOCP vol. 2, 4.5.1).
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Tuple, Union
 
 from .errors import DegenerateInput
 from .polys import MPoly, divexact, gcd
@@ -35,11 +41,7 @@ class RatFunc:
             if not (g.is_const() and g.as_const() == 1):
                 num = divexact(num, g)
                 den = divexact(den, g)
-            lc = den.leading_coeff()
-            if lc != 1:
-                inv = 1 / lc
-                num = num * inv
-                den = den * inv
+            num, den = _monic_pair(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -122,12 +124,19 @@ class RatFunc:
             return o
         if o.is_zero():
             return self
+        # a/b + c/d: with g = gcd(b, d), b = b'g and d = d'g, the numerator
+        # t = a d' + c b' is prime to b' and d', so only gcd(t, g) can cancel
         g = gcd(self.den, o.den)
         if g.is_const():
-            return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+            return _new(self.num * o.den + o.num * self.den, self.den * o.den)
         db = divexact(self.den, g)
-        dd = divexact(o.den, g)
-        return RatFunc(self.num * dd + o.num * db, db * o.den)
+        t = self.num * divexact(o.den, g) + o.num * db
+        if t.is_zero():
+            return RatFunc.zero()
+        g2 = gcd(t, g)
+        if g2.is_const():
+            return _new(t, db * o.den)
+        return _new(divexact(t, g2), db * divexact(o.den, g2))
 
     __radd__ = __add__
 
@@ -145,6 +154,8 @@ class RatFunc:
 
     def __rsub__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         return o + (-self)
 
     def __mul__(self, other):
@@ -159,7 +170,7 @@ class RatFunc:
         d2 = o.den if g1.is_const() else divexact(o.den, g1)
         n2 = o.num if g2.is_const() else divexact(o.num, g2)
         d1 = self.den if g2.is_const() else divexact(self.den, g2)
-        return RatFunc(n1 * n2, d1 * d2)
+        return _new(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -169,10 +180,12 @@ class RatFunc:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return self * RatFunc(o.den, o.num)
+        return self * _new(o.den, o.num)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         return o / self
 
     def __pow__(self, k: int):
@@ -181,8 +194,8 @@ class RatFunc:
         if k < 0:
             if self.is_zero():
                 raise ZeroDivisionError("negative power of zero")
-            return RatFunc(self.den ** (-k), self.num ** (-k))
-        return RatFunc(self.num ** k, self.den ** k)
+            return _new(self.den ** (-k), self.num ** (-k))
+        return _new(self.num ** k, self.den ** k)
 
     # -- calculus -----------------------------------------------------------------
 
@@ -217,3 +230,26 @@ class RatFunc:
             raise DegenerateInput(
                 f"denominator becomes identically zero after substituting {name}")
         return horner(self.num) / den
+
+
+def _monic_pair(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:
+    """(num, den) scaled so that den has leading coefficient 1."""
+    lc = den.leading_coeff()
+    if lc == 1:
+        return num, den
+    inv = 1 / lc
+    return num * inv, den * inv
+
+
+def _new(num: MPoly, den: MPoly) -> RatFunc:
+    """Trusted constructor: ``num`` and ``den`` coprime, ``den`` nonzero.
+
+    Only scales the pair so that the denominator's leading coefficient is 1.
+    """
+    if num.is_zero():
+        return RatFunc.zero()
+    num, den = _monic_pair(num, den)
+    out = object.__new__(RatFunc)
+    object.__setattr__(out, "num", num)
+    object.__setattr__(out, "den", den)
+    return out

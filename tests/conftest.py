@@ -5,12 +5,15 @@ the oracle-corpus sweep — are computed once per session; several test
 modules assert different properties of the same runs.
 """
 from fractions import Fraction
+from typing import Dict
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
 from lieode import analyze, default_corpus
+from lieode.determining import ETA, XI, Slot
+from lieode.liealgebra import Point
 
 settings.register_profile("suite", max_examples=50, deadline=None,
                           derandomize=True)
@@ -33,6 +36,29 @@ def fraction_bracket(C, u, v):
     m = len(C)
     return [sum((u[i] * v[j] * C[i][j][k] for i in range(m)
                  for j in range(m)), Fraction(0)) for k in range(m)]
+
+
+def solution_data_from_components(xi, eta, point: Point, N: int) -> Dict[Slot, Fraction]:
+    """Taylor slot table of an explicitly given generator (xi(x,y), eta(x,y)).
+
+    Test helper: lets known closed-form symmetries be compared against the
+    series basis (membership in its span, equality of reconstructed tables).
+    """
+    env = {"x": point[0], "y": point[1]}
+    out: Dict[Slot, Fraction] = {}
+    for unk, comp in ((XI, xi), (ETA, eta)):
+        row = comp
+        by_index = {(0, 0): row}
+        for total in range(1, N + 1):
+            for i in range(total + 1):
+                j = total - i
+                if i:
+                    by_index[(i, j)] = by_index[(i - 1, j)].derivative("x")
+                else:
+                    by_index[(i, j)] = by_index[(i, j - 1)].derivative("y")
+        for (i, j), fn in by_index.items():
+            out[Slot(unk, i, j)] = fn.eval_all(env)
+    return out
 
 
 # The five reference equations exercised throughout the suite:

@@ -2,7 +2,7 @@
 import dataclasses
 import itertools
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, factorial, lcm
 
 import pytest
 
@@ -14,15 +14,15 @@ from lieode.liealgebra import (CASE_CONSTANT, CASE_NONCONSTANT, CASE_NONE,
                                CASE_TRIVIAL, Certificate, LieAlgebraTable,
                                assert_dimension_bounds, certify,
                                choose_expansion_point, derived_algebra,
-                               expansion_points,
+                               expansion_points, is_regular_point,
                                normal_form_table, series_basis,
-                               solution_data_from_components,
-                               structure_constants)
+                               structure_constants, taylor_coefficients)
 from lieode.linalg import row_space_basis
 from lieode.parsing import parse_ode
 from lieode.ratfunc import RatFunc
 
-from conftest import REFERENCE_INPUTS, fraction_bracket
+from conftest import (REFERENCE_INPUTS, fraction_bracket,
+                      solution_data_from_components)
 
 F = Fraction
 ONE = RatFunc.one()
@@ -71,21 +71,78 @@ def test_automatic_point_avoids_singularities():
     assert basis[0].point[0] != 0    # x = 0 meets the coefficient pole
 
 
+# Rational functions whose denominators have repeated factors, in x, in y
+# and in both; none vanishes at the points of the test below.
+TAYLOR_CASES = {
+    "both": (X - Y) / (X + Y) ** 2,
+    "both-cubed": (X * Y + 1) / (X + 2 * Y) ** 3,
+    "separate": (Y ** 3 + X) / ((X * X + 1) ** 2 * (Y + 2) ** 3),
+    "product": ONE / (X * Y - 1) ** 2,
+    "x-only": X / (X - 3) ** 3,
+    "y-only": (Y - 1) / (Y * Y + 1) ** 2,
+    "polynomial": X ** 3 * Y * Y - 5 * X * Y + F(7, 3),
+    "constant": RatFunc.const(F(5, 7)),
+}
+
+
+@pytest.mark.parametrize("point", [(F(1, 2), F(1, 3)), (F(-2), F(-3, 5))],
+                         ids=["candidate", "negative"])
+@pytest.mark.parametrize("name", list(TAYLOR_CASES))
+def test_taylor_coefficients_match_iterated_derivatives(name, point):
+    # i! j! T[i, j] is d^i/dx^i d^j/dy^j c at the point, as repeated
+    # symbolic differentiation and evaluation give it; zeros are left out
+    # [DERIVED]
+    c, K = TAYLOR_CASES[name], 6
+    T = taylor_coefficients(c, point, K)
+    ref = solution_data_from_components(c, ZERO, point, K)
+    for total in range(K + 1):
+        for i in range(total + 1):
+            j = total - i
+            assert (T.get((i, j), 0) * factorial(i) * factorial(j)
+                    == ref[Slot(XI, i, j)]), (i, j)
+    assert all(T.values()) and max(i + j for i, j in T) <= K
+
+
+# Rational-coefficient inputs checked at an explicit fractional point, with
+# coefficient denominators (x+y)^2 and (x^2+1)^2 there.
+EXPLICIT_POINTS = {
+    "y''' + (-6*y*y'*y'' - 6*x*y'*y'' + 6*(y')^3 - 6*y*y'' - 6*x*y'' "
+    "+ 18*(y')^2 + 18*y' + 6)/(y^2 + 2*x*y + x^2) = 0": (F(1, 2), F(-1, 3)),
+    "y'' + (-x^4*y - 4*x^3*y' + 4*x^2*y - 4*x*y' - 3*y)/(x^4 + 2*x^2 + 1)"
+    " = 0": (F(-3, 2), F(2, 5)),
+}
+
+
 @pytest.mark.parametrize("text", list(REFERENCE_INPUTS.values()) + [
     "y'' - y/x^4 = 0",
     "y'' + (-3*x^2*(y')^3 - 6*x*y*(y')^2 - 3*y^2*y' - 2*(y')^2)/y = 0",
-])
+] + list(EXPLICIT_POINTS))
 def test_table_matches_evaluated_symbolic_normal_forms(text):
     # forward substitution at the point agrees with the symbolic normal form
-    # of every slot, evaluated afterwards; the last two inputs have their
-    # automatic point at (1, 1), off the singular line  [DERIVED]
+    # of every slot, evaluated afterwards.  The two inputs after the
+    # reference ones have their automatic point at (1, 1), off the singular
+    # line; the last two are taken at an explicit fractional point  [DERIVED]
     inv = complete(determining_system(parse_ode(text)))
-    point = choose_expansion_point(inv)
+    point = EXPLICIT_POINTS.get(text) or choose_expansion_point(inv)
+    assert is_regular_point(inv, point)
     table = normal_form_table(inv, inv.max_parametric_order() + 3, point)
     env = {"x": point[0], "y": point[1]}
     for s, row in table.items():
         ref = {q: c.eval_all(env) for q, c in inv.reduce({s: ONE}).items()}
         assert row == {q: v for q, v in ref.items() if v}, s.label()
+
+
+@pytest.mark.parametrize("text,point", [
+    ("y'' + y'/x = 0", (F(0), F(0))),
+    ("y'' + (-2*x*y' - 2*y' + 2*y)/(x^2 + 2*x + 1) = 0", (F(-1), F(1, 2))),
+], ids=["pole-x", "pole-x+1"])
+def test_table_at_a_singular_point_raises(text, point):
+    # a coefficient denominator that vanishes at the point is reported as
+    # such, never as a ZeroDivisionError from the series division  [DERIVED]
+    inv = complete(determining_system(parse_ode(text)))
+    assert not is_regular_point(inv, point)
+    with pytest.raises(SingularPoint):
+        normal_form_table(inv, inv.max_parametric_order() + 2, point)
 
 
 @pytest.mark.parametrize("corrupt", [

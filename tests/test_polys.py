@@ -272,17 +272,61 @@ def ratfuncs(draw):
     return RatFunc(num, den)
 
 
+# Denominator factors the operands may share, repeated ones included:
+# (x+y)^2 with (x+y)(x-y) leaves gcd x+y and the cofactors x+y and x-y.
+SHARED_FACTORS = (MPoly.const(1), (X + Y) ** 2, (X + Y) * (X - Y),
+                  (X + Y) ** 3 * Y, Y ** 2 * (X - Y))
+
+
 @settings(max_examples=30)
-@given(ratfuncs(), ratfuncs(), st.sampled_from(JET_NAMES))
-def test_ratfunc_results_are_canonical(a, b, name):
+@given(ratfuncs(), ratfuncs(), st.sampled_from(JET_NAMES),
+       st.sampled_from(SHARED_FACTORS), st.sampled_from(SHARED_FACTORS))
+def test_ratfunc_results_are_canonical(a, b, name, fa, fb):
     # a result built without the gcd and monic pass must still be the pair
-    # that pass would give: coprime, denominator with leading coefficient 1
-    results = [-a, -b, a + b, a - b, a - a, a * b, a.derivative(name)]
+    # that pass would give: coprime, denominator with leading coefficient 1;
+    # the reference values are built from the cross products by that pass
+    a = RatFunc(a.num, a.den * fa)
+    b = RatFunc(b.num, b.den * fb)
+    results = [-a, -b, a + b, a - b, a - a, a * b, a.derivative(name),
+               a ** 2, a ** 0]
+    assert a + b == RatFunc(a.num * b.den + b.num * a.den, a.den * b.den)
+    assert a * b == RatFunc(a.num * b.num, a.den * b.den)
+    assert a ** 2 == RatFunc(a.num * a.num, a.den * a.den)
     if not b.is_zero():
-        results.append(a / b)
+        results += [a / b, b ** -2]
+        assert a / b == RatFunc(a.num * b.den, a.den * b.num)
+        assert b ** -2 == RatFunc(b.den * b.den, b.num * b.num)
     for r in results:
         assert r == RatFunc(r.num, r.den)
         assert r.den.leading_coeff() == 1
+
+
+def test_ratfunc_shared_denominator_oracle():
+    # 1/(x+y)^2 + 1/((x+y)(x-y)) = 2x/((x+y)^2 (x-y)): the gcd x+y of the
+    # denominators stays; (x-y)/(x+y)^2 + 2y/(x+y)^2 = 1/(x+y): the new
+    # numerator cancels part of it
+    u = RatFunc(MPoly.const(1), (X + Y) ** 2)
+    v = RatFunc(MPoly.const(1), (X + Y) * (X - Y))
+    assert u + v == RatFunc(2 * X, (X + Y) ** 2 * (X - Y))
+    assert v - u == RatFunc(2 * Y, (X + Y) ** 2 * (X - Y))
+    w = RatFunc(X - Y, (X + Y) ** 2)
+    assert w + RatFunc(2 * Y, (X + Y) ** 2) == RatFunc(MPoly.const(1), X + Y)
+    assert (w + v - v).den == w.den
+
+
+@pytest.mark.parametrize("op", [
+    lambda r: "a" / r, lambda r: "a" - r, lambda r: r / "a",
+    lambda r: r - "a", lambda r: object() + r, lambda r: object() * r,
+], ids=["rtruediv", "rsub", "truediv", "sub", "radd", "rmul"])
+def test_ratfunc_rejects_foreign_operands(op):
+    # an operand that is not a number, MPoly or RatFunc is Python's own
+    # TypeError for the two operand types, not a recursion or an error
+    # about None
+    with pytest.raises(TypeError, match="unsupported operand") as err:
+        op(RatFunc.one())
+    assert "NoneType" not in str(err.value)
+    assert 1 / RatFunc(X) == RatFunc(MPoly.const(1), X)
+    assert 1 - RatFunc(X) == RatFunc(1 - X)
 
 
 def test_canonical_form_oracles():
