@@ -131,8 +131,6 @@ class RatFunc:
             return _new(self.num * o.den + o.num * self.den, self.den * o.den)
         db = divexact(self.den, g)
         t = self.num * divexact(o.den, g) + o.num * db
-        if t.is_zero():
-            return RatFunc.zero()
         g2 = gcd(t, g)
         if g2.is_const():
             return _new(t, db * o.den)
