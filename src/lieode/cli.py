@@ -21,6 +21,7 @@ from .errors import InputError, InternalInvariantError
 from .parsing import format_ratfunc, print_ode
 from .pipeline import RunReport, analyze
 from .pushforward import PointTransformation, push_linear
+from .ratfunc import RatFunc
 from .recovery import AffineClass, CharPoly, affine_class, classify_pair
 
 EXIT_LINEARIZABLE = 0
@@ -53,19 +54,22 @@ def _class_json(c: AffineClass) -> dict:
     }
 
 
-def _equation_json(eq) -> dict:
-    return {s.label(): format_ratfunc(c) for s, c in eq.items()}
+def _equation_json(eq, lead) -> dict:
+    """The equation solved for its lead: each coefficient over the lead's."""
+    return {s.label(): format_ratfunc(RatFunc(c, eq[lead]))
+            for s, c in eq.items()}
 
 
 def _attach_extras(payload: dict, report: RunReport, args) -> None:
     if getattr(args, "dump_detsys", False):
         payload["determining_system"] = [
-            _equation_json(eq) for eq in report.determining.equations]
+            _equation_json(eq, max(eq)) for eq in report.determining.equations]
     if getattr(args, "dump_involutive", False):
         inv = report.involutive
         payload["involutive"] = {
             "ranking": inv.ranking.name,
-            "equations": [_equation_json(eq) for eq in inv.equations],
+            "equations": [_equation_json(eq, lead)
+                          for eq, lead in zip(inv.equations, inv.leads)],
             "leads": [s.label() for s in inv.leads],
             "parametric": [s.label() for s in inv.parametric],
             "dimension": inv.dimension,

@@ -18,8 +18,9 @@ contributes R (Q A - P B), and xi and eta^(k), k < n, carry the factor
 factor of Q, as in Q = (1 + y')^2, would otherwise multiply the condition by
 a jet polynomial and mix the collected monomials.  Collecting the coefficient
 of every monomial in (y', ..., y^(n-1)) produces the linear PDE system whose
-solution space is the symmetry algebra; only there does a coefficient become
-a RatFunc in (x, y), scaled so that its highest slot has coefficient one.
+solution space is the symmetry algebra.  Its coefficients are polynomials in
+(x, y); each equation is kept primitive (see ``primitive``), which is also
+the form completion works on.
 """
 from __future__ import annotations
 
@@ -29,8 +30,7 @@ from typing import Dict, List, NamedTuple, Tuple
 from .errors import InternalInvariantError
 from .jets import jet_name, jet_order_of, total_derivative
 from .parsing import OdeSpec
-from .polys import MPoly, divexact, gcd
-from .ratfunc import RatFunc
+from .polys import MPoly, content, divexact, gcd
 
 XI = "xi"
 ETA = "eta"
@@ -60,8 +60,7 @@ class Slot(NamedTuple):
         return f"{self.unknown}_" + "x" * self.dx + "y" * self.dy
 
 
-LinDiffPoly = Dict[Slot, RatFunc]
-JetLin = Dict[Slot, MPoly]
+LinDiffPoly = Dict[Slot, MPoly]
 
 
 def add_term(out: dict, slot: Slot, value) -> None:
@@ -75,14 +74,14 @@ def add_term(out: dict, slot: Slot, value) -> None:
         out[slot] = value
 
 
-def sx_total_derivative(a: JetLin) -> JetLin:
+def sx_total_derivative(a: LinDiffPoly) -> LinDiffPoly:
     """D_x of a slot-linear expression.
 
     Coefficients differentiate totally; a slot, being a function of (x, y)
     restricted to a curve, differentiates to its x-shift plus y' times its
     y-shift.
     """
-    out: JetLin = {}
+    out: LinDiffPoly = {}
     y1 = MPoly.variable(jet_name(1))
     for s, c in a.items():
         add_term(out, s, total_derivative(c))
@@ -91,7 +90,7 @@ def sx_total_derivative(a: JetLin) -> JetLin:
     return out
 
 
-def prolonged_eta(n: int) -> List[JetLin]:
+def prolonged_eta(n: int) -> List[LinDiffPoly]:
     """[eta^(0), ..., eta^(n)], each step eta^(k) = D_x eta^(k-1) - y^(k) D_x xi."""
     dxi = sx_total_derivative({Slot(XI, 0, 0): MPoly.const(1)})
     etas = [{Slot(ETA, 0, 0): MPoly.const(1)}]
@@ -114,17 +113,24 @@ class LinDiffSystem:
     ode: OdeSpec
     equations: List[LinDiffPoly]
 
-    def __len__(self) -> int:
-        return len(self.equations)
+
+def primitive(eq: LinDiffPoly, top: Slot) -> LinDiffPoly:
+    """eq divided by its content in Q[x, y], scaled so that eq[top] has
+    leading coefficient 1.
+
+    Every nonzero multiple of eq by a rational function has the same
+    primitive form, so it is a canonical representative of the equation.
+    """
+    g = content(sorted(eq.values(), key=lambda c: len(c.num)))
+    if not g.is_const():
+        eq = {s: divexact(c, g) for s, c in eq.items()}
+    lc = eq[top].leading_coeff()
+    if lc != 1:
+        eq = {s: c * (1 / lc) for s, c in eq.items()}
+    return eq
 
 
-def _canonical_scale(eq: JetLin) -> LinDiffPoly:
-    """Divide by the coefficient of the plain-tuple-maximal slot."""
-    c = eq[max(eq)]
-    return {s: RatFunc(v, c) for s, v in eq.items()}
-
-
-def invariance_expression(ode: OdeSpec) -> JetLin:
+def invariance_expression(ode: OdeSpec) -> LinDiffPoly:
     """Q*R times X(y^(n) + f) restricted to solutions, f = P/Q, R = Q/G."""
     n, P, Q = ode.n, ode.f.num, ode.f.den
     G = Q
@@ -133,7 +139,7 @@ def invariance_expression(ode: OdeSpec) -> JetLin:
     R = divexact(Q, G)
     etas = prolonged_eta(n)
     top = jet_name(n)
-    out: JetLin = {}
+    out: LinDiffPoly = {}
     for s, c in etas[n].items():
         if c.degree_in(top) > 1:
             raise InternalInvariantError(
@@ -156,7 +162,7 @@ def invariance_expression(ode: OdeSpec) -> JetLin:
 
 def determining_system(ode: OdeSpec) -> LinDiffSystem:
     """Generate, collect and deduplicate the determining equations."""
-    collected: Dict[Tuple[Tuple[str, int], ...], JetLin] = {}
+    collected: Dict[Tuple[Tuple[str, int], ...], LinDiffPoly] = {}
     for slot, c in invariance_expression(ode).items():
         # x and y rank before every jet variable, so they lead c.vars
         b = sum(1 for v in c.vars if jet_order_of(v) < 1)
@@ -170,31 +176,10 @@ def determining_system(ode: OdeSpec) -> LinDiffSystem:
     equations: List[LinDiffPoly] = []
     seen = set()
     for key in sorted(collected):
-        eq = _canonical_scale(collected[key])
+        eq = primitive(collected[key], max(collected[key]))
         sig = tuple(sorted(eq.items()))
         if sig not in seen:
             seen.add(sig)
             equations.append(eq)
     return LinDiffSystem(ode, equations)
 
-
-def substitute_generator(eq: LinDiffPoly, xi: RatFunc, eta: RatFunc) -> RatFunc:
-    """Evaluate an equation on a concrete generator (xi(x,y), eta(x,y))."""
-    cache: Dict[Slot, RatFunc] = {}
-
-    def value(s: Slot) -> RatFunc:
-        if s in cache:
-            return cache[s]
-        base = xi if s.unknown == XI else eta
-        v = base
-        for _ in range(s.dx):
-            v = v.derivative("x")
-        for _ in range(s.dy):
-            v = v.derivative("y")
-        cache[s] = v
-        return v
-
-    total = RatFunc.zero()
-    for s, c in eq.items():
-        total = total + c * value(s)
-    return total

@@ -1,19 +1,25 @@
 """Completion of linear PDE systems to an involutive (passive) form.
 
 The determining equations form a linear homogeneous system in two unknown
-functions of (x, y) with rational-function coefficients.  This module brings
-such a system to a canonical solved form with respect to a Riquier ranking of
-the derivative slots:
+functions of (x, y) with polynomial coefficients.  This module brings such a
+system to a canonical solved form with respect to a Riquier ranking of the
+derivative slots:
 
-* every equation is solved for its highest slot (coefficient one),
+* every equation is primitive with respect to its highest slot, the lead
+  (``determining.primitive``): solving it for the lead divides by the lead
+  coefficient,
 * no equation contains any derivative of another equation's leading slot,
 * every cross-derivative (integrability condition) of two equations with
   leading slots on the same unknown reduces to zero.
 
-Reduction eliminates a slot by differentiating the equation solved for a
-lower slot and subtracting; since the ranking is stable under differentiation
-and every non-leading slot ranks below the lead, each step replaces a slot by
-strictly lower ones, so normal forms terminate.  Completion is the linear
+The arithmetic is fraction-free, as in the Maple package Janet (Blinkov,
+Cid, Gerdt, Plesken and Robertz, CASC 2003): reduction eliminates a slot by
+differentiating the equation whose lead divides it and subtracting with the
+polynomial cofactors that cancel the slot, so a normal form is only defined
+up to a nonzero factor in Q[x, y], and each new equation is made primitive
+once.  Since the ranking is stable under differentiation and every
+non-leading slot ranks below the lead, each step replaces a slot by strictly
+lower ones, so normal forms terminate.  Completion is the linear
 Buchberger loop: fully reduce an equation, insert it, requeue any equation
 whose lead became reducible, re-reduce the survivors' tails, then process
 cross-derivative pairs until none produces anything new.  Each insertion
@@ -29,9 +35,10 @@ import dataclasses
 import itertools
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .determining import ETA, XI, LinDiffPoly, LinDiffSystem, Slot, add_term
+from .determining import (ETA, XI, LinDiffPoly, LinDiffSystem, Slot, add_term,
+                          primitive)
 from .errors import InternalInvariantError
-from .ratfunc import RatFunc
+from .polys import divexact, gcd
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,7 +86,7 @@ def lin_derive(eq: LinDiffPoly, var: str) -> LinDiffPoly:
 
 
 class _Eq:
-    """Completion-internal equation: monic solved form plus derivative cache."""
+    """Completion-internal equation: primitive form plus derivative cache."""
 
     __slots__ = ("terms", "lead", "ident", "_dcache")
 
@@ -107,16 +114,23 @@ class _Eq:
         self._dcache = {(0, 0): self.terms}
 
 
-def _monic(eq: LinDiffPoly, ranking: Ranking) -> Tuple[LinDiffPoly, Slot]:
-    lead = ranking.max_slot(eq)
-    c = eq[lead]
-    if c == RatFunc.one():
-        return dict(eq), lead
-    return {s: v / c for s, v in eq.items()}, lead
+def _eliminate(p: LinDiffPoly, q: LinDiffPoly, slot: Slot) -> LinDiffPoly:
+    """(b/g) p - (a/g) q with a = p[slot], b = q[slot] and g = gcd(a, b).
+
+    The cofactors cancel slot without dividing by a polynomial.
+    """
+    a, b = p[slot], q[slot]
+    g = gcd(a, b)
+    if not g.is_const():
+        a, b = divexact(a, g), divexact(b, g)
+    out = dict(p) if b == 1 else {s: c * b for s, c in p.items()}
+    for s, c in q.items():
+        add_term(out, s, -(c * a))
+    return out
 
 
 def reduce(p: LinDiffPoly, eqs: Sequence[_Eq], ranking: Ranking) -> LinDiffPoly:
-    """Full normal form of p modulo the solved equations."""
+    """Full normal form of p modulo the equations, up to a factor in Q[x, y]."""
     work = {s: c for s, c in p.items() if not c.is_zero()}
     while True:
         best = None
@@ -129,30 +143,26 @@ def reduce(p: LinDiffPoly, eqs: Sequence[_Eq], ranking: Ranking) -> LinDiffPoly:
                     break
         if best is None:
             return work
-        c = work[best]
         d = best_eq.derived(best.dx - best_eq.lead.dx, best.dy - best_eq.lead.dy)
-        for t, v in d.items():
-            add_term(work, t, -(c * v))
-        if best in work:  # the lead of d is monic at `best`, must cancel
+        work = _eliminate(work, d, best)
+        if best in work:  # d leads at `best`, so the cofactors cancel it
             raise InternalInvariantError("reduction failed to eliminate a slot")
 
 
 def _cross(a: _Eq, b: _Eq) -> LinDiffPoly:
-    """Difference of the two prolongations to the least common derivative."""
+    """Cofactor difference of the two prolongations to the least common
+    derivative."""
     lx = max(a.lead.dx, b.lead.dx)
     ly = max(a.lead.dy, b.lead.dy)
     da = a.derived(lx - a.lead.dx, ly - a.lead.dy)
     db = b.derived(lx - b.lead.dx, ly - b.lead.dy)
-    out = dict(da)
-    for s, c in db.items():
-        add_term(out, s, -c)
-    return out
+    return _eliminate(da, db, Slot(a.lead.unknown, lx, ly))
 
 
 @dataclasses.dataclass
 class InvolutiveSystem:
     ranking: Ranking
-    equations: List[LinDiffPoly]   # monic, inter-reduced, sorted by lead
+    equations: List[LinDiffPoly]   # primitive, inter-reduced, sorted by lead
     leads: List[Slot]
     parametric: List[Slot]
 
@@ -161,9 +171,6 @@ class InvolutiveSystem:
     @property
     def dimension(self) -> int:
         return len(self.parametric)
-
-    def reduce(self, p: LinDiffPoly) -> LinDiffPoly:
-        return reduce(p, self._eqs, self.ranking)
 
     def max_parametric_order(self) -> int:
         return max((s.order for s in self.parametric), default=0)
@@ -204,8 +211,8 @@ def complete(system, ranking: Optional[Ranking] = None) -> InvolutiveSystem:
             h = reduce(p, eqs, ranking)
             if not h:
                 continue
-            terms, lead = _monic(h, ranking)
-            new = _Eq(terms, lead, next(counter))
+            lead = ranking.max_slot(h)
+            new = _Eq(primitive(h, lead), lead, next(counter))
             # drop equations whose lead became reducible; they re-enter the queue
             doomed = [e for e in eqs if new.lead.divides(e.lead)]
             for e in doomed:
@@ -220,10 +227,8 @@ def complete(system, ranking: Optional[Ranking] = None) -> InvolutiveSystem:
                 if e is new:
                     continue
                 if any(new.lead.divides(s) for s in e.terms if s != e.lead):
-                    tail = {s: c for s, c in e.terms.items() if s != e.lead}
-                    tail = reduce(tail, eqs, ranking)
-                    tail[e.lead] = RatFunc.one()
-                    e.terms = tail
+                    others = [f for f in eqs if f is not e]
+                    e.terms = primitive(reduce(e.terms, others, ranking), e.lead)
                     e.invalidate()
             for e in eqs:
                 if e is not new and e.lead.unknown == new.lead.unknown:

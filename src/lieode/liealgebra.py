@@ -10,11 +10,12 @@ non-parametric slot is solved from the prolonged equation it leads, all of
 whose other slots rank lower.  The table is built once, through order N+1,
 so each basis element carries its derivative values one order past the
 truncation order N.  It is built in Taylor mode, the power-series form of
-Riquier's existence theorem (Reid, EJAM 1991): each coefficient of a
-completed equation is expanded once as a truncated series at the point, and
+Riquier's existence theorem (Reid, EJAM 1991): a completed equation
+P_lead u_lead + sum_t P_t u_t = 0 has polynomial coefficients, and each
+quotient P_t / P_lead is expanded once as a truncated series at the point;
 a prolonged equation's values there are Leibniz sums over those series, so
 no equation is differentiated symbolically.  The series division needs no
-gcd, since at a regular point no denominator vanishes.
+gcd, since at a regular point no lead coefficient vanishes.
 
 Brackets are taken directly on those values by Leibniz's rule: the value of a
 bracket at order k reads the data of both fields up to order k+1, so it is
@@ -53,7 +54,6 @@ from .errors import InternalInvariantError, SingularPoint
 from .involutive import InvolutiveSystem
 from .linalg import IntRows, Vec, eliminate, integer_rref
 from .polys import MPoly
-from .ratfunc import RatFunc
 
 Point = Tuple[Fraction, Fraction]
 
@@ -120,19 +120,20 @@ def _shifted(p: MPoly, point: Point,
     return {k: n for k, n in out.items() if n}, p.den * b ** E * d ** F
 
 
-def taylor_coefficients(c: RatFunc, point: Point,
+def taylor_coefficients(num: MPoly, den: MPoly, point: Point,
                         K: int) -> Dict[Tuple[int, int], Fraction]:
-    """Nonzero Taylor coefficients of c at ``point`` through total order K.
+    """Nonzero Taylor coefficients of num/den at ``point`` through order K.
 
-    ``c = sum T[i, j] (x - x0)^i (y - y0)^j``.  Numerator and denominator
-    are shifted to the point and divided as series; the denominator's
-    constant term q0 is its value there, which must be nonzero.  On integer
-    numerators: with the shifted P/sP and Q/sQ, U[g] = q0^(|g|+1) (P/Q)[g]
-    satisfies U[g] = P[g] q0^|g| - sum over nonzero Q[h], 0 < h <= g, of
-    Q[h] U[g-h] q0^(|h|-1), and T[g] = U[g] sQ / (q0^(|g|+1) sP).
+    ``num/den = sum T[i, j] (x - x0)^i (y - y0)^j``.  Numerator and
+    denominator are shifted to the point and divided as series; the
+    denominator's constant term q0 is its value there, which must be
+    nonzero.  On integer numerators: with the shifted P/sP and Q/sQ,
+    U[g] = q0^(|g|+1) (P/Q)[g] satisfies U[g] = P[g] q0^|g| - sum over
+    nonzero Q[h], 0 < h <= g, of Q[h] U[g-h] q0^(|h|-1), and
+    T[g] = U[g] sQ / (q0^(|g|+1) sP).
     """
-    P, sP = _shifted(c.num, point, K)
-    Q, sQ = _shifted(c.den, point, K)
+    P, sP = _shifted(num, point, K)
+    Q, sQ = _shifted(den, point, K)
     q0 = Q.pop((0, 0), 0)
     if not q0:
         raise _singular(point)
@@ -162,20 +163,18 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
     equation whose lead divides it, as ``involutive.reduce`` does.  ``point``
     must be regular (see ``is_regular_point``).
 
-    Taylor mode: each equation u_L + sum_t c_t u_t = 0 that is used has
-    each tail coefficient c_t expanded once, to order N - |L|, by
-    ``taylor_coefficients``.  Its derivative of multi-index a solves slot
+    Taylor mode: each equation P_L u_L + sum_t P_t u_t = 0 that is used
+    has each tail quotient c_t = P_t / P_L expanded once, to order N - |L|,
+    by ``taylor_coefficients``.  Its derivative of multi-index a solves slot
     L + a; by Leibniz's rule the value there is
     -sum_t sum_{b <= a} C(a, b) d^b c_t(point) table[t + a - b], and
     C(a, b) d^b c_t = a!/(a-b)! T_b over the nonzero Taylor coefficients
-    T_b.  No equation is prolonged symbolically.  The lead coefficient must
-    be exactly 1 and every t + a already tabled (the lower t + a - b rank
-    below it), or the guard raises.
+    T_b.  No equation is prolonged symbolically.  Every t + a must already
+    be tabled (the lower t + a - b rank below it), or the guard raises.
     """
     fall = [[perm(n, k) for k in range(n + 1)] for n in range(N + 1)]
-    # per equation used: (tail slot, its coefficient's Taylor rows), or None
-    # when the lead coefficient is not 1
-    tails: Dict[object, Optional[List[Tuple[Slot, _TaylorRows]]]] = {}
+    # per equation used: (tail slot, its quotient's Taylor rows)
+    tails: Dict[object, List[Tuple[Slot, _TaylorRows]]] = {}
     table: Dict[Slot, Dict[Slot, Fraction]] = {}
     for s in inv.ranking.sorted(Slot(unk, i, total - i) for unk in (XI, ETA)
                                 for total in range(N + 1)
@@ -186,15 +185,14 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
             continue
         ax, ay = s.dx - e.lead.dx, s.dy - e.lead.dy
         if e not in tails:
+            lc = e.terms[e.lead]
             tails[e] = [
-                (t, _by_x_order(taylor_coefficients(c, point,
+                (t, _by_x_order(taylor_coefficients(c, lc, point,
                                                     N - e.lead.order)))
-                for t, c in e.terms.items() if t != e.lead
-            ] if e.terms.get(e.lead) == 1 else None
+                for t, c in e.terms.items() if t != e.lead]
         expanded = tails[e]
-        if expanded is None or any(t.derive(ax, ay) not in table
-                                   for t, _ in expanded):
-            raise InternalInvariantError("equation for slot %s is not monic "
+        if any(t.derive(ax, ay) not in table for t, _ in expanded):
+            raise InternalInvariantError("equation for slot %s is not solved "
                                          "over lower slots" % s.label())
         coef: Dict[Slot, Fraction] = {}
         for t, rows in expanded:
@@ -224,13 +222,16 @@ def _by_x_order(T: Dict[Tuple[int, int], Fraction]) -> _TaylorRows:
 
 
 def is_regular_point(inv: InvolutiveSystem, point: Point) -> bool:
-    """True when no coefficient denominator of the completed equations vanishes.
+    """True when no lead coefficient of the completed equations vanishes.
 
-    Derivatives of an equation only have factors of its own denominators, so
-    every table entry is then defined at the point.
+    Solving an equation or its derivatives for their leads divides only by
+    powers of its lead coefficient, so every table entry is then defined at
+    the point.  For a primitive equation the lead coefficient vanishes
+    exactly where a denominator of the equation solved for its lead does.
     """
     env = {"x": point[0], "y": point[1]}
-    return all(c.den.eval_all(env) for eq in inv.equations for c in eq.values())
+    return all(eq[lead].eval_all(env)
+               for eq, lead in zip(inv.equations, inv.leads))
 
 
 def _singular(point: Point) -> SingularPoint:

@@ -506,7 +506,8 @@ def _gcd_univar(a: MPoly, b: MPoly, name: str) -> MPoly:
     return _monic(_new_pruned((name,), {(k,): v for k, v in fa.items()}, 1))
 
 
-def _content(coeffs: Sequence[MPoly]) -> MPoly:
+def content(coeffs: Sequence[MPoly]) -> MPoly:
+    """gcd of the coefficients, with leading coefficient 1 (0 if all are 0)."""
     g = MPoly.zero()
     for c in coeffs:
         if c.is_zero():
@@ -567,15 +568,15 @@ def gcd(a: MPoly, b: MPoly) -> MPoly:
     only_b = set(b0.vars).difference(shared)
     if only_a or only_b:
         parts = a0.coeffs_over(only_a) + b0.coeffs_over(only_b)
-        g = _content(sorted(parts, key=lambda p: len(p.num)))
+        g = content(sorted(parts, key=lambda p: len(p.num)))
     elif len(a0.vars) == 1:
         g = _gcd_univar(a0, b0, a0.vars[0])
     else:
         v = min(shared, key=lambda n: max(a0.degree_in(n), b0.degree_in(n)))
         ca = a0.coeffs_in(v)
         cb = b0.coeffs_in(v)
-        cont_a = _content(ca)
-        cont_b = _content(cb)
+        cont_a = content(ca)
+        cont_b = content(cb)
         c = gcd(cont_a, cont_b)
         pa = [divexact(x, cont_a) for x in ca]
         pb = [divexact(x, cont_b) for x in cb]
@@ -586,14 +587,14 @@ def gcd(a: MPoly, b: MPoly) -> MPoly:
             if not r or all(x.is_zero() for x in r):
                 g = pb
                 break
-            cont_r = _content(r)
+            cont_r = content(r)
             r = [divexact(x, cont_r) for x in r]
             pa, pb = pb, r
             if len(pb) == 1:
                 g = [MPoly.const(1)]
                 break
         gp = MPoly.from_coeffs(g, v)
-        cont_g = _content(g)
+        cont_g = content(g)
         gp = divexact(gp, cont_g)
         g = gp * c
     if common:

@@ -145,15 +145,14 @@ class AffineClass:
     ``support`` lists the indices j (2..n) whose centered coefficient c_j is
     nonzero, and ``canonical`` the scale-normalized values c_j / T^(j/g);
     equality of (degree, support, canonical) is equivalence.  The centered
-    representative, the zero pattern, and the anchored ratios
-    I_j = c_j^{j0} / c_{j0}^j (j0 = min support) ride along for reporting.
+    representative and the anchored ratios I_j = c_j^{j0} / c_{j0}^j
+    (j0 = min support) ride along for reporting.
     """
 
     degree: int
     support: Tuple[int, ...]
     canonical: Tuple[Fraction, ...]
     centered_coeffs: Tuple[Fraction, ...] = dataclasses.field(compare=False)
-    zero_pattern: Tuple[int, ...] = dataclasses.field(compare=False)
     anchored_invariants: Tuple[Tuple[int, Fraction], ...] = dataclasses.field(compare=False)
 
     @property
@@ -168,7 +167,6 @@ def affine_class(p: CharPoly) -> AffineClass:
     # c_j = coefficient of z^(n-j), j = 2..n
     c = {j: q.coeffs[n - j] for j in range(2, n + 1)}
     support = tuple(j for j in range(2, n + 1) if c[j])
-    zero_pattern = tuple(j for j in range(2, n + 1) if not c[j])
     canonical: Tuple[Fraction, ...] = ()
     if support:
         g = math.gcd(*support)
@@ -185,8 +183,7 @@ def affine_class(p: CharPoly) -> AffineClass:
     j0 = support[0] if support else None
     anchored = tuple((j, c[j] ** j0 / c[j0] ** j)
                      for j in support[1:]) if support else ()
-    return AffineClass(n, support, canonical, tuple(q.coeffs),
-                       zero_pattern, anchored)
+    return AffineClass(n, support, canonical, tuple(q.coeffs), anchored)
 
 
 REASON_EQUIVALENT = "equivalent"

@@ -12,8 +12,10 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from lieode import analyze, default_corpus
-from lieode.determining import ETA, XI, Slot
+from lieode.determining import ETA, XI, Slot, add_term
+from lieode.involutive import lin_derive
 from lieode.liealgebra import Point
+from lieode.ratfunc import RatFunc
 
 settings.register_profile("suite", max_examples=50, deadline=None,
                           derandomize=True)
@@ -59,6 +61,47 @@ def solution_data_from_components(xi, eta, point: Point, N: int) -> Dict[Slot, F
         for (i, j), fn in by_index.items():
             out[Slot(unk, i, j)] = fn.eval_all(env)
     return out
+
+
+def substitute_generator(eq, xi: RatFunc, eta: RatFunc) -> RatFunc:
+    """Evaluate an equation on a concrete generator (xi(x,y), eta(x,y))."""
+    total = RatFunc.zero()
+    for s, c in eq.items():
+        v = xi if s.unknown == XI else eta
+        for _ in range(s.dx):
+            v = v.derivative("x")
+        for _ in range(s.dy):
+            v = v.derivative("y")
+        total = total + RatFunc(c) * v
+    return total
+
+
+def normal_form(inv, p):
+    """Reference normal form of p modulo a completed system, over RatFunc.
+
+    Each equation is solved for its lead (coefficient one), and the highest
+    reducible slot is eliminated by subtracting its coefficient times the
+    matching derivative of the first equation whose lead divides it.  On a
+    completed system the result does not depend on these choices, so it
+    pins the forward-substitution table exactly.
+    """
+    solved = [(lead, {s: RatFunc(c, eq[lead]) for s, c in eq.items()})
+              for eq, lead in zip(inv.equations, inv.leads)]
+    work = {s: RatFunc(c) for s, c in p.items() if not c.is_zero()}
+    while True:
+        reducible = [s for s in work
+                     if any(lead.divides(s) for lead, _ in solved)]
+        if not reducible:
+            return work
+        best = max(reducible, key=inv.ranking.key)
+        lead, d = next((lead, eq) for lead, eq in solved
+                       if lead.divides(best))
+        for var, k in (("x", best.dx - lead.dx), ("y", best.dy - lead.dy)):
+            for _ in range(k):
+                d = lin_derive(d, var)
+        c = work[best]
+        for t, v in d.items():
+            add_term(work, t, -(c * v))
 
 
 # The five reference equations exercised throughout the suite:

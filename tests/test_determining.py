@@ -6,14 +6,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lieode.determining import (ETA, XI, Slot, determining_system,
-                                invariance_expression, prolonged_eta,
-                                substitute_generator)
+                                invariance_expression, primitive,
+                                prolonged_eta)
 from lieode.jets import jet_name, jet_order
 from lieode.parsing import OdeSpec, parse_ode
-from lieode.polys import MPoly, gcd
+from lieode.polys import MPoly, content, gcd
 from lieode.ratfunc import RatFunc
 
-from conftest import nonzero_rationals, rationals
+from conftest import nonzero_rationals, rationals, substitute_generator
 
 
 def jet(k):
@@ -31,8 +31,9 @@ def _up_to_scale(eq, expected):
     if set(eq) != set(expected):
         return False
     slot = next(iter(expected))
-    ratio = eq[slot] / expected[slot]
-    return all(eq[s] == ratio * expected[s] for s in expected)
+    ratio = RatFunc(eq[slot], expected[slot])
+    return all(RatFunc(eq[s]) == ratio * RatFunc(expected[s])
+               for s in expected)
 
 
 # -- prolongation -----------------------------------------------------------------
@@ -128,6 +129,45 @@ def test_invariance_expression_is_textbook_condition_times_QR(ode):
     assert got == _textbook_condition(ode)
 
 
+# -- the primitive form of an equation ---------------------------------------------
+
+
+@st.composite
+def xy_polys(draw):
+    """Nonzero polynomials in (x, y) of degree <= 2 in each variable."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        e = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+        terms[e] = draw(nonzero_rationals(3, 2))
+    return MPoly(("x", "y"), terms)
+
+
+@st.composite
+def scaled_equations(draw):
+    """(eq, top, h1, h2): an equation, one of its slots, two multipliers."""
+    slots = draw(st.lists(st.sampled_from(
+        [Slot(u, i, j) for u in (XI, ETA) for i in range(3)
+         for j in range(3 - i)]), min_size=1, max_size=4, unique=True))
+    eq = {s: draw(xy_polys()) for s in slots}
+    return eq, draw(st.sampled_from(slots)), draw(xy_polys()), draw(xy_polys())
+
+
+@given(scaled_equations())
+def test_primitive_form_is_canonical(case):
+    # every multiple of an equation by a nonzero polynomial or rational
+    # function h = h1/h2 has one primitive form: content 1, top coefficient
+    # of leading coefficient 1, and over RatFunc the same equation solved for
+    # top as the raw one; determining_system deduplicates on it  [DERIVED]
+    eq, top, h1, h2 = case
+    p = primitive({s: c * h1 for s, c in eq.items()}, top)
+    assert p == primitive({s: c * h2 for s, c in eq.items()}, top)
+    assert p == primitive(eq, top)
+    assert content(list(p.values())) == 1
+    assert p[top].leading_coeff() == 1
+    assert ({s: RatFunc(c, p[top]) for s, c in p.items()}
+            == {s: RatFunc(c, eq[top]) for s, c in eq.items()})
+
+
 # -- the classical free-particle system --------------------------------------------
 
 
@@ -137,11 +177,12 @@ def test_free_particle_determining_equations():
     # [PAPER]
     system = determining_system(parse_ode("y'' = 0"))
     assert len(system.equations) == 4
+    one = MPoly.const(1)
     expected = [
-        {Slot(XI, 0, 2): ONE},
-        {Slot(ETA, 0, 2): ONE, Slot(XI, 1, 1): RatFunc.const(-2)},
-        {Slot(ETA, 1, 1): RatFunc.const(2), Slot(XI, 2, 0): -ONE},
-        {Slot(ETA, 2, 0): ONE},
+        {Slot(XI, 0, 2): one},
+        {Slot(ETA, 0, 2): one, Slot(XI, 1, 1): MPoly.const(-2)},
+        {Slot(ETA, 1, 1): MPoly.const(2), Slot(XI, 2, 0): -one},
+        {Slot(ETA, 2, 0): one},
     ]
     matched = [any(_up_to_scale(eq, want) for eq in system.equations)
                for want in expected]

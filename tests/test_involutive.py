@@ -4,16 +4,21 @@ import random
 
 import pytest
 
-from lieode.determining import ETA, XI, Slot, determining_system, substitute_generator
+from lieode import analyze
+from lieode.determining import ETA, XI, Slot, determining_system
 from lieode.errors import InternalInvariantError
 from lieode.involutive import (alt_ranking, audit_involutive, complete,
                                default_ranking, lin_derive, reduce)
+from lieode.liealgebra import CASE_NONE
 from lieode.parsing import parse_ode
+from lieode.polys import MPoly
 from lieode.ratfunc import RatFunc
 
-ONE = RatFunc.one()
-X = RatFunc.variable("x")
-Y = RatFunc.variable("y")
+from conftest import normal_form, substitute_generator
+
+ONE = MPoly.const(1)
+X = MPoly.variable("x")
+Y = MPoly.variable("y")
 
 
 def all_slots(max_order):
@@ -98,7 +103,8 @@ def test_free_particle_completion_shape():
 
 def test_completed_system_still_annihilates_generators():
     inv = complete(determining_system(parse_ode("y'' = y^2")))
-    for xi, eta in [(ONE, RatFunc.zero()), (X, RatFunc.const(-2) * Y)]:
+    for xi, eta in [(RatFunc.one(), RatFunc.zero()),
+                    (RatFunc(X), RatFunc.const(-2) * RatFunc(Y))]:
         for eq in inv.equations:
             assert substitute_generator(eq, xi, eta).is_zero()
 
@@ -127,11 +133,28 @@ def test_reduce_gives_normal_forms():
     inv = complete(determining_system(parse_ode("y'' = 0")))
     # every original equation reduces to zero
     for eq in determining_system(parse_ode("y'' = 0")).equations:
-        assert inv.reduce(eq) == {}
+        assert reduce(eq, inv._eqs, inv.ranking) == {}
+        assert normal_form(inv, eq) == {}
     # a lead slot's normal form carries no reducible slots
-    nf = inv.reduce({Slot(ETA, 3, 1): ONE})
+    nf = reduce({Slot(ETA, 3, 1): ONE}, inv._eqs, inv.ranking)
     for s in nf:
         assert not any(l.divides(s) for l in inv.leads)
+
+
+@pytest.mark.parametrize("text", ["y'' + y'/x = 0", "y''' + y*y'' = 0",
+                                  "y'' + (y')^2/(x^2 + y) = 0"])
+def test_fraction_free_reduce_is_a_multiple_of_the_normal_form(text):
+    # reduce eliminates with polynomial cofactors, so on a completed system
+    # its result is the RatFunc normal form times one nonzero factor
+    inv = complete(determining_system(parse_ode(text)))
+    for s in all_slots(inv.max_parametric_order() + 2):
+        got = reduce({s: X + 2 * Y}, inv._eqs, inv.ranking)
+        ref = normal_form(inv, {s: X + 2 * Y})
+        assert set(got) == set(ref), s.label()
+        if ref:
+            t = next(iter(ref))
+            ratio = RatFunc(got[t]) / ref[t]
+            assert all(RatFunc(got[q]) == ratio * ref[q] for q in ref)
 
 
 def test_hand_built_constant_system():
@@ -171,3 +194,22 @@ def test_inconsistent_cross_derivative_kills_the_slot():
     assert {s.label() for s in inv.parametric} == {"eta"}
     assert inv.dimension == 1
     assert any(s.label() == "xi" for s in inv.leads)
+
+
+def test_bivariate_denominator_completes():
+    # completion over RatFunc stalled in a gcd on this input (no answer
+    # within 20 s); fraction-free it finishes.  x^2 + y is invariant under
+    # d_x - 2x d_y, its only point symmetry  [DERIVED]
+    report = analyze("y''' = (y'')^2/(x^2 + y)")
+    assert report.m == 1
+    assert report.certificate.case == CASE_NONE
+    detsys, inv = report.determining, report.involutive
+    alt = complete(detsys, alt_ranking())
+    assert alt.dimension == inv.dimension
+    assert audit_involutive(inv, detsys) and audit_involutive(alt, detsys)
+    one, x = RatFunc.one(), RatFunc.variable("x")
+    for eqs in (detsys.equations, inv.equations):
+        assert all(substitute_generator(eq, one, RatFunc.const(-2) * x)
+                   .is_zero() for eq in eqs)
+        assert not all(substitute_generator(eq, one, RatFunc.zero()).is_zero()
+                       for eq in eqs)

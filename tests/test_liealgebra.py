@@ -19,12 +19,14 @@ from lieode.liealgebra import (CASE_CONSTANT, CASE_NONCONSTANT, CASE_NONE,
                                structure_constants, taylor_coefficients)
 from lieode.linalg import row_space_basis
 from lieode.parsing import parse_ode
+from lieode.polys import MPoly
 from lieode.ratfunc import RatFunc
 
-from conftest import (REFERENCE_INPUTS, fraction_bracket,
+from conftest import (REFERENCE_INPUTS, fraction_bracket, normal_form,
                       solution_data_from_components)
 
 F = Fraction
+UNIT = MPoly.const(1)   # equation coefficient
 ONE = RatFunc.one()
 ZERO = RatFunc.zero()
 X = RatFunc.variable("x")
@@ -93,7 +95,7 @@ def test_taylor_coefficients_match_iterated_derivatives(name, point):
     # symbolic differentiation and evaluation give it; zeros are left out
     # [DERIVED]
     c, K = TAYLOR_CASES[name], 6
-    T = taylor_coefficients(c, point, K)
+    T = taylor_coefficients(c.num, c.den, point, K)
     ref = solution_data_from_components(c, ZERO, point, K)
     for total in range(K + 1):
         for i in range(total + 1):
@@ -128,7 +130,8 @@ def test_table_matches_evaluated_symbolic_normal_forms(text):
     table = normal_form_table(inv, inv.max_parametric_order() + 3, point)
     env = {"x": point[0], "y": point[1]}
     for s, row in table.items():
-        ref = {q: c.eval_all(env) for q, c in inv.reduce({s: ONE}).items()}
+        ref = {q: c.eval_all(env)
+               for q, c in normal_form(inv, {s: UNIT}).items()}
         assert row == {q: v for q, v in ref.items() if v}, s.label()
 
 
@@ -145,18 +148,47 @@ def test_table_at_a_singular_point_raises(text, point):
         normal_form_table(inv, inv.max_parametric_order() + 2, point)
 
 
+def _scale_equation_with_tail(inv, factor):
+    """Multiply, in place, the first completed equation that has a tail."""
+    e = next(e for e in inv._eqs if len(e.terms) > 1)
+    for s in e.terms:
+        e.terms[s] = e.terms[s] * factor
+    e.invalidate()
+
+
+@pytest.mark.parametrize("factor", [MPoly.const(2), MPoly.variable("x") + 1],
+                         ids=["doubled", "times-x+1"])
+def test_table_ignores_the_scale_of_an_equation(factor):
+    # an equation is used solved for its lead, so a nonzero multiple of it
+    # gives the same table  [DERIVED]
+    inv = complete(determining_system(parse_ode("y'' + y'/x = 0")))
+    N, point = inv.max_parametric_order() + 2, (F(1), F(1))
+    ref = normal_form_table(inv, N, point)
+    _scale_equation_with_tail(inv, factor)
+    assert normal_form_table(inv, N, point) == ref
+
+
+def test_table_where_a_lead_coefficient_vanishes_raises():
+    # times x, an equation's lead coefficient vanishes on x = 0, where it
+    # cannot be solved for its lead  [DERIVED]
+    inv = complete(determining_system(parse_ode("y'' = 0")))
+    _scale_equation_with_tail(inv, MPoly.variable("x"))
+    assert not is_regular_point(inv, (F(0), F(0)))
+    with pytest.raises(SingularPoint):
+        normal_form_table(inv, inv.max_parametric_order() + 2, (F(0), F(0)))
+
+
 @pytest.mark.parametrize("corrupt", [
-    lambda terms, lead: terms.update({lead: terms[lead] * 2}),
-    lambda terms, lead: terms.update({lead.derive(1, 0): ONE}),
-], ids=["lead-doubled", "slot-above-lead"])
+    lambda terms, lead: terms.update({lead.derive(1, 0): UNIT}),
+], ids=["slot-above-lead"])
 def test_forward_substitution_guard_fires(corrupt):
-    # an equation that is no longer monic, or that names a slot above its
-    # lead, must not yield a KeyError or silently wrong data  [DERIVED]
+    # an equation that names a slot above its lead must not yield a
+    # KeyError or silently wrong data  [DERIVED]
     inv = complete(determining_system(parse_ode("y'' = 0")))
     e = inv._eqs[0]
     corrupt(e.terms, e.lead)
     e.invalidate()
-    with pytest.raises(InternalInvariantError, match="not monic over lower"):
+    with pytest.raises(InternalInvariantError, match="not solved over lower"):
         normal_form_table(inv, inv.max_parametric_order() + 2, (F(0), F(0)))
 
 
@@ -233,8 +265,8 @@ def test_structure_constants_match_fraction_reference(text, den):
 
 def test_translation_scaling_bracket():
     # {d_x, x d_x}: [e1, e2] = e1, so C[0][1] = (1, 0)  [PAPER]
-    eqs = [{Slot(XI, 2, 0): ONE}, {Slot(XI, 0, 1): ONE},
-           {Slot(ETA, 0, 0): ONE}]
+    eqs = [{Slot(XI, 2, 0): UNIT}, {Slot(XI, 0, 1): UNIT},
+           {Slot(ETA, 0, 0): UNIT}]
     inv = complete(eqs)
     basis = series_basis(inv)
     table = structure_constants(basis)
@@ -246,8 +278,8 @@ def test_translation_scaling_bracket():
 
 
 def test_constants_algebra_is_abelian():
-    eqs = [{Slot(XI, 1, 0): ONE}, {Slot(XI, 0, 1): ONE},
-           {Slot(ETA, 1, 0): ONE}, {Slot(ETA, 0, 1): ONE}]
+    eqs = [{Slot(XI, 1, 0): UNIT}, {Slot(XI, 0, 1): UNIT},
+           {Slot(ETA, 1, 0): UNIT}, {Slot(ETA, 0, 1): UNIT}]
     inv = complete(eqs)
     table = structure_constants(series_basis(inv))
     assert all(c == 0 for row in table.C for vec in row for c in vec)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lieode import analyze
-from lieode.determining import determining_system, substitute_generator
+from lieode.determining import determining_system
 from lieode.errors import InputError, NonRationalInstance
 from lieode.parsing import print_ode
 from lieode.pushforward import (OracleInstance, PointTransformation,
@@ -13,6 +13,8 @@ from lieode.pushforward import (OracleInstance, PointTransformation,
                                 push_linear, shipped_transformations)
 from lieode.ratfunc import RatFunc
 from lieode.recovery import CharPoly, affine_class, trivial_class
+
+from conftest import substitute_generator
 
 F = Fraction
 
