@@ -63,7 +63,7 @@ def _equation_json(eq, lead) -> dict:
 def _attach_extras(payload: dict, report: RunReport, args) -> None:
     if getattr(args, "dump_detsys", False):
         payload["determining_system"] = [
-            _equation_json(eq, max(eq)) for eq in report.determining.equations]
+            _equation_json(eq, max(eq)) for eq in report.determining]
     if getattr(args, "dump_involutive", False):
         inv = report.involutive
         payload["involutive"] = {

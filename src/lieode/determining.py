@@ -24,11 +24,12 @@ the form completion works on.
 """
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, List, NamedTuple, Tuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Dict, List, Mapping, NamedTuple, Tuple
 
 from .errors import InternalInvariantError
-from .jets import jet_name, jet_order_of, total_derivative
+from .jets import jet_name, total_derivative
 from .parsing import OdeSpec
 from .polys import MPoly, content, divexact, gcd
 
@@ -90,8 +91,12 @@ def sx_total_derivative(a: LinDiffPoly) -> LinDiffPoly:
     return out
 
 
-def prolonged_eta(n: int) -> List[LinDiffPoly]:
-    """[eta^(0), ..., eta^(n)], each step eta^(k) = D_x eta^(k-1) - y^(k) D_x xi."""
+@lru_cache(maxsize=None)
+def prolonged_eta(n: int) -> Tuple[Mapping[Slot, MPoly], ...]:
+    """(eta^(0), ..., eta^(n)), each step eta^(k) = D_x eta^(k-1) - y^(k) D_x xi.
+
+    Cached per order; the read-only views keep callers from changing it.
+    """
     dxi = sx_total_derivative({Slot(XI, 0, 0): MPoly.const(1)})
     etas = [{Slot(ETA, 0, 0): MPoly.const(1)}]
     for k in range(1, n + 1):
@@ -100,18 +105,10 @@ def prolonged_eta(n: int) -> List[LinDiffPoly]:
         for s, c in dxi.items():
             add_term(e, s, c * minus_yk)
         etas.append(e)
-    return etas
+    return tuple(MappingProxyType(e) for e in etas)
 
 
 # -- generation -----------------------------------------------------------------
-
-
-@dataclasses.dataclass
-class LinDiffSystem:
-    """Raw determining system: one equation per collected jet monomial."""
-
-    ode: OdeSpec
-    equations: List[LinDiffPoly]
 
 
 def primitive(eq: LinDiffPoly, top: Slot) -> LinDiffPoly:
@@ -160,18 +157,14 @@ def invariance_expression(ode: OdeSpec) -> LinDiffPoly:
     return out
 
 
-def determining_system(ode: OdeSpec) -> LinDiffSystem:
-    """Generate, collect and deduplicate the determining equations."""
+def determining_system(ode: OdeSpec) -> List[LinDiffPoly]:
+    """Generate, collect and deduplicate the determining equations: one per
+    jet monomial in (y', ..., y^(n-1))."""
+    jets = {jet_name(k) for k in range(1, ode.n)}
     collected: Dict[Tuple[Tuple[str, int], ...], LinDiffPoly] = {}
     for slot, c in invariance_expression(ode).items():
-        # x and y rank before every jet variable, so they lead c.vars
-        b = sum(1 for v in c.vars if jet_order_of(v) < 1)
-        parts: Dict[Tuple[Tuple[str, int], ...], Dict] = {}
-        for e, q in c.terms.items():
-            key = tuple(sorted((v, k) for v, k in zip(c.vars[b:], e[b:]) if k))
-            parts.setdefault(key, {})[e[:b]] = q
-        for key, terms in parts.items():
-            collected.setdefault(key, {})[slot] = MPoly(c.vars[:b], terms)
+        for key, coeff in c.coeffs_over(jets).items():
+            collected.setdefault(key, {})[slot] = coeff
 
     equations: List[LinDiffPoly] = []
     seen = set()
@@ -181,5 +174,4 @@ def determining_system(ode: OdeSpec) -> LinDiffSystem:
         if sig not in seen:
             seen.add(sig)
             equations.append(eq)
-    return LinDiffSystem(ode, equations)
-
+    return equations

@@ -35,8 +35,7 @@ import dataclasses
 import itertools
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .determining import (ETA, XI, LinDiffPoly, LinDiffSystem, Slot, add_term,
-                          primitive)
+from .determining import ETA, XI, LinDiffPoly, Slot, add_term, primitive
 from .errors import InternalInvariantError
 from .polys import divexact, gcd
 
@@ -194,14 +193,14 @@ def _parametric_slots(leads: Sequence[Slot], ranking: Ranking) -> List[Slot]:
     return ranking.sorted(out)
 
 
-def complete(system, ranking: Optional[Ranking] = None) -> InvolutiveSystem:
+def complete(system: Sequence[LinDiffPoly],
+             ranking: Optional[Ranking] = None) -> InvolutiveSystem:
     """Complete a determining system to its canonical involutive form."""
     if ranking is None:
         ranking = default_ranking()
-    raw = system.equations if isinstance(system, LinDiffSystem) else list(system)
 
     eqs: List[_Eq] = []
-    queue: List[LinDiffPoly] = [dict(e) for e in raw]
+    queue: List[LinDiffPoly] = [dict(e) for e in system]
     pairs: List[Tuple[_Eq, _Eq]] = []
     counter = itertools.count()
 
@@ -255,7 +254,8 @@ def complete(system, ranking: Optional[Ranking] = None) -> InvolutiveSystem:
                             ordered)
 
 
-def audit_involutive(inv: InvolutiveSystem, original=None) -> bool:
+def audit_involutive(inv: InvolutiveSystem,
+                     original: Optional[Sequence[LinDiffPoly]] = None) -> bool:
     """Post-hoc passivity check: cross-derivatives and originals reduce to zero."""
     eqs = inv._eqs
     for a, b in itertools.combinations(eqs, 2):
@@ -264,8 +264,7 @@ def audit_involutive(inv: InvolutiveSystem, original=None) -> bool:
         if reduce(_cross(a, b), eqs, inv.ranking):
             return False
     if original is not None:
-        raw = original.equations if isinstance(original, LinDiffSystem) else original
-        for eq in raw:
+        for eq in original:
             if reduce(eq, eqs, inv.ranking):
                 return False
     for e in eqs:

@@ -14,8 +14,12 @@ Riquier's existence theorem (Reid, EJAM 1991): a completed equation
 P_lead u_lead + sum_t P_t u_t = 0 has polynomial coefficients, and each
 quotient P_t / P_lead is expanded once as a truncated series at the point;
 a prolonged equation's values there are Leibniz sums over those series, so
-no equation is differentiated symbolically.  The series division needs no
-gcd, since at a regular point no lead coefficient vanishes.
+no equation is differentiated symbolically.  The series exist exactly where
+no lead coefficient vanishes, and the division is the one place that checks
+it: each P_lead is shifted to the point once, and a zero constant term
+raises ``SingularPoint`` before any other work.  The automatic expansion
+point is the first candidate at which that division succeeds.  The division
+needs no gcd.
 
 Brackets are taken directly on those values by Leibniz's rule: the value of a
 bracket at order k reads the data of both fields up to order k+1, so it is
@@ -83,6 +87,8 @@ def expansion_points() -> Iterator[Point]:
 
 # Taylor coefficients by x-order i: the (j, T[i, j]) sorted by y-order j.
 _TaylorRows = List[List[Tuple[int, Fraction]]]
+# A shifted divisor: constant term q0, the other terms, the common scale.
+_LeadSeries = Tuple[int, Dict[Tuple[int, int], int], int]
 
 
 def _shifted(p: MPoly, point: Point,
@@ -120,23 +126,32 @@ def _shifted(p: MPoly, point: Point,
     return {k: n for k, n in out.items() if n}, p.den * b ** E * d ** F
 
 
-def taylor_coefficients(num: MPoly, den: MPoly, point: Point,
-                        K: int) -> Dict[Tuple[int, int], Fraction]:
-    """Nonzero Taylor coefficients of num/den at ``point`` through order K.
-
-    ``num/den = sum T[i, j] (x - x0)^i (y - y0)^j``.  Numerator and
-    denominator are shifted to the point and divided as series; the
-    denominator's constant term q0 is its value there, which must be
-    nonzero.  On integer numerators: with the shifted P/sP and Q/sQ,
-    U[g] = q0^(|g|+1) (P/Q)[g] satisfies U[g] = P[g] q0^|g| - sum over
-    nonzero Q[h], 0 < h <= g, of Q[h] U[g-h] q0^(|h|-1), and
-    T[g] = U[g] sQ / (q0^(|g|+1) sP).
-    """
-    P, sP = _shifted(num, point, K)
+def _lead_series(den: MPoly, point: Point, K: int) -> _LeadSeries:
+    """``den`` shifted to ``point`` through order K, as the divisor of
+    ``_series_quotient``: its constant term q0, which is its value there
+    times a positive scale, the other terms and that scale.  Raises
+    ``SingularPoint`` when q0 is zero."""
     Q, sQ = _shifted(den, point, K)
     q0 = Q.pop((0, 0), 0)
     if not q0:
-        raise _singular(point)
+        raise SingularPoint(
+            "singular expansion point (%s, %s): a coefficient denominator "
+            "vanishes there" % point)
+    return q0, Q, sQ
+
+
+def _series_quotient(num: MPoly, lead: _LeadSeries, point: Point,
+                     K: int) -> Dict[Tuple[int, int], Fraction]:
+    """Nonzero Taylor coefficients of num/den through order K, where
+    ``lead = _lead_series(den, point, K)``.
+
+    On integer numerators: with the shifted P/sP and Q/sQ, U[g] =
+    q0^(|g|+1) (P/Q)[g] satisfies U[g] = P[g] q0^|g| - sum over nonzero
+    Q[h], 0 < h <= g, of Q[h] U[g-h] q0^(|h|-1), and T[g] = U[g] sQ /
+    (q0^(|g|+1) sP).
+    """
+    P, sP = _shifted(num, point, K)
+    q0, Q, sQ = lead
     pw = [q0 ** k for k in range(K + 2)]
     U: Dict[Tuple[int, int], int] = {}
     out: Dict[Tuple[int, int], Fraction] = {}
@@ -155,26 +170,44 @@ def taylor_coefficients(num: MPoly, den: MPoly, point: Point,
     return out
 
 
+def taylor_coefficients(num: MPoly, den: MPoly, point: Point,
+                        K: int) -> Dict[Tuple[int, int], Fraction]:
+    """Nonzero Taylor coefficients of num/den at ``point`` through order K.
+
+    ``num/den = sum T[i, j] (x - x0)^i (y - y0)^j``; ``den`` must not
+    vanish at the point.
+    """
+    return _series_quotient(num, _lead_series(den, point, K), point, K)
+
+
 def normal_form_table(inv: InvolutiveSystem, N: int,
                       point: Point) -> Dict[Slot, Dict[Slot, Fraction]]:
     """Value at ``point`` of the normal form of every slot of order <= N.
 
     Forward substitution in ranking order, reducing each slot by the first
-    equation whose lead divides it, as ``involutive.reduce`` does.  ``point``
-    must be regular (see ``is_regular_point``).
+    equation whose lead divides it, as ``involutive.reduce`` does.
 
-    Taylor mode: each equation P_L u_L + sum_t P_t u_t = 0 that is used
-    has each tail quotient c_t = P_t / P_L expanded once, to order N - |L|,
-    by ``taylor_coefficients``.  Its derivative of multi-index a solves slot
-    L + a; by Leibniz's rule the value there is
-    -sum_t sum_{b <= a} C(a, b) d^b c_t(point) table[t + a - b], and
-    C(a, b) d^b c_t = a!/(a-b)! T_b over the nonzero Taylor coefficients
-    T_b.  No equation is prolonged symbolically.  Every t + a must already
-    be tabled (the lower t + a - b rank below it), or the guard raises.
+    Taylor mode: each completed equation P_L u_L + sum_t P_t u_t = 0 has
+    its lead coefficient P_L shifted to the point once, and each tail
+    quotient c_t = P_t / P_L expanded once, to order N - |L|.  Every lead
+    coefficient is checked first: if one vanishes at the point, it raises
+    ``SingularPoint`` before any tail or table work.  The derivative of
+    multi-index a of an equation solves slot L + a; by Leibniz's rule the
+    value there is -sum_t sum_{b <= a} C(a, b) d^b c_t(point) table[t + a -
+    b], and C(a, b) d^b c_t = a!/(a-b)! T_b over the nonzero Taylor
+    coefficients T_b.  No equation is prolonged symbolically.  Every t + a
+    must already be tabled (the lower t + a - b rank below it), or the guard
+    raises.
     """
+    # the equations a slot of order <= N can use: for the series basis, all
+    leads = {e: _lead_series(e.terms[e.lead], point, N - e.lead.order)
+             for e in inv._eqs if e.lead.order <= N}
     fall = [[perm(n, k) for k in range(n + 1)] for n in range(N + 1)]
-    # per equation used: (tail slot, its quotient's Taylor rows)
-    tails: Dict[object, List[Tuple[Slot, _TaylorRows]]] = {}
+    # per equation: (tail slot, its quotient's Taylor rows)
+    tails = {e: [(t, _by_x_order(_series_quotient(c, lead, point,
+                                                  N - e.lead.order)))
+                 for t, c in e.terms.items() if t != e.lead]
+             for e, lead in leads.items()}
     table: Dict[Slot, Dict[Slot, Fraction]] = {}
     for s in inv.ranking.sorted(Slot(unk, i, total - i) for unk in (XI, ETA)
                                 for total in range(N + 1)
@@ -184,12 +217,6 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
             table[s] = {s: _1}
             continue
         ax, ay = s.dx - e.lead.dx, s.dy - e.lead.dy
-        if e not in tails:
-            lc = e.terms[e.lead]
-            tails[e] = [
-                (t, _by_x_order(taylor_coefficients(c, lc, point,
-                                                    N - e.lead.order)))
-                for t, c in e.terms.items() if t != e.lead]
         expanded = tails[e]
         if any(t.derive(ax, ay) not in table for t, _ in expanded):
             raise InternalInvariantError("equation for slot %s is not solved "
@@ -221,34 +248,6 @@ def _by_x_order(T: Dict[Tuple[int, int], Fraction]) -> _TaylorRows:
     return rows
 
 
-def is_regular_point(inv: InvolutiveSystem, point: Point) -> bool:
-    """True when no lead coefficient of the completed equations vanishes.
-
-    Solving an equation or its derivatives for their leads divides only by
-    powers of its lead coefficient, so every table entry is then defined at
-    the point.  For a primitive equation the lead coefficient vanishes
-    exactly where a denominator of the equation solved for its lead does.
-    """
-    env = {"x": point[0], "y": point[1]}
-    return all(eq[lead].eval_all(env)
-               for eq, lead in zip(inv.equations, inv.leads))
-
-
-def _singular(point: Point) -> SingularPoint:
-    return SingularPoint(
-        "singular expansion point (%s, %s): a coefficient denominator "
-        "vanishes there" % (point[0], point[1]))
-
-
-def choose_expansion_point(inv: InvolutiveSystem) -> Point:
-    """First regular point of the fixed sequence."""
-    for point in itertools.islice(expansion_points(), POINT_TRIES):
-        if is_regular_point(inv, point):
-            return point
-    raise InternalInvariantError(
-        "no valid expansion point among %d candidates" % POINT_TRIES)
-
-
 @dataclasses.dataclass(frozen=True)
 class SeriesSolution:
     """Truncated Taylor data of one symmetry generator.
@@ -275,13 +274,20 @@ def series_basis(inv: InvolutiveSystem,
         raise ValueError("truncation order %d below required %d" % (N, min_n))
     elif N > MAX_TRUNCATION:
         raise ValueError("truncation order %d above limit %d" % (N, MAX_TRUNCATION))
-    if point is None:
-        point = choose_expansion_point(inv)
-    elif not is_regular_point(inv, point):
-        raise _singular(point)
-    ev = normal_form_table(inv, N + 1, point)
+    # the first candidate whose lead coefficients are nonzero there
+    for at in ([point] if point is not None
+               else itertools.islice(expansion_points(), POINT_TRIES)):
+        try:
+            ev = normal_form_table(inv, N + 1, at)
+            break
+        except SingularPoint:
+            if point is not None:
+                raise
+    else:
+        raise InternalInvariantError(
+            "no valid expansion point among %d candidates" % POINT_TRIES)
     params = tuple(inv.parametric)
-    return [SeriesSolution(point, N, params,
+    return [SeriesSolution(at, N, params,
                            {s: vals.get(p, _0) for s, vals in ev.items()})
             for p in params]
 

@@ -8,23 +8,23 @@ It runs the whole chain —
     -> (if constant-coefficients) characteristic-polynomial recovery
 
 — and returns a ``RunReport`` carrying every intermediate object, so callers
-can render as much or as little as they need.  The symmetry-dimension bounds
-are asserted on every run; a violation is an engine bug, not bad input.
+can render as much or as little as they need.  ``certify`` asserts the
+symmetry-dimension bounds on every run; a violation is an engine bug, not
+bad input.
 """
 from __future__ import annotations
 
 import dataclasses
 import time
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
-from .determining import LinDiffSystem, determining_system
+from .determining import LinDiffPoly, determining_system
 from .involutive import InvolutiveSystem, complete
 from .liealgebra import (CASE_CONSTANT, CASE_NONCONSTANT, CASE_TRIVIAL,
-                         Certificate, LieAlgebraTable, Point,
-                         assert_dimension_bounds, certify, series_basis,
-                         structure_constants)
-from .linalg import Mat, Vec
+                         Certificate, LieAlgebraTable, Point, certify,
+                         series_basis, structure_constants)
+from .linalg import Mat
 from .parsing import OdeSpec, parse_ode
 from .recovery import (AffineClass, CharPoly, affine_class, class_to_ode,
                        recovery_details, trivial_class)
@@ -38,14 +38,13 @@ class RecoveryReport:
 
     ``char_poly`` is a member of the recovered class (for the maximal
     symmetry case it is the canonical representative z^n itself);
-    ``representative`` and ``action_matrix`` record the factor-space element
-    whose adjoint action produced it, when one was needed.
+    ``action_matrix`` records the adjoint action of the factor-space element
+    that produced it, when one was needed.
     """
 
     char_poly: CharPoly
     affine: AffineClass
     representative_ode: str
-    representative: Optional[Vec] = None
     action_matrix: Optional[Mat] = None
 
 
@@ -54,7 +53,7 @@ class RunReport:
     """Everything one analysis run produced, from raw input to verdict."""
 
     ode: OdeSpec
-    determining: LinDiffSystem
+    determining: List[LinDiffPoly]
     involutive: InvolutiveSystem
     basis_point: Point
     truncation_order: int
@@ -96,7 +95,6 @@ def analyze(source,
     t = time.perf_counter()
     inv = complete(detsys)
     timings["completion"] = time.perf_counter() - t
-    assert_dimension_bounds(ode.n, inv.dimension)
 
     t = time.perf_counter()
     basis = series_basis(inv, point=point, N=max_order)
@@ -120,12 +118,12 @@ def analyze(source,
             affine=cls,
             representative_ode=class_to_ode(cls))
     elif cert.case == CASE_CONSTANT:
-        e, A, p = recovery_details(table, cert.derived)
+        _, A, p = recovery_details(table, cert.derived)
+        cls = affine_class(p)
         recovery = RecoveryReport(
             char_poly=p,
-            affine=affine_class(p),
-            representative_ode=class_to_ode(p),
-            representative=list(e),
+            affine=cls,
+            representative_ode=class_to_ode(cls),
             action_matrix=A)
     elif cert.case == CASE_NONCONSTANT:
         note = NOTE_NONCONSTANT

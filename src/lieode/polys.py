@@ -263,7 +263,7 @@ class MPoly:
             k >>= 1
         return out
 
-    # -- calculus and substitution ------------------------------------------
+    # -- calculus and coefficients -------------------------------------------
 
     def derivative(self, name: str) -> "MPoly":
         if name not in self.vars:
@@ -275,45 +275,6 @@ class MPoly:
             if k:
                 out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
         return _new_pruned(self.vars, out, self.den)
-
-    def subs_values(self, values: Mapping[str, Fraction]) -> "MPoly":
-        """Partially evaluate at rational points (remaining vars stay symbolic).
-
-        Each substituted variable of degree d at p/q contributes the integer
-        p^k q^(d-k) to a term of degree k and q^d to the denominator.
-        """
-        hit = [i for i, v in enumerate(self.vars) if v in values]
-        if not hit:
-            return self
-        den = self.den
-        scales = []
-        for i in hit:
-            f = Fraction(values[self.vars[i]])
-            p, q = f.numerator, f.denominator
-            d = max(e[i] for e in self.num)
-            scales.append((i, [p ** k * q ** (d - k) for k in range(d + 1)]))
-            den *= q ** d
-        out: Dict[Exps, int] = {}
-        for e, c in self.num.items():
-            key = list(e)
-            for i, s in scales:
-                c *= s[e[i]]
-                key[i] = 0
-            if c:
-                k2 = tuple(key)
-                s = out.get(k2, 0) + c
-                if s:
-                    out[k2] = s
-                else:
-                    del out[k2]
-        return _new_pruned(self.vars, out, den)
-
-    def eval_all(self, values: Mapping[str, Fraction]) -> Fraction:
-        r = self.subs_values(values)
-        if r.vars:
-            missing = [v for v in r.vars]
-            raise ValueError(f"unbound variables in evaluation: {missing}")
-        return r.as_const()
 
     def coeffs_in(self, name: str):
         """Dense coefficient list in one variable; entries are MPoly without it."""
@@ -327,19 +288,21 @@ class MPoly:
             buckets[e[i]][e[:i] + e[i + 1:]] = c
         return [_new_pruned(rest, b, self.den) for b in buckets]
 
-    def coeffs_over(self, names) -> list:
-        """Nonzero coefficients over the monomials in `names`; entries are
-        MPoly without those variables."""
-        idx = [i for i, v in enumerate(self.vars) if v in names]
+    def coeffs_over(self, names) -> Dict[Tuple[Tuple[str, int], ...], "MPoly"]:
+        """Nonzero coefficients over the monomials in `names`, keyed by the
+        monomial as its (name, exponent) pairs with exponent > 0, sorted by
+        name; entries are MPoly without those variables."""
+        idx = sorted((i for i, v in enumerate(self.vars) if v in names),
+                     key=lambda i: self.vars[i])
         if not idx:
-            return [self]
+            return {(): self}
         keep = [i for i in range(len(self.vars)) if i not in idx]
         rest = tuple(self.vars[i] for i in keep)
-        buckets: Dict[Exps, Dict[Exps, int]] = {}
+        buckets: Dict[tuple, Dict[Exps, int]] = {}
         for e, c in self.num.items():
-            bucket = buckets.setdefault(tuple(e[i] for i in idx), {})
-            bucket[tuple(e[i] for i in keep)] = c
-        return [_new_pruned(rest, b, self.den) for b in buckets.values()]
+            key = tuple((self.vars[i], e[i]) for i in idx if e[i])
+            buckets.setdefault(key, {})[tuple(e[i] for i in keep)] = c
+        return {k: _new_pruned(rest, b, self.den) for k, b in buckets.items()}
 
     @staticmethod
     def from_coeffs(coeffs: Sequence["MPoly"], name: str) -> "MPoly":
@@ -567,7 +530,8 @@ def gcd(a: MPoly, b: MPoly) -> MPoly:
     only_a = set(a0.vars).difference(shared)
     only_b = set(b0.vars).difference(shared)
     if only_a or only_b:
-        parts = a0.coeffs_over(only_a) + b0.coeffs_over(only_b)
+        parts = [*a0.coeffs_over(only_a).values(),
+                 *b0.coeffs_over(only_b).values()]
         g = content(sorted(parts, key=lambda p: len(p.num)))
     elif len(a0.vars) == 1:
         g = _gcd_univar(a0, b0, a0.vars[0])

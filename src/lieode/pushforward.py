@@ -184,8 +184,6 @@ def push_linear(p: CharPoly, T: PointTransformation) -> OracleInstance:
         raise NonRationalInstance(
             "image of %s under %s is outside the rational class"
             % (p, T.name))
-    if not f.free_of(top):
-        raise InternalInvariantError("highest derivative failed to isolate")
     ode = OdeSpec(n, f)
     case = "trivial" if is_staircase_class(p) else "constant-coefficients"
     return OracleInstance(ode, p, T, case)

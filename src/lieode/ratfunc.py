@@ -14,7 +14,7 @@ algorithms, Knuth, TAOCP vol. 2, 4.5.1).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .errors import DegenerateInput
 from .polys import MPoly, divexact, gcd
@@ -204,12 +204,6 @@ class RatFunc:
         if dd.is_zero():
             return RatFunc(dn, self.den)
         return RatFunc(dn * self.den - self.num * dd, self.den * self.den)
-
-    def eval_all(self, values: Mapping[str, Fraction]) -> Fraction:
-        den = self.den.eval_all(values)
-        if den == 0:
-            raise DegenerateInput("denominator vanishes at evaluation point")
-        return self.num.eval_all(values) / den
 
     def subs_var(self, name: str, value: "RatFunc") -> "RatFunc":
         """Substitute a rational function for one variable (Horner scheme)."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import InternalInvariantError
 from .liealgebra import LieAlgebraTable, Subalgebra
@@ -145,15 +145,13 @@ class AffineClass:
     ``support`` lists the indices j (2..n) whose centered coefficient c_j is
     nonzero, and ``canonical`` the scale-normalized values c_j / T^(j/g);
     equality of (degree, support, canonical) is equivalence.  The centered
-    representative and the anchored ratios I_j = c_j^{j0} / c_{j0}^j
-    (j0 = min support) ride along for reporting.
+    representative rides along for reporting.
     """
 
     degree: int
     support: Tuple[int, ...]
     canonical: Tuple[Fraction, ...]
     centered_coeffs: Tuple[Fraction, ...] = dataclasses.field(compare=False)
-    anchored_invariants: Tuple[Tuple[int, Fraction], ...] = dataclasses.field(compare=False)
 
     @property
     def is_trivial(self) -> bool:
@@ -180,10 +178,7 @@ def affine_class(p: CharPoly) -> AffineClass:
             if w:
                 T *= c[j] ** w
         canonical = tuple(c[j] / T ** (j // g) for j in support)
-    j0 = support[0] if support else None
-    anchored = tuple((j, c[j] ** j0 / c[j0] ** j)
-                     for j in support[1:]) if support else ()
-    return AffineClass(n, support, canonical, tuple(q.coeffs), anchored)
+    return AffineClass(n, support, canonical, tuple(q.coeffs))
 
 
 REASON_EQUIVALENT = "equivalent"
@@ -268,18 +263,10 @@ def trivial_class(n: int) -> AffineClass:
     return affine_class(CharPoly((_0,) * n))
 
 
-def class_to_ode(c, n: Optional[int] = None) -> str:
-    """Representative constant-coefficient linear ODE of a class.
-
-    Accepts an AffineClass or a CharPoly; renders the centered representative
-    as e.g. "u''' - u' = 0".
-    """
-    if isinstance(c, CharPoly):
-        c = affine_class(c)
-    coeffs = c.centered_coeffs
-    n = c.degree if n is None else n
-    if n != c.degree:
-        raise ValueError("degree mismatch between class and requested order")
+def class_to_ode(c: AffineClass) -> str:
+    """Representative constant-coefficient linear ODE of a class: the
+    centered representative, rendered as e.g. "u''' - u' = 0"."""
+    coeffs, n = c.centered_coeffs, c.degree
     parts = [deriv_marker(n, "u")]
     for k in range(n - 1, -1, -1):
         a = coeffs[k]

@@ -40,6 +40,19 @@ def fraction_bracket(C, u, v):
                  for j in range(m)), Fraction(0)) for k in range(m)]
 
 
+def plain_eval(f, point) -> Fraction:
+    """Value of an MPoly or RatFunc at ``point`` ({name: value}), summed term
+    by term in Fraction arithmetic."""
+    if isinstance(f, RatFunc):
+        return plain_eval(f.num, point) / plain_eval(f.den, point)
+    total = Fraction(0)
+    for e, c in f.terms.items():
+        for v, k in zip(f.vars, e):
+            c *= Fraction(point[v]) ** k
+        total += c
+    return total
+
+
 def solution_data_from_components(xi, eta, point: Point, N: int) -> Dict[Slot, Fraction]:
     """Taylor slot table of an explicitly given generator (xi(x,y), eta(x,y)).
 
@@ -59,7 +72,7 @@ def solution_data_from_components(xi, eta, point: Point, N: int) -> Dict[Slot, F
                 else:
                     by_index[(i, j)] = by_index[(i, j - 1)].derivative("y")
         for (i, j), fn in by_index.items():
-            out[Slot(unk, i, j)] = fn.eval_all(env)
+            out[Slot(unk, i, j)] = plain_eval(fn, env)
     return out
 
 

@@ -76,6 +76,16 @@ def test_prolongation_recursion_order_bound():
         assert max(jet_order(RatFunc(p)) for p in expr.values()) <= k
 
 
+def test_prolonged_eta_is_cached_and_read_only():
+    # built once per order; no caller can change the cached coefficients
+    etas = prolonged_eta(3)
+    assert prolonged_eta(3) is etas
+    with pytest.raises(TypeError):
+        etas[1][Slot(XI, 0, 0)] = MPoly.const(1)
+    with pytest.raises(TypeError):
+        etas[0] = {}
+
+
 # -- the invariance condition and its multiplier ------------------------------------
 
 
@@ -176,7 +186,7 @@ def test_free_particle_determining_equations():
     #   xi_yy = 0,  eta_yy - 2 xi_xy = 0,  2 eta_xy - xi_xx = 0,  eta_xx = 0
     # [PAPER]
     system = determining_system(parse_ode("y'' = 0"))
-    assert len(system.equations) == 4
+    assert len(system) == 4
     one = MPoly.const(1)
     expected = [
         {Slot(XI, 0, 2): one},
@@ -184,7 +194,7 @@ def test_free_particle_determining_equations():
         {Slot(ETA, 1, 1): MPoly.const(2), Slot(XI, 2, 0): -one},
         {Slot(ETA, 2, 0): one},
     ]
-    matched = [any(_up_to_scale(eq, want) for eq in system.equations)
+    matched = [any(_up_to_scale(eq, want) for eq in system)
                for want in expected]
     assert all(matched)
 
@@ -207,7 +217,7 @@ FREE_PARTICLE_GENERATORS = [
 def test_free_particle_generators_satisfy_system():
     system = determining_system(parse_ode("y'' = 0"))
     for xi, eta in FREE_PARTICLE_GENERATORS:
-        for eq in system.equations:
+        for eq in system:
             assert substitute_generator(eq, xi, eta).is_zero()
 
 
@@ -215,7 +225,7 @@ def test_non_symmetry_is_rejected_by_some_equation():
     system = determining_system(parse_ode("y'' = 0"))
     xi, eta = X * X, ZERO   # x^2 d/dx alone is not a symmetry
     assert any(not substitute_generator(eq, xi, eta).is_zero()
-               for eq in system.equations)
+               for eq in system)
 
 
 def test_painleve_control_generators():
@@ -224,17 +234,17 @@ def test_painleve_control_generators():
     # [DERIVED: direct substitution]
     system = determining_system(parse_ode("y'' = y^2"))
     for xi, eta in [(ONE, ZERO), (X, RatFunc.const(-2) * Y)]:
-        for eq in system.equations:
+        for eq in system:
             assert substitute_generator(eq, xi, eta).is_zero()
     assert any(not substitute_generator(eq, X, -Y).is_zero()
-               for eq in system.equations)
+               for eq in system)
 
 
 def test_rational_coefficient_equation():
     # y'' + y'/x = 0: generators include x d/dx and y d/dy  [DERIVED]
     system = determining_system(parse_ode("y'' + y'/x = 0"))
     for xi, eta in [(X, ZERO), (ZERO, Y)]:
-        for eq in system.equations:
+        for eq in system:
             assert substitute_generator(eq, xi, eta).is_zero()
 
 
@@ -242,6 +252,6 @@ def test_third_order_system_size_stays_small():
     # one equation per jet monomial; the cubic equation stays within the
     # monomials of (y', y'') up to the prolongation's degree
     system = determining_system(parse_ode("y''' + y*y' = 0"))
-    assert 4 <= len(system.equations) <= 12
-    orders = {s.order for eq in system.equations for s in eq}
+    assert 4 <= len(system) <= 12
+    orders = {s.order for eq in system for s in eq}
     assert max(orders) == 3

@@ -121,7 +121,7 @@ def test_completion_is_canonical_under_input_order():
     ref = complete(detsys)
     rng = random.Random(7)
     for _ in range(3):
-        eqs = list(detsys.equations)
+        eqs = list(detsys)
         rng.shuffle(eqs)
         other = complete(eqs)
         assert other.leads == ref.leads
@@ -132,7 +132,7 @@ def test_completion_is_canonical_under_input_order():
 def test_reduce_gives_normal_forms():
     inv = complete(determining_system(parse_ode("y'' = 0")))
     # every original equation reduces to zero
-    for eq in determining_system(parse_ode("y'' = 0")).equations:
+    for eq in determining_system(parse_ode("y'' = 0")):
         assert reduce(eq, inv._eqs, inv.ranking) == {}
         assert normal_form(inv, eq) == {}
     # a lead slot's normal form carries no reducible slots
@@ -208,7 +208,7 @@ def test_bivariate_denominator_completes():
     assert alt.dimension == inv.dimension
     assert audit_involutive(inv, detsys) and audit_involutive(alt, detsys)
     one, x = RatFunc.one(), RatFunc.variable("x")
-    for eqs in (detsys.equations, inv.equations):
+    for eqs in (detsys, inv.equations):
         assert all(substitute_generator(eq, one, RatFunc.const(-2) * x)
                    .is_zero() for eq in eqs)
         assert not all(substitute_generator(eq, one, RatFunc.zero()).is_zero()

@@ -13,8 +13,7 @@ from lieode.involutive import complete
 from lieode.liealgebra import (CASE_CONSTANT, CASE_NONCONSTANT, CASE_NONE,
                                CASE_TRIVIAL, Certificate, LieAlgebraTable,
                                assert_dimension_bounds, certify,
-                               choose_expansion_point, derived_algebra,
-                               expansion_points, is_regular_point,
+                               derived_algebra, expansion_points,
                                normal_form_table, series_basis,
                                structure_constants, taylor_coefficients)
 from lieode.linalg import row_space_basis
@@ -23,7 +22,7 @@ from lieode.polys import MPoly
 from lieode.ratfunc import RatFunc
 
 from conftest import (REFERENCE_INPUTS, fraction_bracket, normal_form,
-                      solution_data_from_components)
+                      plain_eval, solution_data_from_components)
 
 F = Fraction
 UNIT = MPoly.const(1)   # equation coefficient
@@ -125,12 +124,11 @@ def test_table_matches_evaluated_symbolic_normal_forms(text):
     # reference ones have their automatic point at (1, 1), off the singular
     # line; the last two are taken at an explicit fractional point  [DERIVED]
     inv = complete(determining_system(parse_ode(text)))
-    point = EXPLICIT_POINTS.get(text) or choose_expansion_point(inv)
-    assert is_regular_point(inv, point)
+    point = EXPLICIT_POINTS.get(text) or series_basis(inv)[0].point
     table = normal_form_table(inv, inv.max_parametric_order() + 3, point)
     env = {"x": point[0], "y": point[1]}
     for s, row in table.items():
-        ref = {q: c.eval_all(env)
+        ref = {q: plain_eval(c, env)
                for q, c in normal_form(inv, {s: UNIT}).items()}
         assert row == {q: v for q, v in ref.items() if v}, s.label()
 
@@ -143,9 +141,60 @@ def test_table_at_a_singular_point_raises(text, point):
     # a coefficient denominator that vanishes at the point is reported as
     # such, never as a ZeroDivisionError from the series division  [DERIVED]
     inv = complete(determining_system(parse_ode(text)))
-    assert not is_regular_point(inv, point)
+    env = {"x": point[0], "y": point[1]}
+    assert not all(plain_eval(e.terms[e.lead], env) for e in inv._eqs)
     with pytest.raises(SingularPoint):
         normal_form_table(inv, inv.max_parametric_order() + 2, point)
+
+
+def test_singular_point_raises_before_any_tail_work(monkeypatch):
+    # every lead coefficient is shifted once, before any tail quotient is
+    # expanded; at a singular point nothing else is done  [DERIVED]
+    inv = complete(determining_system(parse_ode("y'' + y'/x = 0")))
+    shifted, divided = [], []
+    real_shifted = lieode.liealgebra._shifted
+    real_quotient = lieode.liealgebra._series_quotient
+
+    def count_shift(p, *args):
+        shifted.append(p)
+        return real_shifted(p, *args)
+
+    def count_division(*args):
+        divided.append(args)
+        return real_quotient(*args)
+
+    monkeypatch.setattr(lieode.liealgebra, "_shifted", count_shift)
+    monkeypatch.setattr(lieode.liealgebra, "_series_quotient", count_division)
+    with pytest.raises(SingularPoint):
+        normal_form_table(inv, inv.max_parametric_order() + 2, (F(0), F(0)))
+    assert divided == []
+    leads = [e.terms[e.lead] for e in inv._eqs]
+    assert 0 < len(shifted) <= len(leads)
+    assert shifted == leads[:len(shifted)]
+    # at a regular point each lead coefficient is shifted exactly once
+    shifted.clear()
+    normal_form_table(inv, inv.max_parametric_order() + 2, (F(1), F(1)))
+    tails = sum(len(e.terms) - 1 for e in inv._eqs)
+    assert len(divided) == tails and len(shifted) == len(leads) + tails
+    assert shifted[:len(leads)] == leads
+
+
+def _first_regular_candidate(inv):
+    """First candidate point at which no completed lead coefficient
+    vanishes, by the plain evaluator."""
+    return next(p for p in expansion_points()
+                if all(plain_eval(eq[lead], {"x": p[0], "y": p[1]})
+                       for eq, lead in zip(inv.equations, inv.leads)))
+
+
+def test_automatic_point_is_first_regular_candidate(reference_reports,
+                                                    corpus_reports):
+    # the series division picks the same point as evaluating every lead
+    # coefficient at each candidate in turn  [DERIVED]
+    reports = list(reference_reports.values()) + [r for _, r in corpus_reports]
+    for r in reports:
+        assert r.m and r.basis_point == _first_regular_candidate(r.involutive)
+    assert any(r.basis_point != (0, 0) for r in reports)
 
 
 def _scale_equation_with_tail(inv, factor):
@@ -173,9 +222,19 @@ def test_table_where_a_lead_coefficient_vanishes_raises():
     # cannot be solved for its lead  [DERIVED]
     inv = complete(determining_system(parse_ode("y'' = 0")))
     _scale_equation_with_tail(inv, MPoly.variable("x"))
-    assert not is_regular_point(inv, (F(0), F(0)))
+    e = next(e for e in inv._eqs if len(e.terms) > 1)
+    assert plain_eval(e.terms[e.lead], {"x": F(0), "y": F(0)}) == 0
     with pytest.raises(SingularPoint):
         normal_form_table(inv, inv.max_parametric_order() + 2, (F(0), F(0)))
+
+
+def test_table_below_every_lead_uses_no_equation():
+    # below the lowest lead every slot is parametric, whatever the lead
+    # coefficients are at the point  [DERIVED]
+    inv = complete(determining_system(parse_ode("y'' = 0")))
+    _scale_equation_with_tail(inv, MPoly.variable("x"))
+    table = normal_form_table(inv, 1, (F(0), F(0)))
+    assert table == {s: {s: 1} for s in table} and len(table) == 6
 
 
 @pytest.mark.parametrize("corrupt", [

@@ -76,42 +76,6 @@ def test_derivative_oracle():
     assert p.derivative("x") == 2 * X * Y + MPoly.const(3)
 
 
-def _plain_eval(p, point):
-    """Term-by-term evaluation in Fraction arithmetic."""
-    total = Fraction(0)
-    for e, c in p.terms.items():
-        for v, k in zip(p.vars, e):
-            c *= Fraction(point[v]) ** k
-        total += c
-    return total
-
-
-@given(mpolys(), rationals(), rationals())
-def test_eval_matches_substitution(p, vx, vy):
-    point = {"x": vx, "y": vy}
-    full = p.subs_values(point)
-    assert full.is_const()
-    value = p.eval_all(point)
-    assert full.as_const() == value == _plain_eval(p, point)
-    assert type(value) is Fraction
-
-
-@pytest.mark.parametrize("point", [
-    {"x": Fraction(1, 2), "y": Fraction(1, 3)},
-    {"x": -1, "y": Fraction(-2, 3)},
-    {"x": Fraction(-1, 2), "y": -3},
-])
-def test_eval_oracle_fractional_and_negative_points(point):
-    # 3/4 x^3 y - 2 x y^2 + 5/6 y - 7: the candidate expansion points have
-    # fractional or negative coordinates, so denominators must be cleared
-    p = (Fraction(3, 4) * X ** 3 * Y - 2 * X * Y ** 2 + Fraction(5, 6) * Y
-         - MPoly.const(7))
-    value = p.eval_all(point)
-    assert value == _plain_eval(p, point)
-    assert type(value) is Fraction
-    assert type(p.subs_values({"x": point["x"]}).eval_all(point)) is Fraction
-
-
 def test_scalar_queries_return_fractions():
     # no int or float escapes: every exact scalar a polynomial hands out
     # is a Fraction
@@ -119,7 +83,6 @@ def test_scalar_queries_return_fractions():
         assert type(c.as_const()) is Fraction
     for p in (2 * X + Y, X * Y - MPoly.const(Fraction(1, 3)), Fraction(5, 7) * Y):
         assert type(p.leading_coeff()) is Fraction
-        assert type(p.eval_all({"x": 2, "y": 3})) is Fraction
 
 
 # -- coefficient extraction -------------------------------------------------------
@@ -136,6 +99,20 @@ def test_coeffs_in_oracle():
     p = X * Y * Y + 2 * Y * Y + MPoly.const(5)
     c = p.coeffs_in("y")
     assert c == [MPoly.const(5), MPoly.zero(), X + MPoly.const(2)]
+
+
+def test_coeffs_over_oracle():
+    # x y1^2 y10 + 3 y10 y2 + x over {y1, y10, y2}: keys list the monomial's
+    # (name, exponent) pairs sorted by name, so y10 sorts before y2
+    # [DERIVED]
+    y1, y2, y10 = (MPoly.variable(v) for v in ("y1", "y2", "y10"))
+    p = X * y1 ** 2 * y10 + 3 * y10 * y2 + X
+    assert p.coeffs_over({"y1", "y2", "y10"}) == {
+        (("y1", 2), ("y10", 1)): X,
+        (("y10", 1), ("y2", 1)): MPoly.const(3),
+        (): X,
+    }
+    assert X.coeffs_over({"y1"}) == {(): X}
 
 
 # -- division and gcd -------------------------------------------------------------
@@ -257,11 +234,23 @@ JET_NAMES = ("x", "y", "y1")
 def test_results_are_canonical(a, b, c, name):
     results = [a + b, a - b, (a + b) - b, a - a, a * b, a * c, c * a, -a,
                a ** 2, a ** 0, a.derivative(name), gcd(a, b), _strip_monomial(a)[1]]
-    results += a.coeffs_in(name) + a.coeffs_over({name, "y"})
+    results += a.coeffs_in(name) + list(a.coeffs_over({name, "y"}).values())
     if not b.is_zero():
         results.append(divexact(a * b, b))
     for r in results:
         _assert_canonical(r)
+
+
+@given(mpolys(JET_NAMES), st.sets(st.sampled_from(JET_NAMES)))
+def test_coeffs_over_roundtrip(p, names):
+    # sum over the keys of coefficient * monomial gives p back
+    total = MPoly.zero()
+    for key, c in p.coeffs_over(names).items():
+        assert (c or not p) and not set(c.vars) & names
+        for v, k in key:
+            c = c * MPoly.variable(v) ** k
+        total = total + c
+    assert total == p
 
 
 @st.composite

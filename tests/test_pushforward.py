@@ -137,7 +137,7 @@ def test_first_order_source_is_rejected():
 def _satisfies(ode, xi, eta):
     system = determining_system(ode)
     return all(substitute_generator(eq, xi, eta).is_zero()
-               for eq in system.equations)
+               for eq in system)
 
 
 def test_pulled_back_generators_satisfy_the_image_system():
