@@ -5,7 +5,7 @@ is elimination-based and exact, which is all the symmetry computations need
 (the matrices involved are at most 8x8).  Row spaces and span membership
 come fraction-free: ``integer_rref`` runs Gauss-Jordan on integer rows,
 keeping each row primitive, and ``eliminate`` clears a vector against it.
-``rref`` and the ``Fraction`` helpers built on it are test references.
+``rref`` and ``in_span`` are test references.
 """
 from __future__ import annotations
 
@@ -82,15 +82,6 @@ def rref(a: Mat) -> Tuple[Mat, List[int]]:
     return m, pivots
 
 
-def row_space_basis(vectors: Sequence[Sequence[Fraction]]) -> List[Vec]:
-    """Canonical basis (rref rows) of the span of the given vectors."""
-    vs = [list(v) for v in vectors if any(v)]
-    if not vs:
-        return []
-    m, pivots = rref(vs)
-    return [m[i] for i in range(len(pivots))]
-
-
 def integer_row(v: Sequence[Fraction]) -> Tuple[List[int], int]:
     """(numerators, d) with v = numerators / d, d the lcm of v's denominators."""
     d = lcm(*(a.denominator for a in v))
@@ -148,15 +139,6 @@ def in_span(v: Sequence[Fraction], basis: Sequence[Sequence[Fraction]]) -> bool:
     """One fraction-free elimination of ``basis``, then v cleared against it."""
     rows = integer_rref(integer_row(b)[0] for b in basis)
     return not any(eliminate(integer_row(v)[0], rows))
-
-
-def inverse(a: Mat) -> Mat:
-    k = len(a)
-    aug = [list(a[i]) + identity(k)[i] for i in range(k)]
-    m, pivots = rref(aug)
-    if pivots != list(range(k)):
-        raise ValueError("matrix is singular")
-    return [row[k:] for row in m]
 
 
 def is_scalar_matrix(a: Mat) -> bool:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _igcd, lcm as _ilcm
-from operator import add as _add, sub as _sub
+from operator import add as _add, gt as _gt, sub as _sub
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 Q = Fraction
@@ -469,6 +469,76 @@ def _gcd_univar(a: MPoly, b: MPoly, name: str) -> MPoly:
     return _monic(_new_pruned((name,), {(k,): v for k, v in fa.items()}, 1))
 
 
+def _divides(d: MPoly, a: MPoly) -> bool:
+    """Whether d divides a, both over the same variables; a degree in some
+    variable above a's rules it out before any division."""
+    if any(map(_gt, map(max, zip(*d.num)), map(max, zip(*a.num)))):
+        return False
+    return try_divexact(a, d) is not None
+
+
+# The image test works modulo a prime below 2**61, at one fixed point.
+_P = (1 << 61) - 1
+
+
+def _point_value(name: str) -> int:
+    """The fixed value of a variable in the image test (a function of its
+    name, so that both operands get the same point)."""
+    return (int.from_bytes(name.encode(), "big") * 0x5851F42D4C957F2D
+            + 0x14057B7EF767814F) % _P
+
+
+def _image(p: MPoly, name: str) -> list:
+    """Dense coefficients mod _P, lowest first, of p's numerators as a
+    polynomial in `name`, with every other variable at its fixed value."""
+    i = p.vars.index(name)
+    values = [_point_value(v) for v in p.vars]
+    out = [0] * (1 + max(e[i] for e in p.num))
+    for e, c in p.num.items():
+        for j, k in enumerate(e):
+            if k and j != i:
+                c = c * pow(values[j], k, _P)
+        out[e[i]] += c
+    out = [c % _P for c in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _rem_mod_p(f: list, g: list) -> list:
+    """Remainder of dense polynomials mod _P, g with a nonzero lead."""
+    f = list(f)
+    inv = pow(g[-1], -1, _P)
+    while len(f) >= len(g):
+        q = f[-1] * inv % _P
+        shift = len(f) - len(g)
+        for i, c in enumerate(g[:-1]):
+            f[shift + i] = (f[shift + i] - q * c) % _P
+        f.pop()
+        while f and not f[-1]:
+            f.pop()
+    return f
+
+
+def _image_free_of(a: MPoly, b: MPoly, name: str) -> bool:
+    """True when images prove gcd(a, b) free of `name` (False proves nothing).
+
+    The image of a polynomial fixes every other variable at `_point_value`
+    and reduces mod _P.  Write a = g a' over Z with g = gcd(a, b) primitive:
+    if a's image keeps its degree in `name`, so do the images of g and a',
+    since degrees add over the field Z/_P.  The image of g then divides both
+    images with its full degree, so a constant gcd of the images shows that
+    g has degree 0 in `name` (Geddes, Czapor and Labahn, *Algorithms for
+    Computer Algebra*, 1992, chapter 7).
+    """
+    fa, fb = _image(a, name), _image(b, name)
+    if len(fa) != 1 + a.degree_in(name) or len(fb) != 1 + b.degree_in(name):
+        return False
+    while fb:
+        fa, fb = fb, _rem_mod_p(fa, fb)
+    return len(fa) == 1
+
+
 def content(coeffs: Sequence[MPoly]) -> MPoly:
     """gcd of the coefficients, with leading coefficient 1 (0 if all are 0)."""
     g = MPoly.zero()
@@ -510,8 +580,11 @@ def gcd(a: MPoly, b: MPoly) -> MPoly:
     of those coefficients together with the other operand's (Geddes, Czapor
     and Labahn, *Algorithms for Computer Algebra*, 1992, section 7.1).  The
     content folds smallest coefficients first and stops at the first
-    constant, which is where most calls from `RatFunc` end.  Only operands
-    over the same variables reach Euclid (one variable) or the primitive PRS.
+    constant, which is where most calls from `RatFunc` end.  Operands over
+    the same one variable go to Euclid.  Over the same two or more
+    variables, an operand that divides the other is the gcd, and images
+    that prove the gcd free of every variable (`_image_free_of`) make it
+    1; only the remaining pairs reach the primitive PRS.
     """
     if a.is_zero():
         return _monic(b)
@@ -535,6 +608,12 @@ def gcd(a: MPoly, b: MPoly) -> MPoly:
         g = content(sorted(parts, key=lambda p: len(p.num)))
     elif len(a0.vars) == 1:
         g = _gcd_univar(a0, b0, a0.vars[0])
+    elif _divides(b0, a0):
+        g = b0
+    elif _divides(a0, b0):
+        g = a0
+    elif all(_image_free_of(a0, b0, v) for v in shared):
+        g = MPoly.const(1)
     else:
         v = min(shared, key=lambda n: max(a0.degree_in(n), b0.degree_in(n)))
         ca = a0.coeffs_in(v)

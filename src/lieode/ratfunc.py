@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .errors import DegenerateInput
-from .polys import MPoly, divexact, gcd
+from .polys import MPoly, content, divexact, gcd
 
 Scalar = Union[int, Fraction]
 
@@ -198,12 +198,32 @@ class RatFunc:
     # -- calculus -----------------------------------------------------------------
 
     def derivative(self, name: str) -> "RatFunc":
-        """Formal partial derivative with respect to one variable."""
-        dn = self.num.derivative(name)
-        dd = self.den.derivative(name)
-        if dd.is_zero():
-            return RatFunc(dn, self.den)
-        return RatFunc(dn * self.den - self.num * dd, self.den * self.den)
+        """Formal partial derivative with respect to one variable.
+
+        With P/Q = self, G = gcd(Q, Q_v) and R = Q/G, the derivative is
+        (P_v R - P Q_v/G) / (Q R).  An irreducible factor q of Q with
+        q_v != 0 occurs in Q R once more than in Q, but not in the
+        numerator, so it cannot cancel; a factor free of v can, as in
+        d/dx((x*y + 1)/y) = y/y.  So only the gcd with cont_v(Q) is taken,
+        and only when that content is not constant.  It equals cont_v(G),
+        since G is cont_v(Q) times a divisor of Q's primitive part, and G
+        is the smaller operand to take it from.
+        """
+        p, q = self.num, self.den
+        dq = q.derivative(name)
+        if dq.is_zero():        # G = Q and R = 1, so cont_v(Q) = Q
+            num, den, cont = p.derivative(name), q, q
+        else:
+            g = gcd(q, dq)
+            r = divexact(q, g)
+            num = p.derivative(name) * r - p * divexact(dq, g)
+            den = q * r
+            cont = content(g.coeffs_in(name))
+        if num and not cont.is_const():
+            c = gcd(num, cont)
+            if not c.is_const():
+                num, den = divexact(num, c), divexact(den, c)
+        return _new(num, den)
 
     def subs_var(self, name: str, value: "RatFunc") -> "RatFunc":
         """Substitute a rational function for one variable (Horner scheme)."""

@@ -5,7 +5,7 @@ the oracle-corpus sweep — are computed once per session; several test
 modules assert different properties of the same runs.
 """
 from fractions import Fraction
-from typing import Dict
+from typing import Dict, List
 
 import pytest
 from hypothesis import settings
@@ -15,6 +15,7 @@ from lieode import analyze, default_corpus
 from lieode.determining import ETA, XI, Slot, add_term
 from lieode.involutive import lin_derive
 from lieode.liealgebra import Point
+from lieode.linalg import Mat, Vec, identity, rref
 from lieode.ratfunc import RatFunc
 
 settings.register_profile("suite", max_examples=50, deadline=None,
@@ -38,6 +39,30 @@ def fraction_bracket(C, u, v):
     m = len(C)
     return [sum((u[i] * v[j] * C[i][j][k] for i in range(m)
                  for j in range(m)), Fraction(0)) for k in range(m)]
+
+
+def row_space_basis(vectors) -> List[Vec]:
+    """Canonical basis (rref rows) of the span of the given vectors."""
+    vs = [list(v) for v in vectors if any(v)]
+    if not vs:
+        return []
+    m, pivots = rref(vs)
+    return m[:len(pivots)]
+
+
+def inverse(a: Mat) -> Mat:
+    """Inverse of a square matrix over the rationals, by rref of [a | I]."""
+    k = len(a)
+    m, pivots = rref([list(row) + e for row, e in zip(a, identity(k))])
+    if pivots != list(range(k)):
+        raise ValueError("matrix is singular")
+    return [row[k:] for row in m]
+
+
+def reference_derivative(f: RatFunc, name: str) -> RatFunc:
+    """d f / d name by the quotient rule over Q^2, reduced by a full gcd."""
+    p, q = f.num, f.den
+    return RatFunc(p.derivative(name) * q - p * q.derivative(name), q * q)
 
 
 def plain_eval(f, point) -> Fraction:

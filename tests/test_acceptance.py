@@ -14,11 +14,13 @@ from lieode.determining import determining_system
 from lieode.involutive import alt_ranking, audit_involutive, complete
 from lieode.liealgebra import LieAlgebraTable, derived_algebra
 from lieode.linalg import charpoly as matrix_charpoly
-from lieode.linalg import inverse, mat_mul
+from lieode.linalg import mat_mul
 from lieode.pipeline import analyze
 from lieode.recovery import (CharPoly, adjoint_on_derived, affine_class,
                              affine_equivalent, factor_space,
                              root_affine_image)
+
+from conftest import inverse
 
 F = Fraction
 

@@ -213,3 +213,19 @@ def test_bivariate_denominator_completes():
                    .is_zero() for eq in eqs)
         assert not all(substitute_generator(eq, one, RatFunc.zero()).is_zero()
                        for eq in eqs)
+
+
+def test_coprime_bivariate_denominator_completes():
+    # a coprime gcd over (x, y) took 13 s in the primitive PRS on this
+    # input; one image per variable settles it.  The answer holds under
+    # both rankings, passes the audit, and again one order higher
+    text = "y''' = (y')^2/(x^2 + y^2 + 1)"
+    report = analyze(text)
+    assert report.m == 0
+    assert report.certificate.case == CASE_NONE
+    detsys, inv = report.determining, report.involutive
+    alt = complete(detsys, alt_ranking())
+    assert alt.dimension == inv.dimension == 0
+    assert audit_involutive(inv, detsys) and audit_involutive(alt, detsys)
+    higher = analyze(text, max_order=inv.max_parametric_order() + 3)
+    assert higher.m == 0

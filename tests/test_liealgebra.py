@@ -16,13 +16,13 @@ from lieode.liealgebra import (CASE_CONSTANT, CASE_NONCONSTANT, CASE_NONE,
                                derived_algebra, expansion_points,
                                normal_form_table, series_basis,
                                structure_constants, taylor_coefficients)
-from lieode.linalg import row_space_basis
 from lieode.parsing import parse_ode
 from lieode.polys import MPoly
 from lieode.ratfunc import RatFunc
 
 from conftest import (REFERENCE_INPUTS, fraction_bracket, normal_form,
-                      plain_eval, solution_data_from_components)
+                      plain_eval, row_space_basis,
+                      solution_data_from_components)
 
 F = Fraction
 UNIT = MPoly.const(1)   # equation coefficient

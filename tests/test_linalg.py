@@ -5,10 +5,9 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieode.linalg import (eliminate, in_span, integer_row, integer_rref,
-                           rref, row_space_basis)
+from lieode.linalg import eliminate, in_span, integer_row, integer_rref, rref
 
-from conftest import rationals
+from conftest import rationals, row_space_basis
 
 WIDTH = 5
 

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lieode.polys import (MPoly, _strip_monomial, divexact, gcd, try_divexact,
-                          var_rank)
+from lieode.polys import (MPoly, _image_free_of, _point_value, _strip_monomial,
+                          divexact, gcd, try_divexact, var_rank)
 from lieode.ratfunc import RatFunc
 
-from conftest import nonzero_rationals, rationals
+from conftest import nonzero_rationals, rationals, reference_derivative
 
 X = MPoly.variable("x")
 Y = MPoly.variable("y")
@@ -189,6 +189,42 @@ def test_gcd_oracle_one_sided_variable():
     assert gcd(u, v) == X + Y
 
 
+def _nonconstant_xy(max_terms):
+    return mpolys(max_terms=max_terms, max_exp=2).filter(
+        lambda p: not p.is_const())
+
+
+@settings(max_examples=40)
+@given(_nonconstant_xy(3), _nonconstant_xy(3), _nonconstant_xy(3))
+def test_gcd_with_a_known_common_factor(g, a, b):
+    # g divides gcd(g a, g b), so the image test may never prove that gcd
+    # free of a variable g has; a divisor of the other operand is the gcd
+    u, v = g * a, g * b
+    assert try_divexact(gcd(u, v), g) is not None
+    for name in g.vars:
+        assert not _image_free_of(u, v, name)
+    assert gcd(a * b, b) == b * (1 / b.leading_coeff())
+    assert gcd(b, a * b) == b * (1 / b.leading_coeff())
+
+
+def test_gcd_image_test_oracle():
+    # x^2 + y^2 + 1 and x y + 3 are coprime, and one image in each variable
+    # shows it; (x + y)(x - y) and (x + y)(x y + 3) share x + y, which
+    # keeps both variables  [DERIVED]
+    u, v = X * X + Y * Y + 1, X * Y + 3
+    assert _image_free_of(u, v, "x") and _image_free_of(u, v, "y")
+    assert gcd(u, v) == 1
+    u, v = (X + Y) * (X - Y), (X + Y) * v
+    assert not _image_free_of(u, v, "x") and not _image_free_of(u, v, "y")
+    assert gcd(u, v) == X + Y
+    # at y = c the common factor (y - c) x + 1 has image 1; the images of
+    # u and v drop in degree, so they prove nothing
+    g = (Y - _point_value("y")) * X + 1
+    u, v = g * (X + 2), g * (X + 3)
+    assert not _image_free_of(u, v, "x")
+    assert gcd(u, v) == g * (1 / g.leading_coeff())
+
+
 def _over_xy_or_x(max_terms):
     return st.sampled_from([("x", "y"), ("x",)]).flatmap(
         lambda names: mpolys(names, max_terms=max_terms, max_exp=2))
@@ -288,6 +324,37 @@ def test_ratfunc_results_are_canonical(a, b, name, fa, fb):
     for r in results:
         assert r == RatFunc(r.num, r.den)
         assert r.den.leading_coeff() == 1
+
+
+@st.composite
+def derivative_cases(draw):
+    """(f, v) with f's denominator holding a factor free of v, the one kind
+    of factor that can cancel from the derivative."""
+    name = draw(st.sampled_from(JET_NAMES))
+    free = draw(mpolys(tuple(n for n in JET_NAMES if n != name),
+                       max_terms=2, max_exp=2))
+    f = draw(ratfuncs())
+    assume(not free.is_zero())
+    shared = draw(st.sampled_from(SHARED_FACTORS))
+    return RatFunc(f.num, f.den * free * shared), name
+
+
+@settings(max_examples=40)
+@given(derivative_cases())
+def test_derivative_is_the_reduced_quotient_rule(case):
+    f, name = case
+    assert f.derivative(name) == reference_derivative(f, name)
+
+
+def test_derivative_oracles():
+    # d/dx((x y + 1)/y) = y/y: the factor y of Q is free of x and cancels;
+    # d/dx(1/(x+y)^2) = -2/(x+y)^3 keeps Q R = (x+y)^3  [DERIVED]
+    assert RatFunc(X * Y + 1, Y).derivative("x") == 1
+    assert (RatFunc(MPoly.const(1), (X + Y) ** 2).derivative("x")
+            == RatFunc(MPoly.const(-2), (X + Y) ** 3))
+    f = RatFunc(X * X * Y - 3 * Y + 1, (X + Y) ** 2 * (X - Y) * Y)
+    for name in ("x", "y"):
+        assert f.derivative(name) == reference_derivative(f, name)
 
 
 def test_ratfunc_shared_denominator_oracle():

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from lieode.errors import InternalInvariantError
 from lieode.liealgebra import LieAlgebraTable, derived_algebra
-from lieode.linalg import (charpoly as matrix_charpoly, inverse,
-                           is_scalar_matrix, mat_mul)
+from lieode.linalg import charpoly as matrix_charpoly, is_scalar_matrix, mat_mul
 from lieode.recovery import (REASON_DEGREE, REASON_EQUIVALENT, REASON_PATTERN,
                              REASON_SCALE, AffineClass, CharPoly,
                              adjoint_on_derived, affine_class,
@@ -17,7 +16,7 @@ from lieode.recovery import (REASON_DEGREE, REASON_EQUIVALENT, REASON_PATTERN,
                              classify_pair, factor_space, recovery_details,
                              trivial_class)
 
-from conftest import fraction_bracket, nonzero_rationals, rationals
+from conftest import fraction_bracket, inverse, nonzero_rationals, rationals
 
 F = Fraction
 
