@@ -3,11 +3,14 @@
 Jet coordinates are x, y, y', y'', ... with internal names "x", "y", "y1",
 "y2", ...  ``jet_order`` reads off the highest derivative a rational
 expression involves.  ``total_derivative`` applies
-D_x = d/dx + sum_k y^(k+1) d/dy^(k) to a polynomial in these names, raising
-the jet order by at most one; the prolongation of a symmetry generator is
-built from it alone, so no gcd runs there.
+D_x = d/dx + sum_k y^(k+1) d/dy^(k), the derivation with the ``dx_images``
+x -> 1 and y^(k) -> y^(k+1), to a polynomial in these names; the
+prolongation of a symmetry generator is built from it alone, so no gcd runs
+there.
 """
 from __future__ import annotations
+
+from typing import Dict, Iterable
 
 from .polys import MPoly
 from .ratfunc import RatFunc
@@ -34,11 +37,13 @@ def jet_order(rf: RatFunc) -> int:
     return max([0] + [jet_order_of(v) for v in rf.num.vars + rf.den.vars])
 
 
+def dx_images(names: Iterable[str]) -> Dict[str, MPoly]:
+    """D_x of the jet coordinates among ``names``; others are constants."""
+    ks = {v: jet_order_of(v) for v in names}
+    return {v: MPoly.variable(jet_name(k + 1)) if k >= 0 else MPoly.const(1)
+            for v, k in ks.items() if k >= 0 or v == "x"}
+
+
 def total_derivative(p: MPoly) -> MPoly:
     """Total x-derivative of a jet polynomial along curves."""
-    out = p.derivative("x")
-    for v in p.vars:
-        k = jet_order_of(v)
-        if k >= 0:
-            out = out + p.derivative(v) * MPoly.variable(jet_name(k + 1))
-    return out
+    return p.derive(dx_images(p.vars))

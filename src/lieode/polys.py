@@ -276,6 +276,16 @@ class MPoly:
                 out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
         return _new_pruned(self.vars, out, self.den)
 
+    def derive(self, images: Mapping[str, "MPoly"]) -> "MPoly":
+        """The derivation that sends each variable v to images[v] (to 0 when
+        v has no image), applied to self: sum over v of dself/dv * images[v]."""
+        out = MPoly.zero()
+        for v in self.vars:
+            w = images.get(v)
+            if w:
+                out = out + self.derivative(v) * w
+        return out
+
     def coeffs_in(self, name: str):
         """Dense coefficient list in one variable; entries are MPoly without it."""
         if name not in self.vars:

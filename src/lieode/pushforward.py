@@ -13,9 +13,10 @@ linearizable and, unless the source spectrum is an affine image of
 constant-coefficients with recoverable class equal to the source's.
 
 Transcendental building blocks (exp, log) are adjoined as fresh symbols
-t1, t2, ... with recorded chain-rule partials, so all arithmetic stays in
-exact rational functions; images are admitted into the corpus only when
-every adjoined symbol cancels out of the final f.
+t1, t2, ..., so all arithmetic stays in exact rational functions: d/dx, d/dy
+and D_x are each one ``RatFunc.derive`` call, a symbol's image given by the
+chain rule.  Images are admitted into the corpus only when every adjoined
+symbol cancels out of the final f.
 """
 from __future__ import annotations
 
@@ -24,13 +25,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, InternalInvariantError, NonRationalInstance
-from .jets import jet_name
+from .jets import dx_images, jet_name
 from .parsing import OdeSpec, parse_expr
 from .ratfunc import RatFunc
-from .recovery import CharPoly, affine_class, affine_equivalent
-
-_0 = Fraction(0)
-_1 = Fraction(1)
+from .recovery import CharPoly, affine_class
 
 
 class TranscendentalRegistry:
@@ -38,7 +36,7 @@ class TranscendentalRegistry:
 
     def __init__(self):
         self._entries: List[Tuple[str, RatFunc]] = []  # (kind, argument)
-        self._partials: Dict[Tuple[str, str], RatFunc] = {}
+        self._images: Dict[Tuple[str, str], RatFunc] = {}
 
     def adjoin(self, kind: str, arg: RatFunc) -> RatFunc:
         if kind == "log" and arg.is_zero():
@@ -52,51 +50,34 @@ class TranscendentalRegistry:
     def is_symbol(self, name: str) -> bool:
         return name[:1] == "t" and name[1:].isdigit()
 
-    def partial(self, name: str, var: str) -> RatFunc:
-        """d(symbol)/d(var) for var in {x, y}, chain rule included."""
-        key = (name, var)
-        got = self._partials.get(key)
+    def derive(self, f: RatFunc, along: str) -> RatFunc:
+        """D f for D = d/dx or d/dy (along = "x" or "y") on the plane, or the
+        total derivative D_x on the jet space (along = "total"), with each
+        adjoined symbol's image by the chain rule."""
+        names = f.variables()
+        if along == "total":
+            images = {v: RatFunc(w) for v, w in dx_images(names).items()}
+        else:
+            images = {along: RatFunc.one()}
+        for name in names:
+            if self.is_symbol(name):
+                images[name] = self._image(name, along)
+        return f.derive(images)
+
+    def _image(self, name: str, along: str) -> RatFunc:
+        """D(symbol): t * D(arg) for exp, D(arg) / arg for log; cached."""
+        key = (name, along)
+        got = self._images.get(key)
         if got is None:
             kind, arg = self._entries[int(name[1:]) - 1]
-            dnarg = self.partial_of(arg, var)
-            if kind == "exp":
-                got = RatFunc.variable(name) * dnarg
-            else:
-                got = dnarg / arg
-            self._partials[key] = got
+            d = self.derive(arg, along)
+            got = RatFunc.variable(name) * d if kind == "exp" else d / arg
+            self._images[key] = got
         return got
 
-    def partial_of(self, f: RatFunc, var: str) -> RatFunc:
-        """Full partial d f / d var treating adjoined symbols by chain rule."""
-        out = f.derivative(var)
-        for name in f.variables():
-            if self.is_symbol(name):
-                d = f.derivative(name)
-                if not d.is_zero():
-                    out = out + d * self.partial(name, var)
-        return out
-
     def total_dx(self, f: RatFunc) -> RatFunc:
-        """Total x-derivative on the jet space, chain rule over all symbols."""
-        out = RatFunc.zero()
-        for name in f.variables():
-            d = f.derivative(name)
-            if d.is_zero():
-                continue
-            if name == "x":
-                out = out + d
-            elif name == "y":
-                out = out + d * RatFunc.variable(jet_name(1))
-            elif self.is_symbol(name):
-                dx_sym = (self.partial(name, "x")
-                          + self.partial(name, "y") * RatFunc.variable(jet_name(1)))
-                out = out + d * dx_sym
-            elif name[:1] == "y":
-                k = int(name[1:])
-                out = out + d * RatFunc.variable(jet_name(k + 1))
-            else:
-                raise InternalInvariantError("unexpected variable %r" % name)
-        return out
+        """Total x-derivative on the jet space."""
+        return self.derive(f, "total")
 
 
 def _has_symbols(f: RatFunc, reg: TranscendentalRegistry) -> bool:
@@ -114,8 +95,9 @@ class PointTransformation:
         self.registry = reg = TranscendentalRegistry()
         self.psi = parse_expr(self.psi_text, call=reg.adjoin, allow_derivatives=False)
         self.phi = parse_expr(self.phi_text, call=reg.adjoin, allow_derivatives=False)
-        self.jacobian = (reg.partial_of(self.phi, "x") * reg.partial_of(self.psi, "y")
-                         - reg.partial_of(self.phi, "y") * reg.partial_of(self.psi, "x"))
+        self.psi_x, self.psi_y, self.phi_x, self.phi_y = (
+            reg.derive(f, v) for f in (self.psi, self.phi) for v in "xy")
+        self.jacobian = self.phi_x * self.psi_y - self.phi_y * self.psi_x
         if self.jacobian.is_zero():
             raise InputError("transformation Jacobian vanishes identically")
 
@@ -146,11 +128,11 @@ def is_staircase_class(p: CharPoly) -> bool:
     always such an image, matching the classical fact that every linear
     second-order equation is equivalent to the trivial one.
     """
-    n = p.degree
-    if affine_class(p).is_trivial:
+    cls = affine_class(p)
+    if cls.is_trivial:
         return True
-    staircase = CharPoly.from_roots([Fraction(i) for i in range(n)])
-    return affine_equivalent(p, staircase)
+    staircase = CharPoly.from_roots([Fraction(i) for i in range(p.degree)])
+    return cls == affine_class(staircase)
 
 
 def push_linear(p: CharPoly, T: PointTransformation) -> OracleInstance:
@@ -199,13 +181,8 @@ def pulled_back_generator(T: PointTransformation, tau_text: str, mu_text: str
     reg = T.registry
     tau = _lower_target_function(tau_text, T)
     mu = _lower_target_function(mu_text, T)
-    J = T.jacobian
-    psi_x = reg.partial_of(T.psi, "x")
-    psi_y = reg.partial_of(T.psi, "y")
-    phi_x = reg.partial_of(T.phi, "x")
-    phi_y = reg.partial_of(T.phi, "y")
-    xi = (tau * psi_y - mu * phi_y) / J
-    eta = (mu * phi_x - tau * psi_x) / J
+    xi = (tau * T.psi_y - mu * T.phi_y) / T.jacobian
+    eta = (mu * T.phi_x - tau * T.psi_x) / T.jacobian
     if _has_symbols(xi, reg) or _has_symbols(eta, reg):
         return None
     return xi, eta

@@ -10,14 +10,16 @@ and powers of canonical operands are built by ``_new``, which trusts that
 its pair is coprime and only scales the denominator's leading coefficient to
 1: they take the gcds that can be nontrivial and no others (Henrici's
 algorithms, Knuth, TAOCP vol. 2, 4.5.1).
+
+Every derivative is ``derive``, given the images of the variables.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Mapping, Optional, Tuple, Union
 
 from .errors import DegenerateInput
-from .polys import MPoly, content, divexact, gcd
+from .polys import MPoly, divexact, gcd
 
 Scalar = Union[int, Fraction]
 
@@ -197,33 +199,29 @@ class RatFunc:
 
     # -- calculus -----------------------------------------------------------------
 
-    def derivative(self, name: str) -> "RatFunc":
-        """Formal partial derivative with respect to one variable.
+    def derive(self, images: Mapping[str, "RatFunc"]) -> "RatFunc":
+        """D(self) for the derivation D with D(v) = images[v], 0 if absent
+        (Bronstein, *Symbolic Integration I*, ch. 3).
 
-        With P/Q = self, G = gcd(Q, Q_v) and R = Q/G, the derivative is
-        (P_v R - P Q_v/G) / (Q R).  An irreducible factor q of Q with
-        q_v != 0 occurs in Q R once more than in Q, but not in the
-        numerator, so it cannot cancel; a factor free of v can, as in
-        d/dx((x*y + 1)/y) = y/y.  So only the gcd with cont_v(Q) is taken,
-        and only when that content is not constant.  It equals cont_v(G),
-        since G is cont_v(Q) times a divisor of Q's primitive part, and G
-        is the smaller operand to take it from.
+        M, the lcm of the images' denominators, makes M D map polynomials to
+        polynomials.  With P/Q = self, G = gcd(Q, M DQ) and R = Q/G,
+        D(P/Q) = (R M DP - P (M DQ)/G) / (M Q R): G keeps repeated factors
+        of Q from squaring, and the constructor's gcd cancels the rest.
         """
+        m = MPoly.const(1)
+        for w in images.values():
+            if not w.den.is_const():
+                m = m * divexact(w.den, gcd(m, w.den))
+        poly = {v: w.num * divexact(m, w.den) for v, w in images.items()}
         p, q = self.num, self.den
-        dq = q.derivative(name)
-        if dq.is_zero():        # G = Q and R = 1, so cont_v(Q) = Q
-            num, den, cont = p.derivative(name), q, q
-        else:
-            g = gcd(q, dq)
-            r = divexact(q, g)
-            num = p.derivative(name) * r - p * divexact(dq, g)
-            den = q * r
-            cont = content(g.coeffs_in(name))
-        if num and not cont.is_const():
-            c = gcd(num, cont)
-            if not c.is_const():
-                num, den = divexact(num, c), divexact(den, c)
-        return _new(num, den)
+        dq = q.derive(poly)
+        g = gcd(q, dq)
+        r = divexact(q, g)
+        return RatFunc(p.derive(poly) * r - p * divexact(dq, g), m * q * r)
+
+    def derivative(self, name: str) -> "RatFunc":
+        """Formal partial derivative with respect to one variable."""
+        return self.derive({name: RatFunc.one()})
 
     def subs_var(self, name: str, value: "RatFunc") -> "RatFunc":
         """Substitute a rational function for one variable (Horner scheme)."""

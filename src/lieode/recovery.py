@@ -199,10 +199,6 @@ def classify_pair(p: CharPoly, q: CharPoly) -> Tuple[bool, str]:
     return True, REASON_EQUIVALENT
 
 
-def affine_equivalent(p: CharPoly, q: CharPoly) -> bool:
-    return classify_pair(p, q)[0]
-
-
 # -- Lie-algebra side: factor space and adjoint action ------------------------
 
 

@@ -17,6 +17,7 @@ from lieode.involutive import lin_derive
 from lieode.liealgebra import Point
 from lieode.linalg import Mat, Vec, identity, rref
 from lieode.ratfunc import RatFunc
+from lieode.recovery import CharPoly, classify_pair
 
 settings.register_profile("suite", max_examples=50, deadline=None,
                           derandomize=True)
@@ -57,6 +58,11 @@ def inverse(a: Mat) -> Mat:
     if pivots != list(range(k)):
         raise ValueError("matrix is singular")
     return [row[k:] for row in m]
+
+
+def affine_equivalent(p: CharPoly, q: CharPoly) -> bool:
+    """Whether p and q have the same class under root maps z -> k*z + b."""
+    return classify_pair(p, q)[0]
 
 
 def reference_derivative(f: RatFunc, name: str) -> RatFunc:

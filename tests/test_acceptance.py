@@ -17,10 +17,9 @@ from lieode.linalg import charpoly as matrix_charpoly
 from lieode.linalg import mat_mul
 from lieode.pipeline import analyze
 from lieode.recovery import (CharPoly, adjoint_on_derived, affine_class,
-                             affine_equivalent, factor_space,
-                             root_affine_image)
+                             factor_space, root_affine_image)
 
-from conftest import inverse
+from conftest import affine_equivalent, inverse
 
 F = Fraction
 

@@ -9,7 +9,14 @@ the exit code and the sha256 of stdout.  The commands are
 constants, the derived algebra, the certificate and the recovered class are
 all pinned, the last at a deep truncation order, where the series stage
 does the most work.  An input whose minimum order exceeds 10 pins its exit
-code 2 there.  The bench files are only read.
+code 2 there.
+
+It also pins ``oracle --poly P --psi PSI --phi PHI --json-only`` for the 14
+pairs of ``bench/data/oracle.json`` (ids ``oracle-NN``) and for every
+(source, transformation) pair of ``pushforward.shipped_transformations()``
+and ``corpus_sources()`` (ids ``shipped-NN``, transformations outermost);
+a pair whose image leaves the rational class pins exit code 2.  The bench
+files are only read.
 
 After a change that is meant to alter an exact answer, rewrite the file
 with ``PYTHONPATH=src python tests/test_cli_replay.py`` and review the diff.
@@ -23,6 +30,7 @@ import pathlib
 import pytest
 
 from lieode.cli import main
+from lieode.pushforward import corpus_sources, shipped_transformations
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_FILES = ("corpus", "controls", "rational")
@@ -36,16 +44,35 @@ COMMANDS = {
 PINNED = pathlib.Path(__file__).parent / "data" / "cli_replay_sha256.json"
 
 
-def _inputs():
+def _bench_inputs(name: str) -> list:
+    return json.loads((ROOT / "bench" / "data" / (name + ".json"))
+                      .read_text(encoding="utf-8"))["inputs"]
+
+
+def _oracle_argv(coeffs, psi: str, phi: str) -> list:
+    return ["oracle", "--poly", ",".join(map(str, coeffs)), "--psi", psi,
+            "--phi", phi, "--json-only"]
+
+
+def _cases():
+    """(id, command, argv) for every pinned command line."""
     for name in BENCH_FILES:
-        data = json.loads((ROOT / "bench" / "data" / (name + ".json"))
-                          .read_text(encoding="utf-8"))
-        for item in data["inputs"]:
-            yield item["id"], item["text"]
+        for item in _bench_inputs(name):
+            for command, argv in COMMANDS.items():
+                yield (item["id"], command,
+                       [item["text"] if a is None else a for a in argv])
+    for item in _bench_inputs("oracle"):
+        yield (item["id"], "oracle",
+               _oracle_argv(item["source_poly"] + ["1"], item["psi"],
+                            item["phi"]))
+    pairs = [(T, p) for T in shipped_transformations()
+             for p in corpus_sources()]
+    for k, (T, p) in enumerate(pairs, 1):
+        yield ("shipped-%02d" % k, "oracle",
+               _oracle_argv(p.full_coeffs(), T.psi_text, T.phi_text))
 
 
-def _replay(command: str, text: str) -> dict:
-    argv = [text if a is None else a for a in COMMANDS[command]]
+def _replay(argv: list) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
@@ -55,8 +82,7 @@ def _replay(command: str, text: str) -> dict:
                 out.getvalue().encode("utf-8")).hexdigest()}
 
 
-CASES = [(ident, text, command) for ident, text in _inputs()
-         for command in COMMANDS]
+CASES = list(_cases())
 
 
 @pytest.fixture(scope="module")
@@ -68,16 +94,16 @@ def test_every_input_is_pinned(pinned):
     assert sorted(pinned) == sorted({ident for ident, _, _ in CASES})
 
 
-@pytest.mark.parametrize("ident,text,command", CASES,
-                         ids=["%s-%s" % (i, c) for i, _, c in CASES])
-def test_cli_output_matches_pinned_hash(pinned, ident, text, command):
-    assert _replay(command, text) == pinned[ident][command], (
-        "%s: %s %r changed its output" % (ident, command, text))
+@pytest.mark.parametrize("ident,command,argv", CASES,
+                         ids=["%s-%s" % (i, c) for i, c, _ in CASES])
+def test_cli_output_matches_pinned_hash(pinned, ident, command, argv):
+    assert _replay(argv) == pinned[ident][command], (
+        "%s: %r changed its output" % (ident, argv))
 
 
 if __name__ == "__main__":
     table = {}
-    for ident, text, command in CASES:
-        table.setdefault(ident, {})[command] = _replay(command, text)
+    for ident, command, argv in CASES:
+        table.setdefault(ident, {})[command] = _replay(argv)
     PINNED.write_text(json.dumps(table, sort_keys=True, indent=1) + "\n",
                       encoding="utf-8")

@@ -346,6 +346,36 @@ def test_derivative_is_the_reduced_quotient_rule(case):
     assert f.derivative(name) == reference_derivative(f, name)
 
 
+# Nonconstant factors for the images' denominators, so that the common
+# denominator M of the images is not 1.
+IMAGE_DENOMINATORS = ((X + Y) ** 2, (X + Y) * (X - Y), Y, X * X + 1)
+
+
+@st.composite
+def derivations(draw):
+    """Images of some jet names, each a nonzero rational function whose
+    denominator holds a factor from IMAGE_DENOMINATORS."""
+    images = {}
+    for name in draw(st.sets(st.sampled_from(JET_NAMES), min_size=1)):
+        num = draw(mpolys(JET_NAMES, max_terms=3, max_exp=2))
+        den = draw(mpolys(JET_NAMES, max_terms=2, max_exp=2))
+        factor = draw(st.sampled_from(IMAGE_DENOMINATORS))
+        images[name] = RatFunc(num or MPoly.const(1),
+                               (den or MPoly.const(1)) * factor)
+    return images
+
+
+@settings(max_examples=40)
+@given(derivative_cases(), derivations())
+def test_derive_is_the_sum_of_partials_times_images(case, images):
+    # D f = sum over v of df/dv * D(v), each df/dv by the quotient rule
+    f, _ = case
+    expected = RatFunc.zero()
+    for v, w in images.items():
+        expected = expected + reference_derivative(f, v) * w
+    assert f.derive(images) == expected
+
+
 def test_derivative_oracles():
     # d/dx((x y + 1)/y) = y/y: the factor y of Q is free of x and cancels;
     # d/dx(1/(x+y)^2) = -2/(x+y)^3 keeps Q R = (x+y)^3  [DERIVED]

@@ -62,6 +62,21 @@ def test_logarithmic_time_change():
     assert inst.expected_case == "trivial"
 
 
+def test_log_time_variable():
+    # t = log(x) has D_x(t) = 1/x, a symbol image with a denominator:
+    # u'' = u turns into x^2 y'' + x y' - y = 0  [DERIVED]
+    inst = push_linear(roots(-1, 1), PointTransformation("y", "log(x)"))
+    assert print_ode(inst.ode) == "y'' + (x*y' - y)/x^2 = 0"
+
+
+def test_exp_of_a_rational_argument():
+    # u = y e^(1/x) has D_x(e^(1/x)) = -e^(1/x)/x^2: u'' = u turns into
+    # y'' - 2 y'/x^2 + (2x + 1) y/x^4 - y = 0  [DERIVED]
+    inst = push_linear(roots(-1, 1), PointTransformation("y*exp(1/x)", "x"))
+    assert (print_ode(inst.ode)
+            == "y'' + (-x^4*y - 2*x^2*y' + 2*x*y + y)/x^4 = 0")
+
+
 def test_non_staircase_source_is_rejected_under_time_change():
     T = PointTransformation("y", "exp(x)")
     with pytest.raises(NonRationalInstance, match="outside the rational class"):

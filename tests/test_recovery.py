@@ -11,12 +11,12 @@ from lieode.liealgebra import LieAlgebraTable, derived_algebra
 from lieode.linalg import charpoly as matrix_charpoly, is_scalar_matrix, mat_mul
 from lieode.recovery import (REASON_DEGREE, REASON_EQUIVALENT, REASON_PATTERN,
                              REASON_SCALE, AffineClass, CharPoly,
-                             adjoint_on_derived, affine_class,
-                             affine_equivalent, centered, class_to_ode,
-                             classify_pair, factor_space, recovery_details,
-                             trivial_class)
+                             adjoint_on_derived, affine_class, centered,
+                             class_to_ode, classify_pair, factor_space,
+                             recovery_details, trivial_class)
 
-from conftest import fraction_bracket, inverse, nonzero_rationals, rationals
+from conftest import (affine_equivalent, fraction_bracket, inverse,
+                      nonzero_rationals, rationals)
 
 F = Fraction
 
