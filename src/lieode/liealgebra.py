@@ -11,15 +11,16 @@ whose other slots rank lower.  The table is built once, through order N+1,
 so each basis element carries its derivative values one order past the
 truncation order N.  It is built in Taylor mode, the power-series form of
 Riquier's existence theorem (Reid, EJAM 1991): a completed equation
-P_lead u_lead + sum_t P_t u_t = 0 has polynomial coefficients, and each
-quotient P_t / P_lead is expanded once as a truncated series at the point;
-a prolonged equation's values there are Leibniz sums over those series, so
-no equation is differentiated symbolically.  The series exist exactly where
-no lead coefficient vanishes, and the division is the one place that checks
-it: each P_lead is shifted to the point once, and a zero constant term
-raises ``SingularPoint`` before any other work.  The automatic expansion
-point is the first candidate at which that division succeeds.  The division
-needs no gcd.
+P_lead u_lead + sum_t P_t u_t = 0 has polynomial coefficients, and each is
+shifted once to the point, giving its Taylor coefficients, over one common
+scale per equation; a prolonged equation's value there is a Leibniz sum
+over those integers and lower, already tabled slots, solved by one division
+by P_lead(point).  No equation is differentiated symbolically, no power
+series is divided, and no gcd runs.  The series exist exactly where no lead
+coefficient vanishes: each P_lead is shifted first, and a zero constant
+term raises ``SingularPoint`` before any tail is shifted.  The automatic
+expansion point is the first candidate at which no lead coefficient
+vanishes.
 
 Brackets are taken directly on those values by Leibniz's rule: the value of a
 bracket at order k reads the data of both fields up to order k+1, so it is
@@ -85,12 +86,6 @@ def expansion_points() -> Iterator[Point]:
         k += 1
 
 
-# Taylor coefficients by x-order i: the (j, T[i, j]) sorted by y-order j.
-_TaylorRows = List[List[Tuple[int, Fraction]]]
-# A shifted divisor: constant term q0, the other terms, the common scale.
-_LeadSeries = Tuple[int, Dict[Tuple[int, int], int], int]
-
-
 def _shifted(p: MPoly, point: Point,
              K: int) -> Tuple[Dict[Tuple[int, int], int], int]:
     """``p(x0 + u, y0 + v)`` through total degree K in (u, v).
@@ -126,60 +121,6 @@ def _shifted(p: MPoly, point: Point,
     return {k: n for k, n in out.items() if n}, p.den * b ** E * d ** F
 
 
-def _lead_series(den: MPoly, point: Point, K: int) -> _LeadSeries:
-    """``den`` shifted to ``point`` through order K, as the divisor of
-    ``_series_quotient``: its constant term q0, which is its value there
-    times a positive scale, the other terms and that scale.  Raises
-    ``SingularPoint`` when q0 is zero."""
-    Q, sQ = _shifted(den, point, K)
-    q0 = Q.pop((0, 0), 0)
-    if not q0:
-        raise SingularPoint(
-            "singular expansion point (%s, %s): a coefficient denominator "
-            "vanishes there" % point)
-    return q0, Q, sQ
-
-
-def _series_quotient(num: MPoly, lead: _LeadSeries, point: Point,
-                     K: int) -> Dict[Tuple[int, int], Fraction]:
-    """Nonzero Taylor coefficients of num/den through order K, where
-    ``lead = _lead_series(den, point, K)``.
-
-    On integer numerators: with the shifted P/sP and Q/sQ, U[g] =
-    q0^(|g|+1) (P/Q)[g] satisfies U[g] = P[g] q0^|g| - sum over nonzero
-    Q[h], 0 < h <= g, of Q[h] U[g-h] q0^(|h|-1), and T[g] = U[g] sQ /
-    (q0^(|g|+1) sP).
-    """
-    P, sP = _shifted(num, point, K)
-    q0, Q, sQ = lead
-    pw = [q0 ** k for k in range(K + 2)]
-    U: Dict[Tuple[int, int], int] = {}
-    out: Dict[Tuple[int, int], Fraction] = {}
-    for total in range(K + 1):
-        for i in range(total + 1):
-            j = total - i
-            u = P.get((i, j), 0) * pw[total]
-            for (hi, hj), q in Q.items():
-                if hi <= i and hj <= j:
-                    w = U.get((i - hi, j - hj))
-                    if w:
-                        u -= q * w * pw[hi + hj - 1]
-            if u:
-                U[i, j] = u
-                out[i, j] = Fraction(u * sQ, pw[total + 1] * sP)
-    return out
-
-
-def taylor_coefficients(num: MPoly, den: MPoly, point: Point,
-                        K: int) -> Dict[Tuple[int, int], Fraction]:
-    """Nonzero Taylor coefficients of num/den at ``point`` through order K.
-
-    ``num/den = sum T[i, j] (x - x0)^i (y - y0)^j``; ``den`` must not
-    vanish at the point.
-    """
-    return _series_quotient(num, _lead_series(den, point, K), point, K)
-
-
 def normal_form_table(inv: InvolutiveSystem, N: int,
                       point: Point) -> Dict[Slot, Dict[Slot, Fraction]]:
     """Value at ``point`` of the normal form of every slot of order <= N.
@@ -187,27 +128,42 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
     Forward substitution in ranking order, reducing each slot by the first
     equation whose lead divides it, as ``involutive.reduce`` does.
 
-    Taylor mode: each completed equation P_L u_L + sum_t P_t u_t = 0 has
-    its lead coefficient P_L shifted to the point once, and each tail
-    quotient c_t = P_t / P_L expanded once, to order N - |L|.  Every lead
-    coefficient is checked first: if one vanishes at the point, it raises
-    ``SingularPoint`` before any tail or table work.  The derivative of
-    multi-index a of an equation solves slot L + a; by Leibniz's rule the
-    value there is -sum_t sum_{b <= a} C(a, b) d^b c_t(point) table[t + a -
-    b], and C(a, b) d^b c_t = a!/(a-b)! T_b over the nonzero Taylor
-    coefficients T_b.  No equation is prolonged symbolically.  Every t + a
-    must already be tabled (the lower t + a - b rank below it), or the guard
-    raises.
+    Taylor mode: the derivative of multi-index a of a completed equation
+    P_L u_L + sum_t P_t u_t = 0 solves slot L + a.  By Leibniz's rule, with
+    T_c the Taylor coefficients of the polynomial c at the point,
+    P_L(point) u_{L+a} = -sum_{0 < b <= a} a!/(a-b)! T_L[b] u_{L+a-b}
+    - sum_t sum_{b <= a} a!/(a-b)! T_t[b] u_{t+a-b}, and every slot on the
+    right is already tabled.  Each coefficient is shifted to the point once,
+    to order N - |L|, all of one equation over one common scale, so the sums
+    run on integers and each slot takes one division, by P_L(point).  Every
+    lead coefficient is checked first: if one vanishes at the point, it
+    raises ``SingularPoint`` before any tail is shifted.  No equation is
+    prolonged symbolically.  Every t + a must already be tabled (the lower
+    t + a - b rank below it), or the guard raises.
     """
     # the equations a slot of order <= N can use: for the series basis, all
-    leads = {e: _lead_series(e.terms[e.lead], point, N - e.lead.order)
-             for e in inv._eqs if e.lead.order <= N}
+    leads = {}
+    for e in inv._eqs:
+        if e.lead.order <= N:
+            TL, _ = leads[e] = _shifted(e.terms[e.lead], point,
+                                        N - e.lead.order)
+            if not TL.get((0, 0)):
+                raise SingularPoint(
+                    "singular expansion point (%s, %s): a coefficient "
+                    "denominator vanishes there" % point)
     fall = [[perm(n, k) for k in range(n + 1)] for n in range(N + 1)]
-    # per equation: (tail slot, its quotient's Taylor rows)
-    tails = {e: [(t, _by_x_order(_series_quotient(c, lead, point,
-                                                  N - e.lead.order)))
-                 for t, c in e.terms.items() if t != e.lead]
-             for e, lead in leads.items()}
+    # per equation: P_L(point) and, per slot, its coefficient's terms
+    # (i, j, numerator) sorted by (i, j), all over one scale; the lead's
+    # constant term, which multiplies the solved slot, is left out
+    solved = {}
+    for e, (TL, sL) in leads.items():
+        shifts = [(t, *_shifted(c, point, N - e.lead.order))
+                  for t, c in e.terms.items() if t != e.lead]
+        S = lcm(sL, *(s for _, _, s in shifts))
+        q0 = TL.pop((0, 0)) * (S // sL)
+        solved[e] = (q0, [(t, sorted((i, j, n * (S // s))
+                                     for (i, j), n in T.items()))
+                          for t, T, s in [(e.lead, TL, sL)] + shifts])
     table: Dict[Slot, Dict[Slot, Fraction]] = {}
     for s in inv.ranking.sorted(Slot(unk, i, total - i) for unk in (XI, ETA)
                                 for total in range(N + 1)
@@ -217,35 +173,25 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
             table[s] = {s: _1}
             continue
         ax, ay = s.dx - e.lead.dx, s.dy - e.lead.dy
-        expanded = tails[e]
-        if any(t.derive(ax, ay) not in table for t, _ in expanded):
+        q0, coeffs = solved[e]
+        if any(t.derive(ax, ay) not in table for t, _ in coeffs[1:]):
             raise InternalInvariantError("equation for slot %s is not solved "
                                          "over lower slots" % s.label())
-        coef: Dict[Slot, Fraction] = {}
-        for t, rows in expanded:
-            for i, row in enumerate(rows[:ax + 1]):
-                fi = fall[ax][i]
-                for j, v in row:
-                    if j > ay:
-                        break
+        coef: Dict[Slot, int] = {}
+        for t, terms in coeffs:
+            for i, j, n in terms:
+                if i > ax:
+                    break
+                if j <= ay:
                     q = Slot(t.unknown, t.dx + ax - i, t.dy + ay - j)
-                    coef[q] = coef.get(q, _0) - fi * fall[ay][j] * v
+                    coef[q] = coef.get(q, 0) + fall[ax][i] * fall[ay][j] * n
         out: Dict[Slot, Fraction] = {}
         for q, w in coef.items():
             if w:
                 for r, v in table[q].items():
                     out[r] = out.get(r, _0) + w * v
-        table[s] = {r: v for r, v in out.items() if v}
+        table[s] = {r: v / -q0 for r, v in out.items() if v}
     return table
-
-
-def _by_x_order(T: Dict[Tuple[int, int], Fraction]) -> _TaylorRows:
-    """Taylor coefficients grouped by x-order, each group sorted by y-order."""
-    rows: _TaylorRows = [
-        [] for _ in range(max((i for i, _ in T), default=-1) + 1)]
-    for (i, j), v in sorted(T.items()):
-        rows[i].append((j, v))
-    return rows
 
 
 @dataclasses.dataclass(frozen=True)

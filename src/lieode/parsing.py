@@ -326,10 +326,10 @@ def _fmt_term(coeff: Fraction, mono, names) -> str:
 def format_mpoly(p: MPoly) -> str:
     if p.is_zero():
         return "0"
-    monos = sorted(p.terms, key=_mono_key, reverse=True)
+    terms = p.terms
     out = []
-    for i, m in enumerate(monos):
-        c = p.terms[m]
+    for i, m in enumerate(sorted(terms, key=_mono_key, reverse=True)):
+        c = terms[m]
         body = _fmt_term(c, m, p.vars)
         if i == 0:
             out.append(f"-{body}" if c < 0 else body)
@@ -339,7 +339,7 @@ def format_mpoly(p: MPoly) -> str:
 
 
 def _den_needs_parens(p: MPoly) -> bool:
-    if len(p.terms) != 1:
+    if len(p.num) != 1:
         return True
     (mono, c), = p.terms.items()
     nvars = sum(1 for e in mono if e)
@@ -350,7 +350,7 @@ def format_ratfunc(r: RatFunc) -> str:
     num_s = format_mpoly(r.num)
     if r.den == MPoly.const(1):
         return num_s
-    if len(r.num.terms) > 1:
+    if len(r.num.num) > 1:
         num_s = f"({num_s})"
     den_s = format_mpoly(r.den)
     if _den_needs_parens(r.den):

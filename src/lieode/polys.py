@@ -558,7 +558,7 @@ def content(coeffs: Sequence[MPoly]) -> MPoly:
         g = gcd(g, c)
         if g.is_const() and not g.is_zero():
             return MPoly.const(1)
-    return g if not g.is_zero() else MPoly.zero()
+    return g
 
 
 def _prem(u: Sequence[MPoly], v: Sequence[MPoly]):

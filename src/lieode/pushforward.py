@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, InternalInvariantError, NonRationalInstance
 from .jets import dx_images, jet_name
 from .parsing import OdeSpec, parse_expr
 from .ratfunc import RatFunc
-from .recovery import CharPoly, affine_class
+from .recovery import AffineClass, CharPoly, affine_class
 
 
 class TranscendentalRegistry:
@@ -129,10 +130,13 @@ def is_staircase_class(p: CharPoly) -> bool:
     second-order equation is equivalent to the trivial one.
     """
     cls = affine_class(p)
-    if cls.is_trivial:
-        return True
-    staircase = CharPoly.from_roots([Fraction(i) for i in range(p.degree)])
-    return cls == affine_class(staircase)
+    return cls.is_trivial or cls == _staircase_class(p.degree)
+
+
+@lru_cache(maxsize=None)
+def _staircase_class(n: int) -> AffineClass:
+    """Affine class of the spectrum {0, 1, ..., n-1}."""
+    return affine_class(CharPoly.from_roots([Fraction(i) for i in range(n)]))
 
 
 def push_linear(p: CharPoly, T: PointTransformation) -> OracleInstance:

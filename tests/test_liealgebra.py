@@ -15,7 +15,7 @@ from lieode.liealgebra import (CASE_CONSTANT, CASE_NONCONSTANT, CASE_NONE,
                                assert_dimension_bounds, certify,
                                derived_algebra, expansion_points,
                                normal_form_table, series_basis,
-                               structure_constants, taylor_coefficients)
+                               structure_constants)
 from lieode.parsing import parse_ode
 from lieode.polys import MPoly
 from lieode.ratfunc import RatFunc
@@ -73,7 +73,8 @@ def test_automatic_point_avoids_singularities():
 
 
 # Rational functions whose denominators have repeated factors, in x, in y
-# and in both; none vanishes at the points of the test below.
+# and in both; their numerators and denominators are the polynomials of the
+# test below.
 TAYLOR_CASES = {
     "both": (X - Y) / (X + Y) ** 2,
     "both-cubed": (X * Y + 1) / (X + 2 * Y) ** 3,
@@ -90,18 +91,21 @@ TAYLOR_CASES = {
                          ids=["candidate", "negative"])
 @pytest.mark.parametrize("name", list(TAYLOR_CASES))
 def test_taylor_coefficients_match_iterated_derivatives(name, point):
-    # i! j! T[i, j] is d^i/dx^i d^j/dy^j c at the point, as repeated
-    # symbolic differentiation and evaluation give it; zeros are left out
+    # i! j! T[i, j] / scale is d^i/dx^i d^j/dy^j p at the point, as repeated
+    # symbolic differentiation and evaluation give it, for the shift of
+    # each polynomial p; zeros are left out, and the shift stops at order K
     # [DERIVED]
     c, K = TAYLOR_CASES[name], 6
-    T = taylor_coefficients(c.num, c.den, point, K)
-    ref = solution_data_from_components(c, ZERO, point, K)
-    for total in range(K + 1):
-        for i in range(total + 1):
-            j = total - i
-            assert (T.get((i, j), 0) * factorial(i) * factorial(j)
-                    == ref[Slot(XI, i, j)]), (i, j)
-    assert all(T.values()) and max(i + j for i, j in T) <= K
+    for p in (c.num, c.den):
+        T, scale = lieode.liealgebra._shifted(p, point, K)
+        ref = solution_data_from_components(RatFunc(p), ZERO, point, K)
+        assert scale > 0
+        for total in range(K + 1):
+            for i in range(total + 1):
+                j = total - i
+                assert (F(T.get((i, j), 0) * factorial(i) * factorial(j),
+                          scale) == ref[Slot(XI, i, j)]), (p, i, j)
+        assert all(T.values()) and max(i + j for i, j in T) <= K
 
 
 # Rational-coefficient inputs checked at an explicit fractional point, with
@@ -139,7 +143,7 @@ def test_table_matches_evaluated_symbolic_normal_forms(text):
 ], ids=["pole-x", "pole-x+1"])
 def test_table_at_a_singular_point_raises(text, point):
     # a coefficient denominator that vanishes at the point is reported as
-    # such, never as a ZeroDivisionError from the series division  [DERIVED]
+    # such, never as a ZeroDivisionError from solving for a lead  [DERIVED]
     inv = complete(determining_system(parse_ode(text)))
     env = {"x": point[0], "y": point[1]}
     assert not all(plain_eval(e.terms[e.lead], env) for e in inv._eqs)
@@ -148,35 +152,28 @@ def test_table_at_a_singular_point_raises(text, point):
 
 
 def test_singular_point_raises_before_any_tail_work(monkeypatch):
-    # every lead coefficient is shifted once, before any tail quotient is
-    # expanded; at a singular point nothing else is done  [DERIVED]
+    # every lead coefficient is shifted, in order, before any tail
+    # coefficient is; at a singular point nothing else is done, and at a
+    # regular point each coefficient is shifted exactly once  [DERIVED]
     inv = complete(determining_system(parse_ode("y'' + y'/x = 0")))
-    shifted, divided = [], []
+    shifted = []
     real_shifted = lieode.liealgebra._shifted
-    real_quotient = lieode.liealgebra._series_quotient
 
     def count_shift(p, *args):
         shifted.append(p)
         return real_shifted(p, *args)
 
-    def count_division(*args):
-        divided.append(args)
-        return real_quotient(*args)
-
     monkeypatch.setattr(lieode.liealgebra, "_shifted", count_shift)
-    monkeypatch.setattr(lieode.liealgebra, "_series_quotient", count_division)
     with pytest.raises(SingularPoint):
         normal_form_table(inv, inv.max_parametric_order() + 2, (F(0), F(0)))
-    assert divided == []
     leads = [e.terms[e.lead] for e in inv._eqs]
     assert 0 < len(shifted) <= len(leads)
     assert shifted == leads[:len(shifted)]
-    # at a regular point each lead coefficient is shifted exactly once
     shifted.clear()
     normal_form_table(inv, inv.max_parametric_order() + 2, (F(1), F(1)))
-    tails = sum(len(e.terms) - 1 for e in inv._eqs)
-    assert len(divided) == tails and len(shifted) == len(leads) + tails
+    tails = [c for e in inv._eqs for t, c in e.terms.items() if t != e.lead]
     assert shifted[:len(leads)] == leads
+    assert shifted[len(leads):] == tails
 
 
 def _first_regular_candidate(inv):
@@ -189,7 +186,7 @@ def _first_regular_candidate(inv):
 
 def test_automatic_point_is_first_regular_candidate(reference_reports,
                                                     corpus_reports):
-    # the series division picks the same point as evaluating every lead
+    # the table's lead check picks the same point as evaluating every lead
     # coefficient at each candidate in turn  [DERIVED]
     reports = list(reference_reports.values()) + [r for _, r in corpus_reports]
     for r in reports:

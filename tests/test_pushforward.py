@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import lieode.pushforward
 from lieode import analyze
 from lieode.determining import determining_system
 from lieode.errors import InputError, NonRationalInstance
@@ -129,6 +130,26 @@ def test_staircase_classification():
     assert not is_staircase_class(roots(0, 1, 1))
     assert not is_staircase_class(roots(0, 1, 3))
     assert not is_staircase_class(roots(-1, 0, 1, 3))
+
+
+def test_staircase_class_is_built_once_per_degree(monkeypatch):
+    # the staircase's class depends only on the degree, so repeated calls
+    # classify only their own spectra  [DERIVED]
+    seen = []
+
+    def counting_affine_class(p):
+        seen.append(p)
+        return affine_class(p)
+
+    monkeypatch.setattr(lieode.pushforward, "affine_class",
+                        counting_affine_class)
+    sources = [roots(0, 1, 3), roots(-1, 0, 1, 3), roots(0, 1, 1),
+               roots(2, 5, 7), roots(1, 2, 4, 9), roots(1, 3, 5, 7)] * 2
+    for p in sources:
+        is_staircase_class(p)
+    staircases = [p for p in seen if p not in sources]
+    assert len(seen) - len(staircases) == len(sources)
+    assert len(staircases) == len({p.degree for p in staircases}) <= 2
 
 
 # -- degenerate inputs ----------------------------------------------------------------
