@@ -68,8 +68,7 @@ def _attach_extras(payload: dict, report: RunReport, args) -> None:
         inv = report.involutive
         payload["involutive"] = {
             "ranking": inv.ranking.name,
-            "equations": [_equation_json(eq, lead)
-                          for eq, lead in zip(inv.equations, inv.leads)],
+            "equations": [_equation_json(e.terms, e.lead) for e in inv.eqs],
             "leads": [s.label() for s in inv.leads],
             "parametric": [s.label() for s in inv.parametric],
             "dimension": inv.dimension,

@@ -20,11 +20,16 @@ up to a nonzero factor in Q[x, y], and each new equation is made primitive
 once.  Since the ranking is stable under differentiation and every
 non-leading slot ranks below the lead, each step replaces a slot by strictly
 lower ones, so normal forms terminate.  Completion is the linear
-Buchberger loop: fully reduce an equation, insert it, requeue any equation
-whose lead became reducible, re-reduce the survivors' tails, then process
-cross-derivative pairs until none produces anything new.  Each insertion
-strictly enlarges the cone of leading slots, so Dickson's lemma bounds the
-number of insertions and the loop terminates.
+Buchberger loop, run as one worklist: it takes a queued equation first and
+otherwise the lowest cross-derivative pair (by the rank of the pair's least
+common derivative, then by age), and fully reduces it.  A nonzero result is
+inserted; any equation whose lead is a derivative of the new lead is
+requeued, and the survivors' tails are re-reduced.  Each insertion strictly enlarges the cone
+of leading slots, so Dickson's lemma bounds the number of insertions and
+the loop terminates.  Like a reduced Groebner basis, the completed system
+is unique for the ranking, each equation up to the scale that ``primitive``
+fixes, so neither the input order nor the order of the worklist changes
+it.
 
 The parametric slots (those outside the cone of the leading slots) index the
 free Taylor data of the solution space; their count is its dimension.
@@ -51,12 +56,6 @@ class Ranking:
 
     name: str
     key: Callable[[Slot], tuple]
-
-    def max_slot(self, slots) -> Slot:
-        return max(slots, key=self.key)
-
-    def sorted(self, slots, reverse: bool = False) -> List[Slot]:
-        return sorted(slots, key=self.key, reverse=reverse)
 
 
 def default_ranking() -> Ranking:
@@ -161,11 +160,16 @@ def _cross(a: _Eq, b: _Eq) -> LinDiffPoly:
 @dataclasses.dataclass
 class InvolutiveSystem:
     ranking: Ranking
-    equations: List[LinDiffPoly]   # primitive, inter-reduced, sorted by lead
-    leads: List[Slot]
+    eqs: List[_Eq]             # primitive, inter-reduced, sorted by lead
     parametric: List[Slot]
 
-    _eqs: List[_Eq] = dataclasses.field(repr=False)
+    @property
+    def equations(self) -> List[LinDiffPoly]:
+        return [e.terms for e in self.eqs]
+
+    @property
+    def leads(self) -> List[Slot]:
+        return [e.lead for e in self.eqs]
 
     @property
     def dimension(self) -> int:
@@ -190,7 +194,7 @@ def _parametric_slots(leads: Sequence[Slot], ranking: Ranking) -> List[Slot]:
                 s = Slot(unk, i, j)
                 if not any(l.divides(s) for l in mine):
                     out.append(s)
-    return ranking.sorted(out)
+    return sorted(out, key=ranking.key)
 
 
 def complete(system: Sequence[LinDiffPoly],
@@ -198,66 +202,57 @@ def complete(system: Sequence[LinDiffPoly],
     """Complete a determining system to its canonical involutive form."""
     if ranking is None:
         ranking = default_ranking()
+    key = ranking.key
 
     eqs: List[_Eq] = []
     queue: List[LinDiffPoly] = [dict(e) for e in system]
-    pairs: List[Tuple[_Eq, _Eq]] = []
+    # ((rank of the least common derivative, ident, ident), eq, eq): the
+    # ranks are distinct, so min never compares two equations
+    pairs: List[Tuple[tuple, _Eq, _Eq]] = []
     counter = itertools.count()
 
-    def insert_from_queue():
-        while queue:
-            p = queue.pop(0)
-            h = reduce(p, eqs, ranking)
-            if not h:
-                continue
-            lead = ranking.max_slot(h)
-            new = _Eq(primitive(h, lead), lead, next(counter))
-            # drop equations whose lead became reducible; they re-enter the queue
-            doomed = [e for e in eqs if new.lead.divides(e.lead)]
-            for e in doomed:
-                eqs.remove(e)
-                queue.append(e.terms)
-            pairs[:] = [(a, b) for (a, b) in pairs
-                        if a not in doomed and b not in doomed]
-            eqs.append(new)
-            # keep tails fully reduced: rewrite tails containing derivatives
-            # of the new lead
-            for e in eqs:
-                if e is new:
-                    continue
-                if any(new.lead.divides(s) for s in e.terms if s != e.lead):
-                    others = [f for f in eqs if f is not e]
-                    e.terms = primitive(reduce(e.terms, others, ranking), e.lead)
-                    e.invalidate()
-            for e in eqs:
-                if e is not new and e.lead.unknown == new.lead.unknown:
-                    pairs.append((e, new))
+    while queue or pairs:
+        if queue:
+            h = reduce(queue.pop(0), eqs, ranking)
+        else:
+            pair = min(pairs)
+            pairs.remove(pair)
+            h = reduce(_cross(pair[1], pair[2]), eqs, ranking)
+        if not h:
+            continue
+        lead = max(h, key=key)
+        new = _Eq(primitive(h, lead), lead, next(counter))
+        # drop equations whose lead became reducible; they re-enter the queue
+        doomed = [e for e in eqs if lead.divides(e.lead)]
+        for e in doomed:
+            eqs.remove(e)
+            queue.append(e.terms)
+        pairs = [(r, a, b) for r, a, b in pairs
+                 if a not in doomed and b not in doomed]
+        eqs.append(new)
+        # keep tails fully reduced: rewrite tails containing derivatives of
+        # the new lead
+        for e in eqs:
+            if e is not new and any(lead.divides(s) for s in e.terms
+                                    if s != e.lead):
+                others = [f for f in eqs if f is not e]
+                e.terms = primitive(reduce(e.terms, others, ranking), e.lead)
+                e.invalidate()
+        for e in eqs:
+            if e is not new and e.lead.unknown == lead.unknown:
+                lcm = Slot(lead.unknown, max(e.lead.dx, lead.dx),
+                           max(e.lead.dy, lead.dy))
+                pairs.append(((key(lcm), e.ident, new.ident), e, new))
 
-    insert_from_queue()
-    while pairs:
-        pairs.sort(key=lambda ab: (ranking.key(Slot(
-            ab[0].lead.unknown,
-            max(ab[0].lead.dx, ab[1].lead.dx),
-            max(ab[0].lead.dy, ab[1].lead.dy))),
-            ab[0].ident, ab[1].ident))
-        a, b = pairs.pop(0)
-        s = _cross(a, b)
-        h = reduce(s, eqs, ranking)
-        if h:
-            queue.append(h)
-            insert_from_queue()
-
-    ordered = sorted(eqs, key=lambda e: ranking.key(e.lead))
-    leads = [e.lead for e in ordered]
-    parametric = _parametric_slots(leads, ranking)
-    return InvolutiveSystem(ranking, [e.terms for e in ordered], leads, parametric,
-                            ordered)
+    eqs.sort(key=lambda e: key(e.lead))
+    return InvolutiveSystem(ranking, eqs,
+                            _parametric_slots([e.lead for e in eqs], ranking))
 
 
 def audit_involutive(inv: InvolutiveSystem,
                      original: Optional[Sequence[LinDiffPoly]] = None) -> bool:
     """Post-hoc passivity check: cross-derivatives and originals reduce to zero."""
-    eqs = inv._eqs
+    eqs, leads = inv.eqs, inv.leads
     for a, b in itertools.combinations(eqs, 2):
         if a.lead.unknown != b.lead.unknown:
             continue
@@ -269,6 +264,6 @@ def audit_involutive(inv: InvolutiveSystem,
                 return False
     for e in eqs:
         for s in e.terms:
-            if s != e.lead and any(l.divides(s) for l in inv.leads):
+            if s != e.lead and any(l.divides(s) for l in leads):
                 return False
     return True

@@ -66,24 +66,25 @@ Point = Tuple[Fraction, Fraction]
 # work grows steeply with N, and nothing bounds an explicit request otherwise.
 MAX_TRUNCATION = 24
 
-# Candidate expansion points tried before giving up.
-POINT_TRIES = 40
-
 _0 = Fraction(0)
 _1 = Fraction(1)
 
 
 def expansion_points() -> Iterator[Point]:
-    """Deterministic sequence of candidate expansion points."""
-    yield (_0, _0)
-    yield (_1, _1)
-    yield (_1, Fraction(2))
-    yield (Fraction(2), _1)
-    yield (Fraction(1, 2), Fraction(1, 3))
-    k = 2
-    while True:
-        yield (Fraction(k), Fraction(k + 1))
-        k += 1
+    """Deterministic sequence of candidate expansion points.
+
+    Five fixed points, then the rest of N^2, diagonal by diagonal
+    (x + y = 0, 1, 2, ...; x ascending).  A nonzero polynomial cannot
+    vanish on all of N^2, so some candidate is regular for any system.
+    """
+    fixed = [(_0, _0), (_1, _1), (_1, Fraction(2)), (Fraction(2), _1),
+             (Fraction(1, 2), Fraction(1, 3))]
+    yield from fixed
+    for total in itertools.count():
+        for i in range(total + 1):
+            at = (Fraction(i), Fraction(total - i))
+            if at not in fixed:
+                yield at
 
 
 def _shifted(p: MPoly, point: Point,
@@ -143,7 +144,7 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
     """
     # the equations a slot of order <= N can use: for the series basis, all
     leads = {}
-    for e in inv._eqs:
+    for e in inv.eqs:
         if e.lead.order <= N:
             TL, _ = leads[e] = _shifted(e.terms[e.lead], point,
                                         N - e.lead.order)
@@ -165,10 +166,10 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
                                      for (i, j), n in T.items()))
                           for t, T, s in [(e.lead, TL, sL)] + shifts])
     table: Dict[Slot, Dict[Slot, Fraction]] = {}
-    for s in inv.ranking.sorted(Slot(unk, i, total - i) for unk in (XI, ETA)
-                                for total in range(N + 1)
-                                for i in range(total + 1)):
-        e = next((e for e in inv._eqs if e.lead.divides(s)), None)
+    for s in sorted((Slot(unk, i, total - i) for unk in (XI, ETA)
+                     for total in range(N + 1) for i in range(total + 1)),
+                    key=inv.ranking.key):
+        e = next((e for e in inv.eqs if e.lead.divides(s)), None)
         if e is None:
             table[s] = {s: _1}
             continue
@@ -220,18 +221,15 @@ def series_basis(inv: InvolutiveSystem,
         raise ValueError("truncation order %d below required %d" % (N, min_n))
     elif N > MAX_TRUNCATION:
         raise ValueError("truncation order %d above limit %d" % (N, MAX_TRUNCATION))
-    # the first candidate whose lead coefficients are nonzero there
-    for at in ([point] if point is not None
-               else itertools.islice(expansion_points(), POINT_TRIES)):
+    # the first candidate whose lead coefficients are nonzero there; the
+    # candidates are unbounded, so one is found
+    for at in [point] if point is not None else expansion_points():
         try:
             ev = normal_form_table(inv, N + 1, at)
             break
         except SingularPoint:
             if point is not None:
                 raise
-    else:
-        raise InternalInvariantError(
-            "no valid expansion point among %d candidates" % POINT_TRIES)
     params = tuple(inv.parametric)
     return [SeriesSolution(at, N, params,
                            {s: vals.get(p, _0) for s, vals in ev.items()})

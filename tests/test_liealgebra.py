@@ -146,7 +146,7 @@ def test_table_at_a_singular_point_raises(text, point):
     # such, never as a ZeroDivisionError from solving for a lead  [DERIVED]
     inv = complete(determining_system(parse_ode(text)))
     env = {"x": point[0], "y": point[1]}
-    assert not all(plain_eval(e.terms[e.lead], env) for e in inv._eqs)
+    assert not all(plain_eval(e.terms[e.lead], env) for e in inv.eqs)
     with pytest.raises(SingularPoint):
         normal_form_table(inv, inv.max_parametric_order() + 2, point)
 
@@ -166,12 +166,12 @@ def test_singular_point_raises_before_any_tail_work(monkeypatch):
     monkeypatch.setattr(lieode.liealgebra, "_shifted", count_shift)
     with pytest.raises(SingularPoint):
         normal_form_table(inv, inv.max_parametric_order() + 2, (F(0), F(0)))
-    leads = [e.terms[e.lead] for e in inv._eqs]
+    leads = [e.terms[e.lead] for e in inv.eqs]
     assert 0 < len(shifted) <= len(leads)
     assert shifted == leads[:len(shifted)]
     shifted.clear()
     normal_form_table(inv, inv.max_parametric_order() + 2, (F(1), F(1)))
-    tails = [c for e in inv._eqs for t, c in e.terms.items() if t != e.lead]
+    tails = [c for e in inv.eqs for t, c in e.terms.items() if t != e.lead]
     assert shifted[:len(leads)] == leads
     assert shifted[len(leads):] == tails
 
@@ -194,9 +194,29 @@ def test_automatic_point_is_first_regular_candidate(reference_reports,
     assert any(r.basis_point != (0, 0) for r in reports)
 
 
+def test_automatic_point_leaves_a_line_of_candidates():
+    # xi = c, eta = 0 with c = (y - x - 1) x (x - 1) (x - 2) (2x - 1): c
+    # vanishes at the five fixed candidates and on the line y = x + 1, so
+    # the search must leave that line; it stops at (3, 0), where c != 0
+    # [DERIVED]
+    x, y = MPoly.variable("x"), MPoly.variable("y")
+    c = (y - x - 1) * x * (x - 1) * (x - 2) * (2 * x - 1)
+    inv = complete([{Slot(XI, 1, 0): c, Slot(XI, 0, 0): -c.derivative("x")},
+                    {Slot(XI, 0, 1): c, Slot(XI, 0, 0): -c.derivative("y")},
+                    {Slot(ETA, 0, 0): UNIT}])
+    assert inv.dimension == 1
+    [basis] = series_basis(inv)
+    assert basis.point == (3, 0)
+    # the basis element is c / c(3, 0)
+    at = {"x": F(3), "y": F(0)}
+    for var, slot in (("x", Slot(XI, 1, 0)), ("y", Slot(XI, 0, 1))):
+        assert basis.data[slot] == (plain_eval(c.derivative(var), at)
+                                    / plain_eval(c, at))
+
+
 def _scale_equation_with_tail(inv, factor):
     """Multiply, in place, the first completed equation that has a tail."""
-    e = next(e for e in inv._eqs if len(e.terms) > 1)
+    e = next(e for e in inv.eqs if len(e.terms) > 1)
     for s in e.terms:
         e.terms[s] = e.terms[s] * factor
     e.invalidate()
@@ -219,7 +239,7 @@ def test_table_where_a_lead_coefficient_vanishes_raises():
     # cannot be solved for its lead  [DERIVED]
     inv = complete(determining_system(parse_ode("y'' = 0")))
     _scale_equation_with_tail(inv, MPoly.variable("x"))
-    e = next(e for e in inv._eqs if len(e.terms) > 1)
+    e = next(e for e in inv.eqs if len(e.terms) > 1)
     assert plain_eval(e.terms[e.lead], {"x": F(0), "y": F(0)}) == 0
     with pytest.raises(SingularPoint):
         normal_form_table(inv, inv.max_parametric_order() + 2, (F(0), F(0)))
@@ -241,7 +261,7 @@ def test_forward_substitution_guard_fires(corrupt):
     # an equation that names a slot above its lead must not yield a
     # KeyError or silently wrong data  [DERIVED]
     inv = complete(determining_system(parse_ode("y'' = 0")))
-    e = inv._eqs[0]
+    e = inv.eqs[0]
     corrupt(e.terms, e.lead)
     e.invalidate()
     with pytest.raises(InternalInvariantError, match="not solved over lower"):
