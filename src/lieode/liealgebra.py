@@ -166,9 +166,7 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
                                      for (i, j), n in T.items()))
                           for t, T, s in [(e.lead, TL, sL)] + shifts])
     table: Dict[Slot, Dict[Slot, Fraction]] = {}
-    for s in sorted((Slot(unk, i, total - i) for unk in (XI, ETA)
-                     for total in range(N + 1) for i in range(total + 1)),
-                    key=inv.ranking.key):
+    for s in sorted(_slot_index(N), key=inv.ranking.key):
         e = next((e for e in inv.eqs if e.lead.divides(s)), None)
         if e is None:
             table[s] = {s: _1}
@@ -241,22 +239,22 @@ class LieAlgebraTable:
     """Structure constants C[i][j][k] with [X_i, X_j] = sum_k C[i][j][k] X_k.
 
     The constructor also keeps the numerators E * C over their common
-    denominator E, dense and as sparse (k, numerator) rows; brackets and
-    the checks run on those integers.
+    denominator E, ``den``, dense and as sparse (k, numerator) rows;
+    brackets (``bracket_numerators``) and the checks run on those integers.
     """
 
     m: int
     C: List[List[List[Fraction]]]
 
     def __post_init__(self) -> None:
-        E = self._den = lcm(*(c.denominator for row in self.C
-                              for vec in row for c in vec if c))
+        E = self.den = lcm(*(c.denominator for row in self.C
+                             for vec in row for c in vec if c))
         self._num = [[[c.numerator * (E // c.denominator) if c else 0
                        for c in vec] for vec in row] for row in self.C]
         self._sparse = [[[(k, c) for k, c in enumerate(vec) if c]
                          for vec in row] for row in self._num]
 
-    def _bracket_numerators(self, u: Sequence[int],
+    def bracket_numerators(self, u: Sequence[int],
                             v: Sequence[int]) -> List[int]:
         """E * [u, v] for integer coordinate vectors u, v."""
         out = [0] * self.m
@@ -406,7 +404,7 @@ def derived_algebra(L: LieAlgebraTable) -> Subalgebra:
     abelian = True
     for i, (_, u) in enumerate(rows):
         for _, v in rows[i + 1:]:
-            br = L._bracket_numerators(u, v)
+            br = L.bracket_numerators(u, v)
             if any(br):
                 abelian = False
                 if any(eliminate(br, rows)):
@@ -447,13 +445,15 @@ class Certificate:
         }
 
 
-def assert_dimension_bounds(n: int, m: int) -> None:
-    """Upper bounds on the symmetry dimension; violation is an engine bug."""
+def assert_dimension_bounds(n: int, m: int) -> int:
+    """The upper bound on the symmetry dimension, 8 for n = 2 and n + 4
+    above; m beyond it is an engine bug and raises."""
     bound = 8 if n == 2 else n + 4
     if m > bound:
         raise InternalInvariantError(
             "symmetry dimension %d exceeds the bound %d for order %d"
             % (m, bound, n))
+    return bound
 
 
 def certify(n: int, L: LieAlgebraTable) -> Certificate:
@@ -461,21 +461,13 @@ def certify(n: int, L: LieAlgebraTable) -> Certificate:
     if n < 2:
         raise ValueError("order must be at least 2")
     m = L.m
-    assert_dimension_bounds(n, m)
+    bound = assert_dimension_bounds(n, m)
     D = derived_algebra(L)
-    dd = D.dimension
-    ab = D.abelian
-    if n == 2:
-        lin = (m == 8)
-    else:
-        lin = (m == n + 4) or (m in (n + 1, n + 2) and ab and dd == n)
-    if not lin:
-        case = CASE_NONE
-    elif (n == 2 and m == 8) or (n >= 3 and m == n + 4):
+    if m == bound:
         case = CASE_TRIVIAL
-    elif m == n + 2:
-        case = CASE_CONSTANT
+    elif n >= 3 and m in (n + 1, n + 2) and D.abelian and D.dimension == n:
+        case = CASE_CONSTANT if m == n + 2 else CASE_NONCONSTANT
     else:
-        case = CASE_NONCONSTANT
-    return Certificate("linearizable" if lin else "not-linearizable",
-                       case, m, n, dd, ab, D)
+        case = CASE_NONE
+    verdict = "not-linearizable" if case == CASE_NONE else "linearizable"
+    return Certificate(verdict, case, m, n, D.dimension, D.abelian, D)

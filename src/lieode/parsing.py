@@ -25,7 +25,7 @@ from typing import Callable, List, Optional, Tuple
 
 from .errors import InputError, NotQuasiLinear, OdeSyntaxError, OrderTooLow
 from .jets import jet_name, jet_order, jet_order_of
-from .polys import MPoly, _mono_key
+from .polys import MPoly, mono_key
 from .ratfunc import RatFunc
 
 MAX_PRIMES = 4
@@ -328,7 +328,7 @@ def format_mpoly(p: MPoly) -> str:
         return "0"
     terms = p.terms
     out = []
-    for i, m in enumerate(sorted(terms, key=_mono_key, reverse=True)):
+    for i, m in enumerate(sorted(terms, key=mono_key, reverse=True)):
         c = terms[m]
         body = _fmt_term(c, m, p.vars)
         if i == 0:

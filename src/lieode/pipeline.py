@@ -27,7 +27,7 @@ from .liealgebra import (CASE_CONSTANT, CASE_NONCONSTANT, CASE_TRIVIAL,
 from .linalg import Mat
 from .parsing import OdeSpec, parse_ode
 from .recovery import (AffineClass, CharPoly, affine_class, class_to_ode,
-                       recovery_details, trivial_class)
+                       recovery_details)
 
 NOTE_NONCONSTANT = "nonconstant coefficients — recovery out of scope"
 
@@ -111,14 +111,10 @@ def analyze(source,
     recovery = None
     note = None
     t = time.perf_counter()
-    if cert.case == CASE_TRIVIAL:
-        cls = trivial_class(ode.n)
-        recovery = RecoveryReport(
-            char_poly=CharPoly((Fraction(0),) * ode.n),
-            affine=cls,
-            representative_ode=class_to_ode(cls))
-    elif cert.case == CASE_CONSTANT:
-        _, A, p = recovery_details(table, cert.derived)
+    if cert.case in (CASE_TRIVIAL, CASE_CONSTANT):
+        A, p = ((None, CharPoly((Fraction(0),) * ode.n))
+                if cert.case == CASE_TRIVIAL
+                else recovery_details(table, cert.derived))
         cls = affine_class(p)
         recovery = RecoveryReport(
             char_poly=p,

@@ -47,7 +47,7 @@ def var_rank(name: str) -> tuple:
     return (4, 0, name)
 
 
-def _mono_key(exps: Exps) -> tuple:
+def mono_key(exps: Exps) -> tuple:
     # graded, then lex with the last (highest-ranked) variable most significant
     return (sum(exps), tuple(reversed(exps)))
 
@@ -116,7 +116,7 @@ class MPoly:
         """Leading (monomial, coefficient) under graded lex."""
         if not self.num:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.num, key=_mono_key)
+        m = max(self.num, key=mono_key)
         return m, Fraction(self.num[m], self.den)
 
     def leading_coeff(self) -> Fraction:
@@ -140,7 +140,7 @@ class MPoly:
         if not self.num:
             return "0"
         bits = []
-        for e in sorted(self.num, key=_mono_key, reverse=True):
+        for e in sorted(self.num, key=mono_key, reverse=True):
             c = Fraction(self.num[e], self.den)
             mono = "*".join(
                 f"{v}^{k}" if k > 1 else v
@@ -381,11 +381,11 @@ def try_divexact(a: MPoly, b: MPoly) -> Optional[MPoly]:
     if content != 1:
         tb = {e: c // content for e, c in tb.items()}
     rem = dict(ta)
-    lead_b = max(tb, key=_mono_key)
+    lead_b = max(tb, key=mono_key)
     cb = tb[lead_b]
     quot: Dict[Exps, int] = {}
     while rem:
-        lead_r = max(rem, key=_mono_key)
+        lead_r = max(rem, key=mono_key)
         diff = tuple(map(_sub, lead_r, lead_b))
         if min(diff) < 0:
             return None
@@ -421,7 +421,7 @@ def _monic(p: MPoly) -> MPoly:
     the denominator."""
     if p.is_zero():
         return p
-    lead = p.num[max(p.num, key=_mono_key)]
+    lead = p.num[max(p.num, key=mono_key)]
     if lead == 1 and p.den == 1:
         return p
     num = p.num if lead > 0 else {e: -c for e, c in p.num.items()}
@@ -562,15 +562,12 @@ def content(coeffs: Sequence[MPoly]) -> MPoly:
 
 
 def _prem(u: Sequence[MPoly], v: Sequence[MPoly]):
-    """Pseudo-remainder of dense coefficient lists (main variable implicit)."""
+    """Pseudo-remainder of dense coefficient lists (main variable implicit).
+    u, v and every nonempty r end in a nonzero coefficient."""
     r = list(u)
     dv = len(v) - 1
     lv = v[-1]
-    while len(r) - 1 >= dv and any(not c.is_zero() for c in r):
-        while r and r[-1].is_zero():
-            r.pop()
-        if len(r) - 1 < dv:
-            break
+    while len(r) - 1 >= dv:
         lr = r[-1]
         shift = len(r) - 1 - dv
         r = [c * lv for c in r]
@@ -637,7 +634,7 @@ def gcd(a: MPoly, b: MPoly) -> MPoly:
             pa, pb = pb, pa
         while True:
             r = _prem(pa, pb)
-            if not r or all(x.is_zero() for x in r):
+            if not r:
                 g = pb
                 break
             cont_r = content(r)

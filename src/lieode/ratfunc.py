@@ -5,11 +5,12 @@ and the denominator's graded-lex leading coefficient equal to 1.  Under that
 normalization the representation of a value is unique, so ``==`` decides
 mathematical equality.
 
-``RatFunc(num, den)`` normalizes arbitrary input.  Sums, products, quotients
-and powers of canonical operands are built by ``_new``, which trusts that
-its pair is coprime and only scales the denominator's leading coefficient to
-1: they take the gcds that can be nontrivial and no others (Henrici's
-algorithms, Knuth, TAOCP vol. 2, 4.5.1).
+``RatFunc(num, den)`` normalizes any pair of MPoly values, and
+``RatFunc.const`` a scalar.  Sums, products, quotients and powers of
+canonical operands are built by ``_new``, which trusts that its pair is
+coprime and only scales the denominator's leading coefficient to 1: they
+take the gcds that can be nontrivial and no others (Henrici's algorithms,
+Knuth, TAOCP vol. 2, 4.5.1).
 
 Every derivative is ``derive``, given the images of the variables.
 """
@@ -27,13 +28,10 @@ Scalar = Union[int, Fraction]
 class RatFunc:
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
-            num = MPoly.const(num)
+    def __init__(self, num: MPoly, den: Optional[MPoly] = None):
+        """num/den over MPoly values, den 1 if omitted; see ``const``."""
         if den is None:
             den = MPoly.const(1)
-        elif isinstance(den, (int, Fraction)):
-            den = MPoly.const(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
@@ -73,14 +71,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_const(self) -> bool:
-        return self.num.is_const() and self.den.is_const()
-
-    def as_const(self) -> Fraction:
-        if not self.is_const():
-            raise ValueError("not a constant")
-        return self.num.as_const() / self.den.as_const()
-
     def variables(self) -> tuple:
         return tuple(sorted(set(self.num.vars) | set(self.den.vars),
                             key=lambda v: (v not in self.num.vars, v)))
@@ -114,8 +104,6 @@ class RatFunc:
             return v
         if isinstance(v, (int, Fraction)):
             return RatFunc.const(v)
-        if isinstance(v, MPoly):
-            return RatFunc(v)
         return None
 
     def __add__(self, other):

@@ -231,24 +231,25 @@ def adjoint_on_derived(L: LieAlgebraTable, D: Subalgebra, e: Sequence[Fraction])
         raise ValueError("representative lies in the derived algebra")
     cols: List[Vec] = []
     for c, row in D.rows:
-        w = L._bracket_numerators(u, row)
+        w = L.bracket_numerators(u, row)
         if any(eliminate(w, D.rows)):
             raise InternalInvariantError(
                 "bracket with the derived algebra leaves its span "
                 "(ideal property violated)")
-        scale = L._den * e_den * row[c]
+        scale = L.den * e_den * row[c]
         cols.append([Fraction(w[k], scale) for k, _ in D.rows])
     return [list(coords) for coords in zip(*cols)]
 
 
-def recovery_details(L: LieAlgebraTable, D: Subalgebra):
-    """(representative, action matrix, char poly) for the first non-scalar action."""
-    e1, e2 = factor_space(L, D)
-    e3 = [a + b for a, b in zip(e1, e2)]
-    for e in (e1, e2, e3):
+def recovery_details(L: LieAlgebraTable,
+                     D: Subalgebra) -> Tuple[Mat, CharPoly]:
+    """(action matrix, char poly) of the first of the two factor-space
+    representatives that acts on D as a non-scalar matrix.  The scalar
+    actions form a subspace, so if both act as scalars, all of L/D does."""
+    for e in factor_space(L, D):
         A = adjoint_on_derived(L, D, e)
         if not is_scalar_matrix(A):
-            return e, A, CharPoly(tuple(matrix_charpoly(A)))
+            return A, CharPoly(tuple(matrix_charpoly(A)))
     raise InternalInvariantError(
         "all factor-space candidates act as scalars; an all-equal spectrum "
         "belongs to the maximal class, not to m = n+2")

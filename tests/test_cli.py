@@ -47,6 +47,8 @@ def test_exit_two_for_quasilinear_violation():
 def test_exit_two_for_parse_garbage():
     assert run("certify", "y'' + = 0")[0] == 2
     assert run("certify", "z'' = 0")[0] == 2
+    code, _, err = run("certify", "y'' = y''")
+    assert code == 2 and "reduces to 0 = 0" in err
 
 
 def test_exit_two_with_usage_errors():
@@ -238,6 +240,8 @@ def test_file_input(tmp_path):
     assert code == 2 and "not both" in err
     code, _, err = run("certify")
     assert code == 2 and "no equation given" in err
+    code, _, err = run("certify", "--file", str(tmp_path / "missing.ode"))
+    assert code == 2 and "cannot read" in err
 
 
 def test_point_option():
@@ -247,6 +251,9 @@ def test_point_option():
     code, _, err = run("certify", "y'' + y'/x = 0", "--point", "0,0")
     assert code == 2 and "singular expansion point" in err
     assert run("certify", "y'' = 0", "--point", "nope")[0] == 2
+    for bad in ("1/0,1", "a,b"):
+        code, _, err = run("certify", "y'' = 0", "--point", bad)
+        assert code == 2 and "bad --point value" in err
 
 
 def test_max_order_floor():

@@ -12,7 +12,7 @@ from lieode.errors import InternalInvariantError, SingularPoint
 from lieode.involutive import complete
 from lieode.liealgebra import (CASE_CONSTANT, CASE_NONCONSTANT, CASE_NONE,
                                CASE_TRIVIAL, Certificate, LieAlgebraTable,
-                               assert_dimension_bounds, certify,
+                               Subalgebra, assert_dimension_bounds, certify,
                                derived_algebra, expansion_points,
                                normal_form_table, series_basis,
                                structure_constants)
@@ -616,9 +616,43 @@ def test_certify_n2_requires_maximal():
     assert not cert.linearizable
 
 
+def test_certificate_case_table(monkeypatch):
+    # every (n, m, derived dimension, abelian flag) up to the bound, against
+    # the rules as stated: n = 2 needs m = 8; n >= 3 needs m = n + 4, or
+    # m in {n+1, n+2} with an abelian derived algebra of dimension n
+    derived = {}
+    monkeypatch.setattr(lieode.liealgebra, "derived_algebra",
+                        lambda L: derived["D"])
+    seen = 0
+    for n in range(2, 7):
+        for m in range(9 if n == 2 else n + 5):
+            L = LieAlgebraTable(m, [[[F(0)] * m for _ in range(m)]
+                                    for _ in range(m)])
+            for dd, ab in itertools.product(range(m + 1), (False, True)):
+                rows = [(k, [int(c == k) for c in range(m)])
+                        for k in range(dd)]
+                derived["D"] = Subalgebra(rows, ab)
+                if n == 2:
+                    case = CASE_TRIVIAL if m == 8 else CASE_NONE
+                elif m == n + 4:
+                    case = CASE_TRIVIAL
+                elif m in (n + 1, n + 2) and ab and dd == n:
+                    case = CASE_CONSTANT if m == n + 2 else CASE_NONCONSTANT
+                else:
+                    case = CASE_NONE
+                cert = certify(n, L)
+                assert cert.case == case
+                assert cert.verdict == ("linearizable" if case != CASE_NONE
+                                        else "not-linearizable")
+                assert (cert.m, cert.n, cert.derived_dimension,
+                        cert.derived_abelian) == (m, n, dd, ab)
+                seen += 1
+    assert seen == 494
+
+
 def test_dimension_bounds():
-    assert_dimension_bounds(2, 8)
-    assert_dimension_bounds(3, 7)
+    assert assert_dimension_bounds(2, 8) == 8
+    assert assert_dimension_bounds(3, 7) == 7
     with pytest.raises(InternalInvariantError):
         assert_dimension_bounds(2, 9)
     with pytest.raises(InternalInvariantError):

@@ -102,6 +102,9 @@ def test_functions_only_in_transformation_context():
 def test_derivatives_can_be_disallowed():
     with pytest.raises(OdeSyntaxError):
         parse_expr("y'", allow_derivatives=False)
+    with pytest.raises(OdeSyntaxError,
+                       match="derivatives are not allowed here"):
+        parse_expr("y^(2)", allow_derivatives=False)
 
 
 # The same two guards hold wherever an expression is read: the ODE text, a

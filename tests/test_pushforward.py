@@ -78,6 +78,15 @@ def test_exp_of_a_rational_argument():
             == "y'' + (-x^4*y - 2*x^2*y' + 2*x*y + y)/x^4 = 0")
 
 
+def test_a_call_adjoined_twice_is_one_symbol():
+    # both exp(y) calls name one symbol, so psi cancels to y; two symbols
+    # would leave t1 - t2 + y, whose image is not rational
+    T = PointTransformation("exp(y)-exp(y)+y", "x")
+    assert T.psi == RatFunc.variable("y")
+    assert (push_linear(roots(-1, 1, 2), T).ode
+            == push_linear(roots(-1, 1, 2), PointTransformation("y", "x")).ode)
+
+
 def test_non_staircase_source_is_rejected_under_time_change():
     T = PointTransformation("y", "exp(x)")
     with pytest.raises(NonRationalInstance, match="outside the rational class"):

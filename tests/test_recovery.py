@@ -181,7 +181,7 @@ def test_adjoint_action_matrix():
 def test_charpoly_invariant_under_conjugation():
     L = _example_table()
     D = derived_algebra(L)
-    _, A, _ = recovery_details(L, D)
+    A, _ = recovery_details(L, D)
     rng = random.Random(777)
     done = 0
     while done < 20:
@@ -199,7 +199,7 @@ def test_scalar_actions_are_skipped():
     D = derived_algebra(L)
     _, e2 = factor_space(L, D)
     assert is_scalar_matrix(adjoint_on_derived(L, D, e2))   # y-scaling: -I
-    e, A, cp = recovery_details(L, D)
+    A, cp = recovery_details(L, D)
     assert not is_scalar_matrix(A)
     assert affine_equivalent(cp, CharPoly.from_roots([F(2), F(2), F(5)]))
 
@@ -208,7 +208,7 @@ def test_representative_choice_does_not_change_the_class():
     L = _example_table()
     D = derived_algebra(L)
     e1, e2 = factor_space(L, D)
-    reference = affine_class(recovery_details(L, D)[2])
+    reference = affine_class(recovery_details(L, D)[1])
     for a, b in [(1, 0), (1, 1), (1, -1), (1, 2), (2, 3)]:
         e = [a * u + b * v for u, v in zip(e1, e2)]
         A = adjoint_on_derived(L, D, e)
@@ -263,6 +263,10 @@ def test_end_to_end_recovery_of_a_repeated_root():
     got = report.recovery.affine
     assert got == affine_class(CharPoly.from_roots([F(0), F(1), F(1)]))
     assert not got.is_trivial
+    # the same equation and values as the README's "Library" block
+    assert str(report.recovery.char_poly) == "z^3 - 2*z^2 + z"
+    assert (report.recovery.representative_ode
+            == "u''' - 1/3*u' + 2/27*u = 0")
 
 
 def test_all_scalar_actions_is_an_engine_error():
