@@ -18,12 +18,14 @@ contributes R (Q A - P B), and xi and eta^(k), k < n, carry the factor
 factor of Q, as in Q = (1 + y')^2, would otherwise multiply the condition by
 a jet polynomial and mix the collected monomials.  Collecting the coefficient
 of every monomial in (y', ..., y^(n-1)) produces the linear PDE system whose
-solution space is the symmetry algebra.  Its coefficients are polynomials in
-(x, y); each equation is kept primitive (see ``primitive``), which is also
-the form completion works on.
+solution space is the symmetry algebra; ``invariance_coefficients`` builds
+each coefficient directly, without forming the condition as one polynomial.
+Its coefficients are polynomials in (x, y); each equation is kept primitive
+(see ``primitive``), which is also the form completion works on.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Tuple
@@ -31,7 +33,7 @@ from typing import Dict, List, Mapping, NamedTuple, Tuple
 from .errors import InternalInvariantError
 from .jets import jet_name, total_derivative
 from .parsing import OdeSpec
-from .polys import MPoly, content, divexact, gcd
+from .polys import MPoly, divexact, gcd, try_divexact
 
 XI = "xi"
 ETA = "eta"
@@ -117,41 +119,130 @@ def primitive(eq: LinDiffPoly, top: Slot) -> LinDiffPoly:
 
     Every nonzero multiple of eq by a rational function has the same
     primitive form, so it is a canonical representative of the equation.
+    The content is found with its cofactors: g starts as the monic form of
+    the smallest coefficient, and each coefficient that g divides keeps its
+    quotient.  Only when a division fails is g replaced by h = gcd(g, c),
+    and the quotients kept so far are multiplied by g/h; a constant g ends
+    the search.  Leading coefficients multiply, so dividing by g times the
+    leading coefficient of eq[top] also does the scaling, and each
+    coefficient is divided once.
     """
-    g = content(sorted(eq.values(), key=lambda c: len(c.num)))
-    if not g.is_const():
-        eq = {s: divexact(c, g) for s, c in eq.items()}
     lc = eq[top].leading_coeff()
+    order = sorted(eq, key=lambda s: len(eq[s].num))
+    first = eq[order[0]]
+    first_lc = first.leading_coeff()
+    g = first * (1 / first_lc)
+    if not g.is_const():
+        quots = {order[0]: MPoly.const(first_lc / lc)}
+        divisor = g * lc
+        for s in order[1:]:
+            c = eq[s]
+            q = try_divexact(c, divisor)
+            if q is None:
+                h = gcd(g, c)
+                if h.is_const():
+                    break
+                r = divexact(g, h)
+                quots = {t: v * r for t, v in quots.items()}
+                g, divisor = h, h * lc
+                q = divexact(c, divisor)
+            quots[s] = q
+        else:
+            return {s: quots[s] for s in eq}
     if lc != 1:
         eq = {s: c * (1 / lc) for s, c in eq.items()}
     return eq
 
 
-def invariance_expression(ode: OdeSpec) -> LinDiffPoly:
-    """Q*R times X(y^(n) + f) restricted to solutions, f = P/Q, R = Q/G."""
+JetKey = Tuple[Tuple[str, int], ...]
+JetTerms = Tuple[Tuple[Slot, Tuple[Tuple[JetKey, Fraction], ...]], ...]
+
+
+def _jet_terms(lin: Mapping[Slot, MPoly], jets) -> JetTerms:
+    """Each slot's coefficient split into its jet monomials, with their
+    constant coefficients, keyed as by ``MPoly.coeffs_over``."""
+    out = []
+    for s, c in lin.items():
+        if c.is_zero():
+            continue
+        split = []
+        for key, v in c.coeffs_over(jets).items():
+            if not v.is_const():
+                raise InternalInvariantError(
+                    "prolonged coefficient depends on the base coordinates")
+            split.append((key, v.as_const()))
+        out.append((s, tuple(split)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _prolongation_terms(n: int) -> Tuple[JetTerms, ...]:
+    """The linear parts that multiply R*Q, -(R*P), f_x and f_(y^(k)),
+    k < n, in the invariance condition, split by jet monomial (see
+    ``invariance_coefficients``).  Cached per order, like ``prolonged_eta``.
+    """
+    etas = prolonged_eta(n)
+    top = jet_name(n)
+    jets = {jet_name(k) for k in range(1, n)}
+    # eta^(n) = A + B y^(n) on y^(n) = -P/Q contributes A*R*Q + B*(-(R*P))
+    a_part: LinDiffPoly = {}
+    b_part: LinDiffPoly = {}
+    for s, c in etas[n].items():
+        if c.degree_in(top) > 1:
+            raise InternalInvariantError(
+                "prolonged coefficient is not linear in the top derivative")
+        a_part[s], b_part[s] = (c.coeffs_in(top) + [MPoly.zero()])[:2]
+    lins = [a_part, b_part, {Slot(XI, 0, 0): MPoly.const(1)}, *etas[:n]]
+    return tuple(_jet_terms(lin, jets) for lin in lins)
+
+
+def _key_product(a: JetKey, b: JetKey) -> JetKey:
+    if not a or not b:
+        return a or b
+    exps = dict(a)
+    for name, k in b:
+        exps[name] = exps.get(name, 0) + k
+    return tuple(sorted(exps.items()))
+
+
+def invariance_coefficients(ode: OdeSpec) -> Dict[JetKey, LinDiffPoly]:
+    """Q*R times X(y^(n) + f) restricted to solutions, f = P/Q, R = Q/G, as
+    its coefficient of each jet monomial in (y', ..., y^(n-1)).
+
+    Every term is a prolongation coefficient, a jet polynomial with constant
+    coefficients, times one of the multipliers R*Q, -(R*P) and Q*R*f_v.
+    Each multiplier is split by jet monomial once, and each jet term of a
+    prolongation coefficient adds a scaled copy of every part into the
+    equation of the product monomial, so no product of a jet polynomial
+    with a polynomial in (x, y, jets) is formed.
+    """
     n, P, Q = ode.n, ode.f.num, ode.f.den
     G = Q
     for v in Q.vars:
         G = gcd(G, Q.derivative(v))
     R = divexact(Q, G)
-    etas = prolonged_eta(n)
-    top = jet_name(n)
-    out: LinDiffPoly = {}
-    for s, c in etas[n].items():
-        if c.degree_in(top) > 1:
-            raise InternalInvariantError(
-                "prolonged coefficient is not linear in the top derivative")
-        a, b = (c.coeffs_in(top) + [MPoly.zero()])[:2]
-        add_term(out, s, R * (Q * a - P * b))
     # Q*R * f_v = (P_v Q - P Q_v) / G, a polynomial since G divides Q and Q_v
-    for lin, v in [({Slot(XI, 0, 0): MPoly.const(1)}, "x")] + [
-            (etas[k], jet_name(k)) for k in range(n)]:
-        fv = divexact(P.derivative(v) * Q - P * Q.derivative(v), G)
-        if fv.is_zero():
+    mults = [R * Q, -(R * P)] + [
+        divexact(P.derivative(v) * Q - P * Q.derivative(v), G)
+        for v in ["x"] + [jet_name(k) for k in range(n)]]
+    jets = {jet_name(k) for k in range(1, n)}
+    collected: Dict[JetKey, LinDiffPoly] = {}
+    zero = MPoly.zero()
+    for lin, mult in zip(_prolongation_terms(n), mults):
+        if mult.is_zero():
             continue
-        for s, c in lin.items():
-            add_term(out, s, c * fv)
-    if max((s.order for s in out), default=0) > n:
+        parts = mult.coeffs_over(jets).items()
+        for s, split in lin:
+            for ckey, k in split:
+                for mkey, p in parts:
+                    eq = collected.setdefault(_key_product(ckey, mkey), {})
+                    eq[s] = eq.get(s, zero).add_scaled(p, k)
+    out = {}
+    for key, eq in collected.items():
+        eq = {s: c for s, c in eq.items() if not c.is_zero()}
+        if eq:
+            out[key] = eq
+    if max((s.order for eq in out.values() for s in eq), default=0) > n:
         raise InternalInvariantError(
             "prolongation produced slot derivatives beyond the equation order")
     return out
@@ -159,13 +250,15 @@ def invariance_expression(ode: OdeSpec) -> LinDiffPoly:
 
 def determining_system(ode: OdeSpec) -> List[LinDiffPoly]:
     """Generate, collect and deduplicate the determining equations: one per
-    jet monomial in (y', ..., y^(n-1))."""
-    jets = {jet_name(k) for k in range(1, ode.n)}
-    collected: Dict[Tuple[Tuple[str, int], ...], LinDiffPoly] = {}
-    for slot, c in invariance_expression(ode).items():
-        for key, coeff in c.coeffs_over(jets).items():
-            collected.setdefault(key, {})[slot] = coeff
+    jet monomial in (y', ..., y^(n-1)), in the order of the sorted monomial
+    keys.
 
+    Each equation is made primitive with respect to ``max(eq)``: the largest
+    slot as an (unknown, dx, dy) tuple, not the highest derivative, so any
+    xi slot beats any eta slot (xi_xx over eta_xy for y'' = 0).
+    ``--dump-detsys`` divides by the coefficient of the same slot.
+    """
+    collected = invariance_coefficients(ode)
     equations: List[LinDiffPoly] = []
     seen = set()
     for key in sorted(collected):

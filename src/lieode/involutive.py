@@ -24,12 +24,41 @@ Buchberger loop, run as one worklist: it takes a queued equation first and
 otherwise the lowest cross-derivative pair (by the rank of the pair's least
 common derivative, then by age), and fully reduces it.  A nonzero result is
 inserted; any equation whose lead is a derivative of the new lead is
-requeued, and the survivors' tails are re-reduced.  Each insertion strictly enlarges the cone
-of leading slots, so Dickson's lemma bounds the number of insertions and
-the loop terminates.  Like a reduced Groebner basis, the completed system
-is unique for the ranking, each equation up to the scale that ``primitive``
-fixes, so neither the input order nor the order of the worklist changes
-it.
+requeued, and the survivors' tails are re-reduced.  Each insertion
+strictly enlarges the cone of leading slots, so Dickson's lemma bounds the
+number of insertions and the loop terminates.  Like a reduced Groebner
+basis, the completed system is unique for the ranking, each equation up to
+the scale that ``primitive`` fixes, so neither the input order nor the
+order of the worklist changes it.
+
+A popped pair (a, b) with least common derivative L is skipped, without
+forming its cross-derivative, by Buchberger's chain criterion in the form
+of Gebauer and Moeller (J. Symb. Comp. 6, 1988), which holds over rings of
+differential operators (Kandri-Rody and Weispfenning, J. Symb. Comp. 9,
+1990): some current equation c other than a and b, in the same unknown,
+has a lead dividing L, the least common derivatives of (a, c) and (b, c)
+both differ from L, and neither pair is still pending.  Soundness: over
+the rational functions, with each equation divided by its lead
+coefficient, derivations commute, so the cross-derivatives satisfy
+S(a, b) = d^(L - L_ac) S(a, c) - d^(L - L_bc) S(b, c) exactly, with L_ac
+and L_bc the two least common derivatives.  Call a representation of an
+expression as a sum of derivatives of the final equations standard below
+L when each term's lead ranks below L.  A processed pair reduces to zero
+or to an inserted equation, so its cross-derivative is standard below its
+least common derivative in terms of the equations current then.  Every
+equation ever current has a standard representation up to its own lead in
+terms of the final system: a requeued one reduces to zero or to an
+inserted equation, and a tail rewrite subtracts lower derivatives.  Since
+the ranking is stable under differentiation, substituting those keeps
+representations standard below L.  Both pairs (a, c) and (b, c) were
+popped earlier, and L_ac and L_bc divide L strictly, so they rank below
+it.  By induction on that rank both are standard below their least common
+derivatives, processed or skipped themselves, and the identity makes
+S(a, b) standard below L.  The strict conditions rule out two pairs each
+skipped on account of the other; with them, the pending test also follows
+from the pop order, and is kept as a guard.  Every pair of the final
+system is popped, so all its cross-derivatives reduce to zero.  Checking
+c only against the current equation list keeps doomed equations out.
 
 The parametric slots (those outside the cone of the leading slots) index the
 free Taylor data of the solution space; their count is its dimension.
@@ -115,15 +144,27 @@ class _Eq:
 def _eliminate(p: LinDiffPoly, q: LinDiffPoly, slot: Slot) -> LinDiffPoly:
     """(b/g) p - (a/g) q with a = p[slot], b = q[slot] and g = gcd(a, b).
 
-    The cofactors cancel slot without dividing by a polynomial.
+    The cofactors cancel slot without dividing by a polynomial.  q derives
+    from a primitive equation, so b, like g, has leading coefficient 1, and
+    a constant b/g is 1.  A constant a/g scales each slot of q inside the
+    subtraction.
     """
     a, b = p[slot], q[slot]
     g = gcd(a, b)
     if not g.is_const():
         a, b = divexact(a, g), divexact(b, g)
-    out = dict(p) if b == 1 else {s: c * b for s, c in p.items()}
+    out = dict(p) if b.is_const() else {s: c * b for s, c in p.items()}
+    k = -a.as_const() if a.is_const() else None
     for s, c in q.items():
-        add_term(out, s, -(c * a))
+        old = out.get(s)
+        if k is not None:
+            new = c * k if old is None else old.add_scaled(c, k)
+        else:
+            new = -(c * a) if old is None else old - c * a
+        if new:
+            out[s] = new
+        else:
+            del out[s]
     return out
 
 
@@ -147,14 +188,39 @@ def reduce(p: LinDiffPoly, eqs: Sequence[_Eq], ranking: Ranking) -> LinDiffPoly:
             raise InternalInvariantError("reduction failed to eliminate a slot")
 
 
+def _lcm(s: Slot, t: Slot) -> Slot:
+    """Least common derivative of two slots of one unknown."""
+    return Slot(s.unknown, max(s.dx, t.dx), max(s.dy, t.dy))
+
+
 def _cross(a: _Eq, b: _Eq) -> LinDiffPoly:
     """Cofactor difference of the two prolongations to the least common
     derivative."""
-    lx = max(a.lead.dx, b.lead.dx)
-    ly = max(a.lead.dy, b.lead.dy)
-    da = a.derived(lx - a.lead.dx, ly - a.lead.dy)
-    db = b.derived(lx - b.lead.dx, ly - b.lead.dy)
-    return _eliminate(da, db, Slot(a.lead.unknown, lx, ly))
+    lcm = _lcm(a.lead, b.lead)
+    da = a.derived(lcm.dx - a.lead.dx, lcm.dy - a.lead.dy)
+    db = b.derived(lcm.dx - b.lead.dx, lcm.dy - b.lead.dy)
+    return _eliminate(da, db, lcm)
+
+
+def _chain_redundant(a: _Eq, b: _Eq, eqs: Sequence[_Eq],
+                     pairs: Sequence[Tuple[tuple, _Eq, _Eq]]) -> bool:
+    """Buchberger's chain criterion for the pair (a, b): some current
+    equation c has a lead dividing their least common derivative L, meets
+    a and b at derivatives strictly below L, and neither (a, c) nor (b, c)
+    is still pending (see the module docstring)."""
+    lcm = _lcm(a.lead, b.lead)
+    pending = None
+    for c in eqs:
+        if (c is a or c is b or not c.lead.divides(lcm)
+                or _lcm(a.lead, c.lead) == lcm
+                or _lcm(b.lead, c.lead) == lcm):
+            continue
+        if pending is None:
+            pending = {(i, j) for (_, i, j), _, _ in pairs}
+        if all((min(e.ident, c.ident), max(e.ident, c.ident)) not in pending
+               for e in (a, b)):
+            return True
+    return False
 
 
 @dataclasses.dataclass
@@ -217,6 +283,8 @@ def complete(system: Sequence[LinDiffPoly],
         else:
             pair = min(pairs)
             pairs.remove(pair)
+            if _chain_redundant(pair[1], pair[2], eqs, pairs):
+                continue
             h = reduce(_cross(pair[1], pair[2]), eqs, ranking)
         if not h:
             continue
@@ -240,9 +308,8 @@ def complete(system: Sequence[LinDiffPoly],
                 e.invalidate()
         for e in eqs:
             if e is not new and e.lead.unknown == lead.unknown:
-                lcm = Slot(lead.unknown, max(e.lead.dx, lead.dx),
-                           max(e.lead.dy, lead.dy))
-                pairs.append(((key(lcm), e.ident, new.ident), e, new))
+                pairs.append(((key(_lcm(e.lead, lead)), e.ident, new.ident),
+                              e, new))
 
     eqs.sort(key=lambda e: key(e.lead))
     return InvolutiveSystem(ranking, eqs,

@@ -175,16 +175,16 @@ class MPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _plus(self, other: "MPoly", sign: int) -> "MPoly":
-        """self + sign * other."""
+    def _plus(self, other: "MPoly", n: int, d: int = 1) -> "MPoly":
+        """self + (n / d) * other for integers n != 0 and d > 0, in one pass."""
         if not other.num:
             return self
-        if not self.num and sign == 1:
-            return other
+        if not self.num:
+            return other if n == d == 1 else other._scaled(n, d)
         vs, a, b = self._aligned(other)
-        da, db = self.den, other.den
+        da, db = self.den, other.den * d
         den = da if da == db else _ilcm(da, db)
-        sa, sb = den // da, sign * (den // db)
+        sa, sb = den // da, n * (den // db)
         out = dict(a) if sa == 1 else {e: c * sa for e, c in a.items()}
         cancelled = False
         for e, c in b.items():
@@ -195,6 +195,13 @@ class MPoly:
                 del out[e]
                 cancelled = True
         return (_new_pruned if cancelled else _new)(vs, out, den)
+
+    def add_scaled(self, other: "MPoly", k) -> "MPoly":
+        """self + k * other for a rational constant k, without forming
+        k * other."""
+        if not k:
+            return self
+        return self._plus(other, k.numerator, k.denominator)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -4,18 +4,27 @@ The expensive objects — full analyses of the five reference equations and
 the oracle-corpus sweep — are computed once per session; several test
 modules assert different properties of the same runs.
 """
+import functools
+import itertools
+import json
+import pathlib
+import random
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
 from lieode import analyze, default_corpus
-from lieode.determining import ETA, XI, Slot, add_term
+from lieode.determining import ETA, XI, Slot, add_term, prolonged_eta
+from lieode.errors import InternalInvariantError
 from lieode.involutive import lin_derive
+from lieode.jets import jet_name
 from lieode.liealgebra import Point
 from lieode.linalg import Mat, Vec, identity, rref
+from lieode.parsing import OdeSpec, parse_ode
+from lieode.polys import MPoly, content, divexact, gcd
 from lieode.ratfunc import RatFunc
 from lieode.recovery import CharPoly, classify_pair
 
@@ -146,6 +155,190 @@ def normal_form(inv, p):
         c = work[best]
         for t, v in d.items():
             add_term(work, t, -(c * v))
+
+
+# -- references for the determining and completion stages ----------------------
+#
+# These are the product-form determining system and the pairwise completion
+# the engine replaced: every product is formed in full, the content is a gcd
+# chain followed by a second division, and every cross-derivative is reduced.
+
+
+def reference_primitive(eq, top):
+    """eq divided by the gcd of its coefficients, then scaled so that eq[top]
+    has leading coefficient 1."""
+    g = content(sorted(eq.values(), key=lambda c: len(c.num)))
+    if not g.is_const():
+        eq = {s: divexact(c, g) for s, c in eq.items()}
+    lc = eq[top].leading_coeff()
+    return {s: c * (1 / lc) for s, c in eq.items()}
+
+
+def invariance_expression(ode: OdeSpec):
+    """Q*R times X(y^(n) + f) restricted to solutions, f = P/Q, R = Q/G, as
+    one slot-linear expression with coefficients in (x, y, jets)."""
+    n, P, Q = ode.n, ode.f.num, ode.f.den
+    G = Q
+    for v in Q.vars:
+        G = gcd(G, Q.derivative(v))
+    R = divexact(Q, G)
+    etas = prolonged_eta(n)
+    top = jet_name(n)
+    out = {}
+    for s, c in etas[n].items():
+        a, b = (c.coeffs_in(top) + [MPoly.zero()])[:2]
+        add_term(out, s, R * (Q * a - P * b))
+    for lin, v in [({Slot(XI, 0, 0): MPoly.const(1)}, "x")] + [
+            (etas[k], jet_name(k)) for k in range(n)]:
+        fv = divexact(P.derivative(v) * Q - P * Q.derivative(v), G)
+        for s, c in lin.items():
+            add_term(out, s, c * fv)
+    return out
+
+
+def reference_determining_system(ode: OdeSpec):
+    """invariance_expression collected by jet monomial, each equation made
+    primitive with respect to max(eq), duplicates dropped."""
+    jets = {jet_name(k) for k in range(1, ode.n)}
+    collected = {}
+    for slot, c in invariance_expression(ode).items():
+        for key, coeff in c.coeffs_over(jets).items():
+            collected.setdefault(key, {})[slot] = coeff
+    equations, seen = [], set()
+    for key in sorted(collected):
+        eq = reference_primitive(collected[key], max(collected[key]))
+        sig = tuple(sorted(eq.items()))
+        if sig not in seen:
+            seen.add(sig)
+            equations.append(eq)
+    return equations
+
+
+class _RefEq:
+    def __init__(self, terms, lead, ident):
+        self.terms, self.lead, self.ident = terms, lead, ident
+        self.cache = {(0, 0): terms}
+
+    def derived(self, ddx, ddy):
+        if (ddx, ddy) not in self.cache:
+            self.cache[(ddx, ddy)] = (
+                lin_derive(self.derived(ddx - 1, ddy), "x") if ddx
+                else lin_derive(self.derived(ddx, ddy - 1), "y"))
+        return self.cache[(ddx, ddy)]
+
+
+def _ref_eliminate(p, q, slot):
+    a, b = p[slot], q[slot]
+    g = gcd(a, b)
+    a, b = divexact(a, g), divexact(b, g)
+    out = {s: c * b for s, c in p.items()}
+    for s, c in q.items():
+        add_term(out, s, -(c * a))
+    return out
+
+
+def _ref_reduce(p, eqs, ranking):
+    work = {s: c for s, c in p.items() if not c.is_zero()}
+    while True:
+        reducible = [(s, e) for s in work for e in eqs if e.lead.divides(s)]
+        if not reducible:
+            return work
+        best = max((s for s, _ in reducible), key=ranking.key)
+        e = next(e for s, e in reducible if s == best)
+        d = e.derived(best.dx - e.lead.dx, best.dy - e.lead.dy)
+        work = _ref_eliminate(work, d, best)
+
+
+class ReferenceCompletion(NamedTuple):
+    equations: list
+    leads: list
+    parametric: list
+    crosses: int    # cross-derivatives formed
+
+
+def reference_complete(system, ranking) -> ReferenceCompletion:
+    """Pairwise completion: every pair of equations in one unknown has its
+    cross-derivative reduced, lowest least common derivative first."""
+    key = ranking.key
+    eqs, queue, pairs = [], [dict(e) for e in system], []
+    counter = itertools.count()
+    crosses = 0
+    while queue or pairs:
+        if queue:
+            h = _ref_reduce(queue.pop(0), eqs, ranking)
+        else:
+            pair = min(pairs)
+            pairs.remove(pair)
+            a, b = pair[1], pair[2]
+            lcm = Slot(a.lead.unknown, max(a.lead.dx, b.lead.dx),
+                       max(a.lead.dy, b.lead.dy))
+            crosses += 1
+            h = _ref_reduce(_ref_eliminate(
+                a.derived(lcm.dx - a.lead.dx, lcm.dy - a.lead.dy),
+                b.derived(lcm.dx - b.lead.dx, lcm.dy - b.lead.dy), lcm),
+                eqs, ranking)
+        if not h:
+            continue
+        lead = max(h, key=key)
+        new = _RefEq(reference_primitive(h, lead), lead, next(counter))
+        doomed = [e for e in eqs if lead.divides(e.lead)]
+        for e in doomed:
+            eqs.remove(e)
+            queue.append(e.terms)
+        pairs = [p for p in pairs if p[1] not in doomed and p[2] not in doomed]
+        eqs.append(new)
+        for e in eqs:
+            if e is not new and any(lead.divides(s) for s in e.terms
+                                    if s != e.lead):
+                others = [f for f in eqs if f is not e]
+                e.terms = reference_primitive(
+                    _ref_reduce(e.terms, others, ranking), e.lead)
+                e.cache = {(0, 0): e.terms}
+        for e in eqs:
+            if e is not new and e.lead.unknown == lead.unknown:
+                lcm = Slot(lead.unknown, max(e.lead.dx, lead.dx),
+                           max(e.lead.dy, lead.dy))
+                pairs.append(((key(lcm), e.ident, new.ident), e, new))
+    eqs.sort(key=lambda e: key(e.lead))
+    leads = [e.lead for e in eqs]
+    parametric = []
+    for unk in (XI, ETA):
+        mine = [s for s in leads if s.unknown == unk]
+        ax = min((s.dx for s in mine if s.dy == 0), default=None)
+        ay = min((s.dy for s in mine if s.dx == 0), default=None)
+        if ax is None or ay is None:
+            raise InternalInvariantError("not finite-dimensional")
+        parametric += [Slot(unk, i, j) for i in range(ax) for j in range(ay)
+                       if not any(l.divides(Slot(unk, i, j)) for l in mine)]
+    return ReferenceCompletion([e.terms for e in eqs], leads,
+                               sorted(parametric, key=key), crosses)
+
+
+# -- the bench inputs -------------------------------------------------------------
+
+BENCH_DATA = pathlib.Path(__file__).resolve().parent.parent / "bench" / "data"
+
+
+@functools.lru_cache(maxsize=None)
+def bench_odes():
+    """(id, ode, translated ode) for every input of the corpus, controls and
+    rational bench files.  The translation x -> x + b, y -> y + d is drawn
+    from {1, 2}^2 by one seeded generator; b is 0 for an input marked
+    ``"shift_x": false``.  A translation keeps the symmetry algebra."""
+    rng = random.Random(1)
+    x, y = RatFunc.variable("x"), RatFunc.variable("y")
+    out = []
+    for name in ("corpus", "controls", "rational"):
+        data = json.loads((BENCH_DATA / (name + ".json")).read_text(
+            encoding="utf-8"))
+        for item in data["inputs"]:
+            b, d = rng.choice([(1, 1), (1, 2), (2, 1), (2, 2)])
+            if item.get("shift_x") is False:
+                b = 0
+            ode = parse_ode(item["text"])
+            shifted = ode.f.subs_var("x", x + b).subs_var("y", y + d)
+            out.append((item["id"], ode, OdeSpec(ode.n, shifted)))
+    return tuple(out)
 
 
 # The five reference equations exercised throughout the suite:

@@ -6,14 +6,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lieode.determining import (ETA, XI, Slot, determining_system,
-                                invariance_expression, primitive,
+                                invariance_coefficients, primitive,
                                 prolonged_eta)
 from lieode.jets import jet_name, jet_order
 from lieode.parsing import OdeSpec, parse_ode
 from lieode.polys import MPoly, content, gcd
 from lieode.ratfunc import RatFunc
 
-from conftest import nonzero_rationals, rationals, substitute_generator
+from conftest import (bench_odes, nonzero_rationals, rationals,
+                      reference_determining_system, substitute_generator)
 
 
 def jet(k):
@@ -128,15 +129,37 @@ def _textbook_condition(ode):
 @settings(max_examples=25)
 @given(quotient_odes())
 def test_invariance_expression_is_textbook_condition_times_QR(ode):
-    # the polynomial condition divided by Q*R, with R the squarefree part of
-    # Q, is the textbook invariance condition on solutions  [DERIVED]
+    # the polynomial condition, summed back over its jet monomials and
+    # divided by Q*R, with R the squarefree part of Q, is the textbook
+    # invariance condition on solutions  [DERIVED]
     Q = ode.f.den
     G = Q
     for v in Q.vars:
         G = gcd(G, Q.derivative(v))
     QR = RatFunc(Q * Q, G)
-    got = {s: RatFunc(c) / QR for s, c in invariance_expression(ode).items()}
-    assert got == _textbook_condition(ode)
+    got = {}
+    for key, eq in invariance_coefficients(ode).items():
+        mono = MPoly.const(1)
+        for name, k in key:
+            mono = mono * MPoly.variable(name) ** k
+        for s, c in eq.items():
+            got[s] = got.get(s, ZERO) + RatFunc(c * mono)
+    assert {s: c / QR for s, c in got.items()} == _textbook_condition(ode)
+
+
+@pytest.mark.parametrize("ode", [ode for _, ode, _ in bench_odes()],
+                         ids=[name for name, _, _ in bench_odes()])
+def test_determining_system_matches_the_product_form_reference(ode):
+    # collecting the full products by jet monomial, with a gcd-chain content,
+    # gives the same equations in the same order
+    assert determining_system(ode) == reference_determining_system(ode)
+
+
+@settings(max_examples=25)
+@given(quotient_odes())
+def test_determining_system_matches_the_reference_on_quotients(ode):
+    # Q may hold a squared jet factor, so R*Q and f_v carry jets
+    assert determining_system(ode) == reference_determining_system(ode)
 
 
 # -- the primitive form of an equation ---------------------------------------------

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from lieode import analyze
+from lieode import involutive
 from lieode.determining import ETA, XI, Slot, determining_system
 from lieode.errors import InternalInvariantError
 from lieode.involutive import (alt_ranking, audit_involutive, complete,
@@ -14,7 +15,8 @@ from lieode.parsing import parse_ode
 from lieode.polys import MPoly
 from lieode.ratfunc import RatFunc
 
-from conftest import normal_form, substitute_generator
+from conftest import (bench_odes, normal_form, reference_complete,
+                      substitute_generator)
 
 ONE = MPoly.const(1)
 X = MPoly.variable("x")
@@ -246,3 +248,72 @@ def test_coprime_bivariate_denominator_completes():
     assert audit_involutive(inv, detsys) and audit_involutive(alt, detsys)
     higher = analyze(text, max_order=inv.max_parametric_order() + 3)
     assert higher.m == 0
+
+
+# -- the pairwise reference and the chain criterion ---------------------------------
+
+
+def _reference_cases():
+    for name, plain, shifted in bench_odes():
+        for variant, ode in (("plain", plain), ("shifted", shifted)):
+            for ranking in (default_ranking(), alt_ranking()):
+                # under alt_ranking Painleve II stalls in a content (FOUND
+                # in CHANGES.md), with or without the chain criterion
+                if name == "control-02" and ranking.name == alt_ranking().name:
+                    continue
+                yield pytest.param(ode, ranking,
+                                   id=f"{name}-{variant}-{ranking.name}")
+
+
+def _assert_matches_reference(inv, system):
+    ref = reference_complete(system, inv.ranking)
+    assert inv.equations == ref.equations
+    assert inv.leads == ref.leads
+    assert inv.parametric == ref.parametric
+    assert audit_involutive(inv, system)
+
+
+@pytest.mark.parametrize("ode,ranking", list(_reference_cases()))
+def test_completion_matches_the_pairwise_reference(ode, ranking):
+    detsys = determining_system(ode)
+    _assert_matches_reference(complete(detsys, ranking), detsys)
+
+
+def _counting_cross(monkeypatch):
+    """Patch involutive._cross to record the lead pair of each call."""
+    seen = []
+    original = involutive._cross
+
+    def counted(a, b):
+        seen.append((a.lead, b.lead))
+        return original(a, b)
+
+    monkeypatch.setattr(involutive, "_cross", counted)
+    return seen
+
+
+def test_chain_criterion_skips_the_redundant_pair(monkeypatch):
+    # (xi_xx, xi_yy) meet at xi_xxyy; the lead xi_xy divides it and meets
+    # each of them strictly below (xi_xxy, xi_xyy), and those two pairs are
+    # taken first, so the cross-derivative at xi_xxyy is never formed
+    xx, xy, yy = Slot(XI, 2, 0), Slot(XI, 1, 1), Slot(XI, 0, 2)
+    eqs = [{xx: ONE, Slot(ETA, 0, 0): -X}, {xy: ONE}, {yy: ONE},
+           {Slot(ETA, 1, 0): ONE}, {Slot(ETA, 0, 1): ONE}]
+    seen = _counting_cross(monkeypatch)
+    inv = complete(eqs)
+    assert {(xx, xy), (xy, yy)} <= set(seen)
+    assert (xx, yy) not in seen and (yy, xx) not in seen
+    _assert_matches_reference(inv, eqs)
+
+
+def test_chain_criterion_forms_fewer_cross_derivatives(monkeypatch):
+    # on the rational bench inputs the criterion skips some pairs that the
+    # pairwise reference reduces
+    seen = _counting_cross(monkeypatch)
+    ref_count = 0
+    for name, ode, _ in bench_odes():
+        if name.startswith("rational-"):
+            detsys = determining_system(ode)
+            complete(detsys)
+            ref_count += reference_complete(detsys, default_ranking()).crosses
+    assert 0 < len(seen) < ref_count

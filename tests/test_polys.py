@@ -271,6 +271,10 @@ def test_results_are_canonical(a, b, c, name):
     results = [a + b, a - b, (a + b) - b, a - a, a * b, a * c, c * a, -a,
                a ** 2, a ** 0, a.derivative(name), gcd(a, b), _strip_monomial(a)[1]]
     results += a.coeffs_in(name) + list(a.coeffs_over({name, "y"}).values())
+    # add_scaled adds c * b in one pass; the last one cancels back to a
+    results += [a.add_scaled(b, c), MPoly.zero().add_scaled(b, c),
+                (a - b * c).add_scaled(b, c)]
+    assert results[-3] == a + b * c and results[-1] == a
     if not b.is_zero():
         results.append(divexact(a * b, b))
     for r in results:
