@@ -14,27 +14,29 @@ Riquier's existence theorem (Reid, EJAM 1991): a completed equation
 P_lead u_lead + sum_t P_t u_t = 0 has polynomial coefficients, and each is
 shifted once to the point, giving its Taylor coefficients, over one common
 scale per equation; a prolonged equation's value there is a Leibniz sum
-over those integers and lower, already tabled slots, solved by one division
-by P_lead(point).  No equation is differentiated symbolically, no power
-series is divided, and no gcd runs.  The series exist exactly where no lead
-coefficient vanishes: each P_lead is shifted first, and a zero constant
-term raises ``SingularPoint`` before any tail is shifted.  The automatic
-expansion point is the first candidate at which no lead coefficient
-vanishes.
+over those integers and lower, already tabled slots, solved by putting
+-P_lead(point) into the row's denominator.  Each row is integer numerators
+over one positive denominator, reduced by one integer gcd.  No equation is
+differentiated symbolically, no power series is divided, and no polynomial
+gcd runs.  The series exist exactly where no lead coefficient vanishes:
+each P_lead is shifted first, and a zero constant term raises
+``SingularPoint`` before any tail is shifted.  The automatic expansion
+point is the first candidate at which no lead coefficient vanishes.
 
 Brackets are taken directly on those values by Leibniz's rule: the value of a
 bracket at order k reads the data of both fields up to order k+1, so it is
 known through order N.  Its values at the parametric slots are its
 coordinates in the delta basis, which gives the structure constants.
 
-The algebra stages run on integers.  All basis data share one common
-denominator D (every element reads the same table), so each element is a
-sparse list of integer numerators and a bracket of two of them is D^2 times
-the bracket.  ``LieAlgebraTable`` likewise keeps the numerators of its
-constants over their common denominator E, and the derived algebra is kept
-as fraction-free Gauss-Jordan rows of them (``linalg.integer_rref``).
-Fractions are built only for the public values: ``SeriesSolution.data``, the
-table's ``C`` and the view ``Subalgebra.basis``.  The safety nets are checked
+The algebra stages run on integers, from the table on.  The basis data
+share one least common denominator D (every element reads the same table),
+so each ``SeriesSolution`` is integer numerators over D, and a bracket of
+two of them is D^2 times the bracket.  ``LieAlgebraTable`` is built from
+those numerators and keeps its constants over their least common
+denominator E, and the derived algebra is kept as fraction-free
+Gauss-Jordan rows of them (``linalg.integer_rref``).  Fractions are built
+only for the public views, when they are read: ``SeriesSolution.data``,
+the table's ``C`` and ``Subalgebra.basis``.  The safety nets are checked
 on numerators, exactly: at every slot of order <= N the bracket must equal
 the combination of basis elements named by its coordinates (closure of the
 solution space under the bracket), the constants must satisfy antisymmetry
@@ -51,7 +53,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from fractions import Fraction
-from math import comb, lcm, perm
+from math import comb, gcd, lcm, perm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .determining import ETA, XI, Slot
@@ -61,6 +63,9 @@ from .linalg import IntRows, Vec, eliminate, integer_rref
 from .polys import MPoly
 
 Point = Tuple[Fraction, Fraction]
+# A normal-form table row: integer numerators by parametric slot over one
+# positive denominator, coprime to them.
+Row = Tuple[Dict[Slot, int], int]
 
 # Highest truncation order a caller may request: the series and structure
 # work grows steeply with N, and nothing bounds an explicit request otherwise.
@@ -123,11 +128,14 @@ def _shifted(p: MPoly, point: Point,
 
 
 def normal_form_table(inv: InvolutiveSystem, N: int,
-                      point: Point) -> Dict[Slot, Dict[Slot, Fraction]]:
+                      point: Point) -> Dict[Slot, Row]:
     """Value at ``point`` of the normal form of every slot of order <= N.
 
-    Forward substitution in ranking order, reducing each slot by the first
-    equation whose lead divides it, as ``involutive.reduce`` does.
+    Each slot maps to ``(numerators, denominator)``: the integer numerators
+    by parametric slot (nonzero only) over one positive denominator, coprime
+    to them, so equal values give equal rows.  Forward substitution in
+    ranking order, reducing each slot by the first equation whose lead
+    divides it, as ``involutive.reduce`` does.
 
     Taylor mode: the derivative of multi-index a of a completed equation
     P_L u_L + sum_t P_t u_t = 0 solves slot L + a.  By Leibniz's rule, with
@@ -136,11 +144,13 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
     - sum_t sum_{b <= a} a!/(a-b)! T_t[b] u_{t+a-b}, and every slot on the
     right is already tabled.  Each coefficient is shifted to the point once,
     to order N - |L|, all of one equation over one common scale, so the sums
-    run on integers and each slot takes one division, by P_L(point).  Every
-    lead coefficient is checked first: if one vanishes at the point, it
-    raises ``SingularPoint`` before any tail is shifted.  No equation is
-    prolonged symbolically.  Every t + a must already be tabled (the lower
-    t + a - b rank below it), or the guard raises.
+    run on integers: the rows on the right are brought over the lcm of their
+    denominators, the division by -P_L(point) goes into the denominator, and
+    each slot takes one gcd.  Every lead coefficient is checked first: if
+    one vanishes at the point, it raises ``SingularPoint`` before any tail
+    is shifted.  No equation is prolonged symbolically.  Every t + a must
+    already be tabled (the lower t + a - b rank below it), or the guard
+    raises.
     """
     # the equations a slot of order <= N can use: for the series basis, all
     leads = {}
@@ -165,11 +175,11 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
         solved[e] = (q0, [(t, sorted((i, j, n * (S // s))
                                      for (i, j), n in T.items()))
                           for t, T, s in [(e.lead, TL, sL)] + shifts])
-    table: Dict[Slot, Dict[Slot, Fraction]] = {}
+    table: Dict[Slot, Row] = {}
     for s in sorted(_slot_index(N), key=inv.ranking.key):
         e = next((e for e in inv.eqs if e.lead.divides(s)), None)
         if e is None:
-            table[s] = {s: _1}
+            table[s] = ({s: 1}, 1)
             continue
         ax, ay = s.dx - e.lead.dx, s.dy - e.lead.dy
         q0, coeffs = solved[e]
@@ -184,28 +194,44 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
                 if j <= ay:
                     q = Slot(t.unknown, t.dx + ax - i, t.dy + ay - j)
                     coef[q] = coef.get(q, 0) + fall[ax][i] * fall[ay][j] * n
-        out: Dict[Slot, Fraction] = {}
+        coef = {q: w for q, w in coef.items() if w}
+        d = lcm(*(table[q][1] for q in coef))
+        out: Dict[Slot, int] = {}
         for q, w in coef.items():
-            if w:
-                for r, v in table[q].items():
-                    out[r] = out.get(r, _0) + w * v
-        table[s] = {r: v / -q0 for r, v in out.items() if v}
+            vals, dq = table[q]
+            w *= d // dq
+            for r, v in vals.items():
+                out[r] = out.get(r, 0) + w * v
+        # the value is out / (-q0 d), brought to a positive denominator
+        d *= -q0
+        if d < 0:
+            d, out = -d, {r: -v for r, v in out.items()}
+        g = gcd(d, *out.values())
+        table[s] = ({r: v // g for r, v in out.items() if v}, d // g)
     return table
 
 
 @dataclasses.dataclass(frozen=True)
 class SeriesSolution:
-    """Truncated Taylor data of one symmetry generator.
+    """Truncated Taylor data of one symmetry generator, on integers.
 
-    ``data`` maps every slot of order <= N + 1 to the value of that
-    derivative at the expansion point; the extra order lets brackets be
-    taken through order N.
+    ``num`` maps every slot of order <= N + 1, zeros included, to the
+    numerator of that derivative's value at the expansion point over
+    ``den``; the extra order lets brackets be taken through order N.  A
+    series basis shares one ``den``, the least common denominator of all
+    its values.
     """
 
     point: Point
     N: int
     parametric: Tuple[Slot, ...]
-    data: Dict[Slot, Fraction]
+    num: Dict[Slot, int]
+    den: int
+
+    @property
+    def data(self) -> Dict[Slot, Fraction]:
+        """The values over the rationals."""
+        return {s: Fraction(v, self.den) for s, v in self.num.items()}
 
 
 def series_basis(inv: InvolutiveSystem,
@@ -228,31 +254,50 @@ def series_basis(inv: InvolutiveSystem,
         except SingularPoint:
             if point is not None:
                 raise
+    # every row over the lcm D of the row denominators; each row is coprime
+    # to its denominator, so D is already the least common denominator
     params = tuple(inv.parametric)
+    D = lcm(*(d for _, d in ev.values()))
+    rows = [(s, vals, D // d) for s, (vals, d) in ev.items()]
     return [SeriesSolution(at, N, params,
-                           {s: vals.get(p, _0) for s, vals in ev.items()})
+                           {s: vals.get(p, 0) * f for s, vals, f in rows}, D)
             for p in params]
 
 
 @dataclasses.dataclass
 class LieAlgebraTable:
-    """Structure constants C[i][j][k] with [X_i, X_j] = sum_k C[i][j][k] X_k.
+    """Structure constants [X_i, X_j] = sum_k C[i][j][k] X_k, on integers.
 
-    The constructor also keeps the numerators E * C over their common
-    denominator E, ``den``, dense and as sparse (k, numerator) rows;
-    brackets (``bracket_numerators``) and the checks run on those integers.
+    ``num[i][j][k]`` is E * C[i][j][k] over the common denominator E,
+    ``den``; the constructor divides out the factor that E shares with all
+    numerators, so E is the least common denominator of the constants.
+    Brackets (``bracket_numerators``) and the checks run on those integers.
+    ``C``, the constants over the rationals, is built when first read.
     """
 
     m: int
-    C: List[List[List[Fraction]]]
+    num: List[List[List[int]]]
+    den: int
 
     def __post_init__(self) -> None:
-        E = self.den = lcm(*(c.denominator for row in self.C
-                             for vec in row for c in vec if c))
-        self._num = [[[c.numerator * (E // c.denominator) if c else 0
-                       for c in vec] for vec in row] for row in self.C]
+        g = gcd(self.den, *(c for row in self.num for vec in row
+                            for c in vec))
+        if g > 1:
+            self.den //= g
+            self.num = [[[c // g for c in vec] for vec in row]
+                        for row in self.num]
         self._sparse = [[[(k, c) for k, c in enumerate(vec) if c]
-                         for vec in row] for row in self._num]
+                         for vec in row] for row in self.num]
+        self._C: Optional[List[List[List[Fraction]]]] = None
+
+    @property
+    def C(self) -> List[List[List[Fraction]]]:
+        """The constants over the rationals, built when first read."""
+        if self._C is None:
+            E = self.den
+            self._C = [[[Fraction(c, E) if c else _0 for c in vec]
+                        for vec in row] for row in self.num]
+        return self._C
 
     def bracket_numerators(self, u: Sequence[int],
                             v: Sequence[int]) -> List[int]:
@@ -275,7 +320,7 @@ class LieAlgebraTable:
         Both are checked on the numerators: Jacobi is homogeneous, so the
         scale E^2 of its terms changes nothing.
         """
-        m, num, sparse = self.m, self._num, self._sparse
+        m, num, sparse = self.m, self.num, self._sparse
         for i in range(m):
             for j in range(m):
                 for k in range(m):
@@ -305,23 +350,24 @@ def _slot_index(N: int) -> Dict[Slot, int]:
 def structure_constants(basis: Sequence[SeriesSolution]) -> LieAlgebraTable:
     """Structure constants of the algebra spanned by a series basis.
 
-    All data are scaled by one common denominator D, so each element is a
-    sparse list of integer numerators.  The bracket of two scaled fields is
-    D^2 times the bracket, by Leibniz's rule on [a,b]^u = a^xi b^u_x +
-    a^eta b^u_y - (a <-> b): a^w at slot (p, q) times the derivative (r, t)
-    of b^u_w adds C(p+r, p) C(q+t, q) a^w_pq (b^u_w)_rt at slot
-    (u, p+r, q+t), which is known through order N.  Its values at the
-    parametric slots are the coordinates; at every slot of order <= N the
-    bracket times D must equal the combination of scaled basis elements they
-    name, or it has left the solution space.  The finished table must
-    satisfy antisymmetry and Jacobi.
+    Each element's numerators are brought to the lcm D of the elements'
+    denominators, so each is a sparse list of integers, D times its values.
+    The bracket of two scaled fields is D^2 times the bracket, by Leibniz's
+    rule on [a,b]^u = a^xi b^u_x + a^eta b^u_y - (a <-> b): a^w at slot
+    (p, q) times the derivative (r, t) of b^u_w adds C(p+r, p) C(q+t, q)
+    a^w_pq (b^u_w)_rt at slot (u, p+r, q+t), which is known through order
+    N.  Its values at the parametric slots are the coordinates, over D^2;
+    at every slot of order <= N the bracket times D must equal the
+    combination of scaled basis elements they name, or it has left the
+    solution space.  The finished table must satisfy antisymmetry and
+    Jacobi.
     """
     m = len(basis)
     if not m:
-        return LieAlgebraTable(0, [])
+        return LieAlgebraTable(0, [], 1)
     N = basis[0].N
     index = _slot_index(N)
-    D = lcm(*(v.denominator for sol in basis for v in sol.data.values()))
+    D = lcm(*(sol.den for sol in basis))
     binom = [[comb(n, k) for k in range(n + 1)] for n in range(N + 1)]
     tri = [k * (k + 1) // 2 for k in range(N + 1)]
     # Per element: its nonzero values of order <= N, as (unknown is eta,
@@ -330,8 +376,8 @@ def structure_constants(basis: Sequence[SeriesSolution]) -> LieAlgebraTable:
     # the unknown's order-0 slot, dx, dy, numerator) sorted by order.
     values, cols, derivs = [], [], []
     for sol in basis:
-        nz = [(s, v.numerator * (D // v.denominator))
-              for s, v in sol.data.items() if v]
+        f = D // sol.den
+        nz = [(s, v * f) for s, v in sol.num.items() if v]
         values.append([(s.unknown == ETA, s.order, s.dx, s.dy, v)
                        for s, v in nz if s.order <= N])
         cols.append([(index[s], v) for s, v in nz if s.order <= N])
@@ -341,8 +387,7 @@ def structure_constants(basis: Sequence[SeriesSolution]) -> LieAlgebraTable:
                    for s, v in nz if s.dx >= ex and s.dy >= ey)
             for ex, ey in ((1, 0), (0, 1))))
     coord_at = [index[p] for p in basis[0].parametric]
-    D2 = D * D
-    C = [[[_0] * m for _ in range(m)] for _ in range(m)]
+    num = [[[0] * m for _ in range(m)] for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
             br = [0] * len(index)
@@ -367,9 +412,9 @@ def structure_constants(basis: Sequence[SeriesSolution]) -> LieAlgebraTable:
                 raise InternalInvariantError(
                     "bracket of basis elements %d,%d leaves the solution "
                     "space at slot %s" % (i, j, list(index)[bad].label()))
-            C[i][j] = [Fraction(c, D2) if c else _0 for c in coords]
-            C[j][i] = [-c for c in C[i][j]]
-    table = LieAlgebraTable(m, C)
+            num[i][j] = coords
+            num[j][i] = [-c for c in coords]
+    table = LieAlgebraTable(m, num, D * D)
     table.validate()
     return table
 
@@ -399,7 +444,7 @@ def derived_algebra(L: LieAlgebraTable) -> Subalgebra:
     the table is antisymmetric, so each pair is bracketed once, and the
     same brackets say whether the derived algebra is abelian.
     """
-    rows = integer_rref(L._num[i][j] for i in range(L.m)
+    rows = integer_rref(L.num[i][j] for i in range(L.m)
                         for j in range(i + 1, L.m))
     abelian = True
     for i, (_, u) in enumerate(rows):

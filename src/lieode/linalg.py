@@ -1,11 +1,11 @@
-"""Small exact linear algebra over the rationals.
+"""Small exact linear algebra over the rationals, run on integers.
 
-Matrices are plain lists of lists of ``fractions.Fraction``; everything here
-is elimination-based and exact, which is all the symmetry computations need
-(the matrices involved are at most 8x8).  Row spaces and span membership
-come fraction-free: ``integer_rref`` runs Gauss-Jordan on integer rows,
-keeping each row primitive, and ``eliminate`` clears a vector against it.
-``rref`` and ``in_span`` are test references.
+Matrices are plain lists of lists of ``fractions.Fraction`` (at most 8x8
+here).  Row spaces and span membership come fraction-free:
+``integer_rref`` runs Gauss-Jordan on integer rows, keeping each row
+primitive, and ``eliminate`` clears a vector against it.  ``charpoly``
+brings its matrix over one integer denominator and runs on the
+numerators.  ``rref`` and ``in_span`` are test references.
 """
 from __future__ import annotations
 
@@ -17,45 +17,6 @@ Vec = List[Fraction]
 Mat = List[List[Fraction]]
 # Fraction-free rref: (pivot column, primitive integer row) by pivot column.
 IntRows = List[Tuple[int, List[int]]]
-
-_0 = Fraction(0)
-_1 = Fraction(1)
-
-
-def zeros(r: int, c: int) -> Mat:
-    return [[_0] * c for _ in range(r)]
-
-
-def identity(k: int) -> Mat:
-    return [[_1 if i == j else _0 for j in range(k)] for i in range(k)]
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    rb = len(b)
-    cb = len(b[0])
-    out = zeros(len(a), cb)
-    for i, row in enumerate(a):
-        oi = out[i]
-        for k in range(rb):
-            aik = row[k]
-            if aik:
-                bk = b[k]
-                for j in range(cb):
-                    oi[j] += aik * bk[j]
-    return out
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Mat, c: Fraction) -> Mat:
-    return [[c * x for x in row] for row in a]
-
-
-def trace(a: Mat) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), _0)
-
 
 def rref(a: Mat) -> Tuple[Mat, List[int]]:
     """Reduced row echelon form and pivot column indices."""
@@ -147,21 +108,38 @@ def is_scalar_matrix(a: Mat) -> bool:
     return all(a[i][j] == (d if i == j else 0) for i in range(k) for j in range(k))
 
 
+def _int_product(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
+    """The product of two square integer matrices."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols]
+            for row in a]
+
+
 def charpoly(a: Mat) -> List[Fraction]:
     """Monic characteristic polynomial det(z I - A), ascending coefficients.
 
-    Returns ``[a0, ..., a_{k-1}]`` with p(z) = z^k + a_{k-1} z^{k-1} + ... + a0,
-    computed by the Faddeev-LeVerrier recursion (division-free except by the
-    step index, exact over the rationals).
+    Returns ``[a0, ..., a_{k-1}]`` with p(z) = z^k + a_{k-1} z^{k-1} + ... + a0.
+    A is brought to M / S over the lcm S of its denominators, and the
+    Faddeev-LeVerrier recursion runs on the integer matrix M: N_1 = I,
+    c_j = -tr(M N_j) / j, N_{j+1} = M N_j + c_j I.  Each c_j is an integer
+    coefficient of M's polynomial, so each division by the step index is
+    exact, and N_{k+1} = 0 (Cayley-Hamilton); either failing raises
+    ``ArithmeticError``.  A's coefficient of z^(k-j) is c_j / S^j.
     """
     k = len(a)
-    coeffs_desc: List[Fraction] = []  # c1 .. ck with p = z^k + c1 z^(k-1) + ... + ck
-    m = identity(k)
+    S = lcm(*(x.denominator for row in a for x in row))
+    M = [[x.numerator * (S // x.denominator) for x in row] for row in a]
+    n = [[int(i == j) for j in range(k)] for i in range(k)]
+    coeffs_desc: List[Fraction] = []
     for step in range(1, k + 1):
-        am = mat_mul(a, m)
-        c = -trace(am) / step
-        coeffs_desc.append(c)
-        m = mat_add(am, mat_scale(identity(k), c))
-    if any(x for row in m for x in row):
+        n = _int_product(M, n)
+        c, r = divmod(-sum(n[i][i] for i in range(k)), step)
+        if r:
+            raise ArithmeticError("Faddeev-LeVerrier trace not divisible by "
+                                  "step %d" % step)
+        coeffs_desc.append(Fraction(c, S ** step))
+        for i in range(k):
+            n[i][i] += c
+    if any(x for row in n for x in row):
         raise ArithmeticError("Faddeev-LeVerrier recursion failed to terminate at zero")
-    return list(reversed(coeffs_desc))
+    return coeffs_desc[::-1]

@@ -7,6 +7,7 @@ modules assert different properties of the same runs.
 import functools
 import itertools
 import json
+import math
 import pathlib
 import random
 from fractions import Fraction
@@ -21,8 +22,8 @@ from lieode.determining import ETA, XI, Slot, add_term, prolonged_eta
 from lieode.errors import InternalInvariantError
 from lieode.involutive import lin_derive
 from lieode.jets import jet_name
-from lieode.liealgebra import Point
-from lieode.linalg import Mat, Vec, identity, rref
+from lieode.liealgebra import LieAlgebraTable, Point
+from lieode.linalg import Mat, Vec, rref
 from lieode.parsing import OdeSpec, parse_ode
 from lieode.polys import MPoly, content, divexact, gcd
 from lieode.ratfunc import RatFunc
@@ -42,6 +43,81 @@ def rationals(max_abs: int = 9, max_den: int = 4):
 
 def nonzero_rationals(max_abs: int = 9, max_den: int = 4):
     return rationals(max_abs, max_den).filter(bool)
+
+
+# -- exact matrices over the rationals -----------------------------------------
+#
+# The Fraction matrix arithmetic and Faddeev-LeVerrier recursion the engine's
+# integer ``linalg.charpoly`` replaced, kept as its reference.
+
+
+def zeros(r: int, c: int) -> Mat:
+    return [[Fraction(0)] * c for _ in range(r)]
+
+
+def identity(k: int) -> Mat:
+    return [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+
+
+def mat_mul(a: Mat, b: Mat) -> Mat:
+    rb = len(b)
+    cb = len(b[0])
+    out = zeros(len(a), cb)
+    for i, row in enumerate(a):
+        oi = out[i]
+        for k in range(rb):
+            aik = row[k]
+            if aik:
+                bk = b[k]
+                for j in range(cb):
+                    oi[j] += aik * bk[j]
+    return out
+
+
+def mat_add(a: Mat, b: Mat) -> Mat:
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_scale(a: Mat, c: Fraction) -> Mat:
+    return [[c * x for x in row] for row in a]
+
+
+def trace(a: Mat) -> Fraction:
+    return sum((a[i][i] for i in range(len(a))), Fraction(0))
+
+
+def reference_charpoly(a: Mat) -> List[Fraction]:
+    """Ascending coefficients of det(z I - A) without the leading 1, by the
+    Faddeev-LeVerrier recursion on Fraction matrices."""
+    k = len(a)
+    coeffs_desc: List[Fraction] = []  # c1 .. ck with p = z^k + c1 z^(k-1) + ... + ck
+    m = identity(k)
+    for step in range(1, k + 1):
+        am = mat_mul(a, m)
+        c = -trace(am) / step
+        coeffs_desc.append(c)
+        m = mat_add(am, mat_scale(identity(k), c))
+    if any(x for row in m for x in row):
+        raise ArithmeticError("Faddeev-LeVerrier recursion failed to terminate at zero")
+    return list(reversed(coeffs_desc))
+
+
+# -- integer tables from Fraction data, and back -------------------------------
+
+
+def lie_table(C) -> LieAlgebraTable:
+    """The table of Fraction structure constants C, as numerators over the
+    lcm of their denominators."""
+    E = math.lcm(*(Fraction(c).denominator for row in C for vec in row
+                   for c in vec))
+    return LieAlgebraTable(len(C), [[[int(c * E) for c in vec] for vec in row]
+                                    for row in C], E)
+
+
+def fraction_table(table):
+    """A normal-form table with each row's numerators over its denominator."""
+    return {s: {r: Fraction(v, d) for r, v in vals.items()}
+            for s, (vals, d) in table.items()}
 
 
 def fraction_bracket(C, u, v):

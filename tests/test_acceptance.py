@@ -12,14 +12,13 @@ import pytest
 
 from lieode.determining import determining_system
 from lieode.involutive import alt_ranking, audit_involutive, complete
-from lieode.liealgebra import LieAlgebraTable, derived_algebra
+from lieode.liealgebra import derived_algebra
 from lieode.linalg import charpoly as matrix_charpoly
-from lieode.linalg import mat_mul
 from lieode.pipeline import analyze
 from lieode.recovery import (CharPoly, adjoint_on_derived, affine_class,
                              factor_space, root_affine_image)
 
-from conftest import affine_equivalent, inverse
+from conftest import affine_equivalent, inverse, lie_table, mat_mul
 
 F = Fraction
 
@@ -129,7 +128,7 @@ def _spectrum_2_2_5_table():
     setbr(4, 0, [-1, 0, 0, 0, 0])
     setbr(4, 1, [0, -1, 0, 0, 0])
     setbr(4, 2, [0, 0, -1, 0, 0])
-    table = LieAlgebraTable(m, C)
+    table = lie_table(C)
     table.validate()
     return table
 

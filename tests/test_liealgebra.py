@@ -11,8 +11,8 @@ from lieode.determining import ETA, XI, Slot, determining_system
 from lieode.errors import InternalInvariantError, SingularPoint
 from lieode.involutive import complete
 from lieode.liealgebra import (CASE_CONSTANT, CASE_NONCONSTANT, CASE_NONE,
-                               CASE_TRIVIAL, Certificate, LieAlgebraTable,
-                               Subalgebra, assert_dimension_bounds, certify,
+                               CASE_TRIVIAL, Certificate, Subalgebra,
+                               assert_dimension_bounds, certify,
                                derived_algebra, expansion_points,
                                normal_form_table, series_basis,
                                structure_constants)
@@ -20,8 +20,8 @@ from lieode.parsing import parse_ode
 from lieode.polys import MPoly
 from lieode.ratfunc import RatFunc
 
-from conftest import (REFERENCE_INPUTS, fraction_bracket, normal_form,
-                      plain_eval, row_space_basis,
+from conftest import (REFERENCE_INPUTS, fraction_bracket, fraction_table,
+                      lie_table, normal_form, plain_eval, row_space_basis,
                       solution_data_from_components)
 
 F = Fraction
@@ -131,7 +131,7 @@ def test_table_matches_evaluated_symbolic_normal_forms(text):
     point = EXPLICIT_POINTS.get(text) or series_basis(inv)[0].point
     table = normal_form_table(inv, inv.max_parametric_order() + 3, point)
     env = {"x": point[0], "y": point[1]}
-    for s, row in table.items():
+    for s, row in fraction_table(table).items():
         ref = {q: plain_eval(c, env)
                for q, c in normal_form(inv, {s: UNIT}).items()}
         assert row == {q: v for q, v in ref.items() if v}, s.label()
@@ -251,7 +251,8 @@ def test_table_below_every_lead_uses_no_equation():
     inv = complete(determining_system(parse_ode("y'' = 0")))
     _scale_equation_with_tail(inv, MPoly.variable("x"))
     table = normal_form_table(inv, 1, (F(0), F(0)))
-    assert table == {s: {s: 1} for s in table} and len(table) == 6
+    assert (fraction_table(table) == {s: {s: 1} for s in table}
+            and len(table) == 6)
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -339,6 +340,18 @@ def test_structure_constants_match_fraction_reference(text, den):
     assert table.C == reference_structure_constants(basis)
 
 
+@pytest.mark.parametrize("text,den", [
+    (text, None) for text in REFERENCE_INPUTS.values()] + [
+    ("y''''=y^2", 4),
+])
+def test_series_basis_denominator_is_least_common(text, den):
+    # one denominator for the whole basis, the least common denominator of
+    # all its values  [DERIVED]
+    _, basis, _ = run(text)
+    assert {sol.den for sol in basis} == {common_denominator(basis)}
+    assert den in (None, basis[0].den)
+
+
 def test_translation_scaling_bracket():
     # {d_x, x d_x}: [e1, e2] = e1, so C[0][1] = (1, 0)  [PAPER]
     eqs = [{Slot(XI, 2, 0): UNIT}, {Slot(XI, 0, 1): UNIT},
@@ -375,7 +388,7 @@ def test_validate_rejects_broken_antisymmetry():
     C[0][1] = [F(1), F(0)]
     C[1][0] = [F(1), F(0)]    # should be negated
     with pytest.raises(InternalInvariantError):
-        LieAlgebraTable(2, C).validate()
+        lie_table(C).validate()
 
 
 def test_validate_rejects_broken_jacobi():
@@ -391,7 +404,7 @@ def test_validate_rejects_broken_jacobi():
     setbr(0, 2, (2, 0, 0))     # wrong sign relative to a consistent sl2
     setbr(1, 2, (0, 2, 0))
     with pytest.raises(InternalInvariantError):
-        LieAlgebraTable(m, C).validate()
+        lie_table(C).validate()
 
 
 def _sl2_table(scale):
@@ -412,7 +425,7 @@ def _sl2_table(scale):
 
 def test_fractional_sl2_table_is_valid_and_perfect():
     C = _sl2_table(F(1, 3))
-    L = LieAlgebraTable(3, C)
+    L = lie_table(C)
     L.validate()
     D = derived_algebra(L)
     assert D.dimension == 3 and not D.abelian
@@ -427,11 +440,11 @@ def test_validate_rejects_fractional_broken_tables():
     C[2][1] = [F(0), F(2, 3), F(0)]
     C[1][2] = [-c for c in C[2][1]]
     with pytest.raises(InternalInvariantError, match="Jacobi"):
-        LieAlgebraTable(3, C).validate()
+        lie_table(C).validate()
     C = _sl2_table(F(1, 3))
     C[1][0] = list(C[0][1])
     with pytest.raises(InternalInvariantError, match="antisymmetric"):
-        LieAlgebraTable(3, C).validate()
+        lie_table(C).validate()
 
 
 def test_derived_algebra_closure_guard_fires(monkeypatch):
@@ -441,7 +454,7 @@ def test_derived_algebra_closure_guard_fires(monkeypatch):
     monkeypatch.setattr(lieode.liealgebra, "integer_rref",
                         lambda vs: reduce_rows(vs)[:-1])
     with pytest.raises(InternalInvariantError, match="not closed"):
-        derived_algebra(LieAlgebraTable(3, _sl2_table(F(1, 3))))
+        derived_algebra(lie_table(_sl2_table(F(1, 3))))
 
 
 @pytest.mark.parametrize("text", list(REFERENCE_INPUTS.values()) + [
@@ -474,7 +487,7 @@ def _heisenberg_table():
 def test_derived_abelian_flag_matches_fraction_brackets(C):
     # the flag comes out of the closure loop on integer rows; recompute it
     # by bracketing every pair of the rational basis through C
-    table = run(C)[2] if isinstance(C, str) else LieAlgebraTable(len(C), C)
+    table = run(C)[2] if isinstance(C, str) else lie_table(C)
     D = derived_algebra(table)
     expected = all(not any(fraction_bracket(table.C, u, v))
                    for u, v in itertools.combinations(D.basis, 2))
@@ -488,35 +501,46 @@ def test_closure_check_fires_on_a_corrupted_datum():
     N = basis[0].N
     assert (N, len(basis)) == (4, 8)
     cases = [(k, s) for k, sol in enumerate(basis)
-             for s in sol.data if s.order == N]
+             for s in sol.num if s.order == N]
     assert len(cases) == 80
     cases.append((2, Slot(XI, N + 1, 0)))
     for k, s in cases:
         broken = list(basis)
-        data = dict(basis[k].data)
-        data[s] += 1
-        broken[k] = dataclasses.replace(basis[k], data=data)
+        num = dict(basis[k].num)
+        num[s] += basis[k].den
+        broken[k] = dataclasses.replace(basis[k], num=num)
         with pytest.raises(InternalInvariantError,
                            match="leaves the solution space"):
             structure_constants(broken)
 
 
+def _over_seven(sol, s=None):
+    """sol over 7 times its denominator, with the value at s moved by 1/7."""
+    num = {t: 7 * v for t, v in sol.num.items()}
+    if s is not None:
+        num[s] += sol.den
+    return dataclasses.replace(sol, num=num, den=7 * sol.den)
+
+
 def test_closure_check_fires_on_a_fractional_datum():
     # data with common denominator 4, basis d_x and (1-x)/4 d_x + y d_y at
     # (1, 1): one value moved by 1/7, at order N or at an order-N+1 slot
-    # that [d_x, .] reads, takes a bracket out of the solution space
-    # [DERIVED]
-    _, basis, _ = run("y''''=y^2")
+    # that [d_x, .] reads, takes a bracket out of the solution space; the
+    # moved element is over 7 times the others' denominator, which by
+    # itself changes nothing  [DERIVED]
+    _, basis, table = run("y''''=y^2")
     N = basis[0].N
     assert common_denominator(basis) == 4
-    cases = [(0, s) for s in basis[0].data if s.order == N]
+    for k in range(len(basis)):
+        rescaled = list(basis)
+        rescaled[k] = _over_seven(basis[k])
+        assert structure_constants(rescaled) == table
+    cases = [(0, s) for s in basis[0].num if s.order == N]
     cases += [(1, Slot(XI, N, 0)), (1, Slot(ETA, N, 0)),
               (0, Slot(ETA, 0, N + 1))]
     for k, s in cases:
         broken = list(basis)
-        data = dict(basis[k].data)
-        data[s] += F(1, 7)
-        broken[k] = dataclasses.replace(basis[k], data=data)
+        broken[k] = _over_seven(basis[k], s)
         with pytest.raises(InternalInvariantError,
                            match="leaves the solution space"):
             structure_constants(broken)
@@ -555,7 +579,7 @@ def _synthetic_scaling_action(n, m):
         vec[i] = F(1)       # [e_m, e_i] = e_i
         C[m - 1][i] = vec
         C[i][m - 1] = [-v for v in vec]
-    table = LieAlgebraTable(m, C)
+    table = lie_table(C)
     table.validate()
     return table
 
@@ -595,8 +619,7 @@ def test_certify_synthetic_intermediate_dimensions():
     cert = certify(3, _synthetic_scaling_action(3, 5))
     assert cert.linearizable and cert.case == CASE_CONSTANT
 
-    abelian6 = LieAlgebraTable(6, [[[F(0)] * 6 for _ in range(6)]
-                                   for _ in range(6)])
+    abelian6 = lie_table([[[F(0)] * 6 for _ in range(6)] for _ in range(6)])
     cert = certify(3, abelian6)
     assert not cert.linearizable and cert.case == CASE_NONE
 
@@ -604,8 +627,7 @@ def test_certify_synthetic_intermediate_dimensions():
 def test_certify_small_dimensions_need_the_derived_condition():
     # m = n+2 alone is not enough: an abelian 5-dim algebra has derived
     # dimension 0, not n, so certification must refuse it
-    abelian5 = LieAlgebraTable(5, [[[F(0)] * 5 for _ in range(5)]
-                                   for _ in range(5)])
+    abelian5 = lie_table([[[F(0)] * 5 for _ in range(5)] for _ in range(5)])
     cert = certify(3, abelian5)
     assert not cert.linearizable
 
@@ -626,8 +648,8 @@ def test_certificate_case_table(monkeypatch):
     seen = 0
     for n in range(2, 7):
         for m in range(9 if n == 2 else n + 5):
-            L = LieAlgebraTable(m, [[[F(0)] * m for _ in range(m)]
-                                    for _ in range(m)])
+            L = lie_table([[[F(0)] * m for _ in range(m)]
+                           for _ in range(m)])
             for dd, ab in itertools.product(range(m + 1), (False, True)):
                 rows = [(k, [int(c == k) for c in range(m)])
                         for k in range(dd)]

@@ -1,13 +1,17 @@
-"""Fraction-free elimination against rref over the rationals."""
+"""Fraction-free elimination against rref over the rationals, and the
+characteristic polynomial on integers against the Fraction recursion."""
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieode.linalg import eliminate, in_span, integer_row, integer_rref, rref
+import lieode.linalg
+from lieode.linalg import (charpoly, eliminate, in_span, integer_row,
+                           integer_rref, rref)
 
-from conftest import rationals, row_space_basis
+from conftest import rationals, reference_charpoly, row_space_basis
 
 WIDTH = 5
 
@@ -53,3 +57,53 @@ def test_in_span_agrees_with_the_rank_test(rows, v):
 def test_in_span_of_nothing():
     assert in_span([Fraction(0)] * 3, [])
     assert not in_span([Fraction(0), Fraction(1, 2), Fraction(0)], [])
+
+
+# -- the characteristic polynomial on integers ---------------------------------------
+
+
+@st.composite
+def square_matrices(draw):
+    """Rational matrices from 1x1 to 6x6 with mixed denominators."""
+    k = draw(st.integers(1, 6))
+    return draw(st.lists(st.lists(rationals(9, 6), min_size=k, max_size=k),
+                         min_size=k, max_size=k))
+
+
+@settings(max_examples=60)
+@given(square_matrices())
+def test_charpoly_matches_the_fraction_recursion(a):
+    assert charpoly(a) == reference_charpoly(a)
+
+
+def test_charpoly_matches_on_every_corpus_adjoint_matrix(corpus_reports):
+    # the action matrix of every constant-coefficients corpus input
+    matrices = [r.recovery.action_matrix for _, r in corpus_reports
+                if r.certificate.case == "constant-coefficients"]
+    assert matrices and all(matrices)
+    for a in matrices:
+        assert charpoly(a) == reference_charpoly(a)
+
+
+@pytest.mark.parametrize("at,match", [
+    ((0, 0), "not divisible by step 2"),
+    ((0, 1), "failed to terminate at zero"),
+], ids=["trace", "cayley-hamilton"])
+def test_charpoly_checks_fire_on_a_corrupted_step(monkeypatch, at, match):
+    # M = [[1, 2], [3, 4]]: one added to the second product M N_2 = 2 I on
+    # its diagonal makes the trace odd; off it, the trace stays 4 but N_3
+    # is not zero  [DERIVED]
+    product = lieode.linalg._int_product
+    steps = []
+
+    def corrupted(a, b):
+        out = product(a, b)
+        steps.append(out)
+        if len(steps) == 2:
+            assert out == [[2, 0], [0, 2]]
+            out[at[0]][at[1]] += 1
+        return out
+
+    monkeypatch.setattr(lieode.linalg, "_int_product", corrupted)
+    with pytest.raises(ArithmeticError, match=match):
+        charpoly([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])

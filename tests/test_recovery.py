@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lieode.errors import InternalInvariantError
-from lieode.liealgebra import LieAlgebraTable, derived_algebra
-from lieode.linalg import charpoly as matrix_charpoly, is_scalar_matrix, mat_mul
+from lieode.liealgebra import derived_algebra
+from lieode.linalg import charpoly as matrix_charpoly, is_scalar_matrix
 from lieode.recovery import (REASON_DEGREE, REASON_EQUIVALENT, REASON_PATTERN,
                              REASON_SCALE, AffineClass, CharPoly,
                              adjoint_on_derived, affine_class, centered,
@@ -16,7 +16,7 @@ from lieode.recovery import (REASON_DEGREE, REASON_EQUIVALENT, REASON_PATTERN,
                              recovery_details, trivial_class)
 
 from conftest import (affine_equivalent, fraction_bracket, inverse,
-                      nonzero_rationals, rationals)
+                      lie_table, mat_mul, nonzero_rationals, rationals)
 
 F = Fraction
 
@@ -159,7 +159,7 @@ def _example_table():
     setbr(4, 0, [-1, 0, 0, 0, 0])    # [e5, d_i] = -d_i
     setbr(4, 1, [0, -1, 0, 0, 0])
     setbr(4, 2, [0, 0, -1, 0, 0])
-    table = LieAlgebraTable(m, C)
+    table = lie_table(C)
     table.validate()
     return table
 
@@ -241,7 +241,7 @@ def test_adjoint_columns_reproduce_the_brackets(source, reference_reports):
 def test_factor_space_requires_codimension_two():
     m = 3
     C = [[[F(0)] * m for _ in range(m)] for _ in range(m)]
-    L = LieAlgebraTable(m, C)          # abelian: derived = 0, codim 3
+    L = lie_table(C)                   # abelian: derived = 0, codim 3
     with pytest.raises(ValueError, match="codimension"):
         factor_space(L, derived_algebra(L))
 
@@ -284,7 +284,7 @@ def test_all_scalar_actions_is_an_engine_error():
         v1[i] = F(1)
         setbr(3, i, v1)                 # [e4, d_i] = d_i
         setbr(4, i, [2 * x for x in v1])  # [e5, d_i] = 2 d_i
-    L = LieAlgebraTable(m, C)
+    L = lie_table(C)
     L.validate()
     with pytest.raises(InternalInvariantError, match="scalar"):
         recovery_details(L, derived_algebra(L))
