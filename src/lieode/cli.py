@@ -122,12 +122,7 @@ def _parse_coeff_list(text: str) -> CharPoly:
 
 def _run_analysis(args) -> RunReport:
     point = _parse_point(args.point) if args.point else None
-    try:
-        return analyze(_ode_text(args), point=point, max_order=args.max_order)
-    except ValueError as exc:
-        # bad flag values (e.g. a truncation order below the completion's
-        # minimum) are the caller's doing, not an engine failure
-        raise InputError(str(exc)) from exc
+    return analyze(_ode_text(args), point=point, max_order=args.max_order)
 
 
 # -- subcommands ------------------------------------------------------------------

@@ -57,7 +57,7 @@ from math import comb, gcd, lcm, perm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .determining import ETA, XI, Slot
-from .errors import InternalInvariantError, SingularPoint
+from .errors import InputError, InternalInvariantError, SingularPoint
 from .involutive import InvolutiveSystem
 from .linalg import IntRows, Vec, eliminate, integer_rref
 from .polys import MPoly
@@ -242,9 +242,9 @@ def series_basis(inv: InvolutiveSystem,
     if N is None:
         N = min_n
     elif N < min_n:
-        raise ValueError("truncation order %d below required %d" % (N, min_n))
+        raise InputError("truncation order %d below required %d" % (N, min_n))
     elif N > MAX_TRUNCATION:
-        raise ValueError("truncation order %d above limit %d" % (N, MAX_TRUNCATION))
+        raise InputError("truncation order %d above limit %d" % (N, MAX_TRUNCATION))
     # the first candidate whose lead coefficients are nonzero there; the
     # candidates are unbounded, so one is found
     for at in [point] if point is not None else expansion_points():

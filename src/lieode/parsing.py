@@ -15,13 +15,17 @@ as in (x^2)^3.  Implicit multiplication is rejected.  Derivative
 markers are primes (up to four) or ``y^(k)``; ``y^2`` is a square while
 ``y^(2)`` is a second derivative.  Parentheses and function calls nest at
 most MAX_NESTING deep.  exp and log are admitted only in point
-transformation expressions, never in ODE text.
+transformation expressions, never in ODE text.  Integer literals are runs
+of decimal digits; any other character outside the grammar, such as the
+superscript "²", is an OdeSyntaxError at its position, and so is a literal
+longer than ``int`` converts.
 """
 from __future__ import annotations
 
 import dataclasses
+import re
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from .errors import InputError, NotQuasiLinear, OdeSyntaxError, OrderTooLow
 from .jets import jet_name, jet_order, jet_order_of
@@ -34,44 +38,20 @@ MAX_NESTING = 100
 
 # -- tokenizer ----------------------------------------------------------------
 
-_SYMBOLS = "+-*/^()="
+# Whitespace matches no group, so ``finditer`` steps over it.  ``\d`` holds
+# the decimal digits, which ``int`` reads; "²" is a word character, no ``\d``.
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[^\W\d]\w*)|(?P<primes>'+)"
+                    r"|(?P<sym>[-+*/^()=])|(?P<bad>\S)")
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     out = []
-    i, nchars = 0, len(text)
-    while i < nchars:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < nchars and text[j].isdigit():
-                j += 1
-            out.append(("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < nchars and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(("name", text[i:j], i))
-            i = j
-            continue
-        if ch == "'":
-            j = i
-            while j < nchars and text[j] == "'":
-                j += 1
-            out.append(("primes", text[i:j], i))
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            out.append((ch, ch, i))
-            i += 1
-            continue
-        raise OdeSyntaxError(f"unexpected character {ch!r}", i)
-    out.append(("end", "", nchars))
+    for m in _TOKEN.finditer(text):
+        kind, tok = m.lastgroup, m.group()
+        if kind == "bad":
+            raise OdeSyntaxError(f"unexpected character {tok!r}", m.start())
+        out.append((tok if kind == "sym" else kind, tok, m.start()))
+    out.append(("end", "", len(text)))
     return out
 
 
@@ -100,6 +80,13 @@ class _Parser:
         if t[0] != kind:
             raise OdeSyntaxError(f"expected {what}", t[2])
         return t
+
+    def integer(self, what: str) -> int:
+        t = self.expect("int", what)
+        try:
+            return int(t[1])
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise OdeSyntaxError("integer literal is too long", t[2]) from None
 
     def expect_end(self, what: str) -> None:
         t = self.peek()
@@ -160,15 +147,13 @@ class _Parser:
         if self.peek()[0] == "-":
             self.take()
             neg = True
-        t = self.expect("int", "an integer exponent")
-        val = int(t[1])
+        val = self.integer("an integer exponent")
         return -val if neg else val
 
     def atom(self) -> RatFunc:
         kind, val, pos = self.peek()
         if kind == "int":
-            self.take()
-            return RatFunc.const(Fraction(int(val)))
+            return RatFunc.const(Fraction(self.integer("a number")))
         if kind == "(":
             self.take()
             return self._nested(pos)
@@ -215,8 +200,7 @@ class _Parser:
         elif kind == "^" and self.peek(1)[0] == "(":
             self.take()  # ^
             self.take()  # (
-            t = self.expect("int", "a derivative order")
-            order = int(t[1])
+            order = self.integer("a derivative order")
             self.expect(")", "a closing parenthesis")
             if not self.allow_derivatives:
                 raise OdeSyntaxError("derivatives are not allowed here", p2)
@@ -300,9 +284,24 @@ def _display_var(v: str) -> str:
     raise ValueError(f"variable {v!r} has no surface syntax")
 
 
-def _fmt_term(coeff: Fraction, mono, names) -> str:
-    pieces = []
-    c = abs(coeff)
+def signed_sum(terms: Iterable[Tuple[Fraction, str]]) -> str:
+    """(coefficient, body) terms as a sum, e.g. "-z^2 + 3/2*z - 1"; ``body``
+    is "" for a constant.  Terms with coefficient 0 and magnitudes of 1
+    before a body are left out; no term left reads "0"."""
+    out = []
+    for c, body in terms:
+        if c:
+            mag = abs(c)
+            out.append(" - " if c < 0 else " + ")
+            out.append(str(mag) if not body else body if mag == 1
+                       else f"{mag}*{body}")
+    if not out:
+        return "0"
+    out[0] = "-" if out[0] == " - " else ""
+    return "".join(out)
+
+
+def _monomial(mono, names) -> str:
     vars_part = []
     for v, e in zip(names, mono):
         if not e:
@@ -314,28 +313,13 @@ def _fmt_term(coeff: Fraction, mono, names) -> str:
             vars_part.append(f"{d}^{e}")
         else:
             vars_part.append(f"({d})^{e}")
-    if not vars_part:
-        pieces.append(str(c))
-    else:
-        if c != 1:
-            pieces.append(str(c))
-        pieces.extend(vars_part)
-    return "*".join(pieces)
+    return "*".join(vars_part)
 
 
 def format_mpoly(p: MPoly) -> str:
-    if p.is_zero():
-        return "0"
     terms = p.terms
-    out = []
-    for i, m in enumerate(sorted(terms, key=mono_key, reverse=True)):
-        c = terms[m]
-        body = _fmt_term(c, m, p.vars)
-        if i == 0:
-            out.append(f"-{body}" if c < 0 else body)
-        else:
-            out.append(f" - {body}" if c < 0 else f" + {body}")
-    return "".join(out)
+    return signed_sum((terms[m], _monomial(m, p.vars))
+                      for m in sorted(terms, key=mono_key, reverse=True))
 
 
 def _den_needs_parens(p: MPoly) -> bool:

@@ -29,7 +29,7 @@ from .errors import InternalInvariantError
 from .liealgebra import LieAlgebraTable, Subalgebra
 from .linalg import (Mat, Vec, charpoly as matrix_charpoly, eliminate,
                      integer_row, integer_rref, is_scalar_matrix)
-from .parsing import deriv_marker
+from .parsing import deriv_marker, signed_sum
 
 _0 = Fraction(0)
 _1 = Fraction(1)
@@ -65,20 +65,10 @@ class CharPoly:
         return list(self.coeffs) + [_1]
 
     def __str__(self) -> str:
-        n = self.degree
-        parts = ["z^%d" % n if n > 1 else "z"]
-        for k in range(n - 1, -1, -1):
-            a = self.coeffs[k]
-            if not a:
-                continue
-            sign = " + " if a > 0 else " - "
-            mag = abs(a)
-            if k == 0:
-                parts.append(sign + str(mag))
-            else:
-                zk = "z^%d" % k if k > 1 else "z"
-                parts.append(sign + (zk if mag == 1 else "%s*%s" % (mag, zk)))
-        return "".join(parts)
+        full = self.full_coeffs()
+        return signed_sum(
+            (full[k], "" if k == 0 else "z" if k == 1 else "z^%d" % k)
+            for k in reversed(range(len(full))))
 
 
 def root_affine_image(p: CharPoly, k: Fraction, b: Fraction) -> CharPoly:
@@ -263,15 +253,6 @@ def trivial_class(n: int) -> AffineClass:
 def class_to_ode(c: AffineClass) -> str:
     """Representative constant-coefficient linear ODE of a class: the
     centered representative, rendered as e.g. "u''' - u' = 0"."""
-    coeffs, n = c.centered_coeffs, c.degree
-    parts = [deriv_marker(n, "u")]
-    for k in range(n - 1, -1, -1):
-        a = coeffs[k]
-        if not a:
-            continue
-        term = deriv_marker(k, "u")
-        mag = abs(a)
-        if mag != 1:
-            term = "%s*%s" % (mag, term)
-        parts.append(("+ " if a > 0 else "- ") + term)
-    return " ".join(parts) + " = 0"
+    full = c.centered_coeffs + (_1,)
+    return signed_sum((full[k], deriv_marker(k, "u"))
+                      for k in reversed(range(len(full)))) + " = 0"

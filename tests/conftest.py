@@ -11,7 +11,7 @@ import math
 import pathlib
 import random
 from fractions import Fraction
-from typing import Dict, List, NamedTuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import pytest
 from hypothesis import settings
@@ -19,12 +19,12 @@ from hypothesis import strategies as st
 
 from lieode import analyze, default_corpus
 from lieode.determining import ETA, XI, Slot, add_term, prolonged_eta
-from lieode.errors import InternalInvariantError
+from lieode.errors import InternalInvariantError, OdeSyntaxError
 from lieode.involutive import lin_derive
 from lieode.jets import jet_name
 from lieode.liealgebra import LieAlgebraTable, Point
 from lieode.linalg import Mat, Vec, rref
-from lieode.parsing import OdeSpec, parse_ode
+from lieode.parsing import OdeSpec, parse_ode, print_ode
 from lieode.polys import MPoly, content, divexact, gcd
 from lieode.ratfunc import RatFunc
 from lieode.recovery import CharPoly, classify_pair
@@ -415,6 +415,63 @@ def bench_odes():
             shifted = ode.f.subs_var("x", x + b).subs_var("y", y + d)
             out.append((item["id"], ode, OdeSpec(ode.n, shifted)))
     return tuple(out)
+
+
+def bench_texts() -> List[str]:
+    """Every equation and transformation text of the bench files, and the
+    printed form of each translated equation of ``bench_odes``."""
+    texts = [print_ode(shifted) for _, _, shifted in bench_odes()]
+    for name in ("corpus", "controls", "rational", "oracle"):
+        data = json.loads((BENCH_DATA / (name + ".json")).read_text(
+            encoding="utf-8"))
+        texts += [item[key] for item in data["inputs"]
+                  for key in ("text", "psi", "phi", "image") if key in item]
+    return texts
+
+
+# -- the character-loop tokenizer ------------------------------------------------
+#
+# The tokenizer ``parsing._tokenize`` replaced, kept as its reference.  It
+# tests ``str.isdigit``, which also holds for superscripts such as "²" that
+# ``int`` rejects; the two agree on every text without such a character.
+
+
+def reference_tokenize(text: str) -> List[Tuple[str, str, int]]:
+    out = []
+    i, nchars = 0, len(text)
+    while i < nchars:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < nchars and text[j].isdigit():
+                j += 1
+            out.append(("int", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < nchars and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            out.append(("name", text[i:j], i))
+            i = j
+            continue
+        if ch == "'":
+            j = i
+            while j < nchars and text[j] == "'":
+                j += 1
+            out.append(("primes", text[i:j], i))
+            i = j
+            continue
+        if ch in "+-*/^()=":
+            out.append((ch, ch, i))
+            i += 1
+            continue
+        raise OdeSyntaxError(f"unexpected character {ch!r}", i)
+    out.append(("end", "", nchars))
+    return out
 
 
 # The five reference equations exercised throughout the suite:

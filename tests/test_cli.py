@@ -69,6 +69,20 @@ def test_deep_nesting_is_an_input_error_not_a_verdict():
     assert "nest at most" in err
 
 
+def test_superscript_digit_is_an_input_error_in_every_command():
+    # "²" passes str.isdigit but is no integer literal; it is reported at
+    # its position, never as an internal error
+    for command in ("certify", "recover", "symmetries"):
+        code, out, err = run(command, "y''=y^²")
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert err == "error: expected an integer exponent (at position 6)\n"
+    for psi, phi in (("y^²", "x"), ("y", "x^²")):
+        code, out, err = run("oracle", "--poly", "0,0,1", "--psi", psi,
+                             "--phi", phi)
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert "(at position 2)" in err
+
+
 def _raiser(exc):
     def fail(*args, **kwargs):
         raise exc
@@ -77,7 +91,8 @@ def _raiser(exc):
 
 @pytest.mark.parametrize("exc", [ArithmeticError("inexact polynomial division"),
                                  ZeroDivisionError("division by zero"),
-                                 RecursionError("maximum recursion depth")])
+                                 RecursionError("maximum recursion depth"),
+                                 ValueError("not a constant polynomial")])
 def test_engine_crash_in_analysis_is_exit_three(monkeypatch, exc):
     # a crash must never read as exit code 1, "not linearizable"
     monkeypatch.setattr(lieode.cli, "analyze", _raiser(exc))

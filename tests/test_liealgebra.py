@@ -8,7 +8,7 @@ import pytest
 
 import lieode.liealgebra
 from lieode.determining import ETA, XI, Slot, determining_system
-from lieode.errors import InternalInvariantError, SingularPoint
+from lieode.errors import InputError, InternalInvariantError, SingularPoint
 from lieode.involutive import complete
 from lieode.liealgebra import (CASE_CONSTANT, CASE_NONCONSTANT, CASE_NONE,
                                CASE_TRIVIAL, Certificate, Subalgebra,
@@ -56,7 +56,7 @@ def test_series_basis_is_delta_initial_data():
 
 def test_series_basis_truncation_floor():
     inv = complete(determining_system(parse_ode("y'' = 0")))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         series_basis(inv, N=inv.max_parametric_order() + 1)
 
 

@@ -1,19 +1,23 @@
 """Equation grammar: precedence, derivative markers, normal form, printing."""
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieode.errors import (InputError, NotQuasiLinear, OdeSyntaxError,
                            OrderTooLow)
 from lieode.jets import jet_name
-from lieode.parsing import (MAX_NESTING, MAX_PRIMES, OdeSpec, deriv_marker,
-                            parse_expr, parse_ode, print_ode)
-from lieode.pushforward import PointTransformation, pulled_back_generator
+from lieode.parsing import (MAX_NESTING, MAX_PRIMES, OdeSpec, _tokenize,
+                            deriv_marker, format_mpoly, parse_expr, parse_ode,
+                            print_ode)
+from lieode.polys import MPoly
+from lieode.pushforward import (PointTransformation, TranscendentalRegistry,
+                                pulled_back_generator)
 from lieode.ratfunc import RatFunc
 
-from conftest import rationals
+from conftest import bench_texts, rationals, reference_tokenize
 
 
 def rf(text):
@@ -75,6 +79,30 @@ def test_error_position_is_reported():
         rf("y + %")
     assert "position 4" in str(err.value)
     assert err.value.position == 4
+
+
+def test_literals_are_runs_of_decimal_digits():
+    # "²" is a digit to str.isdigit, but no integer literal: it is reported
+    # where it stands, as every other character outside the grammar
+    for text, pos in (("y''=y^²", 6), ("y''=2²*y", 5), ("y''=²", 4)):
+        with pytest.raises(OdeSyntaxError) as err:
+            parse_ode(text)
+        assert err.value.position == pos
+    # a decimal digit of another script is a digit
+    assert parse_ode("y''=٣*y") == parse_ode("y''=3*y")
+
+
+_INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _INT_LIMIT, reason="int conversion has no digit limit")
+def test_literal_past_the_int_conversion_limit_is_a_syntax_error():
+    digits = "1" * (_INT_LIMIT + 1)
+    for text in ("y'' = %s*y" % digits, "y'' = y^%s" % digits,
+                 "y^(%s) = y" % digits):
+        with pytest.raises(OdeSyntaxError, match="too long") as err:
+            parse_ode(text)
+        assert err.value.position == text.index(digits)
 
 
 def test_division_by_zero_constant():
@@ -206,6 +234,21 @@ def test_print_ode_normal_form():
     assert print_ode(parse_ode("y'' = 0")) == "y'' = 0"
 
 
+def test_format_mpoly_strings():
+    cases = {
+        "-(y')^2*y''/2 + 3*x*y - 1": "-1/2*(y')^2*y'' + 3*x*y - 1",
+        "(y')^3 - y'": "(y')^3 - y'",
+        "y^2 - 7/3": "y^2 - 7/3",
+        "-x": "-x",
+        "-1": "-1",
+        "5": "5",
+        "y^(5)^2 + y^(6)": "(y^(5))^2 + y^(6)",
+    }
+    for text, printed in cases.items():
+        assert format_mpoly(rf(text).num) == printed
+    assert format_mpoly(MPoly.zero()) == "0"
+
+
 def test_deriv_marker_shapes():
     assert deriv_marker(0) == "y"
     assert deriv_marker(2) == "y''"
@@ -240,16 +283,57 @@ def test_print_parse_roundtrip(ode):
 
 # -- grammar totality ---------------------------------------------------------------
 
-_ALPHABET = ["x", "y", "'", "(", ")", "+", "-", "*", "/", "^", "=", "exp"] + \
-    [str(d) for d in range(10)]
+# Grammar pieces, integer literals, and characters just outside the grammar:
+# a superscript digit, a decimal digit of another script, a non-Latin
+# letter, a vulgar fraction, a no-break space, punctuation and "_".
+_ALPHABET = ["x", "y", "'", "(", ")", "+", "-", "*", "/", "^", "=", "exp",
+             "log"] + [str(d) for d in range(13)] + \
+    ["²", "٣", "λ", "½", "\u00a0", "!", "_"]
 
 
-@given(st.lists(st.sampled_from(_ALPHABET), max_size=12))
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(_ALPHABET), max_size=14))
 def test_parse_ode_is_total_over_the_grammar_alphabet(tokens):
-    # tokens are space-separated, so exponents stay single digits and any
-    # power expansion stays small
+    # tokens are space-separated, so exponents stay at most 12 and any
+    # power expansion stays small; a text either parses or is an InputError
+    text = " ".join(tokens)
     try:
-        ode = parse_ode(" ".join(tokens))
+        assert isinstance(parse_ode(text), OdeSpec)
+    except InputError:
+        pass
+    try:
+        value = parse_expr(text, call=TranscendentalRegistry().adjoin)
     except InputError:
         return
-    assert isinstance(ode, OdeSpec)
+    assert isinstance(value, RatFunc)
+
+
+# -- the tokenizer against the character loop it replaced --------------------------
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except OdeSyntaxError as exc:
+        return str(exc), exc.position
+
+
+def _outside_the_classes(ch: str) -> bool:
+    """Alphanumeric, but neither a letter nor a decimal digit ("²", "½")."""
+    return ch.isalnum() and not ch.isalpha() and not ch.isdecimal()
+
+
+@settings(max_examples=200)
+@given(st.text(st.one_of(st.sampled_from("xy'()+-*/^=_ \t\n0123456789٣λé"),
+                         st.characters().filter(
+                             lambda ch: not _outside_the_classes(ch)))))
+def test_tokenize_matches_the_character_loop(text):
+    assert (_tokens_or_error(_tokenize, text)
+            == _tokens_or_error(reference_tokenize, text))
+
+
+def test_tokenize_matches_the_character_loop_on_the_bench_texts():
+    texts = bench_texts()
+    assert len(texts) == 146 + 3 * 14
+    for text in texts:
+        assert _tokenize(text) == reference_tokenize(text)

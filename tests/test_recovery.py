@@ -129,12 +129,30 @@ def test_trivial_class_helper():
 # -- rendering ------------------------------------------------------------------------
 
 
+def test_char_poly_strings():
+    # zero, negative, fractional, unit and constant coefficients
+    assert str(Z3) == "z^3"
+    assert str(P(-1, 0, 0)) == "z^3 - 1"
+    assert str(P(F(1, 2), -1, F(-3, 4))) == "z^3 - 3/4*z^2 - z + 1/2"
+    assert str(P(1, 1, 1)) == "z^3 + z^2 + z + 1"
+    assert str(P(-5)) == "z - 5"
+    assert str(P(0)) == "z"
+    assert str(P(F(-2, 3), 0)) == "z^2 - 2/3"
+    assert str(P(7, 0, -1, 0)) == "z^4 - z^2 + 7"
+
+
 def test_class_to_ode_strings():
     assert class_to_ode(affine_class(Z3_MINUS_Z)) == "u''' - u' = 0"
     assert class_to_ode(trivial_class(2)) == "u'' = 0"
     assert class_to_ode(affine_class(P(1, 0))) == "u'' + u = 0"
     assert (class_to_ode(affine_class(CharPoly.from_roots([F(0), F(1), F(1)])))
             == "u''' - 1/3*u' + 2/27*u = 0")
+    assert (class_to_ode(affine_class(P(F(1, 2), -1, F(-3, 4))))
+            == "u''' - 19/16*u' + 7/32*u = 0")
+    assert class_to_ode(affine_class(P(F(-2, 3), 0))) == "u'' - 2/3*u = 0"
+    assert class_to_ode(affine_class(P(7, 0, -1, 0))) == "u'''' - u'' + 7*u = 0"
+    assert class_to_ode(affine_class(P(-5))) == "u' = 0"
+    assert class_to_ode(trivial_class(5)) == "u^(5) = 0"
 
 
 # -- the adjoint-action recovery ------------------------------------------------------
