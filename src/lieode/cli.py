@@ -88,7 +88,7 @@ def _ode_text(args) -> str:
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
                 return fh.read().strip()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError("cannot read %s: %s" % (args.file, exc)) from exc
     if args.ode is None:
         raise InputError("no equation given (inline argument or --file)")

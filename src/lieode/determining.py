@@ -150,7 +150,8 @@ def primitive(eq: LinDiffPoly, top: Slot) -> LinDiffPoly:
         else:
             return {s: quots[s] for s in eq}
     if lc != 1:
-        eq = {s: c * (1 / lc) for s, c in eq.items()}
+        inv = 1 / lc
+        eq = {s: c * inv for s, c in eq.items()}
     return eq
 
 
@@ -193,6 +194,9 @@ def _prolongation_terms(n: int) -> Tuple[JetTerms, ...]:
                 "prolonged coefficient is not linear in the top derivative")
         a_part[s], b_part[s] = (c.coeffs_in(top) + [MPoly.zero()])[:2]
     lins = [a_part, b_part, {Slot(XI, 0, 0): MPoly.const(1)}, *etas[:n]]
+    if max(s.order for lin in lins for s in lin) > n:
+        raise InternalInvariantError(
+            "prolongation produced slot derivatives beyond the equation order")
     return tuple(_jet_terms(lin, jets) for lin in lins)
 
 
@@ -242,9 +246,6 @@ def invariance_coefficients(ode: OdeSpec) -> Dict[JetKey, LinDiffPoly]:
         eq = {s: c for s, c in eq.items() if not c.is_zero()}
         if eq:
             out[key] = eq
-    if max((s.order for eq in out.values() for s in eq), default=0) > n:
-        raise InternalInvariantError(
-            "prolongation produced slot derivatives beyond the equation order")
     return out
 
 

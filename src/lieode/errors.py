@@ -30,10 +30,6 @@ class OrderTooLow(InputError):
     pass
 
 
-class DegenerateInput(InputError):
-    """A substitution produced an identically zero denominator."""
-
-
 class NonRationalInstance(InputError):
     """A pushed-forward equation left the rational jet class and was discarded."""
 

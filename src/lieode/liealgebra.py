@@ -234,9 +234,19 @@ class SeriesSolution:
         return {s: Fraction(v, self.den) for s, v in self.num.items()}
 
 
+class SeriesBasis(list):
+    """The elements of a series basis, with the expansion point and the
+    truncation order that they share; an empty basis (m = 0) has both too."""
+
+    def __init__(self, point: Point, N: int, elements=()):
+        super().__init__(elements)
+        self.point = point
+        self.N = N
+
+
 def series_basis(inv: InvolutiveSystem,
                  point: Optional[Point] = None,
-                 N: Optional[int] = None) -> List[SeriesSolution]:
+                 N: Optional[int] = None) -> SeriesBasis:
     """Delta-initial-data basis of the solution space, one per parametric slot."""
     min_n = inv.max_parametric_order() + 2
     if N is None:
@@ -259,9 +269,10 @@ def series_basis(inv: InvolutiveSystem,
     params = tuple(inv.parametric)
     D = lcm(*(d for _, d in ev.values()))
     rows = [(s, vals, D // d) for s, (vals, d) in ev.items()]
-    return [SeriesSolution(at, N, params,
-                           {s: vals.get(p, 0) * f for s, vals, f in rows}, D)
-            for p in params]
+    return SeriesBasis(at, N, [
+        SeriesSolution(at, N, params,
+                       {s: vals.get(p, 0) * f for s, vals, f in rows}, D)
+        for p in params])
 
 
 @dataclasses.dataclass

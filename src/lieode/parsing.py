@@ -15,7 +15,8 @@ as in (x^2)^3.  Implicit multiplication is rejected.  Derivative
 markers are primes (up to four) or ``y^(k)``; ``y^2`` is a square while
 ``y^(2)`` is a second derivative.  Parentheses and function calls nest at
 most MAX_NESTING deep.  exp and log are admitted only in point
-transformation expressions, never in ODE text.  Integer literals are runs
+transformation expressions, never in ODE text, and derivative markers only
+in ODE text, never in transformation expressions.  Integer literals are runs
 of decimal digits; any other character outside the grammar, such as the
 superscript "²", is an OdeSyntaxError at its position, and so is a literal
 longer than ``int`` converts.
@@ -56,14 +57,11 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str, coords: Tuple[str, str],
-                 call: Optional[Callable[[str, RatFunc], RatFunc]],
-                 allow_derivatives: bool):
+    def __init__(self, text: str,
+                 call: Optional[Callable[[str, RatFunc], RatFunc]] = None):
         self.tokens = _tokenize(text)
         self.k = 0
-        self.coords = coords
         self.call = call
-        self.allow_derivatives = allow_derivatives
         self.depth = 0
 
     def peek(self, ahead: int = 0):
@@ -165,12 +163,12 @@ class _Parser:
                         f"{val} is only allowed in transformation expressions", pos)
                 self.expect("(", f"'(' after {val}")
                 return self.call(val, self._nested(pos))
-            if val == self.coords[0]:
+            if val == "x":
                 if self.peek()[0] == "primes":
                     raise OdeSyntaxError(
-                        f"derivative markers attach to {self.coords[1]} only", self.peek()[2])
+                        "derivative markers attach to y only", self.peek()[2])
                 return RatFunc.variable(val)
-            if val == self.coords[1]:
+            if val == "y":
                 return self._dependent()
             raise OdeSyntaxError(f"unknown symbol {val!r}", pos)
         raise OdeSyntaxError("expected a number, coordinate or parenthesis", pos)
@@ -188,35 +186,37 @@ class _Parser:
 
     def _dependent(self) -> RatFunc:
         kind, val, p2 = self.peek()
-        order = 0
         if kind == "primes":
             self.take()
             order = len(val)
             if order > MAX_PRIMES:
                 raise OdeSyntaxError(
-                    f"at most {MAX_PRIMES} primes; write {self.coords[1]}^({order})", p2)
-            if not self.allow_derivatives:
-                raise OdeSyntaxError("derivatives are not allowed here", p2)
+                    f"at most {MAX_PRIMES} primes; write y^({order})", p2)
         elif kind == "^" and self.peek(1)[0] == "(":
             self.take()  # ^
             self.take()  # (
             order = self.integer("a derivative order")
             self.expect(")", "a closing parenthesis")
-            if not self.allow_derivatives:
-                raise OdeSyntaxError("derivatives are not allowed here", p2)
-        return RatFunc.variable(jet_name(order) if order else self.coords[1])
+        else:
+            return RatFunc.variable("y")
+        if self.call is not None:
+            raise OdeSyntaxError("derivatives are not allowed here", p2)
+        return RatFunc.variable(jet_name(order) if order else "y")
 
 
-def parse_expr(text: str, coords: Tuple[str, str] = ("x", "y"), *,
-               call: Optional[Callable[[str, RatFunc], RatFunc]] = None,
-               allow_derivatives: bool = True) -> RatFunc:
+def parse_expr(text: str, *,
+               call: Optional[Callable[[str, RatFunc], RatFunc]] = None
+               ) -> RatFunc:
     """Evaluate one expression to an exact rational function.
 
-    A coordinate becomes the variable of the same name, ``y'`` and ``y^(k)``
-    the jet variables.  ``call(func, arg)`` evaluates ``exp``/``log``; without
-    it they are rejected.  Syntax errors raise OdeSyntaxError with position.
+    Without ``call`` the text is a jet expression: x and y become the
+    variables of the same name, ``y'`` and ``y^(k)`` the jet variables, and
+    exp/log are rejected.  With it the text is a point transformation
+    expression: ``call(func, arg)`` evaluates ``exp``/``log``, and
+    derivatives are rejected.  Syntax errors raise OdeSyntaxError with
+    position.
     """
-    p = _Parser(text, coords, call, allow_derivatives)
+    p = _Parser(text, call)
     value = p.expr()
     p.expect_end("(implicit multiplication is not supported)")
     return value
@@ -243,7 +243,7 @@ class OdeSpec:
 
 
 def parse_ode(text: str) -> OdeSpec:
-    p = _Parser(text, ("x", "y"), call=None, allow_derivatives=True)
+    p = _Parser(text)
     lhs = p.expr()
     p.expect("=", "'='")
     rf = lhs - p.expr()

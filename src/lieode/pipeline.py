@@ -127,7 +127,6 @@ def analyze(source,
     timings["total"] = time.perf_counter() - t_all
 
     return RunReport(ode=ode, determining=detsys, involutive=inv,
-                     basis_point=basis[0].point if basis else (Fraction(0), Fraction(0)),
-                     truncation_order=basis[0].N if basis else 0,
+                     basis_point=basis.point, truncation_order=basis.N,
                      algebra=table, certificate=cert,
                      recovery=recovery, note=note, timings=timings)

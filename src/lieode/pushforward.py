@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import InputError, InternalInvariantError, NonRationalInstance
 from .jets import dx_images, jet_name
@@ -94,12 +94,11 @@ class PointTransformation:
 
     def __post_init__(self):
         self.registry = reg = TranscendentalRegistry()
-        self.psi = parse_expr(self.psi_text, call=reg.adjoin, allow_derivatives=False)
-        self.phi = parse_expr(self.phi_text, call=reg.adjoin, allow_derivatives=False)
-        self.psi_x, self.psi_y, self.phi_x, self.phi_y = (
+        self.psi = parse_expr(self.psi_text, call=reg.adjoin)
+        self.phi = parse_expr(self.phi_text, call=reg.adjoin)
+        psi_x, psi_y, phi_x, phi_y = (
             reg.derive(f, v) for f in (self.psi, self.phi) for v in "xy")
-        self.jacobian = self.phi_x * self.psi_y - self.phi_y * self.psi_x
-        if self.jacobian.is_zero():
+        if (phi_x * psi_y - phi_y * psi_x).is_zero():
             raise InputError("transformation Jacobian vanishes identically")
 
     @property
@@ -173,28 +172,6 @@ def push_linear(p: CharPoly, T: PointTransformation) -> OracleInstance:
     ode = OdeSpec(n, f)
     case = "trivial" if is_staircase_class(p) else "constant-coefficients"
     return OracleInstance(ode, p, T, case)
-
-
-def pulled_back_generator(T: PointTransformation, tau_text: str, mu_text: str
-                          ) -> Optional[Tuple[RatFunc, RatFunc]]:
-    """Pull the target-side generator tau(t,u) d_t + mu(t,u) d_u back to (x, y).
-
-    Returns (xi, eta), or None when the pullback leaves the rational class
-    (callers must treat None as "check skipped", never as success).
-    """
-    reg = T.registry
-    tau = _lower_target_function(tau_text, T)
-    mu = _lower_target_function(mu_text, T)
-    xi = (tau * T.psi_y - mu * T.phi_y) / T.jacobian
-    eta = (mu * T.phi_x - tau * T.psi_x) / T.jacobian
-    if _has_symbols(xi, reg) or _has_symbols(eta, reg):
-        return None
-    return xi, eta
-
-
-def _lower_target_function(text: str, T: PointTransformation) -> RatFunc:
-    f = parse_expr(text, coords=("t", "u"), allow_derivatives=False)
-    return f.subs_var("t", T.phi).subs_var("u", T.psi)
 
 
 def shipped_transformations() -> List[PointTransformation]:

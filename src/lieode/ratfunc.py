@@ -19,7 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Optional, Tuple, Union
 
-from .errors import DegenerateInput
 from .polys import MPoly, divexact, gcd
 
 Scalar = Union[int, Fraction]
@@ -74,9 +73,6 @@ class RatFunc:
     def variables(self) -> tuple:
         return tuple(sorted(set(self.num.vars) | set(self.den.vars),
                             key=lambda v: (v not in self.num.vars, v)))
-
-    def free_of(self, name: str) -> bool:
-        return name not in self.num.vars and name not in self.den.vars
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -210,24 +206,6 @@ class RatFunc:
     def derivative(self, name: str) -> "RatFunc":
         """Formal partial derivative with respect to one variable."""
         return self.derive({name: RatFunc.one()})
-
-    def subs_var(self, name: str, value: "RatFunc") -> "RatFunc":
-        """Substitute a rational function for one variable (Horner scheme)."""
-        if self.free_of(name):
-            return self
-
-        def horner(p: MPoly) -> "RatFunc":
-            coeffs = p.coeffs_in(name)
-            acc = RatFunc.zero()
-            for c in reversed(coeffs):
-                acc = acc * value + RatFunc(c)
-            return acc
-
-        den = horner(self.den)
-        if den.is_zero():
-            raise DegenerateInput(
-                f"denominator becomes identically zero after substituting {name}")
-        return horner(self.num) / den
 
 
 def _monic_pair(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:

@@ -245,11 +245,6 @@ def recovery_details(L: LieAlgebraTable,
         "belongs to the maximal class, not to m = n+2")
 
 
-def trivial_class(n: int) -> AffineClass:
-    """The class of z^n, i.e. of the equation u^(n) = 0."""
-    return affine_class(CharPoly((_0,) * n))
-
-
 def class_to_ode(c: AffineClass) -> str:
     """Representative constant-coefficient linear ODE of a class: the
     centered representative, rendered as e.g. "u''' - u' = 0"."""

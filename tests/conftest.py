@@ -150,6 +150,17 @@ def affine_equivalent(p: CharPoly, q: CharPoly) -> bool:
     return classify_pair(p, q)[0]
 
 
+def substitute(f: RatFunc, name: str, value: RatFunc) -> RatFunc:
+    """f with ``value`` put for the variable ``name``, by Horner's scheme."""
+    def horner(p: MPoly) -> RatFunc:
+        acc = RatFunc.zero()
+        for c in reversed(p.coeffs_in(name)):
+            acc = acc * value + RatFunc(c)
+        return acc
+
+    return horner(f.num) / horner(f.den)
+
+
 def reference_derivative(f: RatFunc, name: str) -> RatFunc:
     """d f / d name by the quotient rule over Q^2, reduced by a full gcd."""
     p, q = f.num, f.den
@@ -412,7 +423,7 @@ def bench_odes():
             if item.get("shift_x") is False:
                 b = 0
             ode = parse_ode(item["text"])
-            shifted = ode.f.subs_var("x", x + b).subs_var("y", y + d)
+            shifted = substitute(substitute(ode.f, "x", x + b), "y", y + d)
             out.append((item["id"], ode, OdeSpec(ode.n, shifted)))
     return tuple(out)
 

@@ -259,6 +259,13 @@ def test_file_input(tmp_path):
     assert code == 2 and "cannot read" in err
 
 
+def test_file_that_is_not_utf8_is_an_input_error(tmp_path):
+    path = tmp_path / "bad.ode"
+    path.write_bytes(b"y'' = \xff\n")
+    code, _, err = run("certify", "--file", str(path))
+    assert code == EXIT_INPUT_ERROR and "cannot read" in err
+
+
 def test_point_option():
     # the default expansion point for y'' + y'/x = 0 must dodge x = 0,
     # and forcing the singular point is an input error

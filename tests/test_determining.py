@@ -14,7 +14,8 @@ from lieode.polys import MPoly, content, gcd
 from lieode.ratfunc import RatFunc
 
 from conftest import (bench_odes, nonzero_rationals, rationals,
-                      reference_determining_system, substitute_generator)
+                      reference_determining_system, substitute,
+                      substitute_generator)
 
 
 def jet(k):
@@ -116,7 +117,7 @@ def _textbook_condition(ode):
     """eta^(n) on y^(n) = -f, plus xi f_x + sum_k eta^(k) f_{y^(k)}, over RatFunc."""
     n, f = ode.n, ode.f
     etas = prolonged_eta(n)
-    out = {s: RatFunc(c).subs_var(jet_name(n), -f) for s, c in etas[n].items()}
+    out = {s: substitute(RatFunc(c), jet_name(n), -f) for s, c in etas[n].items()}
     terms = [({Slot(XI, 0, 0): MPoly.const(1)}, "x")] + [
         (etas[k], jet_name(k)) for k in range(n)]
     for lin, v in terms:

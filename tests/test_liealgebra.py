@@ -7,6 +7,7 @@ from math import comb, factorial, lcm
 import pytest
 
 import lieode.liealgebra
+from lieode import analyze
 from lieode.determining import ETA, XI, Slot, determining_system
 from lieode.errors import InputError, InternalInvariantError, SingularPoint
 from lieode.involutive import complete
@@ -192,6 +193,21 @@ def test_automatic_point_is_first_regular_candidate(reference_reports,
     for r in reports:
         assert r.m and r.basis_point == _first_regular_candidate(r.involutive)
     assert any(r.basis_point != (0, 0) for r in reports)
+
+
+def test_zero_algebra_report_names_the_series_point_and_order():
+    # Painleve II has no point symmetry (m = 0); the report still carries
+    # the point and order the series stage used, so a rerun at one order
+    # more is valid
+    text = "y'' = 2*y^3 + x*y"
+    r = analyze(text, point=(F(1), F(2)), max_order=5)
+    assert r.m == 0
+    assert (r.basis_point, r.truncation_order) == ((1, 2), 5)
+    r = analyze(text)
+    assert r.m == 0
+    assert r.basis_point == _first_regular_candidate(r.involutive)
+    assert r.truncation_order == r.involutive.max_parametric_order() + 2
+    assert analyze(text, max_order=r.truncation_order + 1).m == 0
 
 
 def test_automatic_point_leaves_a_line_of_candidates():

@@ -13,8 +13,7 @@ from lieode.parsing import (MAX_NESTING, MAX_PRIMES, OdeSpec, _tokenize,
                             deriv_marker, format_mpoly, parse_expr, parse_ode,
                             print_ode)
 from lieode.polys import MPoly
-from lieode.pushforward import (PointTransformation, TranscendentalRegistry,
-                                pulled_back_generator)
+from lieode.pushforward import PointTransformation, TranscendentalRegistry
 from lieode.ratfunc import RatFunc
 
 from conftest import bench_texts, rationals, reference_tokenize
@@ -128,20 +127,20 @@ def test_functions_only_in_transformation_context():
 
 
 def test_derivatives_can_be_disallowed():
-    with pytest.raises(OdeSyntaxError):
-        parse_expr("y'", allow_derivatives=False)
-    with pytest.raises(OdeSyntaxError,
-                       match="derivatives are not allowed here"):
-        parse_expr("y^(2)", allow_derivatives=False)
+    # with ``call`` the text is a transformation expression in x and y alone
+    call = TranscendentalRegistry().adjoin
+    for text, pos in [("y'", 1), ("y^(2)", 1), ("x + y^(0)", 5)]:
+        with pytest.raises(OdeSyntaxError,
+                           match="derivatives are not allowed here") as err:
+            parse_expr(text, call=call)
+        assert err.value.position == pos
 
 
-# The same two guards hold wherever an expression is read: the ODE text, a
-# point transformation, and a generator on the target side (coordinates t, u).
+# The same two guards hold wherever an expression is read: the ODE text and
+# a point transformation.
 _GUARD_ENTRY_POINTS = {
     "ode": lambda e: parse_ode("y'' = " + e),
     "transformation": lambda e: PointTransformation(e, "x"),
-    "generator": lambda e: pulled_back_generator(
-        PointTransformation("y", "x"), e.replace("x", "t").replace("y", "u"), "0"),
 }
 
 

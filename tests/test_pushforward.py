@@ -10,10 +10,10 @@ from lieode.errors import InputError, NonRationalInstance
 from lieode.parsing import print_ode
 from lieode.pushforward import (OracleInstance, PointTransformation,
                                 corpus_sources, default_corpus,
-                                is_staircase_class, pulled_back_generator,
-                                push_linear, shipped_transformations)
+                                is_staircase_class, push_linear,
+                                shipped_transformations)
 from lieode.ratfunc import RatFunc
-from lieode.recovery import CharPoly, affine_class, trivial_class
+from lieode.recovery import CharPoly, affine_class
 
 from conftest import substitute_generator
 
@@ -185,32 +185,24 @@ def _satisfies(ode, xi, eta):
                for eq in system)
 
 
+X, Y = RatFunc.variable("x"), RatFunc.variable("y")
+ZERO, ONE = RatFunc.zero(), RatFunc.one()
+
+
 def test_pulled_back_generators_satisfy_the_image_system():
-    # d_t, u d_u and t d_t are symmetries of u'' = 0; their pullbacks must
-    # satisfy the determining system of the image equation
+    # d_t, u d_u and t d_t are symmetries of u'' = 0; under u = e^y, t = x
+    # they pull back to d_x, d_y and x d_x  [DERIVED]
     inst = push_linear(roots(0, 0), EXP)
-    for tau, mu in [("1", "0"), ("0", "u"), ("t", "0")]:
-        got = pulled_back_generator(EXP, tau, mu)
-        assert got is not None
-        xi, eta = got
+    for xi, eta in [(ONE, ZERO), (ZERO, ONE), (X, ZERO)]:
         assert _satisfies(inst.ode, xi, eta)
 
 
-def test_pullback_leaving_the_rational_class_is_none():
-    # d_u pulls back to e^{-y} d_y under u = e^y
-    assert pulled_back_generator(EXP, "0", "1") is None
-
-
 def test_pulled_back_non_symmetry_fails_the_system():
-    T = PointTransformation("1/y", "x")
-    inst = push_linear(roots(0, 0), T)
-    got = pulled_back_generator(T, "0", "u")
-    assert got is not None
-    assert got[1] == -RatFunc.variable("y")
-    assert _satisfies(inst.ode, *got)
-    bad = pulled_back_generator(T, "0", "u^2")   # u^2 d_u is not a symmetry
-    assert bad is not None
-    assert not _satisfies(inst.ode, *bad)
+    # under u = 1/y, t = x: u d_u pulls back to -y d_y, a symmetry of the
+    # image of u'' = 0, and u^2 d_u to -d_y, which is not one  [DERIVED]
+    inst = push_linear(roots(0, 0), PointTransformation("1/y", "x"))
+    assert _satisfies(inst.ode, ZERO, -Y)
+    assert not _satisfies(inst.ode, ZERO, -ONE)
 
 
 # -- the shipped corpus ---------------------------------------------------------------
@@ -249,5 +241,5 @@ def test_engine_agrees_with_the_oracle(corpus_reports):
             assert report.recovery.affine == affine_class(inst.source_poly), \
                 inst.label
         else:
-            assert report.recovery.affine == trivial_class(inst.ode.n), \
-                inst.label
+            assert report.recovery.affine == affine_class(
+                CharPoly((F(0),) * inst.ode.n)), inst.label

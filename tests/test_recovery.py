@@ -13,7 +13,7 @@ from lieode.recovery import (REASON_DEGREE, REASON_EQUIVALENT, REASON_PATTERN,
                              REASON_SCALE, AffineClass, CharPoly,
                              adjoint_on_derived, affine_class, centered,
                              class_to_ode, classify_pair, factor_space,
-                             recovery_details, trivial_class)
+                             recovery_details)
 
 from conftest import (affine_equivalent, fraction_bracket, inverse,
                       lie_table, mat_mul, nonzero_rationals, rationals)
@@ -122,8 +122,9 @@ def test_scale_invariant_separates_close_quartics():
 
 
 def test_trivial_class_helper():
-    assert trivial_class(3).is_trivial
-    assert affine_class(Z3) == trivial_class(3)
+    # the class of z^n, i.e. of u^(n) = 0, holds every all-equal spectrum
+    assert affine_class(Z3).is_trivial
+    assert affine_class(CharPoly.from_roots([F(2)] * 3)) == affine_class(Z3)
 
 
 # -- rendering ------------------------------------------------------------------------
@@ -143,7 +144,7 @@ def test_char_poly_strings():
 
 def test_class_to_ode_strings():
     assert class_to_ode(affine_class(Z3_MINUS_Z)) == "u''' - u' = 0"
-    assert class_to_ode(trivial_class(2)) == "u'' = 0"
+    assert class_to_ode(affine_class(P(0, 0))) == "u'' = 0"
     assert class_to_ode(affine_class(P(1, 0))) == "u'' + u = 0"
     assert (class_to_ode(affine_class(CharPoly.from_roots([F(0), F(1), F(1)])))
             == "u''' - 1/3*u' + 2/27*u = 0")
@@ -152,7 +153,7 @@ def test_class_to_ode_strings():
     assert class_to_ode(affine_class(P(F(-2, 3), 0))) == "u'' - 2/3*u = 0"
     assert class_to_ode(affine_class(P(7, 0, -1, 0))) == "u'''' - u'' + 7*u = 0"
     assert class_to_ode(affine_class(P(-5))) == "u' = 0"
-    assert class_to_ode(trivial_class(5)) == "u^(5) = 0"
+    assert class_to_ode(affine_class(P(0, 0, 0, 0, 0))) == "u^(5) = 0"
 
 
 # -- the adjoint-action recovery ------------------------------------------------------
