@@ -25,7 +25,6 @@ Its coefficients are polynomials in (x, y); each equation is kept primitive
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Tuple
@@ -125,16 +124,20 @@ def primitive(eq: LinDiffPoly, top: Slot) -> LinDiffPoly:
     and the quotients kept so far are multiplied by g/h; a constant g ends
     the search.  Leading coefficients multiply, so dividing by g times the
     leading coefficient of eq[top] also does the scaling, and each
-    coefficient is divided once.
+    coefficient is divided once.  Every scaling is by integers: the leading
+    coefficient of eq[top] is its leading numerator over its denominator,
+    so an equation whose smallest coefficient is a constant, as every
+    all-constant equation is, takes one pass of ``MPoly.scaled``.
     """
-    lc = eq[top].leading_coeff()
+    ln, ld = eq[top].leading_numerator(), eq[top].den
     order = sorted(eq, key=lambda s: len(eq[s].num))
     first = eq[order[0]]
-    first_lc = first.leading_coeff()
-    g = first * (1 / first_lc)
-    if not g.is_const():
-        quots = {order[0]: MPoly.const(first_lc / lc)}
-        divisor = g * lc
+    if not first.is_const():
+        fn, fd = first.leading_numerator(), first.den
+        g = first.scaled(fd, fn)
+        # first = g * (fn / fd), so its quotient by g * lc is a constant
+        quots = {order[0]: MPoly.const(1).scaled(fn * ld, fd * ln)}
+        divisor = g.scaled(ln, ld)
         for s in order[1:]:
             c = eq[s]
             q = try_divexact(c, divisor)
@@ -144,24 +147,24 @@ def primitive(eq: LinDiffPoly, top: Slot) -> LinDiffPoly:
                     break
                 r = divexact(g, h)
                 quots = {t: v * r for t, v in quots.items()}
-                g, divisor = h, h * lc
+                g, divisor = h, h.scaled(ln, ld)
                 q = divexact(c, divisor)
             quots[s] = q
         else:
             return {s: quots[s] for s in eq}
-    if lc != 1:
-        inv = 1 / lc
-        eq = {s: c * inv for s, c in eq.items()}
+    if ln != 1 or ld != 1:
+        eq = {s: c.scaled(ld, ln) for s, c in eq.items()}
     return eq
 
 
 JetKey = Tuple[Tuple[str, int], ...]
-JetTerms = Tuple[Tuple[Slot, Tuple[Tuple[JetKey, Fraction], ...]], ...]
+JetTerms = Tuple[Tuple[Slot, Tuple[Tuple[JetKey, Tuple[int, int]], ...]], ...]
 
 
 def _jet_terms(lin: Mapping[Slot, MPoly], jets) -> JetTerms:
     """Each slot's coefficient split into its jet monomials, with their
-    constant coefficients, keyed as by ``MPoly.coeffs_over``."""
+    constant coefficients as (numerator, denominator), keyed as by
+    ``MPoly.coeffs_over``."""
     out = []
     for s, c in lin.items():
         if c.is_zero():
@@ -171,7 +174,7 @@ def _jet_terms(lin: Mapping[Slot, MPoly], jets) -> JetTerms:
             if not v.is_const():
                 raise InternalInvariantError(
                     "prolonged coefficient depends on the base coordinates")
-            split.append((key, v.as_const()))
+            split.append((key, (v.leading_numerator(), v.den)))
         out.append((s, tuple(split)))
     return tuple(out)
 
@@ -240,7 +243,7 @@ def invariance_coefficients(ode: OdeSpec) -> Dict[JetKey, LinDiffPoly]:
             for ckey, k in split:
                 for mkey, p in parts:
                     eq = collected.setdefault(_key_product(ckey, mkey), {})
-                    eq[s] = eq.get(s, zero).add_scaled(p, k)
+                    eq[s] = eq.get(s, zero).add_scaled(p, *k)
     out = {}
     for key, eq in collected.items():
         eq = {s: c for s, c in eq.items() if not c.is_zero()}

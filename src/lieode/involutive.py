@@ -22,11 +22,16 @@ non-leading slot ranks below the lead, each step replaces a slot by strictly
 lower ones, so normal forms terminate.  Completion is the linear
 Buchberger loop, run as one worklist: it takes a queued equation first and
 otherwise the lowest cross-derivative pair (by the rank of the pair's least
-common derivative, then by age), and fully reduces it.  A nonzero result is
-inserted; any equation whose lead is a derivative of the new lead is
-requeued, and the survivors' tails are re-reduced.  Each insertion
-strictly enlarges the cone of leading slots, so Dickson's lemma bounds the
-number of insertions and the loop terminates.  Like a reduced Groebner
+common derivative, then by age), and fully reduces it.  Of the queued
+equations it takes the one whose highest slot ranks lowest, ties going by
+arrival: Buchberger's normal selection strategy (Giovini, Mora, Niesi,
+Robbiano and Traverso, "One sugar cube, please, or selection strategies in
+the Buchberger algorithm", ISSAC 1991).  Taken first in, first out, a low
+equation inserted late would requeue the higher ones inserted before it.
+A nonzero result is inserted; any equation whose lead is a derivative of
+the new lead is requeued, and the survivors' tails are re-reduced.  Each
+insertion strictly enlarges the cone of leading slots, so Dickson's lemma
+bounds the number of insertions and the loop terminates.  Like a reduced Groebner
 basis, the completed system is unique for the ranking, each equation up to
 the scale that ``primitive`` fixes, so neither the input order nor the
 order of the worklist changes it.
@@ -66,6 +71,7 @@ free Taylor data of the solution space; their count is its dimension.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import itertools
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -146,19 +152,19 @@ def _eliminate(p: LinDiffPoly, q: LinDiffPoly, slot: Slot) -> LinDiffPoly:
 
     The cofactors cancel slot without dividing by a polynomial.  q derives
     from a primitive equation, so b, like g, has leading coefficient 1, and
-    a constant b/g is 1.  A constant a/g scales each slot of q inside the
-    subtraction.
+    a constant b/g is 1.  A constant a/g, its numerator over its
+    denominator, scales each slot of q inside the subtraction.
     """
     a, b = p[slot], q[slot]
     g = gcd(a, b)
     if not g.is_const():
         a, b = divexact(a, g), divexact(b, g)
     out = dict(p) if b.is_const() else {s: c * b for s, c in p.items()}
-    k = -a.as_const() if a.is_const() else None
+    k = (-a.leading_numerator(), a.den) if a.is_const() else None
     for s, c in q.items():
         old = out.get(s)
         if k is not None:
-            new = c * k if old is None else old.add_scaled(c, k)
+            new = c.scaled(*k) if old is None else old.add_scaled(c, *k)
         else:
             new = -(c * a) if old is None else old - c * a
         if new:
@@ -271,7 +277,17 @@ def complete(system: Sequence[LinDiffPoly],
     key = ranking.key
 
     eqs: List[_Eq] = []
-    queue: List[LinDiffPoly] = [dict(e) for e in system]
+    # (rank of the highest slot, arrival, equation): arrivals are distinct,
+    # so the heap never compares two equations
+    queue: List[Tuple[tuple, int, LinDiffPoly]] = []
+    arrival = itertools.count()
+
+    def enqueue(eq: LinDiffPoly) -> None:
+        heapq.heappush(queue, (key(max(eq, key=key)), next(arrival), eq))
+
+    for e in system:
+        if e:
+            enqueue(dict(e))
     # ((rank of the least common derivative, ident, ident), eq, eq): the
     # ranks are distinct, so min never compares two equations
     pairs: List[Tuple[tuple, _Eq, _Eq]] = []
@@ -279,7 +295,7 @@ def complete(system: Sequence[LinDiffPoly],
 
     while queue or pairs:
         if queue:
-            h = reduce(queue.pop(0), eqs, ranking)
+            h = reduce(heapq.heappop(queue)[2], eqs, ranking)
         else:
             pair = min(pairs)
             pairs.remove(pair)
@@ -294,7 +310,7 @@ def complete(system: Sequence[LinDiffPoly],
         doomed = [e for e in eqs if lead.divides(e.lead)]
         for e in doomed:
             eqs.remove(e)
-            queue.append(e.terms)
+            enqueue(e.terms)
         pairs = [(r, a, b) for r, a, b in pairs
                  if a not in doomed and b not in doomed]
         eqs.append(new)

@@ -122,6 +122,13 @@ class MPoly:
     def leading_coeff(self) -> Fraction:
         return self.leading()[1]
 
+    def leading_numerator(self) -> int:
+        """Integer numerator of the leading coefficient, which is this
+        numerator over ``den``."""
+        if not self.num:
+            raise ValueError("zero polynomial has no leading term")
+        return self.num[max(self.num, key=mono_key)]
+
     def __bool__(self) -> bool:
         return bool(self.num)
 
@@ -175,12 +182,13 @@ class MPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _plus(self, other: "MPoly", n: int, d: int = 1) -> "MPoly":
-        """self + (n / d) * other for integers n != 0 and d > 0, in one pass."""
-        if not other.num:
+    def add_scaled(self, other: "MPoly", n: int, d: int = 1) -> "MPoly":
+        """self + (n / d) * other for integers n and d > 0, in one pass,
+        without forming (n / d) * other."""
+        if not n or not other.num:
             return self
         if not self.num:
-            return other if n == d == 1 else other._scaled(n, d)
+            return other if n == d == 1 else other.scaled(n, d)
         vs, a, b = self._aligned(other)
         da, db = self.den, other.den * d
         den = da if da == db else _ilcm(da, db)
@@ -196,19 +204,12 @@ class MPoly:
                 cancelled = True
         return (_new_pruned if cancelled else _new)(vs, out, den)
 
-    def add_scaled(self, other: "MPoly", k) -> "MPoly":
-        """self + k * other for a rational constant k, without forming
-        k * other."""
-        if not k:
-            return self
-        return self._plus(other, k.numerator, k.denominator)
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MPoly.const(other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self._plus(other, 1)
+        return self.add_scaled(other, 1)
 
     __radd__ = __add__
 
@@ -220,29 +221,31 @@ class MPoly:
             other = MPoly.const(other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self._plus(other, -1)
+        return self.add_scaled(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def _scaled(self, n: int, d: int) -> "MPoly":
-        """self * n / d for integers n != 0 and d > 0."""
+    def scaled(self, n: int, d: int = 1) -> "MPoly":
+        """self * n / d for integers n and d != 0, without a ``Fraction``."""
+        if not n or not self.num:
+            return MPoly.zero()
+        if d < 0:
+            n, d = -n, -d
         return _new(self.vars, {e: c * n for e, c in self.num.items()},
                     self.den * d)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return MPoly.zero()
-            return self._scaled(other.numerator, other.denominator)
+            return self.scaled(other.numerator, other.denominator)
         if not isinstance(other, MPoly):
             return NotImplemented
         if not self.num or not other.num:
             return MPoly.zero()
         if not self.vars:
-            return other._scaled(self.num[()], self.den)
+            return other.scaled(self.num[()], self.den)
         if not other.vars:
-            return self._scaled(other.num[()], other.den)
+            return self.scaled(other.num[()], other.den)
         vs, a, b = self._aligned(other)
         out: Dict[Exps, int] = {}
         get = out.get
@@ -381,8 +384,7 @@ def try_divexact(a: MPoly, b: MPoly) -> Optional[MPoly]:
     if a.is_zero():
         return MPoly.zero()
     if b.is_const():
-        inv = 1 / b.as_const()
-        return a * inv
+        return a.scaled(b.den, b.num[()])
     vs, ta, tb = a._aligned(b)
     content = _igcd(*tb.values())
     if content != 1:
@@ -428,7 +430,7 @@ def _monic(p: MPoly) -> MPoly:
     the denominator."""
     if p.is_zero():
         return p
-    lead = p.num[max(p.num, key=mono_key)]
+    lead = p.leading_numerator()
     if lead == 1 and p.den == 1:
         return p
     num = p.num if lead > 0 else {e: -c for e, c in p.num.items()}

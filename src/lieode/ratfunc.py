@@ -37,7 +37,7 @@ class RatFunc:
             num, den = MPoly.zero(), MPoly.const(1)
         else:
             g = gcd(num, den)
-            if not (g.is_const() and g.as_const() == 1):
+            if not g.is_const():
                 num = divexact(num, g)
                 den = divexact(den, g)
             num, den = _monic_pair(num, den)
@@ -209,12 +209,12 @@ class RatFunc:
 
 
 def _monic_pair(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:
-    """(num, den) scaled so that den has leading coefficient 1."""
-    lc = den.leading_coeff()
-    if lc == 1:
+    """(num, den) scaled so that den has leading coefficient 1: both times
+    den's denominator over its leading numerator."""
+    n, d = den.den, den.leading_numerator()
+    if n == d == 1:
         return num, den
-    inv = 1 / lc
-    return num * inv, den * inv
+    return num.scaled(n, d), den.scaled(n, d)
 
 
 def _new(num: MPoly, den: MPoly) -> RatFunc:

@@ -14,8 +14,8 @@ from lieode.polys import MPoly, content, gcd
 from lieode.ratfunc import RatFunc
 
 from conftest import (bench_odes, nonzero_rationals, rationals,
-                      reference_determining_system, substitute,
-                      substitute_generator)
+                      reference_determining_system, reference_primitive,
+                      substitute, substitute_generator)
 
 
 def jet(k):
@@ -200,6 +200,30 @@ def test_primitive_form_is_canonical(case):
     assert p[top].leading_coeff() == 1
     assert ({s: RatFunc(c, p[top]) for s, c in p.items()}
             == {s: RatFunc(c, eq[top]) for s, c in eq.items()})
+
+
+@st.composite
+def signed_equations(draw):
+    """(eq, top): coefficients that are constants only, or polynomials in
+    (x, y) with a common factor, each with a drawn sign, so that the lead
+    of eq[top] is negative about half the time."""
+    slots = draw(st.lists(st.sampled_from(
+        [Slot(u, i, j) for u in (XI, ETA) for i in range(3)
+         for j in range(3 - i)]), min_size=1, max_size=4, unique=True))
+    if draw(st.booleans()):
+        coeff, factor = nonzero_rationals().map(MPoly.const), MPoly.const(1)
+    else:
+        coeff, factor = xy_polys(), draw(xy_polys())
+    eq = {s: draw(coeff) * factor * draw(st.sampled_from([1, -1]))
+          for s in slots}
+    return eq, draw(st.sampled_from(slots))
+
+
+@given(signed_equations())
+def test_primitive_matches_the_reference(case):
+    # the integer scaling gives the gcd-chain-then-divide form exactly
+    eq, top = case
+    assert primitive(eq, top) == reference_primitive(eq, top)
 
 
 # -- the classical free-particle system --------------------------------------------

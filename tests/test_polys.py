@@ -272,13 +272,28 @@ def test_results_are_canonical(a, b, c, name):
                a ** 2, a ** 0, a.derivative(name), gcd(a, b), _strip_monomial(a)[1]]
     results += a.coeffs_in(name) + list(a.coeffs_over({name, "y"}).values())
     # add_scaled adds c * b in one pass; the last one cancels back to a
-    results += [a.add_scaled(b, c), MPoly.zero().add_scaled(b, c),
-                (a - b * c).add_scaled(b, c)]
+    n, d = c.numerator, c.denominator
+    results += [a.add_scaled(b, n, d), MPoly.zero().add_scaled(b, n, d),
+                (a - b * c).add_scaled(b, n, d)]
     assert results[-3] == a + b * c and results[-1] == a
     if not b.is_zero():
         results.append(divexact(a * b, b))
     for r in results:
         _assert_canonical(r)
+
+
+@given(mpolys(JET_NAMES), st.integers(-12, 12),
+       st.integers(-6, 6).filter(bool))
+def test_scaled_is_the_product_with_a_fraction(p, n, d):
+    r = p.scaled(n, d)
+    assert r == p * Fraction(n, d)
+    _assert_canonical(r)
+
+
+@given(mpolys(JET_NAMES))
+def test_leading_numerator_over_den_is_the_leading_coefficient(p):
+    assume(not p.is_zero())
+    assert Fraction(p.leading_numerator(), p.den) == p.leading_coeff()
 
 
 @given(mpolys(JET_NAMES), st.sets(st.sampled_from(JET_NAMES)))
