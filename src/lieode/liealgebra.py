@@ -107,7 +107,7 @@ def _shifted(p: MPoly, point: Point,
         raise InternalInvariantError(
             "coefficient %r is not a function of (x, y) alone" % (p,))
     terms = [tuple(e[i] if i is not None else 0 for i in idx) + (n,)
-             for e, n in p.num.items()]
+             for e, n in p.numerators()]
     E = max((e for e, _, _ in terms), default=0)
     F = max((f for _, f, _ in terms), default=0)
     (a, b), (c, d) = ((v.numerator, v.denominator) for v in point)

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, List, Optional, Tuple
 
 from .errors import InputError, NotQuasiLinear, OdeSyntaxError, OrderTooLow
 from .jets import jet_name, jet_order, jet_order_of
-from .polys import MPoly, mono_key
+from .polys import MPoly
 from .ratfunc import RatFunc
 
 MAX_PRIMES = 4
@@ -317,9 +317,8 @@ def _monomial(mono, names) -> str:
 
 
 def format_mpoly(p: MPoly) -> str:
-    terms = p.terms
-    return signed_sum((terms[m], _monomial(m, p.vars))
-                      for m in sorted(terms, key=mono_key, reverse=True))
+    return signed_sum((Fraction(c, p.den), _monomial(e, p.vars))
+                      for e, c in p.numerators())
 
 
 def _den_needs_parens(p: MPoly) -> bool:

@@ -1,13 +1,24 @@
 """Sparse multivariate polynomial arithmetic over exact rationals.
 
 A polynomial is stored as integer numerators over one common denominator:
-``num`` maps exponent tuples to nonzero ``int`` coefficients and ``den`` is a
-positive ``int`` with ``gcd(den, *num.values()) == 1``, so the coefficient of
-a monomial is ``num[e] / den``.  ``vars`` is the tuple of variable names,
-sorted by ``var_rank``, and every one of them occurs in some term.  Under
-these invariants the representation of a value is unique, so ``==`` and
-``hash`` are equality of mathematical values; ``terms`` shows the
-coefficients as ``Fraction`` values.
+``num`` maps packed monomials (below) to nonzero ``int`` coefficients and
+``den`` is a positive ``int`` with ``gcd(den, *num.values()) == 1``, so the
+coefficient of a monomial is ``num[k] / den``.  ``vars`` is the tuple of
+variable names, sorted by ``var_rank``, and every one of them occurs in some
+term.  Under these invariants the representation of a value is unique, so
+``==`` and ``hash`` are equality of mathematical values; a constant hashes
+as its ``Fraction`` value, which it compares equal to.  ``terms`` (a dict
+of ``Fraction`` values) and ``numerators`` (integer numerators, highest
+monomial first) give the monomials as exponent tuples.
+
+A monomial is packed into one ``int`` (Bachmann and Schönemann, ISSAC 1998;
+Monagan and Pearce, CASC 2007): the exponent of ``vars[i]`` sits in bits
+[32i, 32i + 32), whose top bit is a guard that stays clear, and the total
+degree sits above every field.  Integer order is then the monomial order,
+so the leading monomial is ``max(num)`` and the key of a product of
+monomials is the sum of their keys.  A total degree of 2**31 or more raises
+``InputError``; below it no field reaches its guard bit, and a difference
+of keys has a guard bit set exactly when some exponent went negative.
 
 ``MPoly(vars, terms)`` canonicalizes arbitrary input and is the entry point
 for other modules.  Inside this module, results are built by ``_new``, which
@@ -18,7 +29,7 @@ cancelled a term, a derivative, coefficient extraction, a monomial strip and
 a quotient).  A product of nonzero polynomials keeps all its variables,
 since degrees add in an integral domain.
 
-The leading monomial is graded lexicographic with higher-ranked variables
+The monomial order is graded lexicographic with higher-ranked variables
 more significant; the variable ranking is x < y < y' < y'' < ... < t1 < t2
 (t-symbols are auxiliary transcendental markers used by the pushforward
 machinery) < anything else alphabetically.
@@ -26,12 +37,17 @@ machinery) < anything else alphabetically.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as _igcd, lcm as _ilcm
-from operator import add as _add, gt as _gt, sub as _sub
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-Q = Fraction
+from .errors import InputError
+
 Exps = Tuple[int, ...]
+
+_W = 32                      # bits per exponent field
+_FIELD = (1 << _W) - 1
+_DEGREE_BOUND = 1 << (_W - 1)
 
 
 def var_rank(name: str) -> tuple:
@@ -47,9 +63,69 @@ def var_rank(name: str) -> tuple:
     return (4, 0, name)
 
 
-def mono_key(exps: Exps) -> tuple:
-    # graded, then lex with the last (highest-ranked) variable most significant
-    return (sum(exps), tuple(reversed(exps)))
+def _degree_error(degree: int) -> InputError:
+    return InputError("a monomial of total degree %d: total degrees must stay "
+                      "below 2^31 = %d" % (degree, _DEGREE_BOUND))
+
+
+def _pack(e: Exps) -> int:
+    """The key of the monomial with exponent tuple `e`."""
+    degree = sum(e)
+    if degree >= _DEGREE_BOUND:
+        raise _degree_error(degree)
+    if min(e, default=0) < 0:
+        raise ValueError("negative exponent in %r" % (e,))
+    k = degree << (_W * len(e))
+    for i, x in enumerate(e):
+        k |= x << (_W * i)
+    return k
+
+
+def _unpack(k: int, n: int) -> Exps:
+    """The exponent tuple of key `k` over `n` variables."""
+    return tuple([(k >> s) & _FIELD for s in range(0, _W * n, _W)])
+
+
+@lru_cache(maxsize=64)
+def _guard(n: int) -> int:
+    """The guard bits of `n` exponent fields."""
+    return sum(1 << (_W * i + _W - 1) for i in range(n))
+
+
+@lru_cache(maxsize=1024)
+def _union(a: Tuple[str, ...], b: Tuple[str, ...]) -> Tuple[str, ...]:
+    """The variables of `a` and `b`, sorted by rank."""
+    return tuple(sorted(set(a) | set(b), key=var_rank))
+
+
+@lru_cache(maxsize=1024)
+def _layout(src: Tuple[str, ...], dst: Tuple[str, ...]):
+    """How keys over `src` move to `dst`: (moves, s, t).  Each move is
+    (mask, left shift, right shift) for the fields that shift by the same
+    distance; the fields of variables not in `dst` are in no mask.  The
+    degree moves from bit s to bit t."""
+    masks: Dict[int, int] = {}
+    for i, v in enumerate(src):
+        if v in dst:
+            shift = _W * (dst.index(v) - i)
+            masks[shift] = masks.get(shift, 0) | _FIELD << (_W * i)
+    return (tuple((m, max(shift, 0), max(-shift, 0))
+                  for shift, m in masks.items()),
+            _W * len(src), _W * len(dst))
+
+
+def _remap(num: Dict[int, int], src: Tuple[str, ...],
+           dst: Tuple[str, ...]) -> Dict[int, int]:
+    """`num` over `src` with its keys moved to `dst`, keeping the degree;
+    the exponents of variables not in `dst` must be 0."""
+    moves, s, t = _layout(src, dst)
+    out = {}
+    for k, c in num.items():
+        key = k >> s << t
+        for m, left, right in moves:
+            key |= (k & m) << left >> right
+        out[key] = c
+    return out
 
 
 class MPoly:
@@ -60,13 +136,14 @@ class MPoly:
     def __new__(cls, vars: Sequence[str], terms: Mapping[Exps, Fraction]):
         clean = {tuple(e): Fraction(c) for e, c in terms.items() if c}
         den = _ilcm(*(c.denominator for c in clean.values()))
-        num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
         vars = tuple(vars)
+        if any(len(e) != len(vars) for e in clean):
+            raise ValueError("exponent tuples must have one entry per "
+                             "variable of %r" % (vars,))
         order = sorted(range(len(vars)), key=lambda i: var_rank(vars[i]))
-        if order != list(range(len(vars))):
-            vars = tuple(vars[i] for i in order)
-            num = {tuple(e[i] for i in order): c for e, c in num.items()}
-        return _new_pruned(vars, num, den)
+        num = {_pack(tuple([e[i] for i in order])):
+               c.numerator * (den // c.denominator) for e, c in clean.items()}
+        return _new_pruned(tuple(vars[i] for i in order), num, den)
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("MPoly is immutable")
@@ -74,8 +151,15 @@ class MPoly:
     @property
     def terms(self) -> Dict[Exps, Fraction]:
         """Coefficients as a fresh dict of ``Fraction`` values."""
-        d = self.den
-        return {e: Fraction(c, d) for e, c in self.num.items()}
+        d, n = self.den, len(self.vars)
+        return {_unpack(k, n): Fraction(c, d) for k, c in self.num.items()}
+
+    def numerators(self) -> List[Tuple[Exps, int]]:
+        """(exponent tuple, integer numerator) pairs, highest monomial
+        first; each coefficient is its numerator over ``den``."""
+        n = len(self.vars)
+        return [(_unpack(k, n), c)
+                for k, c in sorted(self.num.items(), reverse=True)]
 
     # -- constructors ------------------------------------------------------
 
@@ -87,11 +171,11 @@ class MPoly:
     def const(c) -> "MPoly":
         if not isinstance(c, (int, Fraction)):
             c = Fraction(c)
-        return _new((), {(): c.numerator} if c else {}, c.denominator)
+        return _new((), {0: c.numerator} if c else {}, c.denominator)
 
     @staticmethod
     def variable(name: str) -> "MPoly":
-        return _new((name,), {(1,): 1}, 1)
+        return _new((name,), {1 | 1 << _W: 1}, 1)
 
     # -- basic queries -----------------------------------------------------
 
@@ -104,20 +188,20 @@ class MPoly:
     def as_const(self) -> Fraction:
         if self.vars:
             raise ValueError("not a constant polynomial")
-        return Fraction(self.num.get((), 0), self.den)
+        return Fraction(self.num.get(0, 0), self.den)
 
     def degree_in(self, name: str) -> int:
         if name not in self.vars:
             return 0
-        i = self.vars.index(name)
-        return max((e[i] for e in self.num), default=0)
+        s = _W * self.vars.index(name)
+        return max([(k >> s) & _FIELD for k in self.num])
 
     def leading(self) -> Tuple[Exps, Fraction]:
         """Leading (monomial, coefficient) under graded lex."""
         if not self.num:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.num, key=mono_key)
-        return m, Fraction(self.num[m], self.den)
+        m = max(self.num)
+        return _unpack(m, len(self.vars)), Fraction(self.num[m], self.den)
 
     def leading_coeff(self) -> Fraction:
         return self.leading()[1]
@@ -127,7 +211,7 @@ class MPoly:
         numerator over ``den``."""
         if not self.num:
             raise ValueError("zero polynomial has no leading term")
-        return self.num[max(self.num, key=mono_key)]
+        return self.num[max(self.num)]
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -141,14 +225,16 @@ class MPoly:
                 and self.num == other.num)
 
     def __hash__(self) -> int:
+        if not self.vars:
+            return hash(Fraction(self.num.get(0, 0), self.den))
         return hash((self.vars, self.den, frozenset(self.num.items())))
 
     def __repr__(self) -> str:
         if not self.num:
             return "0"
         bits = []
-        for e in sorted(self.num, key=mono_key, reverse=True):
-            c = Fraction(self.num[e], self.den)
+        for e, c in self.numerators():
+            c = Fraction(c, self.den)
             mono = "*".join(
                 f"{v}^{k}" if k > 1 else v
                 for v, k in zip(self.vars, e)
@@ -166,19 +252,10 @@ class MPoly:
         """(common vars, own numerators, other's numerators) over the union."""
         if self.vars == other.vars:
             return self.vars, self.num, other.num
-        allvars = tuple(sorted(set(self.vars) | set(other.vars), key=var_rank))
-
-        def lift(p: "MPoly"):
-            idx = [allvars.index(v) for v in p.vars]
-            out = {}
-            for e, c in p.num.items():
-                key = [0] * len(allvars)
-                for i, k in zip(idx, e):
-                    key[i] = k
-                out[tuple(key)] = c
-            return out
-
-        return allvars, lift(self), lift(other)
+        vs = _union(self.vars, other.vars)
+        a = self.num if self.vars == vs else _remap(self.num, self.vars, vs)
+        b = other.num if other.vars == vs else _remap(other.num, other.vars, vs)
+        return vs, a, b
 
     # -- arithmetic --------------------------------------------------------
 
@@ -243,15 +320,20 @@ class MPoly:
         if not self.num or not other.num:
             return MPoly.zero()
         if not self.vars:
-            return other.scaled(self.num[()], self.den)
+            return other.scaled(self.num[0], self.den)
         if not other.vars:
-            return self.scaled(other.num[()], other.den)
+            return self.scaled(other.num[0], other.den)
         vs, a, b = self._aligned(other)
-        out: Dict[Exps, int] = {}
+        # the leading monomials multiply, so the product's degree is the
+        # degree of their product
+        degree = (max(a) + max(b)) >> (_W * len(vs))
+        if degree >= _DEGREE_BOUND:
+            raise _degree_error(degree)
+        out: Dict[int, int] = {}
         get = out.get
         for ea, ca in a.items():
             for eb, cb in b.items():
-                key = tuple(map(_add, ea, eb))
+                key = ea + eb
                 s = get(key, 0) + ca * cb
                 if s:
                     out[key] = s
@@ -278,12 +360,13 @@ class MPoly:
     def derivative(self, name: str) -> "MPoly":
         if name not in self.vars:
             return MPoly.zero()
-        i = self.vars.index(name)
-        out: Dict[Exps, int] = {}
-        for e, c in self.num.items():
-            k = e[i]
-            if k:
-                out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+        s = _W * self.vars.index(name)
+        step = 1 << s | 1 << (_W * len(self.vars))
+        out: Dict[int, int] = {}
+        for k, c in self.num.items():
+            e = (k >> s) & _FIELD
+            if e:
+                out[k - step] = c * e
         return _new_pruned(self.vars, out, self.den)
 
     def derive(self, images: Mapping[str, "MPoly"]) -> "MPoly":
@@ -301,27 +384,39 @@ class MPoly:
         if name not in self.vars:
             return [self]
         i = self.vars.index(name)
-        deg = self.degree_in(name)
         rest = self.vars[:i] + self.vars[i + 1:]
-        buckets: list = [dict() for _ in range(deg + 1)]
-        for e, c in self.num.items():
-            buckets[e[i]][e[:i] + e[i + 1:]] = c
+        # fields below i stay, the ones above move down one field, and the
+        # degree, now above len(rest) fields, loses the exponent of `name`
+        s, low, top = _W * i, (1 << _W * i) - 1, _W * len(rest)
+        buckets: list = [dict() for _ in range(self.degree_in(name) + 1)]
+        for k, c in self.num.items():
+            e = (k >> s) & _FIELD
+            buckets[e][(k & low) + (k >> (s + _W) << s) - (e << top)] = c
         return [_new_pruned(rest, b, self.den) for b in buckets]
 
     def coeffs_over(self, names) -> Dict[Tuple[Tuple[str, int], ...], "MPoly"]:
         """Nonzero coefficients over the monomials in `names`, keyed by the
         monomial as its (name, exponent) pairs with exponent > 0, sorted by
         name; entries are MPoly without those variables."""
-        idx = sorted((i for i, v in enumerate(self.vars) if v in names),
-                     key=lambda i: self.vars[i])
-        if not idx:
+        fields = sorted((v, _W * i) for i, v in enumerate(self.vars)
+                        if v in names)
+        if not fields:
             return {(): self}
-        keep = [i for i in range(len(self.vars)) if i not in idx]
-        rest = tuple(self.vars[i] for i in keep)
-        buckets: Dict[tuple, Dict[Exps, int]] = {}
-        for e, c in self.num.items():
-            key = tuple((self.vars[i], e[i]) for i in idx if e[i])
-            buckets.setdefault(key, {})[tuple(e[i] for i in keep)] = c
+        rest = tuple(v for v in self.vars if v not in names)
+        moves, s, t = _layout(self.vars, rest)
+        buckets: Dict[tuple, Dict[int, int]] = {}
+        for k, c in self.num.items():
+            key = []
+            degree = k >> s
+            for v, f in fields:
+                e = (k >> f) & _FIELD
+                if e:
+                    key.append((v, e))
+                    degree -= e
+            r = degree << t
+            for m, left, right in moves:
+                r |= (k & m) << left >> right
+            buckets.setdefault(tuple(key), {})[r] = c
         return {k: _new_pruned(rest, b, self.den) for k, b in buckets.items()}
 
     @staticmethod
@@ -341,7 +436,7 @@ _set_num = MPoly.num.__set__
 _set_den = MPoly.den.__set__
 
 
-def _new(vars: Tuple[str, ...], num: Dict[Exps, int], den: int) -> MPoly:
+def _new(vars: Tuple[str, ...], num: Dict[int, int], den: int) -> MPoly:
     """Trusted constructor: `vars` sorted and all used, `num` nonzero ints,
     `den` > 0.  Only the common factor of `den` and the numerators is
     cancelled."""
@@ -357,14 +452,17 @@ def _new(vars: Tuple[str, ...], num: Dict[Exps, int], den: int) -> MPoly:
     return p
 
 
-def _new_pruned(vars: Tuple[str, ...], num: Dict[Exps, int], den: int) -> MPoly:
+def _new_pruned(vars: Tuple[str, ...], num: Dict[int, int], den: int) -> MPoly:
     """`_new` for results where a variable may no longer occur."""
     if not num:
         return _new((), num, 1)
-    used = [i for i, col in enumerate(zip(*num)) if any(col)]
-    if len(used) != len(vars):
-        vars = tuple(vars[i] for i in used)
-        num = {tuple([e[i] for i in used]): c for e, c in num.items()}
+    used = 0
+    for k in num:
+        used |= k
+    kept = tuple([v for i, v in enumerate(vars) if (used >> (_W * i)) & _FIELD])
+    if len(kept) != len(vars):
+        num = _remap(num, vars, kept)
+        vars = kept
     return _new(vars, num, den)
 
 
@@ -384,26 +482,28 @@ def try_divexact(a: MPoly, b: MPoly) -> Optional[MPoly]:
     if a.is_zero():
         return MPoly.zero()
     if b.is_const():
-        return a.scaled(b.den, b.num[()])
+        return a.scaled(b.den, b.num[0])
     vs, ta, tb = a._aligned(b)
     content = _igcd(*tb.values())
     if content != 1:
         tb = {e: c // content for e, c in tb.items()}
     rem = dict(ta)
-    lead_b = max(tb, key=mono_key)
+    lead_b = max(tb)
     cb = tb[lead_b]
-    quot: Dict[Exps, int] = {}
+    guard = _guard(len(vs))
+    quot: Dict[int, int] = {}
     while rem:
-        lead_r = max(rem, key=mono_key)
-        diff = tuple(map(_sub, lead_r, lead_b))
-        if min(diff) < 0:
+        lead_r = max(rem)
+        diff = lead_r - lead_b
+        # an exponent of lead_b above lead_r's borrows into a guard bit
+        if diff < 0 or diff & guard:
             return None
         cq, r = divmod(rem[lead_r], cb)
         if r:
             return None
         quot[diff] = cq
         for e, c in tb.items():
-            key = tuple(map(_add, e, diff))
+            key = e + diff
             s = rem.get(key, 0) - c * cq
             if s:
                 rem[key] = s
@@ -438,19 +538,24 @@ def _monic(p: MPoly) -> MPoly:
 
 
 def _strip_monomial(p: MPoly):
-    """Factor out the largest common monomial; return (monomial exps, stripped)."""
-    mins = tuple(map(min, zip(*p.num)))
+    """Factor out the largest common monomial; return ({name: exponent} of
+    the monomial, stripped)."""
+    if 0 in p.num:
+        return {}, p
+    mins = tuple([min([(k >> s) & _FIELD for k in p.num])
+                  for s in range(0, _W * len(p.vars), _W)])
     if not any(mins):
         return {}, p
-    stripped = _new_pruned(p.vars, {tuple(map(_sub, e, mins)): c
-                                    for e, c in p.num.items()}, p.den)
+    m = _pack(mins)
+    stripped = _new_pruned(p.vars, {k - m: c for k, c in p.num.items()},
+                           p.den)
     mono = {v: k for v, k in zip(p.vars, mins) if k}
     return mono, stripped
 
 
 def _mono_poly(mono: Mapping[str, int]) -> MPoly:
     names = tuple(sorted(mono, key=var_rank))
-    return _new(names, {tuple(mono[v] for v in names): 1}, 1)
+    return _new(names, {_pack(tuple([mono[v] for v in names])): 1}, 1)
 
 
 def _primitive(f: Dict[int, int]) -> Dict[int, int]:
@@ -460,8 +565,8 @@ def _primitive(f: Dict[int, int]) -> Dict[int, int]:
 
 def _gcd_univar(a: MPoly, b: MPoly, name: str) -> MPoly:
     """Primitive Euclid over Z[name] for polynomials involving only `name`."""
-    fa = _primitive({e[0] if e else 0: c for e, c in a.num.items()})
-    fb = _primitive({e[0] if e else 0: c for e, c in b.num.items()})
+    fa = _primitive({k & _FIELD: c for k, c in a.num.items()})
+    fb = _primitive({k & _FIELD: c for k, c in b.num.items()})
     while fb:
         db = max(fb)
         if max(fa) < db:
@@ -485,14 +590,17 @@ def _gcd_univar(a: MPoly, b: MPoly, name: str) -> MPoly:
         if fa:
             fa = _primitive(fa)
         fa, fb = fb, fa
-    return _monic(_new_pruned((name,), {(k,): v for k, v in fa.items()}, 1))
+    return _monic(_new_pruned((name,), {k | k << _W: v for k, v in fa.items()},
+                              1))
 
 
 def _divides(d: MPoly, a: MPoly) -> bool:
     """Whether d divides a, both over the same variables; a degree in some
     variable above a's rules it out before any division."""
-    if any(map(_gt, map(max, zip(*d.num)), map(max, zip(*a.num)))):
-        return False
+    for s in range(0, _W * len(d.vars), _W):
+        if (max([(k >> s) & _FIELD for k in d.num])
+                > max([(k >> s) & _FIELD for k in a.num])):
+            return False
     return try_divexact(a, d) is not None
 
 
@@ -510,14 +618,16 @@ def _point_value(name: str) -> int:
 def _image(p: MPoly, name: str) -> list:
     """Dense coefficients mod _P, lowest first, of p's numerators as a
     polynomial in `name`, with every other variable at its fixed value."""
-    i = p.vars.index(name)
-    values = [_point_value(v) for v in p.vars]
-    out = [0] * (1 + max(e[i] for e in p.num))
-    for e, c in p.num.items():
-        for j, k in enumerate(e):
-            if k and j != i:
-                c = c * pow(values[j], k, _P)
-        out[e[i]] += c
+    s = _W * p.vars.index(name)
+    values = [(_W * j, _point_value(v)) for j, v in enumerate(p.vars)
+              if v != name]
+    out = [0] * (1 + p.degree_in(name))
+    for k, c in p.num.items():
+        for f, x in values:
+            e = (k >> f) & _FIELD
+            if e:
+                c = c * pow(x, e, _P)
+        out[(k >> s) & _FIELD] += c
     out = [c % _P for c in out]
     while out and not out[-1]:
         out.pop()

@@ -85,6 +85,10 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
+        # over denominator 1 it hashes as its numerator, so a constant
+        # hashes as the Fraction value it compares equal to
+        if self.den.is_const():
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __repr__(self) -> str:

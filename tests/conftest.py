@@ -45,6 +45,13 @@ def nonzero_rationals(max_abs: int = 9, max_den: int = 4):
     return rationals(max_abs, max_den).filter(bool)
 
 
+def mono_key(exps: Tuple[int, ...]) -> tuple:
+    """The monomial order on exponent tuples, the reference for the packed
+    keys of ``lieode.polys``: graded, then lex with the last (highest-ranked)
+    variable most significant."""
+    return (sum(exps), tuple(reversed(exps)))
+
+
 # -- exact matrices over the rationals -----------------------------------------
 #
 # The Fraction matrix arithmetic and Faddeev-LeVerrier recursion the engine's

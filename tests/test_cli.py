@@ -51,6 +51,13 @@ def test_exit_two_for_parse_garbage():
     assert code == 2 and "reduces to 0 = 0" in err
 
 
+def test_degree_past_the_bound_is_an_input_error_not_a_verdict():
+    # total degrees stop below 2^31; a large degree under it is a verdict
+    code, _, err = run("certify", "y''=y^2147483648")
+    assert code == 2 and "below 2^31" in err
+    assert run("certify", "y''=y^40000")[0] == 1
+
+
 def test_exit_two_with_usage_errors():
     assert run()[0] == 2
     assert run("nonsense")[0] == 2

@@ -6,11 +6,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lieode.polys import (MPoly, _image_free_of, _point_value, _strip_monomial,
-                          divexact, gcd, try_divexact, var_rank)
+from lieode.errors import InputError
+from lieode.parsing import parse_ode
+from lieode.polys import (MPoly, _guard, _image_free_of, _pack, _point_value,
+                          _strip_monomial, _unpack, divexact, gcd,
+                          try_divexact, var_rank)
 from lieode.ratfunc import RatFunc
 
-from conftest import nonzero_rationals, rationals, reference_derivative
+from conftest import (mono_key, nonzero_rationals, rationals,
+                      reference_derivative)
 
 X = MPoly.variable("x")
 Y = MPoly.variable("y")
@@ -254,10 +258,11 @@ def _assert_canonical(r):
     assert isinstance(r, MPoly)
     assert r == MPoly(r.vars, r.terms)
     assert type(r.den) is int and r.den > 0
-    assert all(type(c) is int and c for c in r.num.values())
-    assert math.gcd(r.den, *r.num.values()) == 1
+    numerators = r.numerators()
+    assert all(type(c) is int and c for _, c in numerators)
+    assert math.gcd(r.den, *(c for _, c in numerators)) == 1
     assert list(r.vars) == sorted(r.vars, key=var_rank)
-    assert all(any(e[i] for e in r.num) for i in range(len(r.vars)))
+    assert all(any(e[i] for e, _ in numerators) for i in range(len(r.vars)))
 
 
 JET_NAMES = ("x", "y", "y1")
@@ -294,6 +299,102 @@ def test_scaled_is_the_product_with_a_fraction(p, n, d):
 def test_leading_numerator_over_den_is_the_leading_coefficient(p):
     assume(not p.is_zero())
     assert Fraction(p.leading_numerator(), p.den) == p.leading_coeff()
+
+
+# -- packed monomials -------------------------------------------------------------
+
+
+def _exponents(n):
+    # small exponents meet and tie often; large ones keep the total degree
+    # of up to four variables below 2^31 and fill most of each field
+    return st.tuples(*(st.one_of(st.integers(0, 3),
+                                 st.integers(0, 2 ** 29 - 1)),) * n)
+
+
+EXPONENT_PAIRS = st.integers(0, 4).flatmap(
+    lambda n: st.tuples(_exponents(n), _exponents(n)))
+
+
+@given(EXPONENT_PAIRS)
+def test_packed_order_is_the_monomial_order(pair):
+    a, b = pair
+    assert (_pack(a) < _pack(b)) == (mono_key(a) < mono_key(b))
+    assert (_pack(a) == _pack(b)) == (a == b)
+    assert _unpack(_pack(a), len(a)) == a
+
+
+@given(mpolys(JET_NAMES, max_terms=6))
+def test_leading_term_and_printing_order_follow_the_monomial_order(p):
+    assume(not p.is_zero())
+    assert [e for e, _ in p.numerators()] == sorted(p.terms, key=mono_key,
+                                                    reverse=True)
+    assert p.leading()[0] == max(p.terms, key=mono_key)
+
+
+@given(EXPONENT_PAIRS)
+def test_guard_bits_decide_componentwise_divisibility(pair):
+    a, b = pair
+    divides = all(x >= y for x, y in zip(a, b))
+    d = _pack(a) - _pack(b)
+    assert (d >= 0 and not d & _guard(len(a))) == divides
+    # the same test divides monomials, whose pruned variables differ
+    names = ("x", "y", "y1", "y2")[:len(a)]
+    q = try_divexact(MPoly(names, {a: 1}), MPoly(names, {b: 1}))
+    assert (q is not None) == divides
+    if divides:
+        assert d == _pack(tuple(x - y for x, y in zip(a, b)))
+        assert q == MPoly(names, {tuple(x - y for x, y in zip(a, b)): 1})
+
+
+def _lifted(p, names):
+    """p's numerators, keyed by the packed exponent tuples over `names`."""
+    return {_pack(tuple(dict(zip(p.vars, e)).get(v, 0) for v in names)): c
+            for e, c in p.numerators()}
+
+
+@given(mpolys(("x", "y1", "z"), max_terms=4), mpolys(("y", "y1", "t1"),
+                                                     max_terms=4))
+def test_lifts_across_layouts_are_the_padded_exponent_tuples(p, q):
+    # x < y < y1 < t1 < z: both operands gain fields between their own
+    vs, a, b = p._aligned(q)
+    assert vs == tuple(sorted(set(p.vars) | set(q.vars), key=var_rank))
+    assert a == _lifted(p, vs) and b == _lifted(q, vs)
+    for r, num in ((p, a), (q, b)):
+        assert MPoly(vs, {_unpack(k, len(vs)): Fraction(c, r.den)
+                          for k, c in num.items()}) == r
+
+
+def test_total_degree_bound():
+    # 2^31 - 1 is the largest total degree; at 2^31 a product, a power,
+    # the constructor and the parser raise InputError naming the bound
+    top = 2 ** 31 - 1
+    p = Y ** top
+    assert p.leading() == ((top,), 1) and p == MPoly(("y",), {(top,): 1})
+    assert p.derivative("y") == top * Y ** (top - 1)
+    assert MPoly(("x", "y"), {(top - 5, 5): 1}).leading()[0] == (top - 5, 5)
+    assert try_divexact(p, Y ** 3) == Y ** (top - 3)
+    for make in (lambda: Y ** (top + 1), lambda: p * X,
+                 lambda: MPoly(("x", "y"), {(2 ** 30, 2 ** 30): 1}),
+                 lambda: parse_ode("y''=y^2147483648")):
+        with pytest.raises(InputError, match=r"below 2\^31"):
+            make()
+    assert parse_ode("y''=y^2147483647").n == 2
+
+
+@pytest.mark.parametrize("terms", [{(1, 2): 1}, {(): 1}, {(-1,): 1}])
+def test_constructor_rejects_malformed_exponents(terms):
+    # one exponent per variable, none negative: a packed key could not
+    # tell an extra or negative exponent from another monomial
+    with pytest.raises(ValueError, match="exponent"):
+        MPoly(("x",), terms)
+
+
+@given(st.one_of(rationals(), st.integers(-2 ** 70, 2 ** 70)))
+def test_constants_hash_as_their_value(c):
+    # a constant compares equal to its value, so it must hash like it
+    for v in (MPoly.const(c), RatFunc.const(c)):
+        assert v == c and hash(v) == hash(c) == hash(Fraction(c))
+        assert len({v, c}) == 1
 
 
 @given(mpolys(JET_NAMES), st.sets(st.sampled_from(JET_NAMES)))
