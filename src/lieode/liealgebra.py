@@ -21,7 +21,20 @@ differentiated symbolically, no power series is divided, and no polynomial
 gcd runs.  The series exist exactly where no lead coefficient vanishes:
 each P_lead is shifted first, and a zero constant term raises
 ``SingularPoint`` before any tail is shifted.  The automatic expansion
-point is the first candidate at which no lead coefficient vanishes.
+point is the first candidate at which no lead coefficient vanishes.  At
+the origin, where most tables are taken, the shift is no work: the Taylor
+coefficients are the polynomial's own terms, those above the order needed
+dropped.
+
+The table and the brackets share one slot layout per truncation order
+(``_layout``), built once and read-only: the slots of order <= N at
+integer positions, xi before eta, each by order and then dx, so slot
+(u, dx, dy) sits at base[u] + tri[dx + dy] + dx, with every position's
+(u is eta, order, dx, dy) stored beside it.  The table's rows sit in a list
+by position; a Leibniz term finds its slot by that arithmetic, and a slot
+finds its solving equation in per-unknown lists of leads.  No ``Slot`` is
+built or asked for its order in the inner loops, and an lcm or gcd runs
+only when a denominator is not 1.
 
 Brackets are taken directly on those values by Leibniz's rule: the value of a
 bracket at order k reads the data of both fields up to order k+1, so it is
@@ -53,8 +66,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd, lcm, perm
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import (Dict, Iterator, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .determining import ETA, XI, Slot
 from .errors import InputError, InternalInvariantError, SingularPoint
@@ -92,6 +108,41 @@ def expansion_points() -> Iterator[Point]:
                 yield at
 
 
+class _Layout(NamedTuple):
+    """The slots of order <= N, each at one integer position.
+
+    The xi slots come first, then the eta slots, each by order and then dx,
+    so slot (u, dx, dy) sits at ``base[u is eta] + tri[dx + dy] + dx``.
+    ``meta`` gives each position's (u is eta, order, dx, dy) as integers;
+    ``fall`` and ``binom`` hold the falling factorials n!/(n-k)! and the
+    binomials C(n, k) for n <= N.
+    """
+
+    slots: Tuple[Slot, ...]
+    index: Mapping[Slot, int]
+    meta: Tuple[Tuple[int, int, int, int], ...]
+    base: Tuple[int, int]
+    tri: Tuple[int, ...]
+    fall: Tuple[Tuple[int, ...], ...]
+    binom: Tuple[Tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=MAX_TRUNCATION + 2)
+def _layout(N: int) -> _Layout:
+    """The slot layout of truncation order N, built once and read-only."""
+    tri = tuple(k * (k + 1) // 2 for k in range(N + 2))
+    meta = tuple((eta, total, i, total - i) for eta in (0, 1)
+                 for total in range(N + 1) for i in range(total + 1))
+    slots = tuple(Slot(ETA if eta else XI, dx, dy) for eta, _, dx, dy in meta)
+    return _Layout(slots,
+                   MappingProxyType({s: k for k, s in enumerate(slots)}),
+                   meta, (0, tri[N + 1]), tri,
+                   tuple(tuple(perm(n, k) for k in range(n + 1))
+                         for n in range(N + 1)),
+                   tuple(tuple(comb(n, k) for k in range(n + 1))
+                         for n in range(N + 1)))
+
+
 def _shifted(p: MPoly, point: Point,
              K: int) -> Tuple[Dict[Tuple[int, int], int], int]:
     """``p(x0 + u, y0 + v)`` through total degree K in (u, v).
@@ -100,7 +151,8 @@ def _shifted(p: MPoly, point: Point,
     and their common positive denominator.  With x0 = a/b and y0 = c/d, a
     term x^e y^f of p adds C(e, i) C(f, j) a^(e-i) b^(E-e+i) c^(f-j)
     d^(F-f+j) to (i, j), over p's denominator times b^E d^F, where E and F
-    are p's degrees in x and y.
+    are p's degrees in x and y.  At the origin that is p's own terms of
+    degree <= K, over p's denominator.
     """
     idx = [p.vars.index(v) if v in p.vars else None for v in ("x", "y")]
     if len(p.vars) != sum(i is not None for i in idx):
@@ -108,6 +160,8 @@ def _shifted(p: MPoly, point: Point,
             "coefficient %r is not a function of (x, y) alone" % (p,))
     terms = [tuple(e[i] if i is not None else 0 for i in idx) + (n,)
              for e, n in p.numerators()]
+    if not any(point):
+        return {(e, f): n for e, f, n in terms if e + f <= K}, p.den
     E = max((e for e, _, _ in terms), default=0)
     F = max((f for _, f, _ in terms), default=0)
     (a, b), (c, d) = ((v.numerator, v.denominator) for v in point)
@@ -146,11 +200,15 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
     to order N - |L|, all of one equation over one common scale, so the sums
     run on integers: the rows on the right are brought over the lcm of their
     denominators, the division by -P_L(point) goes into the denominator, and
-    each slot takes one gcd.  Every lead coefficient is checked first: if
-    one vanishes at the point, it raises ``SingularPoint`` before any tail
-    is shifted.  No equation is prolonged symbolically.  Every t + a must
-    already be tabled (the lower t + a - b rank below it), or the guard
-    raises.
+    each slot takes one gcd (none when every denominator is 1).  Every lead
+    coefficient is checked first: if one vanishes at the point, it raises
+    ``SingularPoint`` before any tail is shifted.  No equation is prolonged
+    symbolically.  Every t + a must already be tabled (the lower t + a - b
+    rank below it), or the guard raises.
+
+    The work runs on the positions of ``_layout(N)``: rows sit in a list by
+    position, and the slot of a Leibniz term is found by arithmetic on the
+    position of its coefficient's slot.
     """
     # the equations a slot of order <= N can use: for the series basis, all
     leads = {}
@@ -162,53 +220,70 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
                 raise SingularPoint(
                     "singular expansion point (%s, %s): a coefficient "
                     "denominator vanishes there" % point)
-    fall = [[perm(n, k) for k in range(n + 1)] for n in range(N + 1)]
-    # per equation: P_L(point) and, per slot, its coefficient's terms
-    # (i, j, numerator) sorted by (i, j), all over one scale; the lead's
-    # constant term, which multiplies the solved slot, is left out
-    solved = {}
+    lay = _layout(N)
+    base, tri, meta, fall = lay.base, lay.tri, lay.meta, lay.fall
+    # per unknown, the equations in order, each as (lead dx, lead dy,
+    # P_L(point), coefficients); a coefficient is (position of its slot's
+    # unknown at order 0, the slot's order and dx, its terms (i, j,
+    # numerator) sorted by (i, j)), the lead's first, all over one scale;
+    # the lead's constant term, which multiplies the solved slot, is left out
+    solvers: Tuple[list, list] = ([], [])
     for e, (TL, sL) in leads.items():
         shifts = [(t, *_shifted(c, point, N - e.lead.order))
                   for t, c in e.terms.items() if t != e.lead]
         S = lcm(sL, *(s for _, _, s in shifts))
         q0 = TL.pop((0, 0)) * (S // sL)
-        solved[e] = (q0, [(t, sorted((i, j, n * (S // s))
-                                     for (i, j), n in T.items()))
-                          for t, T, s in [(e.lead, TL, sL)] + shifts])
-    table: Dict[Slot, Row] = {}
-    for s in sorted(_slot_index(N), key=inv.ranking.key):
-        e = next((e for e in inv.eqs if e.lead.divides(s)), None)
-        if e is None:
-            table[s] = ({s: 1}, 1)
+        coeffs = [(base[t.unknown == ETA], t.order, t.dx,
+                   sorted((i, j, n * (S // s)) for (i, j), n in T.items()))
+                  for t, T, s in [(e.lead, TL, sL)] + shifts]
+        solvers[e.lead.unknown == ETA].append(
+            (e.lead.dx, e.lead.dy, q0, coeffs))
+    slots, key = lay.slots, inv.ranking.key
+    order = sorted(range(len(slots)), key=lambda k: key(slots[k]))
+    rows: List[Optional[Row]] = [None] * len(slots)
+    for k in order:
+        eta, _, dx, dy = meta[k]
+        for lx, ly, q0, coeffs in solvers[eta]:
+            if lx <= dx and ly <= dy:
+                break
+        else:
+            rows[k] = ({slots[k]: 1}, 1)
             continue
-        ax, ay = s.dx - e.lead.dx, s.dy - e.lead.dy
-        q0, coeffs = solved[e]
-        if any(t.derive(ax, ay) not in table for t, _ in coeffs[1:]):
-            raise InternalInvariantError("equation for slot %s is not solved "
-                                         "over lower slots" % s.label())
-        coef: Dict[Slot, int] = {}
-        for t, terms in coeffs:
+        ax, ay = dx - lx, dy - ly
+        for b, o, tx, _ in coeffs[1:]:
+            o += ax + ay
+            if o > N or rows[b + tri[o] + tx + ax] is None:
+                raise InternalInvariantError(
+                    "equation for slot %s is not solved over lower slots"
+                    % slots[k].label())
+        fx, fy = fall[ax], fall[ay]
+        coef: Dict[int, int] = {}
+        for b, o, tx, terms in coeffs:
+            b += tx + ax
+            o += ax + ay
             for i, j, n in terms:
                 if i > ax:
                     break
                 if j <= ay:
-                    q = Slot(t.unknown, t.dx + ax - i, t.dy + ay - j)
-                    coef[q] = coef.get(q, 0) + fall[ax][i] * fall[ay][j] * n
-        coef = {q: w for q, w in coef.items() if w}
-        d = lcm(*(table[q][1] for q in coef))
-        out: Dict[Slot, int] = {}
-        for q, w in coef.items():
-            vals, dq = table[q]
-            w *= d // dq
+                    q = b + tri[o - i - j] - i
+                    coef[q] = coef.get(q, 0) + fx[i] * fy[j] * n
+        live = [(rows[q], w) for q, w in coef.items() if w]
+        d = 1
+        for (_, dq), _ in live:
+            if dq != 1:
+                d = lcm(d, dq)
+        out: Dict[int, int] = {}
+        for (vals, dq), w in live:
+            if dq != d:
+                w *= d // dq
             for r, v in vals.items():
                 out[r] = out.get(r, 0) + w * v
         # the value is out / (-q0 d), brought to a positive denominator
-        d *= -q0
-        if d < 0:
-            d, out = -d, {r: -v for r, v in out.items()}
-        g = gcd(d, *out.values())
-        table[s] = ({r: v // g for r, v in out.items() if v}, d // g)
-    return table
+        d *= abs(q0)
+        g = gcd(d, *out.values()) if d != 1 else 1
+        s = g if q0 < 0 else -g
+        rows[k] = ({r: v // s for r, v in out.items() if v}, d // g)
+    return {slots[k]: rows[k] for k in order}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -265,13 +340,19 @@ def series_basis(inv: InvolutiveSystem,
             if point is not None:
                 raise
     # every row over the lcm D of the row denominators; each row is coprime
-    # to its denominator, so D is already the least common denominator
+    # to its denominator, so D is already the least common denominator.
+    # Each element's column holds its nonzero values, on top of zeros at
+    # every slot.
     params = tuple(inv.parametric)
     D = lcm(*(d for _, d in ev.values()))
-    rows = [(s, vals, D // d) for s, (vals, d) in ev.items()]
+    cols: Dict[Slot, Dict[Slot, int]] = {p: {} for p in params}
+    for s, (vals, d) in ev.items():
+        f = D // d
+        for p, v in vals.items():
+            cols[p][s] = v * f
+    zeros = dict.fromkeys(ev, 0)
     return SeriesBasis(at, N, [
-        SeriesSolution(at, N, params,
-                       {s: vals.get(p, 0) * f for s, vals, f in rows}, D)
+        SeriesSolution(at, N, params, {**zeros, **cols[p]}, D)
         for p in params])
 
 
@@ -291,8 +372,11 @@ class LieAlgebraTable:
     den: int
 
     def __post_init__(self) -> None:
-        g = gcd(self.den, *(c for row in self.num for vec in row
-                            for c in vec))
+        g = self.den
+        for row in self.num:
+            if g == 1:
+                break
+            g = gcd(g, *itertools.chain.from_iterable(row))
         if g > 1:
             self.den //= g
             self.num = [[[c // g for c in vec] for vec in row]
@@ -333,12 +417,13 @@ class LieAlgebraTable:
         """
         m, num, sparse = self.m, self.num, self._sparse
         for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    if num[i][j][k] != -num[j][i][k]:
-                        raise InternalInvariantError(
-                            "structure constants not antisymmetric at "
-                            "(%d,%d,%d)" % (i, j, k))
+            for j in range(i, m):
+                if num[i][j] != [-c for c in num[j][i]]:
+                    k = next(k for k in range(m)
+                             if num[i][j][k] != -num[j][i][k])
+                    raise InternalInvariantError(
+                        "structure constants not antisymmetric at "
+                        "(%d,%d,%d)" % (i, j, k))
         for i, j, k in itertools.combinations(range(m), 3):
             # [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]]
             out = [0] * m
@@ -349,13 +434,6 @@ class LieAlgebraTable:
             if any(out):
                 raise InternalInvariantError(
                     "Jacobi identity fails at (%d,%d,%d)" % (i, j, k))
-
-
-def _slot_index(N: int) -> Dict[Slot, int]:
-    """Position of every slot of order <= N: unknown, then order, then dx."""
-    return {Slot(u, i, total - i): k for k, (u, total, i) in enumerate(
-        (u, total, i) for u in (XI, ETA)
-        for total in range(N + 1) for i in range(total + 1))}
 
 
 def structure_constants(basis: Sequence[SeriesSolution]) -> LieAlgebraTable:
@@ -371,58 +449,69 @@ def structure_constants(basis: Sequence[SeriesSolution]) -> LieAlgebraTable:
     at every slot of order <= N the bracket times D must equal the
     combination of scaled basis elements they name, or it has left the
     solution space.  The finished table must satisfy antisymmetry and
-    Jacobi.
+    Jacobi.  Brackets are lists by position in the layout of the series
+    table, ``_layout(N + 1)``.
     """
     m = len(basis)
     if not m:
         return LieAlgebraTable(0, [], 1)
     N = basis[0].N
-    index = _slot_index(N)
+    lay = _layout(N + 1)
+    index, meta, base, tri, binom = (lay.index, lay.meta, lay.base, lay.tri,
+                                     lay.binom)
     D = lcm(*(sol.den for sol in basis))
-    binom = [[comb(n, k) for k in range(n + 1)] for n in range(N + 1)]
-    tri = [k * (k + 1) // 2 for k in range(N + 1)]
     # Per element: its nonzero values of order <= N, as (unknown is eta,
-    # order, dx, dy, numerator) and as (index, numerator); and per
-    # derivative direction x, y the nonzero derivatives, as (order, index of
-    # the unknown's order-0 slot, dx, dy, numerator) sorted by order.
+    # order, dx, dy, numerator) and as (position, numerator); and per
+    # derivative direction x, y the nonzero derivatives, as (order, position
+    # of the unknown's order-0 slot, dx, dy, numerator) sorted by order.
     values, cols, derivs = [], [], []
     for sol in basis:
         f = D // sol.den
-        nz = [(s, v * f) for s, v in sol.num.items() if v]
-        values.append([(s.unknown == ETA, s.order, s.dx, s.dy, v)
-                       for s, v in nz if s.order <= N])
-        cols.append([(index[s], v) for s, v in nz if s.order <= N])
-        derivs.append(tuple(
-            sorted((s.order - 1, index[Slot(s.unknown, 0, 0)],
-                    s.dx - ex, s.dy - ey, v)
-                   for s, v in nz if s.dx >= ex and s.dy >= ey)
-            for ex, ey in ((1, 0), (0, 1))))
+        vals, col, by_x, by_y = [], [], [], []
+        for s, v in sol.num.items():
+            if not v:
+                continue
+            k = index[s]
+            eta, o, dx, dy = meta[k]
+            v *= f
+            if o <= N:
+                vals.append((eta, o, dx, dy, v))
+                col.append((k, v))
+            if dx:
+                by_x.append((o - 1, base[eta], dx - 1, dy, v))
+            if dy:
+                by_y.append((o - 1, base[eta], dx, dy - 1, v))
+        by_x.sort()
+        by_y.sort()
+        values.append(vals)
+        cols.append(col)
+        derivs.append((by_x, by_y))
     coord_at = [index[p] for p in basis[0].parametric]
+    size = len(meta)
     num = [[[0] * m for _ in range(m)] for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            br = [0] * len(index)
+            br = [0] * size
             for f, g, sign in ((i, j, 1), (j, i, -1)):
                 dg = derivs[g]
                 for eta, o, p, q, fv in values[f]:
                     fv *= sign
-                    for og, base, r, t, gv in dg[eta]:
+                    for og, b, r, t, gv in dg[eta]:
                         if o + og > N:
                             break
-                        br[base + tri[o + og] + p + r] += (
+                        br[b + tri[o + og] + p + r] += (
                             binom[p + r][p] * binom[q + t][q] * fv * gv)
             coords = [br[k] for k in coord_at]
-            span = [0] * len(index)
+            span = [0] * size
             for c, col in zip(coords, cols):
                 if c:
                     for k, v in col:
                         span[k] += c * v
-            bad = next((k for k, (a, b) in enumerate(zip(br, span))
-                        if D * a != b), None)
-            if bad is not None:
+            if (br if D == 1 else [D * a for a in br]) != span:
+                bad = next(k for k in range(size) if D * br[k] != span[k])
                 raise InternalInvariantError(
                     "bracket of basis elements %d,%d leaves the solution "
-                    "space at slot %s" % (i, j, list(index)[bad].label()))
+                    "space at slot %s" % (i, j, lay.slots[bad].label()))
             num[i][j] = coords
             num[j][i] = [-c for c in coords]
     table = LieAlgebraTable(m, num, D * D)

@@ -165,13 +165,18 @@ class MPoly:
 
     @staticmethod
     def zero() -> "MPoly":
-        return _new((), {}, 1)
+        return ZERO
 
     @staticmethod
     def const(c) -> "MPoly":
+        """The constant c; 0 and 1 are the shared ``ZERO`` and ``ONE``."""
         if not isinstance(c, (int, Fraction)):
             c = Fraction(c)
-        return _new((), {0: c.numerator} if c else {}, c.denominator)
+        if c == 1:
+            return ONE
+        if not c:
+            return ZERO
+        return _new((), {0: c.numerator}, c.denominator)
 
     @staticmethod
     def variable(name: str) -> "MPoly":
@@ -306,7 +311,7 @@ class MPoly:
     def scaled(self, n: int, d: int = 1) -> "MPoly":
         """self * n / d for integers n and d != 0, without a ``Fraction``."""
         if not n or not self.num:
-            return MPoly.zero()
+            return ZERO
         if d < 0:
             n, d = -n, -d
         return _new(self.vars, {e: c * n for e, c in self.num.items()},
@@ -318,7 +323,7 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         if not self.num or not other.num:
-            return MPoly.zero()
+            return ZERO
         if not self.vars:
             return other.scaled(self.num[0], self.den)
         if not other.vars:
@@ -346,7 +351,7 @@ class MPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = MPoly.const(1)
+        out = ONE
         base = self
         while k:
             if k & 1:
@@ -359,7 +364,7 @@ class MPoly:
 
     def derivative(self, name: str) -> "MPoly":
         if name not in self.vars:
-            return MPoly.zero()
+            return ZERO
         s = _W * self.vars.index(name)
         step = 1 << s | 1 << (_W * len(self.vars))
         out: Dict[int, int] = {}
@@ -372,7 +377,7 @@ class MPoly:
     def derive(self, images: Mapping[str, "MPoly"]) -> "MPoly":
         """The derivation that sends each variable v to images[v] (to 0 when
         v has no image), applied to self: sum over v of dself/dv * images[v]."""
-        out = MPoly.zero()
+        out = ZERO
         for v in self.vars:
             w = images.get(v)
             if w:
@@ -421,9 +426,9 @@ class MPoly:
 
     @staticmethod
     def from_coeffs(coeffs: Sequence["MPoly"], name: str) -> "MPoly":
-        out = MPoly.zero()
+        out = ZERO
         v = MPoly.variable(name)
-        power = MPoly.const(1)
+        power = ONE
         for c in coeffs:
             out = out + c * power
             power = power * v
@@ -452,10 +457,16 @@ def _new(vars: Tuple[str, ...], num: Dict[int, int], den: int) -> MPoly:
     return p
 
 
+# The constants 0 and 1, shared by every caller: no operation changes the
+# ``num`` of an operand, so one instance of each serves all.
+ZERO = _new((), {}, 1)
+ONE = _new((), {0: 1}, 1)
+
+
 def _new_pruned(vars: Tuple[str, ...], num: Dict[int, int], den: int) -> MPoly:
     """`_new` for results where a variable may no longer occur."""
     if not num:
-        return _new((), num, 1)
+        return ZERO
     used = 0
     for k in num:
         used |= k
@@ -480,7 +491,7 @@ def try_divexact(a: MPoly, b: MPoly) -> Optional[MPoly]:
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero():
-        return MPoly.zero()
+        return ZERO
     if b.is_const():
         return a.scaled(b.den, b.num[0])
     vs, ta, tb = a._aligned(b)
@@ -527,9 +538,11 @@ def divexact(a: MPoly, b: MPoly) -> MPoly:
 
 def _monic(p: MPoly) -> MPoly:
     """p divided by its leading coefficient: the leading numerator becomes
-    the denominator."""
+    the denominator; a nonzero constant gives the shared ``ONE``."""
     if p.is_zero():
         return p
+    if not p.vars:
+        return ONE
     lead = p.leading_numerator()
     if lead == 1 and p.den == 1:
         return p
@@ -670,13 +683,13 @@ def _image_free_of(a: MPoly, b: MPoly, name: str) -> bool:
 
 def content(coeffs: Sequence[MPoly]) -> MPoly:
     """gcd of the coefficients, with leading coefficient 1 (0 if all are 0)."""
-    g = MPoly.zero()
+    g = ZERO
     for c in coeffs:
         if c.is_zero():
             continue
         g = gcd(g, c)
         if g.is_const() and not g.is_zero():
-            return MPoly.const(1)
+            return ONE
     return g
 
 
@@ -717,14 +730,14 @@ def gcd(a: MPoly, b: MPoly) -> MPoly:
     if b.is_zero():
         return _monic(a)
     if a.is_const() or b.is_const():
-        return MPoly.const(1)
+        return ONE
     mono_a, a0 = _strip_monomial(a)
     mono_b, b0 = _strip_monomial(b)
     common = {v: min(k, mono_b.get(v, 0)) for v, k in mono_a.items() if v in mono_b}
     common = {v: k for v, k in common.items() if k}
     shared = [v for v in a0.vars if v in b0.vars]
     if not shared:
-        out = _mono_poly(common) if common else MPoly.const(1)
+        out = _mono_poly(common) if common else ONE
         return _monic(out)
     only_a = set(a0.vars).difference(shared)
     only_b = set(b0.vars).difference(shared)
@@ -739,7 +752,7 @@ def gcd(a: MPoly, b: MPoly) -> MPoly:
     elif _divides(a0, b0):
         g = a0
     elif all(_image_free_of(a0, b0, v) for v in shared):
-        g = MPoly.const(1)
+        g = ONE
     else:
         v = min(shared, key=lambda n: max(a0.degree_in(n), b0.degree_in(n)))
         ca = a0.coeffs_in(v)
@@ -760,7 +773,7 @@ def gcd(a: MPoly, b: MPoly) -> MPoly:
             r = [divexact(x, cont_r) for x in r]
             pa, pb = pb, r
             if len(pb) == 1:
-                g = [MPoly.const(1)]
+                g = [ONE]
                 break
         gp = MPoly.from_coeffs(g, v)
         cont_g = content(g)

@@ -5,12 +5,13 @@ and the denominator's graded-lex leading coefficient equal to 1.  Under that
 normalization the representation of a value is unique, so ``==`` decides
 mathematical equality.
 
-``RatFunc(num, den)`` normalizes any pair of MPoly values, and
-``RatFunc.const`` a scalar.  Sums, products, quotients and powers of
-canonical operands are built by ``_new``, which trusts that its pair is
-coprime and only scales the denominator's leading coefficient to 1: they
-take the gcds that can be nontrivial and no others (Henrici's algorithms,
-Knuth, TAOCP vol. 2, 4.5.1).
+``RatFunc(num, den)`` normalizes any pair of MPoly values.  Constants,
+variables, and sums, products, quotients and powers of canonical operands
+are built by ``_new``, which trusts that its pair is coprime and only
+scales the denominator's leading coefficient to 1: they take the gcds that
+can be nontrivial and no others (Henrici's algorithms, Knuth, TAOCP vol. 2,
+4.5.1).  A canonical denominator that is constant is 1, so a sum or product
+of two polynomials takes no gcd at all.
 
 Every derivative is ``derive``, given the images of the variables.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Optional, Tuple, Union
 
-from .polys import MPoly, divexact, gcd
+from .polys import ONE, ZERO, MPoly, divexact, gcd
 
 Scalar = Union[int, Fraction]
 
@@ -30,11 +31,11 @@ class RatFunc:
     def __init__(self, num: MPoly, den: Optional[MPoly] = None):
         """num/den over MPoly values, den 1 if omitted; see ``const``."""
         if den is None:
-            den = MPoly.const(1)
+            den = ONE
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
-            num, den = MPoly.zero(), MPoly.const(1)
+            num, den = ZERO, ONE
         else:
             g = gcd(num, den)
             if not g.is_const():
@@ -51,19 +52,19 @@ class RatFunc:
 
     @staticmethod
     def zero() -> "RatFunc":
-        return RatFunc(MPoly.zero())
+        return RatFunc(ZERO)
 
     @staticmethod
     def one() -> "RatFunc":
-        return RatFunc(MPoly.const(1))
+        return _new(ONE, ONE)
 
     @staticmethod
     def const(c: Scalar) -> "RatFunc":
-        return RatFunc(MPoly.const(c))
+        return _new(MPoly.const(c), ONE)
 
     @staticmethod
     def variable(name: str) -> "RatFunc":
-        return RatFunc(MPoly.variable(name))
+        return _new(MPoly.variable(name), ONE)
 
     # -- queries --------------------------------------------------------------
 
@@ -92,7 +93,7 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __repr__(self) -> str:
-        if self.den == MPoly.const(1):
+        if self.den.is_const():
             return repr(self.num)
         return f"({self.num!r})/({self.den!r})"
 
@@ -114,6 +115,9 @@ class RatFunc:
             return o
         if o.is_zero():
             return self
+        if self.den.is_const() and o.den.is_const():
+            # both denominators are 1
+            return _new(self.num + o.num, ONE)
         # a/b + c/d: with g = gcd(b, d), b = b'g and d = d'g, the numerator
         # t = a d' + c b' is prime to b' and d', so only gcd(t, g) can cancel
         g = gcd(self.den, o.den)
@@ -152,6 +156,8 @@ class RatFunc:
             return NotImplemented
         if self.is_zero() or o.is_zero():
             return RatFunc.zero()
+        if self.den.is_const() and o.den.is_const():
+            return _new(self.num * o.num, ONE)
         g1 = gcd(self.num, o.den)
         g2 = gcd(o.num, self.den)
         n1 = self.num if g1.is_const() else divexact(self.num, g1)
@@ -196,7 +202,7 @@ class RatFunc:
         D(P/Q) = (R M DP - P (M DQ)/G) / (M Q R): G keeps repeated factors
         of Q from squaring, and the constructor's gcd cancels the rest.
         """
-        m = MPoly.const(1)
+        m = ONE
         for w in images.values():
             if not w.den.is_const():
                 m = m * divexact(w.den, gcd(m, w.den))

@@ -15,8 +15,8 @@ from lieode.parsing import parse_ode
 from lieode.polys import MPoly
 from lieode.ratfunc import RatFunc
 
-from conftest import (bench_odes, normal_form, reference_complete,
-                      substitute_generator)
+from conftest import (bench_odes, bench_ranking_cases, normal_form,
+                      reference_complete, substitute_generator)
 
 ONE = MPoly.const(1)
 X = MPoly.variable("x")
@@ -261,20 +261,6 @@ def test_coprime_bivariate_denominator_completes():
 # -- the pairwise reference and the chain criterion ---------------------------------
 
 
-def _reference_cases():
-    for name, plain, shifted in bench_odes():
-        for variant, ode in (("plain", plain), ("shifted", shifted)):
-            for ranking in (default_ranking(), alt_ranking()):
-                # under alt_ranking the reference, which takes its queue
-                # first in, first out, stalls in a content on Painleve II;
-                # the engine's completion of it is checked on its own in
-                # test_painleve_ii_completes_under_the_alternate_ranking
-                if name == "control-02" and ranking.name == alt_ranking().name:
-                    continue
-                yield pytest.param(ode, ranking,
-                                   id=f"{name}-{variant}-{ranking.name}")
-
-
 def _assert_matches_reference(inv, system):
     ref = reference_complete(system, inv.ranking)
     assert inv.equations == ref.equations
@@ -283,13 +269,13 @@ def _assert_matches_reference(inv, system):
     assert audit_involutive(inv, system)
 
 
-@pytest.mark.parametrize("ode,ranking", list(_reference_cases()))
+@pytest.mark.parametrize("ode,ranking", bench_ranking_cases())
 def test_completion_matches_the_pairwise_reference(ode, ranking):
     detsys = determining_system(ode)
     _assert_matches_reference(complete(detsys, ranking), detsys)
 
 
-@pytest.mark.parametrize("ode,ranking", list(_reference_cases()))
+@pytest.mark.parametrize("ode,ranking", bench_ranking_cases())
 def test_completion_is_independent_of_input_order(ode, ranking):
     # the completed system is unique for the ranking, so neither the
     # reversed system nor a shuffled one changes it

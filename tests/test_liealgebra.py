@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import lieode.liealgebra
 from lieode import analyze
@@ -21,9 +23,11 @@ from lieode.parsing import parse_ode
 from lieode.polys import MPoly
 from lieode.ratfunc import RatFunc
 
-from conftest import (REFERENCE_INPUTS, fraction_bracket, fraction_table,
-                      lie_table, normal_form, plain_eval, row_space_basis,
-                      solution_data_from_components)
+from conftest import (REFERENCE_INPUTS, bench_ranking_cases, fraction_bracket,
+                      fraction_table, lie_table, mpolys, normal_form,
+                      plain_eval, rationals, reference_normal_form_table,
+                      reference_shifted, reference_structure_constants,
+                      row_space_basis, solution_data_from_components)
 
 F = Fraction
 UNIT = MPoly.const(1)   # equation coefficient
@@ -107,6 +111,16 @@ def test_taylor_coefficients_match_iterated_derivatives(name, point):
                 assert (F(T.get((i, j), 0) * factorial(i) * factorial(j),
                           scale) == ref[Slot(XI, i, j)]), (p, i, j)
         assert all(T.values()) and max(i + j for i, j in T) <= K
+
+
+@given(mpolys(max_terms=5, max_exp=4),
+       st.one_of(st.just((F(0), F(0))), st.tuples(rationals(), rationals())),
+       st.integers(0, 6))
+def test_shift_matches_the_reference(p, point, K):
+    # at the origin the shift is p's own terms of degree <= K; elsewhere it
+    # expands the binomials  [DERIVED]
+    assert (lieode.liealgebra._shifted(p, point, K)
+            == reference_shifted(p, point, K))
 
 
 # Rational-coefficient inputs checked at an explicit fractional point, with
@@ -327,7 +341,7 @@ def reference_bracket_data(a, b, N):
     return out
 
 
-def reference_structure_constants(basis):
+def fraction_structure_constants(basis):
     """Coordinates of the reference brackets: their parametric values."""
     m, N, params = len(basis), basis[0].N, basis[0].parametric
     C = [[[F(0)] * m for _ in range(m)] for _ in range(m)]
@@ -353,7 +367,36 @@ def test_structure_constants_match_fraction_reference(text, den):
     _, basis, table = run(text)
     if den is not None:
         assert common_denominator(basis) == den
-    assert table.C == reference_structure_constants(basis)
+    assert table.C == fraction_structure_constants(basis)
+
+
+# the automatic point, and two fixed points off the origin
+REFERENCE_POINTS = [None, (F(1), F(2)), (F(1, 2), F(1, 3))]
+
+
+@pytest.mark.parametrize("ode,ranking", bench_ranking_cases())
+def test_series_and_structure_match_the_references(ode, ranking):
+    # on every bench input, plain and translated, under both rankings, the
+    # table, the basis read from it and the structure constants are those
+    # of the Slot-based references, or both stages raise SingularPoint
+    # [DERIVED]
+    inv = complete(determining_system(ode), ranking)
+    N = inv.max_parametric_order() + 2
+    for point in REFERENCE_POINTS:
+        try:
+            basis = series_basis(inv, point=point)
+        except SingularPoint:
+            with pytest.raises(SingularPoint):
+                reference_normal_form_table(inv, N + 1, point)
+            continue
+        ref = reference_normal_form_table(inv, N + 1, basis.point)
+        assert normal_form_table(inv, N + 1, basis.point) == ref
+        D = lcm(*(d for _, d in ref.values()))
+        assert [(sol.num, sol.den) for sol in basis] == [
+            ({s: vals.get(p, 0) * (D // d) for s, (vals, d) in ref.items()},
+             D) for p in inv.parametric]
+        assert (structure_constants(basis)
+                == reference_structure_constants(basis))
 
 
 @pytest.mark.parametrize("text,den", [

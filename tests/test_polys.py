@@ -6,26 +6,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import lieode.ratfunc
 from lieode.errors import InputError
 from lieode.parsing import parse_ode
-from lieode.polys import (MPoly, _guard, _image_free_of, _pack, _point_value,
-                          _strip_monomial, _unpack, divexact, gcd,
-                          try_divexact, var_rank)
+from lieode.polys import (ONE, ZERO, MPoly, _guard, _image_free_of, _monic,
+                          _pack, _point_value, _strip_monomial, _unpack,
+                          content, divexact, gcd, try_divexact, var_rank)
 from lieode.ratfunc import RatFunc
 
-from conftest import (mono_key, nonzero_rationals, rationals,
+from conftest import (mono_key, mpolys, nonzero_rationals, rationals,
                       reference_derivative)
 
 X = MPoly.variable("x")
 Y = MPoly.variable("y")
-
-
-@st.composite
-def mpolys(draw, names=("x", "y"), max_terms=4, max_exp=3):
-    terms = draw(st.dictionaries(
-        st.tuples(*(st.integers(0, max_exp),) * len(names)),
-        rationals(), max_size=max_terms))
-    return MPoly(names, terms)
 
 
 # -- ring laws --------------------------------------------------------------------
@@ -397,6 +390,44 @@ def test_constants_hash_as_their_value(c):
         assert len({v, c}) == 1
 
 
+def test_constants_zero_and_one_are_shared():
+    # 0 and 1 are built once; gcd and the RatFunc constructor hand them out
+    assert MPoly.zero() is MPoly.const(0) is MPoly.const(Fraction(0)) is ZERO
+    assert MPoly.const(1) is MPoly.const(Fraction(2, 2)) is ONE
+    assert gcd(X + 1, Y + 2) is gcd(X, MPoly.const(3)) is ONE
+    assert gcd(X + 1, X - 1) is gcd(X * Y + 1, X * Y - 1) is ONE
+    assert content([X, Y]) is ONE
+    assert RatFunc(X).den is ONE and RatFunc(ZERO, X).num is ZERO
+    assert MPoly.const(2) == 2 and MPoly.const(Fraction(1, 3)).den == 3
+
+
+# Every public operation and the gcd helpers, on operands (a, b); none may
+# change the ``num`` of an operand, or the shared constants would change.
+OPERATIONS = [
+    lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+    lambda a, b: -a, lambda a, b: a.scaled(-3, 2),
+    lambda a, b: a.add_scaled(b, -2, 3), lambda a, b: a ** 3,
+    lambda a, b: a.derivative("x"), lambda a, b: a.derive({"y": b}),
+    lambda a, b: a.coeffs_in("y"), lambda a, b: a.coeffs_over({"x"}),
+    lambda a, b: MPoly.from_coeffs([a, b], "y"),
+    lambda a, b: b and try_divexact(a * b, b), lambda a, b: gcd(a, b),
+    lambda a, b: content([a, b]), lambda a, b: _monic(a),
+    lambda a, b: _strip_monomial(a), lambda a, b: (a.terms, a.numerators()),
+    lambda a, b: RatFunc(a, b) if b else RatFunc(a),
+]
+
+
+@given(mpolys(), mpolys(), st.sampled_from(["drawn", "zero", "one"]))
+def test_no_operation_changes_an_operand(a, b, second):
+    b = {"drawn": b, "zero": ZERO, "one": ONE}[second]
+    before = [(p, dict(p.num), p.den, p.vars) for p in (a, b, ZERO, ONE)]
+    for op in OPERATIONS:
+        op(a, b)
+        op(b, a)
+    for p, num, den, vars in before:
+        assert (p.num, p.den, p.vars) == (num, den, vars)
+
+
 @given(mpolys(JET_NAMES), st.sets(st.sampled_from(JET_NAMES)))
 def test_coeffs_over_roundtrip(p, names):
     # sum over the keys of coefficient * monomial gives p back
@@ -444,6 +475,35 @@ def test_ratfunc_results_are_canonical(a, b, name, fa, fb):
     for r in results:
         assert r == RatFunc(r.num, r.den)
         assert r.den.leading_coeff() == 1
+
+
+@given(mpolys(JET_NAMES, max_terms=4, max_exp=2),
+       mpolys(JET_NAMES, max_terms=4, max_exp=2), rationals(),
+       st.sampled_from(JET_NAMES))
+def test_ratfunc_polynomial_results_match_the_constructor(p, q, c, name):
+    # constants, variables, and sums and products of two polynomials are
+    # built without a gcd; each is the pair the normalizing constructor
+    # gives
+    a, b = RatFunc(p), RatFunc(q)
+    assert a + b == RatFunc(p + q) and a - b == RatFunc(p - q)
+    assert a * b == RatFunc(p * q)
+    assert RatFunc.const(c) == RatFunc(MPoly.const(c))
+    assert RatFunc.variable(name) == RatFunc(MPoly.variable(name))
+    assert RatFunc.one() == RatFunc(ONE) and RatFunc.zero() == RatFunc(ZERO)
+
+
+def test_ratfunc_polynomial_results_take_no_gcd(monkeypatch):
+    def no_gcd(*args):
+        raise AssertionError("gcd called")
+
+    a, b = RatFunc(X * X - Y), RatFunc(X + Y)
+    monkeypatch.setattr(lieode.ratfunc, "gcd", no_gcd)
+    assert a + b == a - (-b) and (a + b).den.is_const()
+    assert (a * b).num == (X * X - Y) * (X + Y)
+    assert (RatFunc.const(Fraction(-2, 3)) + RatFunc.variable("x")
+            == b - RatFunc.variable("y") + Fraction(-2, 3))
+    with pytest.raises(AssertionError, match="gcd called"):
+        a / b
 
 
 @st.composite
