@@ -26,15 +26,16 @@ the origin, where most tables are taken, the shift is no work: the Taylor
 coefficients are the polynomial's own terms, those above the order needed
 dropped.
 
-The table and the brackets share one slot layout per truncation order
-(``_layout``), built once and read-only: the slots of order <= N at
+The table, the basis and the brackets share one slot layout per truncation
+order (``_layout``), built once and read-only: the slots of order <= N at
 integer positions, xi before eta, each by order and then dx, so slot
 (u, dx, dy) sits at base[u] + tri[dx + dy] + dx, with every position's
-(u is eta, order, dx, dy) stored beside it.  The table's rows sit in a list
-by position; a Leibniz term finds its slot by that arithmetic, and a slot
-finds its solving equation in per-unknown lists of leads.  No ``Slot`` is
-built or asked for its order in the inner loops, and an lcm or gcd runs
-only when a denominator is not 1.
+(u is eta, order, dx, dy) stored beside it.  The table is a list of rows
+by position, each keyed by the positions of its parametric slots; a
+Leibniz term finds its slot by that arithmetic, and a slot finds its
+solving equation in per-unknown lists of leads.  No ``Slot`` is built or
+asked for its order in the inner loops, and an lcm or gcd runs only when a
+denominator is not 1.
 
 Brackets are taken directly on those values by Leibniz's rule: the value of a
 bracket at order k reads the data of both fields up to order k+1, so it is
@@ -43,17 +44,18 @@ coordinates in the delta basis, which gives the structure constants.
 
 The algebra stages run on integers, from the table on.  The basis data
 share one least common denominator D (every element reads the same table),
-so each ``SeriesSolution`` is integer numerators over D, and a bracket of
-two of them is D^2 times the bracket.  ``LieAlgebraTable`` is built from
+so ``SeriesBasis.cols`` holds, per element, its nonzero numerators over D
+by position, read off the table's rows in one pass; a bracket of two
+elements is D^2 times the bracket.  ``LieAlgebraTable`` is built from
 those numerators and keeps its constants over their least common
 denominator E, and the derived algebra is kept as fraction-free
 Gauss-Jordan rows of them (``linalg.integer_rref``).  Fractions are built
-only for the public views, when they are read: ``SeriesSolution.data``,
-the table's ``C`` and ``Subalgebra.basis``.  The safety nets are checked
-on numerators, exactly: at every slot of order <= N the bracket must equal
-the combination of basis elements named by its coordinates (closure of the
-solution space under the bracket), the constants must satisfy antisymmetry
-and the Jacobi identity, and the derived algebra must be closed.
+only for the public views, when they are read: the table's ``C`` and
+``Subalgebra.basis``.  The safety nets are checked on numerators, exactly:
+at every slot of order <= N the bracket must equal the combination of
+basis elements named by its coordinates (closure of the solution space
+under the bracket), the constants must satisfy antisymmetry and the Jacobi
+identity, and the derived algebra must be closed.
 
 The linearization certificate is then a pure function of the dimension m,
 the order n, and the derived algebra: linearizable iff (n=2 and m=8), or
@@ -68,9 +70,8 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, perm
-from types import MappingProxyType
-from typing import (Dict, Iterator, List, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .determining import ETA, XI, Slot
 from .errors import InputError, InternalInvariantError, SingularPoint
@@ -79,9 +80,9 @@ from .linalg import IntRows, Vec, eliminate, integer_rref
 from .polys import MPoly
 
 Point = Tuple[Fraction, Fraction]
-# A normal-form table row: integer numerators by parametric slot over one
-# positive denominator, coprime to them.
-Row = Tuple[Dict[Slot, int], int]
+# A normal-form table row: integer numerators by the position of their
+# parametric slot, over one positive denominator, coprime to them.
+Row = Tuple[Dict[int, int], int]
 
 # Highest truncation order a caller may request: the series and structure
 # work grows steeply with N, and nothing bounds an explicit request otherwise.
@@ -113,18 +114,20 @@ class _Layout(NamedTuple):
 
     The xi slots come first, then the eta slots, each by order and then dx,
     so slot (u, dx, dy) sits at ``base[u is eta] + tri[dx + dy] + dx``.
-    ``meta`` gives each position's (u is eta, order, dx, dy) as integers;
-    ``fall`` and ``binom`` hold the falling factorials n!/(n-k)! and the
-    binomials C(n, k) for n <= N.
+    ``meta`` gives each position's (u is eta, order, dx, dy) as integers,
+    and ``position`` a slot's position; ``fall`` and ``binom`` hold the
+    falling factorials n!/(n-k)! and the binomials C(n, k) for n <= N.
     """
 
     slots: Tuple[Slot, ...]
-    index: Mapping[Slot, int]
     meta: Tuple[Tuple[int, int, int, int], ...]
     base: Tuple[int, int]
     tri: Tuple[int, ...]
     fall: Tuple[Tuple[int, ...], ...]
     binom: Tuple[Tuple[int, ...], ...]
+
+    def position(self, s: Slot) -> int:
+        return self.base[s.unknown == ETA] + self.tri[s.order] + s.dx
 
 
 @lru_cache(maxsize=MAX_TRUNCATION + 2)
@@ -133,9 +136,8 @@ def _layout(N: int) -> _Layout:
     tri = tuple(k * (k + 1) // 2 for k in range(N + 2))
     meta = tuple((eta, total, i, total - i) for eta in (0, 1)
                  for total in range(N + 1) for i in range(total + 1))
-    slots = tuple(Slot(ETA if eta else XI, dx, dy) for eta, _, dx, dy in meta)
-    return _Layout(slots,
-                   MappingProxyType({s: k for k, s in enumerate(slots)}),
+    return _Layout(tuple(Slot(ETA if eta else XI, dx, dy)
+                         for eta, _, dx, dy in meta),
                    meta, (0, tri[N + 1]), tri,
                    tuple(tuple(perm(n, k) for k in range(n + 1))
                          for n in range(N + 1)),
@@ -182,11 +184,12 @@ def _shifted(p: MPoly, point: Point,
 
 
 def normal_form_table(inv: InvolutiveSystem, N: int,
-                      point: Point) -> Dict[Slot, Row]:
+                      point: Point) -> List[Row]:
     """Value at ``point`` of the normal form of every slot of order <= N.
 
-    Each slot maps to ``(numerators, denominator)``: the integer numerators
-    by parametric slot (nonzero only) over one positive denominator, coprime
+    The rows sit by position in ``_layout(N)``, each ``(numerators,
+    denominator)``: the integer numerators by the position of their
+    parametric slot (nonzero only) over one positive denominator, coprime
     to them, so equal values give equal rows.  Forward substitution in
     ranking order, reducing each slot by the first equation whose lead
     divides it, as ``involutive.reduce`` does.
@@ -206,9 +209,8 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
     symbolically.  Every t + a must already be tabled (the lower t + a - b
     rank below it), or the guard raises.
 
-    The work runs on the positions of ``_layout(N)``: rows sit in a list by
-    position, and the slot of a Leibniz term is found by arithmetic on the
-    position of its coefficient's slot.
+    The slot of a Leibniz term is found by arithmetic on the position of
+    its coefficient's slot.
     """
     # the equations a slot of order <= N can use: for the series basis, all
     leads = {}
@@ -247,7 +249,7 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
             if lx <= dx and ly <= dy:
                 break
         else:
-            rows[k] = ({slots[k]: 1}, 1)
+            rows[k] = ({k: 1}, 1)
             continue
         ax, ay = dx - lx, dy - ly
         for b, o, tx, _ in coeffs[1:]:
@@ -283,40 +285,26 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
         g = gcd(d, *out.values()) if d != 1 else 1
         s = g if q0 < 0 else -g
         rows[k] = ({r: v // s for r, v in out.items() if v}, d // g)
-    return {slots[k]: rows[k] for k in order}
+    return rows
 
 
 @dataclasses.dataclass(frozen=True)
-class SeriesSolution:
-    """Truncated Taylor data of one symmetry generator, on integers.
+class SeriesBasis:
+    """Truncated Taylor data of the delta basis, on integers.
 
-    ``num`` maps every slot of order <= N + 1, zeros included, to the
-    numerator of that derivative's value at the expansion point over
-    ``den``; the extra order lets brackets be taken through order N.  A
-    series basis shares one ``den``, the least common denominator of all
-    its values.
+    Element i has initial datum 1 at ``parametric[i]`` and 0 at the other
+    parametric slots.  ``cols[i]`` holds its nonzero values at the slots of
+    order <= N + 1, as (position in ``_layout(N + 1)``, numerator) pairs by
+    position, over ``den``, the least common denominator of all the basis
+    values; the extra order lets brackets be taken through order N.  An
+    empty basis (m = 0) still has its expansion point and order.
     """
 
     point: Point
     N: int
     parametric: Tuple[Slot, ...]
-    num: Dict[Slot, int]
+    cols: Tuple[Tuple[Tuple[int, int], ...], ...]
     den: int
-
-    @property
-    def data(self) -> Dict[Slot, Fraction]:
-        """The values over the rationals."""
-        return {s: Fraction(v, self.den) for s, v in self.num.items()}
-
-
-class SeriesBasis(list):
-    """The elements of a series basis, with the expansion point and the
-    truncation order that they share; an empty basis (m = 0) has both too."""
-
-    def __init__(self, point: Point, N: int, elements=()):
-        super().__init__(elements)
-        self.point = point
-        self.N = N
 
 
 def series_basis(inv: InvolutiveSystem,
@@ -334,26 +322,23 @@ def series_basis(inv: InvolutiveSystem,
     # candidates are unbounded, so one is found
     for at in [point] if point is not None else expansion_points():
         try:
-            ev = normal_form_table(inv, N + 1, at)
+            rows = normal_form_table(inv, N + 1, at)
             break
         except SingularPoint:
             if point is not None:
                 raise
     # every row over the lcm D of the row denominators; each row is coprime
-    # to its denominator, so D is already the least common denominator.
-    # Each element's column holds its nonzero values, on top of zeros at
-    # every slot.
+    # to its denominator, so D is already the least common denominator
     params = tuple(inv.parametric)
-    D = lcm(*(d for _, d in ev.values()))
-    cols: Dict[Slot, Dict[Slot, int]] = {p: {} for p in params}
-    for s, (vals, d) in ev.items():
+    lay = _layout(N + 1)
+    element = {lay.position(p): i for i, p in enumerate(params)}
+    D = lcm(*(d for _, d in rows))
+    cols: List[List[Tuple[int, int]]] = [[] for _ in params]
+    for k, (vals, d) in enumerate(rows):
         f = D // d
         for p, v in vals.items():
-            cols[p][s] = v * f
-    zeros = dict.fromkeys(ev, 0)
-    return SeriesBasis(at, N, [
-        SeriesSolution(at, N, params, {**zeros, **cols[p]}, D)
-        for p in params])
+            cols[element[p]].append((k, v * f))
+    return SeriesBasis(at, N, params, tuple(map(tuple, cols)), D)
 
 
 @dataclasses.dataclass
@@ -436,47 +421,39 @@ class LieAlgebraTable:
                     "Jacobi identity fails at (%d,%d,%d)" % (i, j, k))
 
 
-def structure_constants(basis: Sequence[SeriesSolution]) -> LieAlgebraTable:
+def structure_constants(basis: SeriesBasis) -> LieAlgebraTable:
     """Structure constants of the algebra spanned by a series basis.
 
-    Each element's numerators are brought to the lcm D of the elements'
-    denominators, so each is a sparse list of integers, D times its values.
-    The bracket of two scaled fields is D^2 times the bracket, by Leibniz's
-    rule on [a,b]^u = a^xi b^u_x + a^eta b^u_y - (a <-> b): a^w at slot
-    (p, q) times the derivative (r, t) of b^u_w adds C(p+r, p) C(q+t, q)
-    a^w_pq (b^u_w)_rt at slot (u, p+r, q+t), which is known through order
-    N.  Its values at the parametric slots are the coordinates, over D^2;
-    at every slot of order <= N the bracket times D must equal the
-    combination of scaled basis elements they name, or it has left the
-    solution space.  The finished table must satisfy antisymmetry and
-    Jacobi.  Brackets are lists by position in the layout of the series
-    table, ``_layout(N + 1)``.
+    Each element is a sparse column of integers, D times its values, for
+    the basis denominator D.  The bracket of two scaled fields is D^2 times
+    the bracket, by Leibniz's rule on [a,b]^u = a^xi b^u_x + a^eta b^u_y -
+    (a <-> b): a^w at slot (p, q) times the derivative (r, t) of b^u_w adds
+    C(p+r, p) C(q+t, q) a^w_pq (b^u_w)_rt at slot (u, p+r, q+t), which is
+    known through order N.  Its values at the parametric slots are the
+    coordinates, over D^2; at every slot of order <= N the bracket times D
+    must equal the combination of scaled basis elements they name, or it
+    has left the solution space.  The finished table must satisfy
+    antisymmetry and Jacobi.  Brackets are lists by position in the layout
+    of the basis columns, ``_layout(N + 1)``.
     """
-    m = len(basis)
+    m = len(basis.cols)
     if not m:
         return LieAlgebraTable(0, [], 1)
-    N = basis[0].N
+    N, D = basis.N, basis.den
     lay = _layout(N + 1)
-    index, meta, base, tri, binom = (lay.index, lay.meta, lay.base, lay.tri,
-                                     lay.binom)
-    D = lcm(*(sol.den for sol in basis))
+    meta, base, tri, binom = lay.meta, lay.base, lay.tri, lay.binom
     # Per element: its nonzero values of order <= N, as (unknown is eta,
     # order, dx, dy, numerator) and as (position, numerator); and per
     # derivative direction x, y the nonzero derivatives, as (order, position
     # of the unknown's order-0 slot, dx, dy, numerator) sorted by order.
     values, cols, derivs = [], [], []
-    for sol in basis:
-        f = D // sol.den
-        vals, col, by_x, by_y = [], [], [], []
-        for s, v in sol.num.items():
-            if not v:
-                continue
-            k = index[s]
+    for col in basis.cols:
+        vals, low, by_x, by_y = [], [], [], []
+        for k, v in col:
             eta, o, dx, dy = meta[k]
-            v *= f
             if o <= N:
                 vals.append((eta, o, dx, dy, v))
-                col.append((k, v))
+                low.append((k, v))
             if dx:
                 by_x.append((o - 1, base[eta], dx - 1, dy, v))
             if dy:
@@ -484,9 +461,9 @@ def structure_constants(basis: Sequence[SeriesSolution]) -> LieAlgebraTable:
         by_x.sort()
         by_y.sort()
         values.append(vals)
-        cols.append(col)
+        cols.append(low)
         derivs.append((by_x, by_y))
-    coord_at = [index[p] for p in basis[0].parametric]
+    coord_at = [lay.position(p) for p in basis.parametric]
     size = len(meta)
     num = [[[0] * m for _ in range(m)] for _ in range(m)]
     for i in range(m):

@@ -28,7 +28,7 @@ from typing import Dict, List, Sequence, Tuple
 from .errors import InternalInvariantError
 from .liealgebra import LieAlgebraTable, Subalgebra
 from .linalg import (Mat, Vec, charpoly as matrix_charpoly, eliminate,
-                     integer_row, integer_rref, is_scalar_matrix)
+                     integer_rref, is_scalar_matrix)
 from .parsing import deriv_marker, signed_sum
 
 _0 = Fraction(0)
@@ -192,31 +192,33 @@ def classify_pair(p: CharPoly, q: CharPoly) -> Tuple[bool, str]:
 # -- Lie-algebra side: factor space and adjoint action ------------------------
 
 
-def factor_space(L: LieAlgebraTable, D: Subalgebra) -> Tuple[Vec, Vec]:
-    """Two standard basis vectors completing D's basis to a basis of L."""
+def factor_space(L: LieAlgebraTable, D: Subalgebra) -> Tuple[int, int]:
+    """Indices i < j of the two basis elements whose unit vectors, taken in
+    order, first enlarge D's span: e_i and e_j complete D's basis to a
+    basis of L."""
     if L.m - D.dimension != 2:
         raise ValueError("factor space requires codimension 2, got %d"
                          % (L.m - D.dimension))
-    reps: List[Vec] = []
+    reps: List[int] = []
     rows = D.rows
     for i in range(L.m):
-        unit = [int(t == i) for t in range(L.m)]
-        grown = integer_rref([unit], rows)
+        grown = integer_rref([[int(t == i) for t in range(L.m)]], rows)
         if len(grown) > len(rows):
             rows = grown
-            reps.append([Fraction(a) for a in unit])
+            reps.append(i)
             if len(reps) == 2:
                 return reps[0], reps[1]
     raise InternalInvariantError("failed to complete derived basis to the full algebra")
 
 
-def adjoint_on_derived(L: LieAlgebraTable, D: Subalgebra, e: Sequence[Fraction]) -> Mat:
-    """Matrix of [e, .] on D's basis; column i holds the coords of [e, d_i].
+def adjoint_on_derived(L: LieAlgebraTable, D: Subalgebra, i: int) -> Mat:
+    """Matrix of [e_i, .] on D's basis, for the basis element e_i; column c
+    holds the coords of [e_i, d_c].
 
-    For e = u/e_den and d_i = row_i/p_i, the numerator bracket of u and
-    row_i is E*e_den*p_i*[e, d_i]; its coordinates are its pivot entries.
+    For d_c = row_c/p_c, the numerator bracket of e_i and row_c is
+    E*p_c*[e_i, d_c]; its coordinates are its pivot entries.
     """
-    u, e_den = integer_row(e)
+    u = [int(t == i) for t in range(L.m)]
     if not any(eliminate(u, D.rows)):
         raise ValueError("representative lies in the derived algebra")
     cols: List[Vec] = []
@@ -226,7 +228,7 @@ def adjoint_on_derived(L: LieAlgebraTable, D: Subalgebra, e: Sequence[Fraction])
             raise InternalInvariantError(
                 "bracket with the derived algebra leaves its span "
                 "(ideal property violated)")
-        scale = L.den * e_den * row[c]
+        scale = L.den * row[c]
         cols.append([Fraction(w[k], scale) for k, _ in D.rows])
     return [list(coords) for coords in zip(*cols)]
 
@@ -236,8 +238,8 @@ def recovery_details(L: LieAlgebraTable,
     """(action matrix, char poly) of the first of the two factor-space
     representatives that acts on D as a non-scalar matrix.  The scalar
     actions form a subspace, so if both act as scalars, all of L/D does."""
-    for e in factor_space(L, D):
-        A = adjoint_on_derived(L, D, e)
+    for i in factor_space(L, D):
+        A = adjoint_on_derived(L, D, i)
         if not is_scalar_matrix(A):
             return A, CharPoly(tuple(matrix_charpoly(A)))
     raise InternalInvariantError(

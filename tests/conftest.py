@@ -4,6 +4,7 @@ The expensive objects — full analyses of the five reference equations and
 the oracle-corpus sweep — are computed once per session; several test
 modules assert different properties of the same runs.
 """
+import dataclasses
 import functools
 import itertools
 import json
@@ -25,7 +26,7 @@ from lieode.errors import (InternalInvariantError, OdeSyntaxError,
 from lieode.involutive import (InvolutiveSystem, alt_ranking,
                                default_ranking, lin_derive)
 from lieode.jets import jet_name
-from lieode.liealgebra import LieAlgebraTable, Point, Row, SeriesSolution
+from lieode.liealgebra import LieAlgebraTable, Point, expansion_points
 from lieode.linalg import Mat, Vec, rref
 from lieode.parsing import OdeSpec, parse_ode, print_ode
 from lieode.polys import MPoly, content, divexact
@@ -134,9 +135,10 @@ def lie_table(C) -> LieAlgebraTable:
 
 
 def fraction_table(table):
-    """A normal-form table with each row's numerators over its denominator."""
+    """A normal-form table by position, keyed by slot, with each row's
+    numerators over its denominator."""
     return {s: {r: Fraction(v, d) for r, v in vals.items()}
-            for s, (vals, d) in table.items()}
+            for s, (vals, d) in slot_table(table).items()}
 
 
 def fraction_bracket(C, u, v):
@@ -464,6 +466,11 @@ def reference_shifted(p: MPoly, point: Point,
     return {k: n for k, n in out.items() if n}, p.den * b ** E * d ** F
 
 
+# A reference table row: integer numerators by parametric slot over one
+# positive denominator, coprime to them.
+Row = Tuple[Dict[Slot, int], int]
+
+
 def reference_normal_form_table(inv: InvolutiveSystem, N: int,
                       point: Point) -> Dict[Slot, Row]:
     """Value at ``point`` of the normal form of every slot of order <= N.
@@ -553,6 +560,69 @@ def reference_slot_index(N: int) -> Dict[Slot, int]:
     return {Slot(u, i, total - i): k for k, (u, total, i) in enumerate(
         (u, total, i) for u in (XI, ETA)
         for total in range(N + 1) for i in range(total + 1))}
+
+
+def slot_table(rows) -> Dict[Slot, Row]:
+    """A normal-form table by position, in the form of
+    ``reference_normal_form_table``: each row and each numerator keyed by
+    its slot."""
+    N = next(n for n in itertools.count() if (n + 1) * (n + 2) >= len(rows))
+    slots = list(reference_slot_index(N))
+    assert len(slots) == len(rows)
+    return {slots[k]: ({slots[r]: v for r, v in vals.items()}, d)
+            for k, (vals, d) in enumerate(rows)}
+
+
+def basis_values(basis) -> List[Dict[Slot, Fraction]]:
+    """Each element of a series basis as its value at every slot of order
+    <= N + 1, zeros included."""
+    slots = list(reference_slot_index(basis.N + 1))
+    out = []
+    for col in basis.cols:
+        values = dict.fromkeys(slots, Fraction(0))
+        for k, v in col:
+            values[slots[k]] = Fraction(v, basis.den)
+        out.append(values)
+    return out
+
+
+@dataclasses.dataclass(frozen=True)
+class SeriesSolution:
+    """One series basis element on its own: ``num`` maps every slot of order
+    <= N + 1, zeros included, to the numerator of its value over ``den``,
+    and the element carries the basis's point, order and parametric slots.
+    """
+
+    point: Point
+    N: int
+    parametric: Tuple[Slot, ...]
+    num: Dict[Slot, int]
+    den: int
+
+    @property
+    def data(self) -> Dict[Slot, Fraction]:
+        return {s: Fraction(v, self.den) for s, v in self.num.items()}
+
+
+def reference_series_basis(inv: InvolutiveSystem, point=None,
+                           N=None) -> List[SeriesSolution]:
+    """The series basis as one ``SeriesSolution`` per parametric slot, read
+    from the reference table over the lcm of its row denominators, at the
+    first regular candidate point unless ``point`` is given."""
+    if N is None:
+        N = inv.max_parametric_order() + 2
+    for at in [point] if point is not None else expansion_points():
+        try:
+            table = reference_normal_form_table(inv, N + 1, at)
+            break
+        except SingularPoint:
+            if point is not None:
+                raise
+    params = tuple(inv.parametric)
+    D = lcm(*(d for _, d in table.values()))
+    return [SeriesSolution(at, N, params, {s: vals.get(p, 0) * (D // d)
+                                           for s, (vals, d) in table.items()},
+                           D) for p in params]
 
 
 def reference_structure_constants(basis: Sequence[SeriesSolution]) -> LieAlgebraTable:
@@ -673,6 +743,34 @@ def bench_ranking_cases():
                 out.append(pytest.param(ode, ranking,
                                         id=f"{name}-{variant}-{ranking.name}"))
     return out
+
+
+def tresse_holds(ode: OdeSpec, yy: int = 6) -> bool:
+    """Lie's linearization test for a second-order equation, y'' = F(x, y, p)
+    with F = -f and p = y' (Tresse 1896; Ibragimov and Magri, Nonlinear
+    Dyn. 36, 2004).
+
+    The equation is linearizable by a point transformation iff F_pppp = 0
+    and I = D^2 F_pp - 4 D F_py - F_p D F_pp + 6 F_yy - 3 F_y F_pp
+    + 4 F_p F_py vanishes, where D = d/dx + p d/dy + F d/dp is the total
+    derivative along solutions.  ``yy`` is the coefficient of F_yy in I,
+    a parameter so that a test can change it.
+    """
+    assert ode.n == 2
+    F, p = -ode.f, RatFunc.variable("y1")
+
+    def d(g, *names):
+        return functools.reduce(RatFunc.derivative, names, g)
+
+    def D(g):
+        return g.derive({"x": RatFunc.one(), "y": p, "y1": F})
+
+    if d(F, "y1", "y1", "y1", "y1"):
+        return False
+    Fp, Fy, Fpp, Fpy = d(F, "y1"), d(F, "y"), d(F, "y1", "y1"), d(F, "y1", "y")
+    I = (D(D(Fpp)) - 4 * D(Fpy) - Fp * D(Fpp) + yy * d(F, "y", "y")
+         - 3 * Fy * Fpp + 4 * Fp * Fpy)
+    return I.is_zero()
 
 
 def bench_texts() -> List[str]:

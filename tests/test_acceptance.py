@@ -147,8 +147,8 @@ def test_criterion_05_adjoint_matrix_and_conjugation():
     with verdict(5, "eigenvalues 2, 2, 5: adjoint matrix and its invariance"):
         L = _spectrum_2_2_5_table()
         D = derived_algebra(L)
-        e1, _ = factor_space(L, D)
-        A = adjoint_on_derived(L, D, e1)
+        i, _ = factor_space(L, D)
+        A = adjoint_on_derived(L, D, i)
         reference = [[F(2), F(0), F(0)], [F(1), F(2), F(0)],
                      [F(0), F(0), F(5)]]
         assert any(mat_mul(inverse(P), mat_mul(A, P)) == reference

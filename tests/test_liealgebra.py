@@ -1,5 +1,6 @@
 """Series bases, structure constants, derived algebras, certificates."""
 import dataclasses
+import functools
 import itertools
 from fractions import Fraction
 from math import comb, factorial, lcm
@@ -23,11 +24,14 @@ from lieode.parsing import parse_ode
 from lieode.polys import MPoly
 from lieode.ratfunc import RatFunc
 
-from conftest import (REFERENCE_INPUTS, bench_ranking_cases, fraction_bracket,
-                      fraction_table, lie_table, mpolys, normal_form,
-                      plain_eval, rationals, reference_normal_form_table,
-                      reference_shifted, reference_structure_constants,
-                      row_space_basis, solution_data_from_components)
+from conftest import (REFERENCE_INPUTS, basis_values, bench_odes,
+                      bench_ranking_cases, fraction_bracket, fraction_table,
+                      lie_table, mpolys, normal_form, plain_eval, rationals,
+                      reference_normal_form_table, reference_series_basis,
+                      reference_shifted, reference_slot_index,
+                      reference_structure_constants, row_space_basis,
+                      slot_table, solution_data_from_components,
+                      tresse_holds)
 
 F = Fraction
 UNIT = MPoly.const(1)   # equation coefficient
@@ -49,14 +53,16 @@ def run(text):
 
 def test_series_basis_is_delta_initial_data():
     inv, basis, _ = run("y'' = 0")
-    params = basis[0].parametric
-    for i, sol in enumerate(basis):
-        for j, p in enumerate(params):
-            assert sol.data[p] == (1 if i == j else 0)
-        # one order past N, so that brackets are known through order N
-        N = sol.N
-        assert {s.order for s in sol.data} == set(range(N + 2))
-        assert len(sol.data) == (N + 2) * (N + 3)
+    for i, data in enumerate(basis_values(basis)):
+        for j, p in enumerate(basis.parametric):
+            assert data[p] == (1 if i == j else 0)
+    # each column holds nonzero values only, by position, one order past N
+    # so that brackets are known through order N
+    size = (basis.N + 2) * (basis.N + 3)
+    for col in basis.cols:
+        positions = [k for k, _ in col]
+        assert positions == sorted(set(positions)) and positions[-1] < size
+        assert all(v for _, v in col)
 
 
 def test_series_basis_truncation_floor():
@@ -74,7 +80,7 @@ def test_singular_expansion_point_is_reported():
 def test_automatic_point_avoids_singularities():
     inv = complete(determining_system(parse_ode("y'' + y'/x = 0")))
     basis = series_basis(inv)
-    assert basis[0].point[0] != 0    # x = 0 meets the coefficient pole
+    assert basis.point[0] != 0    # x = 0 meets the coefficient pole
 
 
 # Rational functions whose denominators have repeated factors, in x, in y
@@ -143,7 +149,7 @@ def test_table_matches_evaluated_symbolic_normal_forms(text):
     # reference ones have their automatic point at (1, 1), off the singular
     # line; the last two are taken at an explicit fractional point  [DERIVED]
     inv = complete(determining_system(parse_ode(text)))
-    point = EXPLICIT_POINTS.get(text) or series_basis(inv)[0].point
+    point = EXPLICIT_POINTS.get(text) or series_basis(inv).point
     table = normal_form_table(inv, inv.max_parametric_order() + 3, point)
     env = {"x": point[0], "y": point[1]}
     for s, row in fraction_table(table).items():
@@ -235,13 +241,14 @@ def test_automatic_point_leaves_a_line_of_candidates():
                     {Slot(XI, 0, 1): c, Slot(XI, 0, 0): -c.derivative("y")},
                     {Slot(ETA, 0, 0): UNIT}])
     assert inv.dimension == 1
-    [basis] = series_basis(inv)
+    basis = series_basis(inv)
     assert basis.point == (3, 0)
     # the basis element is c / c(3, 0)
+    [data] = basis_values(basis)
     at = {"x": F(3), "y": F(0)}
     for var, slot in (("x", Slot(XI, 1, 0)), ("y", Slot(XI, 0, 1))):
-        assert basis.data[slot] == (plain_eval(c.derivative(var), at)
-                                    / plain_eval(c, at))
+        assert data[slot] == (plain_eval(c.derivative(var), at)
+                              / plain_eval(c, at))
 
 
 def _scale_equation_with_tail(inv, factor):
@@ -280,9 +287,8 @@ def test_table_below_every_lead_uses_no_equation():
     # coefficients are at the point  [DERIVED]
     inv = complete(determining_system(parse_ode("y'' = 0")))
     _scale_equation_with_tail(inv, MPoly.variable("x"))
-    table = normal_form_table(inv, 1, (F(0), F(0)))
-    assert (fraction_table(table) == {s: {s: 1} for s in table}
-            and len(table) == 6)
+    table = fraction_table(normal_form_table(inv, 1, (F(0), F(0))))
+    assert table == {s: {s: 1} for s in table} and len(table) == 6
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -303,15 +309,14 @@ def test_generators_reconstruct_from_series_basis():
     # the eight classical fields of y'' = 0 lie in the span of the basis,
     # with coordinates given by their parametric data  [DERIVED]
     inv, basis, _ = run("y'' = 0")
-    params = basis[0].parametric
-    point, N = basis[0].point, basis[0].N
+    values = basis_values(basis)
     fields = [(ONE, ZERO), (ZERO, ONE), (X, ZERO), (Y, ZERO),
               (ZERO, X), (ZERO, Y), (X * X, X * Y), (X * Y, Y * Y)]
     for xi, eta in fields:
-        data = solution_data_from_components(xi, eta, point, N)
-        coords = [data[p] for p in params]
+        data = solution_data_from_components(xi, eta, basis.point, basis.N)
+        coords = [data[p] for p in basis.parametric]
         for slot, value in data.items():
-            recon = sum((basis[k].data[slot] * c
+            recon = sum((values[k][slot] * c
                          for k, c in enumerate(coords)), F(0))
             assert recon == value
 
@@ -343,17 +348,19 @@ def reference_bracket_data(a, b, N):
 
 def fraction_structure_constants(basis):
     """Coordinates of the reference brackets: their parametric values."""
-    m, N, params = len(basis), basis[0].N, basis[0].parametric
+    values = basis_values(basis)
+    m = len(values)
     C = [[[F(0)] * m for _ in range(m)] for _ in range(m)]
     for i, j in itertools.combinations(range(m), 2):
-        data = reference_bracket_data(basis[i].data, basis[j].data, N)
-        C[i][j] = [data[p] for p in params]
+        data = reference_bracket_data(values[i], values[j], basis.N)
+        C[i][j] = [data[p] for p in basis.parametric]
         C[j][i] = [-c for c in C[i][j]]
     return C
 
 
 def common_denominator(basis):
-    return lcm(*(v.denominator for sol in basis for v in sol.data.values()))
+    return lcm(*(v.denominator for data in basis_values(basis)
+                 for v in data.values()))
 
 
 @pytest.mark.parametrize("text,den", [
@@ -378,8 +385,7 @@ REFERENCE_POINTS = [None, (F(1), F(2)), (F(1, 2), F(1, 3))]
 def test_series_and_structure_match_the_references(ode, ranking):
     # on every bench input, plain and translated, under both rankings, the
     # table, the basis read from it and the structure constants are those
-    # of the Slot-based references, or both stages raise SingularPoint
-    # [DERIVED]
+    # of the Slot-based references, or both raise SingularPoint  [DERIVED]
     inv = complete(determining_system(ode), ranking)
     N = inv.max_parametric_order() + 2
     for point in REFERENCE_POINTS:
@@ -387,16 +393,17 @@ def test_series_and_structure_match_the_references(ode, ranking):
             basis = series_basis(inv, point=point)
         except SingularPoint:
             with pytest.raises(SingularPoint):
-                reference_normal_form_table(inv, N + 1, point)
+                reference_series_basis(inv, point)
             continue
-        ref = reference_normal_form_table(inv, N + 1, basis.point)
-        assert normal_form_table(inv, N + 1, basis.point) == ref
-        D = lcm(*(d for _, d in ref.values()))
-        assert [(sol.num, sol.den) for sol in basis] == [
-            ({s: vals.get(p, 0) * (D // d) for s, (vals, d) in ref.items()},
-             D) for p in inv.parametric]
+        ref = reference_series_basis(inv, point)
+        assert all((sol.point, sol.N, sol.parametric, sol.den)
+                   == (basis.point, basis.N, basis.parametric, basis.den)
+                   for sol in ref)
+        assert (slot_table(normal_form_table(inv, N + 1, basis.point))
+                == reference_normal_form_table(inv, N + 1, basis.point))
+        assert basis_values(basis) == [sol.data for sol in ref]
         assert (structure_constants(basis)
-                == reference_structure_constants(basis))
+                == reference_structure_constants(ref))
 
 
 @pytest.mark.parametrize("text,den", [
@@ -407,8 +414,8 @@ def test_series_basis_denominator_is_least_common(text, den):
     # one denominator for the whole basis, the least common denominator of
     # all its values  [DERIVED]
     _, basis, _ = run(text)
-    assert {sol.den for sol in basis} == {common_denominator(basis)}
-    assert den in (None, basis[0].den)
+    assert basis.den == common_denominator(basis)
+    assert den in (None, basis.den)
 
 
 def test_translation_scaling_bracket():
@@ -553,61 +560,63 @@ def test_derived_abelian_flag_matches_fraction_brackets(C):
     assert D.abelian == expected
 
 
+def _moved(basis, k, s, by):
+    """The basis with element k's numerator at slot s moved by ``by``; a
+    slot whose value was 0 gains an entry in the sparse column."""
+    q = reference_slot_index(basis.N + 1)[s]
+    col = dict(basis.cols[k])
+    col[q] = col.get(q, 0) + by
+    cols = list(basis.cols)
+    cols[k] = tuple(sorted((p, v) for p, v in col.items() if v))
+    return dataclasses.replace(basis, cols=tuple(cols))
+
+
 def test_closure_check_fires_on_a_corrupted_datum():
     # one wrong value at order N, or at order N+1 (which the order-N bracket
     # values read), takes some bracket out of the solution space  [DERIVED]
     _, basis, _ = run("y'' = 0")
-    N = basis[0].N
-    assert (N, len(basis)) == (4, 8)
-    cases = [(k, s) for k, sol in enumerate(basis)
-             for s in sol.num if s.order == N]
+    N = basis.N
+    assert (N, len(basis.cols)) == (4, 8)
+    cases = [(k, s) for k in range(len(basis.cols))
+             for s in reference_slot_index(N + 1) if s.order == N]
     assert len(cases) == 80
     cases.append((2, Slot(XI, N + 1, 0)))
     for k, s in cases:
-        broken = list(basis)
-        num = dict(basis[k].num)
-        num[s] += basis[k].den
-        broken[k] = dataclasses.replace(basis[k], num=num)
         with pytest.raises(InternalInvariantError,
                            match="leaves the solution space"):
-            structure_constants(broken)
+            structure_constants(_moved(basis, k, s, basis.den))
 
 
-def _over_seven(sol, s=None):
-    """sol over 7 times its denominator, with the value at s moved by 1/7."""
-    num = {t: 7 * v for t, v in sol.num.items()}
-    if s is not None:
-        num[s] += sol.den
-    return dataclasses.replace(sol, num=num, den=7 * sol.den)
+def _over_seven(basis):
+    """The basis over 7 times its denominator, with the same values."""
+    return dataclasses.replace(
+        basis, cols=tuple(tuple((k, 7 * v) for k, v in col)
+                          for col in basis.cols), den=7 * basis.den)
 
 
 def test_closure_check_fires_on_a_fractional_datum():
     # data with common denominator 4, basis d_x and (1-x)/4 d_x + y d_y at
     # (1, 1): one value moved by 1/7, at order N or at an order-N+1 slot
     # that [d_x, .] reads, takes a bracket out of the solution space; the
-    # moved element is over 7 times the others' denominator, which by
-    # itself changes nothing  [DERIVED]
+    # whole basis over 7 times its denominator, which by itself changes
+    # nothing, carries the moved values  [DERIVED]
     _, basis, table = run("y''''=y^2")
-    N = basis[0].N
+    N = basis.N
     assert common_denominator(basis) == 4
-    for k in range(len(basis)):
-        rescaled = list(basis)
-        rescaled[k] = _over_seven(basis[k])
-        assert structure_constants(rescaled) == table
-    cases = [(0, s) for s in basis[0].num if s.order == N]
+    seven = _over_seven(basis)
+    assert structure_constants(seven) == table
+    cases = [(0, s) for s in reference_slot_index(N + 1) if s.order == N]
     cases += [(1, Slot(XI, N, 0)), (1, Slot(ETA, N, 0)),
               (0, Slot(ETA, 0, N + 1))]
     for k, s in cases:
-        broken = list(basis)
-        broken[k] = _over_seven(basis[k], s)
         with pytest.raises(InternalInvariantError,
                            match="leaves the solution space"):
-            structure_constants(broken)
+            structure_constants(_moved(seven, k, s, basis.den))
 
 
 def test_structure_constants_stable_under_deeper_truncation():
     inv, basis, table = run("y''' + 3*y'*y'' + (y')^3 - 2*(y'' + (y')^2) + y' = 0")
-    deeper = series_basis(inv, point=basis[0].point, N=basis[0].N + 2)
+    deeper = series_basis(inv, point=basis.point, N=basis.N + 2)
     assert structure_constants(deeper).C == table.C
 
 
@@ -729,6 +738,35 @@ def test_certificate_case_table(monkeypatch):
                         cert.derived_abelian) == (m, n, dd, ab)
                 seen += 1
     assert seen == 494
+
+
+@functools.lru_cache(maxsize=None)
+def _second_order_bench():
+    """(id, ode, m) for every n = 2 bench input, plain and translated."""
+    return [(name, ode, analyze(ode).m) for name, plain, shifted in bench_odes()
+            for ode in (plain, shifted) if ode.n == 2]
+
+
+def test_tresse_invariant_agrees_with_the_dimension():
+    # Lie and Tresse: y'' = F is linearizable iff F is cubic in y' and the
+    # relative invariant vanishes; for n = 2 that is m = 8  [DERIVED]
+    cases = _second_order_bench()
+    assert len(cases) == 54
+    for name, ode, m in cases:
+        assert tresse_holds(ode) == (m == 8), name
+
+
+def test_tresse_invariant_with_a_sign_changed_disagrees():
+    # the oracle is not vacuous: with 6 F_yy changed to -6 F_yy, some
+    # verdict no longer matches the dimension  [DERIVED]
+    assert any(tresse_holds(ode, yy=-6) != (m == 8)
+               for _, ode, m in _second_order_bench())
+
+
+def test_tresse_invariant_settles_the_second_order_hang():
+    # completion of this input runs past any budget, but the invariant
+    # needs no completion: it is not linearizable  [DERIVED]
+    assert not tresse_holds(parse_ode("y'' = (y')^2/(x^2+y^2+1)"))
 
 
 def test_dimension_bounds():

@@ -187,8 +187,8 @@ def test_adjoint_action_matrix():
     L = _example_table()
     D = derived_algebra(L)
     assert D.dimension == 3
-    e1, e2 = factor_space(L, D)
-    A = adjoint_on_derived(L, D, e1)
+    i, _ = factor_space(L, D)
+    A = adjoint_on_derived(L, D, i)
     # one Jordan block per eigenvalue; equal to the reference matrix
     # [[2,0,0],[1,2,0],[0,0,5]] up to basis permutation (here: transposed
     # storage, rows act on columns)
@@ -216,8 +216,8 @@ def test_charpoly_invariant_under_conjugation():
 def test_scalar_actions_are_skipped():
     L = _example_table()
     D = derived_algebra(L)
-    _, e2 = factor_space(L, D)
-    assert is_scalar_matrix(adjoint_on_derived(L, D, e2))   # y-scaling: -I
+    _, j = factor_space(L, D)
+    assert is_scalar_matrix(adjoint_on_derived(L, D, j))   # y-scaling: -I
     A, cp = recovery_details(L, D)
     assert not is_scalar_matrix(A)
     assert affine_equivalent(cp, CharPoly.from_roots([F(2), F(2), F(5)]))
@@ -226,31 +226,40 @@ def test_scalar_actions_are_skipped():
 def test_representative_choice_does_not_change_the_class():
     L = _example_table()
     D = derived_algebra(L)
-    e1, e2 = factor_space(L, D)
+    # ad is linear, so a e_i + b e_j acts as a A_i + b A_j
+    A1, A2 = (adjoint_on_derived(L, D, i) for i in factor_space(L, D))
     reference = affine_class(recovery_details(L, D)[1])
     for a, b in [(1, 0), (1, 1), (1, -1), (1, 2), (2, 3)]:
-        e = [a * u + b * v for u, v in zip(e1, e2)]
-        A = adjoint_on_derived(L, D, e)
+        A = _combined(a, A1, b, A2)
         if is_scalar_matrix(A):
             continue
         assert affine_class(CharPoly(tuple(matrix_charpoly(A)))) == reference
 
 
+def _combined(a, A1, b, A2):
+    """The matrix a A1 + b A2."""
+    return [[a * u + b * v for u, v in zip(r1, r2)] for r1, r2 in zip(A1, A2)]
+
+
 @pytest.mark.parametrize("source", ["example", "cc_image3"])
 def test_adjoint_columns_reproduce_the_brackets(source, reference_reports):
     # column i of A holds the coordinates of [e, d_i] in D's basis; rebuild
-    # the bracket from C over the rationals and compare  [DERIVED]
+    # the bracket from C over the rationals and compare, for the two
+    # representatives and, by linearity, for combinations of them  [DERIVED]
     if source == "example":
         L = _example_table()
         D = derived_algebra(L)
     else:
         report = reference_reports[source]
         L, D = report.algebra, report.certificate.derived
-    e1, e2 = factor_space(L, D)
+    reps = factor_space(L, D)
+    assert reps[0] < reps[1]
+    e1, e2 = ([F(int(t == i)) for t in range(L.m)] for i in reps)
+    A1, A2 = (adjoint_on_derived(L, D, i) for i in reps)
     basis = D.basis
-    for e in (e1, e2, [a + b for a, b in zip(e1, e2)],
-              [F(1, 2) * a - F(3) * b for a, b in zip(e1, e2)]):
-        A = adjoint_on_derived(L, D, e)
+    for a, b in [(1, 0), (0, 1), (1, 1), (F(1, 2), F(-3))]:
+        e = [a * u + b * v for u, v in zip(e1, e2)]
+        A = _combined(a, A1, b, A2)
         for i, d in enumerate(basis):
             combo = [sum((A[k][i] * dk[t] for k, dk in enumerate(basis)),
                          F(0)) for t in range(L.m)]
@@ -269,7 +278,7 @@ def test_adjoint_rejects_representatives_inside_the_ideal():
     L = _example_table()
     D = derived_algebra(L)
     with pytest.raises(ValueError):
-        adjoint_on_derived(L, D, [F(1), F(0), F(0), F(0), F(0)])
+        adjoint_on_derived(L, D, 0)
 
 
 def test_end_to_end_recovery_of_a_repeated_root():
