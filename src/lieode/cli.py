@@ -17,6 +17,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
+from .determining import label, top
 from .errors import InputError, InternalInvariantError
 from .parsing import format_ratfunc, print_ode
 from .pipeline import RunReport, analyze
@@ -56,21 +57,21 @@ def _class_json(c: AffineClass) -> dict:
 
 def _equation_json(eq, lead) -> dict:
     """The equation solved for its lead: each coefficient over the lead's."""
-    return {s.label(): format_ratfunc(RatFunc(c, eq[lead]))
+    return {label(s): format_ratfunc(RatFunc(c, eq[lead]))
             for s, c in eq.items()}
 
 
 def _attach_extras(payload: dict, report: RunReport, args) -> None:
     if getattr(args, "dump_detsys", False):
         payload["determining_system"] = [
-            _equation_json(eq, max(eq)) for eq in report.determining]
+            _equation_json(eq, top(eq)) for eq in report.determining]
     if getattr(args, "dump_involutive", False):
         inv = report.involutive
         payload["involutive"] = {
             "ranking": inv.ranking.name,
             "equations": [_equation_json(e.terms, e.lead) for e in inv.eqs],
-            "leads": [s.label() for s in inv.leads],
-            "parametric": [s.label() for s in inv.parametric],
+            "leads": [label(s) for s in inv.leads],
+            "parametric": [label(s) for s in inv.parametric],
             "dimension": inv.dimension,
         }
     if getattr(args, "timings", False):

@@ -7,7 +7,8 @@ prolongation; the k-th prolonged coefficient obeys
 
 (Olver, *Applications of Lie Groups to Differential Equations*, 2.3).  It is
 linear in the unknown functions xi, eta and their partial derivatives
-("slots"), with coefficients polynomial in the jet variables.
+("slots", each one packed int, below), with coefficients polynomial in the
+jet variables.
 
 Applying the prolonged operator to y^(n) + f and restricting to solutions
 (y^(n) := -f) gives the invariance condition.  Write f = P/Q, let
@@ -27,53 +28,68 @@ from __future__ import annotations
 
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, List, Mapping, NamedTuple, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .errors import InternalInvariantError
 from .jets import jet_name, total_derivative
 from .parsing import OdeSpec
 from .polys import MPoly, divexact, gcd, try_divexact
 
-XI = "xi"
-ETA = "eta"
+# A slot, the partial derivative d^(dx+dy) u / dx^dx dy^dy of an unknown u,
+# is one int: from high to low the fields order = dx + dy, dx and dy, each
+# _W bits whose top bit is a guard that stays clear, then the unknown bit.
+# Int order is then the default ranking (order, then dx, then xi < eta), a
+# derivative adds DX or DY, and, as for the monomial keys of ``polys``, a
+# difference of two slots sets a guard bit or the unknown bit exactly when
+# they differ in unknown or some field went negative.
+XI, ETA = 0, 1
+_W = 16
+_FIELD = (1 << _W) - 1
+_X, _O = 1 + _W, 1 + 2 * _W
+DX, DY = 1 << _X | 1 << _O, 1 << 1 | 1 << _O
+_GUARDS = 1 | 1 << _W | 1 << _X + _W - 1 | 1 << _O + _W - 1
 
 
-class Slot(NamedTuple):
-    """A partial derivative of one unknown: d^(dx+dy) u / dx^dx dy^dy."""
-
-    unknown: str
-    dx: int
-    dy: int
-
-    @property
-    def order(self) -> int:
-        return self.dx + self.dy
-
-    def derive(self, ddx: int, ddy: int) -> "Slot":
-        return Slot(self.unknown, self.dx + ddx, self.dy + ddy)
-
-    def divides(self, other: "Slot") -> bool:
-        return (self.unknown == other.unknown
-                and self.dx <= other.dx and self.dy <= other.dy)
-
-    def label(self) -> str:
-        if self.order == 0:
-            return self.unknown
-        return f"{self.unknown}_" + "x" * self.dx + "y" * self.dy
+def slot(u: int, dx: int, dy: int) -> int:
+    """Unknown u (XI or ETA) differentiated dx times by x and dy by y."""
+    if min(dx, dy) < 0 or dx + dy >> _W - 1:
+        raise ValueError("slot order out of range: (%d, %d)" % (dx, dy))
+    return (dx + dy) << _O | dx << _X | dy << 1 | u
 
 
-LinDiffPoly = Dict[Slot, MPoly]
+def fields(s: int) -> Tuple[int, int, int]:
+    """(u, dx, dy) of a slot."""
+    return s & 1, s >> _X & _FIELD, s >> 1 & _FIELD
 
 
-def add_term(out: dict, slot: Slot, value) -> None:
-    """Add value into out[slot] in place, dropping the slot when it cancels."""
-    old = out.get(slot)
+def divides(s: int, t: int) -> bool:
+    """Whether t is a derivative of s, of the same unknown."""
+    return not (t - s) & _GUARDS
+
+
+def label(s: int) -> str:
+    u, dx, dy = fields(s)
+    return ("xi", "eta")[u] + ("_" + "x" * dx + "y" * dy if dx + dy else "")
+
+
+def top(eq: Mapping[int, MPoly]) -> int:
+    """The slot an equation of the determining system is scaled by: the
+    largest by (xi before eta, dx, dy), not the highest in a ranking."""
+    return max(eq, key=lambda s: (s & 1 == XI, fields(s)[1:]))
+
+
+LinDiffPoly = Dict[int, MPoly]
+
+
+def add_term(out: dict, s: int, value) -> None:
+    """Add value into out[s] in place, dropping the slot when it cancels."""
+    old = out.get(s)
     if old is not None:
         value = old + value
     if value.is_zero():
-        out.pop(slot, None)
+        out.pop(s, None)
     else:
-        out[slot] = value
+        out[s] = value
 
 
 def sx_total_derivative(a: LinDiffPoly) -> LinDiffPoly:
@@ -87,19 +103,19 @@ def sx_total_derivative(a: LinDiffPoly) -> LinDiffPoly:
     y1 = MPoly.variable(jet_name(1))
     for s, c in a.items():
         add_term(out, s, total_derivative(c))
-        add_term(out, s.derive(1, 0), c)
-        add_term(out, s.derive(0, 1), c * y1)
+        add_term(out, s + DX, c)
+        add_term(out, s + DY, c * y1)
     return out
 
 
 @lru_cache(maxsize=None)
-def prolonged_eta(n: int) -> Tuple[Mapping[Slot, MPoly], ...]:
+def prolonged_eta(n: int) -> Tuple[Mapping[int, MPoly], ...]:
     """(eta^(0), ..., eta^(n)), each step eta^(k) = D_x eta^(k-1) - y^(k) D_x xi.
 
     Cached per order; the read-only views keep callers from changing it.
     """
-    dxi = sx_total_derivative({Slot(XI, 0, 0): MPoly.const(1)})
-    etas = [{Slot(ETA, 0, 0): MPoly.const(1)}]
+    dxi = sx_total_derivative({slot(XI, 0, 0): MPoly.const(1)})
+    etas = [{slot(ETA, 0, 0): MPoly.const(1)}]
     for k in range(1, n + 1):
         e = sx_total_derivative(etas[-1])
         minus_yk = -MPoly.variable(jet_name(k))
@@ -112,7 +128,7 @@ def prolonged_eta(n: int) -> Tuple[Mapping[Slot, MPoly], ...]:
 # -- generation -----------------------------------------------------------------
 
 
-def primitive(eq: LinDiffPoly, top: Slot) -> LinDiffPoly:
+def primitive(eq: LinDiffPoly, top: int) -> LinDiffPoly:
     """eq divided by its content in Q[x, y], scaled so that eq[top] has
     leading coefficient 1.
 
@@ -158,10 +174,10 @@ def primitive(eq: LinDiffPoly, top: Slot) -> LinDiffPoly:
 
 
 JetKey = Tuple[Tuple[str, int], ...]
-JetTerms = Tuple[Tuple[Slot, Tuple[Tuple[JetKey, Tuple[int, int]], ...]], ...]
+JetTerms = Tuple[Tuple[int, Tuple[Tuple[JetKey, Tuple[int, int]], ...]], ...]
 
 
-def _jet_terms(lin: Mapping[Slot, MPoly], jets) -> JetTerms:
+def _jet_terms(lin: Mapping[int, MPoly], jets) -> JetTerms:
     """Each slot's coefficient split into its jet monomials, with their
     constant coefficients as (numerator, denominator), keyed as by
     ``MPoly.coeffs_over``."""
@@ -196,8 +212,8 @@ def _prolongation_terms(n: int) -> Tuple[JetTerms, ...]:
             raise InternalInvariantError(
                 "prolonged coefficient is not linear in the top derivative")
         a_part[s], b_part[s] = (c.coeffs_in(top) + [MPoly.zero()])[:2]
-    lins = [a_part, b_part, {Slot(XI, 0, 0): MPoly.const(1)}, *etas[:n]]
-    if max(s.order for lin in lins for s in lin) > n:
+    lins = [a_part, b_part, {slot(XI, 0, 0): MPoly.const(1)}, *etas[:n]]
+    if max(dx + dy for lin in lins for _, dx, dy in map(fields, lin)) > n:
         raise InternalInvariantError(
             "prolongation produced slot derivatives beyond the equation order")
     return tuple(_jet_terms(lin, jets) for lin in lins)
@@ -257,16 +273,15 @@ def determining_system(ode: OdeSpec) -> List[LinDiffPoly]:
     jet monomial in (y', ..., y^(n-1)), in the order of the sorted monomial
     keys.
 
-    Each equation is made primitive with respect to ``max(eq)``: the largest
-    slot as an (unknown, dx, dy) tuple, not the highest derivative, so any
-    xi slot beats any eta slot (xi_xx over eta_xy for y'' = 0).
+    Each equation is made primitive with respect to ``top(eq)``, so any xi
+    slot beats any eta slot (xi_xx over eta_xy for y'' = 0).
     ``--dump-detsys`` divides by the coefficient of the same slot.
     """
     collected = invariance_coefficients(ode)
     equations: List[LinDiffPoly] = []
     seen = set()
     for key in sorted(collected):
-        eq = primitive(collected[key], max(collected[key]))
+        eq = primitive(collected[key], top(collected[key]))
         sig = tuple(sorted(eq.items()))
         if sig not in seen:
             seen.add(sig)

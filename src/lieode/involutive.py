@@ -3,7 +3,8 @@
 The determining equations form a linear homogeneous system in two unknown
 functions of (x, y) with polynomial coefficients.  This module brings such a
 system to a canonical solved form with respect to a Riquier ranking of the
-derivative slots:
+derivative slots, the packed ints of ``determining``; the default ranking is
+their int order:
 
 * every equation is primitive with respect to its highest slot, the lead
   (``determining.primitive``): solving it for the lead divides by the lead
@@ -75,14 +76,15 @@ import heapq
 import itertools
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .determining import ETA, XI, LinDiffPoly, Slot, add_term, primitive
+from .determining import (DX, DY, ETA, XI, LinDiffPoly, add_term, divides,
+                          fields, primitive, slot)
 from .errors import InternalInvariantError
 from .polys import divexact, gcd
 
 
 @dataclasses.dataclass(frozen=True)
 class Ranking:
-    """Total order on slots given by a key function, highest key = highest slot.
+    """Total order on slots: by ``key``, or by the ints themselves if None.
 
     A Riquier ranking must compare two derivatives of the same unknown the
     same way for every unknown; both shipped rankings guarantee that by
@@ -90,19 +92,22 @@ class Ranking:
     """
 
     name: str
-    key: Callable[[Slot], tuple]
+    key: Optional[Callable[[int], int]] = None
 
 
 def default_ranking() -> Ranking:
     """Order by total derivative order, then x-degree, then xi < eta."""
-    return Ranking("order,xdeg,xi<eta",
-                   lambda s: (s.order, s.dx, 0 if s.unknown == XI else 1))
+    return Ranking("order,xdeg,xi<eta")
+
+
+def _mirror(s: int) -> int:
+    u, dx, dy = fields(s)
+    return slot(ETA if u == XI else XI, dy, dx)
 
 
 def alt_ranking() -> Ranking:
-    """Order by total order, then y-degree, then eta < xi (for cross-checks)."""
-    return Ranking("order,ydeg,eta<xi",
-                   lambda s: (s.order, s.dy, 0 if s.unknown == ETA else 1))
+    """The mirrored slots' order: total order, y-degree, then eta < xi."""
+    return Ranking("order,ydeg,eta<xi", _mirror)
 
 
 # -- single equations -----------------------------------------------------------
@@ -111,10 +116,10 @@ def alt_ranking() -> Ranking:
 def lin_derive(eq: LinDiffPoly, var: str) -> LinDiffPoly:
     """Differentiate an equation with respect to x or y (product rule)."""
     out: LinDiffPoly = {}
-    step = (1, 0) if var == "x" else (0, 1)
+    step = DX if var == "x" else DY
     for s, c in eq.items():
         add_term(out, s, c.derivative(var))
-        add_term(out, s.derive(*step), c)
+        add_term(out, s + step, c)
     return out
 
 
@@ -123,89 +128,78 @@ class _Eq:
 
     __slots__ = ("terms", "lead", "ident", "_dcache")
 
-    def __init__(self, terms: LinDiffPoly, lead: Slot, ident: int):
+    def __init__(self, terms: LinDiffPoly, lead: int, ident: int):
         self.terms = terms
         self.lead = lead
         self.ident = ident
-        self._dcache: Dict[Tuple[int, int], LinDiffPoly] = {(0, 0): terms}
+        self._dcache: Dict[int, LinDiffPoly] = {0: terms}
 
-    def derived(self, ddx: int, ddy: int) -> LinDiffPoly:
-        key = (ddx, ddy)
-        got = self._dcache.get(key)
-        if got is not None:
-            return got
-        if ddx:
-            base = self.derived(ddx - 1, ddy)
-            val = lin_derive(base, "x")
-        else:
-            base = self.derived(ddx, ddy - 1)
-            val = lin_derive(base, "y")
-        self._dcache[key] = val
-        return val
+    def derived(self, d: int) -> LinDiffPoly:
+        """The derivative that takes the lead to the slot lead + d."""
+        got = self._dcache.get(d)
+        if got is None:
+            step, var = (DX, "x") if fields(d)[1] else (DY, "y")
+            got = self._dcache[d] = lin_derive(self.derived(d - step), var)
+        return got
 
     def invalidate(self):
-        self._dcache = {(0, 0): self.terms}
+        self._dcache = {0: self.terms}
 
 
-def _eliminate(p: LinDiffPoly, q: LinDiffPoly, slot: Slot) -> LinDiffPoly:
-    """(b/g) p - (a/g) q with a = p[slot], b = q[slot] and g = gcd(a, b).
+def _eliminate(p: LinDiffPoly, q: LinDiffPoly, s: int) -> LinDiffPoly:
+    """(b/g) p - (a/g) q with a = p[s], b = q[s] and g = gcd(a, b).
 
-    The cofactors cancel slot without dividing by a polynomial.  q derives
+    The cofactors cancel s without dividing by a polynomial.  q derives
     from a primitive equation, so b, like g, has leading coefficient 1, and
     a constant b/g is 1.  A constant a/g, its numerator over its
     denominator, scales each slot of q inside the subtraction.
     """
-    a, b = p[slot], q[slot]
+    a, b = p[s], q[s]
     g = gcd(a, b)
     if not g.is_const():
         a, b = divexact(a, g), divexact(b, g)
     out = dict(p) if b.is_const() else {s: c * b for s, c in p.items()}
     k = (-a.leading_numerator(), a.den) if a.is_const() else None
-    for s, c in q.items():
-        old = out.get(s)
+    for t, c in q.items():
+        old = out.get(t)
         if k is not None:
             new = c.scaled(*k) if old is None else old.add_scaled(c, *k)
         else:
             new = -(c * a) if old is None else old - c * a
         if new:
-            out[s] = new
+            out[t] = new
         else:
-            del out[s]
+            del out[t]
     return out
 
 
 def reduce(p: LinDiffPoly, eqs: Sequence[_Eq], ranking: Ranking) -> LinDiffPoly:
-    """Full normal form of p modulo the equations, up to a factor in Q[x, y]."""
+    """Full normal form of p modulo the equations, up to a factor in Q[x, y]:
+    each step eliminates the highest slot a lead divides, by the first such."""
     work = {s: c for s, c in p.items() if not c.is_zero()}
     while True:
-        best = None
-        best_eq = None
-        for s in work:
-            for e in eqs:
-                if e.lead.divides(s):
-                    if best is None or ranking.key(s) > ranking.key(best):
-                        best, best_eq = s, e
-                    break
-        if best is None:
+        for s in sorted(work, key=ranking.key, reverse=True):
+            e = next((e for e in eqs if divides(e.lead, s)), None)
+            if e is not None:
+                break
+        else:
             return work
-        d = best_eq.derived(best.dx - best_eq.lead.dx, best.dy - best_eq.lead.dy)
-        work = _eliminate(work, d, best)
-        if best in work:  # d leads at `best`, so the cofactors cancel it
+        work = _eliminate(work, e.derived(s - e.lead), s)
+        if s in work:  # the derivative leads at s, so the cofactors cancel it
             raise InternalInvariantError("reduction failed to eliminate a slot")
 
 
-def _lcm(s: Slot, t: Slot) -> Slot:
+def _lcm(s: int, t: int) -> int:
     """Least common derivative of two slots of one unknown."""
-    return Slot(s.unknown, max(s.dx, t.dx), max(s.dy, t.dy))
+    (u, sx, sy), (_, tx, ty) = fields(s), fields(t)
+    return slot(u, max(sx, tx), max(sy, ty))
 
 
 def _cross(a: _Eq, b: _Eq) -> LinDiffPoly:
     """Cofactor difference of the two prolongations to the least common
     derivative."""
     lcm = _lcm(a.lead, b.lead)
-    da = a.derived(lcm.dx - a.lead.dx, lcm.dy - a.lead.dy)
-    db = b.derived(lcm.dx - b.lead.dx, lcm.dy - b.lead.dy)
-    return _eliminate(da, db, lcm)
+    return _eliminate(a.derived(lcm - a.lead), b.derived(lcm - b.lead), lcm)
 
 
 def _chain_redundant(a: _Eq, b: _Eq, eqs: Sequence[_Eq],
@@ -217,7 +211,7 @@ def _chain_redundant(a: _Eq, b: _Eq, eqs: Sequence[_Eq],
     lcm = _lcm(a.lead, b.lead)
     pending = None
     for c in eqs:
-        if (c is a or c is b or not c.lead.divides(lcm)
+        if (c is a or c is b or not divides(c.lead, lcm)
                 or _lcm(a.lead, c.lead) == lcm
                 or _lcm(b.lead, c.lead) == lcm):
             continue
@@ -233,14 +227,14 @@ def _chain_redundant(a: _Eq, b: _Eq, eqs: Sequence[_Eq],
 class InvolutiveSystem:
     ranking: Ranking
     eqs: List[_Eq]             # primitive, inter-reduced, sorted by lead
-    parametric: List[Slot]
+    parametric: List[int]
 
     @property
     def equations(self) -> List[LinDiffPoly]:
         return [e.terms for e in self.eqs]
 
     @property
-    def leads(self) -> List[Slot]:
+    def leads(self) -> List[int]:
         return [e.lead for e in self.eqs]
 
     @property
@@ -248,24 +242,23 @@ class InvolutiveSystem:
         return len(self.parametric)
 
     def max_parametric_order(self) -> int:
-        return max((s.order for s in self.parametric), default=0)
+        return max((sum(fields(s)[1:]) for s in self.parametric), default=0)
 
 
-def _parametric_slots(leads: Sequence[Slot], ranking: Ranking) -> List[Slot]:
+def _parametric_slots(leads: Sequence[int], ranking: Ranking) -> List[int]:
     out = []
     for unk in (XI, ETA):
-        mine = [s for s in leads if s.unknown == unk]
-        ax = min((s.dx for s in mine if s.dy == 0), default=None)
-        ay = min((s.dy for s in mine if s.dx == 0), default=None)
+        mine = [(dx, dy) for u, dx, dy in map(fields, leads) if u == unk]
+        ax = min((dx for dx, dy in mine if dy == 0), default=None)
+        ay = min((dy for dx, dy in mine if dx == 0), default=None)
         if ax is None or ay is None:
             raise InternalInvariantError(
                 "symmetry algebra is not finite-dimensional; "
                 "this cannot happen for equations of order two or higher")
         for i in range(ax):
             for j in range(ay):
-                s = Slot(unk, i, j)
-                if not any(l.divides(s) for l in mine):
-                    out.append(s)
+                if not any(lx <= i and ly <= j for lx, ly in mine):
+                    out.append(slot(unk, i, j))
     return sorted(out, key=ranking.key)
 
 
@@ -275,15 +268,17 @@ def complete(system: Sequence[LinDiffPoly],
     if ranking is None:
         ranking = default_ranking()
     key = ranking.key
+    rank = key or int  # a slot's rank: the slot itself by default
 
     eqs: List[_Eq] = []
     # (rank of the highest slot, arrival, equation): arrivals are distinct,
     # so the heap never compares two equations
-    queue: List[Tuple[tuple, int, LinDiffPoly]] = []
+    queue: List[Tuple[int, int, LinDiffPoly]] = []
     arrival = itertools.count()
 
     def enqueue(eq: LinDiffPoly) -> None:
-        heapq.heappush(queue, (key(max(eq, key=key)), next(arrival), eq))
+        heapq.heappush(queue,
+                       (rank(max(eq, key=key)), next(arrival), eq))
 
     for e in system:
         if e:
@@ -307,7 +302,7 @@ def complete(system: Sequence[LinDiffPoly],
         lead = max(h, key=key)
         new = _Eq(primitive(h, lead), lead, next(counter))
         # drop equations whose lead became reducible; they re-enter the queue
-        doomed = [e for e in eqs if lead.divides(e.lead)]
+        doomed = [e for e in eqs if divides(lead, e.lead)]
         for e in doomed:
             eqs.remove(e)
             enqueue(e.terms)
@@ -317,17 +312,17 @@ def complete(system: Sequence[LinDiffPoly],
         # keep tails fully reduced: rewrite tails containing derivatives of
         # the new lead
         for e in eqs:
-            if e is not new and any(lead.divides(s) for s in e.terms
+            if e is not new and any(divides(lead, s) for s in e.terms
                                     if s != e.lead):
                 others = [f for f in eqs if f is not e]
                 e.terms = primitive(reduce(e.terms, others, ranking), e.lead)
                 e.invalidate()
         for e in eqs:
-            if e is not new and e.lead.unknown == lead.unknown:
-                pairs.append(((key(_lcm(e.lead, lead)), e.ident, new.ident),
+            if e is not new and fields(e.lead)[0] == fields(lead)[0]:
+                pairs.append(((rank(_lcm(e.lead, lead)), e.ident, new.ident),
                               e, new))
 
-    eqs.sort(key=lambda e: key(e.lead))
+    eqs.sort(key=lambda e: rank(e.lead))
     return InvolutiveSystem(ranking, eqs,
                             _parametric_slots([e.lead for e in eqs], ranking))
 
@@ -337,7 +332,7 @@ def audit_involutive(inv: InvolutiveSystem,
     """Post-hoc passivity check: cross-derivatives and originals reduce to zero."""
     eqs, leads = inv.eqs, inv.leads
     for a, b in itertools.combinations(eqs, 2):
-        if a.lead.unknown != b.lead.unknown:
+        if fields(a.lead)[0] != fields(b.lead)[0]:
             continue
         if reduce(_cross(a, b), eqs, inv.ranking):
             return False
@@ -347,6 +342,6 @@ def audit_involutive(inv: InvolutiveSystem,
                 return False
     for e in eqs:
         for s in e.terms:
-            if s != e.lead and any(l.divides(s) for l in leads):
+            if s != e.lead and any(divides(l, s) for l in leads):
                 return False
     return True

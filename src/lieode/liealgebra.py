@@ -30,11 +30,11 @@ The table, the basis and the brackets share one slot layout per truncation
 order (``_layout``), built once and read-only: the slots of order <= N at
 integer positions, xi before eta, each by order and then dx, so slot
 (u, dx, dy) sits at base[u] + tri[dx + dy] + dx, with every position's
-(u is eta, order, dx, dy) stored beside it.  The table is a list of rows
-by position, each keyed by the positions of its parametric slots; a
-Leibniz term finds its slot by that arithmetic, and a slot finds its
-solving equation in per-unknown lists of leads.  No ``Slot`` is built or
-asked for its order in the inner loops, and an lcm or gcd runs only when a
+packed slot and its (u is eta, order, dx, dy) stored beside it.  The table
+is a list of rows by position, each keyed by the positions of its
+parametric slots; a Leibniz term finds its slot by that arithmetic, and a
+slot finds its solving equation in per-unknown lists of leads.  Slots are
+unpacked only to set up the equations, and an lcm or gcd runs only when a
 denominator is not 1.
 
 Brackets are taken directly on those values by Leibniz's rule: the value of a
@@ -73,7 +73,7 @@ from math import comb, gcd, lcm, perm
 from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
-from .determining import ETA, XI, Slot
+from .determining import ETA, XI, fields, label, slot
 from .errors import InputError, InternalInvariantError, SingularPoint
 from .involutive import InvolutiveSystem
 from .linalg import IntRows, Vec, eliminate, integer_rref
@@ -114,20 +114,21 @@ class _Layout(NamedTuple):
 
     The xi slots come first, then the eta slots, each by order and then dx,
     so slot (u, dx, dy) sits at ``base[u is eta] + tri[dx + dy] + dx``.
-    ``meta`` gives each position's (u is eta, order, dx, dy) as integers,
-    and ``position`` a slot's position; ``fall`` and ``binom`` hold the
-    falling factorials n!/(n-k)! and the binomials C(n, k) for n <= N.
+    ``slots`` gives each position's slot, ``meta`` its (u is eta, order,
+    dx, dy) and ``position`` a slot's position; ``fall`` and ``binom`` hold
+    the falling factorials n!/(n-k)! and the binomials C(n, k) for n <= N.
     """
 
-    slots: Tuple[Slot, ...]
+    slots: Tuple[int, ...]
     meta: Tuple[Tuple[int, int, int, int], ...]
     base: Tuple[int, int]
     tri: Tuple[int, ...]
     fall: Tuple[Tuple[int, ...], ...]
     binom: Tuple[Tuple[int, ...], ...]
 
-    def position(self, s: Slot) -> int:
-        return self.base[s.unknown == ETA] + self.tri[s.order] + s.dx
+    def position(self, s: int) -> int:
+        u, dx, dy = fields(s)
+        return self.base[u == ETA] + self.tri[dx + dy] + dx
 
 
 @lru_cache(maxsize=MAX_TRUNCATION + 2)
@@ -136,7 +137,7 @@ def _layout(N: int) -> _Layout:
     tri = tuple(k * (k + 1) // 2 for k in range(N + 2))
     meta = tuple((eta, total, i, total - i) for eta in (0, 1)
                  for total in range(N + 1) for i in range(total + 1))
-    return _Layout(tuple(Slot(ETA if eta else XI, dx, dy)
+    return _Layout(tuple(slot((XI, ETA)[eta], dx, dy)
                          for eta, _, dx, dy in meta),
                    meta, (0, tri[N + 1]), tri,
                    tuple(tuple(perm(n, k) for k in range(n + 1))
@@ -215,9 +216,9 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
     # the equations a slot of order <= N can use: for the series basis, all
     leads = {}
     for e in inv.eqs:
-        if e.lead.order <= N:
-            TL, _ = leads[e] = _shifted(e.terms[e.lead], point,
-                                        N - e.lead.order)
+        _, lx, ly = fields(e.lead)
+        if lx + ly <= N:
+            TL, _ = leads[e] = _shifted(e.terms[e.lead], point, N - lx - ly)
             if not TL.get((0, 0)):
                 raise SingularPoint(
                     "singular expansion point (%s, %s): a coefficient "
@@ -231,17 +232,18 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
     # the lead's constant term, which multiplies the solved slot, is left out
     solvers: Tuple[list, list] = ([], [])
     for e, (TL, sL) in leads.items():
-        shifts = [(t, *_shifted(c, point, N - e.lead.order))
+        u, lx, ly = fields(e.lead)
+        shifts = [(fields(t), *_shifted(c, point, N - lx - ly))
                   for t, c in e.terms.items() if t != e.lead]
         S = lcm(sL, *(s for _, _, s in shifts))
         q0 = TL.pop((0, 0)) * (S // sL)
-        coeffs = [(base[t.unknown == ETA], t.order, t.dx,
+        coeffs = [(base[tu == ETA], tx + ty, tx,
                    sorted((i, j, n * (S // s)) for (i, j), n in T.items()))
-                  for t, T, s in [(e.lead, TL, sL)] + shifts]
-        solvers[e.lead.unknown == ETA].append(
-            (e.lead.dx, e.lead.dy, q0, coeffs))
+                  for (tu, tx, ty), T, s in [((u, lx, ly), TL, sL)] + shifts]
+        solvers[u == ETA].append((lx, ly, q0, coeffs))
     slots, key = lay.slots, inv.ranking.key
-    order = sorted(range(len(slots)), key=lambda k: key(slots[k]))
+    ranks = slots if key is None else [key(s) for s in slots]
+    order = sorted(range(len(slots)), key=ranks.__getitem__)
     rows: List[Optional[Row]] = [None] * len(slots)
     for k in order:
         eta, _, dx, dy = meta[k]
@@ -257,7 +259,7 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
             if o > N or rows[b + tri[o] + tx + ax] is None:
                 raise InternalInvariantError(
                     "equation for slot %s is not solved over lower slots"
-                    % slots[k].label())
+                    % label(slots[k]))
         fx, fy = fall[ax], fall[ay]
         coef: Dict[int, int] = {}
         for b, o, tx, terms in coeffs:
@@ -302,7 +304,7 @@ class SeriesBasis:
 
     point: Point
     N: int
-    parametric: Tuple[Slot, ...]
+    parametric: Tuple[int, ...]
     cols: Tuple[Tuple[Tuple[int, int], ...], ...]
     den: int
 
@@ -488,7 +490,7 @@ def structure_constants(basis: SeriesBasis) -> LieAlgebraTable:
                 bad = next(k for k in range(size) if D * br[k] != span[k])
                 raise InternalInvariantError(
                     "bracket of basis elements %d,%d leaves the solution "
-                    "space at slot %s" % (i, j, lay.slots[bad].label()))
+                    "space at slot %s" % (i, j, label(lay.slots[bad])))
             num[i][j] = coords
             num[j][i] = [-c for c in coords]
     table = LieAlgebraTable(m, num, D * D)

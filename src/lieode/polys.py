@@ -190,26 +190,11 @@ class MPoly:
     def is_const(self) -> bool:
         return not self.vars
 
-    def as_const(self) -> Fraction:
-        if self.vars:
-            raise ValueError("not a constant polynomial")
-        return Fraction(self.num.get(0, 0), self.den)
-
     def degree_in(self, name: str) -> int:
         if name not in self.vars:
             return 0
         s = _W * self.vars.index(name)
         return max([(k >> s) & _FIELD for k in self.num])
-
-    def leading(self) -> Tuple[Exps, Fraction]:
-        """Leading (monomial, coefficient) under graded lex."""
-        if not self.num:
-            raise ValueError("zero polynomial has no leading term")
-        m = max(self.num)
-        return _unpack(m, len(self.vars)), Fraction(self.num[m], self.den)
-
-    def leading_coeff(self) -> Fraction:
-        return self.leading()[1]
 
     def leading_numerator(self) -> int:
         """Integer numerator of the leading coefficient, which is this

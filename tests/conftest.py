@@ -13,23 +13,23 @@ import pathlib
 import random
 from fractions import Fraction
 from math import comb, gcd, lcm, perm
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple, TypeVar
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
 from lieode import analyze, default_corpus
-from lieode.determining import ETA, XI, Slot, add_term, prolonged_eta
+from lieode.determining import add_term, fields, prolonged_eta, slot
 from lieode.errors import (InternalInvariantError, OdeSyntaxError,
                            SingularPoint)
-from lieode.involutive import (InvolutiveSystem, alt_ranking,
-                               default_ranking, lin_derive)
+from lieode.involutive import (InvolutiveSystem, Ranking, alt_ranking,
+                               default_ranking)
 from lieode.jets import jet_name
 from lieode.liealgebra import LieAlgebraTable, Point, expansion_points
 from lieode.linalg import Mat, Vec, rref
 from lieode.parsing import OdeSpec, parse_ode, print_ode
-from lieode.polys import MPoly, content, divexact
+from lieode.polys import MPoly, _unpack, content, divexact
 from lieode.polys import gcd as poly_gcd
 from lieode.ratfunc import RatFunc
 from lieode.recovery import CharPoly, classify_pair
@@ -63,6 +63,104 @@ def mono_key(exps: Tuple[int, ...]) -> tuple:
     keys of ``lieode.polys``: graded, then lex with the last (highest-ranked)
     variable most significant."""
     return (sum(exps), tuple(reversed(exps)))
+
+
+# MPoly queries that only the suite asks
+
+
+def as_const(p: MPoly) -> Fraction:
+    if p.vars:
+        raise ValueError("not a constant polynomial")
+    return Fraction(p.num.get(0, 0), p.den)
+
+
+def leading(p: MPoly) -> Tuple[Tuple[int, ...], Fraction]:
+    """Leading (monomial, coefficient) under graded lex."""
+    if not p.num:
+        raise ValueError("zero polynomial has no leading term")
+    m = max(p.num)
+    return _unpack(m, len(p.vars)), Fraction(p.num[m], p.den)
+
+
+def leading_coeff(p: MPoly) -> Fraction:
+    return leading(p)[1]
+
+
+# -- slots as NamedTuples, the reference for the packed slots ------------------
+#
+# The slot form and the two tuple-key rankings the engine's packed ints
+# replaced.  The references below work on ``Slot`` keys; ``to_slot`` and
+# ``to_int`` (and ``slot_keyed``, ``int_keyed`` for dicts) convert at their
+# boundaries.
+
+XI = "xi"
+ETA = "eta"
+
+
+class Slot(NamedTuple):
+    """A partial derivative of one unknown: d^(dx+dy) u / dx^dx dy^dy."""
+
+    unknown: str
+    dx: int
+    dy: int
+
+    @property
+    def order(self) -> int:
+        return self.dx + self.dy
+
+    def derive(self, ddx: int, ddy: int) -> "Slot":
+        return Slot(self.unknown, self.dx + ddx, self.dy + ddy)
+
+    def divides(self, other: "Slot") -> bool:
+        return (self.unknown == other.unknown
+                and self.dx <= other.dx and self.dy <= other.dy)
+
+    def label(self) -> str:
+        if self.order == 0:
+            return self.unknown
+        return f"{self.unknown}_" + "x" * self.dx + "y" * self.dy
+
+
+REFERENCE_RANKINGS = {r.name: r for r in (
+    Ranking("order,xdeg,xi<eta",
+            lambda s: (s.order, s.dx, 0 if s.unknown == XI else 1)),
+    Ranking("order,ydeg,eta<xi",
+            lambda s: (s.order, s.dy, 0 if s.unknown == ETA else 1)))}
+
+
+def reference_ranking(ranking: Ranking) -> Ranking:
+    """The tuple-key ranking on ``Slot`` of the same name."""
+    return REFERENCE_RANKINGS[ranking.name]
+
+
+def to_slot(s: int) -> Slot:
+    u, dx, dy = fields(s)
+    return Slot((XI, ETA)[u], dx, dy)
+
+
+def to_int(s: Slot) -> int:
+    return slot((XI, ETA).index(s.unknown), s.dx, s.dy)
+
+
+V = TypeVar("V")
+
+
+def slot_keyed(d: Mapping[int, V]) -> Dict[Slot, V]:
+    return {to_slot(s): v for s, v in d.items()}
+
+
+def int_keyed(d: Mapping[Slot, V]) -> Dict[int, V]:
+    return {to_int(s): v for s, v in d.items()}
+
+
+def lin_derive(eq, var: str):
+    """Differentiate a ``Slot``-keyed equation by x or y (product rule)."""
+    out = {}
+    step = (1, 0) if var == "x" else (0, 1)
+    for s, c in eq.items():
+        add_term(out, s, c.derivative(var))
+        add_term(out, s.derive(*step), c)
+    return out
 
 
 # -- exact matrices over the rationals -----------------------------------------
@@ -278,7 +376,7 @@ def reference_primitive(eq, top):
     g = content(sorted(eq.values(), key=lambda c: len(c.num)))
     if not g.is_const():
         eq = {s: divexact(c, g) for s, c in eq.items()}
-    lc = eq[top].leading_coeff()
+    lc = leading_coeff(eq[top])
     return {s: c * (1 / lc) for s, c in eq.items()}
 
 
@@ -290,7 +388,7 @@ def invariance_expression(ode: OdeSpec):
     for v in Q.vars:
         G = poly_gcd(G, Q.derivative(v))
     R = divexact(Q, G)
-    etas = prolonged_eta(n)
+    etas = [slot_keyed(e) for e in prolonged_eta(n)]
     top = jet_name(n)
     out = {}
     for s, c in etas[n].items():
@@ -323,6 +421,8 @@ def reference_determining_system(ode: OdeSpec):
 
 
 class _RefEq:
+    """An equation of the pairwise reference, or of a ``SlotSystem``."""
+
     def __init__(self, terms, lead, ident):
         self.terms, self.lead, self.ident = terms, lead, ident
         self.cache = {(0, 0): terms}
@@ -420,6 +520,34 @@ def reference_complete(system, ranking) -> ReferenceCompletion:
                        if not any(l.divides(Slot(unk, i, j)) for l in mine)]
     return ReferenceCompletion([e.terms for e in eqs], leads,
                                sorted(parametric, key=key), crosses)
+
+
+@dataclasses.dataclass
+class SlotSystem:
+    """A completed system keyed by ``Slot``, the form ``normal_form`` and
+    the series references read; ``slot_system`` converts one."""
+
+    ranking: Ranking
+    eqs: List[_RefEq]
+    parametric: List[Slot]
+
+    @property
+    def equations(self):
+        return [e.terms for e in self.eqs]
+
+    @property
+    def leads(self) -> List[Slot]:
+        return [e.lead for e in self.eqs]
+
+    def max_parametric_order(self) -> int:
+        return max((s.order for s in self.parametric), default=0)
+
+
+def slot_system(inv: InvolutiveSystem) -> SlotSystem:
+    return SlotSystem(reference_ranking(inv.ranking),
+                      [_RefEq(slot_keyed(e.terms), to_slot(e.lead), e.ident)
+                       for e in inv.eqs],
+                      [to_slot(s) for s in inv.parametric])
 
 
 # -- references for the series and structure stages -----------------------------

@@ -5,17 +5,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lieode.determining import (ETA, XI, Slot, determining_system,
-                                invariance_coefficients, primitive,
-                                prolonged_eta)
+from lieode.determining import (DX, DY, determining_system, divides,
+                                invariance_coefficients, label, primitive,
+                                prolonged_eta, slot)
+from lieode.involutive import _lcm, alt_ranking, default_ranking
 from lieode.jets import jet_name, jet_order
 from lieode.parsing import OdeSpec, parse_ode
 from lieode.polys import MPoly, content, gcd
 from lieode.ratfunc import RatFunc
 
-from conftest import (bench_odes, nonzero_rationals, rationals,
+from conftest import (ETA, XI, Slot, bench_odes, leading_coeff,
+                      nonzero_rationals, rationals,
                       reference_determining_system, reference_primitive,
-                      substitute, substitute_generator)
+                      reference_ranking, slot_keyed, substitute,
+                      substitute_generator, to_int, to_slot)
 
 
 def jet(k):
@@ -43,7 +46,7 @@ def _up_to_scale(eq, expected):
 
 def test_first_prolongation_formula():
     # eta^(1) = eta_x + (eta_y - xi_x) y' - xi_y (y')^2  [PAPER]
-    got = prolonged_eta(1)[1]
+    got = slot_keyed(prolonged_eta(1)[1])
     expected = {
         Slot(ETA, 1, 0): MPoly.const(1),
         Slot(ETA, 0, 1): jet(1),
@@ -56,7 +59,7 @@ def test_first_prolongation_formula():
 def test_second_prolongation_formula():
     # eta^(2) = eta_xx + (2 eta_xy - xi_xx) y' + (eta_yy - 2 xi_xy) (y')^2
     #           - xi_yy (y')^3 + (eta_y - 2 xi_x) y'' - 3 xi_y y' y''  [PAPER]
-    got = prolonged_eta(2)[2]
+    got = slot_keyed(prolonged_eta(2)[2])
     y1, y2 = jet(1), jet(2)
     expected = {
         Slot(ETA, 2, 0): MPoly.const(1),
@@ -83,9 +86,72 @@ def test_prolonged_eta_is_cached_and_read_only():
     etas = prolonged_eta(3)
     assert prolonged_eta(3) is etas
     with pytest.raises(TypeError):
-        etas[1][Slot(XI, 0, 0)] = MPoly.const(1)
+        etas[1][to_int(Slot(XI, 0, 0))] = MPoly.const(1)
     with pytest.raises(TypeError):
         etas[0] = {}
+
+
+# -- packed slots ------------------------------------------------------------------
+
+
+@st.composite
+def reference_slots(draw):
+    # small orders meet and tie often; large ones fill most of each field
+    order = draw(st.one_of(st.integers(0, 4), st.integers(0, 2 ** 14)))
+    dx = draw(st.integers(0, order))
+    return Slot(draw(st.sampled_from([XI, ETA])), dx, order - dx)
+
+
+@st.composite
+def slot_pairs(draw):
+    """Two reference slots; half the time the second is a near neighbour
+    of the first, on either unknown, so that one often divides the other."""
+    s = draw(reference_slots())
+    near = st.builds(lambda u, i, j: Slot(u, max(s.dx + i, 0),
+                                          max(s.dy + j, 0)),
+                     st.sampled_from([XI, ETA]), st.integers(-2, 2),
+                     st.integers(-2, 2))
+    return s, draw(st.one_of(reference_slots(), near))
+
+
+@given(slot_pairs())
+def test_packed_order_is_the_default_ranking(pair):
+    s, t = pair
+    key = reference_ranking(default_ranking()).key
+    assert (to_int(s) < to_int(t)) == (key(s) < key(t))
+    assert (to_int(s) == to_int(t)) == (s == t)
+
+
+@given(slot_pairs())
+def test_mirror_key_orders_like_the_alternate_ranking(pair):
+    s, t = pair
+    alt = alt_ranking()
+    key = reference_ranking(alt).key
+    assert (alt.key(to_int(s)) < alt.key(to_int(t))) == (key(s) < key(t))
+
+
+@given(slot_pairs())
+def test_packed_slot_operations_match_the_reference(pair):
+    # divisibility, derivatives, least common derivatives and labels on
+    # the ints are those of the Slot reference, and to_slot inverts to_int
+    s, t = pair
+    a, b = to_int(s), to_int(t)
+    assert divides(a, b) == s.divides(t)
+    assert (a + DX, a + DY) == (to_int(s.derive(1, 0)),
+                                to_int(s.derive(0, 1)))
+    if s.unknown == t.unknown:
+        assert _lcm(a, b) == to_int(Slot(s.unknown, max(s.dx, t.dx),
+                                         max(s.dy, t.dy)))
+    assert label(a) == s.label()
+    assert to_slot(a) == s
+
+
+def test_slot_order_bound():
+    # orders up to 2^15 - 1 fit in a field below its guard bit
+    assert to_slot(slot(1, 2 ** 15 - 1, 0)) == Slot(ETA, 2 ** 15 - 1, 0)
+    for dx, dy in ((2 ** 15, 0), (2 ** 14, 2 ** 14), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="out of range"):
+            slot(0, dx, dy)
 
 
 # -- the invariance condition and its multiplier ------------------------------------
@@ -116,7 +182,7 @@ def quotient_odes(draw):
 def _textbook_condition(ode):
     """eta^(n) on y^(n) = -f, plus xi f_x + sum_k eta^(k) f_{y^(k)}, over RatFunc."""
     n, f = ode.n, ode.f
-    etas = prolonged_eta(n)
+    etas = [slot_keyed(e) for e in prolonged_eta(n)]
     out = {s: substitute(RatFunc(c), jet_name(n), -f) for s, c in etas[n].items()}
     terms = [({Slot(XI, 0, 0): MPoly.const(1)}, "x")] + [
         (etas[k], jet_name(k)) for k in range(n)]
@@ -143,7 +209,7 @@ def test_invariance_expression_is_textbook_condition_times_QR(ode):
         mono = MPoly.const(1)
         for name, k in key:
             mono = mono * MPoly.variable(name) ** k
-        for s, c in eq.items():
+        for s, c in slot_keyed(eq).items():
             got[s] = got.get(s, ZERO) + RatFunc(c * mono)
     assert {s: c / QR for s, c in got.items()} == _textbook_condition(ode)
 
@@ -153,14 +219,16 @@ def test_invariance_expression_is_textbook_condition_times_QR(ode):
 def test_determining_system_matches_the_product_form_reference(ode):
     # collecting the full products by jet monomial, with a gcd-chain content,
     # gives the same equations in the same order
-    assert determining_system(ode) == reference_determining_system(ode)
+    assert ([slot_keyed(eq) for eq in determining_system(ode)]
+            == reference_determining_system(ode))
 
 
 @settings(max_examples=25)
 @given(quotient_odes())
 def test_determining_system_matches_the_reference_on_quotients(ode):
     # Q may hold a squared jet factor, so R*Q and f_v carry jets
-    assert determining_system(ode) == reference_determining_system(ode)
+    assert ([slot_keyed(eq) for eq in determining_system(ode)]
+            == reference_determining_system(ode))
 
 
 # -- the primitive form of an equation ---------------------------------------------
@@ -180,7 +248,7 @@ def xy_polys(draw):
 def scaled_equations(draw):
     """(eq, top, h1, h2): an equation, one of its slots, two multipliers."""
     slots = draw(st.lists(st.sampled_from(
-        [Slot(u, i, j) for u in (XI, ETA) for i in range(3)
+        [to_int(Slot(u, i, j)) for u in (XI, ETA) for i in range(3)
          for j in range(3 - i)]), min_size=1, max_size=4, unique=True))
     eq = {s: draw(xy_polys()) for s in slots}
     return eq, draw(st.sampled_from(slots)), draw(xy_polys()), draw(xy_polys())
@@ -197,7 +265,7 @@ def test_primitive_form_is_canonical(case):
     assert p == primitive({s: c * h2 for s, c in eq.items()}, top)
     assert p == primitive(eq, top)
     assert content(list(p.values())) == 1
-    assert p[top].leading_coeff() == 1
+    assert leading_coeff(p[top]) == 1
     assert ({s: RatFunc(c, p[top]) for s, c in p.items()}
             == {s: RatFunc(c, eq[top]) for s, c in eq.items()})
 
@@ -208,7 +276,7 @@ def signed_equations(draw):
     (x, y) with a common factor, each with a drawn sign, so that the lead
     of eq[top] is negative about half the time."""
     slots = draw(st.lists(st.sampled_from(
-        [Slot(u, i, j) for u in (XI, ETA) for i in range(3)
+        [to_int(Slot(u, i, j)) for u in (XI, ETA) for i in range(3)
          for j in range(3 - i)]), min_size=1, max_size=4, unique=True))
     if draw(st.booleans()):
         coeff, factor = nonzero_rationals().map(MPoly.const), MPoly.const(1)
@@ -242,7 +310,7 @@ def test_free_particle_determining_equations():
         {Slot(ETA, 1, 1): MPoly.const(2), Slot(XI, 2, 0): -one},
         {Slot(ETA, 2, 0): one},
     ]
-    matched = [any(_up_to_scale(eq, want) for eq in system)
+    matched = [any(_up_to_scale(slot_keyed(eq), want) for eq in system)
                for want in expected]
     assert all(matched)
 
@@ -266,13 +334,13 @@ def test_free_particle_generators_satisfy_system():
     system = determining_system(parse_ode("y'' = 0"))
     for xi, eta in FREE_PARTICLE_GENERATORS:
         for eq in system:
-            assert substitute_generator(eq, xi, eta).is_zero()
+            assert substitute_generator(slot_keyed(eq), xi, eta).is_zero()
 
 
 def test_non_symmetry_is_rejected_by_some_equation():
     system = determining_system(parse_ode("y'' = 0"))
     xi, eta = X * X, ZERO   # x^2 d/dx alone is not a symmetry
-    assert any(not substitute_generator(eq, xi, eta).is_zero()
+    assert any(not substitute_generator(slot_keyed(eq), xi, eta).is_zero()
                for eq in system)
 
 
@@ -283,8 +351,8 @@ def test_painleve_control_generators():
     system = determining_system(parse_ode("y'' = y^2"))
     for xi, eta in [(ONE, ZERO), (X, RatFunc.const(-2) * Y)]:
         for eq in system:
-            assert substitute_generator(eq, xi, eta).is_zero()
-    assert any(not substitute_generator(eq, X, -Y).is_zero()
+            assert substitute_generator(slot_keyed(eq), xi, eta).is_zero()
+    assert any(not substitute_generator(slot_keyed(eq), X, -Y).is_zero()
                for eq in system)
 
 
@@ -293,7 +361,7 @@ def test_rational_coefficient_equation():
     system = determining_system(parse_ode("y'' + y'/x = 0"))
     for xi, eta in [(X, ZERO), (ZERO, Y)]:
         for eq in system:
-            assert substitute_generator(eq, xi, eta).is_zero()
+            assert substitute_generator(slot_keyed(eq), xi, eta).is_zero()
 
 
 def test_third_order_system_size_stays_small():
@@ -301,5 +369,5 @@ def test_third_order_system_size_stays_small():
     # monomials of (y', y'') up to the prolongation's degree
     system = determining_system(parse_ode("y''' + y*y' = 0"))
     assert 4 <= len(system) <= 12
-    orders = {s.order for eq in system for s in eq}
+    orders = {s.order for eq in system for s in slot_keyed(eq)}
     assert max(orders) == 3

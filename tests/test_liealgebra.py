@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import lieode.liealgebra
 from lieode import analyze
-from lieode.determining import ETA, XI, Slot, determining_system
+from lieode.determining import determining_system
 from lieode.errors import InputError, InternalInvariantError, SingularPoint
 from lieode.involutive import complete
 from lieode.liealgebra import (CASE_CONSTANT, CASE_NONCONSTANT, CASE_NONE,
@@ -24,7 +24,8 @@ from lieode.parsing import parse_ode
 from lieode.polys import MPoly
 from lieode.ratfunc import RatFunc
 
-from conftest import (REFERENCE_INPUTS, basis_values, bench_odes,
+from conftest import (ETA, XI, REFERENCE_INPUTS, Slot, basis_values,
+                      bench_odes, int_keyed, slot_system, to_int, to_slot,
                       bench_ranking_cases, fraction_bracket, fraction_table,
                       lie_table, mpolys, normal_form, plain_eval, rationals,
                       reference_normal_form_table, reference_series_basis,
@@ -55,7 +56,7 @@ def test_series_basis_is_delta_initial_data():
     inv, basis, _ = run("y'' = 0")
     for i, data in enumerate(basis_values(basis)):
         for j, p in enumerate(basis.parametric):
-            assert data[p] == (1 if i == j else 0)
+            assert data[to_slot(p)] == (1 if i == j else 0)
     # each column holds nonzero values only, by position, one order past N
     # so that brackets are known through order N
     size = (basis.N + 2) * (basis.N + 3)
@@ -152,9 +153,10 @@ def test_table_matches_evaluated_symbolic_normal_forms(text):
     point = EXPLICIT_POINTS.get(text) or series_basis(inv).point
     table = normal_form_table(inv, inv.max_parametric_order() + 3, point)
     env = {"x": point[0], "y": point[1]}
+    view = slot_system(inv)
     for s, row in fraction_table(table).items():
         ref = {q: plain_eval(c, env)
-               for q, c in normal_form(inv, {s: UNIT}).items()}
+               for q, c in normal_form(view, {s: UNIT}).items()}
         assert row == {q: v for q, v in ref.items() if v}, s.label()
 
 
@@ -237,9 +239,10 @@ def test_automatic_point_leaves_a_line_of_candidates():
     # [DERIVED]
     x, y = MPoly.variable("x"), MPoly.variable("y")
     c = (y - x - 1) * x * (x - 1) * (x - 2) * (2 * x - 1)
-    inv = complete([{Slot(XI, 1, 0): c, Slot(XI, 0, 0): -c.derivative("x")},
-                    {Slot(XI, 0, 1): c, Slot(XI, 0, 0): -c.derivative("y")},
-                    {Slot(ETA, 0, 0): UNIT}])
+    inv = complete(list(map(int_keyed, [
+        {Slot(XI, 1, 0): c, Slot(XI, 0, 0): -c.derivative("x")},
+        {Slot(XI, 0, 1): c, Slot(XI, 0, 0): -c.derivative("y")},
+        {Slot(ETA, 0, 0): UNIT}])))
     assert inv.dimension == 1
     basis = series_basis(inv)
     assert basis.point == (3, 0)
@@ -292,7 +295,8 @@ def test_table_below_every_lead_uses_no_equation():
 
 
 @pytest.mark.parametrize("corrupt", [
-    lambda terms, lead: terms.update({lead.derive(1, 0): UNIT}),
+    lambda terms, lead: terms.update(
+        {to_int(to_slot(lead).derive(1, 0)): UNIT}),
 ], ids=["slot-above-lead"])
 def test_forward_substitution_guard_fires(corrupt):
     # an equation that names a slot above its lead must not yield a
@@ -314,7 +318,7 @@ def test_generators_reconstruct_from_series_basis():
               (ZERO, X), (ZERO, Y), (X * X, X * Y), (X * Y, Y * Y)]
     for xi, eta in fields:
         data = solution_data_from_components(xi, eta, basis.point, basis.N)
-        coords = [data[p] for p in basis.parametric]
+        coords = [data[to_slot(p)] for p in basis.parametric]
         for slot, value in data.items():
             recon = sum((values[k][slot] * c
                          for k, c in enumerate(coords)), F(0))
@@ -353,7 +357,7 @@ def fraction_structure_constants(basis):
     C = [[[F(0)] * m for _ in range(m)] for _ in range(m)]
     for i, j in itertools.combinations(range(m), 2):
         data = reference_bracket_data(values[i], values[j], basis.N)
-        C[i][j] = [data[p] for p in basis.parametric]
+        C[i][j] = [data[to_slot(p)] for p in basis.parametric]
         C[j][i] = [-c for c in C[i][j]]
     return C
 
@@ -387,20 +391,22 @@ def test_series_and_structure_match_the_references(ode, ranking):
     # table, the basis read from it and the structure constants are those
     # of the Slot-based references, or both raise SingularPoint  [DERIVED]
     inv = complete(determining_system(ode), ranking)
+    view = slot_system(inv)
     N = inv.max_parametric_order() + 2
     for point in REFERENCE_POINTS:
         try:
             basis = series_basis(inv, point=point)
         except SingularPoint:
             with pytest.raises(SingularPoint):
-                reference_series_basis(inv, point)
+                reference_series_basis(view, point)
             continue
-        ref = reference_series_basis(inv, point)
+        ref = reference_series_basis(view, point)
+        parametric = tuple(map(to_slot, basis.parametric))
         assert all((sol.point, sol.N, sol.parametric, sol.den)
-                   == (basis.point, basis.N, basis.parametric, basis.den)
+                   == (basis.point, basis.N, parametric, basis.den)
                    for sol in ref)
         assert (slot_table(normal_form_table(inv, N + 1, basis.point))
-                == reference_normal_form_table(inv, N + 1, basis.point))
+                == reference_normal_form_table(view, N + 1, basis.point))
         assert basis_values(basis) == [sol.data for sol in ref]
         assert (structure_constants(basis)
                 == reference_structure_constants(ref))
@@ -422,7 +428,7 @@ def test_translation_scaling_bracket():
     # {d_x, x d_x}: [e1, e2] = e1, so C[0][1] = (1, 0)  [PAPER]
     eqs = [{Slot(XI, 2, 0): UNIT}, {Slot(XI, 0, 1): UNIT},
            {Slot(ETA, 0, 0): UNIT}]
-    inv = complete(eqs)
+    inv = complete(list(map(int_keyed, eqs)))
     basis = series_basis(inv)
     table = structure_constants(basis)
     assert table.m == 2
@@ -435,7 +441,7 @@ def test_translation_scaling_bracket():
 def test_constants_algebra_is_abelian():
     eqs = [{Slot(XI, 1, 0): UNIT}, {Slot(XI, 0, 1): UNIT},
            {Slot(ETA, 1, 0): UNIT}, {Slot(ETA, 0, 1): UNIT}]
-    inv = complete(eqs)
+    inv = complete(list(map(int_keyed, eqs)))
     table = structure_constants(series_basis(inv))
     assert all(c == 0 for row in table.C for vec in row for c in vec)
     assert derived_algebra(table).dimension == 0

@@ -15,7 +15,7 @@ from lieode.pushforward import (OracleInstance, PointTransformation,
 from lieode.ratfunc import RatFunc
 from lieode.recovery import CharPoly, affine_class
 
-from conftest import substitute_generator
+from conftest import slot_keyed, substitute_generator
 
 F = Fraction
 
@@ -181,7 +181,7 @@ def test_first_order_source_is_rejected():
 
 def _satisfies(ode, xi, eta):
     system = determining_system(ode)
-    return all(substitute_generator(eq, xi, eta).is_zero()
+    return all(substitute_generator(slot_keyed(eq), xi, eta).is_zero()
                for eq in system)
 
 
