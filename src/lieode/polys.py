@@ -409,16 +409,6 @@ class MPoly:
             buckets.setdefault(tuple(key), {})[r] = c
         return {k: _new_pruned(rest, b, self.den) for k, b in buckets.items()}
 
-    @staticmethod
-    def from_coeffs(coeffs: Sequence["MPoly"], name: str) -> "MPoly":
-        out = ZERO
-        v = MPoly.variable(name)
-        power = ONE
-        for c in coeffs:
-            out = out + c * power
-            power = power * v
-        return out
-
 
 _alloc = object.__new__
 _set_vars = MPoly.vars.__set__
@@ -602,68 +592,113 @@ def _divides(d: MPoly, a: MPoly) -> bool:
     return try_divexact(a, d) is not None
 
 
-# The image test works modulo a prime below 2**61, at one fixed point.
-_P = (1 << 61) - 1
-
-
-def _point_value(name: str) -> int:
-    """The fixed value of a variable in the image test (a function of its
-    name, so that both operands get the same point)."""
-    return (int.from_bytes(name.encode(), "big") * 0x5851F42D4C957F2D
-            + 0x14057B7EF767814F) % _P
-
-
-def _image(p: MPoly, name: str) -> list:
-    """Dense coefficients mod _P, lowest first, of p's numerators as a
-    polynomial in `name`, with every other variable at its fixed value."""
-    s = _W * p.vars.index(name)
-    values = [(_W * j, _point_value(v)) for j, v in enumerate(p.vars)
-              if v != name]
-    out = [0] * (1 + p.degree_in(name))
+def _split(p: MPoly, w: str, rest: Tuple[str, ...]) -> Dict[int, Dict[int, int]]:
+    """p's numerators by monomial over `rest`, which holds p's variables
+    other than `w`: {key over rest: {exponent of w: numerator}}.  One pass
+    over the packed keys, which drop w's field and its share of the degree
+    by the shift-and-mask of `_remap`."""
+    moves, s, t = _layout(p.vars, rest)
+    f = _W * p.vars.index(w) if w in p.vars else None
+    out: Dict[int, Dict[int, int]] = {}
     for k, c in p.num.items():
-        for f, x in values:
-            e = (k >> f) & _FIELD
-            if e:
-                c = c * pow(x, e, _P)
-        out[(k >> s) & _FIELD] += c
-    out = [c % _P for c in out]
-    while out and not out[-1]:
-        out.pop()
+        e = 0 if f is None else (k >> f) & _FIELD
+        key = ((k >> s) - e) << t
+        for m, left, right in moves:
+            key |= (k & m) << left >> right
+        out.setdefault(key, {})[e] = c
     return out
 
 
-def _rem_mod_p(f: list, g: list) -> list:
-    """Remainder of dense polynomials mod _P, g with a nonzero lead."""
-    f = list(f)
-    inv = pow(g[-1], -1, _P)
-    while len(f) >= len(g):
-        q = f[-1] * inv % _P
-        shift = len(f) - len(g)
-        for i, c in enumerate(g[:-1]):
-            f[shift + i] = (f[shift + i] - q * c) % _P
-        f.pop()
-        while f and not f[-1]:
-            f.pop()
-    return f
+def _values(split: Dict[int, Dict[int, int]], alpha: int) -> Dict[int, int]:
+    """The nonzero numerators of a `_split` polynomial at w = alpha."""
+    return {k: v for k, coeffs in split.items()
+            if (v := sum([c * alpha ** e for e, c in coeffs.items()]))}
 
 
-def _image_free_of(a: MPoly, b: MPoly, name: str) -> bool:
-    """True when images prove gcd(a, b) free of `name` (False proves nothing).
+def _image(p: MPoly, w: str, rest: Tuple[str, ...], alpha: int) -> MPoly:
+    """p at w = alpha."""
+    return _new_pruned(rest, _values(_split(p, w, rest), alpha), p.den)
 
-    The image of a polynomial fixes every other variable at `_point_value`
-    and reduces mod _P.  Write a = g a' over Z with g = gcd(a, b) primitive:
-    if a's image keeps its degree in `name`, so do the images of g and a',
-    since degrees add over the field Z/_P.  The image of g then divides both
-    images with its full degree, so a constant gcd of the images shows that
-    g has degree 0 in `name` (Geddes, Czapor and Labahn, *Algorithms for
-    Computer Algebra*, 1992, chapter 7).
+
+def _content_over(split: Dict[int, Dict[int, int]], w: str) -> MPoly:
+    """The content of a `_split` polynomial over its other variables: the
+    gcd of its coefficients, which are polynomials in `w` alone."""
+    return content([_new_pruned((w,), {e | e << _W: c for e, c in cs.items()},
+                                1) for cs in split.values()])
+
+
+def _primitive_over(p: MPoly, w: str, rest: Tuple[str, ...]):
+    """(p divided by its content over `rest`, that quotient's `_split`, the
+    content)."""
+    split = _split(p, w, rest)
+    cont = _content_over(split, w)
+    if cont is not ONE:
+        p = divexact(p, cont)
+        split = _split(p, w, rest)
+    return p, split, cont
+
+
+def _gcd_interpolated(a: MPoly, b: MPoly) -> MPoly:
+    """gcd of a and b over the same two or more variables, by Brown's dense
+    evaluation and interpolation over Q (Brown, J. ACM 18, 1971; Geddes,
+    Czapor and Labahn, *Algorithms for Computer Algebra*, 1992, ch. 7).
+
+    One variable w, of smallest degree, is evaluated at 0, 1, 2, ...; R is
+    the tuple of the others.  The operands are divided by their contents
+    over R, whose gcd c is the content of the gcd, so the primitive gcd G
+    remains.  Let gamma be the gcd of the operands' leading coefficients over
+    R, in the monomial order of R; it is a multiple of G's.  Points where a
+    leading coefficient vanishes are skipped.  At each other point the image
+    gcd h (a gcd over R, so the recursion ends) is divisible by G's image,
+    which keeps G's leading monomial; so h's leading monomial is never below
+    G's, and when equal, h is G's image up to a constant.  That happens at
+    all but finitely many points: the lucky ones.  A point whose leading
+    monomial is above the lowest one seen is skipped as unlucky, and one
+    below it restarts the interpolation.  Each kept h, scaled to have
+    leading coefficient gamma(alpha), is a value of gamma * G / lc(G) once
+    the points are lucky, and Newton interpolation in w fits it.  When a
+    point leaves the interpolant unchanged, its primitive part over R is the
+    candidate.  A candidate that divides both operands has a leading
+    monomial no higher than G's, and it was never lower, so it is G up to a
+    constant.  A constant image gcd shows G = 1 the same way.  The lucky
+    points are cofinite, so the interpolant stops changing at the right
+    polynomial and the routine ends.
     """
-    fa, fb = _image(a, name), _image(b, name)
-    if len(fa) != 1 + a.degree_in(name) or len(fb) != 1 + b.degree_in(name):
-        return False
-    while fb:
-        fa, fb = fb, _rem_mod_p(fa, fb)
-    return len(fa) == 1
+    w = min(a.vars, key=lambda v: max(a.degree_in(v), b.degree_in(v)))
+    rest = tuple([v for v in a.vars if v != w])
+    a, sa, ca = _primitive_over(a, w, rest)
+    b, sb, cb = _primitive_over(b, w, rest)
+    c = gcd(ca, cb)
+    lead_a, lead_b = max(sa), max(sb)
+    # the gcd of the leading coefficients, as the content of a split of two
+    gamma = _content_over({0: sa[lead_a], 1: sb[lead_b]}, w)
+    lead = None
+    alpha = -1
+    while True:
+        alpha += 1
+        va, vb = _values(sa, alpha), _values(sb, alpha)
+        if lead_a not in va or lead_b not in vb:
+            continue
+        h = gcd(_new_pruned(rest, va, a.den), _new_pruned(rest, vb, b.den))
+        if h.is_const():
+            return c
+        m = max(_remap(h.num, h.vars, rest))
+        if lead is not None and m > lead:
+            continue
+        h = h * _image(gamma, w, (), alpha)
+        step = MPoly.variable(w) - alpha
+        if lead is None or m < lead:
+            lead, g, q = m, h, step
+            continue
+        diff = h - _image(g, w, rest, alpha)
+        if diff:
+            g = g.add_scaled(diff * q, 1, _image(q, w, (), alpha).num[0])
+        else:
+            pp = _primitive_over(g, w, rest)[0]
+            if (try_divexact(a, pp) is not None
+                    and try_divexact(b, pp) is not None):
+                return pp * c
+        q = q * step
 
 
 def content(coeffs: Sequence[MPoly]) -> MPoly:
@@ -678,37 +713,22 @@ def content(coeffs: Sequence[MPoly]) -> MPoly:
     return g
 
 
-def _prem(u: Sequence[MPoly], v: Sequence[MPoly]):
-    """Pseudo-remainder of dense coefficient lists (main variable implicit).
-    u, v and every nonempty r end in a nonzero coefficient."""
-    r = list(u)
-    dv = len(v) - 1
-    lv = v[-1]
-    while len(r) - 1 >= dv:
-        lr = r[-1]
-        shift = len(r) - 1 - dv
-        r = [c * lv for c in r]
-        for i, vc in enumerate(v):
-            r[i + shift] = r[i + shift] - lr * vc
-        while r and r[-1].is_zero():
-            r.pop()
-    return r
-
-
 def gcd(a: MPoly, b: MPoly) -> MPoly:
     """GCD over Q[vars], normalized with leading coefficient 1.
 
-    After the common monomial is split off, variables that only one operand
-    has are eliminated first: the gcd cannot contain them, so it divides
-    every coefficient of that operand taken over them, and it is the content
-    of those coefficients together with the other operand's (Geddes, Czapor
+    A zero operand leaves the other, made monic, and a constant one gives 1.
+    Then the common monomial is split off; operands that share no variable
+    have it as their gcd.  Variables that only one operand has are
+    eliminated next: the gcd cannot contain them, so it divides every
+    coefficient of that operand taken over them, and it is the content of
+    those coefficients together with the other operand's (Geddes, Czapor
     and Labahn, *Algorithms for Computer Algebra*, 1992, section 7.1).  The
     content folds smallest coefficients first and stops at the first
     constant, which is where most calls from `RatFunc` end.  Operands over
-    the same one variable go to Euclid.  Over the same two or more
-    variables, an operand that divides the other is the gcd, and images
-    that prove the gcd free of every variable (`_image_free_of`) make it
-    1; only the remaining pairs reach the primitive PRS.
+    the same one variable go to Euclid (`_gcd_univar`).  Over the same two
+    or more variables, an operand that divides the other is the gcd, and
+    every other pair goes to evaluation and interpolation
+    (`_gcd_interpolated`).
     """
     if a.is_zero():
         return _monic(b)
@@ -736,34 +756,8 @@ def gcd(a: MPoly, b: MPoly) -> MPoly:
         g = b0
     elif _divides(a0, b0):
         g = a0
-    elif all(_image_free_of(a0, b0, v) for v in shared):
-        g = ONE
     else:
-        v = min(shared, key=lambda n: max(a0.degree_in(n), b0.degree_in(n)))
-        ca = a0.coeffs_in(v)
-        cb = b0.coeffs_in(v)
-        cont_a = content(ca)
-        cont_b = content(cb)
-        c = gcd(cont_a, cont_b)
-        pa = [divexact(x, cont_a) for x in ca]
-        pb = [divexact(x, cont_b) for x in cb]
-        if len(pa) < len(pb):
-            pa, pb = pb, pa
-        while True:
-            r = _prem(pa, pb)
-            if not r:
-                g = pb
-                break
-            cont_r = content(r)
-            r = [divexact(x, cont_r) for x in r]
-            pa, pb = pb, r
-            if len(pb) == 1:
-                g = [ONE]
-                break
-        gp = MPoly.from_coeffs(g, v)
-        cont_g = content(g)
-        gp = divexact(gp, cont_g)
-        g = gp * c
+        g = _gcd_interpolated(a0, b0)
     if common:
         g = g * _mono_poly(common)
     return _monic(g)

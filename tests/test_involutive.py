@@ -261,8 +261,8 @@ def test_fourth_order_rational_input_completes():
 
 def test_coprime_bivariate_denominator_completes():
     # a coprime gcd over (x, y) took 13 s in the primitive PRS on this
-    # input; one image per variable settles it.  The answer holds under
-    # both rankings, passes the audit, and again one order higher
+    # input; evaluation and interpolation settle it.  The answer holds
+    # under both rankings, passes the audit, and again at a higher order
     text = "y''' = (y')^2/(x^2 + y^2 + 1)"
     report = analyze(text)
     assert report.m == 0
@@ -316,6 +316,23 @@ def test_alternate_ranking_settles_the_default_ranking_hangs(text):
     # with m = 0, the value a fallback to alt_ranking would report
     inv = complete(determining_system(parse_ode(text)), alt_ranking())
     assert inv.dimension == 0
+
+
+@pytest.mark.parametrize("text", ["y'' = (y')^2/(x^2+y^2+1)",
+                                  "y''' = y'/((x+y)^2*(x-y))"])
+def test_default_ranking_completes_the_former_hangs(text):
+    # completion under the default ranking ran past 20 s on both inputs,
+    # in the primitive PRS of gcds over (x, y) with nontrivial answers;
+    # evaluation and interpolation settle them.  The answer holds under
+    # both rankings, passes the audit, and again three orders higher
+    report = analyze(text)
+    assert report.m == 0
+    detsys, inv = report.determining, report.involutive
+    alt = complete(detsys, alt_ranking())
+    assert alt.dimension == inv.dimension == 0
+    assert audit_involutive(inv, detsys) and audit_involutive(alt, detsys)
+    higher = analyze(text, max_order=inv.max_parametric_order() + 3)
+    assert higher.m == 0
 
 
 def test_painleve_ii_completes_under_the_alternate_ranking():

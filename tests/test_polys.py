@@ -7,15 +7,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lieode.ratfunc
+from lieode import polys
 from lieode.errors import InputError
 from lieode.parsing import parse_ode
-from lieode.polys import (ONE, ZERO, MPoly, _guard, _image_free_of, _monic,
-                          _pack, _point_value, _strip_monomial, _unpack,
-                          content, divexact, gcd, try_divexact, var_rank)
+from lieode.polys import (ONE, ZERO, MPoly, _guard, _monic, _pack,
+                          _strip_monomial, _unpack, content, divexact, gcd,
+                          try_divexact, var_rank)
 from lieode.ratfunc import RatFunc
 
-from conftest import (as_const, leading, leading_coeff, mono_key, mpolys,
-                      nonzero_rationals, rationals, reference_derivative)
+from conftest import (as_const, from_coeffs, leading, leading_coeff,
+                      mono_key, mpolys, nonzero_rationals, rationals,
+                      reference_derivative, reference_gcd)
 
 X = MPoly.variable("x")
 Y = MPoly.variable("y")
@@ -88,7 +90,7 @@ def test_scalar_queries_return_fractions():
 @given(mpolys())
 def test_coeffs_roundtrip(p):
     coeffs = p.coeffs_in("y")
-    assert MPoly.from_coeffs(coeffs, "y") == p
+    assert from_coeffs(coeffs, "y") == p
 
 
 def test_coeffs_in_oracle():
@@ -194,32 +196,86 @@ def _nonconstant_xy(max_terms):
 @settings(max_examples=40)
 @given(_nonconstant_xy(3), _nonconstant_xy(3), _nonconstant_xy(3))
 def test_gcd_with_a_known_common_factor(g, a, b):
-    # g divides gcd(g a, g b), so the image test may never prove that gcd
-    # free of a variable g has; a divisor of the other operand is the gcd
+    # g divides gcd(g a, g b); a divisor of the other operand is the gcd
     u, v = g * a, g * b
     assert try_divexact(gcd(u, v), g) is not None
-    for name in g.vars:
-        assert not _image_free_of(u, v, name)
     assert gcd(a * b, b) == b * (1 / leading_coeff(b))
     assert gcd(b, a * b) == b * (1 / leading_coeff(b))
 
 
 def test_gcd_image_test_oracle():
-    # x^2 + y^2 + 1 and x y + 3 are coprime, and one image in each variable
-    # shows it; (x + y)(x - y) and (x + y)(x y + 3) share x + y, which
-    # keeps both variables  [DERIVED]
+    # x^2 + y^2 + 1 and x y + 3 are coprime; (x + y)(x - y) and
+    # (x + y)(x y + 3) share x + y, which keeps both variables  [DERIVED]
     u, v = X * X + Y * Y + 1, X * Y + 3
-    assert _image_free_of(u, v, "x") and _image_free_of(u, v, "y")
     assert gcd(u, v) == 1
     u, v = (X + Y) * (X - Y), (X + Y) * v
-    assert not _image_free_of(u, v, "x") and not _image_free_of(u, v, "y")
     assert gcd(u, v) == X + Y
-    # at y = c the common factor (y - c) x + 1 has image 1; the images of
-    # u and v drop in degree, so they prove nothing
-    g = (Y - _point_value("y")) * X + 1
+    # at y = 1 the common factor (y - 1) x + 1 has image 1: the leading
+    # coefficients over x vanish there, so the point is skipped
+    g = (Y - 1) * X + 1
     u, v = g * (X + 2), g * (X + 3)
-    assert not _image_free_of(u, v, "x")
     assert gcd(u, v) == g * (1 / leading_coeff(g))
+
+
+@settings(max_examples=40)
+@given(st.sampled_from([("x", "y"), ("x", "y", "y1")]).flatmap(
+    lambda names: st.tuples(*(mpolys(names, max_terms=3, max_exp=2),) * 3)))
+def test_gcd_matches_the_reference_on_planted_factors(triple):
+    # evaluation and interpolation against the primitive PRS it replaced
+    g, a, b = triple
+    assume(not (g.is_zero() or a.is_zero() or b.is_zero()))
+    assert gcd(g * a, g * b) == reference_gcd(g * a, g * b)
+
+
+def _image_gcds(monkeypatch, u, v, rest):
+    """gcd(u, v), and the gcds over `rest` it took on the way, in order: for
+    operands over (w,) + rest, these are the image gcds of interpolation.
+    More than 8 of them fail the test instead of letting it run on."""
+    seen = []
+    original = polys.gcd
+
+    def recorded(a, b):
+        g = original(a, b)
+        if a.vars == b.vars == rest:
+            seen.append(g)
+            assert len(seen) <= 8, "no gcd after 8 points: %r" % seen
+        return g
+
+    monkeypatch.setattr(polys, "gcd", recorded)
+    return original(u, v), seen
+
+
+def test_gcd_interpolation_restarts_after_an_unlucky_first_point(monkeypatch):
+    # x has the smallest degree, so it is evaluated.  At x = 0 both operands
+    # are (y + 1) y; from x = 1 on the image gcd is y + x + 1, of lower
+    # degree, so interpolation restarts there and settles at x = 3
+    # [DERIVED]
+    g = X + Y + 1
+    out, seen = _image_gcds(monkeypatch, g * (Y - X), g * (Y - 2 * X), ("y",))
+    assert out == g
+    assert seen == [Y * Y + Y, Y + 2, Y + 3, Y + 4]
+
+
+def test_gcd_interpolation_skips_an_unlucky_later_point(monkeypatch):
+    # at x = 1 both operands are (y + 2) y, an image gcd above the y + 1
+    # seen at x = 0, so x = 1 is skipped  [DERIVED]
+    g = X + Y + 1
+    out, seen = _image_gcds(monkeypatch, g * (Y - X + 1), g * (Y - 2 * X + 2),
+                            ("y",))
+    assert out == g
+    assert seen == [Y + 1, Y * Y + 2 * Y, Y + 3, Y + 4]
+
+
+def test_gcd_interpolation_skips_a_vanishing_leading_coefficient(monkeypatch):
+    # y has the smallest degree.  The leading coefficients over x vanish at
+    # y = 2, where the common factor (y - 2) x + 1 has image 1; that point
+    # is skipped, or the gcd would come out 1.  The images x - 1/2, x - 1
+    # and x + 1 at y = 0, 1, 3, scaled by gamma = y - 2, fit (y - 2) x + 1
+    # [DERIVED]
+    g = (Y - 2) * X + 1
+    out, seen = _image_gcds(monkeypatch, g * (X + 2), g * (X + 3), ("x",))
+    assert out == X * Y - 2 * X + 1
+    assert seen == [X - Fraction(1, 2), X - 1, X + 1]
 
 
 def _over_xy_or_x(max_terms):
@@ -409,7 +465,7 @@ OPERATIONS = [
     lambda a, b: a.add_scaled(b, -2, 3), lambda a, b: a ** 3,
     lambda a, b: a.derivative("x"), lambda a, b: a.derive({"y": b}),
     lambda a, b: a.coeffs_in("y"), lambda a, b: a.coeffs_over({"x"}),
-    lambda a, b: MPoly.from_coeffs([a, b], "y"),
+    lambda a, b: from_coeffs([a, b], "y"),
     lambda a, b: b and try_divexact(a * b, b), lambda a, b: gcd(a, b),
     lambda a, b: content([a, b]), lambda a, b: _monic(a),
     lambda a, b: _strip_monomial(a), lambda a, b: (a.terms, a.numerators()),
