@@ -47,7 +47,7 @@ _W = 16
 _FIELD = (1 << _W) - 1
 _X, _O = 1 + _W, 1 + 2 * _W
 DX, DY = 1 << _X | 1 << _O, 1 << 1 | 1 << _O
-_GUARDS = 1 | 1 << _W | 1 << _X + _W - 1 | 1 << _O + _W - 1
+GUARDS = 1 | 1 << _W | 1 << _X + _W - 1 | 1 << _O + _W - 1
 
 
 def slot(u: int, dx: int, dy: int) -> int:
@@ -64,7 +64,7 @@ def fields(s: int) -> Tuple[int, int, int]:
 
 def divides(s: int, t: int) -> bool:
     """Whether t is a derivative of s, of the same unknown."""
-    return not (t - s) & _GUARDS
+    return not (t - s) & GUARDS
 
 
 def label(s: int) -> str:
@@ -134,21 +134,22 @@ def primitive(eq: LinDiffPoly, top: int) -> LinDiffPoly:
 
     Every nonzero multiple of eq by a rational function has the same
     primitive form, so it is a canonical representative of the equation.
-    The content is found with its cofactors: g starts as the monic form of
-    the smallest coefficient, and each coefficient that g divides keeps its
+    When some coefficient is a constant, as every coefficient of an
+    all-constant equation is, the content is 1: one pass of ``MPoly.scaled``
+    does the scaling, with no sort and no content search.  Otherwise the
+    content is found with its cofactors: g starts as the monic form of the
+    smallest coefficient, and each coefficient that g divides keeps its
     quotient.  Only when a division fails is g replaced by h = gcd(g, c),
     and the quotients kept so far are multiplied by g/h; a constant g ends
     the search.  Leading coefficients multiply, so dividing by g times the
     leading coefficient of eq[top] also does the scaling, and each
     coefficient is divided once.  Every scaling is by integers: the leading
-    coefficient of eq[top] is its leading numerator over its denominator,
-    so an equation whose smallest coefficient is a constant, as every
-    all-constant equation is, takes one pass of ``MPoly.scaled``.
+    coefficient of eq[top] is its leading numerator over its denominator.
     """
     ln, ld = eq[top].leading_numerator(), eq[top].den
-    order = sorted(eq, key=lambda s: len(eq[s].num))
-    first = eq[order[0]]
-    if not first.is_const():
+    if not any(c.is_const() for c in eq.values()):
+        order = sorted(eq, key=lambda s: len(eq[s].num))
+        first = eq[order[0]]
         fn, fd = first.leading_numerator(), first.den
         g = first.scaled(fd, fn)
         # first = g * (fn / fd), so its quotient by g * lc is a constant

@@ -66,6 +66,13 @@ from the pop order, and is kept as a guard.  Every pair of the final
 system is popped, so all its cross-derivatives reduce to zero.  Checking
 c only against the current equation list keeps doomed equations out.
 
+Ownership in the inner loop: ``reduce`` copies its argument once and owns
+that working copy, and ``_eliminate`` writes each step into it in place.
+``_cross`` hands ``_eliminate`` a copy of the cached prolongation, so no
+equation's terms or cached derivatives are ever written.  A cofactor gcd
+is taken only for two non-constant coefficients; with a constant one it
+is 1.
+
 The parametric slots (those outside the cone of the leading slots) index the
 free Taylor data of the solution space; their count is its dimension.
 """
@@ -76,7 +83,7 @@ import heapq
 import itertools
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .determining import (DX, DY, ETA, XI, LinDiffPoly, add_term, divides,
+from .determining import (DX, DY, ETA, GUARDS, XI, LinDiffPoly, divides,
                           fields, primitive, slot)
 from .errors import InternalInvariantError
 from .polys import divexact, gcd
@@ -114,12 +121,30 @@ def alt_ranking() -> Ranking:
 
 
 def lin_derive(eq: LinDiffPoly, var: str) -> LinDiffPoly:
-    """Differentiate an equation with respect to x or y (product rule)."""
+    """Differentiate an equation with respect to x or y (product rule), in
+    one pass: each coefficient c adds its derivative at its own slot, only
+    when var occurs in c, and itself at the shifted slot."""
     out: LinDiffPoly = {}
     step = DX if var == "x" else DY
+    get = out.get
     for s, c in eq.items():
-        add_term(out, s, c.derivative(var))
-        add_term(out, s + step, c)
+        if var in c.vars:
+            old = get(s)
+            d = c.derivative(var) if old is None else old + c.derivative(var)
+            if d:
+                out[s] = d
+            else:
+                del out[s]
+        t = s + step
+        old = get(t)
+        if old is None:
+            out[t] = c
+        else:
+            v = old + c
+            if v:
+                out[t] = v
+            else:
+                del out[t]
     return out
 
 
@@ -146,60 +171,80 @@ class _Eq:
         self._dcache = {0: self.terms}
 
 
-def _eliminate(p: LinDiffPoly, q: LinDiffPoly, s: int) -> LinDiffPoly:
-    """(b/g) p - (a/g) q with a = p[s], b = q[s] and g = gcd(a, b).
+def _eliminate(p: LinDiffPoly, q: LinDiffPoly, s: int) -> None:
+    """Replace p, in place, by (b/g) p - (a/g) q with a = p[s], b = q[s]
+    and g = gcd(a, b).
 
     The cofactors cancel s without dividing by a polynomial.  q derives
     from a primitive equation, so b, like g, has leading coefficient 1, and
     a constant b/g is 1.  A constant a/g, its numerator over its
-    denominator, scales each slot of q inside the subtraction.
+    denominator, scales each slot of q inside the subtraction.  The gcd of
+    a constant and a polynomial is 1, so it is taken only when a and b are
+    both non-constant.
     """
     a, b = p[s], q[s]
-    g = gcd(a, b)
-    if not g.is_const():
-        a, b = divexact(a, g), divexact(b, g)
-    out = dict(p) if b.is_const() else {s: c * b for s, c in p.items()}
+    if not (a.is_const() or b.is_const()):
+        g = gcd(a, b)
+        if not g.is_const():
+            a, b = divexact(a, g), divexact(b, g)
+    if not b.is_const():
+        for t, c in p.items():
+            p[t] = c * b
     k = (-a.leading_numerator(), a.den) if a.is_const() else None
     for t, c in q.items():
-        old = out.get(t)
+        old = p.get(t)
         if k is not None:
             new = c.scaled(*k) if old is None else old.add_scaled(c, *k)
         else:
             new = -(c * a) if old is None else old - c * a
         if new:
-            out[t] = new
+            p[t] = new
         else:
-            del out[t]
-    return out
+            del p[t]
 
 
 def reduce(p: LinDiffPoly, eqs: Sequence[_Eq], ranking: Ranking) -> LinDiffPoly:
     """Full normal form of p modulo the equations, up to a factor in Q[x, y]:
-    each step eliminates the highest slot a lead divides, by the first such."""
+    each step eliminates the highest slot a lead divides, by the first such.
+
+    p is left as it is: the elimination steps write into a copy."""
+    key = ranking.key
     work = {s: c for s, c in p.items() if not c.is_zero()}
     while True:
-        for s in sorted(work, key=ranking.key, reverse=True):
-            e = next((e for e in eqs if divides(e.lead, s)), None)
-            if e is not None:
-                break
-        else:
+        # one pass: a slot is tested against the leads only if it ranks
+        # above the highest reducible slot found so far
+        s = top = None
+        for t in work:
+            r = t if key is None else key(t)
+            if top is None or r > top:
+                for e in eqs:
+                    if not (t - e.lead) & GUARDS:
+                        s, top, by = t, r, e
+                        break
+        if s is None:
             return work
-        work = _eliminate(work, e.derived(s - e.lead), s)
+        _eliminate(work, by.derived(s - by.lead), s)
         if s in work:  # the derivative leads at s, so the cofactors cancel it
             raise InternalInvariantError("reduction failed to eliminate a slot")
 
 
 def _lcm(s: int, t: int) -> int:
     """Least common derivative of two slots of one unknown."""
+    if not (t - s) & GUARDS:
+        return t
+    if not (s - t) & GUARDS:
+        return s
     (u, sx, sy), (_, tx, ty) = fields(s), fields(t)
     return slot(u, max(sx, tx), max(sy, ty))
 
 
 def _cross(a: _Eq, b: _Eq) -> LinDiffPoly:
     """Cofactor difference of the two prolongations to the least common
-    derivative."""
+    derivative, formed in a copy of a's prolongation."""
     lcm = _lcm(a.lead, b.lead)
-    return _eliminate(a.derived(lcm - a.lead), b.derived(lcm - b.lead), lcm)
+    out = dict(a.derived(lcm - a.lead))
+    _eliminate(out, b.derived(lcm - b.lead), lcm)
+    return out
 
 
 def _chain_redundant(a: _Eq, b: _Eq, eqs: Sequence[_Eq],
@@ -276,9 +321,11 @@ def complete(system: Sequence[LinDiffPoly],
     queue: List[Tuple[int, int, LinDiffPoly]] = []
     arrival = itertools.count()
 
+    def highest(eq: LinDiffPoly) -> int:
+        return max(eq) if key is None else max(eq, key=key)
+
     def enqueue(eq: LinDiffPoly) -> None:
-        heapq.heappush(queue,
-                       (rank(max(eq, key=key)), next(arrival), eq))
+        heapq.heappush(queue, (rank(highest(eq)), next(arrival), eq))
 
     for e in system:
         if e:
@@ -299,20 +346,21 @@ def complete(system: Sequence[LinDiffPoly],
             h = reduce(_cross(pair[1], pair[2]), eqs, ranking)
         if not h:
             continue
-        lead = max(h, key=key)
+        lead = highest(h)
         new = _Eq(primitive(h, lead), lead, next(counter))
         # drop equations whose lead became reducible; they re-enter the queue
-        doomed = [e for e in eqs if divides(lead, e.lead)]
-        for e in doomed:
-            eqs.remove(e)
-            enqueue(e.terms)
-        pairs = [(r, a, b) for r, a, b in pairs
-                 if a not in doomed and b not in doomed]
+        doomed = [e for e in eqs if not (e.lead - lead) & GUARDS]
+        if doomed:
+            for e in doomed:
+                eqs.remove(e)
+                enqueue(e.terms)
+            pairs = [(r, a, b) for r, a, b in pairs
+                     if a not in doomed and b not in doomed]
         eqs.append(new)
         # keep tails fully reduced: rewrite tails containing derivatives of
         # the new lead
         for e in eqs:
-            if e is not new and any(divides(lead, s) for s in e.terms
+            if e is not new and any(not (s - lead) & GUARDS for s in e.terms
                                     if s != e.lead):
                 others = [f for f in eqs if f is not e]
                 e.terms = primitive(reduce(e.terms, others, ranking), e.lead)

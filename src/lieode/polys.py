@@ -216,7 +216,9 @@ class MPoly:
 
     def __hash__(self) -> int:
         if not self.vars:
-            return hash(Fraction(self.num.get(0, 0), self.den))
+            # an int hashes as the Fraction of the same value
+            n = self.num.get(0, 0)
+            return hash(n) if self.den == 1 else hash(Fraction(n, self.den))
         return hash((self.vars, self.den, frozenset(self.num.items())))
 
     def __repr__(self) -> str:

@@ -6,13 +6,14 @@ import pytest
 
 from lieode import analyze
 from lieode import involutive
-from lieode.determining import determining_system
+from lieode.determining import determining_system, fields, primitive
 from lieode.errors import InternalInvariantError
-from lieode.involutive import (alt_ranking, audit_involutive, complete,
-                               default_ranking, lin_derive, reduce)
+from lieode.involutive import (_cross, _Eq, alt_ranking, audit_involutive,
+                               complete, default_ranking, lin_derive, reduce)
 from lieode.liealgebra import CASE_NONE
 from lieode.parsing import parse_ode
 from lieode.polys import MPoly
+from lieode.polys import gcd as poly_gcd
 from lieode.ratfunc import RatFunc
 
 from conftest import (ETA, XI, Slot, bench_odes, bench_ranking_cases,
@@ -389,3 +390,59 @@ def test_chain_criterion_forms_fewer_cross_derivatives(monkeypatch):
                 [slot_keyed(eq) for eq in detsys],
                 reference_ranking(default_ranking())).crosses
     assert 0 < len(seen) < ref_count
+
+
+# -- the kernel's ownership and gcd rules -------------------------------------------
+
+
+@pytest.mark.parametrize("ode,ranking", bench_ranking_cases())
+def test_reduce_leaves_its_argument_unchanged(ode, ranking):
+    # reduce eliminates in a copy of its argument: the determining
+    # equations and the prolongations of the completed ones, all reduced
+    # by the completed system, keep their values and their slot order
+    detsys = determining_system(ode)
+    inv = complete(detsys, ranking)
+    for p in detsys + [lin_derive(e.terms, var)
+                       for e in inv.eqs for var in "xy"]:
+        snapshot = dict(p)
+        reduce(p, inv.eqs, ranking)
+        assert p == snapshot and list(p) == list(snapshot)
+
+
+@pytest.mark.parametrize("ode,ranking", bench_ranking_cases())
+def test_cross_writes_into_no_equation(ode, ranking):
+    # _cross eliminates in a copy of the cached prolongation: it gives the
+    # same result twice, and leaves the terms of both equations as they
+    # were and every cached derivative as lin_derive gives it.  The pairs
+    # are those of the completed system and of the determining equations,
+    # each made primitive for its lead
+    detsys = determining_system(ode)
+    eqs = complete(detsys, ranking).eqs
+    for i, eq in enumerate(detsys):
+        lead = max(eq, key=ranking.key)
+        eqs.append(_Eq(primitive(eq, lead), lead, -1 - i))
+    pairs = [(a, b) for a, b in itertools.combinations(eqs, 2)
+             if fields(a.lead)[0] == fields(b.lead)[0]]
+    assert pairs
+    for a, b in pairs:
+        terms = [dict(a.terms), dict(b.terms)]
+        first = _cross(a, b)
+        assert _cross(a, b) == first
+        assert [a.terms, b.terms] == terms
+        for e in (a, b):
+            fresh = _Eq(dict(e.terms), e.lead, -1)
+            assert all(v == fresh.derived(d) for d, v in e._dcache.items())
+
+
+@pytest.mark.parametrize("ode,ranking", bench_ranking_cases())
+def test_completion_takes_no_gcd_of_a_constant(ode, ranking, monkeypatch):
+    # the gcd of a constant and a polynomial is 1, so _eliminate skips it;
+    # with a gcd that refuses a constant operand, completion still runs and
+    # gives the reference system
+    def strict(a, b):
+        assert not (a.is_const() or b.is_const()), (a, b)
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(involutive, "gcd", strict)
+    detsys = determining_system(ode)
+    _assert_matches_reference(complete(detsys, ranking), detsys)

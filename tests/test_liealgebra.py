@@ -769,6 +769,20 @@ def test_tresse_invariant_with_a_sign_changed_disagrees():
                for _, ode, m in _second_order_bench())
 
 
+# Coefficients of the drawn cubic equations.  Products such as x*y are left
+# out: some equations over them take half a minute to complete
+_CUBIC_COEFFS = ["0", "0", "1", "-1", "2", "x", "y"]
+
+
+@given(st.tuples(*[st.sampled_from(_CUBIC_COEFFS)] * 4))
+def test_tresse_invariant_agrees_on_drawn_cubic_equations(coeffs):
+    # y'' = a y'^3 + b y'^2 + c y' + d is linearizable iff m = 8, and
+    # Tresse's test decides the same without completion  [DERIVED]
+    a, b, c, d = coeffs
+    ode = parse_ode(f"y'' = ({a})*(y')^3 + ({b})*(y')^2 + ({c})*y' + ({d})")
+    assert tresse_holds(ode) == (analyze(ode).m == 8)
+
+
 def test_tresse_invariant_settles_the_second_order_hang():
     # completion of this input runs past any budget, but the invariant
     # needs no completion: it is not linearizable  [DERIVED]

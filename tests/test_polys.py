@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lieode.ratfunc
@@ -439,8 +439,12 @@ def test_constructor_rejects_malformed_exponents(terms):
 
 
 @given(st.one_of(rationals(), st.integers(-2 ** 70, 2 ** 70)))
+@example(-1)
+@example(2 ** 61 + 5)
 def test_constants_hash_as_their_value(c):
-    # a constant compares equal to its value, so it must hash like it
+    # a constant compares equal to its value, so it must hash like it; the
+    # examples are integers whose hash is not the integer itself: -1
+    # hashes as -2, and 2^61 + 5 is reduced modulo the prime 2^61 - 1
     for v in (MPoly.const(c), RatFunc.const(c)):
         assert v == c and hash(v) == hash(c) == hash(Fraction(c))
         assert len({v, c}) == 1
