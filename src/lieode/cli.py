@@ -19,6 +19,7 @@ from typing import List, Optional
 
 from .determining import label, top
 from .errors import InputError, InternalInvariantError
+from .involutive import RANKING
 from .parsing import format_ratfunc, print_ode
 from .pipeline import RunReport, analyze
 from .pushforward import PointTransformation, push_linear
@@ -68,7 +69,7 @@ def _attach_extras(payload: dict, report: RunReport, args) -> None:
     if getattr(args, "dump_involutive", False):
         inv = report.involutive
         payload["involutive"] = {
-            "ranking": inv.ranking.name,
+            "ranking": RANKING,
             "equations": [_equation_json(e.terms, e.lead) for e in inv.eqs],
             "leads": [label(s) for s in inv.leads],
             "parametric": [label(s) for s in inv.parametric],
@@ -96,22 +97,41 @@ def _ode_text(args) -> str:
     return args.ode
 
 
-def _parse_point(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise InputError("--point expects x0,y0 (e.g. 0,0 or 1/2,1/3)")
+# Fraction's decimal syntax without underscores, for the size of a value
+_DECIMAL = re.compile(r"\s*[-+]?(\d*)(?:\.(\d*))?(?:e([-+]?\d+))?\s*\Z", re.I)
+
+
+def _numbers(text: str, error: str) -> List[Fraction]:
+    """The comma-separated numbers in ``text``, as ``Fraction`` reads them.
+    A bad one is an InputError headed ``error``, and so is a numerator or
+    denominator, as written, past the int conversion limit: judged from the
+    text, as an exponent is a power of ten that takes long to build."""
+    limit = sys.get_int_max_str_digits()
+    out = []
     try:
-        return (Fraction(parts[0].strip()), Fraction(parts[1].strip()))
+        for part in map(str.strip, text.split(",")):
+            m = _DECIMAL.match(part.replace("_", ""))
+            if m and limit:
+                whole, dec, exp = m.groups(default="")
+                shift = int(exp or 0) - len(dec)
+                num = len((whole + dec).lstrip("0")) + max(shift, 0)
+                if max(num, 1 - shift) > limit:
+                    raise ValueError("more than %d digits" % limit)
+            out.append(Fraction(part))
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError("bad --point value: %s" % exc) from exc
+        raise InputError("%s: %s" % (error, exc)) from exc
+    return out
+
+
+def _parse_point(text: str):
+    if text.count(",") != 1:
+        raise InputError("--point expects x0,y0 (e.g. 0,0 or 1/2,1/3)")
+    return tuple(_numbers(text, "bad --point value"))
 
 
 def _parse_coeff_list(text: str) -> CharPoly:
     """Comma-separated coefficients, constant term first, leading last."""
-    try:
-        vals = [Fraction(p.strip()) for p in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError("bad coefficient list %r: %s" % (text, exc)) from exc
+    vals = _numbers(text, "bad coefficient list %r" % (text,))
     if len(vals) < 2:
         raise InputError("a characteristic polynomial needs degree >= 1 "
                          "(at least two coefficients)")

@@ -38,7 +38,7 @@ from .polys import MPoly, divexact, gcd, try_divexact
 # A slot, the partial derivative d^(dx+dy) u / dx^dx dy^dy of an unknown u,
 # is one int: from high to low the fields order = dx + dy, dx and dy, each
 # _W bits whose top bit is a guard that stays clear, then the unknown bit.
-# Int order is then the default ranking (order, then dx, then xi < eta), a
+# Int order is then completion's ranking (order, then dx, then xi < eta), a
 # derivative adds DX or DY, and, as for the monomial keys of ``polys``, a
 # difference of two slots sets a guard bit or the unknown bit exactly when
 # they differ in unknown or some field went negative.

@@ -2,9 +2,11 @@
 
 The determining equations form a linear homogeneous system in two unknown
 functions of (x, y) with polynomial coefficients.  This module brings such a
-system to a canonical solved form with respect to a Riquier ranking of the
-derivative slots, the packed ints of ``determining``; the default ranking is
-their int order:
+system to a canonical solved form under one ranking, ``RANKING``: the int
+order of the derivative slots, the packed ints of ``determining``.  A Riquier
+ranking must compare two derivatives of the same unknown the same way for
+every unknown; int order does, by comparing the multi-index before the
+unknown tag.  In the completed form:
 
 * every equation is primitive with respect to its highest slot, the lead
   (``determining.primitive``): solving it for the lead divides by the lead
@@ -81,7 +83,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import itertools
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .determining import (DX, DY, ETA, GUARDS, XI, LinDiffPoly, divides,
                           fields, primitive, slot)
@@ -89,32 +91,7 @@ from .errors import InternalInvariantError
 from .polys import divexact, gcd
 
 
-@dataclasses.dataclass(frozen=True)
-class Ranking:
-    """Total order on slots: by ``key``, or by the ints themselves if None.
-
-    A Riquier ranking must compare two derivatives of the same unknown the
-    same way for every unknown; both shipped rankings guarantee that by
-    comparing the multi-index before the unknown tag.
-    """
-
-    name: str
-    key: Optional[Callable[[int], int]] = None
-
-
-def default_ranking() -> Ranking:
-    """Order by total derivative order, then x-degree, then xi < eta."""
-    return Ranking("order,xdeg,xi<eta")
-
-
-def _mirror(s: int) -> int:
-    u, dx, dy = fields(s)
-    return slot(ETA if u == XI else XI, dy, dx)
-
-
-def alt_ranking() -> Ranking:
-    """The mirrored slots' order: total order, y-degree, then eta < xi."""
-    return Ranking("order,ydeg,eta<xi", _mirror)
+RANKING = "order,xdeg,xi<eta"  # int order: total order, dx, then xi < eta
 
 
 # -- single equations -----------------------------------------------------------
@@ -203,23 +180,21 @@ def _eliminate(p: LinDiffPoly, q: LinDiffPoly, s: int) -> None:
             del p[t]
 
 
-def reduce(p: LinDiffPoly, eqs: Sequence[_Eq], ranking: Ranking) -> LinDiffPoly:
+def reduce(p: LinDiffPoly, eqs: Sequence[_Eq]) -> LinDiffPoly:
     """Full normal form of p modulo the equations, up to a factor in Q[x, y]:
     each step eliminates the highest slot a lead divides, by the first such.
 
     p is left as it is: the elimination steps write into a copy."""
-    key = ranking.key
     work = {s: c for s, c in p.items() if not c.is_zero()}
     while True:
         # one pass: a slot is tested against the leads only if it ranks
         # above the highest reducible slot found so far
-        s = top = None
+        s = None
         for t in work:
-            r = t if key is None else key(t)
-            if top is None or r > top:
+            if s is None or t > s:
                 for e in eqs:
                     if not (t - e.lead) & GUARDS:
-                        s, top, by = t, r, e
+                        s, by = t, e
                         break
         if s is None:
             return work
@@ -270,7 +245,6 @@ def _chain_redundant(a: _Eq, b: _Eq, eqs: Sequence[_Eq],
 
 @dataclasses.dataclass
 class InvolutiveSystem:
-    ranking: Ranking
     eqs: List[_Eq]             # primitive, inter-reduced, sorted by lead
     parametric: List[int]
 
@@ -290,7 +264,7 @@ class InvolutiveSystem:
         return max((sum(fields(s)[1:]) for s in self.parametric), default=0)
 
 
-def _parametric_slots(leads: Sequence[int], ranking: Ranking) -> List[int]:
+def _parametric_slots(leads: Sequence[int]) -> List[int]:
     out = []
     for unk in (XI, ETA):
         mine = [(dx, dy) for u, dx, dy in map(fields, leads) if u == unk]
@@ -304,56 +278,41 @@ def _parametric_slots(leads: Sequence[int], ranking: Ranking) -> List[int]:
             for j in range(ay):
                 if not any(lx <= i and ly <= j for lx, ly in mine):
                     out.append(slot(unk, i, j))
-    return sorted(out, key=ranking.key)
+    return sorted(out)
 
 
-def complete(system: Sequence[LinDiffPoly],
-             ranking: Optional[Ranking] = None) -> InvolutiveSystem:
+def complete(system: Sequence[LinDiffPoly]) -> InvolutiveSystem:
     """Complete a determining system to its canonical involutive form."""
-    if ranking is None:
-        ranking = default_ranking()
-    key = ranking.key
-    rank = key or int  # a slot's rank: the slot itself by default
-
     eqs: List[_Eq] = []
-    # (rank of the highest slot, arrival, equation): arrivals are distinct,
+    # (highest slot, arrival, equation): arrivals are distinct,
     # so the heap never compares two equations
-    queue: List[Tuple[int, int, LinDiffPoly]] = []
-    arrival = itertools.count()
-
-    def highest(eq: LinDiffPoly) -> int:
-        return max(eq) if key is None else max(eq, key=key)
-
-    def enqueue(eq: LinDiffPoly) -> None:
-        heapq.heappush(queue, (rank(highest(eq)), next(arrival), eq))
-
-    for e in system:
-        if e:
-            enqueue(dict(e))
-    # ((rank of the least common derivative, ident, ident), eq, eq): the
-    # ranks are distinct, so min never compares two equations
+    queue = [(max(e), k, e) for k, e in enumerate(system) if e]
+    heapq.heapify(queue)
+    arrival = itertools.count(len(system))
+    # ((least common derivative, ident, ident), eq, eq): the triples are
+    # distinct, so min never compares two equations
     pairs: List[Tuple[tuple, _Eq, _Eq]] = []
     counter = itertools.count()
 
     while queue or pairs:
         if queue:
-            h = reduce(heapq.heappop(queue)[2], eqs, ranking)
+            h = reduce(heapq.heappop(queue)[2], eqs)
         else:
             pair = min(pairs)
             pairs.remove(pair)
             if _chain_redundant(pair[1], pair[2], eqs, pairs):
                 continue
-            h = reduce(_cross(pair[1], pair[2]), eqs, ranking)
+            h = reduce(_cross(pair[1], pair[2]), eqs)
         if not h:
             continue
-        lead = highest(h)
+        lead = max(h)
         new = _Eq(primitive(h, lead), lead, next(counter))
         # drop equations whose lead became reducible; they re-enter the queue
         doomed = [e for e in eqs if not (e.lead - lead) & GUARDS]
         if doomed:
             for e in doomed:
                 eqs.remove(e)
-                enqueue(e.terms)
+                heapq.heappush(queue, (e.lead, next(arrival), e.terms))
             pairs = [(r, a, b) for r, a, b in pairs
                      if a not in doomed and b not in doomed]
         eqs.append(new)
@@ -363,16 +322,15 @@ def complete(system: Sequence[LinDiffPoly],
             if e is not new and any(not (s - lead) & GUARDS for s in e.terms
                                     if s != e.lead):
                 others = [f for f in eqs if f is not e]
-                e.terms = primitive(reduce(e.terms, others, ranking), e.lead)
+                e.terms = primitive(reduce(e.terms, others), e.lead)
                 e.invalidate()
         for e in eqs:
             if e is not new and fields(e.lead)[0] == fields(lead)[0]:
-                pairs.append(((rank(_lcm(e.lead, lead)), e.ident, new.ident),
+                pairs.append(((_lcm(e.lead, lead), e.ident, new.ident),
                               e, new))
 
-    eqs.sort(key=lambda e: rank(e.lead))
-    return InvolutiveSystem(ranking, eqs,
-                            _parametric_slots([e.lead for e in eqs], ranking))
+    eqs.sort(key=lambda e: e.lead)
+    return InvolutiveSystem(eqs, _parametric_slots([e.lead for e in eqs]))
 
 
 def audit_involutive(inv: InvolutiveSystem,
@@ -382,11 +340,11 @@ def audit_involutive(inv: InvolutiveSystem,
     for a, b in itertools.combinations(eqs, 2):
         if fields(a.lead)[0] != fields(b.lead)[0]:
             continue
-        if reduce(_cross(a, b), eqs, inv.ranking):
+        if reduce(_cross(a, b), eqs):
             return False
     if original is not None:
         for eq in original:
-            if reduce(eq, eqs, inv.ranking):
+            if reduce(eq, eqs):
                 return False
     for e in eqs:
         for s in e.terms:

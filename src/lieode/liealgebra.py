@@ -241,11 +241,8 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
                    sorted((i, j, n * (S // s)) for (i, j), n in T.items()))
                   for (tu, tx, ty), T, s in [((u, lx, ly), TL, sL)] + shifts]
         solvers[u == ETA].append((lx, ly, q0, coeffs))
-    slots, key = lay.slots, inv.ranking.key
-    ranks = slots if key is None else [key(s) for s in slots]
-    order = sorted(range(len(slots)), key=ranks.__getitem__)
-    rows: List[Optional[Row]] = [None] * len(slots)
-    for k in order:
+    rows: List[Optional[Row]] = [None] * len(lay.slots)
+    for k in sorted(range(len(lay.slots)), key=lay.slots.__getitem__):
         eta, _, dx, dy = meta[k]
         for lx, ly, q0, coeffs in solvers[eta]:
             if lx <= dx and ly <= dy:
@@ -259,7 +256,7 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
             if o > N or rows[b + tri[o] + tx + ax] is None:
                 raise InternalInvariantError(
                     "equation for slot %s is not solved over lower slots"
-                    % label(slots[k]))
+                    % label(lay.slots[k]))
         fx, fy = fall[ax], fall[ay]
         coef: Dict[int, int] = {}
         for b, o, tx, terms in coeffs:

@@ -2,6 +2,8 @@
 import contextlib
 import io
 import json
+import sys
+import time
 
 import pytest
 
@@ -225,6 +227,28 @@ def test_equiv_coefficient_list_validation():
     assert code == 2 and "bad coefficient list" in err
 
 
+def _timed(*argv):
+    start = time.perf_counter()
+    code, _, err = run(*argv)
+    return code, err, time.perf_counter() - start
+
+
+def test_coefficient_past_the_int_conversion_limit_is_an_input_error():
+    # 10^5000 has more digits than int conversion allows: refused from the
+    # text, not an internal error when the value is printed
+    for argv in (("equiv", "1e5000,1", "1,1"),
+                 ("oracle", "--poly", "1e5000,0,1", "--psi", "y",
+                  "--phi", "x")):
+        code, err, seconds = _timed(*argv)
+        assert code == 2 and "bad coefficient list" in err
+        assert seconds < 1
+    # one digit fewer is a value like any other
+    limit = sys.get_int_max_str_digits()
+    assert run("equiv", "1e%d,1" % (limit - 1), "1,1")[0] in (0, 1)
+    assert run("equiv", "1e-%d,1" % (limit - 1), "1,1")[0] in (0, 1)
+    assert run("equiv", "1e-%d,1" % limit, "1,1")[0] == 2
+
+
 # -- oracle ---------------------------------------------------------------------------
 
 
@@ -283,6 +307,13 @@ def test_point_option():
     for bad in ("1/0,1", "a,b"):
         code, _, err = run("certify", "y'' = 0", "--point", bad)
         assert code == 2 and "bad --point value" in err
+
+
+def test_point_past_the_int_conversion_limit_is_an_input_error():
+    # 10^10000000 took 10.5 s to build as a Fraction; the text refuses it
+    code, err, seconds = _timed("certify", "y''=0", "--point", "1e10000000,0")
+    assert code == 2 and "bad --point value" in err
+    assert seconds < 1
 
 
 def test_max_order_floor():

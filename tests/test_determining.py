@@ -8,17 +8,18 @@ from hypothesis import strategies as st
 from lieode.determining import (DX, DY, determining_system, divides,
                                 invariance_coefficients, label, primitive,
                                 prolonged_eta, slot)
-from lieode.involutive import _lcm, alt_ranking, default_ranking
+from lieode.involutive import _lcm
 from lieode.jets import jet_name, jet_order
 from lieode.parsing import OdeSpec, parse_ode
 from lieode.polys import MPoly, content, gcd
 from lieode.ratfunc import RatFunc
 
-from conftest import (ETA, XI, Slot, bench_odes, leading_coeff,
-                      nonzero_rationals, rationals,
+from conftest import (ETA, XI, Slot, bench_odes, default_key, leading_coeff,
+                      mirror, mirror_key, mirror_slot, mpolys,
+                      nonzero_rationals, plain_eval, rationals,
                       reference_determining_system, reference_primitive,
-                      reference_ranking, slot_keyed, substitute,
-                      substitute_generator, to_int, to_slot)
+                      slot_keyed, substitute, substitute_generator, to_int,
+                      to_slot)
 
 
 def jet(k):
@@ -117,17 +118,31 @@ def slot_pairs(draw):
 @given(slot_pairs())
 def test_packed_order_is_the_default_ranking(pair):
     s, t = pair
-    key = reference_ranking(default_ranking()).key
-    assert (to_int(s) < to_int(t)) == (key(s) < key(t))
+    assert (to_int(s) < to_int(t)) == (default_key(s) < default_key(t))
     assert (to_int(s) == to_int(t)) == (s == t)
 
 
 @given(slot_pairs())
-def test_mirror_key_orders_like_the_alternate_ranking(pair):
+def test_int_order_of_mirrored_slots_is_the_mirror_key(pair):
+    # the second ranking is int order on the mirrored system
     s, t = pair
-    alt = alt_ranking()
-    key = reference_ranking(alt).key
-    assert (alt.key(to_int(s)) < alt.key(to_int(t))) == (key(s) < key(t))
+    a, b = mirror_slot(to_int(s)), mirror_slot(to_int(t))
+    assert (a < b) == (mirror_key(s) < mirror_key(t))
+    assert to_slot(a) == Slot(ETA if s.unknown == XI else XI, s.dy, s.dx)
+
+
+@given(st.lists(st.dictionaries(reference_slots().map(to_int), mpolys(),
+                                max_size=4), max_size=3))
+def test_mirror_is_an_involution_on_systems(system):
+    # mirrored twice, every slot and coefficient is back; mirrored once,
+    # each coefficient takes at (x, y) = (5, 2) its value at (2, 5)
+    once = mirror(system)
+    assert mirror(once) == system
+    for eq, image in zip(system, once):
+        assert len(image) == len(eq)
+        for s, c in eq.items():
+            assert (plain_eval(image[mirror_slot(s)], {"x": 5, "y": 2})
+                    == plain_eval(c, {"x": 2, "y": 5}))
 
 
 @given(slot_pairs())

@@ -1,4 +1,7 @@
-"""Completion to involutive form: rankings, reduction, dimensions, audits."""
+"""Completion to involutive form: rankings, reduction, dimensions, audits.
+
+The second ranking is no engine path: it is int order on the mirrored
+system (``conftest.mirror``), and the mirrored inputs check it."""
 import itertools
 import random
 
@@ -8,8 +11,8 @@ from lieode import analyze
 from lieode import involutive
 from lieode.determining import determining_system, fields, primitive
 from lieode.errors import InternalInvariantError
-from lieode.involutive import (_cross, _Eq, alt_ranking, audit_involutive,
-                               complete, default_ranking, lin_derive, reduce)
+from lieode.involutive import (_cross, _Eq, audit_involutive, complete,
+                               lin_derive, reduce)
 from lieode.liealgebra import CASE_NONE
 from lieode.parsing import parse_ode
 from lieode.polys import MPoly
@@ -17,9 +20,10 @@ from lieode.polys import gcd as poly_gcd
 from lieode.ratfunc import RatFunc
 
 from conftest import (ETA, XI, Slot, bench_odes, bench_ranking_cases,
-                      int_keyed, normal_form, reference_complete,
-                      reference_ranking, slot_keyed, slot_system,
-                      substitute_generator, to_int, to_slot)
+                      default_key, int_keyed, mirror, mirror_key, mirror_slot,
+                      normal_form, ranking_case_system, reference_complete,
+                      slot_keyed, slot_system, substitute_generator, to_int,
+                      to_slot, unmirror)
 
 ONE = MPoly.const(1)
 X = MPoly.variable("x")
@@ -33,22 +37,21 @@ def all_slots(max_order):
             for j in range(max_order + 1 - i)]
 
 
-def _keys(ranking):
-    """The ranking as a key on ``Slot``: the reference tuple key, and the
-    engine's order of the packed ints."""
-    return [reference_ranking(ranking).key,
-            lambda s: (ranking.key or int)(to_int(s))]
+# Each ranking as keys on ``Slot``: the reference tuple key, and int order
+# of the packed slots, mirrored for the second ranking
+RANKINGS = [[default_key, to_int],
+            [mirror_key, lambda s: mirror_slot(to_int(s))]]
 
 
 # -- rankings ---------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("ranking", [default_ranking(), alt_ranking()])
+@pytest.mark.parametrize("ranking", RANKINGS)
 def test_ranking_is_total_and_stable_under_differentiation(ranking):
     # Riquier conditions, checked exhaustively up to order 4, on both keys:
     # keys are distinct, and s < t implies ds < dt for both derivations.
     slots = all_slots(4)
-    for key in _keys(ranking):
+    for key in ranking:
         keys = [key(s) for s in slots]
         assert len(set(keys)) == len(keys)
         for s, t in itertools.combinations(slots, 2):
@@ -57,12 +60,12 @@ def test_ranking_is_total_and_stable_under_differentiation(ranking):
                     assert key(s.derive(*step)) < key(t.derive(*step))
 
 
-@pytest.mark.parametrize("ranking", [default_ranking(), alt_ranking()])
+@pytest.mark.parametrize("ranking", RANKINGS)
 def test_ranking_compares_unknowns_last(ranking):
     # comparison of two derivative operators must not depend on the
     # unknown, under both keys
     for key, (s, t) in itertools.product(
-            _keys(ranking), itertools.combinations(all_slots(3), 2)):
+            ranking, itertools.combinations(all_slots(3), 2)):
         if s.unknown != t.unknown:
             continue
         swapped = key(Slot(XI if s.unknown == ETA else ETA, s.dx, s.dy))
@@ -100,7 +103,7 @@ def test_solution_dimensions(text, dim):
 
 @pytest.mark.parametrize("text,dim", DIMENSION_ORACLE)
 def test_alternate_ranking_same_dimension(text, dim):
-    inv = complete(determining_system(parse_ode(text)), alt_ranking())
+    inv = complete(mirror(determining_system(parse_ode(text))))
     assert inv.dimension == dim
 
 
@@ -164,10 +167,10 @@ def test_reduce_gives_normal_forms():
     inv = complete(determining_system(parse_ode("y'' = 0")))
     # every original equation reduces to zero
     for eq in determining_system(parse_ode("y'' = 0")):
-        assert reduce(eq, inv.eqs, inv.ranking) == {}
+        assert reduce(eq, inv.eqs) == {}
         assert normal_form(slot_system(inv), slot_keyed(eq)) == {}
     # a lead slot's normal form carries no reducible slots
-    nf = reduce(int_keyed({Slot(ETA, 3, 1): ONE}), inv.eqs, inv.ranking)
+    nf = reduce(int_keyed({Slot(ETA, 3, 1): ONE}), inv.eqs)
     for s in slot_keyed(nf):
         assert not any(l.divides(s) for l in slot_system(inv).leads)
 
@@ -180,8 +183,7 @@ def test_fraction_free_reduce_is_a_multiple_of_the_normal_form(text):
     inv = complete(determining_system(parse_ode(text)))
     view = slot_system(inv)
     for s in all_slots(inv.max_parametric_order() + 2):
-        got = slot_keyed(reduce(int_keyed({s: X + 2 * Y}), inv.eqs,
-                                inv.ranking))
+        got = slot_keyed(reduce(int_keyed({s: X + 2 * Y}), inv.eqs))
         ref = normal_form(view, {s: X + 2 * Y})
         assert set(got) == set(ref), s.label()
         if ref:
@@ -239,9 +241,10 @@ def test_bivariate_denominator_completes():
     assert report.m == 1
     assert report.certificate.case == CASE_NONE
     detsys, inv = report.determining, report.involutive
-    alt = complete(detsys, alt_ranking())
+    alt = complete(mirror(detsys))
     assert alt.dimension == inv.dimension
-    assert audit_involutive(inv, detsys) and audit_involutive(alt, detsys)
+    assert audit_involutive(inv, detsys)
+    assert audit_involutive(alt, mirror(detsys))
     one, x = RatFunc.one(), RatFunc.variable("x")
     for eqs in (detsys, inv.equations):
         assert all(substitute_generator(slot_keyed(eq), one,
@@ -269,9 +272,10 @@ def test_coprime_bivariate_denominator_completes():
     assert report.m == 0
     assert report.certificate.case == CASE_NONE
     detsys, inv = report.determining, report.involutive
-    alt = complete(detsys, alt_ranking())
+    alt = complete(mirror(detsys))
     assert alt.dimension == inv.dimension == 0
-    assert audit_involutive(inv, detsys) and audit_involutive(alt, detsys)
+    assert audit_involutive(inv, detsys)
+    assert audit_involutive(alt, mirror(detsys))
     higher = analyze(text, max_order=inv.max_parametric_order() + 3)
     assert higher.m == 0
 
@@ -279,31 +283,39 @@ def test_coprime_bivariate_denominator_completes():
 # -- the pairwise reference and the chain criterion ---------------------------------
 
 
-def _assert_matches_reference(inv, system):
-    ref = reference_complete([slot_keyed(eq) for eq in system],
-                             reference_ranking(inv.ranking))
+def _assert_equals(inv, ref):
     assert [slot_keyed(eq) for eq in inv.equations] == ref.equations
     assert [to_slot(s) for s in inv.leads] == ref.leads
     assert [to_slot(s) for s in inv.parametric] == ref.parametric
+
+
+def _assert_matches_reference(inv, system):
+    _assert_equals(inv, reference_complete([slot_keyed(eq) for eq in system]))
     assert audit_involutive(inv, system)
 
 
-@pytest.mark.parametrize("ode,ranking", bench_ranking_cases())
-def test_completion_matches_the_pairwise_reference(ode, ranking):
-    detsys = determining_system(ode)
-    _assert_matches_reference(complete(detsys, ranking), detsys)
+@pytest.mark.parametrize("ode,mirrored", bench_ranking_cases())
+def test_completion_matches_the_pairwise_reference(ode, mirrored):
+    # on a mirrored case the completion, mapped back, is also the pairwise
+    # reference's under the second ranking on the input itself
+    system = ranking_case_system(ode, mirrored)
+    inv = complete(system)
+    _assert_matches_reference(inv, system)
+    if mirrored:
+        _assert_equals(unmirror(inv), reference_complete(
+            [slot_keyed(eq) for eq in determining_system(ode)], mirror_key))
 
 
-@pytest.mark.parametrize("ode,ranking", bench_ranking_cases())
-def test_completion_is_independent_of_input_order(ode, ranking):
+@pytest.mark.parametrize("ode,mirrored", bench_ranking_cases())
+def test_completion_is_independent_of_input_order(ode, mirrored):
     # the completed system is unique for the ranking, so neither the
     # reversed system nor a shuffled one changes it
-    detsys = determining_system(ode)
-    ref = complete(detsys, ranking)
+    detsys = ranking_case_system(ode, mirrored)
+    ref = complete(detsys)
     shuffled = list(detsys)
     random.Random(11).shuffle(shuffled)
     for eqs in (detsys[::-1], shuffled):
-        other = complete(eqs, ranking)
+        other = complete(eqs)
         assert other.equations == ref.equations
         assert other.leads == ref.leads
         assert other.parametric == ref.parametric
@@ -312,10 +324,10 @@ def test_completion_is_independent_of_input_order(ode, ranking):
 @pytest.mark.parametrize("text", ["y'' = (y')^2/(x^2+y^2+1)",
                                   "y''' = y'/((x+y)^2*(x-y))"])
 def test_alternate_ranking_settles_the_default_ranking_hangs(text):
-    # completion under the default ranking runs past 20 s on both inputs;
-    # under alt_ranking, with the mirrored slots as its key, it finishes
-    # with m = 0, the value a fallback to alt_ranking would report
-    inv = complete(determining_system(parse_ode(text)), alt_ranking())
+    # completion under the default ranking ran past 20 s on both inputs;
+    # under the second ranking, int order on the mirrored system, it
+    # finishes with m = 0, the value a fallback to it would report
+    inv = complete(mirror(determining_system(parse_ode(text))))
     assert inv.dimension == 0
 
 
@@ -329,21 +341,22 @@ def test_default_ranking_completes_the_former_hangs(text):
     report = analyze(text)
     assert report.m == 0
     detsys, inv = report.determining, report.involutive
-    alt = complete(detsys, alt_ranking())
+    alt = complete(mirror(detsys))
     assert alt.dimension == inv.dimension == 0
-    assert audit_involutive(inv, detsys) and audit_involutive(alt, detsys)
+    assert audit_involutive(inv, detsys)
+    assert audit_involutive(alt, mirror(detsys))
     higher = analyze(text, max_order=inv.max_parametric_order() + 3)
     assert higher.m == 0
 
 
 def test_painleve_ii_completes_under_the_alternate_ranking():
-    # with a first-in, first-out queue this ran past 20 s under
-    # alt_ranking, in the content of a rewritten tail; lowest first it
+    # with a first-in, first-out queue this ran past 20 s under the second
+    # ranking, in the content of a rewritten tail; lowest first it
     # finishes with the default ranking's dimension
     detsys = determining_system(parse_ode("y''=2*y^3+x*y"))
-    alt = complete(detsys, alt_ranking())
+    alt = complete(mirror(detsys))
     assert alt.dimension == complete(detsys).dimension == 0
-    assert audit_involutive(alt, detsys)
+    assert audit_involutive(alt, mirror(detsys))
 
 
 def _counting_cross(monkeypatch):
@@ -387,39 +400,38 @@ def test_chain_criterion_forms_fewer_cross_derivatives(monkeypatch):
             detsys = determining_system(ode)
             complete(detsys)
             ref_count += reference_complete(
-                [slot_keyed(eq) for eq in detsys],
-                reference_ranking(default_ranking())).crosses
+                [slot_keyed(eq) for eq in detsys]).crosses
     assert 0 < len(seen) < ref_count
 
 
 # -- the kernel's ownership and gcd rules -------------------------------------------
 
 
-@pytest.mark.parametrize("ode,ranking", bench_ranking_cases())
-def test_reduce_leaves_its_argument_unchanged(ode, ranking):
+@pytest.mark.parametrize("ode,mirrored", bench_ranking_cases())
+def test_reduce_leaves_its_argument_unchanged(ode, mirrored):
     # reduce eliminates in a copy of its argument: the determining
     # equations and the prolongations of the completed ones, all reduced
     # by the completed system, keep their values and their slot order
-    detsys = determining_system(ode)
-    inv = complete(detsys, ranking)
+    detsys = ranking_case_system(ode, mirrored)
+    inv = complete(detsys)
     for p in detsys + [lin_derive(e.terms, var)
                        for e in inv.eqs for var in "xy"]:
         snapshot = dict(p)
-        reduce(p, inv.eqs, ranking)
+        reduce(p, inv.eqs)
         assert p == snapshot and list(p) == list(snapshot)
 
 
-@pytest.mark.parametrize("ode,ranking", bench_ranking_cases())
-def test_cross_writes_into_no_equation(ode, ranking):
+@pytest.mark.parametrize("ode,mirrored", bench_ranking_cases())
+def test_cross_writes_into_no_equation(ode, mirrored):
     # _cross eliminates in a copy of the cached prolongation: it gives the
     # same result twice, and leaves the terms of both equations as they
     # were and every cached derivative as lin_derive gives it.  The pairs
     # are those of the completed system and of the determining equations,
     # each made primitive for its lead
-    detsys = determining_system(ode)
-    eqs = complete(detsys, ranking).eqs
+    detsys = ranking_case_system(ode, mirrored)
+    eqs = complete(detsys).eqs
     for i, eq in enumerate(detsys):
-        lead = max(eq, key=ranking.key)
+        lead = max(eq)
         eqs.append(_Eq(primitive(eq, lead), lead, -1 - i))
     pairs = [(a, b) for a, b in itertools.combinations(eqs, 2)
              if fields(a.lead)[0] == fields(b.lead)[0]]
@@ -434,8 +446,8 @@ def test_cross_writes_into_no_equation(ode, ranking):
             assert all(v == fresh.derived(d) for d, v in e._dcache.items())
 
 
-@pytest.mark.parametrize("ode,ranking", bench_ranking_cases())
-def test_completion_takes_no_gcd_of_a_constant(ode, ranking, monkeypatch):
+@pytest.mark.parametrize("ode,mirrored", bench_ranking_cases())
+def test_completion_takes_no_gcd_of_a_constant(ode, mirrored, monkeypatch):
     # the gcd of a constant and a polynomial is 1, so _eliminate skips it;
     # with a gcd that refuses a constant operand, completion still runs and
     # gives the reference system
@@ -444,5 +456,5 @@ def test_completion_takes_no_gcd_of_a_constant(ode, ranking, monkeypatch):
         return poly_gcd(a, b)
 
     monkeypatch.setattr(involutive, "gcd", strict)
-    detsys = determining_system(ode)
-    _assert_matches_reference(complete(detsys, ranking), detsys)
+    detsys = ranking_case_system(ode, mirrored)
+    _assert_matches_reference(complete(detsys), detsys)

@@ -27,7 +27,8 @@ from lieode.ratfunc import RatFunc
 from conftest import (ETA, XI, REFERENCE_INPUTS, Slot, basis_values,
                       bench_odes, int_keyed, slot_system, to_int, to_slot,
                       bench_ranking_cases, fraction_bracket, fraction_table,
-                      lie_table, mpolys, normal_form, plain_eval, rationals,
+                      lie_table, mirror, mpolys, normal_form, plain_eval,
+                      ranking_case_system, rationals,
                       reference_normal_form_table, reference_series_basis,
                       reference_shifted, reference_slot_index,
                       reference_structure_constants, row_space_basis,
@@ -385,12 +386,12 @@ def test_structure_constants_match_fraction_reference(text, den):
 REFERENCE_POINTS = [None, (F(1), F(2)), (F(1, 2), F(1, 3))]
 
 
-@pytest.mark.parametrize("ode,ranking", bench_ranking_cases())
-def test_series_and_structure_match_the_references(ode, ranking):
+@pytest.mark.parametrize("ode,mirrored", bench_ranking_cases())
+def test_series_and_structure_match_the_references(ode, mirrored):
     # on every bench input, plain and translated, under both rankings, the
     # table, the basis read from it and the structure constants are those
     # of the Slot-based references, or both raise SingularPoint  [DERIVED]
-    inv = complete(determining_system(ode), ranking)
+    inv = complete(ranking_case_system(ode, mirrored))
     view = slot_system(inv)
     N = inv.max_parametric_order() + 2
     for point in REFERENCE_POINTS:
@@ -410,6 +411,19 @@ def test_series_and_structure_match_the_references(ode, ranking):
         assert basis_values(basis) == [sol.data for sol in ref]
         assert (structure_constants(basis)
                 == reference_structure_constants(ref))
+
+
+@pytest.mark.parametrize("ode", [
+    pytest.param(ode, id=f"{name}-{variant}") for name, plain, shifted
+    in bench_odes() for variant, ode in (("plain", plain),
+                                         ("shifted", shifted))])
+def test_mirrored_input_gives_the_same_certificate(ode):
+    # the mirror pushes the symmetry algebra forward by (x, y) -> (y, x), an
+    # isomorphism, so the verdict read from the mirrored determining system
+    # (m, case, derived dimension, derived abelian) is the input's
+    inv = complete(mirror(determining_system(ode)))
+    got = certify(ode.n, structure_constants(series_basis(inv)))
+    assert got == analyze(ode).certificate
 
 
 @pytest.mark.parametrize("text,den", [
