@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from .determining import label, top
+from .determining import XI, fields, label
 from .errors import InputError, InternalInvariantError
 from .involutive import RANKING
 from .parsing import format_ratfunc, print_ode
@@ -62,10 +62,16 @@ def _equation_json(eq, lead) -> dict:
             for s, c in eq.items()}
 
 
+def _dump_lead(eq) -> int:
+    """The slot a dumped determining equation is solved for, by the dump's
+    own convention: the largest by (xi before eta, dx, dy)."""
+    return max(eq, key=lambda s: (fields(s)[0] == XI, fields(s)[1:]))
+
+
 def _attach_extras(payload: dict, report: RunReport, args) -> None:
     if getattr(args, "dump_detsys", False):
         payload["determining_system"] = [
-            _equation_json(eq, top(eq)) for eq in report.determining]
+            _equation_json(eq, _dump_lead(eq)) for eq in report.determining]
     if getattr(args, "dump_involutive", False):
         inv = report.involutive
         payload["involutive"] = {

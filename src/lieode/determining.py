@@ -22,7 +22,10 @@ of every monomial in (y', ..., y^(n-1)) produces the linear PDE system whose
 solution space is the symmetry algebra; ``invariance_coefficients`` builds
 each coefficient directly, without forming the condition as one polynomial.
 Its coefficients are polynomials in (x, y); each equation is kept primitive
-(see ``primitive``), which is also the form completion works on.
+for its lead, its highest slot (see ``primitive``), which is also the form
+completion works on.  Int order on slots is the one order from here to the
+brackets: ``rank`` numbers the slots densely in it, and the series table
+and the brackets of ``liealgebra`` keep each slot at its rank.
 """
 from __future__ import annotations
 
@@ -72,10 +75,11 @@ def label(s: int) -> str:
     return ("xi", "eta")[u] + ("_" + "x" * dx + "y" * dy if dx + dy else "")
 
 
-def top(eq: Mapping[int, MPoly]) -> int:
-    """The slot an equation of the determining system is scaled by: the
-    largest by (xi before eta, dx, dy), not the highest in a ranking."""
-    return max(eq, key=lambda s: (s & 1 == XI, fields(s)[1:]))
+def rank(s: int) -> int:
+    """The slot's index in int order: o(o + 1) + 2 dx + u, o = dx + dy.
+    The slots of order <= N are the ranks 0 ... (N + 1)(N + 2) - 1."""
+    o = s >> _O
+    return o * (o + 1) + 2 * (s >> _X & _FIELD) + (s & 1)
 
 
 LinDiffPoly = Dict[int, MPoly]
@@ -274,15 +278,14 @@ def determining_system(ode: OdeSpec) -> List[LinDiffPoly]:
     jet monomial in (y', ..., y^(n-1)), in the order of the sorted monomial
     keys.
 
-    Each equation is made primitive with respect to ``top(eq)``, so any xi
-    slot beats any eta slot (xi_xx over eta_xy for y'' = 0).
-    ``--dump-detsys`` divides by the coefficient of the same slot.
+    Each equation is made primitive for its lead ``max(eq)``, its highest
+    slot in int order, the form completion works on.
     """
     collected = invariance_coefficients(ode)
     equations: List[LinDiffPoly] = []
     seen = set()
     for key in sorted(collected):
-        eq = primitive(collected[key], top(collected[key]))
+        eq = primitive(collected[key], max(collected[key]))
         sig = tuple(sorted(eq.items()))
         if sig not in seen:
             seen.add(sig)

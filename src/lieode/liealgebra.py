@@ -26,16 +26,17 @@ the origin, where most tables are taken, the shift is no work: the Taylor
 coefficients are the polynomial's own terms, those above the order needed
 dropped.
 
-The table, the basis and the brackets share one slot layout per truncation
-order (``_layout``), built once and read-only: the slots of order <= N at
-integer positions, xi before eta, each by order and then dx, so slot
-(u, dx, dy) sits at base[u] + tri[dx + dy] + dx, with every position's
-packed slot and its (u is eta, order, dx, dy) stored beside it.  The table
-is a list of rows by position, each keyed by the positions of its
-parametric slots; a Leibniz term finds its slot by that arithmetic, and a
-slot finds its solving equation in per-unknown lists of leads.  Slots are
-unpacked only to set up the equations, and an lcm or gcd runs only when a
-denominator is not 1.
+The table, the basis and the brackets keep each slot at its rank
+(``determining.rank``), its index in int order, which is completion's
+ranking: slot (u, dx, dy) of order o sits at o(o + 1) + 2 dx + u, and the
+slots of order <= N are the first (N + 1)(N + 2) positions whatever N is.
+One read-only layout (``_layout``) through order MAX_TRUNCATION + 1 stores
+every position's packed slot and its (u, order, dx, dy) beside it.  The
+table is a list of rows by rank, each keyed by the ranks of its parametric
+slots, filled in rank order; a Leibniz term finds its slot by that
+arithmetic, and a slot finds its solving equation in per-unknown lists of
+leads.  Slots are unpacked only to set up the equations, and an lcm or gcd
+runs only when a denominator is not 1.
 
 Brackets are taken directly on those values by Leibniz's rule: the value of a
 bracket at order k reads the data of both fields up to order k+1, so it is
@@ -45,7 +46,7 @@ coordinates in the delta basis, which gives the structure constants.
 The algebra stages run on integers, from the table on.  The basis data
 share one least common denominator D (every element reads the same table),
 so ``SeriesBasis.cols`` holds, per element, its nonzero numerators over D
-by position, read off the table's rows in one pass; a bracket of two
+by rank, read off the table's rows in one pass; a bracket of two
 elements is D^2 times the bracket.  ``LieAlgebraTable`` is built from
 those numerators and keeps its constants over their least common
 denominator E, and the derived algebra is kept as fraction-free
@@ -73,14 +74,14 @@ from math import comb, gcd, lcm, perm
 from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
-from .determining import ETA, XI, fields, label, slot
+from .determining import ETA, XI, fields, label, rank, slot
 from .errors import InputError, InternalInvariantError, SingularPoint
 from .involutive import InvolutiveSystem
 from .linalg import IntRows, Vec, eliminate, integer_rref
 from .polys import MPoly
 
 Point = Tuple[Fraction, Fraction]
-# A normal-form table row: integer numerators by the position of their
+# A normal-form table row: integer numerators by the rank of their
 # parametric slot, over one positive denominator, coprime to them.
 Row = Tuple[Dict[int, int], int]
 
@@ -110,40 +111,34 @@ def expansion_points() -> Iterator[Point]:
 
 
 class _Layout(NamedTuple):
-    """The slots of order <= N, each at one integer position.
+    """The slots of order <= MAX_TRUNCATION + 1, each at its rank.
 
-    The xi slots come first, then the eta slots, each by order and then dx,
-    so slot (u, dx, dy) sits at ``base[u is eta] + tri[dx + dy] + dx``.
-    ``slots`` gives each position's slot, ``meta`` its (u is eta, order,
-    dx, dy) and ``position`` a slot's position; ``fall`` and ``binom`` hold
-    the falling factorials n!/(n-k)! and the binomials C(n, k) for n <= N.
+    Slot (u, dx, dy) of order o sits at ``start[o] + 2 dx + u``, its rank
+    (``determining.rank``), so the slots of order <= N are the first
+    (N + 1)(N + 2) positions for every N.  ``slots`` gives each position's
+    slot and ``meta`` its (u, order, dx, dy); ``fall`` and ``binom`` hold
+    the falling factorials n!/(n-k)! and the binomials C(n, k).
     """
 
     slots: Tuple[int, ...]
     meta: Tuple[Tuple[int, int, int, int], ...]
-    base: Tuple[int, int]
-    tri: Tuple[int, ...]
+    start: Tuple[int, ...]
     fall: Tuple[Tuple[int, ...], ...]
     binom: Tuple[Tuple[int, ...], ...]
 
-    def position(self, s: int) -> int:
-        u, dx, dy = fields(s)
-        return self.base[u == ETA] + self.tri[dx + dy] + dx
 
-
-@lru_cache(maxsize=MAX_TRUNCATION + 2)
-def _layout(N: int) -> _Layout:
-    """The slot layout of truncation order N, built once and read-only."""
-    tri = tuple(k * (k + 1) // 2 for k in range(N + 2))
-    meta = tuple((eta, total, i, total - i) for eta in (0, 1)
-                 for total in range(N + 1) for i in range(total + 1))
-    return _Layout(tuple(slot((XI, ETA)[eta], dx, dy)
-                         for eta, _, dx, dy in meta),
-                   meta, (0, tri[N + 1]), tri,
+@lru_cache(maxsize=None)
+def _layout() -> _Layout:
+    """The slot layout, built once and read-only."""
+    top = MAX_TRUNCATION + 1
+    meta = tuple((u, o, dx, o - dx) for o in range(top + 1)
+                 for dx in range(o + 1) for u in (XI, ETA))
+    return _Layout(tuple(slot(u, dx, dy) for u, _, dx, dy in meta), meta,
+                   tuple(o * (o + 1) for o in range(top + 1)),
                    tuple(tuple(perm(n, k) for k in range(n + 1))
-                         for n in range(N + 1)),
+                         for n in range(top + 1)),
                    tuple(tuple(comb(n, k) for k in range(n + 1))
-                         for n in range(N + 1)))
+                         for n in range(top + 1)))
 
 
 def _shifted(p: MPoly, point: Point,
@@ -188,12 +183,13 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
                       point: Point) -> List[Row]:
     """Value at ``point`` of the normal form of every slot of order <= N.
 
-    The rows sit by position in ``_layout(N)``, each ``(numerators,
-    denominator)``: the integer numerators by the position of their
-    parametric slot (nonzero only) over one positive denominator, coprime
-    to them, so equal values give equal rows.  Forward substitution in
-    ranking order, reducing each slot by the first equation whose lead
-    divides it, as ``involutive.reduce`` does.
+    The rows sit at the slots' ranks (``determining.rank``), each
+    ``(numerators, denominator)``: the integer numerators by the rank of
+    their parametric slot (nonzero only) over one positive denominator,
+    coprime to them, so equal values give equal rows.  Forward
+    substitution in ranking order, which is rank order, reducing each slot
+    by the first equation whose lead divides it, as ``involutive.reduce``
+    does.
 
     Taylor mode: the derivative of multi-index a of a completed equation
     P_L u_L + sum_t P_t u_t = 0 solves slot L + a.  By Leibniz's rule, with
@@ -210,9 +206,12 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
     symbolically.  Every t + a must already be tabled (the lower t + a - b
     rank below it), or the guard raises.
 
-    The slot of a Leibniz term is found by arithmetic on the position of
-    its coefficient's slot.
+    The slot of a Leibniz term is found by arithmetic on the rank of its
+    coefficient's slot.  N is at most MAX_TRUNCATION + 1, the layout's.
     """
+    if N > MAX_TRUNCATION + 1:
+        raise InputError("table order %d above limit %d"
+                         % (N, MAX_TRUNCATION + 1))
     # the equations a slot of order <= N can use: for the series basis, all
     leads = {}
     for e in inv.eqs:
@@ -223,13 +222,13 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
                 raise SingularPoint(
                     "singular expansion point (%s, %s): a coefficient "
                     "denominator vanishes there" % point)
-    lay = _layout(N)
-    base, tri, meta, fall = lay.base, lay.tri, lay.meta, lay.fall
+    lay = _layout()
+    start, meta, fall = lay.start, lay.meta, lay.fall
     # per unknown, the equations in order, each as (lead dx, lead dy,
-    # P_L(point), coefficients); a coefficient is (position of its slot's
-    # unknown at order 0, the slot's order and dx, its terms (i, j,
-    # numerator) sorted by (i, j)), the lead's first, all over one scale;
-    # the lead's constant term, which multiplies the solved slot, is left out
+    # P_L(point), coefficients); a coefficient is (its slot's unknown plus
+    # twice its dx, its order, its terms (i, j, 2i, numerator) sorted by
+    # (i, j)), the lead's first, all over one scale; the lead's constant
+    # term, which multiplies the solved slot, is left out
     solvers: Tuple[list, list] = ([], [])
     for e, (TL, sL) in leads.items():
         u, lx, ly = fields(e.lead)
@@ -237,36 +236,39 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
                   for t, c in e.terms.items() if t != e.lead]
         S = lcm(sL, *(s for _, _, s in shifts))
         q0 = TL.pop((0, 0)) * (S // sL)
-        coeffs = [(base[tu == ETA], tx + ty, tx,
-                   sorted((i, j, n * (S // s)) for (i, j), n in T.items()))
+        coeffs = [(tu + 2 * tx, tx + ty,
+                   sorted((i, j, 2 * i, n * (S // s))
+                          for (i, j), n in T.items()))
                   for (tu, tx, ty), T, s in [((u, lx, ly), TL, sL)] + shifts]
-        solvers[u == ETA].append((lx, ly, q0, coeffs))
-    rows: List[Optional[Row]] = [None] * len(lay.slots)
-    for k in sorted(range(len(lay.slots)), key=lay.slots.__getitem__):
-        eta, _, dx, dy = meta[k]
-        for lx, ly, q0, coeffs in solvers[eta]:
+        solvers[u].append((lx, ly, q0, coeffs))
+    size = (N + 1) * (N + 2)
+    rows: List[Optional[Row]] = [None] * size
+    for k in range(size):
+        u, _, dx, dy = meta[k]
+        for lx, ly, q0, coeffs in solvers[u]:
             if lx <= dx and ly <= dy:
                 break
         else:
             rows[k] = ({k: 1}, 1)
             continue
         ax, ay = dx - lx, dy - ly
-        for b, o, tx, _ in coeffs[1:]:
+        ax2 = 2 * ax
+        for b, o, _ in coeffs[1:]:
             o += ax + ay
-            if o > N or rows[b + tri[o] + tx + ax] is None:
+            if o > N or rows[b + start[o] + ax2] is None:
                 raise InternalInvariantError(
                     "equation for slot %s is not solved over lower slots"
                     % label(lay.slots[k]))
         fx, fy = fall[ax], fall[ay]
         coef: Dict[int, int] = {}
-        for b, o, tx, terms in coeffs:
-            b += tx + ax
+        for b, o, terms in coeffs:
+            b += ax2
             o += ax + ay
-            for i, j, n in terms:
+            for i, j, i2, n in terms:
                 if i > ax:
                     break
                 if j <= ay:
-                    q = b + tri[o - i - j] - i
+                    q = b + start[o - i - j] - i2
                     coef[q] = coef.get(q, 0) + fx[i] * fy[j] * n
         live = [(rows[q], w) for q, w in coef.items() if w]
         d = 1
@@ -293,10 +295,11 @@ class SeriesBasis:
 
     Element i has initial datum 1 at ``parametric[i]`` and 0 at the other
     parametric slots.  ``cols[i]`` holds its nonzero values at the slots of
-    order <= N + 1, as (position in ``_layout(N + 1)``, numerator) pairs by
-    position, over ``den``, the least common denominator of all the basis
-    values; the extra order lets brackets be taken through order N.  An
-    empty basis (m = 0) still has its expansion point and order.
+    order <= N + 1, as (rank of the slot, numerator) pairs ascending by
+    rank, hence by order, over ``den``, the least common denominator of
+    all the basis values; the extra order lets brackets be taken through
+    order N.  An empty basis (m = 0) still has its expansion point and
+    order.
     """
 
     point: Point
@@ -329,8 +332,7 @@ def series_basis(inv: InvolutiveSystem,
     # every row over the lcm D of the row denominators; each row is coprime
     # to its denominator, so D is already the least common denominator
     params = tuple(inv.parametric)
-    lay = _layout(N + 1)
-    element = {lay.position(p): i for i, p in enumerate(params)}
+    element = {rank(p): i for i, p in enumerate(params)}
     D = lcm(*(d for _, d in rows))
     cols: List[List[Tuple[int, int]]] = [[] for _ in params]
     for k, (vals, d) in enumerate(rows):
@@ -432,50 +434,47 @@ def structure_constants(basis: SeriesBasis) -> LieAlgebraTable:
     coordinates, over D^2; at every slot of order <= N the bracket times D
     must equal the combination of scaled basis elements they name, or it
     has left the solution space.  The finished table must satisfy
-    antisymmetry and Jacobi.  Brackets are lists by position in the layout
-    of the basis columns, ``_layout(N + 1)``.
+    antisymmetry and Jacobi.  Brackets are lists by rank, through order N.
     """
     m = len(basis.cols)
     if not m:
         return LieAlgebraTable(0, [], 1)
     N, D = basis.N, basis.den
-    lay = _layout(N + 1)
-    meta, base, tri, binom = lay.meta, lay.base, lay.tri, lay.binom
-    # Per element: its nonzero values of order <= N, as (unknown is eta,
-    # order, dx, dy, numerator) and as (position, numerator); and per
-    # derivative direction x, y the nonzero derivatives, as (order, position
-    # of the unknown's order-0 slot, dx, dy, numerator) sorted by order.
+    lay = _layout()
+    meta, start, binom = lay.meta, lay.start, lay.binom
+    # Per element: its nonzero values of order <= N, as (unknown, order, dx,
+    # dy, 2 dx, numerator) and as (rank, numerator); and per derivative
+    # direction x, y the nonzero derivatives, as (order, unknown plus twice
+    # dx, dx, dy, numerator), by order since the column ascends by rank.
     values, cols, derivs = [], [], []
     for col in basis.cols:
         vals, low, by_x, by_y = [], [], [], []
         for k, v in col:
-            eta, o, dx, dy = meta[k]
+            u, o, dx, dy = meta[k]
             if o <= N:
-                vals.append((eta, o, dx, dy, v))
+                vals.append((u, o, dx, dy, 2 * dx, v))
                 low.append((k, v))
             if dx:
-                by_x.append((o - 1, base[eta], dx - 1, dy, v))
+                by_x.append((o - 1, u + 2 * dx - 2, dx - 1, dy, v))
             if dy:
-                by_y.append((o - 1, base[eta], dx, dy - 1, v))
-        by_x.sort()
-        by_y.sort()
+                by_y.append((o - 1, u + 2 * dx, dx, dy - 1, v))
         values.append(vals)
         cols.append(low)
         derivs.append((by_x, by_y))
-    coord_at = [lay.position(p) for p in basis.parametric]
-    size = len(meta)
+    coord_at = [rank(p) for p in basis.parametric]
+    size = (N + 1) * (N + 2)
     num = [[[0] * m for _ in range(m)] for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
             br = [0] * size
             for f, g, sign in ((i, j, 1), (j, i, -1)):
                 dg = derivs[g]
-                for eta, o, p, q, fv in values[f]:
+                for w, o, p, q, p2, fv in values[f]:
                     fv *= sign
-                    for og, b, r, t, gv in dg[eta]:
+                    for og, b, r, t, gv in dg[w]:
                         if o + og > N:
                             break
-                        br[b + tri[o + og] + p + r] += (
+                        br[b + start[o + og] + p2] += (
                             binom[p + r][p] * binom[q + t][q] * fv * gv)
             coords = [br[k] for k in coord_at]
             span = [0] * size

@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .determining import LinDiffPoly, determining_system
 from .involutive import InvolutiveSystem, complete
@@ -84,49 +84,40 @@ def analyze(source,
     timings: Dict[str, float] = {}
     t_all = time.perf_counter()
 
-    t = time.perf_counter()
-    ode = parse_ode(source) if isinstance(source, str) else source
-    timings["parse"] = time.perf_counter() - t
+    # every stage function is looked up when it runs, so a wrapper put on
+    # this module's name (as bench/tracer.py does) sees the call
+    def timed(stage: str, fn, *args, **kwargs):
+        t = time.perf_counter()
+        out = fn(*args, **kwargs)
+        timings[stage] = time.perf_counter() - t
+        return out
 
-    t = time.perf_counter()
-    detsys = determining_system(ode)
-    timings["determining"] = time.perf_counter() - t
-
-    t = time.perf_counter()
-    inv = complete(detsys)
-    timings["completion"] = time.perf_counter() - t
-
-    t = time.perf_counter()
-    basis = series_basis(inv, point=point, N=max_order)
-    timings["series"] = time.perf_counter() - t
-
-    t = time.perf_counter()
-    table = structure_constants(basis)
-    timings["structure"] = time.perf_counter() - t
-
-    t = time.perf_counter()
-    cert = certify(ode.n, table)
-    timings["certify"] = time.perf_counter() - t
-
-    recovery = None
-    note = None
-    t = time.perf_counter()
-    if cert.case in (CASE_TRIVIAL, CASE_CONSTANT):
-        A, p = ((None, CharPoly((Fraction(0),) * ode.n))
-                if cert.case == CASE_TRIVIAL
-                else recovery_details(table, cert.derived))
-        cls = affine_class(p)
-        recovery = RecoveryReport(
-            char_poly=p,
-            affine=cls,
-            representative_ode=class_to_ode(cls),
-            action_matrix=A)
-    elif cert.case == CASE_NONCONSTANT:
-        note = NOTE_NONCONSTANT
-    timings["recovery"] = time.perf_counter() - t
+    ode = timed("parse", lambda: parse_ode(source)
+                if isinstance(source, str) else source)
+    detsys = timed("determining", determining_system, ode)
+    inv = timed("completion", complete, detsys)
+    basis = timed("series", series_basis, inv, point=point, N=max_order)
+    table = timed("structure", structure_constants, basis)
+    cert = timed("certify", certify, ode.n, table)
+    recovery, note = timed("recovery", _recover, ode.n, table, cert)
     timings["total"] = time.perf_counter() - t_all
 
     return RunReport(ode=ode, determining=detsys, involutive=inv,
                      basis_point=basis.point, truncation_order=basis.N,
                      algebra=table, certificate=cert,
                      recovery=recovery, note=note, timings=timings)
+
+
+def _recover(n: int, table: LieAlgebraTable, cert: Certificate
+             ) -> Tuple[Optional[RecoveryReport], Optional[str]]:
+    """The recovery report and the note of a certified algebra."""
+    if cert.case == CASE_NONCONSTANT:
+        return None, NOTE_NONCONSTANT
+    if cert.case not in (CASE_TRIVIAL, CASE_CONSTANT):
+        return None, None
+    A, p = ((None, CharPoly((Fraction(0),) * n)) if cert.case == CASE_TRIVIAL
+            else recovery_details(table, cert.derived))
+    cls = affine_class(p)
+    return RecoveryReport(char_poly=p, affine=cls,
+                          representative_ode=class_to_ode(cls),
+                          action_matrix=A), None

@@ -213,10 +213,6 @@ class RatFunc:
         r = divexact(q, g)
         return RatFunc(p.derive(poly) * r - p * divexact(dq, g), m * q * r)
 
-    def derivative(self, name: str) -> "RatFunc":
-        """Formal partial derivative with respect to one variable."""
-        return self.derive({name: RatFunc.one()})
-
 
 def _monic_pair(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:
     """(num, den) scaled so that den has leading coefficient 1: both times

@@ -235,12 +235,19 @@ def int_keyed(d: Mapping[Slot, V]) -> Dict[int, V]:
     return {to_int(s): v for s, v in d.items()}
 
 
+def partial(f, var: str):
+    """df/dvar of an ``MPoly`` or a ``RatFunc``."""
+    if isinstance(f, RatFunc):
+        return f.derive({var: RatFunc.one()})
+    return f.derivative(var)
+
+
 def lin_derive(eq, var: str):
     """Differentiate a ``Slot``-keyed equation by x or y (product rule)."""
     out = {}
     step = (1, 0) if var == "x" else (0, 1)
     for s, c in eq.items():
-        add_term(out, s, c.derivative(var))
+        add_term(out, s, partial(c, var))
         add_term(out, s.derive(*step), c)
     return out
 
@@ -433,9 +440,9 @@ def solution_data_from_components(xi, eta, point: Point, N: int) -> Dict[Slot, F
             for i in range(total + 1):
                 j = total - i
                 if i:
-                    by_index[(i, j)] = by_index[(i - 1, j)].derivative("x")
+                    by_index[(i, j)] = partial(by_index[(i - 1, j)], "x")
                 else:
-                    by_index[(i, j)] = by_index[(i, j - 1)].derivative("y")
+                    by_index[(i, j)] = partial(by_index[(i, j - 1)], "y")
         for (i, j), fn in by_index.items():
             out[Slot(unk, i, j)] = plain_eval(fn, env)
     return out
@@ -447,9 +454,9 @@ def substitute_generator(eq, xi: RatFunc, eta: RatFunc) -> RatFunc:
     for s, c in eq.items():
         v = xi if s.unknown == XI else eta
         for _ in range(s.dx):
-            v = v.derivative("x")
+            v = partial(v, "x")
         for _ in range(s.dy):
-            v = v.derivative("y")
+            v = partial(v, "y")
         total = total + RatFunc(c) * v
     return total
 
@@ -523,7 +530,8 @@ def invariance_expression(ode: OdeSpec):
 
 def reference_determining_system(ode: OdeSpec):
     """invariance_expression collected by jet monomial, each equation made
-    primitive with respect to max(eq), duplicates dropped."""
+    primitive for its lead, its highest slot under ``default_key``,
+    duplicates dropped."""
     jets = {jet_name(k) for k in range(1, ode.n)}
     collected = {}
     for slot, c in invariance_expression(ode).items():
@@ -531,7 +539,8 @@ def reference_determining_system(ode: OdeSpec):
             collected.setdefault(key, {})[slot] = coeff
     equations, seen = [], set()
     for key in sorted(collected):
-        eq = reference_primitive(collected[key], max(collected[key]))
+        eq = reference_primitive(collected[key],
+                                 max(collected[key], key=default_key))
         sig = tuple(sorted(eq.items()))
         if sig not in seen:
             seen.add(sig)
@@ -800,10 +809,12 @@ def reference_normal_form_table(inv: InvolutiveSystem, N: int,
 
 
 def reference_slot_index(N: int) -> Dict[Slot, int]:
-    """Position of every slot of order <= N: unknown, then order, then dx."""
-    return {Slot(u, i, total - i): k for k, (u, total, i) in enumerate(
-        (u, total, i) for u in (XI, ETA)
-        for total in range(N + 1) for i in range(total + 1))}
+    """Position of every slot of order <= N: its place among them in the
+    ranking ``default_key``."""
+    slots = sorted((Slot(u, i, total - i) for u in (XI, ETA)
+                    for total in range(N + 1) for i in range(total + 1)),
+                   key=default_key)
+    return {s: k for k, s in enumerate(slots)}
 
 
 def slot_table(rows) -> Dict[Slot, Row]:
@@ -891,11 +902,10 @@ def reference_structure_constants(basis: Sequence[SeriesSolution]) -> LieAlgebra
     index = reference_slot_index(N)
     D = lcm(*(sol.den for sol in basis))
     binom = [[comb(n, k) for k in range(n + 1)] for n in range(N + 1)]
-    tri = [k * (k + 1) // 2 for k in range(N + 1)]
     # Per element: its nonzero values of order <= N, as (unknown is eta,
     # order, dx, dy, numerator) and as (index, numerator); and per
-    # derivative direction x, y the nonzero derivatives, as (order, index of
-    # the unknown's order-0 slot, dx, dy, numerator) sorted by order.
+    # derivative direction x, y the nonzero derivatives, as (order,
+    # unknown, dx, dy, numerator) sorted by order.
     values, cols, derivs = [], [], []
     for sol in basis:
         f = D // sol.den
@@ -904,8 +914,7 @@ def reference_structure_constants(basis: Sequence[SeriesSolution]) -> LieAlgebra
                        for s, v in nz if s.order <= N])
         cols.append([(index[s], v) for s, v in nz if s.order <= N])
         derivs.append(tuple(
-            sorted((s.order - 1, index[Slot(s.unknown, 0, 0)],
-                    s.dx - ex, s.dy - ey, v)
+            sorted((s.order - 1, s.unknown, s.dx - ex, s.dy - ey, v)
                    for s, v in nz if s.dx >= ex and s.dy >= ey)
             for ex, ey in ((1, 0), (0, 1))))
     coord_at = [index[p] for p in basis[0].parametric]
@@ -917,10 +926,10 @@ def reference_structure_constants(basis: Sequence[SeriesSolution]) -> LieAlgebra
                 dg = derivs[g]
                 for eta, o, p, q, fv in values[f]:
                     fv *= sign
-                    for og, base, r, t, gv in dg[eta]:
+                    for og, u, r, t, gv in dg[eta]:
                         if o + og > N:
                             break
-                        br[base + tri[o + og] + p + r] += (
+                        br[index[Slot(u, p + r, q + t)]] += (
                             binom[p + r][p] * binom[q + t][q] * fv * gv)
             coords = [br[k] for k in coord_at]
             span = [0] * len(index)
@@ -968,6 +977,14 @@ def bench_odes():
     return tuple(out)
 
 
+def bench_inputs():
+    """``pytest.param(ode)`` for every input of ``bench_odes``, plain and
+    translated."""
+    return [pytest.param(ode, id=f"{name}-{variant}")
+            for name, plain, shifted in bench_odes()
+            for variant, ode in (("plain", plain), ("shifted", shifted))]
+
+
 def bench_ranking_cases():
     """``pytest.param(ode, mirrored)`` for every input of ``bench_odes``,
     plain and translated, under both rankings: the second ranking is the
@@ -1011,7 +1028,9 @@ def tresse_holds(ode: OdeSpec, yy: int = 6) -> bool:
     F, p = -ode.f, RatFunc.variable("y1")
 
     def d(g, *names):
-        return functools.reduce(RatFunc.derivative, names, g)
+        for name in names:
+            g = g.derive({name: RatFunc.one()})
+        return g
 
     def D(g):
         return g.derive({"x": RatFunc.one(), "y": p, "y1": F})

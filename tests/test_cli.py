@@ -340,6 +340,21 @@ def test_dump_flags_and_timings():
     assert all(isinstance(v, float) for v in doc["timings"].values())
 
 
+@pytest.mark.parametrize("text", ["y'' = 0", "y'' = y^2"])
+def test_dump_detsys_solves_for_the_xi_first_largest_slot(text):
+    # the dump's print convention, apart from completion's ranking: each
+    # equation over its largest slot by (xi before eta, dx, dy); for
+    # y'' = y^2 that is xi_x where the lead is eta_xx
+    code, doc, _ = run_json("certify", text, "--dump-detsys")
+    assert code in (0, 1)
+
+    def key(name):
+        u, _, d = name.partition("_")
+        return u == "xi", d.count("x"), d.count("y")
+    for eq in doc["determining_system"]:
+        assert eq[max(eq, key=key)] == "1"
+
+
 @pytest.mark.parametrize("argv,spelled", [
     (("oracle", "--poly", "-1,0,1", "--psi", "y", "--phi", "x*y"),
      ("oracle", "--json-only", "--poly=-1,0,1", "--psi", "y", "--phi", "x*y")),

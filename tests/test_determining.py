@@ -7,19 +7,19 @@ from hypothesis import strategies as st
 
 from lieode.determining import (DX, DY, determining_system, divides,
                                 invariance_coefficients, label, primitive,
-                                prolonged_eta, slot)
+                                prolonged_eta, rank, slot)
 from lieode.involutive import _lcm
 from lieode.jets import jet_name, jet_order
 from lieode.parsing import OdeSpec, parse_ode
 from lieode.polys import MPoly, content, gcd
 from lieode.ratfunc import RatFunc
 
-from conftest import (ETA, XI, Slot, bench_odes, default_key, leading_coeff,
-                      mirror, mirror_key, mirror_slot, mpolys,
+from conftest import (ETA, XI, Slot, bench_inputs, bench_odes, default_key,
+                      leading_coeff, mirror, mirror_key, mirror_slot, mpolys,
                       nonzero_rationals, plain_eval, rationals,
                       reference_determining_system, reference_primitive,
-                      slot_keyed, substitute, substitute_generator, to_int,
-                      to_slot)
+                      reference_slot_index, slot_keyed, substitute,
+                      substitute_generator, to_int, to_slot)
 
 
 def jet(k):
@@ -161,6 +161,17 @@ def test_packed_slot_operations_match_the_reference(pair):
     assert to_slot(a) == s
 
 
+@pytest.mark.parametrize("N", range(26))
+def test_rank_numbers_the_slots_of_order_at_most_n(N):
+    # rank maps the slots of order <= N one-to-one onto
+    # range((N + 1)(N + 2)), ascending in int order, and is each slot's
+    # place under the reference ranking
+    index = reference_slot_index(N)
+    slots = sorted(map(to_int, index))
+    assert [rank(s) for s in slots] == list(range((N + 1) * (N + 2)))
+    assert all(rank(to_int(s)) == k for s, k in index.items())
+
+
 def test_slot_order_bound():
     # orders up to 2^15 - 1 fit in a field below its guard bit
     assert to_slot(slot(1, 2 ** 15 - 1, 0)) == Slot(ETA, 2 ** 15 - 1, 0)
@@ -202,7 +213,7 @@ def _textbook_condition(ode):
     terms = [({Slot(XI, 0, 0): MPoly.const(1)}, "x")] + [
         (etas[k], jet_name(k)) for k in range(n)]
     for lin, v in terms:
-        fv = f.derivative(v)
+        fv = f.derive({v: RatFunc.one()})
         for s, c in lin.items():
             out[s] = out.get(s, ZERO) + RatFunc(c) * fv
     return {s: c for s, c in out.items() if not c.is_zero()}
@@ -236,6 +247,14 @@ def test_determining_system_matches_the_product_form_reference(ode):
     # gives the same equations in the same order
     assert ([slot_keyed(eq) for eq in determining_system(ode)]
             == reference_determining_system(ode))
+
+
+@pytest.mark.parametrize("ode", bench_inputs())
+def test_determining_equations_are_primitive_for_their_lead(ode):
+    # each equation is scaled for its highest slot in int order, the lead
+    # completion solves it for
+    for eq in determining_system(ode):
+        assert primitive(eq, max(eq)) == eq
 
 
 @settings(max_examples=25)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import lieode.liealgebra
 from lieode import analyze
-from lieode.determining import determining_system
+from lieode.determining import determining_system, fields, rank
 from lieode.errors import InputError, InternalInvariantError, SingularPoint
 from lieode.involutive import complete
 from lieode.liealgebra import (CASE_CONSTANT, CASE_NONCONSTANT, CASE_NONE,
@@ -25,7 +25,8 @@ from lieode.polys import MPoly
 from lieode.ratfunc import RatFunc
 
 from conftest import (ETA, XI, REFERENCE_INPUTS, Slot, basis_values,
-                      bench_odes, int_keyed, slot_system, to_int, to_slot,
+                      bench_inputs, bench_odes, int_keyed, slot_system,
+                      to_int, to_slot,
                       bench_ranking_cases, fraction_bracket, fraction_table,
                       lie_table, mirror, mpolys, normal_form, plain_eval,
                       ranking_case_system, rationals,
@@ -413,10 +414,36 @@ def test_series_and_structure_match_the_references(ode, mirrored):
                 == reference_structure_constants(ref))
 
 
-@pytest.mark.parametrize("ode", [
-    pytest.param(ode, id=f"{name}-{variant}") for name, plain, shifted
-    in bench_odes() for variant, ode in (("plain", plain),
-                                         ("shifted", shifted))])
+def test_layout_positions_are_ranks():
+    # every position k of the one layout holds the slot of rank k, with
+    # its (u, order, dx, dy) beside it, through order MAX_TRUNCATION + 1
+    lay = lieode.liealgebra._layout()
+    top = lieode.liealgebra.MAX_TRUNCATION + 1
+    assert len(lay.slots) == len(lay.meta) == (top + 1) * (top + 2)
+    for k, (s, meta) in enumerate(zip(lay.slots, lay.meta)):
+        u, dx, dy = fields(s)
+        assert rank(s) == k and meta == (u, dx + dy, dx, dy)
+    # a table past the layout is refused, not read out of range
+    inv = complete(determining_system(parse_ode("y'' = 0")))
+    with pytest.raises(InputError, match="above limit"):
+        normal_form_table(inv, top + 1, (F(0), F(0)))
+
+
+@pytest.mark.parametrize("ode", bench_inputs())
+def test_series_basis_columns_ascend_by_rank_and_order(ode):
+    # structure_constants reads each column's derivatives in column order
+    # and stops at the first one past order N, so the columns must ascend
+    # by position and by order
+    basis = series_basis(complete(determining_system(ode)))
+    slots = list(reference_slot_index(basis.N + 1))
+    for col in basis.cols:
+        ks = [k for k, _ in col]
+        assert ks == sorted(set(ks))
+        orders = [slots[k].order for k in ks]
+        assert orders == sorted(orders)
+
+
+@pytest.mark.parametrize("ode", bench_inputs())
 def test_mirrored_input_gives_the_same_certificate(ode):
     # the mirror pushes the symmetry algebra forward by (x, y) -> (y, x), an
     # isomorphism, so the verdict read from the mirrored determining system
