@@ -70,8 +70,14 @@ def _dump_lead(eq) -> int:
 
 def _attach_extras(payload: dict, report: RunReport, args) -> None:
     if getattr(args, "dump_detsys", False):
-        payload["determining_system"] = [
-            _equation_json(eq, _dump_lead(eq)) for eq in report.determining]
+        # solved for a lead, an equation prints the same as any multiple of
+        # it, so a repeated print is a duplicate equation, left out
+        dumped: List[dict] = []
+        for eq in report.determining:
+            printed = _equation_json(eq, _dump_lead(eq))
+            if printed not in dumped:
+                dumped.append(printed)
+        payload["determining_system"] = dumped
     if getattr(args, "dump_involutive", False):
         inv = report.involutive
         payload["involutive"] = {
@@ -299,7 +305,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ode_common.add_argument("--timings", action="store_true",
                             help="include per-stage timings in the JSON")
     ode_common.add_argument("--dump-detsys", action="store_true",
-                            help="include the raw determining system")
+                            help="include the determining system, each "
+                                 "equation solved for its largest slot, xi "
+                                 "before eta, duplicates dropped")
     ode_common.add_argument("--dump-involutive", action="store_true",
                             help="include the completed involutive system")
 

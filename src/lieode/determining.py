@@ -15,15 +15,16 @@ Applying the prolonged operator to y^(n) + f and restricting to solutions
 G = gcd(Q, dQ/dv for every variable v of Q) and R = Q/G, the squarefree part
 of Q.  Times Q*R the condition is a polynomial: eta^(n) = A + B y^(n)
 contributes R (Q A - P B), and xi and eta^(k), k < n, carry the factor
-(P_v Q - P Q_v)/G with v = x or y^(k).  Q*R rather than Q^2: a repeated jet
-factor of Q, as in Q = (1 + y')^2, would otherwise multiply the condition by
-a jet polynomial and mix the collected monomials.  Collecting the coefficient
-of every monomial in (y', ..., y^(n-1)) produces the linear PDE system whose
-solution space is the symmetry algebra; ``invariance_coefficients`` builds
-each coefficient directly, without forming the condition as one polynomial.
-Its coefficients are polynomials in (x, y); each equation is kept primitive
-for its lead, its highest slot (see ``primitive``), which is also the form
-completion works on.  Int order on slots is the one order from here to the
+(P_v Q - P Q_v)/G = P_v R - P (Q_v/G) with v = x or y^(k).  Q*R rather than
+Q^2: a repeated jet factor of Q, as in Q = (1 + y')^2, would otherwise
+multiply the condition by a jet polynomial and mix the collected monomials.
+Collecting the coefficient of every monomial in (y', ..., y^(n-1)) produces
+the linear PDE system whose solution space is the symmetry algebra;
+``invariance_coefficients`` builds each coefficient directly, without
+forming the condition as one polynomial.  Its coefficients are polynomials
+in (x, y), left as collected: ``involutive.complete`` reduces every
+equation and makes each one it inserts primitive, so none is scaled or
+deduplicated here.  Int order on slots is the one order from here to the
 brackets: ``rank`` numbers the slots densely in it, and the series table
 and the brackets of ``liealgebra`` keep each slot at its rank.
 """
@@ -36,7 +37,7 @@ from typing import Dict, List, Mapping, Tuple
 from .errors import InternalInvariantError
 from .jets import jet_name, total_derivative
 from .parsing import OdeSpec
-from .polys import MPoly, divexact, gcd, try_divexact
+from .polys import MPoly, divexact, gcd
 
 # A slot, the partial derivative d^(dx+dy) u / dx^dx dy^dy of an unknown u,
 # is one int: from high to low the fields order = dx + dy, dx and dy, each
@@ -132,52 +133,6 @@ def prolonged_eta(n: int) -> Tuple[Mapping[int, MPoly], ...]:
 # -- generation -----------------------------------------------------------------
 
 
-def primitive(eq: LinDiffPoly, top: int) -> LinDiffPoly:
-    """eq divided by its content in Q[x, y], scaled so that eq[top] has
-    leading coefficient 1.
-
-    Every nonzero multiple of eq by a rational function has the same
-    primitive form, so it is a canonical representative of the equation.
-    When some coefficient is a constant, as every coefficient of an
-    all-constant equation is, the content is 1: one pass of ``MPoly.scaled``
-    does the scaling, with no sort and no content search.  Otherwise the
-    content is found with its cofactors: g starts as the monic form of the
-    smallest coefficient, and each coefficient that g divides keeps its
-    quotient.  Only when a division fails is g replaced by h = gcd(g, c),
-    and the quotients kept so far are multiplied by g/h; a constant g ends
-    the search.  Leading coefficients multiply, so dividing by g times the
-    leading coefficient of eq[top] also does the scaling, and each
-    coefficient is divided once.  Every scaling is by integers: the leading
-    coefficient of eq[top] is its leading numerator over its denominator.
-    """
-    ln, ld = eq[top].leading_numerator(), eq[top].den
-    if not any(c.is_const() for c in eq.values()):
-        order = sorted(eq, key=lambda s: len(eq[s].num))
-        first = eq[order[0]]
-        fn, fd = first.leading_numerator(), first.den
-        g = first.scaled(fd, fn)
-        # first = g * (fn / fd), so its quotient by g * lc is a constant
-        quots = {order[0]: MPoly.const(1).scaled(fn * ld, fd * ln)}
-        divisor = g.scaled(ln, ld)
-        for s in order[1:]:
-            c = eq[s]
-            q = try_divexact(c, divisor)
-            if q is None:
-                h = gcd(g, c)
-                if h.is_const():
-                    break
-                r = divexact(g, h)
-                quots = {t: v * r for t, v in quots.items()}
-                g, divisor = h, h.scaled(ln, ld)
-                q = divexact(c, divisor)
-            quots[s] = q
-        else:
-            return {s: quots[s] for s in eq}
-    if ln != 1 or ld != 1:
-        eq = {s: c.scaled(ld, ln) for s, c in eq.items()}
-    return eq
-
-
 JetKey = Tuple[Tuple[str, int], ...]
 JetTerms = Tuple[Tuple[int, Tuple[Tuple[JetKey, Tuple[int, int]], ...]], ...]
 
@@ -242,17 +197,23 @@ def invariance_coefficients(ode: OdeSpec) -> Dict[JetKey, LinDiffPoly]:
     Each multiplier is split by jet monomial once, and each jet term of a
     prolongation coefficient adds a scaled copy of every part into the
     equation of the product monomial, so no product of a jet polynomial
-    with a polynomial in (x, y, jets) is formed.
+    with a polynomial in (x, y, jets) is formed.  Q*R*f_v is formed as
+    P_v*R - P*(Q_v/G), or P_v*R when Q lacks v: G divides Q_v, so the one
+    division is of Q_v, not of the full product.  The coefficients are
+    left as collected, with no scaling: completion makes each equation it
+    inserts primitive.
     """
     n, P, Q = ode.n, ode.f.num, ode.f.den
     G = Q
     for v in Q.vars:
         G = gcd(G, Q.derivative(v))
     R = divexact(Q, G)
-    # Q*R * f_v = (P_v Q - P Q_v) / G, a polynomial since G divides Q and Q_v
-    mults = [R * Q, -(R * P)] + [
-        divexact(P.derivative(v) * Q - P * Q.derivative(v), G)
-        for v in ["x"] + [jet_name(k) for k in range(n)]]
+    mults = [R * Q, -(R * P)]
+    for v in ["x"] + [jet_name(k) for k in range(n)]:
+        mult = P.derivative(v) * R
+        if v in Q.vars:
+            mult = mult - P * divexact(Q.derivative(v), G)
+        mults.append(mult)
     jets = {jet_name(k) for k in range(1, n)}
     collected: Dict[JetKey, LinDiffPoly] = {}
     zero = MPoly.zero()
@@ -274,20 +235,13 @@ def invariance_coefficients(ode: OdeSpec) -> Dict[JetKey, LinDiffPoly]:
 
 
 def determining_system(ode: OdeSpec) -> List[LinDiffPoly]:
-    """Generate, collect and deduplicate the determining equations: one per
-    jet monomial in (y', ..., y^(n-1)), in the order of the sorted monomial
-    keys.
+    """The determining equations as collected: one per jet monomial in
+    (y', ..., y^(n-1)), in the order of the sorted monomial keys.
 
-    Each equation is made primitive for its lead ``max(eq)``, its highest
-    slot in int order, the form completion works on.
+    No equation is scaled and none is dropped.  Completion reduces every
+    equation it takes and makes each one it inserts primitive for its lead,
+    so a canonical form here would be computed twice, and a duplicate, or
+    a multiple of another equation, reduces to zero there.
     """
     collected = invariance_coefficients(ode)
-    equations: List[LinDiffPoly] = []
-    seen = set()
-    for key in sorted(collected):
-        eq = primitive(collected[key], max(collected[key]))
-        sig = tuple(sorted(eq.items()))
-        if sig not in seen:
-            seen.add(sig)
-            equations.append(eq)
-    return equations
+    return [collected[key] for key in sorted(collected)]

@@ -9,7 +9,7 @@ every unknown; int order does, by comparing the multi-index before the
 unknown tag.  In the completed form:
 
 * every equation is primitive with respect to its highest slot, the lead
-  (``determining.primitive``): solving it for the lead divides by the lead
+  (``primitive``): solving it for the lead divides by the lead
   coefficient,
 * no equation contains any derivative of another equation's leading slot,
 * every cross-derivative (integrability condition) of two equations with
@@ -20,17 +20,21 @@ Cid, Gerdt, Plesken and Robertz, CASC 2003): reduction eliminates a slot by
 differentiating the equation whose lead divides it and subtracting with the
 polynomial cofactors that cancel the slot, so a normal form is only defined
 up to a nonzero factor in Q[x, y], and each new equation is made primitive
-once.  Since the ranking is stable under differentiation and every
-non-leading slot ranks below the lead, each step replaces a slot by strictly
-lower ones, so normal forms terminate.  Completion is the linear
-Buchberger loop, run as one worklist: it takes a queued equation first and
-otherwise the lowest cross-derivative pair (by the rank of the pair's least
-common derivative, then by age), and fully reduces it.  Of the queued
-equations it takes the one whose highest slot ranks lowest, ties going by
-arrival: Buchberger's normal selection strategy (Giovini, Mora, Niesi,
-Robbiano and Traverso, "One sugar cube, please, or selection strategies in
-the Buchberger algorithm", ISSAC 1991).  Taken first in, first out, a low
-equation inserted late would requeue the higher ones inserted before it.
+once.  The input needs no canonical form: the determining system comes as
+collected, with no equation scaled or deduplicated, since every queued
+equation is reduced before it is inserted, and a duplicate, or any multiple
+of an equation already inserted, reduces to zero.  Since the ranking is
+stable under differentiation and every non-leading slot ranks below the
+lead, each step replaces a slot by strictly lower ones, so normal forms
+terminate.  Completion is the linear Buchberger loop, run as one worklist:
+it takes a queued equation first and otherwise the lowest cross-derivative
+pair (by the rank of the pair's least common derivative, then by age), and
+fully reduces it.  Of the queued equations it takes the one whose highest
+slot ranks lowest, ties going by arrival: Buchberger's normal selection
+strategy (Giovini, Mora, Niesi, Robbiano and Traverso, "One sugar cube,
+please, or selection strategies in the Buchberger algorithm", ISSAC 1991).
+Taken first in, first out, a low equation inserted late would requeue the
+higher ones inserted before it.
 A nonzero result is inserted; any equation whose lead is a derivative of
 the new lead is requeued, and the survivors' tails are re-reduced.  Each
 insertion strictly enlarges the cone of leading slots, so Dickson's lemma
@@ -86,15 +90,61 @@ import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .determining import (DX, DY, ETA, GUARDS, XI, LinDiffPoly, divides,
-                          fields, primitive, slot)
+                          fields, slot)
 from .errors import InternalInvariantError
-from .polys import divexact, gcd
+from .polys import MPoly, divexact, gcd, try_divexact
 
 
 RANKING = "order,xdeg,xi<eta"  # int order: total order, dx, then xi < eta
 
 
 # -- single equations -----------------------------------------------------------
+
+
+def primitive(eq: LinDiffPoly, top: int) -> LinDiffPoly:
+    """eq divided by its content in Q[x, y], scaled so that eq[top] has
+    leading coefficient 1.
+
+    Every nonzero multiple of eq by a rational function has the same
+    primitive form, so it is a canonical representative of the equation.
+    When some coefficient is a constant, as every coefficient of an
+    all-constant equation is, the content is 1: one pass of ``MPoly.scaled``
+    does the scaling, with no sort and no content search.  Otherwise the
+    content is found with its cofactors: g starts as the monic form of the
+    smallest coefficient, and each coefficient that g divides keeps its
+    quotient.  Only when a division fails is g replaced by h = gcd(g, c),
+    and the quotients kept so far are multiplied by g/h; a constant g ends
+    the search.  Leading coefficients multiply, so dividing by g times the
+    leading coefficient of eq[top] also does the scaling, and each
+    coefficient is divided once.  Every scaling is by integers: the leading
+    coefficient of eq[top] is its leading numerator over its denominator.
+    """
+    ln, ld = eq[top].leading_numerator(), eq[top].den
+    if not any(c.is_const() for c in eq.values()):
+        order = sorted(eq, key=lambda s: len(eq[s].num))
+        first = eq[order[0]]
+        fn, fd = first.leading_numerator(), first.den
+        g = first.scaled(fd, fn)
+        # first = g * (fn / fd), so its quotient by g * lc is a constant
+        quots = {order[0]: MPoly.const(1).scaled(fn * ld, fd * ln)}
+        divisor = g.scaled(ln, ld)
+        for s in order[1:]:
+            c = eq[s]
+            q = try_divexact(c, divisor)
+            if q is None:
+                h = gcd(g, c)
+                if h.is_const():
+                    break
+                r = divexact(g, h)
+                quots = {t: v * r for t, v in quots.items()}
+                g, divisor = h, h.scaled(ln, ld)
+                q = divexact(c, divisor)
+            quots[s] = q
+        else:
+            return {s: quots[s] for s in eq}
+    if ln != 1 or ld != 1:
+        eq = {s: c.scaled(ld, ln) for s, c in eq.items()}
+    return eq
 
 
 def lin_derive(eq: LinDiffPoly, var: str) -> LinDiffPoly:

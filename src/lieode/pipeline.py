@@ -53,6 +53,9 @@ class RunReport:
     """Everything one analysis run produced, from raw input to verdict."""
 
     ode: OdeSpec
+    # the determining system as collected, one equation per jet monomial,
+    # none scaled or deduplicated: completion gives each equation it
+    # inserts its canonical form
     determining: List[LinDiffPoly]
     involutive: InvolutiveSystem
     basis_point: Point

@@ -21,10 +21,10 @@ from hypothesis import strategies as st
 
 from lieode import analyze, default_corpus
 from lieode.determining import (LinDiffPoly, add_term, determining_system,
-                                fields, primitive, prolonged_eta, slot)
+                                fields, prolonged_eta, slot)
 from lieode.errors import (InternalInvariantError, OdeSyntaxError,
                            SingularPoint)
-from lieode.involutive import RANKING, InvolutiveSystem, _Eq
+from lieode.involutive import RANKING, InvolutiveSystem, _Eq, primitive
 from lieode.jets import jet_name
 from lieode.liealgebra import LieAlgebraTable, Point, expansion_points
 from lieode.linalg import Mat, Vec, rref
@@ -528,19 +528,37 @@ def invariance_expression(ode: OdeSpec):
     return out
 
 
-def reference_determining_system(ode: OdeSpec):
-    """invariance_expression collected by jet monomial, each equation made
-    primitive for its lead, its highest slot under ``default_key``,
-    duplicates dropped."""
+def reference_collected(ode: OdeSpec):
+    """invariance_expression collected by jet monomial, one equation per
+    monomial in the order of the sorted monomial keys, none scaled."""
     jets = {jet_name(k) for k in range(1, ode.n)}
     collected = {}
     for slot, c in invariance_expression(ode).items():
         for key, coeff in c.coeffs_over(jets).items():
             collected.setdefault(key, {})[slot] = coeff
+    return [collected[key] for key in sorted(collected)]
+
+
+def reference_determining_system(ode: OdeSpec):
+    """``reference_collected`` with each equation made primitive for its
+    lead, its highest slot under ``default_key``, duplicates dropped."""
     equations, seen = [], set()
-    for key in sorted(collected):
-        eq = reference_primitive(collected[key],
-                                 max(collected[key], key=default_key))
+    for eq in reference_collected(ode):
+        eq = reference_primitive(eq, max(eq, key=default_key))
+        sig = tuple(sorted(eq.items()))
+        if sig not in seen:
+            seen.add(sig)
+            equations.append(eq)
+    return equations
+
+
+def canonical_view(system: Sequence[LinDiffPoly]) -> List[LinDiffPoly]:
+    """Each equation made primitive for its lead, its highest slot in int
+    order, duplicates dropped: the determining system in the canonical form
+    completion gives each equation it inserts."""
+    equations, seen = [], set()
+    for eq in system:
+        eq = primitive(eq, max(eq))
         sig = tuple(sorted(eq.items()))
         if sig not in seen:
             seen.add(sig)

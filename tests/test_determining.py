@@ -6,17 +6,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lieode.determining import (DX, DY, determining_system, divides,
-                                invariance_coefficients, label, primitive,
+                                invariance_coefficients, label,
                                 prolonged_eta, rank, slot)
-from lieode.involutive import _lcm
+from lieode.involutive import _lcm, audit_involutive, complete, primitive
 from lieode.jets import jet_name, jet_order
 from lieode.parsing import OdeSpec, parse_ode
 from lieode.polys import MPoly, content, gcd
 from lieode.ratfunc import RatFunc
 
-from conftest import (ETA, XI, Slot, bench_inputs, bench_odes, default_key,
-                      leading_coeff, mirror, mirror_key, mirror_slot, mpolys,
-                      nonzero_rationals, plain_eval, rationals,
+from conftest import (ETA, XI, Slot, bench_inputs, bench_odes,
+                      canonical_view, default_key, leading_coeff, mirror,
+                      mirror_key, mirror_slot, mpolys, nonzero_rationals,
+                      plain_eval, rationals, reference_collected,
                       reference_determining_system, reference_primitive,
                       reference_slot_index, slot_keyed, substitute,
                       substitute_generator, to_int, to_slot)
@@ -185,7 +186,8 @@ def test_slot_order_bound():
 
 @st.composite
 def quotient_odes(draw):
-    """y^(n) + P/Q = 0 with small P, Q; Q sometimes holds a squared factor in y'."""
+    """y^(n) + P/Q = 0 with small P, Q; Q sometimes holds a squared factor
+    in y', and sometimes one in (x, y)."""
     n = draw(st.sampled_from([2, 3]))
     coords = [MPoly.variable("x")] + [jet(k) for k in range(n)]
 
@@ -201,6 +203,9 @@ def quotient_odes(draw):
     P, Q = poly(3), poly(2)
     if draw(st.booleans()):
         Q = Q * (MPoly.const(1) + draw(nonzero_rationals(3, 2)) * jet(1)) ** 2
+    if draw(st.booleans()):
+        c, d = draw(rationals(3, 2)), draw(nonzero_rationals(3, 2))
+        Q = Q * (MPoly.const(1) + c * MPoly.variable("x") + d * jet(0)) ** 2
     assume(not Q.is_zero())
     return OdeSpec(n, RatFunc(P, Q))
 
@@ -240,29 +245,60 @@ def test_invariance_expression_is_textbook_condition_times_QR(ode):
     assert {s: c / QR for s, c in got.items()} == _textbook_condition(ode)
 
 
+def _assert_matches_the_product_form(ode):
+    # the equations as collected are the full products collected by jet
+    # monomial, before any scaling, in the same order; made primitive with
+    # a gcd-chain content and deduplicated, they are the reference's
+    system = determining_system(ode)
+    assert [slot_keyed(eq) for eq in system] == reference_collected(ode)
+    assert ([slot_keyed(eq) for eq in canonical_view(system)]
+            == reference_determining_system(ode))
+
+
 @pytest.mark.parametrize("ode", [ode for _, ode, _ in bench_odes()],
                          ids=[name for name, _, _ in bench_odes()])
 def test_determining_system_matches_the_product_form_reference(ode):
-    # collecting the full products by jet monomial, with a gcd-chain content,
-    # gives the same equations in the same order
-    assert ([slot_keyed(eq) for eq in determining_system(ode)]
-            == reference_determining_system(ode))
+    _assert_matches_the_product_form(ode)
 
 
 @pytest.mark.parametrize("ode", bench_inputs())
 def test_determining_equations_are_primitive_for_their_lead(ode):
-    # each equation is scaled for its highest slot in int order, the lead
-    # completion solves it for
-    for eq in determining_system(ode):
+    # in the canonical view each equation is scaled for its highest slot in
+    # int order, the lead completion solves it for
+    for eq in canonical_view(determining_system(ode)):
         assert primitive(eq, max(eq)) == eq
 
 
 @settings(max_examples=25)
 @given(quotient_odes())
 def test_determining_system_matches_the_reference_on_quotients(ode):
-    # Q may hold a squared jet factor, so R*Q and f_v carry jets
-    assert ([slot_keyed(eq) for eq in determining_system(ode)]
-            == reference_determining_system(ode))
+    # Q may hold a squared factor in y' or in (x, y), so R*Q and f_v carry
+    # jets, and Q_v/G is a polynomial other than Q_v for v = x, y
+    _assert_matches_the_product_form(ode)
+
+
+def _assert_completes_as_the_canonical_view(ode):
+    # completion makes each equation it inserts primitive and reduces a
+    # duplicate to zero, so the system as collected and its canonical view
+    # complete alike, and the completion reduces every collected equation
+    system = determining_system(ode)
+    inv = complete(system)
+    ref = complete(canonical_view(system))
+    assert inv.equations == ref.equations
+    assert inv.leads == ref.leads
+    assert inv.parametric == ref.parametric
+    assert audit_involutive(inv, system)
+
+
+@pytest.mark.parametrize("ode", bench_inputs())
+def test_collected_system_completes_as_its_canonical_view(ode):
+    _assert_completes_as_the_canonical_view(ode)
+
+
+@settings(max_examples=25)
+@given(quotient_odes())
+def test_collected_system_completes_as_its_canonical_view_on_quotients(ode):
+    _assert_completes_as_the_canonical_view(ode)
 
 
 # -- the primitive form of an equation ---------------------------------------------
@@ -293,7 +329,7 @@ def test_primitive_form_is_canonical(case):
     # every multiple of an equation by a nonzero polynomial or rational
     # function h = h1/h2 has one primitive form: content 1, top coefficient
     # of leading coefficient 1, and over RatFunc the same equation solved for
-    # top as the raw one; determining_system deduplicates on it  [DERIVED]
+    # top as the raw one; the canonical view deduplicates on it  [DERIVED]
     eq, top, h1, h2 = case
     p = primitive({s: c * h1 for s, c in eq.items()}, top)
     assert p == primitive({s: c * h2 for s, c in eq.items()}, top)

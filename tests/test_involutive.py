@@ -9,10 +9,10 @@ import pytest
 
 from lieode import analyze
 from lieode import involutive
-from lieode.determining import determining_system, fields, primitive
+from lieode.determining import determining_system, fields
 from lieode.errors import InternalInvariantError
 from lieode.involutive import (_cross, _Eq, audit_involutive, complete,
-                               lin_derive, reduce)
+                               lin_derive, primitive, reduce)
 from lieode.liealgebra import CASE_NONE
 from lieode.parsing import parse_ode
 from lieode.polys import MPoly
