@@ -17,6 +17,23 @@ t1, t2, ..., so all arithmetic stays in exact rational functions: d/dx, d/dy
 and D_x are each one ``RatFunc.derive`` call, a symbol's image given by the
 chain rule.  Images are admitted into the corpus only when every adjoined
 symbol cancels out of the final f.
+
+``push_linear`` takes D_x(phi) = A/B as one such call and runs the chain on
+polynomials, with no gcd: psi = P/Q, M the lcm of the denominators of the
+symbols' images, so that DD = M D_x maps polynomials to polynomials, and
+u_k = N_k / E_k with E_k = Q^q A^a M^m and E_0 = Q (a constant base is left
+out, and a constant A folds into B).  One step is
+
+    N_{k+1} = B (DD(N_k) L - N_k sum_i e_i DD(b_i) L/b_i),
+
+where b_i ranges over the bases Q, A, M, e_i is its exponent and L is the
+product of the bases with e_i > 0 (the logarithmic-derivative form of the
+quotient rule, Bronstein, *Symbolic Integration I*, ch. 3); then each of
+those exponents rises by one, and A's and M's by one more.  The equation
+sum_k a_k u_k is summed once over E_n, and ``RatFunc(low, lead)`` on its
+coefficients of y^(n) is the only normalization: it takes the one gcd that
+can be nontrivial (Henrici's rule, Knuth, TAOCP vol. 2, 4.5.1) and cancels
+the transcendental factors with the rest.
 """
 from __future__ import annotations
 
@@ -28,7 +45,8 @@ from typing import Dict, List, Tuple
 from .errors import InputError, InternalInvariantError, NonRationalInstance
 from .jets import dx_images, jet_name
 from .parsing import OdeSpec, parse_expr
-from .ratfunc import RatFunc
+from .polys import ONE, ZERO, MPoly
+from .ratfunc import RatFunc, polynomial_derivation
 from .recovery import AffineClass, CharPoly, affine_class
 
 
@@ -79,6 +97,19 @@ class TranscendentalRegistry:
     def total_dx(self, f: RatFunc) -> RatFunc:
         """Total x-derivative on the jet space."""
         return self.derive(f, "total")
+
+    def closed_dx_images(self, fs) -> Dict[str, RatFunc]:
+        """D_x of every symbol in the fs and, in turn, of every symbol those
+        images involve.  A symbol's argument holds only earlier symbols, so
+        the closure ends."""
+        out: Dict[str, RatFunc] = {}
+        todo = [v for f in fs for v in f.variables() if self.is_symbol(v)]
+        while todo:
+            name = todo.pop()
+            if name not in out:
+                out[name] = w = self._image(name, "total")
+                todo.extend(v for v in w.variables() if self.is_symbol(v))
+        return out
 
 
 def _has_symbols(f: RatFunc, reg: TranscendentalRegistry) -> bool:
@@ -138,29 +169,68 @@ def _staircase_class(n: int) -> AffineClass:
     return affine_class(CharPoly.from_roots([Fraction(i) for i in range(n)]))
 
 
+def _product(factors) -> MPoly:
+    out = ONE
+    for c in factors:
+        out = c if out == ONE else out * c
+    return out
+
+
 def push_linear(p: CharPoly, T: PointTransformation) -> OracleInstance:
-    """Image of the linear equation with characteristic polynomial p under T."""
+    """Image of the linear equation with characteristic polynomial p under T,
+    by the polynomial chain of the module docstring."""
     n = p.degree
     if n < 2:
         raise InputError("source equation must have order at least 2")
     reg = T.registry
+    m, images = polynomial_derivation(reg.closed_dx_images((T.psi, T.phi)))
     dphi = reg.total_dx(T.phi)
     if dphi.is_zero():
         raise InputError("transformation time variable is constant on solutions")
-    u = [T.psi]
+    jets = dx_images(["x"] + [jet_name(k) for k in range(n)])
+    images.update({v: m * w for v, w in jets.items()})
+    a, b = dphi.num, dphi.den
+    if a.is_const():
+        # 1/A folds into B
+        a, b = ONE, b.scaled(a.den, a.leading_numerator())
+    # the bases of E_k, each with its exponent in E_0 and whether
+    # E_{k+1} / E_k takes it once more than L does
+    tracked = [(c, e, more) for c, e, more in
+               ((T.psi.den, 1, False), (a, 0, True), (m, 0, True))
+               if not c.is_const()]
+    bases = [c for c, _, _ in tracked]
+    exps = [e for _, e, _ in tracked]
+    more = [x for _, _, x in tracked]
+    d_bases = [c.derive(images) for c in bases]
+    num = [T.psi.num]
+    steps: List[MPoly] = []     # E_{k+1} / E_k
     for _ in range(n):
-        u.append(reg.total_dx(u[-1]) / dphi)
+        live = [i for i, e in enumerate(exps) if e]
+        prod_live = _product(bases[i] for i in live)
+        log_d = ZERO
+        for i in live:
+            others = _product(bases[j] for j in live if j != i)
+            log_d = log_d.add_scaled(d_bases[i] * others, exps[i])
+        last = num[-1]
+        nxt = last.derive(images) * prod_live - last * log_d
+        num.append(nxt if b == ONE else b * nxt)
+        exps = [e + (e > 0) + x for e, x in zip(exps, more)]
+        steps.append(_product(
+            [prod_live] + [c for c, x in zip(bases, more) if x]))
+    eq = ZERO
+    cofactor = ONE      # E_n / E_k
     full = p.full_coeffs()
-    eq = RatFunc.zero()
-    for k, a in enumerate(full):
-        if a:
-            eq = eq + RatFunc.const(a) * u[k]
+    for k in reversed(range(n + 1)):
+        if full[k]:
+            eq = eq.add_scaled(num[k] * cofactor, full[k].numerator,
+                               full[k].denominator)
+        if k:
+            cofactor = cofactor * steps[k - 1]
     top = jet_name(n)
-    num = eq.num
-    if num.degree_in(top) != 1:
+    if eq.degree_in(top) != 1:
         raise InternalInvariantError(
             "image equation is not linear in the highest derivative")
-    low, lead = num.coeffs_in(top)
+    low, lead = eq.coeffs_in(top)
     if lead.is_zero():
         raise InternalInvariantError(
             "coefficient of the highest derivative vanished identically")

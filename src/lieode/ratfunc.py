@@ -13,12 +13,14 @@ can be nontrivial and no others (Henrici's algorithms, Knuth, TAOCP vol. 2,
 4.5.1).  A canonical denominator that is constant is 1, so a sum or product
 of two polynomials takes no gcd at all.
 
-Every derivative is ``derive``, given the images of the variables.
+Every derivative is ``derive``, given the images of the variables;
+``polynomial_derivation`` clears their denominators, for ``derive`` and for
+callers that differentiate polynomials without building a RatFunc.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 from .polys import ONE, ZERO, MPoly, divexact, gcd
 
@@ -202,16 +204,24 @@ class RatFunc:
         D(P/Q) = (R M DP - P (M DQ)/G) / (M Q R): G keeps repeated factors
         of Q from squaring, and the constructor's gcd cancels the rest.
         """
-        m = ONE
-        for w in images.values():
-            if not w.den.is_const():
-                m = m * divexact(w.den, gcd(m, w.den))
-        poly = {v: w.num * divexact(m, w.den) for v, w in images.items()}
+        m, poly = polynomial_derivation(images)
         p, q = self.num, self.den
         dq = q.derive(poly)
         g = gcd(q, dq)
         r = divexact(q, g)
         return RatFunc(p.derive(poly) * r - p * divexact(dq, g), m * q * r)
+
+
+def polynomial_derivation(images: Mapping[str, RatFunc]
+                          ) -> Tuple[MPoly, Dict[str, MPoly]]:
+    """(M, images of M D) for the derivation D with D(v) = images[v]: M is
+    the lcm of the images' denominators, so M D maps polynomials to
+    polynomials."""
+    m = ONE
+    for w in images.values():
+        if not w.den.is_const():
+            m = m * divexact(w.den, gcd(m, w.den))
+    return m, {v: w.num * divexact(m, w.den) for v, w in images.items()}
 
 
 def _monic_pair(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:

@@ -78,19 +78,28 @@ def root_affine_image(p: CharPoly, k: Fraction, b: Fraction) -> CharPoly:
     if k == 0:
         raise ValueError("root scale k must be nonzero")
     n = p.degree
-    # q(z) = k^n * p((z - b)/k) = sum_j a_j k^(n-j) (z - b)^j,  a_n = 1
-    out = [_0] * (n + 1)
+    # q(z) = k^n * p((z - b)/k) = sum_j a_j k^(n-j) (z - b)^j,  a_n = 1.
+    # With a_j = A_j/d, k = K/e and b = B/f, the scale s = d e^n f^n makes
+    # every coefficient an integer:
+    # s q(z) = sum_j A_j K^(n-j) e^j f^(n-j) (f z - B)^j
     full = p.full_coeffs()
+    d = math.lcm(*(a.denominator for a in full))
+    f_pow = [b.denominator ** i for i in range(n + 1)]
+    out = [0] * (n + 1)
     for j, a in enumerate(full):
         if not a:
             continue
-        scale = a * k ** (n - j)
-        # (z - b)^j expanded ascending
-        for i in range(j + 1):
-            out[i] += scale * math.comb(j, i) * (-b) ** (j - i)
-    if out[n] != 1:
+        scale = (a.numerator * (d // a.denominator) * k.numerator ** (n - j)
+                 * k.denominator ** j * f_pow[n - j])
+        # (f z - B)^j expanded ascending
+        minus_b = 1
+        for i in reversed(range(j + 1)):
+            out[i] += scale * math.comb(j, i) * f_pow[i] * minus_b
+            minus_b *= -b.numerator
+    s = d * k.denominator ** n * f_pow[n]
+    if out[n] != s:
         raise InternalInvariantError("affine root image lost monicity")
-    return CharPoly(tuple(out[:n]))
+    return CharPoly(tuple(Fraction(c, s) for c in out[:n]))
 
 
 def centered(p: CharPoly) -> CharPoly:

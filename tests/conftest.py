@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 from lieode import analyze, default_corpus
 from lieode.determining import (LinDiffPoly, add_term, determining_system,
                                 fields, prolonged_eta, slot)
-from lieode.errors import (InternalInvariantError, OdeSyntaxError,
+from lieode.errors import (InputError, InternalInvariantError,
+                           NonRationalInstance, OdeSyntaxError,
                            SingularPoint)
 from lieode.involutive import RANKING, InvolutiveSystem, _Eq, primitive
 from lieode.jets import jet_name
@@ -31,6 +32,8 @@ from lieode.linalg import Mat, Vec, rref
 from lieode.parsing import OdeSpec, parse_ode, print_ode
 from lieode.polys import MPoly, _unpack, content, divexact
 from lieode.polys import gcd as poly_gcd
+from lieode.pushforward import (OracleInstance, PointTransformation,
+                                _has_symbols, is_staircase_class)
 from lieode.ratfunc import RatFunc
 from lieode.recovery import CharPoly, classify_pair
 
@@ -1071,6 +1074,66 @@ def bench_texts() -> List[str]:
         texts += [item[key] for item in data["inputs"]
                   for key in ("text", "psi", "phi", "image") if key in item]
     return texts
+
+
+# -- references for the oracle ----------------------------------------------------
+
+
+def reference_push_linear(p: CharPoly, T: PointTransformation) -> OracleInstance:
+    """``push_linear`` by the chain of normalized rational functions it
+    replaced: each u_{k+1} = D_x(u_k) / D_x(phi) is one ``total_dx`` call and
+    one division, reduced at every step."""
+    n = p.degree
+    if n < 2:
+        raise InputError("source equation must have order at least 2")
+    reg = T.registry
+    dphi = reg.total_dx(T.phi)
+    if dphi.is_zero():
+        raise InputError("transformation time variable is constant on solutions")
+    u = [T.psi]
+    for _ in range(n):
+        u.append(reg.total_dx(u[-1]) / dphi)
+    full = p.full_coeffs()
+    eq = RatFunc.zero()
+    for k, a in enumerate(full):
+        if a:
+            eq = eq + RatFunc.const(a) * u[k]
+    top = jet_name(n)
+    num = eq.num
+    if num.degree_in(top) != 1:
+        raise InternalInvariantError(
+            "image equation is not linear in the highest derivative")
+    low, lead = num.coeffs_in(top)
+    if lead.is_zero():
+        raise InternalInvariantError(
+            "coefficient of the highest derivative vanished identically")
+    f = RatFunc(low, lead)  # the reduction cancels shared transcendental factors
+    if _has_symbols(f, reg):
+        raise NonRationalInstance(
+            "image of %s under %s is outside the rational class"
+            % (p, T.name))
+    ode = OdeSpec(n, f)
+    case = "trivial" if is_staircase_class(p) else "constant-coefficients"
+    return OracleInstance(ode, p, T, case)
+
+
+def reference_root_affine_image(p: CharPoly, k: Fraction,
+                                b: Fraction) -> CharPoly:
+    """``recovery.root_affine_image`` in ``Fraction`` arithmetic, as it was
+    before it moved to integers over one scale."""
+    k = Fraction(k)
+    b = Fraction(b)
+    n = p.degree
+    # q(z) = k^n * p((z - b)/k) = sum_j a_j k^(n-j) (z - b)^j,  a_n = 1
+    out = [Fraction(0)] * (n + 1)
+    for j, a in enumerate(p.full_coeffs()):
+        if not a:
+            continue
+        scale = a * k ** (n - j)
+        for i in range(j + 1):
+            out[i] += scale * comb(j, i) * (-b) ** (j - i)
+    assert out[n] == 1
+    return CharPoly(tuple(out[:n]))
 
 
 # -- the character-loop tokenizer ------------------------------------------------

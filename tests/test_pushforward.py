@@ -1,21 +1,27 @@
 """Pushforward oracle: known linear equations through point transformations."""
+import json
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
+import lieode.polys
 import lieode.pushforward
+import lieode.ratfunc
 from lieode import analyze
 from lieode.determining import determining_system
 from lieode.errors import InputError, NonRationalInstance
 from lieode.parsing import print_ode
 from lieode.pushforward import (OracleInstance, PointTransformation,
-                                corpus_sources, default_corpus,
-                                is_staircase_class, push_linear,
-                                shipped_transformations)
+                                TranscendentalRegistry, corpus_sources,
+                                default_corpus, is_staircase_class,
+                                push_linear, shipped_transformations)
 from lieode.ratfunc import RatFunc
 from lieode.recovery import CharPoly, affine_class
 
-from conftest import slot_keyed, substitute_generator
+from conftest import (BENCH_DATA, reference_push_linear, slot_keyed,
+                      substitute_generator)
 
 F = Fraction
 
@@ -96,6 +102,163 @@ def test_non_staircase_source_is_rejected_under_time_change():
 def test_reciprocal_image():
     inst = push_linear(roots(0, 0), PointTransformation("1/y", "x"))
     assert print_ode(inst.ode) == "y'' - 2*(y')^2/y = 0"
+
+
+# -- the polynomial chain against the normalized one ----------------------------------
+
+
+def _outcome(push, p, psi, phi):
+    """(image, expected case) of push(p, T), or the type of what it raises."""
+    try:
+        inst = push(p, PointTransformation(psi, phi))
+    except Exception as exc:    # the type is the outcome
+        return type(exc)
+    return inst.ode, inst.expected_case
+
+
+def _translated(text, b, d):
+    """text under x -> x + b, y -> y + d; transformation texts hold no
+    derivative, so every x and y is a coordinate."""
+    shift = {"x": "(x+%d)" % b, "y": "(y+%d)" % d}
+    return re.sub(r"\b[xy]\b", lambda m: shift[m.group(0)], text)
+
+
+def _bench_oracle_cases():
+    """Every pair of bench/data/oracle.json, plain and under the four
+    translations of the bench, x -> x + b, y -> y + d for b, d in {1, 2}."""
+    data = json.loads((BENCH_DATA / "oracle.json").read_text(encoding="utf-8"))
+    for item in data["inputs"]:
+        p = CharPoly(tuple(F(c) for c in item["source_poly"]))
+        for b, d in [(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)]:
+            yield pytest.param(p, _translated(item["psi"], b, d),
+                               _translated(item["phi"], b, d),
+                               id="%s@%d,%d" % (item["id"], b, d))
+
+
+_LEAVES = ["x", "y", "1", "2", "-1"]
+
+
+def _drawn_expr(rng, depth):
+    """A small transformation text: sums, products and quotients of x, y and
+    small integers, with exp and log calls nested up to ``depth`` deep."""
+    r = rng.random()
+    if depth == 0 or r < 0.35:
+        return rng.choice(_LEAVES)
+    if r < 0.55:
+        return "%s(%s)" % (rng.choice(["exp", "log"]),
+                           _drawn_expr(rng, depth - 1))
+    return "(%s%s%s)" % (_drawn_expr(rng, depth - 1), rng.choice("+-*/"),
+                         _drawn_expr(rng, depth - 1))
+
+
+def _drawn_cases(count=150, seed=5):
+    """``count`` (source, psi, phi) with a symbolically nonzero Jacobian,
+    drawn by one seeded generator; sources have integer roots in [-2, 2]."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        psi, phi = _drawn_expr(rng, 2), _drawn_expr(rng, 2)
+        source = roots(*(rng.randint(-2, 2) for _ in range(rng.randint(2, 3))))
+        try:
+            PointTransformation(psi, phi)
+        except InputError:
+            continue
+        out.append((source, psi, phi))
+    return out
+
+
+@pytest.mark.parametrize("p", corpus_sources(), ids=str)
+@pytest.mark.parametrize("T", shipped_transformations(),
+                         ids=lambda T: T.name)
+def test_shipped_pairs_match_the_normalized_chain(p, T):
+    assert (_outcome(push_linear, p, T.psi_text, T.phi_text)
+            == _outcome(reference_push_linear, p, T.psi_text, T.phi_text))
+
+
+@pytest.mark.parametrize("p, psi, phi", _bench_oracle_cases())
+def test_bench_pairs_match_the_normalized_chain(p, psi, phi):
+    assert (_outcome(push_linear, p, psi, phi)
+            == _outcome(reference_push_linear, p, psi, phi))
+
+
+@pytest.mark.parametrize("source, psi, phi, want", [
+    # nested symbols: t2 = exp(t1) over t1 = log(y) cancels to y, and
+    # t2 = log(t1) over t1 = exp(y) has D_x(t2) = y'
+    ((0, 0), "exp(log(y))", "x", "y'' = 0"),
+    ((0, 0, 0), "log(exp(y))", "x", "y''' = 0"),
+    ((0, 0, 0), "y", "exp(exp(x))", NonRationalInstance),
+    ((-1, 0, 1), "y*exp(exp(x))", "x", NonRationalInstance),
+    # log time changes: symbol images with a denominator, so M is not 1
+    ((-1, 1), "y", "log(x)", "y'' + (x*y' - y)/x^2 = 0"),
+    ((0, 0, 0), "y", "log(x)", None),
+    ((0, 1, 1), "y", "log(x+1)", None),
+    ((-1, 1, 2), "y", "log(x+y)", None),
+    ((1, 2, 3), "log(y)", "log(x)", None),
+    ((0, 0), "y/x", "log(x)", None),
+    # a constant D_x(phi) other than 1, which folds into B
+    ((1, 2, -3), "exp(y)/x", "-2*x/3", None),
+])
+def test_hand_picked_pairs_match_the_normalized_chain(
+        source, psi, phi, want):
+    p = roots(*source)
+    got = _outcome(push_linear, p, psi, phi)
+    assert got == _outcome(reference_push_linear, p, psi, phi)
+    if isinstance(want, str):
+        assert print_ode(got[0]) == want
+    elif want is not None:
+        assert got is want
+
+
+def test_drawn_pairs_match_the_normalized_chain():
+    kinds = set()
+    for p, psi, phi in _drawn_cases():
+        got = _outcome(push_linear, p, psi, phi)
+        assert got == _outcome(reference_push_linear, p, psi, phi), \
+            (str(p), psi, phi)
+        kinds.add(got if isinstance(got, type) else got[1])
+    # the draw reaches both cases and images outside the rational class
+    assert kinds == {"trivial", "constant-coefficients", NonRationalInstance}
+
+
+def test_one_total_derivative_and_no_gcd_before_the_final_reduction(
+        monkeypatch):
+    # the chain runs on polynomials: after the one total_dx call, for
+    # D_x(phi), the next gcd is one that RatFunc(low, lead) takes
+    pairs = [((0, 1, 3), "1/(x+y)", "x"), ((-1, 0, 1, 3), "y/x", "1/x"),
+             ((0, 1, 1), "y*exp(1/x)", "x*y"),
+             ((0, 0, 0), "log(y)", "log(x+y)")]
+    want = [reference_push_linear(roots(*r), PointTransformation(psi, phi)).ode
+            for r, psi, phi in pairs]
+    transformations = [PointTransformation(psi, phi) for _, psi, phi in pairs]
+    events = []
+    total_dx = TranscendentalRegistry.total_dx
+    normalize = RatFunc.__init__
+    gcd = lieode.polys.gcd
+
+    def counted_total_dx(self, f):
+        out = total_dx(self, f)
+        events.append("total_dx returned")
+        return out
+
+    def counted_normalize(self, num, den=None):
+        events.append("RatFunc")
+        normalize(self, num, den)
+
+    def counted_gcd(a, b):
+        events.append("gcd")
+        return gcd(a, b)
+
+    for module in (lieode.polys, lieode.ratfunc):
+        monkeypatch.setattr(module, "gcd", counted_gcd)
+    monkeypatch.setattr(TranscendentalRegistry, "total_dx", counted_total_dx)
+    monkeypatch.setattr(RatFunc, "__init__", counted_normalize)
+    for (r, _, _), T, ode in zip(pairs, transformations, want):
+        events.clear()
+        assert push_linear(roots(*r), T).ode == ode
+        assert events.count("total_dx returned") == 1
+        after = events[events.index("total_dx returned") + 1:]
+        assert after[0] == "RatFunc" and after.count("RatFunc") == 1
+        assert "gcd" in after       # the counters see the final reduction
 
 
 # -- images that once exceeded the time budget ---------------------------------------

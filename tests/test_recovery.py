@@ -16,7 +16,8 @@ from lieode.recovery import (REASON_DEGREE, REASON_EQUIVALENT, REASON_PATTERN,
                              recovery_details)
 
 from conftest import (affine_equivalent, fraction_bracket, inverse,
-                      lie_table, mat_mul, nonzero_rationals, rationals)
+                      lie_table, mat_mul, nonzero_rationals, rationals,
+                      reference_root_affine_image)
 
 F = Fraction
 
@@ -54,6 +55,17 @@ def test_root_affine_image_moves_roots(roots, k, b):
         [k * r + b for r in roots])
     from lieode.recovery import root_affine_image
     assert root_affine_image(CharPoly.from_roots(roots), k, b) == image
+
+
+@given(charpolys(min_degree=1, max_degree=6),
+       nonzero_rationals(max_abs=7, max_den=5), rationals(max_abs=7, max_den=5))
+def test_root_affine_image_matches_the_fraction_reference(p, k, b):
+    # the integer expansion over one scale gives the same CharPoly, with
+    # Fraction coefficients
+    from lieode.recovery import root_affine_image
+    q = root_affine_image(p, k, b)
+    assert q == reference_root_affine_image(p, k, b)
+    assert all(type(c) is Fraction for c in q.coeffs)
 
 
 def test_centered_kills_trace():
