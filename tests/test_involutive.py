@@ -22,8 +22,8 @@ from lieode.ratfunc import RatFunc
 from conftest import (ETA, XI, Slot, bench_odes, bench_ranking_cases,
                       default_key, int_keyed, mirror, mirror_key, mirror_slot,
                       normal_form, ranking_case_system, reference_complete,
-                      slot_keyed, slot_system, substitute_generator, to_int,
-                      to_slot, unmirror)
+                      slot_keyed, substitute_generator, to_int, to_slot,
+                      unmirror)
 
 ONE = MPoly.const(1)
 X = MPoly.variable("x")
@@ -168,11 +168,11 @@ def test_reduce_gives_normal_forms():
     # every original equation reduces to zero
     for eq in determining_system(parse_ode("y'' = 0")):
         assert reduce(eq, inv.eqs) == {}
-        assert normal_form(slot_system(inv), slot_keyed(eq)) == {}
+        assert normal_form(inv, slot_keyed(eq)) == {}
     # a lead slot's normal form carries no reducible slots
     nf = reduce(int_keyed({Slot(ETA, 3, 1): ONE}), inv.eqs)
     for s in slot_keyed(nf):
-        assert not any(l.divides(s) for l in slot_system(inv).leads)
+        assert not any(to_slot(l).divides(s) for l in inv.leads)
 
 
 @pytest.mark.parametrize("text", ["y'' + y'/x = 0", "y''' + y*y'' = 0",
@@ -181,10 +181,9 @@ def test_fraction_free_reduce_is_a_multiple_of_the_normal_form(text):
     # reduce eliminates with polynomial cofactors, so on a completed system
     # its result is the RatFunc normal form times one nonzero factor
     inv = complete(determining_system(parse_ode(text)))
-    view = slot_system(inv)
     for s in all_slots(inv.max_parametric_order() + 2):
         got = slot_keyed(reduce(int_keyed({s: X + 2 * Y}), inv.eqs))
-        ref = normal_form(view, {s: X + 2 * Y})
+        ref = normal_form(inv, {s: X + 2 * Y})
         assert set(got) == set(ref), s.label()
         if ref:
             t = next(iter(ref))

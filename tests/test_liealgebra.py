@@ -2,8 +2,9 @@
 import dataclasses
 import functools
 import itertools
+import json
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given
@@ -24,16 +25,15 @@ from lieode.parsing import parse_ode
 from lieode.polys import MPoly
 from lieode.ratfunc import RatFunc
 
-from conftest import (ETA, XI, REFERENCE_INPUTS, Slot, basis_values,
-                      bench_inputs, bench_odes, int_keyed, slot_system,
-                      to_int, to_slot,
+from conftest import (BENCH_DATA, ETA, MIRROR_RANKING, XI, REFERENCE_INPUTS,
+                      Slot, basis_values, bench_inputs, bench_odes,
                       bench_ranking_cases, fraction_bracket, fraction_table,
-                      lie_table, mirror, mpolys, normal_form, plain_eval,
-                      ranking_case_system, rationals,
-                      reference_normal_form_table, reference_series_basis,
-                      reference_shifted, reference_slot_index,
-                      reference_structure_constants, row_space_basis,
-                      slot_table, solution_data_from_components,
+                      int_keyed, keyed_columns, lie_table, mirror, mpolys,
+                      normal_form, plain_eval, pointwise_rows,
+                      ranking_case_system, rationals, reference_slot_index,
+                      row_space_basis, satisfies, series_faults,
+                      solution_data_from_components,
+                      sparse_structure_constants, to_int, to_slot,
                       tresse_holds)
 
 F = Fraction
@@ -75,9 +75,16 @@ def test_series_basis_truncation_floor():
 
 
 def test_singular_expansion_point_is_reported():
-    inv = complete(determining_system(parse_ode("y'' + y'/x = 0")))
-    with pytest.raises(SingularPoint):
-        series_basis(inv, point=(F(0), F(0)))
+    # a completed lead coefficient of y'' + y'/x vanishes on x = 0, and on
+    # y = 0 for the mirrored system, so no series basis is taken there
+    # [DERIVED]
+    ode = parse_ode("y'' + y'/x = 0")
+    for mirrored, x, y in ((False, 0, 0), (False, 0, 5), (True, 5, 0)):
+        inv = complete(ranking_case_system(ode, mirrored))
+        assert not all(plain_eval(e.terms[e.lead], {"x": x, "y": y})
+                       for e in inv.eqs)
+        with pytest.raises(SingularPoint):
+            series_basis(inv, point=(F(x), F(y)))
 
 
 def test_automatic_point_avoids_singularities():
@@ -126,10 +133,20 @@ def test_taylor_coefficients_match_iterated_derivatives(name, point):
        st.one_of(st.just((F(0), F(0))), st.tuples(rationals(), rationals())),
        st.integers(0, 6))
 def test_shift_matches_the_reference(p, point, K):
-    # at the origin the shift is p's own terms of degree <= K; elsewhere it
-    # expands the binomials  [DERIVED]
-    assert (lieode.liealgebra._shifted(p, point, K)
-            == reference_shifted(p, point, K))
+    # the shift holds the coefficients of p(x0 + x, y0 + y), expanded by
+    # MPoly arithmetic, of total degree <= K, zeros left out  [DERIVED]
+    def xy(names, e):
+        d = dict(zip(names, e))
+        return d.get("x", 0), d.get("y", 0)
+
+    T, scale = lieode.liealgebra._shifted(p, point, K)
+    q = MPoly.zero()
+    for e, c in p.terms.items():
+        i, j = xy(p.vars, e)
+        q = q + ((MPoly.variable("x") + point[0]) ** i
+                 * (MPoly.variable("y") + point[1]) ** j * c)
+    assert scale > 0 and {k: F(n, scale) for k, n in T.items()} == {
+        xy(q.vars, e): c for e, c in q.terms.items() if sum(e) <= K}
 
 
 # Rational-coefficient inputs checked at an explicit fractional point, with
@@ -155,10 +172,9 @@ def test_table_matches_evaluated_symbolic_normal_forms(text):
     point = EXPLICIT_POINTS.get(text) or series_basis(inv).point
     table = normal_form_table(inv, inv.max_parametric_order() + 3, point)
     env = {"x": point[0], "y": point[1]}
-    view = slot_system(inv)
     for s, row in fraction_table(table).items():
         ref = {q: plain_eval(c, env)
-               for q, c in normal_form(view, {s: UNIT}).items()}
+               for q, c in normal_form(inv, {s: UNIT}).items()}
         assert row == {q: v for q, v in ref.items() if v}, s.label()
 
 
@@ -330,40 +346,6 @@ def test_generators_reconstruct_from_series_basis():
 # -- structure constants -------------------------------------------------------------
 
 
-def reference_bracket_data(a, b, N):
-    """Fraction values through order N of the commutator of two fields.
-
-    Leibniz's rule on [a,b]^u = a^xi b^u_x + a^eta b^u_y - (a <-> b): a^w
-    at slot (p, q) times the derivative (r, t) of b^u_w contributes
-    C(p+r, p) C(q+t, q) a^w_pq (b^u_w)_rt at slot (u, p+r, q+t).
-    """
-    out = {Slot(u, i, total - i): F(0) for u in (XI, ETA)
-           for total in range(N + 1) for i in range(total + 1)}
-    for f, g, sign in ((a, b, 1), (b, a, -1)):
-        for w, fv in f.items():
-            ex, ey = (1, 0) if w.unknown == XI else (0, 1)
-            for s, gv in g.items():
-                r, t = s.dx - ex, s.dy - ey
-                if r < 0 or t < 0 or w.order + r + t > N:
-                    continue
-                i, j = w.dx + r, w.dy + t
-                out[Slot(s.unknown, i, j)] += (
-                    sign * comb(i, w.dx) * comb(j, w.dy)) * fv * gv
-    return out
-
-
-def fraction_structure_constants(basis):
-    """Coordinates of the reference brackets: their parametric values."""
-    values = basis_values(basis)
-    m = len(values)
-    C = [[[F(0)] * m for _ in range(m)] for _ in range(m)]
-    for i, j in itertools.combinations(range(m), 2):
-        data = reference_bracket_data(values[i], values[j], basis.N)
-        C[i][j] = [data[to_slot(p)] for p in basis.parametric]
-        C[j][i] = [-c for c in C[i][j]]
-    return C
-
-
 def common_denominator(basis):
     return lcm(*(v.denominator for data in basis_values(basis)
                  for v in data.values()))
@@ -380,7 +362,7 @@ def test_structure_constants_match_fraction_reference(text, den):
     _, basis, table = run(text)
     if den is not None:
         assert common_denominator(basis) == den
-    assert table.C == fraction_structure_constants(basis)
+    assert table.C == sparse_structure_constants(basis)
 
 
 # the automatic point, and two fixed points off the origin
@@ -389,29 +371,97 @@ REFERENCE_POINTS = [None, (F(1), F(2)), (F(1, 2), F(1, 3))]
 
 @pytest.mark.parametrize("ode,mirrored", bench_ranking_cases())
 def test_series_and_structure_match_the_references(ode, mirrored):
-    # on every bench input, plain and translated, under both rankings, the
-    # table, the basis read from it and the structure constants are those
-    # of the Slot-based references, or both raise SingularPoint  [DERIVED]
+    # on every bench input, plain and translated, under both rankings, at
+    # each point the basis is delta data satisfying every prolonged
+    # completed equation through order N + 1, and the structure constants
+    # are the sparse Fraction brackets' coordinates; the automatic point is
+    # the first candidate where no lead coefficient vanishes  [DERIVED]
     inv = complete(ranking_case_system(ode, mirrored))
-    view = slot_system(inv)
-    N = inv.max_parametric_order() + 2
     for point in REFERENCE_POINTS:
-        try:
-            basis = series_basis(inv, point=point)
-        except SingularPoint:
-            with pytest.raises(SingularPoint):
-                reference_series_basis(view, point)
-            continue
-        ref = reference_series_basis(view, point)
-        parametric = tuple(map(to_slot, basis.parametric))
-        assert all((sol.point, sol.N, sol.parametric, sol.den)
-                   == (basis.point, basis.N, parametric, basis.den)
-                   for sol in ref)
-        assert (slot_table(normal_form_table(inv, N + 1, basis.point))
-                == reference_normal_form_table(view, N + 1, basis.point))
-        assert basis_values(basis) == [sol.data for sol in ref]
-        assert (structure_constants(basis)
-                == reference_structure_constants(ref))
+        basis = series_basis(inv, point=point)
+        if point is None:
+            assert basis.point == _first_regular_candidate(inv)
+        assert series_faults(inv, basis) == []
+        assert (structure_constants(basis).C
+                == sparse_structure_constants(basis))
+
+
+@pytest.mark.parametrize("ode,mirrored", [
+    pytest.param(*p.values, False, id=p.id) for p in bench_inputs()] + [
+    pytest.param(next(s for name, _, s in bench_odes() if name == "control-02"),
+                 True, id="control-02-shifted-" + MIRROR_RANKING)])
+def test_pointwise_oracle_counts_the_series_basis(ode, mirrored):
+    # the series solutions of the uncompleted determining system at the
+    # basis point, prolonged to K = max(n + 8, N + n) and projected to
+    # order N, form a space of dimension m that holds every basis column:
+    # it is then their span, found with no completion, ranking or layout
+    # (Reid, Lin and Wittkopf, Stud. Appl. Math. 106, 2001)  [DERIVED]
+    system = ranking_case_system(ode, mirrored)
+    basis = series_basis(complete(system))
+    N = basis.N
+    rows = pointwise_rows(system, basis.point, max(ode.n + 8, N + ode.n), N)
+    assert (N + 1) * (N + 2) - len(rows) == len(basis.cols)
+    assert all(satisfies(rows, col) for col in keyed_columns(basis))
+
+
+def test_series_checks_fail_on_a_changed_value():
+    # one numerator moved at an order-N slot leaves the pointwise space and
+    # breaks an exact residual; one constant changed breaks the agreement
+    # with the sparse brackets  [DERIVED]
+    system = determining_system(parse_ode("y'' = 0"))
+    inv = complete(system)
+    basis = series_basis(inv, point=(F(1, 2), F(1, 3)))
+    N, m = basis.N, len(basis.cols)
+    rows = pointwise_rows(system, basis.point, N + 8, N)
+    assert all(satisfies(rows, col) for col in keyed_columns(basis))
+    assert series_faults(inv, basis) == []
+    for k, s in itertools.product(range(m), reference_slot_index(N)):
+        if s.order == N:
+            moved = _moved(basis, k, s, 1)
+            assert not satisfies(rows, keyed_columns(moved)[k])
+            assert series_faults(inv, moved)
+    C, table = sparse_structure_constants(basis), structure_constants(basis)
+    for i, j, k in itertools.product(range(m), repeat=3):
+        table.C[i][j][k] += 1
+        assert table.C != C
+        table.C[i][j][k] -= 1
+
+
+def _pointwise_dimension(text, K, N):
+    """The pointwise bound at (1/3, 2/7), prolonged to K, projected to N."""
+    rows = pointwise_rows(determining_system(parse_ode(text)),
+                          (F(1, 3), F(2, 7)), K, N)
+    return (N + 1) * (N + 2) - len(rows)
+
+
+def test_pointwise_bound_needs_k_well_past_the_projection():
+    # Painleve I has m = 0.  Projected at K - 2 it reads 3, 2, 1, 0 at K =
+    # 6, ..., 9: the bound overshoots, one less per order, so no reading
+    # shows that it is exact; K = n + 8 reads 0  [DERIVED]
+    assert [_pointwise_dimension("y'' = 6*y^2 + x", K, K - 2)
+            for K in range(6, 11)] == [3, 2, 1, 0, 0]
+
+
+def test_pointwise_bound_needs_projection_order_n_minus_1():
+    # at K = 12, the 17 fourth-order corpus inputs with m in {6, 8} read
+    # m - 1 at projection order 2, where two solutions share their jets,
+    # and m at order 3 = n - 1  [DERIVED]
+    data = json.loads((BENCH_DATA / "corpus.json").read_text("utf-8"))
+    cases = [(item["text"], item["m"]) for item in data["inputs"]
+             if item["n"] == 4 and item["m"] in (6, 8)]
+    assert len(cases) == 17
+    for text, m in cases:
+        assert [_pointwise_dimension(text, 12, N) for N in (2, 3)] == [
+            m - 1, m], text
+
+
+def test_pointwise_bound_settles_the_slow_inputs():
+    # completion runs past 60 s on the first (README, Known limits) and
+    # about 25 s on the second; the bound reads 0 at K = n + 8 on both, in
+    # hundredths of a second, with no completion  [DERIVED]
+    for text in ("y'' = (y')^3/(x^3+y^3+1)^2",
+                 "y'' = 2*(y')^3 + x*y*(y')^2 + x*y*y' + 2"):
+        assert _pointwise_dimension(text, 10, 8) == 0, text
 
 
 def test_layout_positions_are_ranks():
