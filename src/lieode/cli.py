@@ -69,7 +69,7 @@ def _dump_lead(eq) -> int:
 
 
 def _attach_extras(payload: dict, report: RunReport, args) -> None:
-    if getattr(args, "dump_detsys", False):
+    if args.dump_detsys:
         # solved for a lead, an equation prints the same as any multiple of
         # it, so a repeated print is a duplicate equation, left out
         dumped: List[dict] = []
@@ -78,7 +78,7 @@ def _attach_extras(payload: dict, report: RunReport, args) -> None:
             if printed not in dumped:
                 dumped.append(printed)
         payload["determining_system"] = dumped
-    if getattr(args, "dump_involutive", False):
+    if args.dump_involutive:
         inv = report.involutive
         payload["involutive"] = {
             "ranking": RANKING,
@@ -87,7 +87,7 @@ def _attach_extras(payload: dict, report: RunReport, args) -> None:
             "parametric": [label(s) for s in inv.parametric],
             "dimension": inv.dimension,
         }
-    if getattr(args, "timings", False):
+    if args.timings:
         payload["timings"] = {k: round(v, 6)
                               for k, v in report.timings.items()}
 

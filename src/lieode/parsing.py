@@ -260,7 +260,7 @@ def parse_ode(text: str) -> OdeSpec:
         raise NotQuasiLinear(
             f"equation is nonlinear in its highest derivative y^({n})")
     low, lead = num.coeffs_in(top)
-    f = RatFunc(low) / RatFunc(lead)
+    f = RatFunc(low, lead)
     return OdeSpec(n, f)
 
 

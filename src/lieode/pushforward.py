@@ -231,9 +231,6 @@ def push_linear(p: CharPoly, T: PointTransformation) -> OracleInstance:
         raise InternalInvariantError(
             "image equation is not linear in the highest derivative")
     low, lead = eq.coeffs_in(top)
-    if lead.is_zero():
-        raise InternalInvariantError(
-            "coefficient of the highest derivative vanished identically")
     f = RatFunc(low, lead)  # the reduction cancels shared transcendental factors
     if _has_symbols(f, reg):
         raise NonRationalInstance(

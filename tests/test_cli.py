@@ -2,6 +2,7 @@
 import contextlib
 import io
 import json
+import runpy
 import sys
 import time
 
@@ -29,6 +30,12 @@ def run_json(*argv):
     return code, json.loads(out), err
 
 
+def _timed(*argv):
+    start = time.perf_counter()
+    code, _, err = run(*argv)
+    return code, err, time.perf_counter() - start
+
+
 # -- exit codes -----------------------------------------------------------------------
 
 
@@ -38,6 +45,17 @@ def test_exit_zero_for_linearizable():
 
 def test_exit_one_for_negative():
     assert run("certify", "y'' = y^2")[0] == EXIT_NEGATIVE == 1
+    # repeated factors of the denominator in y' and in (x, y): the
+    # multiplier P_v*R - P*(Q_v/G) with G != 1 for v = x, y and y'
+    assert run("certify", "y''' = ((y')^3+y)/((y'+1)^2*(x+2*y)^2)")[0] == 1
+    # completion of the first ran past 60 s when its queue was first in,
+    # first out, and of the other two past 20 s under the default ranking,
+    # in gcds over (x, y)
+    for text, budget in (("y''''=(y')^3/(1+x*y)", 60),
+                         ("y'' = (y')^2/(x^2+y^2+1)", 20),
+                         ("y''' = y'/((x+y)^2*(x-y))", 20)):
+        code, err, seconds = _timed("certify", text, "--json-only")
+        assert code == EXIT_NEGATIVE and seconds < budget, (text, seconds, err)
 
 
 def test_exit_two_for_quasilinear_violation():
@@ -139,9 +157,48 @@ def test_json_output_is_byte_deterministic():
     second = run("recover", CONSTANT_EXAMPLE, "--json-only")
     assert first == second
     assert first[2] == ""          # --json-only silences the summary
-    code, out, err = run("recover", CONSTANT_EXAMPLE)
-    assert out == first[1]         # the summary goes to stderr only
-    assert err != ""
+
+
+@pytest.mark.parametrize("argv,summary", [
+    (("certify", "y'' = 0"),
+     ["y'' = 0", "order n = 2, symmetry dimension m = 8",
+      "verdict: linearizable (trivial)"]),
+    (("recover", CONSTANT_EXAMPLE),
+     ["y''' + (y')^3 + 3*y'*y'' - 2*(y')^2 - 2*y'' + y' = 0",
+      "order n = 3, symmetry dimension m = 5",
+      "verdict: linearizable (constant-coefficients)",
+      "target: u''' - 1/3*u' + 2/27*u = 0  [char poly z^3 - 2*z^2 + z]"]),
+    (("recover", "y''' + x*y = 0"),
+     ["y''' + x*y = 0", "order n = 3, symmetry dimension m = 4",
+      "verdict: linearizable (nonconstant-coefficients)",
+      "note: nonconstant coefficients — recovery out of scope"]),
+    (("symmetries", "y'' = 0"),
+     ["y'' = 0", "m = 8, derived dimension 8 (non-abelian)"]),
+    (("equiv", "1,0,1", "4,0,1"),
+     ["z^2 + 1 vs z^2 + 4: equivalent (equivalent)"]),
+    (("oracle", "--poly", "0,-1,0,1", "--psi", "exp(y)", "--phi", "x"),
+     ["y''' + (y')^3 + 3*y'*y'' - y' = 0  (from z^3 - z under u=exp(y), t=x)",
+      "expected case: trivial"]),
+], ids=["certify", "recover-target", "recover-note", "symmetries", "equiv",
+        "oracle"])
+def test_human_summary_on_stderr(argv, summary):
+    # the summary goes to stderr, line by line, and leaves stdout as it is
+    # under --json-only
+    code, out, err = run(*argv)
+    assert (code, err) == (0, "\n".join(summary) + "\n")
+    assert out == run(*argv, "--json-only")[1]
+
+
+def test_module_entry_point(monkeypatch, capsys):
+    # python -m lieode runs the console script's main
+    argv = ["symmetries", "y'' = 0", "--json-only"]
+    monkeypatch.setattr(sys, "argv", ["lieode"] + argv)
+    # runpy warns when the module to run was imported before
+    monkeypatch.delitem(sys.modules, "lieode.__main__", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("lieode", run_name="__main__")
+    out = capsys.readouterr().out
+    assert (exc.value.code, out) == run(*argv)[:2]
 
 
 def test_certify_payload():
@@ -227,12 +284,6 @@ def test_equiv_coefficient_list_validation():
     assert code == 2 and "bad coefficient list" in err
 
 
-def _timed(*argv):
-    start = time.perf_counter()
-    code, _, err = run(*argv)
-    return code, err, time.perf_counter() - start
-
-
 def test_coefficient_past_the_int_conversion_limit_is_an_input_error():
     # 10^5000 has more digits than int conversion allows: refused from the
     # text, not an internal error when the value is printed
@@ -307,6 +358,13 @@ def test_point_option():
     for bad in ("1/0,1", "a,b"):
         code, _, err = run("certify", "y'' = 0", "--point", bad)
         assert code == 2 and "bad --point value" in err
+    # a regular fractional point gives the dimensions of the automatic one
+    code, auto, _ = run_json("symmetries", "y''' = 0")
+    assert code == 0
+    code, off, _ = run_json("symmetries", "y''' = 0", "--point", "1/2,1/3")
+    assert code == 0
+    for key in ("m", "derived_dimension"):
+        assert off[key] == auto[key]
 
 
 def test_point_past_the_int_conversion_limit_is_an_input_error():
@@ -323,6 +381,13 @@ def test_max_order_floor():
     code, _, err = run("certify", "y''=y", "--max-order", "100000000")
     assert code == 2 and "above limit" in err
     assert run("certify", "y''' = 0", "--max-order", "24")[0] == 0
+    # the largest slot layout, at the highest truncation order, gives the
+    # JSON of the default order, at the origin and at a fractional point
+    for argv in (("y'' = 0",), ("y'' + (y')^2 = 0", "--point", "1/2,1/3")):
+        default = run("symmetries", *argv, "--json-only")
+        assert default[0] == 0
+        assert run("symmetries", *argv, "--json-only",
+                   "--max-order", "24") == default
 
 
 def test_dump_flags_and_timings():
