@@ -4,9 +4,11 @@ Machine-readable JSON goes to stdout (sorted keys, fixed layout — the bytes
 are identical across runs for a fixed input unless ``--timings`` is given);
 a short human summary goes to stderr, suppressed by ``--json-only``.
 
+Each subcommand only computes and returns (payload, summary lines,
+verdict); ``main`` alone writes the output and chooses the exit code.
+
 Exit codes: 0 linearizable (resp. equivalent), 1 not, 2 input error,
-3 internal error: an invariant breach, or an ArithmeticError, RecursionError
-or ValueError that escaped the engine.  A crash is never a verdict.
+3: any other exception that escapes the engine; a crash is never a verdict.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .determining import XI, fields, label
-from .errors import InputError, InternalInvariantError
+from .errors import InputError
 from .involutive import RANKING
 from .parsing import format_ratfunc, print_ode
 from .pipeline import RunReport, analyze
@@ -33,16 +35,6 @@ EXIT_INTERNAL = 3
 
 
 # -- serialization helpers --------------------------------------------------------
-
-
-def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _say(args, *lines: str) -> None:
-    if not args.json_only:
-        for line in lines:
-            print(line, file=sys.stderr)
 
 
 def _class_json(c: AffineClass) -> dict:
@@ -153,39 +145,31 @@ def _parse_coeff_list(text: str) -> CharPoly:
     return CharPoly(tuple(v / lead for v in vals[:-1]))
 
 
-def _run_analysis(args) -> RunReport:
-    point = _parse_point(args.point) if args.point else None
-    return analyze(_ode_text(args), point=point, max_order=args.max_order)
-
-
 # -- subcommands ------------------------------------------------------------------
 
 
-def cmd_certify(args) -> int:
-    report = _run_analysis(args)
+def _verdict_lines(report: RunReport) -> List[str]:
     cert = report.certificate
-    payload = cert.as_dict()
-    _attach_extras(payload, report, args)
-    _emit(payload)
-    _say(args,
-         print_ode(report.ode),
-         "order n = %d, symmetry dimension m = %d" % (cert.n, cert.m),
-         "verdict: %s (%s)" % (cert.verdict, cert.case))
-    return EXIT_LINEARIZABLE if cert.linearizable else EXIT_NEGATIVE
+    return [print_ode(report.ode),
+            "order n = %d, symmetry dimension m = %d" % (cert.n, cert.m),
+            "verdict: %s (%s)" % (cert.verdict, cert.case)]
 
 
-def cmd_recover(args) -> int:
-    report = _run_analysis(args)
-    cert = report.certificate
+def _certify_view(report: RunReport) -> tuple:
+    return report.certificate.as_dict(), _verdict_lines(report)
+
+
+def _recover_view(report: RunReport) -> tuple:
     rec = report.recovery
     payload = {
-        "certificate": cert.as_dict(),
+        "certificate": report.certificate.as_dict(),
         "char_poly": None,
         "affine_class": None,
         "representative_ode": None,
         "action_matrix": None,
         "note": report.note,
     }
+    lines = _verdict_lines(report)
     if rec is not None:
         payload["char_poly"] = [str(c) for c in rec.char_poly.full_coeffs()]
         payload["affine_class"] = _class_json(rec.affine)
@@ -193,22 +177,14 @@ def cmd_recover(args) -> int:
         if rec.action_matrix is not None:
             payload["action_matrix"] = [[str(v) for v in row]
                                         for row in rec.action_matrix]
-    _attach_extras(payload, report, args)
-    _emit(payload)
-    lines = [print_ode(report.ode),
-             "order n = %d, symmetry dimension m = %d" % (cert.n, cert.m),
-             "verdict: %s (%s)" % (cert.verdict, cert.case)]
-    if rec is not None:
         lines.append("target: %s  [char poly %s]"
                      % (rec.representative_ode, rec.char_poly))
     if report.note:
         lines.append("note: %s" % report.note)
-    _say(args, *lines)
-    return EXIT_LINEARIZABLE if cert.linearizable else EXIT_NEGATIVE
+    return payload, lines
 
 
-def cmd_symmetries(args) -> int:
-    report = _run_analysis(args)
+def _symmetries_view(report: RunReport) -> tuple:
     cert = report.certificate
     table = report.algebra
     payload = {
@@ -218,17 +194,24 @@ def cmd_symmetries(args) -> int:
         "derived_dimension": cert.derived_dimension,
         "derived_abelian": cert.derived_abelian,
     }
+    return payload, [
+        print_ode(report.ode),
+        "m = %d, derived dimension %d (%s)"
+        % (table.m, cert.derived_dimension,
+           "abelian" if cert.derived_abelian else "non-abelian")]
+
+
+def cmd_analyze(args) -> tuple:
+    """certify, recover and symmetries: one analysis, seen through the
+    subcommand's view, plus the --dump-*/--timings extras."""
+    point = _parse_point(args.point) if args.point else None
+    report = analyze(_ode_text(args), point=point, max_order=args.max_order)
+    payload, lines = args.view(report)
     _attach_extras(payload, report, args)
-    _emit(payload)
-    _say(args,
-         print_ode(report.ode),
-         "m = %d, derived dimension %d (%s)"
-         % (table.m, cert.derived_dimension,
-            "abelian" if cert.derived_abelian else "non-abelian"))
-    return EXIT_LINEARIZABLE if cert.linearizable else EXIT_NEGATIVE
+    return payload, lines, report.certificate.linearizable
 
 
-def cmd_equiv(args) -> int:
+def cmd_equiv(args) -> tuple:
     p = _parse_coeff_list(args.p)
     q = _parse_coeff_list(args.q)
     same, reason = classify_pair(p, q)
@@ -238,13 +221,11 @@ def cmd_equiv(args) -> int:
         "p": _class_json(affine_class(p)),
         "q": _class_json(affine_class(q)),
     }
-    _emit(payload)
-    _say(args, "%s vs %s: %s (%s)"
-         % (p, q, "equivalent" if same else "not equivalent", reason))
-    return EXIT_LINEARIZABLE if same else EXIT_NEGATIVE
+    return payload, ["%s vs %s: %s (%s)" % (
+        p, q, "equivalent" if same else "not equivalent", reason)], same
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> tuple:
     poly = _parse_coeff_list(args.poly)
     T = PointTransformation(args.psi, args.phi)
     inst = push_linear(poly, T)
@@ -255,11 +236,9 @@ def cmd_oracle(args) -> int:
         "source_char_poly": [str(c) for c in poly.full_coeffs()],
         "expected_case": inst.expected_case,
     }
-    _emit(payload)
-    _say(args,
-         "%s  (from %s under %s)" % (print_ode(inst.ode), poly, T.name),
-         "expected case: %s" % inst.expected_case)
-    return EXIT_LINEARIZABLE
+    return payload, [
+        "%s  (from %s under %s)" % (print_ode(inst.ode), poly, T.name),
+        "expected case: %s" % inst.expected_case], True
 
 
 # -- parser -----------------------------------------------------------------------
@@ -291,7 +270,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and recover the constant-coefficient target class.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ode_common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json-only", action="store_true",
+                        help="suppress the human summary on stderr")
+    ode_common = argparse.ArgumentParser(add_help=False, parents=[common])
     ode_common.add_argument("ode", nargs="?", default=None,
                             help="equation text, e.g. \"y'' + (y')^2 = 0\"")
     ode_common.add_argument("--file", default=None,
@@ -300,8 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="series expansion point override")
     ode_common.add_argument("--max-order", type=int, default=None, metavar="N",
                             help="Taylor truncation order override")
-    ode_common.add_argument("--json-only", action="store_true",
-                            help="suppress the human summary on stderr")
     ode_common.add_argument("--timings", action="store_true",
                             help="include per-stage timings in the JSON")
     ode_common.add_argument("--dump-detsys", action="store_true",
@@ -311,32 +291,29 @@ def _build_parser() -> argparse.ArgumentParser:
     ode_common.add_argument("--dump-involutive", action="store_true",
                             help="include the completed involutive system")
 
-    p = sub.add_parser("certify", parents=[ode_common],
-                       help="linearizability verdict only")
-    p.set_defaults(func=cmd_certify)
-    p = sub.add_parser("recover", parents=[ode_common],
-                       help="verdict plus characteristic-polynomial recovery")
-    p.set_defaults(func=cmd_recover)
-    p = sub.add_parser("symmetries", parents=[ode_common],
-                       help="symmetry algebra: dimension and structure constants")
-    p.set_defaults(func=cmd_symmetries)
+    for name, view, text in (
+            ("certify", _certify_view, "linearizability verdict only"),
+            ("recover", _recover_view,
+             "verdict plus characteristic-polynomial recovery"),
+            ("symmetries", _symmetries_view,
+             "symmetry algebra: dimension and structure constants")):
+        p = sub.add_parser(name, parents=[ode_common], help=text)
+        p.set_defaults(func=cmd_analyze, view=view)
 
-    p = sub.add_parser("equiv",
+    p = sub.add_parser("equiv", parents=[common],
                        help="compare two characteristic polynomials up to "
                             "root maps z -> k*z + b")
     p.add_argument("p", help="coefficients, constant first: z^3-z is 0,-1,0,1")
     p.add_argument("q", help="second coefficient list")
-    p.add_argument("--json-only", action="store_true")
     p.set_defaults(func=cmd_equiv)
 
-    p = sub.add_parser("oracle",
+    p = sub.add_parser("oracle", parents=[common],
                        help="push a linear constant-coefficient equation "
                             "through a point transformation")
     p.add_argument("--poly", required=True,
                    help="source coefficients, constant first (monic up to scale)")
     p.add_argument("--psi", required=True, help="u = psi(x, y)")
     p.add_argument("--phi", required=True, help="t = phi(x, y)")
-    p.add_argument("--json-only", action="store_true")
     p.set_defaults(func=cmd_oracle)
     return parser
 
@@ -344,14 +321,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, lines, verdict = args.func(args)
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (InternalInvariantError, ArithmeticError, RecursionError,
-            ValueError) as exc:
+    except Exception as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
+    sys.stdout.write(text)
+    if not args.json_only:
+        for line in lines:
+            print(line, file=sys.stderr)
+    return EXIT_LINEARIZABLE if verdict else EXIT_NEGATIVE
 
 
 if __name__ == "__main__":

@@ -255,10 +255,6 @@ def reduce(p: LinDiffPoly, eqs: Sequence[_Eq]) -> LinDiffPoly:
 
 def _lcm(s: int, t: int) -> int:
     """Least common derivative of two slots of one unknown."""
-    if not (t - s) & GUARDS:
-        return t
-    if not (s - t) & GUARDS:
-        return s
     (u, sx, sy), (_, tx, ty) = fields(s), fields(t)
     return slot(u, max(sx, tx), max(sy, ty))
 

@@ -20,8 +20,9 @@ monomials is the sum of their keys.  A total degree of 2**31 or more raises
 ``InputError``; below it no field reaches its guard bit, and a difference
 of keys has a guard bit set exactly when some exponent went negative.
 
-``MPoly(vars, terms)`` canonicalizes arbitrary input and is the entry point
-for other modules.  Inside this module, results are built by ``_new``, which
+``MPoly(vars, terms)`` canonicalizes arbitrary input; the tests build
+polynomials with it, while the other modules start from ``MPoly.const`` and
+``MPoly.variable`` and use arithmetic.  Inside this module, results are built by ``_new``, which
 trusts its input and only cancels the common factor of ``den`` and the
 numerators, or by ``_new_pruned``, which also drops variables that no longer
 occur; the latter is used only where a variable can disappear (a sum that

@@ -4,6 +4,7 @@ The second ranking is no engine path: it is int order on the mirrored
 system (``conftest.mirror``), and the mirrored inputs check it."""
 import itertools
 import random
+import time
 
 import pytest
 
@@ -257,14 +258,6 @@ def test_bivariate_denominator_completes():
                        for eq in eqs)
 
 
-def test_fourth_order_rational_input_completes():
-    # with a first-in, first-out queue, completion ran past 20 s here, in
-    # a content; lowest first it finishes at once
-    report = analyze("y''''=(y')^3/(1+x*y)")
-    assert (report.n, report.m) == (4, 0)
-    assert report.certificate.verdict == "not-linearizable"
-
-
 def test_coprime_bivariate_denominator_completes():
     # a coprime gcd over (x, y) took 13 s in the primitive PRS on this
     # input; evaluation and interpolation settle it.  The answer holds
@@ -337,8 +330,11 @@ def test_default_ranking_completes_the_former_hangs(text):
     # in the primitive PRS of gcds over (x, y) with nontrivial answers;
     # evaluation and interpolation settle them.  The answer holds under
     # both rankings, passes the audit, and again three orders higher
+    start = time.perf_counter()
     report = analyze(text)
+    assert time.perf_counter() - start < 20
     assert report.m == 0
+    assert report.certificate.verdict == "not-linearizable"
     detsys, inv = report.determining, report.involutive
     alt = complete(mirror(detsys))
     assert alt.dimension == inv.dimension == 0
