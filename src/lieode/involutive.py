@@ -75,9 +75,11 @@ c only against the current equation list keeps doomed equations out.
 Ownership in the inner loop: ``reduce`` copies its argument once and owns
 that working copy, and ``_eliminate`` writes each step into it in place.
 ``_cross`` hands ``_eliminate`` a copy of the cached prolongation, so no
-equation's terms or cached derivatives are ever written.  A cofactor gcd
-is taken only for two non-constant coefficients; with a constant one it
-is 1.
+equation's terms or cached derivatives are ever written.  The divisor
+coefficient of an elimination is the lead coefficient of a primitive
+equation, which is monic, so when it divides the other coefficient it is
+their gcd and no gcd is taken; one runs only when that division fails
+and both coefficients are non-constant (with a constant one it is 1).
 
 The parametric slots (those outside the cone of the leading slots) index the
 free Taylor data of the solution space; their count is its dimension.
@@ -92,7 +94,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .determining import (DX, DY, ETA, GUARDS, XI, LinDiffPoly, divides,
                           fields, slot)
 from .errors import InternalInvariantError
-from .polys import MPoly, divexact, gcd, try_divexact
+from .polys import ONE, divexact, gcd, try_divexact
 
 
 RANKING = "order,xdeg,xi<eta"  # int order: total order, dx, then xi < eta
@@ -126,7 +128,7 @@ def primitive(eq: LinDiffPoly, top: int) -> LinDiffPoly:
         fn, fd = first.leading_numerator(), first.den
         g = first.scaled(fd, fn)
         # first = g * (fn / fd), so its quotient by g * lc is a constant
-        quots = {order[0]: MPoly.const(1).scaled(fn * ld, fd * ln)}
+        quots = {order[0]: ONE.scaled(fn * ld, fd * ln)}
         divisor = g.scaled(ln, ld)
         for s in order[1:]:
             c = eq[s]
@@ -203,17 +205,25 @@ def _eliminate(p: LinDiffPoly, q: LinDiffPoly, s: int) -> None:
     and g = gcd(a, b).
 
     The cofactors cancel s without dividing by a polynomial.  q derives
-    from a primitive equation, so b, like g, has leading coefficient 1, and
-    a constant b/g is 1.  A constant a/g, its numerator over its
-    denominator, scales each slot of q inside the subtraction.  The gcd of
-    a constant and a polynomial is 1, so it is taken only when a and b are
-    both non-constant.
+    from a primitive equation, and differentiation carries its lead
+    coefficient unchanged to the slot lead + d, so b is that coefficient:
+    it has leading coefficient 1, like g, and a constant b/g is 1.  When b
+    divides a, g is b itself, so the cofactors are a/b and 1 with no gcd:
+    the exact division that shows it yields the cofactor a/g at once.
+    Only when it fails is g computed, and then only when a and b are both
+    non-constant, since the gcd of a constant and a polynomial is 1.  A
+    constant a/g, its numerator over its denominator, scales each slot of
+    q inside the subtraction.
     """
     a, b = p[s], q[s]
-    if not (a.is_const() or b.is_const()):
-        g = gcd(a, b)
-        if not g.is_const():
-            a, b = divexact(a, g), divexact(b, g)
+    if not b.is_const():
+        quot = try_divexact(a, b)
+        if quot is not None:
+            a, b = quot, ONE
+        elif not a.is_const():
+            g = gcd(a, b)
+            if not g.is_const():
+                a, b = divexact(a, g), divexact(b, g)
     if not b.is_const():
         for t, c in p.items():
             p[t] = c * b

@@ -1,11 +1,23 @@
 """Parsing and printing of scalar ODEs in quasi-linear normal form.
 
 Accepted input shapes are ``y'' + <expr> = 0`` and ``y'' = <expr>`` (any
-derivative order >= 2 on the left).  The parser evaluates as it parses: each
-grammar rule returns an exact rational function of the jet coordinates.  The
-equation's two sides are subtracted, the denominator cleared, and the result
-solved for the highest derivative.  Equations that are not linear in their
-highest derivative are rejected.
+derivative order >= 2 on the left).  The parser evaluates as it parses.  In
+ODE text (and in ``parse_expr`` without ``call``) each grammar rule returns
+an exact quotient of two integer polynomials, kept unreduced as coefficient
+dicts packed over the one variable layout the tokens name, in ``MPoly``'s
+key format: no gcd is taken and no RatFunc is built per operation.  Each
+part of such a value has at most the degree the text would have with every
++, - and / read as * and every exponent taken positive; a sum over one
+denominator keeps it.  The total degree bound of ``polys`` holds for these
+unreduced parts.  The equation's two sides are subtracted and the
+difference is reduced once, as a RatFunc, before the order is read, so
+``y''/y'' = y`` has order 0.  The result is solved for the highest
+derivative: with num = lead*y^(n) + low over den, gcd(low, lead) =
+gcd(num, lead), which is gcd(num, den) = 1 when lead == den, so the second
+gcd runs only when lead is another polynomial.  Equations that are not
+linear in their highest derivative are rejected.  Transformation
+expressions stay in RatFunc arithmetic, since ``call`` needs its argument
+reduced.
 
 Operator precedence: ^ binds tighter than unary minus, which binds tighter
 than * and /, which bind tighter than + and -.  ^ takes a bare (possibly
@@ -26,11 +38,11 @@ from __future__ import annotations
 import dataclasses
 import re
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import InputError, NotQuasiLinear, OdeSyntaxError, OrderTooLow
 from .jets import jet_name, jet_order, jet_order_of
-from .polys import MPoly
+from .polys import MPoly, packed_product, var_rank, variable_keys
 from .ratfunc import RatFunc
 
 MAX_PRIMES = 4
@@ -56,6 +68,95 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     return out
 
 
+def _jet_variables(tokens) -> Tuple[str, ...]:
+    """x, y and the derivatives of y that the tokens name, sorted by rank.
+    A marker the parser will reject may add a name; none is missed."""
+    names = set()
+    for i, (kind, text, _) in enumerate(tokens):
+        if kind != "name" or text not in ("x", "y"):
+            continue
+        nxt = tokens[i + 1]
+        if text == "y" and nxt[0] == "primes":
+            text = jet_name(len(nxt[1]))
+        elif (text == "y" and nxt[0] == "^" and tokens[i + 2][0] == "("
+              and tokens[i + 3][0] == "int"):
+            try:
+                text = jet_name(int(tokens[i + 3][1]))
+            except ValueError:  # too long; the parser reports it
+                continue
+        names.add(text)
+    return tuple(sorted(names, key=var_rank))
+
+
+_UNIT = {0: 1}   # shared: no operation writes into an operand's dict
+
+
+class _Frac:
+    """num/den for two integer polynomials, each a coefficient dict packed
+    over one layout of ``n`` variables (``polys``).  Nothing is reduced: a
+    sum over equal denominators keeps the denominator, and every other
+    operation multiplies the parts the way fractions do."""
+
+    __slots__ = ("num", "den", "n")
+
+    def __init__(self, num: Dict[int, int], den: Dict[int, int], n: int):
+        self.num, self.den, self.n = num, den, n
+
+    def _times(self, a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
+        if a is _UNIT or b is _UNIT:
+            return b if a is _UNIT else a
+        return packed_product(a, b, self.n) if a and b else {}
+
+    def _power(self, a: Dict[int, int], k: int) -> Dict[int, int]:
+        # by squaring, as MPoly.__pow__, so a degree overflow reads the same
+        out, base = _UNIT, a
+        while k:
+            if k & 1:
+                out = self._times(out, base)
+            base = self._times(base, base) if k > 1 else base
+            k >>= 1
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def __neg__(self) -> "_Frac":
+        return _Frac({k: -c for k, c in self.num.items()}, self.den, self.n)
+
+    def __add__(self, o: "_Frac") -> "_Frac":
+        if not o.num or not self.num:
+            return self if self.num else o
+        if self.den == o.den:
+            a, b, den = self.num, o.num, self.den
+        else:
+            a, b = self._times(self.num, o.den), self._times(o.num, self.den)
+            den = self._times(self.den, o.den)
+        out = dict(a)
+        for k, c in b.items():
+            s = out.get(k, 0) + c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return _Frac(out, den, self.n)
+
+    def __sub__(self, o: "_Frac") -> "_Frac":
+        return self + -o
+
+    def __mul__(self, o: "_Frac") -> "_Frac":
+        return _Frac(self._times(self.num, o.num),
+                     self._times(self.den, o.den), self.n)
+
+    def __truediv__(self, o: "_Frac") -> "_Frac":
+        return _Frac(self._times(self.num, o.den),
+                     self._times(self.den, o.num), self.n)
+
+    def __pow__(self, k: int) -> "_Frac":
+        num, den = (self.num, self.den) if k >= 0 else (self.den, self.num)
+        return _Frac(self._power(num, abs(k)), self._power(den, abs(k)),
+                     self.n)
+
+
 class _Parser:
     def __init__(self, text: str,
                  call: Optional[Callable[[str, RatFunc], RatFunc]] = None):
@@ -63,9 +164,23 @@ class _Parser:
         self.k = 0
         self.call = call
         self.depth = 0
+        if call is not None:
+            self.number, self.variable = RatFunc.const, RatFunc.variable
+            return
+        self.vars = _jet_variables(self.tokens)
+        n = len(self.vars)
+        keys = dict(zip(self.vars, variable_keys(n)))
+        self.number = lambda c: _Frac({0: c} if c else {}, _UNIT, n)
+        self.variable = lambda v: _Frac({keys[v]: 1}, _UNIT, n)
+
+    def normalized(self, value: _Frac) -> RatFunc:
+        """The value as a RatFunc: its one gcd."""
+        return RatFunc(MPoly.from_packed(self.vars, value.num),
+                       MPoly.from_packed(self.vars, value.den))
 
     def peek(self, ahead: int = 0):
-        return self.tokens[min(self.k + ahead, len(self.tokens) - 1)]
+        k = self.k + ahead   # take stops at the closing "end" token
+        return self.tokens[k] if k < len(self.tokens) else self.tokens[-1]
 
     def take(self):
         t = self.tokens[self.k]
@@ -92,7 +207,7 @@ class _Parser:
             raise OdeSyntaxError(f"unexpected {t[1]!r} {what}", t[2])
 
     # expr := term (("+"|"-") term)*
-    def expr(self) -> RatFunc:
+    def expr(self):
         value = self.term()
         while self.peek()[0] in "+-":
             op = self.take()[0]
@@ -101,7 +216,7 @@ class _Parser:
         return value
 
     # term := unary (("*"|"/") unary)*
-    def term(self) -> RatFunc:
+    def term(self):
         value = self.unary()
         while self.peek()[0] in "*/":
             op = self.take()[0]
@@ -115,7 +230,7 @@ class _Parser:
         return value
 
     # unary := "-"* factor
-    def unary(self) -> RatFunc:
+    def unary(self):
         negate = False
         while self.peek()[0] == "-":
             self.take()
@@ -124,7 +239,7 @@ class _Parser:
         return -value if negate else value
 
     # factor := atom ["^" exponent]; chained ^ is rejected
-    def factor(self) -> RatFunc:
+    def factor(self):
         base = self.atom()
         if self.peek()[0] != "^":
             return base
@@ -148,10 +263,10 @@ class _Parser:
         val = self.integer("an integer exponent")
         return -val if neg else val
 
-    def atom(self) -> RatFunc:
+    def atom(self):
         kind, val, pos = self.peek()
         if kind == "int":
-            return RatFunc.const(Fraction(self.integer("a number")))
+            return self.number(self.integer("a number"))
         if kind == "(":
             self.take()
             return self._nested(pos)
@@ -167,13 +282,13 @@ class _Parser:
                 if self.peek()[0] == "primes":
                     raise OdeSyntaxError(
                         "derivative markers attach to y only", self.peek()[2])
-                return RatFunc.variable(val)
+                return self.variable(val)
             if val == "y":
                 return self._dependent()
             raise OdeSyntaxError(f"unknown symbol {val!r}", pos)
         raise OdeSyntaxError("expected a number, coordinate or parenthesis", pos)
 
-    def _nested(self, pos: int) -> RatFunc:
+    def _nested(self, pos: int):
         """The expression after an opening parenthesis, up to its closing one."""
         if self.depth == MAX_NESTING:
             raise OdeSyntaxError(
@@ -184,7 +299,7 @@ class _Parser:
         self.depth -= 1
         return value
 
-    def _dependent(self) -> RatFunc:
+    def _dependent(self):
         kind, val, p2 = self.peek()
         if kind == "primes":
             self.take()
@@ -198,10 +313,10 @@ class _Parser:
             order = self.integer("a derivative order")
             self.expect(")", "a closing parenthesis")
         else:
-            return RatFunc.variable("y")
+            return self.variable("y")
         if self.call is not None:
             raise OdeSyntaxError("derivatives are not allowed here", p2)
-        return RatFunc.variable(jet_name(order) if order else "y")
+        return self.variable(jet_name(order))
 
 
 def parse_expr(text: str, *,
@@ -219,7 +334,7 @@ def parse_expr(text: str, *,
     p = _Parser(text, call)
     value = p.expr()
     p.expect_end("(implicit multiplication is not supported)")
-    return value
+    return value if call is not None else p.normalized(value)
 
 
 # -- the ODE type --------------------------------------------------------------
@@ -246,8 +361,9 @@ def parse_ode(text: str) -> OdeSpec:
     p = _Parser(text)
     lhs = p.expr()
     p.expect("=", "'='")
-    rf = lhs - p.expr()
+    diff = lhs - p.expr()
     p.expect_end("after the equation")
+    rf = p.normalized(diff)
     num = rf.num
     if num.is_zero():
         raise OrderTooLow("equation reduces to 0 = 0")
@@ -260,8 +376,8 @@ def parse_ode(text: str) -> OdeSpec:
         raise NotQuasiLinear(
             f"equation is nonlinear in its highest derivative y^({n})")
     low, lead = num.coeffs_in(top)
-    f = RatFunc(low, lead)
-    return OdeSpec(n, f)
+    # gcd(low, lead) = gcd(num, lead), which is 1 when lead is rf.den
+    return OdeSpec(n, RatFunc(low, lead, coprime=lead == rf.den))
 
 
 # -- printing -------------------------------------------------------------------

@@ -22,13 +22,17 @@ of keys has a guard bit set exactly when some exponent went negative.
 
 ``MPoly(vars, terms)`` canonicalizes arbitrary input; the tests build
 polynomials with it, while the other modules start from ``MPoly.const`` and
-``MPoly.variable`` and use arithmetic.  Inside this module, results are built by ``_new``, which
-trusts its input and only cancels the common factor of ``den`` and the
-numerators, or by ``_new_pruned``, which also drops variables that no longer
-occur; the latter is used only where a variable can disappear (a sum that
-cancelled a term, a derivative, coefficient extraction, a monomial strip and
-a quotient).  A product of nonzero polynomials keeps all its variables,
-since degrees add in an integral domain.
+``MPoly.variable`` and use arithmetic.  The parser alone evaluates on
+coefficient dicts packed over one layout (``variable_keys``,
+``packed_product``) and builds each result once, with
+``MPoly.from_packed``.  Inside this module, results are built by ``_new``,
+which trusts its input and only cancels the common factor of ``den`` and
+the numerators, or by ``_new_pruned``, which also drops variables that no
+longer occur; the latter is used only where a variable can disappear (a
+sum that cancelled a term, a derivative, coefficient extraction, a
+monomial strip, a quotient and a packed result).  A product of nonzero
+polynomials keeps all its variables, since degrees add in an integral
+domain.
 
 The monomial order is graded lexicographic with higher-ranked variables
 more significant; the variable ranking is x < y < y' < y'' < ... < t1 < t2
@@ -183,6 +187,13 @@ class MPoly:
     def variable(name: str) -> "MPoly":
         return _new((name,), {1 | 1 << _W: 1}, 1)
 
+    @staticmethod
+    def from_packed(vars: Tuple[str, ...], num: Dict[int, int]) -> "MPoly":
+        """The polynomial whose integer coefficients ``num`` are keyed by
+        monomials packed over ``vars``, sorted by ``var_rank``; variables
+        that no key uses are dropped.  ``num`` is taken over, not copied."""
+        return _new_pruned(vars, num, 1)
+
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -317,22 +328,7 @@ class MPoly:
         if not other.vars:
             return self.scaled(other.num[0], other.den)
         vs, a, b = self._aligned(other)
-        # the leading monomials multiply, so the product's degree is the
-        # degree of their product
-        degree = (max(a) + max(b)) >> (_W * len(vs))
-        if degree >= _DEGREE_BOUND:
-            raise _degree_error(degree)
-        out: Dict[int, int] = {}
-        get = out.get
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = ea + eb
-                s = get(key, 0) + ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return _new(vs, out, self.den * other.den)
+        return _new(vs, packed_product(a, b, len(vs)), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -453,6 +449,36 @@ def _new_pruned(vars: Tuple[str, ...], num: Dict[int, int], den: int) -> MPoly:
         num = _remap(num, vars, kept)
         vars = kept
     return _new(vars, num, den)
+
+
+# -- packed coefficient dicts over one layout -------------------------------
+
+
+def variable_keys(n: int) -> List[int]:
+    """The key of each variable of a layout of `n` variables."""
+    top = 1 << (_W * n)
+    return [1 << (_W * i) | top for i in range(n)]
+
+
+def packed_product(a: Dict[int, int], b: Dict[int, int], n: int
+                   ) -> Dict[int, int]:
+    """The product of two nonzero coefficient dicts packed over one layout
+    of `n` variables.  The leading monomials multiply, so the product's
+    degree is the degree of theirs: at 2**31 it raises ``InputError``."""
+    degree = (max(a) + max(b)) >> (_W * n)
+    if degree >= _DEGREE_BOUND:
+        raise _degree_error(degree)
+    out: Dict[int, int] = {}
+    get = out.get
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = ea + eb
+            s = get(key, 0) + ca * cb
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
 
 
 # -- exact division ---------------------------------------------------------

@@ -30,8 +30,11 @@ Scalar = Union[int, Fraction]
 class RatFunc:
     __slots__ = ("num", "den")
 
-    def __init__(self, num: MPoly, den: Optional[MPoly] = None):
-        """num/den over MPoly values, den 1 if omitted; see ``const``."""
+    def __init__(self, num: MPoly, den: Optional[MPoly] = None, *,
+                 coprime: bool = False):
+        """num/den over MPoly values, den 1 if omitted; see ``const``.  A
+        caller that knows gcd(num, den) = 1 passes ``coprime`` and no gcd
+        is taken."""
         if den is None:
             den = ONE
         if den.is_zero():
@@ -39,7 +42,7 @@ class RatFunc:
         if num.is_zero():
             num, den = ZERO, ONE
         else:
-            g = gcd(num, den)
+            g = ONE if coprime else gcd(num, den)
             if not g.is_const():
                 num = divexact(num, g)
                 den = divexact(den, g)

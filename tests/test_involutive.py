@@ -16,7 +16,7 @@ from lieode.involutive import (_cross, _Eq, audit_involutive, complete,
                                lin_derive, primitive, reduce)
 from lieode.liealgebra import CASE_NONE
 from lieode.parsing import parse_ode
-from lieode.polys import MPoly
+from lieode.polys import MPoly, try_divexact
 from lieode.polys import gcd as poly_gcd
 from lieode.ratfunc import RatFunc
 
@@ -289,12 +289,46 @@ def _assert_matches_reference(inv, system):
     assert audit_involutive(inv, system)
 
 
+def _checked_eliminations(monkeypatch):
+    """Watch every _eliminate step: its divisor coefficient q[s] must be
+    monic, and a gcd may run in it only when q[s] does not divide p[s].
+    Returns the counts of steps and of gcds taken in them."""
+    real = involutive._eliminate
+    counts = {"steps": 0, "gcds": 0}
+    may_gcd = []   # one entry while a step runs
+
+    def eliminate(p, q, s):
+        b = q[s]
+        assert b.leading_numerator() == b.den, b
+        counts["steps"] += 1
+        may_gcd.append(try_divexact(p[s], b) is None)
+        try:
+            real(p, q, s)
+        finally:
+            may_gcd.pop()
+
+    def gcd(a, b):
+        if may_gcd:
+            assert may_gcd[-1], (a, b)
+            counts["gcds"] += 1
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(involutive, "_eliminate", eliminate)
+    monkeypatch.setattr(involutive, "gcd", gcd)
+    return counts
+
+
 @pytest.mark.parametrize("ode,mirrored", bench_ranking_cases())
-def test_completion_matches_the_pairwise_reference(ode, mirrored):
+def test_completion_matches_the_pairwise_reference(ode, mirrored,
+                                                   monkeypatch):
     # on a mirrored case the completion, mapped back, is also the pairwise
-    # reference's under the second ranking on the input itself
+    # reference's under the second ranking on the input itself.  The
+    # completion runs with every elimination step checked: a monic divisor
+    # coefficient, and a gcd only where it does not divide
     system = ranking_case_system(ode, mirrored)
+    counts = _checked_eliminations(monkeypatch)
     inv = complete(system)
+    assert counts["steps"] > counts["gcds"]
     _assert_matches_reference(inv, system)
     if mirrored:
         _assert_equals(unmirror(inv), reference_complete(
