@@ -89,7 +89,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .determining import (DX, DY, ETA, GUARDS, XI, LinDiffPoly, divides,
                           fields, slot)
@@ -388,22 +388,3 @@ def complete(system: Sequence[LinDiffPoly]) -> InvolutiveSystem:
     eqs.sort(key=lambda e: e.lead)
     return InvolutiveSystem(eqs, _parametric_slots([e.lead for e in eqs]))
 
-
-def audit_involutive(inv: InvolutiveSystem,
-                     original: Optional[Sequence[LinDiffPoly]] = None) -> bool:
-    """Post-hoc passivity check: cross-derivatives and originals reduce to zero."""
-    eqs, leads = inv.eqs, inv.leads
-    for a, b in itertools.combinations(eqs, 2):
-        if fields(a.lead)[0] != fields(b.lead)[0]:
-            continue
-        if reduce(_cross(a, b), eqs):
-            return False
-    if original is not None:
-        for eq in original:
-            if reduce(eq, eqs):
-                return False
-    for e in eqs:
-        for s in e.terms:
-            if s != e.lead and any(divides(l, s) for l in leads):
-                return False
-    return True

@@ -5,13 +5,9 @@ and the denominator's graded-lex leading coefficient equal to 1.  Under that
 normalization the representation of a value is unique, so ``==`` decides
 mathematical equality.
 
-``RatFunc(num, den)`` normalizes any pair of MPoly values.  Constants,
-variables, and sums, products, quotients and powers of canonical operands
-are built by ``_new``, which trusts that its pair is coprime and only
-scales the denominator's leading coefficient to 1: they take the gcds that
-can be nontrivial and no others (Henrici's algorithms, Knuth, TAOCP vol. 2,
-4.5.1).  A canonical denominator that is constant is 1, so a sum or product
-of two polynomials takes no gcd at all.
+``RatFunc(num, den)`` normalizes any pair of MPoly values, and every value
+is built by it.  Negation and powers keep a coprime pair coprime, so they
+pass ``coprime`` and take no gcd.
 
 Every derivative is ``derive``, given the images of the variables;
 ``polynomial_derivation`` clears their denominators, for ``derive`` and for
@@ -61,15 +57,15 @@ class RatFunc:
 
     @staticmethod
     def one() -> "RatFunc":
-        return _new(ONE, ONE)
+        return RatFunc(ONE)
 
     @staticmethod
     def const(c: Scalar) -> "RatFunc":
-        return _new(MPoly.const(c), ONE)
+        return RatFunc(MPoly.const(c))
 
     @staticmethod
     def variable(name: str) -> "RatFunc":
-        return _new(MPoly.variable(name), ONE)
+        return RatFunc(MPoly.variable(name))
 
     # -- queries --------------------------------------------------------------
 
@@ -120,28 +116,12 @@ class RatFunc:
             return o
         if o.is_zero():
             return self
-        if self.den.is_const() and o.den.is_const():
-            # both denominators are 1
-            return _new(self.num + o.num, ONE)
-        # a/b + c/d: with g = gcd(b, d), b = b'g and d = d'g, the numerator
-        # t = a d' + c b' is prime to b' and d', so only gcd(t, g) can cancel
-        g = gcd(self.den, o.den)
-        if g.is_const():
-            return _new(self.num * o.den + o.num * self.den, self.den * o.den)
-        db = divexact(self.den, g)
-        t = self.num * divexact(o.den, g) + o.num * db
-        g2 = gcd(t, g)
-        if g2.is_const():
-            return _new(t, db * o.den)
-        return _new(divexact(t, g2), db * divexact(o.den, g2))
+        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = object.__new__(RatFunc)   # -num/den is already canonical
-        object.__setattr__(out, "num", -self.num)
-        object.__setattr__(out, "den", self.den)
-        return out
+        return RatFunc(-self.num, self.den, coprime=True)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -159,17 +139,7 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero() or o.is_zero():
-            return RatFunc.zero()
-        if self.den.is_const() and o.den.is_const():
-            return _new(self.num * o.num, ONE)
-        g1 = gcd(self.num, o.den)
-        g2 = gcd(o.num, self.den)
-        n1 = self.num if g1.is_const() else divexact(self.num, g1)
-        d2 = o.den if g1.is_const() else divexact(o.den, g1)
-        n2 = o.num if g2.is_const() else divexact(o.num, g2)
-        d1 = self.den if g2.is_const() else divexact(self.den, g2)
-        return _new(n1 * n2, d1 * d2)
+        return RatFunc(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -179,7 +149,7 @@ class RatFunc:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return self * _new(o.den, o.num)
+        return RatFunc(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -193,8 +163,8 @@ class RatFunc:
         if k < 0:
             if self.is_zero():
                 raise ZeroDivisionError("negative power of zero")
-            return _new(self.den ** (-k), self.num ** (-k))
-        return _new(self.num ** k, self.den ** k)
+            return RatFunc(self.den ** (-k), self.num ** (-k), coprime=True)
+        return RatFunc(self.num ** k, self.den ** k, coprime=True)
 
     # -- calculus -----------------------------------------------------------------
 
@@ -235,16 +205,3 @@ def _monic_pair(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:
         return num, den
     return num.scaled(n, d), den.scaled(n, d)
 
-
-def _new(num: MPoly, den: MPoly) -> RatFunc:
-    """Trusted constructor: ``num`` and ``den`` coprime, ``den`` nonzero.
-
-    Only scales the pair so that the denominator's leading coefficient is 1.
-    """
-    if num.is_zero():
-        return RatFunc.zero()
-    num, den = _monic_pair(num, den)
-    out = object.__new__(RatFunc)
-    object.__setattr__(out, "num", num)
-    object.__setattr__(out, "den", den)
-    return out

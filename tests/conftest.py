@@ -12,7 +12,8 @@ import pathlib
 import random
 from fractions import Fraction
 from math import comb, lcm, perm
-from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple, TypeVar
+from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple, TypeVar)
 
 import pytest
 from hypothesis import settings
@@ -20,10 +21,11 @@ from hypothesis import strategies as st
 
 from lieode import analyze, default_corpus
 from lieode.determining import (LinDiffPoly, add_term, determining_system,
-                                fields, prolonged_eta, slot)
+                                divides, fields, prolonged_eta, slot)
 from lieode.errors import (InputError, InternalInvariantError,
                            NonRationalInstance, OdeSyntaxError)
-from lieode.involutive import RANKING, InvolutiveSystem, _Eq, primitive
+from lieode.involutive import (RANKING, InvolutiveSystem, _cross, primitive,
+                               reduce)
 from lieode.jets import jet_name
 from lieode.liealgebra import LieAlgebraTable, Point, _shifted
 from lieode.linalg import Mat, Vec, rref
@@ -87,9 +89,6 @@ def leading_coeff(p: MPoly) -> Fraction:
     return leading(p)[1]
 
 
-# -- the primitive PRS, the reference for ``polys.gcd`` ----------------------------
-
-
 def from_coeffs(coeffs: Sequence[MPoly], name: str) -> MPoly:
     """The polynomial with dense coefficients `coeffs` in `name`, lowest
     first: the inverse of ``MPoly.coeffs_in``."""
@@ -100,71 +99,6 @@ def from_coeffs(coeffs: Sequence[MPoly], name: str) -> MPoly:
         out = out + c * power
         power = power * v
     return out
-
-
-def _prem(u: Sequence[MPoly], v: Sequence[MPoly]):
-    """Pseudo-remainder of dense coefficient lists (main variable implicit).
-    u, v and every nonempty r end in a nonzero coefficient."""
-    r = list(u)
-    dv = len(v) - 1
-    lv = v[-1]
-    while len(r) - 1 >= dv:
-        lr = r[-1]
-        shift = len(r) - 1 - dv
-        r = [c * lv for c in r]
-        for i, vc in enumerate(v):
-            r[i + shift] = r[i + shift] - lr * vc
-        while r and r[-1].is_zero():
-            r.pop()
-    return r
-
-
-def _reference_content(coeffs: Sequence[MPoly]) -> MPoly:
-    g = MPoly.zero()
-    for c in coeffs:
-        g = reference_gcd(g, c)
-    return g
-
-
-def reference_gcd(a: MPoly, b: MPoly) -> MPoly:
-    """gcd over Q[vars] with leading coefficient 1, by the primitive
-    pseudo-remainder sequence in the variable of smallest degree, with
-    contents taken the same way (Geddes, Czapor and Labahn, *Algorithms for
-    Computer Algebra*, 1992, ch. 7).  ``polys.gcd`` ran this loop for
-    operands over the same two or more variables before evaluation and
-    interpolation replaced it."""
-    if a.is_zero() or b.is_zero():
-        g = a + b
-        return g * (1 / leading_coeff(g)) if g else g
-    if a.is_const() or b.is_const():
-        return MPoly.const(1)
-    names = sorted(set(a.vars) | set(b.vars))
-    v = min(names, key=lambda n: max(a.degree_in(n), b.degree_in(n)))
-    ca = a.coeffs_in(v)
-    cb = b.coeffs_in(v)
-    cont_a = _reference_content(ca)
-    cont_b = _reference_content(cb)
-    c = reference_gcd(cont_a, cont_b)
-    pa = [divexact(x, cont_a) for x in ca]
-    pb = [divexact(x, cont_b) for x in cb]
-    if len(pa) < len(pb):
-        pa, pb = pb, pa
-    while True:
-        r = _prem(pa, pb)
-        if not r:
-            g = pb
-            break
-        cont_r = _reference_content(r)
-        r = [divexact(x, cont_r) for x in r]
-        pa, pb = pb, r
-        if len(pb) == 1:
-            g = [MPoly.const(1)]
-            break
-    gp = from_coeffs(g, v)
-    cont_g = _reference_content(g)
-    gp = divexact(gp, cont_g)
-    g = gp * c
-    return g * (1 / leading_coeff(g))
 
 
 # -- slots as NamedTuples, the reference for the packed slots ------------------
@@ -259,8 +193,8 @@ def lin_derive(eq, var: str):
 # solutions are the fields pushed forward by (x, y) -> (y, x).  The push
 # keeps brackets, so the mirrored system has the same symmetry algebra up to
 # isomorphism.  Int order on the mirrored slots is ``mirror_key``, so
-# completing the mirrored system and mapping the result back (``unmirror``)
-# is completion under the second ranking.
+# completing the mirrored system, with each slot mirrored back, is
+# completion under the second ranking.
 
 _SWAP = {"x": "y", "y": "x"}
 
@@ -276,18 +210,6 @@ def mirror(system: Sequence[LinDiffPoly]) -> List[LinDiffPoly]:
     return [{mirror_slot(s): MPoly([_SWAP.get(v, v) for v in c.vars],
                                    c.terms)
              for s, c in eq.items()} for eq in system]
-
-
-def unmirror(inv: InvolutiveSystem) -> InvolutiveSystem:
-    """A completed mirrored system mapped back, each equation made
-    primitive for its lead, with the equations and parametric slots kept
-    in their order: under ``mirror_key``.  Only its fields are meant to be
-    read; the engine's ``reduce`` ranks by int order."""
-    eqs = []
-    for e, terms in zip(inv.eqs, mirror(inv.equations)):
-        lead = mirror_slot(e.lead)
-        eqs.append(_Eq(primitive(terms, lead), lead, e.ident))
-    return InvolutiveSystem(eqs, [mirror_slot(s) for s in inv.parametric])
 
 
 # -- exact matrices over the rationals -----------------------------------------
@@ -494,11 +416,11 @@ def normal_form(inv: InvolutiveSystem, p):
             add_term(work, t, -(c * v))
 
 
-# -- references for the determining and completion stages ----------------------
+# -- references for the determining stage ----------------------------------------
 #
-# These are the product-form determining system and the pairwise completion
-# the engine replaced: every product is formed in full, the content is a gcd
-# chain followed by a second division, and every cross-derivative is reduced.
+# The product-form determining system the engine replaced: every product is
+# formed in full, and the content is a gcd chain followed by a second
+# division.
 
 
 def reference_primitive(eq, top):
@@ -571,106 +493,20 @@ def canonical_view(system: Sequence[LinDiffPoly]) -> List[LinDiffPoly]:
     return equations
 
 
-class _RefEq:
-    """An equation of the pairwise reference."""
-
-    def __init__(self, terms, lead, ident):
-        self.terms, self.lead, self.ident = terms, lead, ident
-        self.cache = {(0, 0): terms}
-
-    def derived(self, ddx, ddy):
-        if (ddx, ddy) not in self.cache:
-            self.cache[(ddx, ddy)] = (
-                lin_derive(self.derived(ddx - 1, ddy), "x") if ddx
-                else lin_derive(self.derived(ddx, ddy - 1), "y"))
-        return self.cache[(ddx, ddy)]
-
-
-def _ref_eliminate(p, q, slot):
-    a, b = p[slot], q[slot]
-    g = poly_gcd(a, b)
-    a, b = divexact(a, g), divexact(b, g)
-    out = {s: c * b for s, c in p.items()}
-    for s, c in q.items():
-        add_term(out, s, -(c * a))
-    return out
-
-
-def _ref_reduce(p, eqs, key):
-    work = {s: c for s, c in p.items() if not c.is_zero()}
-    while True:
-        reducible = [(s, e) for s in work for e in eqs if e.lead.divides(s)]
-        if not reducible:
-            return work
-        best = max((s for s, _ in reducible), key=key)
-        e = next(e for s, e in reducible if s == best)
-        d = e.derived(best.dx - e.lead.dx, best.dy - e.lead.dy)
-        work = _ref_eliminate(work, d, best)
-
-
-class ReferenceCompletion(NamedTuple):
-    equations: list
-    leads: list
-    parametric: list
-    crosses: int    # cross-derivatives formed
-
-
-def reference_complete(system, key=default_key) -> ReferenceCompletion:
-    """Pairwise completion under the ranking ``key`` on ``Slot``: every
-    pair of equations in one unknown has its cross-derivative reduced,
-    lowest least common derivative first."""
-    eqs, queue, pairs = [], [dict(e) for e in system], []
-    counter = itertools.count()
-    crosses = 0
-    while queue or pairs:
-        if queue:
-            h = _ref_reduce(queue.pop(0), eqs, key)
-        else:
-            pair = min(pairs)
-            pairs.remove(pair)
-            a, b = pair[1], pair[2]
-            lcm = Slot(a.lead.unknown, max(a.lead.dx, b.lead.dx),
-                       max(a.lead.dy, b.lead.dy))
-            crosses += 1
-            h = _ref_reduce(_ref_eliminate(
-                a.derived(lcm.dx - a.lead.dx, lcm.dy - a.lead.dy),
-                b.derived(lcm.dx - b.lead.dx, lcm.dy - b.lead.dy), lcm),
-                eqs, key)
-        if not h:
-            continue
-        lead = max(h, key=key)
-        new = _RefEq(reference_primitive(h, lead), lead, next(counter))
-        doomed = [e for e in eqs if lead.divides(e.lead)]
-        for e in doomed:
-            eqs.remove(e)
-            queue.append(e.terms)
-        pairs = [p for p in pairs if p[1] not in doomed and p[2] not in doomed]
-        eqs.append(new)
-        for e in eqs:
-            if e is not new and any(lead.divides(s) for s in e.terms
-                                    if s != e.lead):
-                others = [f for f in eqs if f is not e]
-                e.terms = reference_primitive(
-                    _ref_reduce(e.terms, others, key), e.lead)
-                e.cache = {(0, 0): e.terms}
-        for e in eqs:
-            if e is not new and e.lead.unknown == lead.unknown:
-                lcm = Slot(lead.unknown, max(e.lead.dx, lead.dx),
-                           max(e.lead.dy, lead.dy))
-                pairs.append(((key(lcm), e.ident, new.ident), e, new))
-    eqs.sort(key=lambda e: key(e.lead))
-    leads = [e.lead for e in eqs]
-    parametric = []
-    for unk in (XI, ETA):
-        mine = [s for s in leads if s.unknown == unk]
-        ax = min((s.dx for s in mine if s.dy == 0), default=None)
-        ay = min((s.dy for s in mine if s.dx == 0), default=None)
-        if ax is None or ay is None:
-            raise InternalInvariantError("not finite-dimensional")
-        parametric += [Slot(unk, i, j) for i in range(ax) for j in range(ay)
-                       if not any(l.divides(Slot(unk, i, j)) for l in mine)]
-    return ReferenceCompletion([e.terms for e in eqs], leads,
-                               sorted(parametric, key=key), crosses)
+def audit_involutive(inv: InvolutiveSystem,
+                     original: Optional[Sequence[LinDiffPoly]] = None) -> bool:
+    """Whether a completed system is passive and reduced: every
+    cross-derivative of two equations in one unknown and every equation of
+    ``original`` reduce to zero, and no term but an equation's own lead is
+    a derivative of a lead."""
+    eqs = inv.eqs
+    for a, b in itertools.combinations(eqs, 2):
+        if fields(a.lead)[0] == fields(b.lead)[0] and reduce(_cross(a, b), eqs):
+            return False
+    if any(reduce(eq, eqs) for eq in original or ()):
+        return False
+    return not any(divides(f.lead, s) for e in eqs for s in e.terms
+                   for f in eqs if s != e.lead or f is not e)
 
 
 # -- one independent oracle for the series stages ------------------------------
@@ -871,24 +707,12 @@ def bench_inputs():
 def bench_ranking_cases():
     """``pytest.param(ode, mirrored)`` for every input of ``bench_odes``,
     plain and translated, under both rankings: the second ranking is the
-    engine's on the mirrored system (``ranking_case_system``).
-
-    Under the second ranking the pairwise reference completion, which takes
-    its queue first in, first out, takes about 20 s on the translated
-    Painleve II, so ``control-02`` is left out there, for suite time only;
-    the engine's completion of it is checked on its own in
-    test_painleve_ii_completes_under_the_alternate_ranking, and its series
-    basis by the pointwise oracle.
-    """
-    out = []
-    for name, plain, shifted in bench_odes():
-        for variant, ode in (("plain", plain), ("shifted", shifted)):
-            for mirrored, ranking in ((False, RANKING), (True, MIRROR_RANKING)):
-                if name == "control-02" and mirrored:
-                    continue
-                out.append(pytest.param(ode, mirrored,
-                                        id=f"{name}-{variant}-{ranking}"))
-    return out
+    engine's on the mirrored system (``ranking_case_system``)."""
+    return [pytest.param(ode, mirrored, id=f"{name}-{variant}-{ranking}")
+            for name, plain, shifted in bench_odes()
+            for variant, ode in (("plain", plain), ("shifted", shifted))
+            for mirrored, ranking in ((False, RANKING),
+                                      (True, MIRROR_RANKING))]
 
 
 def ranking_case_system(ode: OdeSpec, mirrored: bool) -> List[LinDiffPoly]:
@@ -978,25 +802,6 @@ def reference_push_linear(p: CharPoly, T: PointTransformation) -> OracleInstance
     ode = OdeSpec(n, f)
     case = "trivial" if is_staircase_class(p) else "constant-coefficients"
     return OracleInstance(ode, p, T, case)
-
-
-def reference_root_affine_image(p: CharPoly, k: Fraction,
-                                b: Fraction) -> CharPoly:
-    """``recovery.root_affine_image`` in ``Fraction`` arithmetic, as it was
-    before it moved to integers over one scale."""
-    k = Fraction(k)
-    b = Fraction(b)
-    n = p.degree
-    # q(z) = k^n * p((z - b)/k) = sum_j a_j k^(n-j) (z - b)^j,  a_n = 1
-    out = [Fraction(0)] * (n + 1)
-    for j, a in enumerate(p.full_coeffs()):
-        if not a:
-            continue
-        scale = a * k ** (n - j)
-        for i in range(j + 1):
-            out[i] += scale * comb(j, i) * (-b) ** (j - i)
-    assert out[n] == 1
-    return CharPoly(tuple(out[:n]))
 
 
 # -- the character-loop tokenizer ------------------------------------------------

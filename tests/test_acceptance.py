@@ -11,14 +11,15 @@ from fractions import Fraction
 import pytest
 
 from lieode.determining import determining_system
-from lieode.involutive import audit_involutive, complete
+from lieode.involutive import complete
 from lieode.liealgebra import derived_algebra
 from lieode.linalg import charpoly as matrix_charpoly
 from lieode.pipeline import analyze
 from lieode.recovery import (CharPoly, adjoint_on_derived, affine_class,
                              factor_space, root_affine_image)
 
-from conftest import affine_equivalent, inverse, lie_table, mat_mul, mirror
+from conftest import (affine_equivalent, audit_involutive, inverse, lie_table,
+                      mat_mul, mirror)
 
 F = Fraction
 

@@ -8,19 +8,19 @@ from hypothesis import strategies as st
 from lieode.determining import (DX, DY, determining_system, divides,
                                 invariance_coefficients, label,
                                 prolonged_eta, rank, slot)
-from lieode.involutive import _lcm, audit_involutive, complete, primitive
+from lieode.involutive import _lcm, complete, primitive
 from lieode.jets import jet_name, jet_order
 from lieode.parsing import OdeSpec, parse_ode
 from lieode.polys import MPoly, content, gcd
 from lieode.ratfunc import RatFunc
 
-from conftest import (ETA, XI, Slot, bench_inputs, bench_odes,
-                      canonical_view, default_key, leading_coeff, mirror,
-                      mirror_key, mirror_slot, mpolys, nonzero_rationals,
-                      plain_eval, rationals, reference_collected,
-                      reference_determining_system, reference_primitive,
-                      reference_slot_index, slot_keyed, substitute,
-                      substitute_generator, to_int, to_slot)
+from conftest import (ETA, XI, Slot, audit_involutive, bench_inputs,
+                      bench_odes, canonical_view, default_key, leading_coeff,
+                      mirror, mirror_key, mirror_slot, mpolys,
+                      nonzero_rationals, plain_eval, rationals,
+                      reference_collected, reference_determining_system,
+                      reference_primitive, reference_slot_index, slot_keyed,
+                      substitute, substitute_generator, to_int, to_slot)
 
 
 def jet(k):

@@ -12,19 +12,19 @@ from lieode import analyze
 from lieode import involutive
 from lieode.determining import determining_system, fields
 from lieode.errors import InternalInvariantError
-from lieode.involutive import (_cross, _Eq, audit_involutive, complete,
-                               lin_derive, primitive, reduce)
+from lieode.involutive import (_cross, _Eq, complete, lin_derive, primitive,
+                               reduce)
 from lieode.liealgebra import CASE_NONE
 from lieode.parsing import parse_ode
 from lieode.polys import MPoly, try_divexact
 from lieode.polys import gcd as poly_gcd
 from lieode.ratfunc import RatFunc
 
-from conftest import (ETA, XI, Slot, bench_odes, bench_ranking_cases,
-                      default_key, int_keyed, mirror, mirror_key, mirror_slot,
-                      normal_form, ranking_case_system, reference_complete,
-                      slot_keyed, substitute_generator, to_int, to_slot,
-                      unmirror)
+from conftest import (ETA, XI, Slot, audit_involutive, bench_odes,
+                      bench_ranking_cases, default_key, int_keyed, mirror,
+                      mirror_key, mirror_slot, normal_form,
+                      ranking_case_system, slot_keyed, substitute_generator,
+                      to_int, to_slot)
 
 ONE = MPoly.const(1)
 X = MPoly.variable("x")
@@ -275,18 +275,12 @@ def test_coprime_bivariate_denominator_completes():
     assert higher.m == 0
 
 
-# -- the pairwise reference and the chain criterion ---------------------------------
+# -- certificates of the completion and the chain criterion -------------------------
 
 
-def _assert_equals(inv, ref):
-    assert [slot_keyed(eq) for eq in inv.equations] == ref.equations
-    assert [to_slot(s) for s in inv.leads] == ref.leads
-    assert [to_slot(s) for s in inv.parametric] == ref.parametric
-
-
-def _assert_matches_reference(inv, system):
-    _assert_equals(inv, reference_complete([slot_keyed(eq) for eq in system]))
-    assert audit_involutive(inv, system)
+def _without_chain_criterion(monkeypatch):
+    """Make completion cross every pair of equations in one unknown."""
+    monkeypatch.setattr(involutive, "_chain_redundant", lambda *args: False)
 
 
 def _checked_eliminations(monkeypatch):
@@ -321,18 +315,39 @@ def _checked_eliminations(monkeypatch):
 @pytest.mark.parametrize("ode,mirrored", bench_ranking_cases())
 def test_completion_matches_the_pairwise_reference(ode, mirrored,
                                                    monkeypatch):
-    # on a mirrored case the completion, mapped back, is also the pairwise
-    # reference's under the second ranking on the input itself.  The
-    # completion runs with every elimination step checked: a monic divisor
-    # coefficient, and a gcd only where it does not divide
+    """The completed system is pinned with no second completion code.
+
+    The audit shows that every determining equation reduces to zero, so
+    the completed equations cut out a subspace of the determining
+    system's solutions, and that the completed system is passive, so its
+    parametric count is that subspace's dimension.  The pointwise oracle
+    (test_liealgebra.test_pointwise_oracle_counts_the_series_basis) reads
+    the same count off the determining system itself, with no completion,
+    on every plain-ranking case, and a mirrored case must agree with its
+    plain one.  Equal dimensions make the subspace the whole solution
+    space, which fixes the ideal of the equations.  The audit also shows
+    that the system is reduced: no lead divides another term.  With each
+    lead its equation's highest slot in int order, the ranking, a reduced
+    basis of one ideal is unique up to a factor per equation, which
+    ``primitive`` fixes: so the equations, leads and parametric slots are
+    pinned.  The pairwise reference is then the engine itself with the
+    chain criterion off, crossing every pair, which must give the same
+    system.
+
+    The completion runs with every elimination step checked: a monic
+    divisor coefficient, and a gcd only where it does not divide.
+    """
     system = ranking_case_system(ode, mirrored)
     counts = _checked_eliminations(monkeypatch)
     inv = complete(system)
     assert counts["steps"] > counts["gcds"]
-    _assert_matches_reference(inv, system)
+    assert audit_involutive(inv, system)
+    assert all(e.lead == max(e.terms) and e.terms == primitive(e.terms, e.lead)
+               for e in inv.eqs)
     if mirrored:
-        _assert_equals(unmirror(inv), reference_complete(
-            [slot_keyed(eq) for eq in determining_system(ode)], mirror_key))
+        assert inv.dimension == complete(determining_system(ode)).dimension
+    _without_chain_criterion(monkeypatch)
+    _assert_same_completion(complete(system), inv)
 
 
 @pytest.mark.parametrize("ode,mirrored", bench_ranking_cases())
@@ -378,16 +393,6 @@ def test_default_ranking_completes_the_former_hangs(text):
     assert higher.m == 0
 
 
-def test_painleve_ii_completes_under_the_alternate_ranking():
-    # with a first-in, first-out queue this ran past 20 s under the second
-    # ranking, in the content of a rewritten tail; lowest first it
-    # finishes with the default ranking's dimension
-    detsys = determining_system(parse_ode("y''=2*y^3+x*y"))
-    alt = complete(mirror(detsys))
-    assert alt.dimension == complete(detsys).dimension == 0
-    assert audit_involutive(alt, mirror(detsys))
-
-
 def _counting_cross(monkeypatch):
     """Patch involutive._cross to record the lead pair of each call."""
     seen = []
@@ -416,21 +421,24 @@ def test_chain_criterion_skips_the_redundant_pair(monkeypatch):
     seen = {frozenset(map(to_slot, pair)) for pair in crossed}
     assert {frozenset((xx, xy)), frozenset((xy, yy))} <= seen
     assert frozenset((xx, yy)) not in seen
-    _assert_matches_reference(inv, eqs)
+    assert audit_involutive(inv, eqs)
+    _without_chain_criterion(monkeypatch)
+    _assert_same_completion(complete(eqs), inv)
 
 
 def test_chain_criterion_forms_fewer_cross_derivatives(monkeypatch):
-    # on the rational bench inputs the criterion skips some pairs that the
-    # pairwise reference reduces
+    # on the rational bench inputs the criterion skips some pairs that
+    # completion without it crosses
     seen = _counting_cross(monkeypatch)
-    ref_count = 0
-    for name, ode, _ in bench_odes():
-        if name.startswith("rational-"):
-            detsys = determining_system(ode)
-            complete(detsys)
-            ref_count += reference_complete(
-                [slot_keyed(eq) for eq in detsys]).crosses
-    assert 0 < len(seen) < ref_count
+    systems = [determining_system(ode) for name, ode, _ in bench_odes()
+               if name.startswith("rational-")]
+    for detsys in systems:
+        complete(detsys)
+    with_criterion = len(seen)
+    _without_chain_criterion(monkeypatch)
+    for detsys in systems:
+        complete(detsys)
+    assert 0 < with_criterion < len(seen) - with_criterion
 
 
 # -- the kernel's ownership and gcd rules -------------------------------------------
@@ -479,8 +487,8 @@ def test_cross_writes_into_no_equation(ode, mirrored):
 def test_completion_takes_no_gcd_of_a_constant(ode, mirrored, monkeypatch):
     # the gcd of a constant and a polynomial is 1, so _eliminate skips it;
     # with a gcd that refuses a constant operand, completion still runs and
-    # gives the system of the unpatched run, which the reference checks in
-    # test_completion_matches_the_pairwise_reference
+    # gives the system of the unpatched run, which
+    # test_completion_matches_the_pairwise_reference certifies
     def strict(a, b):
         assert not (a.is_const() or b.is_const()), (a, b)
         return poly_gcd(a, b)

@@ -1,12 +1,12 @@
 """Multivariate polynomial arithmetic: ring laws, calculus, gcd."""
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import lieode.ratfunc
 from lieode import polys
 from lieode.errors import InputError
 from lieode.parsing import parse_ode
@@ -15,9 +15,9 @@ from lieode.polys import (ONE, ZERO, MPoly, _guard, _monic, _pack,
                           try_divexact, var_rank)
 from lieode.ratfunc import RatFunc
 
-from conftest import (as_const, from_coeffs, leading, leading_coeff,
-                      mono_key, mpolys, nonzero_rationals, rationals,
-                      reference_derivative, reference_gcd)
+from conftest import (MODULUS, as_const, from_coeffs, leading,
+                      leading_coeff, mono_key, mpolys, nonzero_rationals,
+                      rationals, reference_derivative)
 
 X = MPoly.variable("x")
 Y = MPoly.variable("y")
@@ -217,14 +217,75 @@ def test_gcd_image_test_oracle():
     assert gcd(u, v) == g * (1 / leading_coeff(g))
 
 
+# Values for the other variables when a coprimality is checked in one: far
+# from the small integers where the test polynomials tend to share roots
+SPECIALIZATIONS = [tuple(random.Random(k).randrange(MODULUS) for _ in range(3))
+                   for k in range(4)]
+
+
+def _image_mod(p, v, at):
+    """Dense coefficients in v, lowest first, of p times its denominator,
+    with every other variable put to its value in ``at``, mod MODULUS."""
+    out = [0] * (p.degree_in(v) + 1)
+    for e, c in p.numerators():
+        i = 0
+        for name, k in zip(p.vars, e):
+            if name == v:
+                i = k
+            else:
+                c = c * pow(at[name], k, MODULUS) % MODULUS
+        out[i] = (out[i] + c) % MODULUS
+    return out
+
+
+def _euclid_mod(a, b):
+    """The last nonzero remainder of Euclid on dense coefficient lists mod
+    MODULUS, each ending in a nonzero coefficient."""
+    while b:
+        r, inv = list(a), pow(b[-1], -1, MODULUS)
+        while len(r) >= len(b):
+            f, shift = r[-1] * inv % MODULUS, len(r) - len(b)
+            for i, c in enumerate(b):
+                r[i + shift] = (r[i + shift] - f * c) % MODULUS
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, r
+    return a
+
+
+def _assert_coprime(a, b):
+    """a and b share no factor: for each variable both have, at the first
+    of SPECIALIZATIONS where neither leading coefficient in it vanishes,
+    Euclid mod MODULUS ends in a nonzero constant.  A common factor in that
+    variable would keep its degree there, since its leading coefficient
+    divides both of theirs, and divide both images."""
+    for v in sorted(set(a.vars) & set(b.vars)):
+        others = sorted(set(a.vars + b.vars) - {v})
+        for values in SPECIALIZATIONS:
+            at = dict(zip(others, values))
+            ia, ib = _image_mod(a, v, at), _image_mod(b, v, at)
+            if ia[-1] and ib[-1]:
+                break
+        else:
+            raise AssertionError("every specialization is singular in " + v)
+        assert len(_euclid_mod(ia, ib)) == 1, (a, b, v)
+
+
 @settings(max_examples=40)
 @given(st.sampled_from([("x", "y"), ("x", "y", "y1")]).flatmap(
     lambda names: st.tuples(*(mpolys(names, max_terms=3, max_exp=2),) * 3)))
-def test_gcd_matches_the_reference_on_planted_factors(triple):
-    # evaluation and interpolation against the primitive PRS it replaced
+def test_gcd_is_certified_on_planted_factors(triple):
+    # G = gcd(g a, g b) is monic, divides both operands and is divisible by
+    # g, and its cofactors are coprime: G is then the monic gcd
     g, a, b = triple
     assume(not (g.is_zero() or a.is_zero() or b.is_zero()))
-    assert gcd(g * a, g * b) == reference_gcd(g * a, g * b)
+    u, v = g * a, g * b
+    G = gcd(u, v)
+    assert leading_coeff(G) == 1
+    assert try_divexact(G, g) is not None
+    cu, cv = try_divexact(u, G), try_divexact(v, G)
+    assert cu is not None and cv is not None
+    _assert_coprime(cu, cv)
 
 
 def _image_gcds(monkeypatch, u, v, rest):
@@ -518,9 +579,10 @@ SHARED_FACTORS = (MPoly.const(1), (X + Y) ** 2, (X + Y) * (X - Y),
 @given(ratfuncs(), ratfuncs(), st.sampled_from(JET_NAMES),
        st.sampled_from(SHARED_FACTORS), st.sampled_from(SHARED_FACTORS))
 def test_ratfunc_results_are_canonical(a, b, name, fa, fb):
-    # a result built without the gcd and monic pass must still be the pair
-    # that pass would give: coprime, denominator with leading coefficient 1;
-    # the reference values are built from the cross products by that pass
+    # every result, negations and powers too, which skip the gcd, must be
+    # the pair the gcd and monic pass gives: coprime, denominator with
+    # leading coefficient 1; the reference values are built from the cross
+    # products by that pass
     a = RatFunc(a.num, a.den * fa)
     b = RatFunc(b.num, b.den * fb)
     results = [-a, -b, a + b, a - b, a - a, a * b,
@@ -542,28 +604,14 @@ def test_ratfunc_results_are_canonical(a, b, name, fa, fb):
        st.sampled_from(JET_NAMES))
 def test_ratfunc_polynomial_results_match_the_constructor(p, q, c, name):
     # constants, variables, and sums and products of two polynomials are
-    # built without a gcd; each is the pair the normalizing constructor
-    # gives
+    # the pairs the normalizing constructor gives for their polynomial
+    # values
     a, b = RatFunc(p), RatFunc(q)
     assert a + b == RatFunc(p + q) and a - b == RatFunc(p - q)
     assert a * b == RatFunc(p * q)
     assert RatFunc.const(c) == RatFunc(MPoly.const(c))
     assert RatFunc.variable(name) == RatFunc(MPoly.variable(name))
     assert RatFunc.one() == RatFunc(ONE) and RatFunc.zero() == RatFunc(ZERO)
-
-
-def test_ratfunc_polynomial_results_take_no_gcd(monkeypatch):
-    def no_gcd(*args):
-        raise AssertionError("gcd called")
-
-    a, b = RatFunc(X * X - Y), RatFunc(X + Y)
-    monkeypatch.setattr(lieode.ratfunc, "gcd", no_gcd)
-    assert a + b == a - (-b) and (a + b).den.is_const()
-    assert (a * b).num == (X * X - Y) * (X + Y)
-    assert (RatFunc.const(Fraction(-2, 3)) + RatFunc.variable("x")
-            == b - RatFunc.variable("y") + Fraction(-2, 3))
-    with pytest.raises(AssertionError, match="gcd called"):
-        a / b
 
 
 @st.composite

@@ -16,8 +16,7 @@ from lieode.recovery import (REASON_DEGREE, REASON_EQUIVALENT, REASON_PATTERN,
                              recovery_details)
 
 from conftest import (affine_equivalent, fraction_bracket, inverse,
-                      lie_table, mat_mul, nonzero_rationals, rationals,
-                      reference_root_affine_image)
+                      lie_table, mat_mul, nonzero_rationals, rationals)
 
 F = Fraction
 
@@ -57,14 +56,21 @@ def test_root_affine_image_moves_roots(roots, k, b):
     assert root_affine_image(CharPoly.from_roots(roots), k, b) == image
 
 
+def _value(p, z):
+    return sum(a * z ** j for j, a in enumerate(p.full_coeffs()))
+
+
 @given(charpolys(min_degree=1, max_degree=6),
        nonzero_rationals(max_abs=7, max_den=5), rationals(max_abs=7, max_den=5))
-def test_root_affine_image_matches_the_fraction_reference(p, k, b):
-    # the integer expansion over one scale gives the same CharPoly, with
-    # Fraction coefficients
+def test_root_affine_image_is_the_scaled_substitution(p, k, b):
+    # the monic q of degree n equals k^n p((z - b)/k) at n + 1 points, so
+    # it is that polynomial; its coefficients are Fractions
     from lieode.recovery import root_affine_image
     q = root_affine_image(p, k, b)
-    assert q == reference_root_affine_image(p, k, b)
+    n = p.degree
+    assert q.degree == n
+    for z in (F(2 * i - n, 3) for i in range(n + 1)):
+        assert _value(q, z) == k ** n * _value(p, (z - b) / k)
     assert all(type(c) is Fraction for c in q.coeffs)
 
 
