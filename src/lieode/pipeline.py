@@ -38,7 +38,7 @@ class RecoveryReport:
 
     ``char_poly`` is a member of the recovered class (for the maximal
     symmetry case it is the canonical representative z^n itself);
-    ``action_matrix`` records the adjoint action of the factor-space element
+    ``action_matrix`` records the adjoint action of the basis element
     that produced it, when one was needed.
     """
 

@@ -13,14 +13,14 @@ linearizable and, unless the source spectrum is an affine image of
 constant-coefficients with recoverable class equal to the source's.
 
 Transcendental building blocks (exp, log) are adjoined as fresh symbols
-t1, t2, ..., so all arithmetic stays in exact rational functions: d/dx, d/dy
-and D_x are each one ``RatFunc.derive`` call, a symbol's image given by the
-chain rule.  Images are admitted into the corpus only when every adjoined
-symbol cancels out of the final f.
+t1, t2, ..., so all arithmetic stays in exact rational functions.  D_x, one
+``RatFunc.derive`` call with each symbol's image by the chain rule, is the
+only derivative; on the plane D_x f = f_x + f_y y' yields the Jacobian.
+Images enter the corpus only when every adjoined symbol cancels out of f.
 
-``push_linear`` takes D_x(phi) = A/B as one such call and runs the chain on
-polynomials, with no gcd: psi = P/Q, M the lcm of the denominators of the
-symbols' images, so that DD = M D_x maps polynomials to polynomials, and
+``push_linear`` takes D_x(phi) = A/B from the transformation and runs the
+chain on polynomials, with no gcd: psi = P/Q, M the lcm of the denominators
+of the symbols' images, so that DD = M D_x maps polynomials to polynomials, and
 u_k = N_k / E_k with E_k = Q^q A^a M^m and E_0 = Q (a constant base is left
 out, and a constant A folds into B).  One step is
 
@@ -51,11 +51,11 @@ from .recovery import AffineClass, CharPoly, affine_class
 
 
 class TranscendentalRegistry:
-    """Adjoined exp/log symbols with their chain-rule derivatives."""
+    """Adjoined exp/log symbols with their D_x images by the chain rule."""
 
     def __init__(self):
         self._entries: List[Tuple[str, RatFunc]] = []  # (kind, argument)
-        self._images: Dict[Tuple[str, str], RatFunc] = {}
+        self._images: Dict[str, RatFunc] = {}
 
     def adjoin(self, kind: str, arg: RatFunc) -> RatFunc:
         if kind == "log" and arg.is_zero():
@@ -69,34 +69,25 @@ class TranscendentalRegistry:
     def is_symbol(self, name: str) -> bool:
         return name[:1] == "t" and name[1:].isdigit()
 
-    def derive(self, f: RatFunc, along: str) -> RatFunc:
-        """D f for D = d/dx or d/dy (along = "x" or "y") on the plane, or the
-        total derivative D_x on the jet space (along = "total"), with each
-        adjoined symbol's image by the chain rule."""
+    def total_dx(self, f: RatFunc) -> RatFunc:
+        """Total x-derivative on the jet space, with each adjoined symbol's
+        image by the chain rule."""
         names = f.variables()
-        if along == "total":
-            images = {v: RatFunc(w) for v, w in dx_images(names).items()}
-        else:
-            images = {along: RatFunc.one()}
+        images = {v: RatFunc(w) for v, w in dx_images(names).items()}
         for name in names:
             if self.is_symbol(name):
-                images[name] = self._image(name, along)
+                images[name] = self._image(name)
         return f.derive(images)
 
-    def _image(self, name: str, along: str) -> RatFunc:
-        """D(symbol): t * D(arg) for exp, D(arg) / arg for log; cached."""
-        key = (name, along)
-        got = self._images.get(key)
+    def _image(self, name: str) -> RatFunc:
+        """D_x(symbol): t D_x(arg) for exp, D_x(arg)/arg for log; cached."""
+        got = self._images.get(name)
         if got is None:
             kind, arg = self._entries[int(name[1:]) - 1]
-            d = self.derive(arg, along)
+            d = self.total_dx(arg)
             got = RatFunc.variable(name) * d if kind == "exp" else d / arg
-            self._images[key] = got
+            self._images[name] = got
         return got
-
-    def total_dx(self, f: RatFunc) -> RatFunc:
-        """Total x-derivative on the jet space."""
-        return self.derive(f, "total")
 
     def closed_dx_images(self, fs) -> Dict[str, RatFunc]:
         """D_x of every symbol in the fs and, in turn, of every symbol those
@@ -107,13 +98,22 @@ class TranscendentalRegistry:
         while todo:
             name = todo.pop()
             if name not in out:
-                out[name] = w = self._image(name, "total")
+                out[name] = w = self._image(name)
                 todo.extend(v for v in w.variables() if self.is_symbol(v))
         return out
 
 
 def _has_symbols(f: RatFunc, reg: TranscendentalRegistry) -> bool:
     return any(reg.is_symbol(v) for v in f.variables())
+
+
+def _partials(df: RatFunc) -> List[MPoly]:
+    """[c0, c1] with D_x f = (c0 + c1 y') / den for f on the plane: den is
+    free of y', so c0 and c1 are f_x and f_y over one nonzero den."""
+    parts = df.num.coeffs_in(jet_name(1))
+    if len(parts) > 2:
+        raise InternalInvariantError("total derivative not linear in y'")
+    return parts + [ZERO] * (2 - len(parts))
 
 
 @dataclasses.dataclass
@@ -127,9 +127,10 @@ class PointTransformation:
         self.registry = reg = TranscendentalRegistry()
         self.psi = parse_expr(self.psi_text, call=reg.adjoin)
         self.phi = parse_expr(self.phi_text, call=reg.adjoin)
-        psi_x, psi_y, phi_x, phi_y = (
-            reg.derive(f, v) for f in (self.psi, self.phi) for v in "xy")
-        if (phi_x * psi_y - phi_y * psi_x).is_zero():
+        self.dphi = reg.total_dx(self.phi)     # kept for push_linear
+        (a0, a1), (b0, b1) = (_partials(d)
+                              for d in (self.dphi, reg.total_dx(self.psi)))
+        if not a0 * b1 - a1 * b0:
             raise InputError("transformation Jacobian vanishes identically")
 
     @property
@@ -184,12 +185,9 @@ def push_linear(p: CharPoly, T: PointTransformation) -> OracleInstance:
         raise InputError("source equation must have order at least 2")
     reg = T.registry
     m, images = polynomial_derivation(reg.closed_dx_images((T.psi, T.phi)))
-    dphi = reg.total_dx(T.phi)
-    if dphi.is_zero():
-        raise InputError("transformation time variable is constant on solutions")
     jets = dx_images(["x"] + [jet_name(k) for k in range(n)])
     images.update({v: m * w for v, w in jets.items()})
-    a, b = dphi.num, dphi.den
+    a, b = T.dphi.num, T.dphi.den
     if a.is_const():
         # 1/A folds into B
         a, b = ONE, b.scaled(a.den, a.leading_numerator())

@@ -3,7 +3,7 @@
 For a linearizable equation whose symmetry dimension is m = n+2, the derived
 algebra D is abelian of dimension n (the pushed-forward solution fields) and
 the two-dimensional factor space L/D acts on D by the bracket.  The action
-matrix of a representative that acts non-trivially has eigenvalues k*lambda_i
+matrix of a basis element that acts as a non-scalar has eigenvalues k*lambda_i
 + b for the characteristic roots lambda_i of any constant-coefficient linear
 target, with unknown k != 0 and b.  Its characteristic polynomial therefore
 determines the target's characteristic polynomial exactly up to the affine
@@ -28,7 +28,7 @@ from typing import Dict, List, Sequence, Tuple
 from .errors import InternalInvariantError
 from .liealgebra import LieAlgebraTable, Subalgebra
 from .linalg import (Mat, Vec, charpoly as matrix_charpoly, eliminate,
-                     integer_rref, is_scalar_matrix)
+                     is_scalar_matrix)
 from .parsing import deriv_marker, signed_sum
 
 _0 = Fraction(0)
@@ -198,26 +198,7 @@ def classify_pair(p: CharPoly, q: CharPoly) -> Tuple[bool, str]:
     return True, REASON_EQUIVALENT
 
 
-# -- Lie-algebra side: factor space and adjoint action ------------------------
-
-
-def factor_space(L: LieAlgebraTable, D: Subalgebra) -> Tuple[int, int]:
-    """Indices i < j of the two basis elements whose unit vectors, taken in
-    order, first enlarge D's span: e_i and e_j complete D's basis to a
-    basis of L."""
-    if L.m - D.dimension != 2:
-        raise ValueError("factor space requires codimension 2, got %d"
-                         % (L.m - D.dimension))
-    reps: List[int] = []
-    rows = D.rows
-    for i in range(L.m):
-        grown = integer_rref([[int(t == i) for t in range(L.m)]], rows)
-        if len(grown) > len(rows):
-            rows = grown
-            reps.append(i)
-            if len(reps) == 2:
-                return reps[0], reps[1]
-    raise InternalInvariantError("failed to complete derived basis to the full algebra")
+# -- Lie-algebra side: adjoint action -----------------------------------------
 
 
 def adjoint_on_derived(L: LieAlgebraTable, D: Subalgebra, i: int) -> Mat:
@@ -228,8 +209,6 @@ def adjoint_on_derived(L: LieAlgebraTable, D: Subalgebra, i: int) -> Mat:
     E*p_c*[e_i, d_c]; its coordinates are its pivot entries.
     """
     u = [int(t == i) for t in range(L.m)]
-    if not any(eliminate(u, D.rows)):
-        raise ValueError("representative lies in the derived algebra")
     cols: List[Vec] = []
     for c, row in D.rows:
         w = L.bracket_numerators(u, row)
@@ -244,15 +223,21 @@ def adjoint_on_derived(L: LieAlgebraTable, D: Subalgebra, i: int) -> Mat:
 
 def recovery_details(L: LieAlgebraTable,
                      D: Subalgebra) -> Tuple[Mat, CharPoly]:
-    """(action matrix, char poly) of the first of the two factor-space
-    representatives that acts on D as a non-scalar matrix.  The scalar
-    actions form a subspace, so if both act as scalars, all of L/D does."""
-    for i in factor_space(L, D):
+    """(action matrix, char poly) of the first basis element e_i, in index
+    order, that acts on D as a non-scalar matrix.  D is abelian, so an
+    element of D acts as zero and one of span(D, e_i) as a multiple of e_i's
+    action: the walk stops at the first of the two factor-space
+    representatives (the first two e_i to enlarge D's span) that acts as a
+    non-scalar.  The scalar actions form a subspace, so if both act as
+    scalars, all of L/D does."""
+    if not D.abelian:
+        raise InternalInvariantError("derived algebra is not abelian")
+    for i in range(L.m):
         A = adjoint_on_derived(L, D, i)
         if not is_scalar_matrix(A):
             return A, CharPoly(tuple(matrix_charpoly(A)))
     raise InternalInvariantError(
-        "all factor-space candidates act as scalars; an all-equal spectrum "
+        "every basis element acts as a scalar; an all-equal spectrum "
         "belongs to the maximal class, not to m = n+2")
 
 

@@ -775,8 +775,6 @@ def reference_push_linear(p: CharPoly, T: PointTransformation) -> OracleInstance
         raise InputError("source equation must have order at least 2")
     reg = T.registry
     dphi = reg.total_dx(T.phi)
-    if dphi.is_zero():
-        raise InputError("transformation time variable is constant on solutions")
     u = [T.psi]
     for _ in range(n):
         u.append(reg.total_dx(u[-1]) / dphi)

@@ -1,6 +1,4 @@
 """Determining systems: prolongation formulas, jet collection, known kernels."""
-from fractions import Fraction
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st

@@ -1,6 +1,4 @@
 """Jet-space calculus: jet names and orders, total derivatives."""
-from fractions import Fraction
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st

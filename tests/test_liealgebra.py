@@ -95,16 +95,17 @@ def test_automatic_point_avoids_singularities():
 
 # Rational functions whose denominators have repeated factors, in x, in y
 # and in both; their numerators and denominators are the polynomials of the
-# test below.
+# test below.  Each is built inside the test, so an arithmetic fault fails
+# that test instead of stopping collection.
 TAYLOR_CASES = {
-    "both": (X - Y) / (X + Y) ** 2,
-    "both-cubed": (X * Y + 1) / (X + 2 * Y) ** 3,
-    "separate": (Y ** 3 + X) / ((X * X + 1) ** 2 * (Y + 2) ** 3),
-    "product": ONE / (X * Y - 1) ** 2,
-    "x-only": X / (X - 3) ** 3,
-    "y-only": (Y - 1) / (Y * Y + 1) ** 2,
-    "polynomial": X ** 3 * Y * Y - 5 * X * Y + F(7, 3),
-    "constant": RatFunc.const(F(5, 7)),
+    "both": lambda: (X - Y) / (X + Y) ** 2,
+    "both-cubed": lambda: (X * Y + 1) / (X + 2 * Y) ** 3,
+    "separate": lambda: (Y ** 3 + X) / ((X * X + 1) ** 2 * (Y + 2) ** 3),
+    "product": lambda: ONE / (X * Y - 1) ** 2,
+    "x-only": lambda: X / (X - 3) ** 3,
+    "y-only": lambda: (Y - 1) / (Y * Y + 1) ** 2,
+    "polynomial": lambda: X ** 3 * Y * Y - 5 * X * Y + F(7, 3),
+    "constant": lambda: RatFunc.const(F(5, 7)),
 }
 
 
@@ -116,7 +117,7 @@ def test_taylor_coefficients_match_iterated_derivatives(name, point):
     # symbolic differentiation and evaluation give it, for the shift of
     # each polynomial p; zeros are left out, and the shift stops at order K
     # [DERIVED]
-    c, K = TAYLOR_CASES[name], 6
+    c, K = TAYLOR_CASES[name](), 6
     for p in (c.num, c.den):
         T, scale = lieode.liealgebra._shifted(p, point, K)
         ref = solution_data_from_components(RatFunc(p), ZERO, point, K)

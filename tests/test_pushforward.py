@@ -11,12 +11,13 @@ import lieode.pushforward
 import lieode.ratfunc
 from lieode import analyze
 from lieode.determining import determining_system
-from lieode.errors import InputError, NonRationalInstance
+from lieode.errors import (InputError, InternalInvariantError,
+                           NonRationalInstance)
 from lieode.parsing import print_ode
-from lieode.pushforward import (OracleInstance, PointTransformation,
-                                TranscendentalRegistry, corpus_sources,
-                                default_corpus, is_staircase_class,
-                                push_linear, shipped_transformations)
+from lieode.pushforward import (PointTransformation, TranscendentalRegistry,
+                                corpus_sources, default_corpus,
+                                is_staircase_class, push_linear,
+                                shipped_transformations)
 from lieode.ratfunc import RatFunc
 from lieode.recovery import CharPoly, affine_class
 
@@ -222,8 +223,10 @@ def test_drawn_pairs_match_the_normalized_chain():
 
 def test_one_total_derivative_and_no_gcd_before_the_final_reduction(
         monkeypatch):
-    # the chain runs on polynomials: after the one total_dx call, for
-    # D_x(phi), the next gcd is one that RatFunc(low, lead) takes
+    # D_x(phi) is taken once, when the transformation is built, so
+    # push_linear makes no total_dx call; the chain runs on polynomials:
+    # after the symbols' derivation, the next gcd is one that
+    # RatFunc(low, lead) takes, and that RatFunc is the only one built
     pairs = [((0, 1, 3), "1/(x+y)", "x"), ((-1, 0, 1, 3), "y/x", "1/x"),
              ((0, 1, 1), "y*exp(1/x)", "x*y"),
              ((0, 0, 0), "log(y)", "log(x+y)")]
@@ -232,12 +235,17 @@ def test_one_total_derivative_and_no_gcd_before_the_final_reduction(
     transformations = [PointTransformation(psi, phi) for _, psi, phi in pairs]
     events = []
     total_dx = TranscendentalRegistry.total_dx
+    derivation = lieode.pushforward.polynomial_derivation
     normalize = RatFunc.__init__
     gcd = lieode.polys.gcd
 
     def counted_total_dx(self, f):
-        out = total_dx(self, f)
-        events.append("total_dx returned")
+        events.append("total_dx")
+        return total_dx(self, f)
+
+    def counted_derivation(images):
+        out = derivation(images)
+        events.append("derivation returned")
         return out
 
     def counted_normalize(self, num, den=None):
@@ -251,13 +259,16 @@ def test_one_total_derivative_and_no_gcd_before_the_final_reduction(
     for module in (lieode.polys, lieode.ratfunc):
         monkeypatch.setattr(module, "gcd", counted_gcd)
     monkeypatch.setattr(TranscendentalRegistry, "total_dx", counted_total_dx)
+    monkeypatch.setattr(lieode.pushforward, "polynomial_derivation",
+                        counted_derivation)
     monkeypatch.setattr(RatFunc, "__init__", counted_normalize)
     for (r, _, _), T, ode in zip(pairs, transformations, want):
         events.clear()
         assert push_linear(roots(*r), T).ode == ode
-        assert events.count("total_dx returned") == 1
-        after = events[events.index("total_dx returned") + 1:]
-        assert after[0] == "RatFunc" and after.count("RatFunc") == 1
+        assert "total_dx" not in events
+        assert events.count("derivation returned") == 1
+        after = events[events.index("derivation returned") + 1:]
+        assert after[0] == "RatFunc" and events.count("RatFunc") == 1
         assert "gcd" in after       # the counters see the final reduction
 
 
@@ -332,6 +343,34 @@ def test_vanishing_jacobian_is_rejected():
         PointTransformation("x", "x")
     with pytest.raises(InputError, match="Jacobian"):
         PointTransformation("x*y", "x*y")
+
+
+@pytest.mark.parametrize("psi, phi", [("exp(x*y)", "x*y"),
+                                      ("log(x+y)", "exp(x+y)")])
+def test_vanishing_jacobian_through_adjoined_symbols(psi, phi):
+    # psi is a function of phi: exp(t) for t = x*y, log(log(t)) for
+    # t = exp(x+y); the Jacobian cancels only through the symbols' chain
+    # rule  [DERIVED]
+    with pytest.raises(InputError, match="Jacobian"):
+        PointTransformation(psi, phi)
+
+
+def test_jacobian_of_an_adjoined_symbol():
+    # phi_x psi_y - phi_y psi_x = exp(y) for u = exp(y), t = x, nonzero as
+    # a polynomial in the symbol t1 = exp(y)
+    T = PointTransformation("exp(y)", "x")
+    assert T.dphi == RatFunc.one()
+
+
+def test_total_derivative_above_first_order_in_y1_is_an_engine_error(
+        monkeypatch):
+    # D_x of a function on the plane is f_x + f_y y'; a numerator of degree
+    # 2 in y' breaks the Jacobian's reading of f_x and f_y
+    y1 = RatFunc.variable("y1")
+    monkeypatch.setattr(TranscendentalRegistry, "total_dx",
+                        lambda self, f: y1 * y1 + X)
+    with pytest.raises(InternalInvariantError, match="linear in y'"):
+        PointTransformation("y", "x")
 
 
 def test_first_order_source_is_rejected():

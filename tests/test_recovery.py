@@ -8,15 +8,17 @@ from hypothesis import strategies as st
 
 from lieode.errors import InternalInvariantError
 from lieode.liealgebra import derived_algebra
-from lieode.linalg import charpoly as matrix_charpoly, is_scalar_matrix
+from lieode.linalg import (charpoly as matrix_charpoly, eliminate,
+                           integer_rref, is_scalar_matrix)
 from lieode.recovery import (REASON_DEGREE, REASON_EQUIVALENT, REASON_PATTERN,
-                             REASON_SCALE, AffineClass, CharPoly,
-                             adjoint_on_derived, affine_class, centered,
-                             class_to_ode, classify_pair, factor_space,
-                             recovery_details)
+                             REASON_SCALE, CharPoly, adjoint_on_derived,
+                             affine_class, centered, class_to_ode,
+                             classify_pair, recovery_details,
+                             root_affine_image)
 
 from conftest import (affine_equivalent, fraction_bracket, inverse,
-                      lie_table, mat_mul, nonzero_rationals, rationals)
+                      lie_table, mat_mul, mat_scale, nonzero_rationals,
+                      rationals)
 
 F = Fraction
 
@@ -50,9 +52,7 @@ def test_from_roots_oracle():
 @given(st.lists(rationals(max_abs=5, max_den=3), min_size=2, max_size=4),
        nonzero_rationals(max_abs=4, max_den=3), rationals(max_abs=4, max_den=3))
 def test_root_affine_image_moves_roots(roots, k, b):
-    image = root_affine_image_of_roots = CharPoly.from_roots(
-        [k * r + b for r in roots])
-    from lieode.recovery import root_affine_image
+    image = CharPoly.from_roots([k * r + b for r in roots])
     assert root_affine_image(CharPoly.from_roots(roots), k, b) == image
 
 
@@ -65,7 +65,6 @@ def _value(p, z):
 def test_root_affine_image_is_the_scaled_substitution(p, k, b):
     # the monic q of degree n equals k^n p((z - b)/k) at n + 1 points, so
     # it is that polynomial; its coefficients are Fractions
-    from lieode.recovery import root_affine_image
     q = root_affine_image(p, k, b)
     n = p.degree
     assert q.degree == n
@@ -92,7 +91,6 @@ def test_centered_is_idempotent(p):
 @given(charpolys(), nonzero_rationals(max_abs=4, max_den=3),
        rationals(max_abs=4, max_den=3))
 def test_affine_images_stay_in_class(p, k, b):
-    from lieode.recovery import root_affine_image
     q = root_affine_image(p, k, b)
     assert affine_equivalent(p, q)
     assert affine_class(p) == affine_class(q)
@@ -205,8 +203,7 @@ def test_adjoint_action_matrix():
     L = _example_table()
     D = derived_algebra(L)
     assert D.dimension == 3
-    i, _ = factor_space(L, D)
-    A = adjoint_on_derived(L, D, i)
+    A = adjoint_on_derived(L, D, 3)     # e4, the x-translation
     # one Jordan block per eigenvalue; equal to the reference matrix
     # [[2,0,0],[1,2,0],[0,0,5]] up to basis permutation (here: transposed
     # storage, rows act on columns)
@@ -234,8 +231,7 @@ def test_charpoly_invariant_under_conjugation():
 def test_scalar_actions_are_skipped():
     L = _example_table()
     D = derived_algebra(L)
-    _, j = factor_space(L, D)
-    assert is_scalar_matrix(adjoint_on_derived(L, D, j))   # y-scaling: -I
+    assert is_scalar_matrix(adjoint_on_derived(L, D, 4))   # y-scaling: -I
     A, cp = recovery_details(L, D)
     assert not is_scalar_matrix(A)
     assert affine_equivalent(cp, CharPoly.from_roots([F(2), F(2), F(5)]))
@@ -245,7 +241,7 @@ def test_representative_choice_does_not_change_the_class():
     L = _example_table()
     D = derived_algebra(L)
     # ad is linear, so a e_i + b e_j acts as a A_i + b A_j
-    A1, A2 = (adjoint_on_derived(L, D, i) for i in factor_space(L, D))
+    A1, A2 = (adjoint_on_derived(L, D, i) for i in (3, 4))
     reference = affine_class(recovery_details(L, D)[1])
     for a, b in [(1, 0), (1, 1), (1, -1), (1, 2), (2, 3)]:
         A = _combined(a, A1, b, A2)
@@ -259,19 +255,25 @@ def _combined(a, A1, b, A2):
     return [[a * u + b * v for u, v in zip(r1, r2)] for r1, r2 in zip(A1, A2)]
 
 
+def _unit(m, i):
+    """The i-th unit vector of length m."""
+    return [int(t == i) for t in range(m)]
+
+
 @pytest.mark.parametrize("source", ["example", "cc_image3"])
 def test_adjoint_columns_reproduce_the_brackets(source, reference_reports):
     # column i of A holds the coordinates of [e, d_i] in D's basis; rebuild
-    # the bracket from C over the rationals and compare, for the two
-    # representatives and, by linearity, for combinations of them  [DERIVED]
+    # the bracket from C over the rationals and compare, for the first two
+    # basis elements outside D and, by linearity, for combinations of them
+    # [DERIVED]
     if source == "example":
         L = _example_table()
         D = derived_algebra(L)
     else:
         report = reference_reports[source]
         L, D = report.algebra, report.certificate.derived
-    reps = factor_space(L, D)
-    assert reps[0] < reps[1]
+    reps = [i for i in range(L.m)
+            if any(eliminate(_unit(L.m, i), D.rows))][:2]
     e1, e2 = ([F(int(t == i)) for t in range(L.m)] for i in reps)
     A1, A2 = (adjoint_on_derived(L, D, i) for i in reps)
     basis = D.basis
@@ -284,19 +286,46 @@ def test_adjoint_columns_reproduce_the_brackets(source, reference_reports):
             assert combo == fraction_bracket(L.C, e, d)
 
 
-def test_factor_space_requires_codimension_two():
+def test_walk_skips_scalar_actions_outside_the_unit_vectors():
+    # the basis f0 = d1, f1 = e5 + d2, f2 = 2 e5 + d3, f3 = d2, f4 = e4 + e5
+    # of _example_table's algebra: D = span(f0, f3, f2 - 2 f1) has a basis
+    # row that is no unit vector; f1, the first element outside D, acts as
+    # -I, f2 = 2 f1 + (d3 - 2 d2) lies in span(D, f1) and acts as -2 I, and
+    # f4 acts as ad(e4) - I, with spectrum {1, 1, 4}  [DERIVED]
+    old = _example_table()
+    P = [[F(v) for v in row] for row in [[1, 0, 0, 0, 0], [0, 1, 0, 0, 1],
+                                         [0, 0, 1, 0, 2], [0, 1, 0, 0, 0],
+                                         [0, 0, 0, 1, 1]]]
+    Pi = inverse(P)
+    L = lie_table([[mat_mul([fraction_bracket(old.C, u, v)], Pi)[0]
+                    for v in P] for u in P])
+    L.validate()
+    D = derived_algebra(L)
+    assert D.dimension == 3
+    assert any(sum(map(bool, row)) > 1 for _, row in D.rows)
+    outside = [any(eliminate(_unit(5, i), D.rows)) for i in range(5)]
+    assert outside == [False, True, True, False, True]
+    grown = integer_rref([_unit(5, 1)], D.rows)
+    assert not any(eliminate(_unit(5, 2), grown))
+    minus_one = [[F(-(i == j)) for j in range(3)] for i in range(3)]
+    assert adjoint_on_derived(L, D, 1) == minus_one
+    assert adjoint_on_derived(L, D, 2) == mat_scale(minus_one, 2)
+    A, cp = recovery_details(L, D)
+    assert A == adjoint_on_derived(L, D, 4)
+    assert cp == CharPoly.from_roots([F(1), F(1), F(4)])
+
+
+def test_recovery_rejects_a_non_abelian_derived_algebra():
+    # sl(2): [h, e] = 2 e, [h, f] = -2 f, [e, f] = h; D is all of it
     m = 3
     C = [[[F(0)] * m for _ in range(m)] for _ in range(m)]
-    L = lie_table(C)                   # abelian: derived = 0, codim 3
-    with pytest.raises(ValueError, match="codimension"):
-        factor_space(L, derived_algebra(L))
-
-
-def test_adjoint_rejects_representatives_inside_the_ideal():
-    L = _example_table()
-    D = derived_algebra(L)
-    with pytest.raises(ValueError):
-        adjoint_on_derived(L, D, 0)
+    for i, j, vec in [(0, 1, [0, 2, 0]), (0, 2, [0, 0, -2]), (1, 2, [1, 0, 0])]:
+        C[i][j] = [F(v) for v in vec]
+        C[j][i] = [-F(v) for v in vec]
+    L = lie_table(C)
+    L.validate()
+    with pytest.raises(InternalInvariantError, match="not abelian"):
+        recovery_details(L, derived_algebra(L))
 
 
 def test_end_to_end_recovery_of_a_repeated_root():
