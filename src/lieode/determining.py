@@ -8,7 +8,9 @@ prolongation; the k-th prolonged coefficient obeys
 (Olver, *Applications of Lie Groups to Differential Equations*, 2.3).  It is
 linear in the unknown functions xi, eta and their partial derivatives
 ("slots", each one packed int, below), with coefficients polynomial in the
-jet variables.
+jet variables with integer coefficients; ``_prolongation_terms`` builds it
+once per order as integer terms (slot, jet monomial), D_x acting on each
+term directly.
 
 Applying the prolonged operator to y^(n) + f and restricting to solutions
 (y^(n) := -f) gives the invariance condition.  Write f = P/Q, let
@@ -31,13 +33,12 @@ and the brackets of ``liealgebra`` keep each slot at its rank.
 from __future__ import annotations
 
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import InternalInvariantError
-from .jets import jet_name, total_derivative
+from .jets import jet_name
 from .parsing import OdeSpec
-from .polys import MPoly, divexact, gcd
+from .polys import ZERO, MPoly, divexact, gcd
 
 # A slot, the partial derivative d^(dx+dy) u / dx^dx dy^dy of an unknown u,
 # is one int: from high to low the fields order = dx + dy, dx and dy, each
@@ -86,97 +87,69 @@ def rank(s: int) -> int:
 LinDiffPoly = Dict[int, MPoly]
 
 
-def add_term(out: dict, s: int, value) -> None:
-    """Add value into out[s] in place, dropping the slot when it cancels."""
-    old = out.get(s)
-    if old is not None:
-        value = old + value
-    if value.is_zero():
-        out.pop(s, None)
-    else:
-        out[s] = value
-
-
-def sx_total_derivative(a: LinDiffPoly) -> LinDiffPoly:
-    """D_x of a slot-linear expression.
-
-    Coefficients differentiate totally; a slot, being a function of (x, y)
-    restricted to a curve, differentiates to its x-shift plus y' times its
-    y-shift.
-    """
-    out: LinDiffPoly = {}
-    y1 = MPoly.variable(jet_name(1))
-    for s, c in a.items():
-        add_term(out, s, total_derivative(c))
-        add_term(out, s + DX, c)
-        add_term(out, s + DY, c * y1)
-    return out
-
-
-@lru_cache(maxsize=None)
-def prolonged_eta(n: int) -> Tuple[Mapping[int, MPoly], ...]:
-    """(eta^(0), ..., eta^(n)), each step eta^(k) = D_x eta^(k-1) - y^(k) D_x xi.
-
-    Cached per order; the read-only views keep callers from changing it.
-    """
-    dxi = sx_total_derivative({slot(XI, 0, 0): MPoly.const(1)})
-    etas = [{slot(ETA, 0, 0): MPoly.const(1)}]
-    for k in range(1, n + 1):
-        e = sx_total_derivative(etas[-1])
-        minus_yk = -MPoly.variable(jet_name(k))
-        for s, c in dxi.items():
-            add_term(e, s, c * minus_yk)
-        etas.append(e)
-    return tuple(MappingProxyType(e) for e in etas)
-
-
 # -- generation -----------------------------------------------------------------
 
 
 JetKey = Tuple[Tuple[str, int], ...]
-JetTerms = Tuple[Tuple[int, Tuple[Tuple[JetKey, Tuple[int, int]], ...]], ...]
-
-
-def _jet_terms(lin: Mapping[int, MPoly], jets) -> JetTerms:
-    """Each slot's coefficient split into its jet monomials, with their
-    constant coefficients as (numerator, denominator), keyed as by
-    ``MPoly.coeffs_over``."""
-    out = []
-    for s, c in lin.items():
-        if c.is_zero():
-            continue
-        split = []
-        for key, v in c.coeffs_over(jets).items():
-            if not v.is_const():
-                raise InternalInvariantError(
-                    "prolonged coefficient depends on the base coordinates")
-            split.append((key, (v.leading_numerator(), v.den)))
-        out.append((s, tuple(split)))
-    return tuple(out)
+JetTerms = Tuple[Tuple[int, Tuple[Tuple[JetKey, int], ...]], ...]
 
 
 @lru_cache(maxsize=None)
 def _prolongation_terms(n: int) -> Tuple[JetTerms, ...]:
     """The linear parts that multiply R*Q, -(R*P), f_x and f_(y^(k)),
-    k < n, in the invariance condition, split by jet monomial (see
-    ``invariance_coefficients``).  Cached per order, like ``prolonged_eta``.
+    k < n, in the invariance condition, each slot's coefficient split into
+    its jet monomials with integer coefficients, keyed as by
+    ``MPoly.coeffs_over`` (see ``invariance_coefficients``).  Cached per
+    order.
+
+    eta^(0), ..., eta^(n) are built as terms {(slot, m): c}, m the exponents
+    of (y', ..., y^(n)).  A slot, being a function of (x, y) restricted to
+    a curve, differentiates to its x-shift plus y' times its y-shift, so
+    D_x(c m s) = c D_x(m) s + c m (s + DX) + c m y' (s + DY).
     """
-    etas = prolonged_eta(n)
-    top = jet_name(n)
-    jets = {jet_name(k) for k in range(1, n)}
+    def d_x(terms: dict) -> dict:
+        out: dict = {}
+        for (s, m), c in terms.items():
+            images = [(s, m[:i] + (e - 1, m[i + 1] + 1) + m[i + 2:], c * e)
+                      for i, e in enumerate(m[:-1]) if e]
+            images += [(s + DX, m, c), (s + DY, (m[0] + 1,) + m[1:], c)]
+            for t, mt, ct in images:
+                out[t, mt] = out.get((t, mt), 0) + ct
+        return out
+
+    one = (0,) * n
+    dxi = d_x({(slot(XI, 0, 0), one): 1})
+    etas = [{(slot(ETA, 0, 0), one): 1}]
+    for k in range(1, n + 1):
+        e = d_x(etas[-1])
+        for (s, m), c in dxi.items():  # - y^(k) D_x xi
+            m = m[:k - 1] + (m[k - 1] + 1,) + m[k:]
+            e[s, m] = e.get((s, m), 0) - c
+        etas.append(e)
     # eta^(n) = A + B y^(n) on y^(n) = -P/Q contributes A*R*Q + B*(-(R*P))
-    a_part: LinDiffPoly = {}
-    b_part: LinDiffPoly = {}
-    for s, c in etas[n].items():
-        if c.degree_in(top) > 1:
+    parts: Tuple[dict, dict] = ({}, {})
+    for (s, m), c in etas[n].items():
+        if m[-1] > 1:
             raise InternalInvariantError(
                 "prolonged coefficient is not linear in the top derivative")
-        a_part[s], b_part[s] = (c.coeffs_in(top) + [MPoly.zero()])[:2]
-    lins = [a_part, b_part, {slot(XI, 0, 0): MPoly.const(1)}, *etas[:n]]
-    if max(dx + dy for lin in lins for _, dx, dy in map(fields, lin)) > n:
+        parts[m[-1]][s, m] = c
+    lins = [*parts, {(slot(XI, 0, 0), one): 1}, *etas[:n]]
+    if max(s >> _O for lin in lins for s, _ in lin) > n:
         raise InternalInvariantError(
             "prolongation produced slot derivatives beyond the equation order")
-    return tuple(_jet_terms(lin, jets) for lin in lins)
+    names = [jet_name(k) for k in range(1, n)]
+    keys: Dict[tuple, JetKey] = {}
+    out = []
+    for lin in lins:
+        split: Dict[int, list] = {}
+        for (s, m), c in lin.items():
+            if c:
+                if m not in keys:
+                    keys[m] = tuple(sorted(
+                        (v, e) for v, e in zip(names, m) if e))
+                split.setdefault(s, []).append((keys[m], c))
+        out.append(tuple((s, tuple(t)) for s, t in split.items()))
+    return tuple(out)
 
 
 def _key_product(a: JetKey, b: JetKey) -> JetKey:
@@ -216,7 +189,6 @@ def invariance_coefficients(ode: OdeSpec) -> Dict[JetKey, LinDiffPoly]:
         mults.append(mult)
     jets = {jet_name(k) for k in range(1, n)}
     collected: Dict[JetKey, LinDiffPoly] = {}
-    zero = MPoly.zero()
     for lin, mult in zip(_prolongation_terms(n), mults):
         if mult.is_zero():
             continue
@@ -225,7 +197,7 @@ def invariance_coefficients(ode: OdeSpec) -> Dict[JetKey, LinDiffPoly]:
             for ckey, k in split:
                 for mkey, p in parts:
                     eq = collected.setdefault(_key_product(ckey, mkey), {})
-                    eq[s] = eq.get(s, zero).add_scaled(p, *k)
+                    eq[s] = eq.get(s, ZERO).add_scaled(p, k)
     out = {}
     for key, eq in collected.items():
         eq = {s: c for s, c in eq.items() if not c.is_zero()}

@@ -2,11 +2,8 @@
 
 Jet coordinates are x, y, y', y'', ... with internal names "x", "y", "y1",
 "y2", ...  ``jet_order`` reads off the highest derivative a rational
-expression involves.  ``total_derivative`` applies
-D_x = d/dx + sum_k y^(k+1) d/dy^(k), the derivation with the ``dx_images``
-x -> 1 and y^(k) -> y^(k+1), to a polynomial in these names; the
-prolongation of a symmetry generator is built from it alone, so no gcd runs
-there.
+expression involves, and ``dx_images`` gives the images x -> 1 and
+y^(k) -> y^(k+1) of the total derivative D_x = d/dx + sum_k y^(k+1) d/dy^(k).
 """
 from __future__ import annotations
 
@@ -43,7 +40,3 @@ def dx_images(names: Iterable[str]) -> Dict[str, MPoly]:
     return {v: MPoly.variable(jet_name(k + 1)) if k >= 0 else MPoly.const(1)
             for v, k in ks.items() if k >= 0 or v == "x"}
 
-
-def total_derivative(p: MPoly) -> MPoly:
-    """Total x-derivative of a jet polynomial along curves."""
-    return p.derive(dx_images(p.vars))

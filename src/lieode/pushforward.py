@@ -239,15 +239,14 @@ def push_linear(p: CharPoly, T: PointTransformation) -> OracleInstance:
     return OracleInstance(ode, p, T, case)
 
 
+# (psi, phi) of each transformation of the oracle corpus, in corpus order
+SHIPPED_PAIRS = (("y", "x"), ("exp(y)", "x"), ("y", "exp(x)"), ("1/y", "x"),
+                 ("y/x", "1/x"))
+
+
 def shipped_transformations() -> List[PointTransformation]:
     """The deterministic transformation list used for the oracle corpus."""
-    return [
-        PointTransformation("y", "x"),
-        PointTransformation("exp(y)", "x"),
-        PointTransformation("y", "exp(x)"),
-        PointTransformation("1/y", "x"),
-        PointTransformation("y/x", "1/x"),
-    ]
+    return [PointTransformation(psi, phi) for psi, phi in SHIPPED_PAIRS]
 
 
 def corpus_sources() -> List[CharPoly]:

@@ -20,13 +20,13 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from lieode import analyze, default_corpus
-from lieode.determining import (LinDiffPoly, add_term, determining_system,
-                                divides, fields, prolonged_eta, slot)
+from lieode.determining import (LinDiffPoly, determining_system, divides,
+                                fields, slot)
 from lieode.errors import (InputError, InternalInvariantError,
                            NonRationalInstance, OdeSyntaxError)
 from lieode.involutive import (RANKING, InvolutiveSystem, _cross, primitive,
                                reduce)
-from lieode.jets import jet_name
+from lieode.jets import dx_images, jet_name
 from lieode.liealgebra import LieAlgebraTable, Point, _shifted
 from lieode.linalg import Mat, Vec, rref
 from lieode.parsing import OdeSpec, parse_ode, print_ode
@@ -175,6 +175,17 @@ def partial(f, var: str):
     if isinstance(f, RatFunc):
         return f.derive({var: RatFunc.one()})
     return f.derivative(var)
+
+
+def add_term(out: dict, s, value) -> None:
+    """Add value into out[s] in place, dropping the slot when it cancels."""
+    old = out.get(s)
+    if old is not None:
+        value = old + value
+    if value.is_zero():
+        out.pop(s, None)
+    else:
+        out[s] = value
 
 
 def lin_derive(eq, var: str):
@@ -418,9 +429,9 @@ def normal_form(inv: InvolutiveSystem, p):
 
 # -- references for the determining stage ----------------------------------------
 #
-# The product-form determining system the engine replaced: every product is
-# formed in full, and the content is a gcd chain followed by a second
-# division.
+# The product-form determining system the engine replaced: the prolongation
+# is built with polynomial coefficients in the jets, every product is formed
+# in full, and the content is a gcd chain followed by a second division.
 
 
 def reference_primitive(eq, top):
@@ -433,6 +444,32 @@ def reference_primitive(eq, top):
     return {s: c * (1 / lc) for s, c in eq.items()}
 
 
+def reference_prolonged_eta(n: int) -> List[Dict[Slot, MPoly]]:
+    """(eta^(0), ..., eta^(n)), each step eta^(k) = D_x eta^(k-1) - y^(k) D_x xi,
+    with ``MPoly`` coefficients in the jets: D_x takes each coefficient
+    through the polynomial derivation of ``dx_images``, and each slot to its
+    x-shift plus y' times its y-shift."""
+    y1 = MPoly.variable(jet_name(1))
+
+    def d_x(a):
+        out = {}
+        for s, c in a.items():
+            add_term(out, s, c.derive(dx_images(c.vars)))
+            add_term(out, s.derive(1, 0), c)
+            add_term(out, s.derive(0, 1), c * y1)
+        return out
+
+    dxi = d_x({Slot(XI, 0, 0): MPoly.const(1)})
+    etas = [{Slot(ETA, 0, 0): MPoly.const(1)}]
+    for k in range(1, n + 1):
+        e = d_x(etas[-1])
+        yk = MPoly.variable(jet_name(k))
+        for s, c in dxi.items():
+            add_term(e, s, -(c * yk))
+        etas.append(e)
+    return etas
+
+
 def invariance_expression(ode: OdeSpec):
     """Q*R times X(y^(n) + f) restricted to solutions, f = P/Q, R = Q/G, as
     one slot-linear expression with coefficients in (x, y, jets)."""
@@ -441,7 +478,7 @@ def invariance_expression(ode: OdeSpec):
     for v in Q.vars:
         G = poly_gcd(G, Q.derivative(v))
     R = divexact(Q, G)
-    etas = [slot_keyed(e) for e in prolonged_eta(n)]
+    etas = reference_prolonged_eta(n)
     top = jet_name(n)
     out = {}
     for s, c in etas[n].items():
@@ -674,6 +711,14 @@ def sparse_structure_constants(basis) -> List[List[List[Fraction]]]:
 BENCH_DATA = pathlib.Path(__file__).resolve().parent.parent / "bench" / "data"
 
 
+def _bench_items(names=("corpus", "controls", "rational")):
+    """The inputs of the named bench files, read from the JSON alone."""
+    for name in names:
+        data = json.loads((BENCH_DATA / (name + ".json")).read_text(
+            encoding="utf-8"))
+        yield from data["inputs"]
+
+
 @functools.lru_cache(maxsize=None)
 def bench_odes():
     """(id, ode, translated ode) for every input of the corpus, controls and
@@ -683,34 +728,51 @@ def bench_odes():
     rng = random.Random(1)
     x, y = RatFunc.variable("x"), RatFunc.variable("y")
     out = []
-    for name in ("corpus", "controls", "rational"):
-        data = json.loads((BENCH_DATA / (name + ".json")).read_text(
-            encoding="utf-8"))
-        for item in data["inputs"]:
-            b, d = rng.choice([(1, 1), (1, 2), (2, 1), (2, 2)])
-            if item.get("shift_x") is False:
-                b = 0
-            ode = parse_ode(item["text"])
-            shifted = substitute(substitute(ode.f, "x", x + b), "y", y + d)
-            out.append((item["id"], ode, OdeSpec(ode.n, shifted)))
+    for item in _bench_items():
+        b, d = rng.choice([(1, 1), (1, 2), (2, 1), (2, 2)])
+        if item.get("shift_x") is False:
+            b = 0
+        ode = parse_ode(item["text"])
+        shifted = substitute(substitute(ode.f, "x", x + b), "y", y + d)
+        out.append((item["id"], ode, OdeSpec(ode.n, shifted)))
     return tuple(out)
 
 
+@pytest.fixture
+def ode(request):
+    """The ``bench_odes`` equation that a parameter (id, variant) of
+    ``bench_inputs``, ``bench_ranking_cases`` or ``bench_plain`` names, so
+    collection reads only the bench files and runs no arithmetic.  Use it
+    with ``indirect=["ode"]``."""
+    name, variant = request.param
+    plain, shifted = next((plain, shifted)
+                          for ident, plain, shifted in bench_odes()
+                          if ident == name)
+    return shifted if variant == "shifted" else plain
+
+
+def bench_plain():
+    """``pytest.param((id, "plain"))`` for every bench input, with its id."""
+    return [pytest.param((item["id"], "plain"), id=item["id"])
+            for item in _bench_items()]
+
+
 def bench_inputs():
-    """``pytest.param(ode)`` for every input of ``bench_odes``, plain and
-    translated."""
-    return [pytest.param(ode, id=f"{name}-{variant}")
-            for name, plain, shifted in bench_odes()
-            for variant, ode in (("plain", plain), ("shifted", shifted))]
+    """``pytest.param((id, variant))`` for every input of ``bench_odes``,
+    plain and translated."""
+    return [pytest.param((item["id"], variant),
+                         id=f"{item['id']}-{variant}")
+            for item in _bench_items() for variant in ("plain", "shifted")]
 
 
 def bench_ranking_cases():
-    """``pytest.param(ode, mirrored)`` for every input of ``bench_odes``,
-    plain and translated, under both rankings: the second ranking is the
-    engine's on the mirrored system (``ranking_case_system``)."""
-    return [pytest.param(ode, mirrored, id=f"{name}-{variant}-{ranking}")
-            for name, plain, shifted in bench_odes()
-            for variant, ode in (("plain", plain), ("shifted", shifted))
+    """``pytest.param((id, variant), mirrored)`` for every input of
+    ``bench_odes``, plain and translated, under both rankings: the second
+    ranking is the engine's on the mirrored system
+    (``ranking_case_system``)."""
+    return [pytest.param((item["id"], variant), mirrored,
+                         id=f"{item['id']}-{variant}-{ranking}")
+            for item in _bench_items() for variant in ("plain", "shifted")
             for mirrored, ranking in ((False, RANKING),
                                       (True, MIRROR_RANKING))]
 
@@ -755,11 +817,9 @@ def bench_texts() -> List[str]:
     """Every equation and transformation text of the bench files, and the
     printed form of each translated equation of ``bench_odes``."""
     texts = [print_ode(shifted) for _, _, shifted in bench_odes()]
-    for name in ("corpus", "controls", "rational", "oracle"):
-        data = json.loads((BENCH_DATA / (name + ".json")).read_text(
-            encoding="utf-8"))
-        texts += [item[key] for item in data["inputs"]
-                  for key in ("text", "psi", "phi", "image") if key in item]
+    texts += [item[key] for item in _bench_items(
+        ("corpus", "controls", "rational", "oracle"))
+        for key in ("text", "psi", "phi", "image") if key in item]
     return texts
 
 

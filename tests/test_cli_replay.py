@@ -13,8 +13,8 @@ code 2 there.
 
 It also pins ``oracle --poly P --psi PSI --phi PHI --json-only`` for the 14
 pairs of ``bench/data/oracle.json`` (ids ``oracle-NN``) and for every
-(source, transformation) pair of ``pushforward.shipped_transformations()``
-and ``corpus_sources()`` (ids ``shipped-NN``, transformations outermost);
+(source, transformation) pair of ``pushforward.SHIPPED_PAIRS`` and
+``corpus_sources()`` (ids ``shipped-NN``, transformations outermost);
 a pair whose image leaves the rational class pins exit code 2.  The bench
 files are only read.
 
@@ -30,7 +30,7 @@ import pathlib
 import pytest
 
 from lieode.cli import main
-from lieode.pushforward import corpus_sources, shipped_transformations
+from lieode.pushforward import SHIPPED_PAIRS, corpus_sources
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_FILES = ("corpus", "controls", "rational")
@@ -65,11 +65,10 @@ def _cases():
         yield (item["id"], "oracle",
                _oracle_argv(item["source_poly"] + ["1"], item["psi"],
                             item["phi"]))
-    pairs = [(T, p) for T in shipped_transformations()
-             for p in corpus_sources()]
-    for k, (T, p) in enumerate(pairs, 1):
+    pairs = [(T, p) for T in SHIPPED_PAIRS for p in corpus_sources()]
+    for k, ((psi, phi), p) in enumerate(pairs, 1):
         yield ("shipped-%02d" % k, "oracle",
-               _oracle_argv(p.full_coeffs(), T.psi_text, T.phi_text))
+               _oracle_argv(p.full_coeffs(), psi, phi))
 
 
 def _replay(argv: list) -> dict:

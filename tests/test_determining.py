@@ -3,21 +3,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lieode.determining import (DX, DY, determining_system, divides,
-                                invariance_coefficients, label,
-                                prolonged_eta, rank, slot)
+from lieode.determining import (DX, DY, _prolongation_terms,
+                                determining_system, divides,
+                                invariance_coefficients, label, rank, slot)
 from lieode.involutive import _lcm, complete, primitive
-from lieode.jets import jet_name, jet_order
+from lieode.jets import jet_name, jet_order_of
 from lieode.parsing import OdeSpec, parse_ode
 from lieode.polys import MPoly, content, gcd
 from lieode.ratfunc import RatFunc
 
 from conftest import (ETA, XI, Slot, audit_involutive, bench_inputs,
-                      bench_odes, canonical_view, default_key, leading_coeff,
+                      bench_plain, canonical_view, default_key, leading_coeff,
                       mirror, mirror_key, mirror_slot, mpolys,
                       nonzero_rationals, plain_eval, rationals,
                       reference_collected, reference_determining_system,
-                      reference_primitive, reference_slot_index, slot_keyed,
+                      reference_primitive, reference_prolonged_eta,
+                      reference_slot_index, slot_keyed,
                       substitute, substitute_generator, to_int, to_slot)
 
 
@@ -44,14 +45,23 @@ def _up_to_scale(eq, expected):
 # -- prolongation -----------------------------------------------------------------
 
 
+def split_keyed(lin):
+    """One linear part of ``_prolongation_terms`` as {Slot: {jet key: int}}."""
+    return {to_slot(s): dict(split) for s, split in lin}
+
+
+Y1, Y1_2, Y1_3 = (("y1", 1),), (("y1", 2),), (("y1", 3),)
+
+
 def test_first_prolongation_formula():
     # eta^(1) = eta_x + (eta_y - xi_x) y' - xi_y (y')^2  [PAPER]
-    got = slot_keyed(prolonged_eta(1)[1])
+    # (at order 2, whose linear parts are A, B, xi, eta, eta^(1))
+    got = split_keyed(_prolongation_terms(2)[4])
     expected = {
-        Slot(ETA, 1, 0): MPoly.const(1),
-        Slot(ETA, 0, 1): jet(1),
-        Slot(XI, 1, 0): -jet(1),
-        Slot(XI, 0, 1): -(jet(1) * jet(1)),
+        Slot(ETA, 1, 0): {(): 1},
+        Slot(ETA, 0, 1): {Y1: 1},
+        Slot(XI, 1, 0): {Y1: -1},
+        Slot(XI, 0, 1): {Y1_2: -1},
     }
     assert got == expected
 
@@ -59,36 +69,65 @@ def test_first_prolongation_formula():
 def test_second_prolongation_formula():
     # eta^(2) = eta_xx + (2 eta_xy - xi_xx) y' + (eta_yy - 2 xi_xy) (y')^2
     #           - xi_yy (y')^3 + (eta_y - 2 xi_x) y'' - 3 xi_y y' y''  [PAPER]
-    got = slot_keyed(prolonged_eta(2)[2])
-    y1, y2 = jet(1), jet(2)
-    expected = {
-        Slot(ETA, 2, 0): MPoly.const(1),
-        Slot(ETA, 1, 1): 2 * y1,
-        Slot(XI, 2, 0): -y1,
-        Slot(ETA, 0, 2): y1 * y1,
-        Slot(XI, 1, 1): -2 * y1 * y1,
-        Slot(XI, 0, 2): -(y1 ** 3),
-        Slot(ETA, 0, 1): y2,
-        Slot(XI, 1, 0): -2 * y2,
-        Slot(XI, 0, 1): -3 * y1 * y2,
+    # split as A + B y''
+    a_part, b_part = _prolongation_terms(2)[:2]
+    assert split_keyed(a_part) == {
+        Slot(ETA, 2, 0): {(): 1},
+        Slot(ETA, 1, 1): {Y1: 2},
+        Slot(XI, 2, 0): {Y1: -1},
+        Slot(ETA, 0, 2): {Y1_2: 1},
+        Slot(XI, 1, 1): {Y1_2: -2},
+        Slot(XI, 0, 2): {Y1_3: -1},
     }
-    assert got == expected
+    assert split_keyed(b_part) == {
+        Slot(ETA, 0, 1): {(): 1},
+        Slot(XI, 1, 0): {(): -2},
+        Slot(XI, 0, 1): {Y1: -3},
+    }
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_prolongation_terms_match_the_polynomial_recursion(n):
+    # the integer jet terms are the MPoly recursion with D_x as a polynomial
+    # derivation, eta^(n) split by its power of y^(n), every part split by
+    # jet monomial in (y', ..., y^(n-1))
+    etas = reference_prolonged_eta(n)
+    top = jet_name(n)
+    parts = ({}, {})
+    for s, c in etas[n].items():
+        assert c.degree_in(top) <= 1
+        for i, p in enumerate(c.coeffs_in(top)):
+            if not p.is_zero():
+                parts[i][s] = p
+    jets = {jet_name(k) for k in range(1, n)}
+    lins = [*parts, {Slot(XI, 0, 0): MPoly.const(1)}, *etas[:n]]
+    expected = [{s: c.coeffs_over(jets) for s, c in lin.items()}
+                for lin in lins]
+    assert [split_keyed(lin) for lin in _prolongation_terms(n)] == expected
 
 
 def test_prolongation_recursion_order_bound():
-    for k in (1, 2, 3):
-        expr = prolonged_eta(k)[k]
-        assert max(jet_order(RatFunc(p)) for p in expr.values()) <= k
+    # eta^(k), k < n, involves no jet above y^(k), and no part a slot of
+    # order above n
+    for n in (2, 3, 4):
+        lins = _prolongation_terms(n)
+        for k, lin in enumerate(lins[3:]):
+            assert all(jet_order_of(name) <= k
+                       for _, split in lin for key, _ in split
+                       for name, _ in key)
+        assert max(to_slot(s).order for lin in lins for s, _ in lin) == n
 
 
-def test_prolonged_eta_is_cached_and_read_only():
-    # built once per order; no caller can change the cached coefficients
-    etas = prolonged_eta(3)
-    assert prolonged_eta(3) is etas
-    with pytest.raises(TypeError):
-        etas[1][to_int(Slot(XI, 0, 0))] = MPoly.const(1)
-    with pytest.raises(TypeError):
-        etas[0] = {}
+def test_prolongation_terms_are_cached_and_immutable():
+    # built once per order, as nested tuples no caller can change
+    terms = _prolongation_terms(3)
+    assert _prolongation_terms(3) is terms
+
+    def frozen(t):
+        return (isinstance(t, (int, str))
+                or isinstance(t, tuple) and all(map(frozen, t)))
+
+    assert frozen(terms)
 
 
 # -- packed slots ------------------------------------------------------------------
@@ -211,7 +250,7 @@ def quotient_odes(draw):
 def _textbook_condition(ode):
     """eta^(n) on y^(n) = -f, plus xi f_x + sum_k eta^(k) f_{y^(k)}, over RatFunc."""
     n, f = ode.n, ode.f
-    etas = [slot_keyed(e) for e in prolonged_eta(n)]
+    etas = reference_prolonged_eta(n)
     out = {s: substitute(RatFunc(c), jet_name(n), -f) for s, c in etas[n].items()}
     terms = [({Slot(XI, 0, 0): MPoly.const(1)}, "x")] + [
         (etas[k], jet_name(k)) for k in range(n)]
@@ -253,13 +292,12 @@ def _assert_matches_the_product_form(ode):
             == reference_determining_system(ode))
 
 
-@pytest.mark.parametrize("ode", [ode for _, ode, _ in bench_odes()],
-                         ids=[name for name, _, _ in bench_odes()])
+@pytest.mark.parametrize("ode", bench_plain(), indirect=True)
 def test_determining_system_matches_the_product_form_reference(ode):
     _assert_matches_the_product_form(ode)
 
 
-@pytest.mark.parametrize("ode", bench_inputs())
+@pytest.mark.parametrize("ode", bench_inputs(), indirect=True)
 def test_determining_equations_are_primitive_for_their_lead(ode):
     # in the canonical view each equation is scaled for its highest slot in
     # int order, the lead completion solves it for
@@ -288,7 +326,7 @@ def _assert_completes_as_the_canonical_view(ode):
     assert audit_involutive(inv, system)
 
 
-@pytest.mark.parametrize("ode", bench_inputs())
+@pytest.mark.parametrize("ode", bench_inputs(), indirect=True)
 def test_collected_system_completes_as_its_canonical_view(ode):
     _assert_completes_as_the_canonical_view(ode)
 

@@ -312,7 +312,8 @@ def _checked_eliminations(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("ode,mirrored", bench_ranking_cases())
+@pytest.mark.parametrize("ode,mirrored", bench_ranking_cases(),
+                         indirect=["ode"])
 def test_completion_matches_the_pairwise_reference(ode, mirrored,
                                                    monkeypatch):
     """The completed system is pinned with no second completion code.
@@ -350,7 +351,8 @@ def test_completion_matches_the_pairwise_reference(ode, mirrored,
     _assert_same_completion(complete(system), inv)
 
 
-@pytest.mark.parametrize("ode,mirrored", bench_ranking_cases())
+@pytest.mark.parametrize("ode,mirrored", bench_ranking_cases(),
+                         indirect=["ode"])
 def test_completion_is_independent_of_input_order(ode, mirrored):
     # the completed system is unique for the ranking, so neither the
     # reversed system nor a shuffled one changes it
@@ -444,7 +446,8 @@ def test_chain_criterion_forms_fewer_cross_derivatives(monkeypatch):
 # -- the kernel's ownership and gcd rules -------------------------------------------
 
 
-@pytest.mark.parametrize("ode,mirrored", bench_ranking_cases())
+@pytest.mark.parametrize("ode,mirrored", bench_ranking_cases(),
+                         indirect=["ode"])
 def test_reduce_leaves_its_argument_unchanged(ode, mirrored):
     # reduce eliminates in a copy of its argument: the determining
     # equations and the prolongations of the completed ones, all reduced
@@ -458,7 +461,8 @@ def test_reduce_leaves_its_argument_unchanged(ode, mirrored):
         assert p == snapshot and list(p) == list(snapshot)
 
 
-@pytest.mark.parametrize("ode,mirrored", bench_ranking_cases())
+@pytest.mark.parametrize("ode,mirrored", bench_ranking_cases(),
+                         indirect=["ode"])
 def test_cross_writes_into_no_equation(ode, mirrored):
     # _cross eliminates in a copy of the cached prolongation: it gives the
     # same result twice, and leaves the terms of both equations as they
@@ -483,7 +487,8 @@ def test_cross_writes_into_no_equation(ode, mirrored):
             assert all(v == fresh.derived(d) for d, v in e._dcache.items())
 
 
-@pytest.mark.parametrize("ode,mirrored", bench_ranking_cases())
+@pytest.mark.parametrize("ode,mirrored", bench_ranking_cases(),
+                         indirect=["ode"])
 def test_completion_takes_no_gcd_of_a_constant(ode, mirrored, monkeypatch):
     # the gcd of a constant and a polynomial is 1, so _eliminate skips it;
     # with a gcd that refuses a constant operand, completion still runs and

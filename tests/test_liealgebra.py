@@ -364,7 +364,8 @@ def test_structure_constants_match_fraction_reference(text, den):
 REFERENCE_POINTS = [None, (F(1), F(2)), (F(1, 2), F(1, 3))]
 
 
-@pytest.mark.parametrize("ode,mirrored", bench_ranking_cases())
+@pytest.mark.parametrize("ode,mirrored", bench_ranking_cases(),
+                         indirect=["ode"])
 def test_series_and_structure_match_the_references(ode, mirrored):
     # on every bench input, plain and translated, under both rankings, at
     # each point the basis is delta data satisfying every prolonged
@@ -383,8 +384,9 @@ def test_series_and_structure_match_the_references(ode, mirrored):
 
 @pytest.mark.parametrize("ode,mirrored", [
     pytest.param(*p.values, False, id=p.id) for p in bench_inputs()] + [
-    pytest.param(next(s for name, _, s in bench_odes() if name == "control-02"),
-                 True, id="control-02-shifted-" + MIRROR_RANKING)])
+    pytest.param(("control-02", "shifted"), True,
+                 id="control-02-shifted-" + MIRROR_RANKING)],
+    indirect=["ode"])
 def test_pointwise_oracle_counts_the_series_basis(ode, mirrored):
     # the series solutions of the uncompleted determining system at the
     # basis point, prolonged to K = max(n + 8, N + n) and projected to
@@ -474,7 +476,7 @@ def test_layout_positions_are_ranks():
         normal_form_table(inv, top + 1, (F(0), F(0)))
 
 
-@pytest.mark.parametrize("ode", bench_inputs())
+@pytest.mark.parametrize("ode", bench_inputs(), indirect=True)
 def test_series_basis_columns_ascend_by_rank_and_order(ode):
     # structure_constants reads each column's derivatives in column order
     # and stops at the first one past order N, so the columns must ascend
@@ -488,7 +490,7 @@ def test_series_basis_columns_ascend_by_rank_and_order(ode):
         assert orders == sorted(orders)
 
 
-@pytest.mark.parametrize("ode", bench_inputs())
+@pytest.mark.parametrize("ode", bench_inputs(), indirect=True)
 def test_mirrored_input_gives_the_same_certificate(ode):
     # the mirror pushes the symmetry algebra forward by (x, y) -> (y, x), an
     # isomorphism, so the verdict read from the mirrored determining system

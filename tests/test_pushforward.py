@@ -14,10 +14,10 @@ from lieode.determining import determining_system
 from lieode.errors import (InputError, InternalInvariantError,
                            NonRationalInstance)
 from lieode.parsing import print_ode
-from lieode.pushforward import (PointTransformation, TranscendentalRegistry,
-                                corpus_sources, default_corpus,
-                                is_staircase_class, push_linear,
-                                shipped_transformations)
+from lieode.pushforward import (SHIPPED_PAIRS, PointTransformation,
+                                TranscendentalRegistry, corpus_sources,
+                                default_corpus, is_staircase_class,
+                                push_linear, shipped_transformations)
 from lieode.ratfunc import RatFunc
 from lieode.recovery import CharPoly, affine_class
 
@@ -31,7 +31,7 @@ def roots(*rs):
     return CharPoly.from_roots([F(r) for r in rs])
 
 
-EXP = PointTransformation("exp(y)", "x")
+EXP = ("exp(y)", "x")
 
 
 # -- hand-checked images --------------------------------------------------------------
@@ -39,7 +39,7 @@ EXP = PointTransformation("exp(y)", "x")
 
 def test_exp_image_of_free_particle():
     # u = e^y turns u'' = 0 into y'' + (y')^2 = 0  [DERIVED]
-    inst = push_linear(roots(0, 0), EXP)
+    inst = push_linear(roots(0, 0), PointTransformation(*EXP))
     assert print_ode(inst.ode) == "y'' + (y')^2 = 0"
     assert inst.expected_case == "trivial"
     assert inst.label == "z^2 under u=exp(y), t=x"
@@ -48,14 +48,14 @@ def test_exp_image_of_free_particle():
 def test_exp_image_of_cubic_with_spread_spectrum():
     # spectrum {-1, 0, 1} is an arithmetic progression, so the image is
     # still reducible to u''' = 0 by a further point change
-    inst = push_linear(roots(-1, 0, 1), EXP)
+    inst = push_linear(roots(-1, 0, 1), PointTransformation(*EXP))
     assert print_ode(inst.ode) == "y''' + (y')^3 + 3*y'*y'' - y' = 0"
     assert inst.expected_case == "trivial"
 
 
 def test_exp_image_of_repeated_root_cubic():
     # spectrum {0, 1, 1} is not an arithmetic progression
-    inst = push_linear(roots(0, 1, 1), EXP)
+    inst = push_linear(roots(0, 1, 1), PointTransformation(*EXP))
     assert (print_ode(inst.ode)
             == "y''' + (y')^3 + 3*y'*y'' - 2*(y')^2 - 2*y'' + y' = 0")
     assert inst.expected_case == "constant-coefficients"
@@ -169,11 +169,11 @@ def _drawn_cases(count=150, seed=5):
 
 
 @pytest.mark.parametrize("p", corpus_sources(), ids=str)
-@pytest.mark.parametrize("T", shipped_transformations(),
-                         ids=lambda T: T.name)
-def test_shipped_pairs_match_the_normalized_chain(p, T):
-    assert (_outcome(push_linear, p, T.psi_text, T.phi_text)
-            == _outcome(reference_push_linear, p, T.psi_text, T.phi_text))
+@pytest.mark.parametrize("psi, phi", SHIPPED_PAIRS,
+                         ids=["u=%s, t=%s" % pair for pair in SHIPPED_PAIRS])
+def test_shipped_pairs_match_the_normalized_chain(p, psi, phi):
+    assert (_outcome(push_linear, p, psi, phi)
+            == _outcome(reference_push_linear, p, psi, phi))
 
 
 @pytest.mark.parametrize("p, psi, phi", _bench_oracle_cases())
@@ -375,7 +375,7 @@ def test_total_derivative_above_first_order_in_y1_is_an_engine_error(
 
 def test_first_order_source_is_rejected():
     with pytest.raises(InputError, match="order at least 2"):
-        push_linear(CharPoly((F(1),)), EXP)
+        push_linear(CharPoly((F(1),)), PointTransformation(*EXP))
 
 
 # -- generators transported backwards -------------------------------------------------
@@ -394,7 +394,7 @@ ZERO, ONE = RatFunc.zero(), RatFunc.one()
 def test_pulled_back_generators_satisfy_the_image_system():
     # d_t, u d_u and t d_t are symmetries of u'' = 0; under u = e^y, t = x
     # they pull back to d_x, d_y and x d_x  [DERIVED]
-    inst = push_linear(roots(0, 0), EXP)
+    inst = push_linear(roots(0, 0), PointTransformation(*EXP))
     for xi, eta in [(ONE, ZERO), (ZERO, ONE), (X, ZERO)]:
         assert _satisfies(inst.ode, xi, eta)
 
