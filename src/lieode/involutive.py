@@ -78,8 +78,10 @@ that working copy, and ``_eliminate`` writes each step into it in place.
 equation's terms or cached derivatives are ever written.  The divisor
 coefficient of an elimination is the lead coefficient of a primitive
 equation, which is monic, so when it divides the other coefficient it is
-their gcd and no gcd is taken; one runs only when that division fails
-and both coefficients are non-constant (with a constant one it is 1).
+their gcd and no gcd is taken; when the other coefficient divides it,
+the other is their gcd up to a scalar.  A gcd runs only when both
+divisions fail and both coefficients are non-constant (with a constant
+one it is 1).
 
 The parametric slots (those outside the cone of the leading slots) index the
 free Taylor data of the solution space; their count is its dimension.
@@ -202,7 +204,7 @@ class _Eq:
 
 def _eliminate(p: LinDiffPoly, q: LinDiffPoly, s: int) -> None:
     """Replace p, in place, by (b/g) p - (a/g) q with a = p[s], b = q[s]
-    and g = gcd(a, b).
+    and g = gcd(a, b) up to a scalar.
 
     The cofactors cancel s without dividing by a polynomial.  q derives
     from a primitive equation, and differentiation carries its lead
@@ -210,10 +212,12 @@ def _eliminate(p: LinDiffPoly, q: LinDiffPoly, s: int) -> None:
     it has leading coefficient 1, like g, and a constant b/g is 1.  When b
     divides a, g is b itself, so the cofactors are a/b and 1 with no gcd:
     the exact division that shows it yields the cofactor a/g at once.
-    Only when it fails is g computed, and then only when a and b are both
-    non-constant, since the gcd of a constant and a polynomial is 1.  A
-    constant a/g, its numerator over its denominator, scales each slot of
-    q inside the subtraction.
+    When a divides b instead, g is a up to a scalar, and the cofactors
+    b/a and 1 come from that one division.  Only when both fail is g
+    computed, and then only when a and b are both non-constant, since
+    the gcd of a constant and a polynomial is 1.  A constant a/g, its
+    numerator over its denominator, scales each slot of q inside the
+    subtraction.
     """
     a, b = p[s], q[s]
     if not b.is_const():
@@ -221,9 +225,13 @@ def _eliminate(p: LinDiffPoly, q: LinDiffPoly, s: int) -> None:
         if quot is not None:
             a, b = quot, ONE
         elif not a.is_const():
-            g = gcd(a, b)
-            if not g.is_const():
-                a, b = divexact(a, g), divexact(b, g)
+            quot = try_divexact(b, a)
+            if quot is not None:
+                a, b = ONE, quot
+            else:
+                g = gcd(a, b)
+                if not g.is_const():
+                    a, b = divexact(a, g), divexact(b, g)
     if not b.is_const():
         for t, c in p.items():
             p[t] = c * b

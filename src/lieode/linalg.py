@@ -72,16 +72,15 @@ def _primitive(v: List[int], pivot: int) -> List[int]:
     return v if g == 1 else [a // g for a in v]
 
 
-def integer_rref(vectors: Iterable[Sequence[int]],
-                 rows: IntRows = ()) -> IntRows:
-    """Fraction-free Gauss-Jordan on integer vectors, extending ``rows``.
+def integer_rref(vectors: Iterable[Sequence[int]]) -> IntRows:
+    """Fraction-free Gauss-Jordan on integer vectors.
 
     Each vector is eliminated against the rows so far; a nonzero remainder
     is made primitive with a positive pivot and cleared from the other rows.
     Every row then vanishes at the others' pivot columns, so dividing each
     by its pivot gives the rref of the span, which is unique.
     """
-    rows = list(rows)
+    rows: IntRows = []
     for v in vectors:
         v = eliminate(v, rows)
         c = next((k for k, a in enumerate(v) if a), None)

@@ -1,23 +1,22 @@
 """Parsing and printing of scalar ODEs in quasi-linear normal form.
 
 Accepted input shapes are ``y'' + <expr> = 0`` and ``y'' = <expr>`` (any
-derivative order >= 2 on the left).  The parser evaluates as it parses.  In
-ODE text (and in ``parse_expr`` without ``call``) each grammar rule returns
-an exact quotient of two integer polynomials, kept unreduced as coefficient
-dicts packed over the one variable layout the tokens name, in ``MPoly``'s
-key format: no gcd is taken and no RatFunc is built per operation.  Each
-part of such a value has at most the degree the text would have with every
-+, - and / read as * and every exponent taken positive; a sum over one
-denominator keeps it.  The total degree bound of ``polys`` holds for these
-unreduced parts.  The equation's two sides are subtracted and the
-difference is reduced once, as a RatFunc, before the order is read, so
-``y''/y'' = y`` has order 0.  The result is solved for the highest
-derivative: with num = lead*y^(n) + low over den, gcd(low, lead) =
-gcd(num, lead), which is gcd(num, den) = 1 when lead == den, so the second
-gcd runs only when lead is another polynomial.  Equations that are not
-linear in their highest derivative are rejected.  Transformation
-expressions stay in RatFunc arithmetic, since ``call`` needs its argument
-reduced.
+derivative order >= 2 on the left).  The parser evaluates as it parses,
+with one arithmetic for ODE and transformation text: each grammar rule
+returns an exact quotient of two ``MPoly`` values, kept unreduced, so no
+gcd is taken and no RatFunc is built per operation.  A sum over one
+denominator keeps it, and every other operation multiplies the parts.
+Each part has at most the degree the text would have with every +, - and
+/ read as * and every exponent taken positive, and the total degree bound
+of ``polys`` holds for these unreduced parts.  exp and log receive their
+argument reduced, as a RatFunc, so equal arguments name one symbol.
+``parse_expr`` reduces its value once, at the end.  ``parse_ode``
+subtracts the equation's two sides and reduces the difference once before
+the order is read, so ``y''/y'' = y`` has order 0.  The result is solved
+for the highest derivative: with num = lead*y^(n) + low over den,
+gcd(low, lead) = gcd(num, lead), which is gcd(num, den) = 1 when lead ==
+den, so the second gcd runs only when lead is another polynomial.
+Equations that are not linear in their highest derivative are rejected.
 
 Operator precedence: ^ binds tighter than unary minus, which binds tighter
 than * and /, which bind tighter than + and -.  ^ takes a bare (possibly
@@ -38,11 +37,11 @@ from __future__ import annotations
 import dataclasses
 import re
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from .errors import InputError, NotQuasiLinear, OdeSyntaxError, OrderTooLow
 from .jets import jet_name, jet_order, jet_order_of
-from .polys import MPoly, packed_product, var_rank, variable_keys
+from .polys import ONE, MPoly
 from .ratfunc import RatFunc
 
 MAX_PRIMES = 4
@@ -68,93 +67,43 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     return out
 
 
-def _jet_variables(tokens) -> Tuple[str, ...]:
-    """x, y and the derivatives of y that the tokens name, sorted by rank.
-    A marker the parser will reject may add a name; none is missed."""
-    names = set()
-    for i, (kind, text, _) in enumerate(tokens):
-        if kind != "name" or text not in ("x", "y"):
-            continue
-        nxt = tokens[i + 1]
-        if text == "y" and nxt[0] == "primes":
-            text = jet_name(len(nxt[1]))
-        elif (text == "y" and nxt[0] == "^" and tokens[i + 2][0] == "("
-              and tokens[i + 3][0] == "int"):
-            try:
-                text = jet_name(int(tokens[i + 3][1]))
-            except ValueError:  # too long; the parser reports it
-                continue
-        names.add(text)
-    return tuple(sorted(names, key=var_rank))
-
-
-_UNIT = {0: 1}   # shared: no operation writes into an operand's dict
-
-
 class _Frac:
-    """num/den for two integer polynomials, each a coefficient dict packed
-    over one layout of ``n`` variables (``polys``).  Nothing is reduced: a
-    sum over equal denominators keeps the denominator, and every other
-    operation multiplies the parts the way fractions do."""
+    """num/den for two ``MPoly`` values, kept unreduced: a sum over equal
+    denominators keeps the denominator, and every other operation
+    multiplies the parts the way fractions do."""
 
-    __slots__ = ("num", "den", "n")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num: Dict[int, int], den: Dict[int, int], n: int):
-        self.num, self.den, self.n = num, den, n
-
-    def _times(self, a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
-        if a is _UNIT or b is _UNIT:
-            return b if a is _UNIT else a
-        return packed_product(a, b, self.n) if a and b else {}
-
-    def _power(self, a: Dict[int, int], k: int) -> Dict[int, int]:
-        # by squaring, as MPoly.__pow__, so a degree overflow reads the same
-        out, base = _UNIT, a
-        while k:
-            if k & 1:
-                out = self._times(out, base)
-            base = self._times(base, base) if k > 1 else base
-            k >>= 1
-        return out
+    def __init__(self, num: MPoly, den: MPoly = ONE):
+        self.num, self.den = num, den
 
     def is_zero(self) -> bool:
-        return not self.num
+        return self.num.is_zero()
 
     def __neg__(self) -> "_Frac":
-        return _Frac({k: -c for k, c in self.num.items()}, self.den, self.n)
+        return _Frac(-self.num, self.den)
 
     def __add__(self, o: "_Frac") -> "_Frac":
-        if not o.num or not self.num:
-            return self if self.num else o
+        if self.is_zero():
+            return o
+        if o.is_zero():
+            return self
         if self.den == o.den:
-            a, b, den = self.num, o.num, self.den
-        else:
-            a, b = self._times(self.num, o.den), self._times(o.num, self.den)
-            den = self._times(self.den, o.den)
-        out = dict(a)
-        for k, c in b.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return _Frac(out, den, self.n)
+            return _Frac(self.num + o.num, self.den)
+        return _Frac(self.num * o.den + o.num * self.den, self.den * o.den)
 
     def __sub__(self, o: "_Frac") -> "_Frac":
         return self + -o
 
     def __mul__(self, o: "_Frac") -> "_Frac":
-        return _Frac(self._times(self.num, o.num),
-                     self._times(self.den, o.den), self.n)
+        return _Frac(self.num * o.num, self.den * o.den)
 
     def __truediv__(self, o: "_Frac") -> "_Frac":
-        return _Frac(self._times(self.num, o.den),
-                     self._times(self.den, o.num), self.n)
+        return _Frac(self.num * o.den, self.den * o.num)
 
     def __pow__(self, k: int) -> "_Frac":
         num, den = (self.num, self.den) if k >= 0 else (self.den, self.num)
-        return _Frac(self._power(num, abs(k)), self._power(den, abs(k)),
-                     self.n)
+        return _Frac(num ** abs(k), den ** abs(k))
 
 
 class _Parser:
@@ -164,19 +113,6 @@ class _Parser:
         self.k = 0
         self.call = call
         self.depth = 0
-        if call is not None:
-            self.number, self.variable = RatFunc.const, RatFunc.variable
-            return
-        self.vars = _jet_variables(self.tokens)
-        n = len(self.vars)
-        keys = dict(zip(self.vars, variable_keys(n)))
-        self.number = lambda c: _Frac({0: c} if c else {}, _UNIT, n)
-        self.variable = lambda v: _Frac({keys[v]: 1}, _UNIT, n)
-
-    def normalized(self, value: _Frac) -> RatFunc:
-        """The value as a RatFunc: its one gcd."""
-        return RatFunc(MPoly.from_packed(self.vars, value.num),
-                       MPoly.from_packed(self.vars, value.den))
 
     def peek(self, ahead: int = 0):
         k = self.k + ahead   # take stops at the closing "end" token
@@ -266,7 +202,7 @@ class _Parser:
     def atom(self):
         kind, val, pos = self.peek()
         if kind == "int":
-            return self.number(self.integer("a number"))
+            return _Frac(MPoly.const(self.integer("a number")))
         if kind == "(":
             self.take()
             return self._nested(pos)
@@ -277,12 +213,14 @@ class _Parser:
                     raise OdeSyntaxError(
                         f"{val} is only allowed in transformation expressions", pos)
                 self.expect("(", f"'(' after {val}")
-                return self.call(val, self._nested(pos))
+                arg = self._nested(pos)
+                sym = self.call(val, RatFunc(arg.num, arg.den))
+                return _Frac(sym.num, sym.den)
             if val == "x":
                 if self.peek()[0] == "primes":
                     raise OdeSyntaxError(
                         "derivative markers attach to y only", self.peek()[2])
-                return self.variable(val)
+                return _Frac(MPoly.variable(val))
             if val == "y":
                 return self._dependent()
             raise OdeSyntaxError(f"unknown symbol {val!r}", pos)
@@ -313,10 +251,10 @@ class _Parser:
             order = self.integer("a derivative order")
             self.expect(")", "a closing parenthesis")
         else:
-            return self.variable("y")
+            return _Frac(MPoly.variable("y"))
         if self.call is not None:
             raise OdeSyntaxError("derivatives are not allowed here", p2)
-        return self.variable(jet_name(order))
+        return _Frac(MPoly.variable(jet_name(order)))
 
 
 def parse_expr(text: str, *,
@@ -334,7 +272,7 @@ def parse_expr(text: str, *,
     p = _Parser(text, call)
     value = p.expr()
     p.expect_end("(implicit multiplication is not supported)")
-    return value if call is not None else p.normalized(value)
+    return RatFunc(value.num, value.den)
 
 
 # -- the ODE type --------------------------------------------------------------
@@ -363,7 +301,7 @@ def parse_ode(text: str) -> OdeSpec:
     p.expect("=", "'='")
     diff = lhs - p.expr()
     p.expect_end("after the equation")
-    rf = p.normalized(diff)
+    rf = RatFunc(diff.num, diff.den)
     num = rf.num
     if num.is_zero():
         raise OrderTooLow("equation reduces to 0 = 0")

@@ -29,8 +29,8 @@ class RatFunc:
     def __init__(self, num: MPoly, den: Optional[MPoly] = None, *,
                  coprime: bool = False):
         """num/den over MPoly values, den 1 if omitted; see ``const``.  A
-        caller that knows gcd(num, den) = 1 passes ``coprime`` and no gcd
-        is taken."""
+        caller that knows gcd(num, den) = 1 passes ``coprime``, and then,
+        as for a constant den, no gcd is taken."""
         if den is None:
             den = ONE
         if den.is_zero():
@@ -38,7 +38,7 @@ class RatFunc:
         if num.is_zero():
             num, den = ZERO, ONE
         else:
-            g = ONE if coprime else gcd(num, den)
+            g = ONE if coprime or den.is_const() else gcd(num, den)
             if not g.is_const():
                 num = divexact(num, g)
                 den = divexact(den, g)

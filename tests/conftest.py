@@ -30,7 +30,7 @@ from lieode.jets import dx_images, jet_name
 from lieode.liealgebra import LieAlgebraTable, Point, _shifted
 from lieode.linalg import Mat, Vec, rref
 from lieode.parsing import OdeSpec, parse_ode, print_ode
-from lieode.polys import MPoly, _unpack, content, divexact
+from lieode.polys import ZERO, MPoly, _unpack, content, divexact
 from lieode.polys import gcd as poly_gcd
 from lieode.pushforward import (OracleInstance, PointTransformation,
                                 _has_symbols, is_staircase_class)
@@ -92,7 +92,7 @@ def leading_coeff(p: MPoly) -> Fraction:
 def from_coeffs(coeffs: Sequence[MPoly], name: str) -> MPoly:
     """The polynomial with dense coefficients `coeffs` in `name`, lowest
     first: the inverse of ``MPoly.coeffs_in``."""
-    out = MPoly.zero()
+    out = ZERO
     v = MPoly.variable(name)
     power = MPoly.const(1)
     for c in coeffs:
@@ -482,7 +482,7 @@ def invariance_expression(ode: OdeSpec):
     top = jet_name(n)
     out = {}
     for s, c in etas[n].items():
-        a, b = (c.coeffs_in(top) + [MPoly.zero()])[:2]
+        a, b = (c.coeffs_in(top) + [ZERO])[:2]
         add_term(out, s, R * (Q * a - P * b))
     for lin, v in [({Slot(XI, 0, 0): MPoly.const(1)}, "x")] + [
             (etas[k], jet_name(k)) for k in range(n)]:

@@ -229,7 +229,7 @@ def quotient_odes(draw):
     coords = [MPoly.variable("x")] + [jet(k) for k in range(n)]
 
     def poly(max_terms):
-        total = MPoly.zero()
+        total = MPoly.const(0)
         for _ in range(draw(st.integers(1, max_terms))):
             term = MPoly.const(draw(rationals(max_abs=3, max_den=2)))
             for _ in range(draw(st.integers(0, 2))):

@@ -285,17 +285,19 @@ def _without_chain_criterion(monkeypatch):
 
 def _checked_eliminations(monkeypatch):
     """Watch every _eliminate step: its divisor coefficient q[s] must be
-    monic, and a gcd may run in it only when q[s] does not divide p[s].
-    Returns the counts of steps and of gcds taken in them."""
+    monic, and a gcd may run in it only when neither of q[s] and p[s]
+    divides the other.  Returns the counts of steps and of gcds taken in
+    them."""
     real = involutive._eliminate
     counts = {"steps": 0, "gcds": 0}
     may_gcd = []   # one entry while a step runs
 
     def eliminate(p, q, s):
-        b = q[s]
+        a, b = p[s], q[s]
         assert b.leading_numerator() == b.den, b
         counts["steps"] += 1
-        may_gcd.append(try_divexact(p[s], b) is None)
+        may_gcd.append(try_divexact(a, b) is None
+                       and try_divexact(b, a) is None)
         try:
             real(p, q, s)
         finally:
@@ -336,7 +338,8 @@ def test_completion_matches_the_pairwise_reference(ode, mirrored,
     system.
 
     The completion runs with every elimination step checked: a monic
-    divisor coefficient, and a gcd only where it does not divide.
+    divisor coefficient, and a gcd only where neither coefficient divides
+    the other.
     """
     system = ranking_case_system(ode, mirrored)
     counts = _checked_eliminations(monkeypatch)
@@ -502,3 +505,17 @@ def test_completion_takes_no_gcd_of_a_constant(ode, mirrored, monkeypatch):
     expected = complete(detsys)
     monkeypatch.setattr(involutive, "gcd", strict)
     _assert_same_completion(complete(detsys), expected)
+
+
+def test_a_divisor_coefficient_that_is_a_multiple_takes_no_gcd(monkeypatch):
+    # b = q[s] is a multiple of a = p[s], so a is their gcd up to a scalar:
+    # _eliminate takes the cofactors b/a and 1 from one exact division
+    def refuse(a, b):
+        raise AssertionError("gcd(%r, %r) was taken" % (a, b))
+
+    monkeypatch.setattr(involutive, "gcd", refuse)
+    s, t = to_int(Slot(XI, 0, 0)), to_int(Slot(ETA, 0, 0))
+    a, quot = 2 * X + 2, X + Y
+    p, q = {s: a, t: Y}, {s: a * quot.scaled(1, 2), t: ONE}
+    involutive._eliminate(p, q, s)
+    assert p == {t: (quot * Y).scaled(1, 2) - ONE}

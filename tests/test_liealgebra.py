@@ -141,7 +141,7 @@ def test_shift_matches_the_reference(p, point, K):
         return d.get("x", 0), d.get("y", 0)
 
     T, scale = lieode.liealgebra._shifted(p, point, K)
-    q = MPoly.zero()
+    q = MPoly.const(0)
     for e, c in p.terms.items():
         i, j = xy(p.vars, e)
         q = q + ((MPoly.variable("x") + point[0]) ** i

@@ -3,10 +3,13 @@ import importlib
 import importlib.util
 import pathlib
 import pkgutil
+import runpy
 
 import lieode
+from lieode import determining, involutive, polys, ratfunc
 
-TRACER = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+TESTS = pathlib.Path(__file__).resolve().parent
+TRACER = TESTS.parent / "bench" / "tracer.py"
 
 
 def test_every_exported_name_resolves():
@@ -33,3 +36,15 @@ def test_every_benchmark_hook_point_resolves():
     for hook, _ in tracer.HOOKS:
         found = t._resolve(hook)
         assert found is not None and callable(found[2]), hook
+
+
+def test_test_modules_take_no_gcd_at_import(monkeypatch):
+    # collection builds cases without engine arithmetic, so a gcd fault
+    # fails single tests instead of stopping whole modules at import
+    def refuse(a, b):
+        raise AssertionError("gcd(%r, %r) at import" % (a, b))
+
+    for module in (polys, ratfunc, involutive, determining):
+        monkeypatch.setattr(module, "gcd", refuse)
+    for path in sorted(TESTS.glob("test_*.py")):
+        runpy.run_path(str(path))

@@ -16,7 +16,7 @@ from lieode.jets import jet_name, jet_order_of
 from lieode.parsing import (MAX_NESTING, MAX_PRIMES, OdeSpec, _tokenize,
                             deriv_marker, format_mpoly, parse_expr, parse_ode,
                             print_ode)
-from lieode.polys import MPoly
+from lieode.polys import ZERO
 from lieode.pushforward import PointTransformation, TranscendentalRegistry
 from lieode.ratfunc import RatFunc
 
@@ -128,7 +128,12 @@ def test_functions_only_in_transformation_context():
         return RatFunc.variable("t1")
 
     assert parse_expr("exp(y)", call=call) == RatFunc.variable("t1")
-    assert seen == [("exp", RatFunc.variable("y"))]
+    # the hook receives its argument reduced, and the value it returns
+    # enters the arithmetic: (t1*(y-1))/(y-1) reduces to t1
+    y = RatFunc.variable("y")
+    assert (parse_expr("exp((y^2 - 1)/(y - 1))*(y - 1)/(y - 1)", call=call)
+            == RatFunc.variable("t1"))
+    assert seen == [("exp", y), ("exp", y + 1)]
 
 
 def test_derivatives_can_be_disallowed():
@@ -141,20 +146,33 @@ def test_derivatives_can_be_disallowed():
         assert err.value.position == pos
 
 
-# The same two guards hold wherever an expression is read: the ODE text and
-# a point transformation.
+# The same guards hold wherever an expression is read, the ODE text and a
+# point transformation: the two zero guards, and the degree bound, which
+# holds for the unreduced parts, so (x/x)^k expands x^k.
 _GUARD_ENTRY_POINTS = {
     "ode": lambda e: parse_ode("y'' = " + e),
     "transformation": lambda e: PointTransformation(e, "x"),
 }
 
+_DEGREE_2_31 = ("a monomial of total degree 2147483648: total degrees must "
+                "stay below 2^31 = 2147483648")
+
+_GUARDS = {
+    "1/(y-y)": "division by zero in input expression",
+    "x/(2*y - y - y)": "division by zero in input expression",
+    "(y-y)^-2": "zero raised to a negative power",
+    "(x - x)^-1 + y": "zero raised to a negative power",
+    "x^2147483648": _DEGREE_2_31,
+    "(x/x)^2147483648": _DEGREE_2_31,
+}
+
 
 @pytest.mark.parametrize("entry", sorted(_GUARD_ENTRY_POINTS))
-@pytest.mark.parametrize("expr", ["1/(y-y)", "x/(2*y - y - y)",
-                                  "(y-y)^-2", "(x - x)^-1 + y"])
+@pytest.mark.parametrize("expr", list(_GUARDS))
 def test_zero_guards_hold_at_every_entry_point(entry, expr):
-    with pytest.raises(InputError, match="zero"):
+    with pytest.raises(InputError) as err:
         _GUARD_ENTRY_POINTS[entry](expr)
+    assert str(err.value) == _GUARDS[expr]
 
 
 def test_nesting_limit():
@@ -250,7 +268,7 @@ def test_format_mpoly_strings():
     }
     for text, printed in cases.items():
         assert format_mpoly(rf(text).num) == printed
-    assert format_mpoly(MPoly.zero()) == "0"
+    assert format_mpoly(ZERO) == "0"
 
 
 def test_deriv_marker_shapes():
@@ -540,28 +558,31 @@ def _gcd_count(monkeypatch, text):
     return parse_ode(text), len(calls)
 
 
-@pytest.mark.parametrize("text", [
-    "y''' + ((y')^2 + x*y)/(y' + 1) = 0",
-    "y''' = ((y')^2 + x*y)/(y' + 1)",
-    "y'' + (x^2 - 1)*y/(x + 1) = 0",
-    "y'' = 6*y^2 + x",
-    "y'' = x^0 + 1/y",
-])
+# each text with the gcds of its one normalization: none over a constant
+# denominator
+_NORMALIZING_GCDS = {
+    "y''' + ((y')^2 + x*y)/(y' + 1) = 0": 1,
+    "y''' = ((y')^2 + x*y)/(y' + 1)": 1,
+    "y'' + (x^2 - 1)*y/(x + 1) = 0": 1,
+    "y'' = 6*y^2 + x": 0,
+    "y'' = x^0 + 1/y": 1,
+}
+
+
+@pytest.mark.parametrize("text", list(_NORMALIZING_GCDS))
 def test_one_normalizing_gcd_when_the_lead_is_the_denominator(monkeypatch,
                                                               text):
     ode, calls = _gcd_count(monkeypatch, text)
-    assert calls == 1
+    assert calls == _NORMALIZING_GCDS[text]
     assert ode == _reference_ode(*_equation_trees(text))
 
 
 def test_a_lead_coefficient_takes_the_second_gcd(monkeypatch):
+    # the difference has denominator 1, so the lead's gcd is the only one
     ode, calls = _gcd_count(monkeypatch, "(x^2 - 1)*y'' = (x + 1)*y'")
-    assert calls == 2
+    assert calls == 1
     assert ode == OdeSpec(2, -jet(1) / (RatFunc.variable("x") - 1))
 
-
-_DEGREE_2_31 = ("a monomial of total degree 2147483648: total degrees must "
-                "stay below 2^31 = 2147483648")
 
 # (text, error type, message) of inputs the parser refuses
 _REFUSED = [

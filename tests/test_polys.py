@@ -33,9 +33,9 @@ def test_ring_laws(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-    assert a + MPoly.zero() == a
+    assert a + ZERO == a
     assert a * MPoly.const(1) == a
-    assert a - a == MPoly.zero()
+    assert a - a == ZERO
 
 
 @given(mpolys(), st.integers(0, 4))
@@ -78,7 +78,7 @@ def test_derivative_oracle():
 def test_scalar_queries_return_fractions():
     # no int or float escapes: every exact scalar a polynomial hands out
     # is a Fraction
-    for c in (MPoly.const(3), MPoly.const(Fraction(-1, 2)), MPoly.zero()):
+    for c in (MPoly.const(3), MPoly.const(Fraction(-1, 2)), ZERO):
         assert type(as_const(c)) is Fraction
     for p in (2 * X + Y, X * Y - MPoly.const(Fraction(1, 3)), Fraction(5, 7) * Y):
         assert type(leading_coeff(p)) is Fraction
@@ -97,7 +97,7 @@ def test_coeffs_in_oracle():
     # x y^2 + 2 y^2 + 5 → coefficients [5, 0, x + 2] in y  [DERIVED]
     p = X * Y * Y + 2 * Y * Y + MPoly.const(5)
     c = p.coeffs_in("y")
-    assert c == [MPoly.const(5), MPoly.zero(), X + MPoly.const(2)]
+    assert c == [MPoly.const(5), ZERO, X + MPoly.const(2)]
 
 
 def test_coeffs_over_oracle():
@@ -388,7 +388,7 @@ def test_results_are_canonical(a, b, c, name):
     results += a.coeffs_in(name) + list(a.coeffs_over({name, "y"}).values())
     # add_scaled adds c * b in one pass; the last one cancels back to a
     n, d = c.numerator, c.denominator
-    results += [a.add_scaled(b, n, d), MPoly.zero().add_scaled(b, n, d),
+    results += [a.add_scaled(b, n, d), ZERO.add_scaled(b, n, d),
                 (a - b * c).add_scaled(b, n, d)]
     assert results[-3] == a + b * c and results[-1] == a
     if not b.is_zero():
@@ -513,7 +513,7 @@ def test_constants_hash_as_their_value(c):
 
 def test_constants_zero_and_one_are_shared():
     # 0 and 1 are built once; gcd and the RatFunc constructor hand them out
-    assert MPoly.zero() is MPoly.const(0) is MPoly.const(Fraction(0)) is ZERO
+    assert MPoly.const(0) is MPoly.const(Fraction(0)) is ZERO
     assert MPoly.const(1) is MPoly.const(Fraction(2, 2)) is ONE
     assert gcd(X + 1, Y + 2) is gcd(X, MPoly.const(3)) is ONE
     assert gcd(X + 1, X - 1) is gcd(X * Y + 1, X * Y - 1) is ONE
@@ -552,7 +552,7 @@ def test_no_operation_changes_an_operand(a, b, second):
 @given(mpolys(JET_NAMES), st.sets(st.sampled_from(JET_NAMES)))
 def test_coeffs_over_roundtrip(p, names):
     # sum over the keys of coefficient * monomial gives p back
-    total = MPoly.zero()
+    total = ZERO
     for key, c in p.coeffs_over(names).items():
         assert (c or not p) and not set(c.vars) & names
         for v, k in key:

@@ -198,6 +198,11 @@ def test_bench_pairs_match_the_normalized_chain(p, psi, phi):
     ((0, 0), "y/x", "log(x)", None),
     # a constant D_x(phi) other than 1, which folds into B
     ((1, 2, -3), "exp(y)/x", "-2*x/3", None),
+    # unreduced quotients read as their reduced forms, inside a call and
+    # outside it: exp((x^2-1)/(x-1)) is the symbol exp(x+1), so psi is y
+    ((-1, 1, 2), "exp((x^2-1)/(x-1)) - exp(x+1) + y", "x",
+     "y''' - 2*y'' - y' + 2*y = 0"),
+    ((0, 1, 1), "(y^2-1)/(y-1)", "(x^2-1)/(x+1)", "y''' - 2*y'' + y' = 0"),
 ])
 def test_hand_picked_pairs_match_the_normalized_chain(
         source, psi, phi, want):

@@ -305,7 +305,7 @@ def test_walk_skips_scalar_actions_outside_the_unit_vectors():
     assert any(sum(map(bool, row)) > 1 for _, row in D.rows)
     outside = [any(eliminate(_unit(5, i), D.rows)) for i in range(5)]
     assert outside == [False, True, True, False, True]
-    grown = integer_rref([_unit(5, 1)], D.rows)
+    grown = integer_rref([row for _, row in D.rows] + [_unit(5, 1)])
     assert not any(eliminate(_unit(5, 2), grown))
     minus_one = [[F(-(i == j)) for j in range(3)] for i in range(3)]
     assert adjoint_on_derived(L, D, 1) == minus_one
