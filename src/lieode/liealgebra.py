@@ -318,7 +318,7 @@ def series_basis(inv: InvolutiveSystem,
         N = min_n
     elif N < min_n:
         raise InputError("truncation order %d below required %d" % (N, min_n))
-    elif N > MAX_TRUNCATION:
+    if N > MAX_TRUNCATION:
         raise InputError("truncation order %d above limit %d" % (N, MAX_TRUNCATION))
     # the first candidate whose lead coefficients are nonzero there; the
     # candidates are unbounded, so one is found

@@ -20,16 +20,21 @@ Images enter the corpus only when every adjoined symbol cancels out of f.
 
 ``push_linear`` takes D_x(phi) = A/B from the transformation and runs the
 chain on polynomials, with no gcd: psi = P/Q, M the lcm of the denominators
-of the symbols' images, so that DD = M D_x maps polynomials to polynomials, and
-u_k = N_k / E_k with E_k = Q^q A^a M^m and E_0 = Q (a constant base is left
-out, and a constant A folds into B).  One step is
+of the symbols' images, so that DD = M D_x maps polynomials to polynomials,
+and u_k = N_k / E_k.  With L DD(E_k)/E_k = S for a polynomial S, the
+quotient rule in its logarithmic-derivative form (Bronstein, *Symbolic
+Integration I*, ch. 3) gives the step
 
-    N_{k+1} = B (DD(N_k) L - N_k sum_i e_i DD(b_i) L/b_i),
+    N_{k+1} = B (DD(N_k) L - N_k S),    E_{k+1} = A M L E_k.
 
-where b_i ranges over the bases Q, A, M, e_i is its exponent and L is the
-product of the bases with e_i > 0 (the logarithmic-derivative form of the
-quotient rule, Bronstein, *Symbolic Integration I*, ch. 3); then each of
-those exponents rises by one, and A's and M's by one more.  The equation
+E_0 = Q, so step 0 takes L = Q and S = DD(Q), and E_1 = Q^2 AM.  For k >= 1,
+E_k = Q^(k+1) (AM)^(2k-1): then
+
+    DD(E_k)/E_k = (k+1) DD(Q)/Q + (2k-1) (DD(A)/A + DD(M)/M),
+
+so step k takes L = QAM and S = (k+1) DD(Q) AM + (2k-1) (DD(A) M + DD(M) A) Q,
+and E_{k+1} = QAM AM E_k keeps the form.  A constant Q or M is 1 (the
+denominators are monic), and a constant A folds into B.  The equation
 sum_k a_k u_k is summed once over E_n, and ``RatFunc(low, lead)`` on its
 coefficients of y^(n) is the only normalization: it takes the one gcd that
 can be nontrivial (Henrici's rule, Knuth, TAOCP vol. 2, 4.5.1) and cancels
@@ -51,60 +56,35 @@ from .recovery import AffineClass, CharPoly, affine_class
 
 
 class TranscendentalRegistry:
-    """Adjoined exp/log symbols with their D_x images by the chain rule."""
+    """Adjoined exp/log symbols t1, t2, ... with their D_x images by the
+    chain rule: t D_x(arg) for exp, D_x(arg)/arg for log.
+
+    ``adjoin`` takes a symbol's image when it adds the symbol.  The argument
+    is parsed before the call, so it holds only earlier symbols, whose images
+    ``images`` already has; no image waits for a later symbol."""
 
     def __init__(self):
-        self._entries: List[Tuple[str, RatFunc]] = []  # (kind, argument)
-        self._images: Dict[str, RatFunc] = {}
+        self._symbols: Dict[Tuple[str, RatFunc], RatFunc] = {}
+        self.images: Dict[str, RatFunc] = {}
 
     def adjoin(self, kind: str, arg: RatFunc) -> RatFunc:
         if kind == "log" and arg.is_zero():
             raise InputError("log of zero in transformation expression")
-        for i, (k, a) in enumerate(self._entries):
-            if k == kind and a == arg:
-                return RatFunc.variable("t%d" % (i + 1))
-        self._entries.append((kind, arg))
-        return RatFunc.variable("t%d" % len(self._entries))
-
-    def is_symbol(self, name: str) -> bool:
-        return name[:1] == "t" and name[1:].isdigit()
+        t = self._symbols.get((kind, arg))
+        if t is None:
+            name = "t%d" % (len(self.images) + 1)
+            t = self._symbols[kind, arg] = RatFunc.variable(name)
+            d = self.total_dx(arg)
+            self.images[name] = t * d if kind == "exp" else d / arg
+        return t
 
     def total_dx(self, f: RatFunc) -> RatFunc:
         """Total x-derivative on the jet space, with each adjoined symbol's
         image by the chain rule."""
         names = f.variables()
         images = {v: RatFunc(w) for v, w in dx_images(names).items()}
-        for name in names:
-            if self.is_symbol(name):
-                images[name] = self._image(name)
+        images.update((v, self.images[v]) for v in names if v in self.images)
         return f.derive(images)
-
-    def _image(self, name: str) -> RatFunc:
-        """D_x(symbol): t D_x(arg) for exp, D_x(arg)/arg for log; cached."""
-        got = self._images.get(name)
-        if got is None:
-            kind, arg = self._entries[int(name[1:]) - 1]
-            d = self.total_dx(arg)
-            got = RatFunc.variable(name) * d if kind == "exp" else d / arg
-            self._images[name] = got
-        return got
-
-    def closed_dx_images(self, fs) -> Dict[str, RatFunc]:
-        """D_x of every symbol in the fs and, in turn, of every symbol those
-        images involve.  A symbol's argument holds only earlier symbols, so
-        the closure ends."""
-        out: Dict[str, RatFunc] = {}
-        todo = [v for f in fs for v in f.variables() if self.is_symbol(v)]
-        while todo:
-            name = todo.pop()
-            if name not in out:
-                out[name] = w = self._image(name)
-                todo.extend(v for v in w.variables() if self.is_symbol(v))
-        return out
-
-
-def _has_symbols(f: RatFunc, reg: TranscendentalRegistry) -> bool:
-    return any(reg.is_symbol(v) for v in f.variables())
 
 
 def _partials(df: RatFunc) -> List[MPoly]:
@@ -170,13 +150,6 @@ def _staircase_class(n: int) -> AffineClass:
     return affine_class(CharPoly.from_roots([Fraction(i) for i in range(n)]))
 
 
-def _product(factors) -> MPoly:
-    out = ONE
-    for c in factors:
-        out = c if out == ONE else out * c
-    return out
-
-
 def push_linear(p: CharPoly, T: PointTransformation) -> OracleInstance:
     """Image of the linear equation with characteristic polynomial p under T,
     by the polynomial chain of the module docstring."""
@@ -184,37 +157,27 @@ def push_linear(p: CharPoly, T: PointTransformation) -> OracleInstance:
     if n < 2:
         raise InputError("source equation must have order at least 2")
     reg = T.registry
-    m, images = polynomial_derivation(reg.closed_dx_images((T.psi, T.phi)))
+    m, images = polynomial_derivation(reg.images)
     jets = dx_images(["x"] + [jet_name(k) for k in range(n)])
     images.update({v: m * w for v, w in jets.items()})
     a, b = T.dphi.num, T.dphi.den
     if a.is_const():
         # 1/A folds into B
         a, b = ONE, b.scaled(a.den, a.leading_numerator())
-    # the bases of E_k, each with its exponent in E_0 and whether
-    # E_{k+1} / E_k takes it once more than L does
-    tracked = [(c, e, more) for c, e, more in
-               ((T.psi.den, 1, False), (a, 0, True), (m, 0, True))
-               if not c.is_const()]
-    bases = [c for c, _, _ in tracked]
-    exps = [e for _, e, _ in tracked]
-    more = [x for _, _, x in tracked]
-    d_bases = [c.derive(images) for c in bases]
-    num = [T.psi.num]
-    steps: List[MPoly] = []     # E_{k+1} / E_k
-    for _ in range(n):
-        live = [i for i, e in enumerate(exps) if e]
-        prod_live = _product(bases[i] for i in live)
-        log_d = ZERO
-        for i in live:
-            others = _product(bases[j] for j in live if j != i)
-            log_d = log_d.add_scaled(d_bases[i] * others, exps[i])
-        last = num[-1]
-        nxt = last.derive(images) * prod_live - last * log_d
-        num.append(nxt if b == ONE else b * nxt)
-        exps = [e + (e > 0) + x for e, x in zip(exps, more)]
-        steps.append(_product(
-            [prod_live] + [c for c, x in zip(bases, more) if x]))
+    q = T.psi.den
+    dq = q.derive(images)
+    am = a * m
+    qam = q * am
+    dq_am = dq * am
+    dam_q = (a.derive(images) * m + m.derive(images) * a) * q
+    # step 0 takes L = Q and S = DD(Q), step k >= 1 L = QAM and
+    # S = (k+1) DD(Q) AM + (2k-1) (DD(A) M + DD(M) A) Q
+    p0 = T.psi.num
+    num = [p0, b * (p0.derive(images) * q - p0 * dq)]
+    for k in range(1, n):
+        s = dq_am.scaled(k + 1).add_scaled(dam_q, 2 * k - 1)
+        num.append(b * (num[-1].derive(images) * qam - num[-1] * s))
+    later = qam * am    # E_{k+1} / E_k for k >= 1; it is QAM for k = 0
     eq = ZERO
     cofactor = ONE      # E_n / E_k
     full = p.full_coeffs()
@@ -223,14 +186,14 @@ def push_linear(p: CharPoly, T: PointTransformation) -> OracleInstance:
             eq = eq.add_scaled(num[k] * cofactor, full[k].numerator,
                                full[k].denominator)
         if k:
-            cofactor = cofactor * steps[k - 1]
+            cofactor = cofactor * (later if k > 1 else qam)
     top = jet_name(n)
     if eq.degree_in(top) != 1:
         raise InternalInvariantError(
             "image equation is not linear in the highest derivative")
     low, lead = eq.coeffs_in(top)
     f = RatFunc(low, lead)  # the reduction cancels shared transcendental factors
-    if _has_symbols(f, reg):
+    if any(v in reg.images for v in f.variables()):
         raise NonRationalInstance(
             "image of %s under %s is outside the rational class"
             % (p, T.name))

@@ -52,14 +52,6 @@ class RatFunc:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zero() -> "RatFunc":
-        return RatFunc(ZERO)
-
-    @staticmethod
-    def one() -> "RatFunc":
-        return RatFunc(ONE)
-
-    @staticmethod
     def const(c: Scalar) -> "RatFunc":
         return RatFunc(MPoly.const(c))
 
@@ -159,7 +151,7 @@ class RatFunc:
 
     def __pow__(self, k: int):
         if k == 0:
-            return RatFunc.one()
+            return RatFunc(ONE)
         if k < 0:
             if self.is_zero():
                 raise ZeroDivisionError("negative power of zero")

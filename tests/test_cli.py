@@ -397,6 +397,10 @@ def test_max_order_floor():
     code, _, err = run("certify", "y''=y", "--max-order", "100000000")
     assert code == 2 and "above limit" in err
     assert run("certify", "y''' = 0", "--max-order", "24")[0] == 0
+    # the default order, the completion's minimum, has the same limit
+    code, _, err = run("certify", "y^(24)=0")
+    assert code == 2 and "truncation order 25 above limit 24" in err
+    assert run("certify", "y^(23)=0")[0] == 0
     # the largest slot layout, at the highest truncation order, gives the
     # JSON of the default order, at the origin and at a fractional point
     for argv in (("y'' = 0",), ("y'' + (y')^2 = 0", "--point", "1/2,1/3")):

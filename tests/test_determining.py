@@ -9,6 +9,7 @@ from lieode.determining import (DX, DY, _prolongation_terms,
 from lieode.involutive import _lcm, complete, primitive
 from lieode.jets import jet_name, jet_order_of
 from lieode.parsing import OdeSpec, parse_ode
+from lieode import polys
 from lieode.polys import MPoly, content, gcd
 from lieode.ratfunc import RatFunc
 
@@ -28,8 +29,8 @@ def jet(k):
 
 X = RatFunc.variable("x")
 Y = RatFunc.variable("y")
-ONE = RatFunc.one()
-ZERO = RatFunc.zero()
+ONE = RatFunc(polys.ONE)
+ZERO = RatFunc(polys.ZERO)
 
 
 def _up_to_scale(eq, expected):
@@ -255,7 +256,7 @@ def _textbook_condition(ode):
     terms = [({Slot(XI, 0, 0): MPoly.const(1)}, "x")] + [
         (etas[k], jet_name(k)) for k in range(n)]
     for lin, v in terms:
-        fv = f.derive({v: RatFunc.one()})
+        fv = f.derive({v: ONE})
         for s, c in lin.items():
             out[s] = out.get(s, ZERO) + RatFunc(c) * fv
     return {s: c for s, c in out.items() if not c.is_zero()}

@@ -16,7 +16,7 @@ from lieode.involutive import (_cross, _Eq, complete, lin_derive, primitive,
                                reduce)
 from lieode.liealgebra import CASE_NONE
 from lieode.parsing import parse_ode
-from lieode.polys import MPoly, try_divexact
+from lieode.polys import ZERO, MPoly, try_divexact
 from lieode.polys import gcd as poly_gcd
 from lieode.ratfunc import RatFunc
 
@@ -121,7 +121,7 @@ def test_free_particle_completion_shape():
 
 def test_completed_system_still_annihilates_generators():
     inv = complete(determining_system(parse_ode("y'' = y^2")))
-    for xi, eta in [(RatFunc.one(), RatFunc.zero()),
+    for xi, eta in [(RatFunc(ONE), RatFunc(ZERO)),
                     (RatFunc(X), RatFunc.const(-2) * RatFunc(Y))]:
         for eq in inv.equations:
             assert substitute_generator(slot_keyed(eq), xi, eta).is_zero()
@@ -248,13 +248,13 @@ def test_bivariate_denominator_completes():
     assert alt.dimension == inv.dimension
     assert audit_involutive(inv, detsys)
     assert audit_involutive(alt, mirror(detsys))
-    one, x = RatFunc.one(), RatFunc.variable("x")
+    one, x = RatFunc(ONE), RatFunc.variable("x")
     for eqs in (detsys, inv.equations):
         assert all(substitute_generator(slot_keyed(eq), one,
                                         RatFunc.const(-2) * x).is_zero()
                    for eq in eqs)
         assert not all(substitute_generator(slot_keyed(eq), one,
-                                            RatFunc.zero()).is_zero()
+                                            RatFunc(ZERO)).is_zero()
                        for eq in eqs)
 
 

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import lieode.liealgebra
-from lieode import analyze
+from lieode import analyze, polys
 from lieode.determining import determining_system, fields, rank
 from lieode.errors import InputError, InternalInvariantError, SingularPoint
 from lieode.involutive import complete
@@ -38,8 +38,8 @@ from conftest import (BENCH_DATA, ETA, MIRROR_RANKING, XI, REFERENCE_INPUTS,
 
 F = Fraction
 UNIT = MPoly.const(1)   # equation coefficient
-ONE = RatFunc.one()
-ZERO = RatFunc.zero()
+ONE = RatFunc(polys.ONE)
+ZERO = RatFunc(polys.ZERO)
 X = RatFunc.variable("x")
 Y = RatFunc.variable("y")
 

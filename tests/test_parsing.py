@@ -16,7 +16,7 @@ from lieode.jets import jet_name, jet_order_of
 from lieode.parsing import (MAX_NESTING, MAX_PRIMES, OdeSpec, _tokenize,
                             deriv_marker, format_mpoly, parse_expr, parse_ode,
                             print_ode)
-from lieode.polys import ZERO
+from lieode.polys import ONE, ZERO
 from lieode.pushforward import PointTransformation, TranscendentalRegistry
 from lieode.ratfunc import RatFunc
 
@@ -283,16 +283,16 @@ def ode_specs(draw):
     """Random quasi-linear equations with small rational f."""
     n = draw(st.integers(2, 4))
     coords = [RatFunc.variable("x")] + [jet(k) for k in range(n)]
-    num = RatFunc.zero()
+    num = RatFunc(ZERO)
     for _ in range(draw(st.integers(1, 3))):
         term = RatFunc.const(draw(rationals(max_abs=5, max_den=3)))
         for _ in range(draw(st.integers(0, 2))):
             term = term * draw(st.sampled_from(coords))
         num = num + term
     den = draw(st.sampled_from([
-        RatFunc.one(),
+        RatFunc(ONE),
         jet(0),
-        RatFunc.one() + jet(0) * jet(0),
+        RatFunc(ONE) + jet(0) * jet(0),
         RatFunc.variable("x"),
     ]))
     return OdeSpec(n, num / den)

@@ -203,6 +203,10 @@ def test_bench_pairs_match_the_normalized_chain(p, psi, phi):
     ((-1, 1, 2), "exp((x^2-1)/(x-1)) - exp(x+1) + y", "x",
      "y''' - 2*y'' - y' + 2*y = 0"),
     ((0, 1, 1), "(y^2-1)/(y-1)", "(x^2-1)/(x+1)", "y''' - 2*y'' + y' = 0"),
+    # a symbol adjoined with its image and then cancelled out of psi: the
+    # image is that of u = y, t = x + log(x)
+    ((1, -1), "y+log(x)-log(x)", "x+log(x)",
+     "y'' + (-x^3*y - 3*x^2*y + x*y' - 3*x*y - y)/(x^3 + x^2) = 0"),
 ])
 def test_hand_picked_pairs_match_the_normalized_chain(
         source, psi, phi, want):
@@ -364,7 +368,7 @@ def test_jacobian_of_an_adjoined_symbol():
     # phi_x psi_y - phi_y psi_x = exp(y) for u = exp(y), t = x, nonzero as
     # a polynomial in the symbol t1 = exp(y)
     T = PointTransformation("exp(y)", "x")
-    assert T.dphi == RatFunc.one()
+    assert T.dphi == RatFunc(lieode.polys.ONE)
 
 
 def test_total_derivative_above_first_order_in_y1_is_an_engine_error(
@@ -393,7 +397,7 @@ def _satisfies(ode, xi, eta):
 
 
 X, Y = RatFunc.variable("x"), RatFunc.variable("y")
-ZERO, ONE = RatFunc.zero(), RatFunc.one()
+ZERO, ONE = RatFunc(lieode.polys.ZERO), RatFunc(lieode.polys.ONE)
 
 
 def test_pulled_back_generators_satisfy_the_image_system():
