@@ -38,7 +38,7 @@ from typing import Dict, List, Tuple
 from .errors import InternalInvariantError
 from .jets import jet_name
 from .parsing import OdeSpec
-from .polys import ZERO, MPoly, divexact, gcd
+from .polys import ZERO, MPoly, content
 
 # A slot, the partial derivative d^(dx+dy) u / dx^dx dy^dy of an unknown u,
 # is one int: from high to low the fields order = dx + dy, dx and dy, each
@@ -171,21 +171,20 @@ def invariance_coefficients(ode: OdeSpec) -> Dict[JetKey, LinDiffPoly]:
     prolongation coefficient adds a scaled copy of every part into the
     equation of the product monomial, so no product of a jet polynomial
     with a polynomial in (x, y, jets) is formed.  Q*R*f_v is formed as
-    P_v*R - P*(Q_v/G), or P_v*R when Q lacks v: G divides Q_v, so the one
-    division is of Q_v, not of the full product.  The coefficients are
+    P_v*R - P*(Q_v/G), or P_v*R when Q lacks v: R and every Q_v/G come
+    from one ``polys.content`` of (Q, Q_v, ...), which divides each of
+    them once, not the full product.  The coefficients are
     left as collected, with no scaling: completion makes each equation it
     inserts primitive.
     """
     n, P, Q = ode.n, ode.f.num, ode.f.den
-    G = Q
-    for v in Q.vars:
-        G = gcd(G, Q.derivative(v))
-    R = divexact(Q, G)
+    R, *quots = content([Q] + [Q.derivative(v) for v in Q.vars])[1]
+    over_g = dict(zip(Q.vars, quots))
     mults = [R * Q, -(R * P)]
     for v in ["x"] + [jet_name(k) for k in range(n)]:
         mult = P.derivative(v) * R
-        if v in Q.vars:
-            mult = mult - P * divexact(Q.derivative(v), G)
+        if v in over_g:
+            mult = mult - P * over_g[v]
         mults.append(mult)
     jets = {jet_name(k) for k in range(1, n)}
     collected: Dict[JetKey, LinDiffPoly] = {}

@@ -78,10 +78,9 @@ that working copy, and ``_eliminate`` writes each step into it in place.
 equation's terms or cached derivatives are ever written.  The divisor
 coefficient of an elimination is the lead coefficient of a primitive
 equation, which is monic, so when it divides the other coefficient it is
-their gcd and no gcd is taken; when the other coefficient divides it,
-the other is their gcd up to a scalar.  A gcd runs only when both
-divisions fail and both coefficients are non-constant (with a constant
-one it is 1).
+their gcd and ``polys.cofactors`` takes no gcd; nor when the other
+coefficient divides it, or either is constant.  ``primitive`` takes the
+content and every quotient by it from one ``polys.content`` search.
 
 The parametric slots (those outside the cone of the leading slots) index the
 free Taylor data of the solution space; their count is its dimension.
@@ -96,7 +95,7 @@ from typing import Dict, List, Sequence, Tuple
 from .determining import (DX, DY, ETA, GUARDS, XI, LinDiffPoly, divides,
                           fields, slot)
 from .errors import InternalInvariantError
-from .polys import ONE, divexact, gcd, try_divexact
+from .polys import cofactors, content
 
 
 RANKING = "order,xdeg,xi<eta"  # int order: total order, dx, then xi < eta
@@ -106,49 +105,17 @@ RANKING = "order,xdeg,xi<eta"  # int order: total order, dx, then xi < eta
 
 
 def primitive(eq: LinDiffPoly, top: int) -> LinDiffPoly:
-    """eq divided by its content in Q[x, y], scaled so that eq[top] has
-    leading coefficient 1.
+    """eq divided by its content in Q[x, y] (``polys.content``), scaled so
+    that eq[top] has leading coefficient 1.
 
     Every nonzero multiple of eq by a rational function has the same
     primitive form, so it is a canonical representative of the equation.
-    When some coefficient is a constant, as every coefficient of an
-    all-constant equation is, the content is 1: one pass of ``MPoly.scaled``
-    does the scaling, with no sort and no content search.  Otherwise the
-    content is found with its cofactors: g starts as the monic form of the
-    smallest coefficient, and each coefficient that g divides keeps its
-    quotient.  Only when a division fails is g replaced by h = gcd(g, c),
-    and the quotients kept so far are multiplied by g/h; a constant g ends
-    the search.  Leading coefficients multiply, so dividing by g times the
-    leading coefficient of eq[top] also does the scaling, and each
-    coefficient is divided once.  Every scaling is by integers: the leading
-    coefficient of eq[top] is its leading numerator over its denominator.
+    The scaling is by integers: the leading coefficient of the quotient at
+    top is its leading numerator over its denominator.
     """
-    ln, ld = eq[top].leading_numerator(), eq[top].den
-    if not any(c.is_const() for c in eq.values()):
-        order = sorted(eq, key=lambda s: len(eq[s].num))
-        first = eq[order[0]]
-        fn, fd = first.leading_numerator(), first.den
-        g = first.scaled(fd, fn)
-        # first = g * (fn / fd), so its quotient by g * lc is a constant
-        quots = {order[0]: ONE.scaled(fn * ld, fd * ln)}
-        divisor = g.scaled(ln, ld)
-        for s in order[1:]:
-            c = eq[s]
-            q = try_divexact(c, divisor)
-            if q is None:
-                h = gcd(g, c)
-                if h.is_const():
-                    break
-                r = divexact(g, h)
-                quots = {t: v * r for t, v in quots.items()}
-                g, divisor = h, h.scaled(ln, ld)
-                q = divexact(c, divisor)
-            quots[s] = q
-        else:
-            return {s: quots[s] for s in eq}
-    if ln != 1 or ld != 1:
-        eq = {s: c.scaled(ld, ln) for s, c in eq.items()}
-    return eq
+    out = dict(zip(eq, content(eq.values())[1]))
+    ln, ld = out[top].leading_numerator(), out[top].den
+    return out if ln == ld else {s: c.scaled(ld, ln) for s, c in out.items()}
 
 
 def lin_derive(eq: LinDiffPoly, var: str) -> LinDiffPoly:
@@ -204,34 +171,16 @@ class _Eq:
 
 def _eliminate(p: LinDiffPoly, q: LinDiffPoly, s: int) -> None:
     """Replace p, in place, by (b/g) p - (a/g) q with a = p[s], b = q[s]
-    and g = gcd(a, b) up to a scalar.
+    and g = gcd(a, b), the cofactors of ``polys.cofactors``.
 
     The cofactors cancel s without dividing by a polynomial.  q derives
     from a primitive equation, and differentiation carries its lead
     coefficient unchanged to the slot lead + d, so b is that coefficient:
-    it has leading coefficient 1, like g, and a constant b/g is 1.  When b
-    divides a, g is b itself, so the cofactors are a/b and 1 with no gcd:
-    the exact division that shows it yields the cofactor a/g at once.
-    When a divides b instead, g is a up to a scalar, and the cofactors
-    b/a and 1 come from that one division.  Only when both fail is g
-    computed, and then only when a and b are both non-constant, since
-    the gcd of a constant and a polynomial is 1.  A constant a/g, its
-    numerator over its denominator, scales each slot of q inside the
-    subtraction.
+    it has leading coefficient 1, like g, and a constant b/g is 1.  A
+    constant a/g, its numerator over its denominator, scales each slot of
+    q inside the subtraction.
     """
-    a, b = p[s], q[s]
-    if not b.is_const():
-        quot = try_divexact(a, b)
-        if quot is not None:
-            a, b = quot, ONE
-        elif not a.is_const():
-            quot = try_divexact(b, a)
-            if quot is not None:
-                a, b = ONE, quot
-            else:
-                g = gcd(a, b)
-                if not g.is_const():
-                    a, b = divexact(a, g), divexact(b, g)
+    _, a, b = cofactors(p[s], q[s])
     if not b.is_const():
         for t, c in p.items():
             p[t] = c * b

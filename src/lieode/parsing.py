@@ -286,8 +286,8 @@ class OdeSpec:
     f: RatFunc
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("order must be at least 1")
+        if self.n < 2:
+            raise OrderTooLow(f"order {self.n}; certification needs 2 or more")
         if jet_order(self.f) > self.n - 1:
             raise ValueError("f involves the highest derivative")
 

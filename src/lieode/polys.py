@@ -31,6 +31,10 @@ sum that cancelled a term, a derivative, coefficient extraction, a
 monomial strip and a quotient).  A product of nonzero polynomials keeps
 all its variables, since degrees add in an integral domain.
 
+``cofactors(a, b)`` and ``content(coeffs)`` give a gcd g with every c/g
+(content and primitive part, Geddes, Czapor and Labahn, *Algorithms for
+Computer Algebra*, 1992, section 2.7): both divide exactly before any gcd.
+
 The monomial order is graded lexicographic with higher-ranked variables
 more significant; the variable ranking is x < y < y' < y'' < ... < t1 < t2
 (t-symbols are auxiliary transcendental markers used by the pushforward
@@ -521,13 +525,14 @@ def divexact(a: MPoly, b: MPoly) -> MPoly:
 
 def _monic(p: MPoly) -> MPoly:
     """p divided by its leading coefficient: the leading numerator becomes
-    the denominator; a nonzero constant gives the shared ``ONE``."""
+    the denominator; a nonzero constant gives the shared ``ONE``, and a
+    monic p is returned itself."""
     if p.is_zero():
         return p
     if not p.vars:
         return ONE
     lead = p.leading_numerator()
-    if lead == 1 and p.den == 1:
+    if lead == p.den:
         return p
     num = p.num if lead > 0 else {e: -c for e, c in p.num.items()}
     return _new(p.vars, num, abs(lead))
@@ -632,7 +637,7 @@ def _content_over(split: Dict[int, Dict[int, int]], w: str) -> MPoly:
     """The content of a `_split` polynomial over its other variables: the
     gcd of its coefficients, which are polynomials in `w` alone."""
     return content([_new_pruned((w,), {e | e << _W: c for e, c in cs.items()},
-                                1) for cs in split.values()])
+                                1) for cs in split.values()])[0]
 
 
 def _primitive_over(p: MPoly, w: str, rest: Tuple[str, ...]):
@@ -709,16 +714,58 @@ def _gcd_interpolated(a: MPoly, b: MPoly) -> MPoly:
         q = q * step
 
 
-def content(coeffs: Sequence[MPoly]) -> MPoly:
-    """gcd of the coefficients, with leading coefficient 1 (0 if all are 0)."""
-    g = ZERO
-    for c in coeffs:
-        if c.is_zero():
-            continue
-        g = gcd(g, c)
-        if g.is_const() and not g.is_zero():
-            return ONE
-    return g
+def cofactors(a: MPoly, b: MPoly) -> Tuple[MPoly, MPoly, MPoly]:
+    """(g, a/g, b/g) for nonzero a and b, with g = gcd(a, b) monic, or 1.
+
+    A constant operand gives (1, a, b).  When b divides a, g is b made
+    monic, the one division gives a/g, and b/g is b's leading coefficient;
+    likewise when a divides b.  ``gcd`` runs only when both divisions fail.
+    """
+    if a.is_const() or b.is_const():
+        return ONE, a, b
+    q = try_divexact(a, b)
+    if q is not None:
+        n, d = b.leading_numerator(), b.den
+        return _monic(b), q.scaled(n, d), ONE.scaled(n, d)
+    q = try_divexact(b, a)
+    if q is not None:
+        n, d = a.leading_numerator(), a.den
+        return _monic(a), ONE.scaled(n, d), q.scaled(n, d)
+    g = gcd(a, b)
+    if g.is_const():
+        return ONE, a, b
+    return g, divexact(a, g), divexact(b, g)
+
+
+def content(coeffs: Sequence[MPoly]) -> Tuple[MPoly, List[MPoly]]:
+    """(g, [c/g for c in coeffs]) with g the monic gcd of the coefficients
+    (0 if all are 0); a zero keeps the quotient 0.
+
+    A constant coefficient gives (1, the inputs) with no gcd.  Otherwise g
+    starts as the monic smallest coefficient, by term count and then by the
+    degree of its leading monomial (of two with as many terms, a divisor
+    comes first), and ``cofactors`` folds over the rest: when g shrinks to
+    h, the quotients kept so far are multiplied by g/h, and a constant h
+    ends the search with (1, the inputs).  Each coefficient is divided once.
+    """
+    out = list(coeffs)
+    live = [i for i, c in enumerate(out) if c.num]
+    if not live or any(out[i].is_const() for i in live):
+        return ONE if live else ZERO, out
+    live.sort(key=lambda i: (len(out[i].num),
+                             max(out[i].num) >> _W * len(out[i].vars)))
+    first = out[live[0]]
+    g = _monic(first)
+    quots = {live[0]: ONE.scaled(first.leading_numerator(), first.den)}
+    for i in live[1:]:
+        h, q, r = cofactors(out[i], g)
+        if h is not g:
+            if h.is_const():
+                return ONE, out
+            quots = {j: v * r for j, v in quots.items()}
+            g = h
+        quots[i] = q
+    return g, [quots.get(i, c) for i, c in enumerate(out)]
 
 
 def gcd(a: MPoly, b: MPoly) -> MPoly:
@@ -757,7 +804,7 @@ def gcd(a: MPoly, b: MPoly) -> MPoly:
     if only_a or only_b:
         parts = [*a0.coeffs_over(only_a).values(),
                  *b0.coeffs_over(only_b).values()]
-        g = content(sorted(parts, key=lambda p: len(p.num)))
+        g = content(parts)[0]
     elif len(a0.vars) == 1:
         g = _gcd_univar(a0, b0, a0.vars[0])
     elif _divides(b0, a0):
@@ -769,3 +816,4 @@ def gcd(a: MPoly, b: MPoly) -> MPoly:
     if common:
         g = g * _mono_poly(common)
     return _monic(g)
+

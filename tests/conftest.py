@@ -30,7 +30,7 @@ from lieode.jets import dx_images, jet_name
 from lieode.liealgebra import LieAlgebraTable, Point, _shifted
 from lieode.linalg import Mat, Vec, rref
 from lieode.parsing import OdeSpec, parse_ode, print_ode
-from lieode.polys import ONE, ZERO, MPoly, _unpack, content, divexact
+from lieode.polys import ONE, ZERO, MPoly, _unpack, divexact
 from lieode.polys import gcd as poly_gcd
 from lieode.pushforward import (OracleInstance, PointTransformation,
                                 is_staircase_class)
@@ -436,8 +436,13 @@ def normal_form(inv: InvolutiveSystem, p):
 
 def reference_primitive(eq, top):
     """eq divided by the gcd of its coefficients, then scaled so that eq[top]
-    has leading coefficient 1."""
-    g = content(sorted(eq.values(), key=lambda c: len(c.num)))
+    has leading coefficient 1.  The gcd is a fold of ``polys.gcd``, smallest
+    coefficients first, independent of ``polys.content``."""
+    g = ZERO
+    for c in sorted(eq.values(), key=lambda c: len(c.num)):
+        g = poly_gcd(g, c)
+        if g.is_const():
+            break
     if not g.is_const():
         eq = {s: divexact(c, g) for s, c in eq.items()}
     lc = leading_coeff(eq[top])

@@ -371,7 +371,7 @@ def test_primitive_form_is_canonical(case):
     p = primitive({s: c * h1 for s, c in eq.items()}, top)
     assert p == primitive({s: c * h2 for s, c in eq.items()}, top)
     assert p == primitive(eq, top)
-    assert content(list(p.values())) == 1
+    assert content(list(p.values()))[0] == 1
     assert leading_coeff(p[top]) == 1
     assert ({s: RatFunc(c, p[top]) for s, c in p.items()}
             == {s: RatFunc(c, eq[top]) for s, c in eq.items()})

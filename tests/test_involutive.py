@@ -9,7 +9,7 @@ import time
 import pytest
 
 from lieode import analyze
-from lieode import involutive
+from lieode import involutive, polys
 from lieode.determining import determining_system, fields
 from lieode.errors import InternalInvariantError
 from lieode.involutive import (_cross, _Eq, complete, lin_derive, primitive,
@@ -283,11 +283,29 @@ def _without_chain_criterion(monkeypatch):
     monkeypatch.setattr(involutive, "_chain_redundant", lambda *args: False)
 
 
+def _check_outer_gcds(monkeypatch, check):
+    """Patch polys.gcd, which polys.cofactors calls, so that every gcd not
+    taken inside another gcd passes check(a, b) first; the calls a gcd makes
+    itself, such as the image gcds of interpolation, go unchecked."""
+    depth = []
+
+    def gcd(a, b):
+        if not depth:
+            check(a, b)
+        depth.append(None)
+        try:
+            return poly_gcd(a, b)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(polys, "gcd", gcd)
+
+
 def _checked_eliminations(monkeypatch):
     """Watch every _eliminate step: its divisor coefficient q[s] must be
-    monic, and a gcd may run in it only when neither of q[s] and p[s]
-    divides the other.  Returns the counts of steps and of gcds taken in
-    them."""
+    monic, and a gcd may run in it (through polys.cofactors) only when
+    neither of q[s] and p[s] divides the other.  Returns the counts of
+    steps and of gcds taken in them."""
     real = involutive._eliminate
     counts = {"steps": 0, "gcds": 0}
     may_gcd = []   # one entry while a step runs
@@ -303,14 +321,13 @@ def _checked_eliminations(monkeypatch):
         finally:
             may_gcd.pop()
 
-    def gcd(a, b):
+    def check(a, b):
         if may_gcd:
             assert may_gcd[-1], (a, b)
             counts["gcds"] += 1
-        return poly_gcd(a, b)
 
     monkeypatch.setattr(involutive, "_eliminate", eliminate)
-    monkeypatch.setattr(involutive, "gcd", gcd)
+    _check_outer_gcds(monkeypatch, check)
     return counts
 
 
@@ -493,29 +510,29 @@ def test_cross_writes_into_no_equation(ode, mirrored):
 @pytest.mark.parametrize("ode,mirrored", bench_ranking_cases(),
                          indirect=["ode"])
 def test_completion_takes_no_gcd_of_a_constant(ode, mirrored, monkeypatch):
-    # the gcd of a constant and a polynomial is 1, so _eliminate skips it;
-    # with a gcd that refuses a constant operand, completion still runs and
-    # gives the system of the unpatched run, which
-    # test_completion_matches_the_pairwise_reference certifies
+    # the gcd of a constant and a polynomial is 1, so polys.cofactors skips
+    # it for _eliminate and primitive; with a gcd that refuses a constant
+    # operand, completion still runs and gives the system of the unpatched
+    # run, which test_completion_matches_the_pairwise_reference certifies
     def strict(a, b):
         assert not (a.is_const() or b.is_const()), (a, b)
-        return poly_gcd(a, b)
 
     detsys = ranking_case_system(ode, mirrored)
     expected = complete(detsys)
-    monkeypatch.setattr(involutive, "gcd", strict)
+    _check_outer_gcds(monkeypatch, strict)
     _assert_same_completion(complete(detsys), expected)
 
 
 def test_a_divisor_coefficient_that_is_a_multiple_takes_no_gcd(monkeypatch):
-    # b = q[s] is a multiple of a = p[s], so a is their gcd up to a scalar:
-    # _eliminate takes the cofactors b/a and 1 from one exact division
+    # b = q[s] is a multiple of a = p[s], so monic(a) is their gcd:
+    # _eliminate takes the cofactors b/monic(a) and lc(a) = 2 from one
+    # exact division
     def refuse(a, b):
         raise AssertionError("gcd(%r, %r) was taken" % (a, b))
 
-    monkeypatch.setattr(involutive, "gcd", refuse)
+    monkeypatch.setattr(polys, "gcd", refuse)
     s, t = to_int(Slot(XI, 0, 0)), to_int(Slot(ETA, 0, 0))
     a, quot = 2 * X + 2, X + Y
     p, q = {s: a, t: Y}, {s: a * quot.scaled(1, 2), t: ONE}
     involutive._eliminate(p, q, s)
-    assert p == {t: (quot * Y).scaled(1, 2) - ONE}
+    assert p == {t: quot * Y - 2 * ONE}

@@ -4,9 +4,10 @@ import importlib.util
 import pathlib
 import pkgutil
 import runpy
+import sys
 
 import lieode
-from lieode import determining, involutive, polys, ratfunc
+from lieode import polys
 
 TESTS = pathlib.Path(__file__).resolve().parent
 TRACER = TESTS.parent / "bench" / "tracer.py"
@@ -38,13 +39,32 @@ def test_every_benchmark_hook_point_resolves():
         assert found is not None and callable(found[2]), hook
 
 
+def _bindings(*functions):
+    """(module name, attribute) of every binding of the functions in the
+    lieode modules, as the benchmark's tracer finds them."""
+    for mod in pkgutil.iter_modules(lieode.__path__):
+        importlib.import_module("lieode." + mod.name)
+    return [(name, attr) for name, module in sorted(sys.modules.items())
+            if module is not None
+            and (name == "lieode" or name.startswith("lieode."))
+            for attr, value in vars(module).items()
+            if any(value is f for f in functions)]
+
+
+def test_only_polys_and_ratfunc_bind_the_gcd_and_division():
+    # contents and cofactors are taken by polys.content and polys.cofactors;
+    # ratfunc's gcd is the RatFunc boundary the benchmark's tracer counts
+    found = _bindings(polys.gcd, polys.divexact, polys.try_divexact)
+    assert {name for name, _ in found} == {"lieode.polys", "lieode.ratfunc"}
+
+
 def test_test_modules_take_no_gcd_at_import(monkeypatch):
     # collection builds cases without engine arithmetic, so a gcd fault
     # fails single tests instead of stopping whole modules at import
     def refuse(a, b):
         raise AssertionError("gcd(%r, %r) at import" % (a, b))
 
-    for module in (polys, ratfunc, involutive, determining):
-        monkeypatch.setattr(module, "gcd", refuse)
+    for name, attr in _bindings(polys.gcd):
+        monkeypatch.setattr(sys.modules[name], attr, refuse)
     for path in sorted(TESTS.glob("test_*.py")):
         runpy.run_path(str(path))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieode import ratfunc
+from lieode import analyze, ratfunc
 from lieode.errors import (InputError, NotQuasiLinear, OdeSyntaxError,
                            OrderTooLow)
 from lieode.jets import jet_name, jet_order_of
@@ -235,9 +235,14 @@ def test_order_too_low():
 
 
 def test_ode_spec_validates_its_order():
-    # an order below one, and an f involving y^(n) itself, are not y^(n) + f = 0
-    with pytest.raises(ValueError):
-        OdeSpec(0, RatFunc.variable("x"))
+    # an order below two, which no stage handles, is an input error, for
+    # analyze too; an f involving y^(n) itself is not y^(n) + f = 0
+    for n in (0, 1):
+        with pytest.raises(OrderTooLow):
+            OdeSpec(n, RatFunc.variable("x"))
+    for f in (jet(0), RatFunc(ZERO)):
+        with pytest.raises(OrderTooLow):
+            analyze(OdeSpec(1, f))
     with pytest.raises(ValueError):
         OdeSpec(2, jet(2))
     assert OdeSpec(2, jet(1) * jet(0)).n == 2

@@ -1,4 +1,5 @@
 """Multivariate polynomial arithmetic: ring laws, calculus, gcd."""
+import contextlib
 import math
 import random
 from fractions import Fraction
@@ -11,8 +12,8 @@ from lieode import polys
 from lieode.errors import InputError
 from lieode.parsing import parse_ode
 from lieode.polys import (ONE, ZERO, MPoly, _guard, _monic, _pack,
-                          _strip_monomial, _unpack, content, divexact, gcd,
-                          try_divexact, var_rank)
+                          _strip_monomial, _unpack, cofactors, content,
+                          divexact, gcd, try_divexact, var_rank)
 from lieode.ratfunc import RatFunc
 
 from conftest import (MODULUS, as_const, from_coeffs, leading,
@@ -359,6 +360,93 @@ def test_gcd_over_unequal_variable_sets(a, b, c):
     assert _associate(g, c * gcd(a, b))
 
 
+# -- cofactors and contents -------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _refusing_gcd():
+    """A context in which polys.gcd raises: a call shows a gcd was taken."""
+    def refuse(a, b):
+        raise AssertionError("gcd(%r, %r) was taken" % (a, b))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polys, "gcd", refuse)
+        yield
+
+
+def _monic_or_one(g):
+    return g is ONE or (not g.is_const() and leading_coeff(g) == 1)
+
+
+@settings(max_examples=40)
+@given(st.tuples(*(mpolys(max_terms=3, max_exp=2),) * 3))
+def test_cofactors_split_off_the_monic_gcd(triple):
+    # (g, ca, cb) = cofactors(h a, h b): g is monic or 1, the operands are
+    # g times their cofactors, and the cofactors are coprime
+    h, a, b = triple
+    assume(not (h.is_zero() or a.is_zero() or b.is_zero()))
+    u, v = h * a, h * b
+    g, cu, cv = cofactors(u, v)
+    assert _monic_or_one(g)
+    assert u == g * cu and v == g * cv
+    _assert_coprime(cu, cv)
+
+
+@settings(max_examples=40)
+@given(st.lists(mpolys(max_terms=3, max_exp=2), max_size=4),
+       mpolys(max_terms=2, max_exp=2))
+def test_content_divides_every_coefficient_once(coeffs, h):
+    # (g, quots) = content(h c for c in coeffs): each coefficient is g times
+    # its quotient, a zero keeps the quotient 0, and g is monic, 1, or 0 when
+    # every coefficient is 0; the nonzero quotients have content 1
+    assume(not h.is_zero())
+    coeffs = [h * c for c in coeffs]
+    g, quots = content(coeffs)
+    assert len(quots) == len(coeffs)
+    assert all(c == g * q for c, q in zip(coeffs, quots))
+    assert all(q.is_zero() for c, q in zip(coeffs, quots) if c.is_zero())
+    live = [q for q in quots if q]
+    if not live:
+        assert g is ZERO
+        return
+    assert _monic_or_one(g)
+    rest = ZERO
+    for q in live:
+        rest = gcd(rest, q)
+    assert rest == 1
+
+
+@given(st.lists(mpolys(max_terms=3, max_exp=2), max_size=3),
+       nonzero_rationals(), st.integers(0, 3))
+def test_a_constant_coefficient_returns_the_inputs_with_no_gcd(
+        coeffs, c, at):
+    coeffs.insert(min(at, len(coeffs)), MPoly.const(c))
+    with _refusing_gcd():
+        g, quots = content(coeffs)
+    assert g is ONE
+    assert all(q is c for q, c in zip(quots, coeffs))
+
+
+@pytest.mark.parametrize("a, b, g", [
+    (X ** 2, X, X),
+    (X ** 3 + X, X ** 2 + 1, X ** 2 + 1),
+    (X * Y + X, Y + 1, Y + 1),
+    (2 * X ** 2 + X, 2 * X + 1, X + Fraction(1, 2)),
+])
+def test_a_divisor_comes_before_its_multiple_and_takes_no_gcd(a, b, g):
+    # one operand divides the other, so no gcd is taken in either order:
+    # the search starts from the smallest coefficient by term count and
+    # then by degree, which puts the divisor first at equal term counts,
+    # and cofactors tries both exact divisions before a gcd.  A monic g is
+    # its own monic form, denominator and all
+    ca, cb = divexact(a, g), divexact(b, g)
+    with _refusing_gcd():
+        assert content([a, b]) == (g, [ca, cb])
+        assert content([b, a]) == (g, [cb, ca])
+        assert cofactors(a, b) == (g, ca, cb)
+    assert _monic(g) is g
+
+
 # -- canonical form --------------------------------------------------------------
 
 
@@ -517,7 +605,7 @@ def test_constants_zero_and_one_are_shared():
     assert MPoly.const(1) is MPoly.const(Fraction(2, 2)) is ONE
     assert gcd(X + 1, Y + 2) is gcd(X, MPoly.const(3)) is ONE
     assert gcd(X + 1, X - 1) is gcd(X * Y + 1, X * Y - 1) is ONE
-    assert content([X, Y]) is ONE
+    assert content([X, Y])[0] is ONE
     assert RatFunc(X).den is ONE and RatFunc(ZERO, X).num is ZERO
     assert MPoly.const(2) == 2 and MPoly.const(Fraction(1, 3)).den == 3
 

@@ -207,6 +207,10 @@ def test_bench_pairs_match_the_normalized_chain(p, psi, phi):
     # image is that of u = y, t = x + log(x)
     ((1, -1), "y+log(x)-log(x)", "x+log(x)",
      "y'' + (-x^3*y - 3*x^2*y + x*y' - 3*x*y - y)/(x^3 + x^2) = 0"),
+    # a symbol that cancels out of both psi and phi: M = x + 1 comes only
+    # from the cancelled log(x+1)
+    ((0, 0), "y+log(x+1)-log(x+1)", "exp(x)/(x+1)",
+     "y'' + (-x^2*y' - y')/(x^2 + x) = 0"),
 ])
 def test_hand_picked_pairs_match_the_normalized_chain(
         source, psi, phi, want):
