@@ -87,7 +87,6 @@ free Taylor data of the solution space; their count is its dimension.
 """
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import itertools
 from typing import Dict, List, Sequence, Tuple
@@ -171,7 +170,8 @@ class _Eq:
 
 def _eliminate(p: LinDiffPoly, q: LinDiffPoly, s: int) -> None:
     """Replace p, in place, by (b/g) p - (a/g) q with a = p[s], b = q[s]
-    and g = gcd(a, b), the cofactors of ``polys.cofactors``.
+    and g = gcd(a, b), the cofactors of ``polys.cofactors``; a constant a
+    or b gives g = 1 and needs no call.
 
     The cofactors cancel s without dividing by a polynomial.  q derives
     from a primitive equation, and differentiation carries its lead
@@ -180,7 +180,9 @@ def _eliminate(p: LinDiffPoly, q: LinDiffPoly, s: int) -> None:
     constant a/g, its numerator over its denominator, scales each slot of
     q inside the subtraction.
     """
-    _, a, b = cofactors(p[s], q[s])
+    a, b = p[s], q[s]
+    if not (a.is_const() or b.is_const()):
+        _, a, b = cofactors(a, b)
     if not b.is_const():
         for t, c in p.items():
             p[t] = c * b
@@ -256,10 +258,10 @@ def _chain_redundant(a: _Eq, b: _Eq, eqs: Sequence[_Eq],
     return False
 
 
-@dataclasses.dataclass
 class InvolutiveSystem:
-    eqs: List[_Eq]             # primitive, inter-reduced, sorted by lead
-    parametric: List[int]
+    def __init__(self, eqs: List[_Eq], parametric: List[int]):
+        self.eqs = eqs             # primitive, inter-reduced, sorted by lead
+        self.parametric = parametric
 
     @property
     def equations(self) -> List[LinDiffPoly]:

@@ -66,13 +66,11 @@ hands it on in the certificate.
 """
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, perm
-from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .determining import ETA, XI, fields, label, rank, slot
 from .errors import InputError, InternalInvariantError, SingularPoint
@@ -110,7 +108,7 @@ def expansion_points() -> Iterator[Point]:
                 yield at
 
 
-class _Layout(NamedTuple):
+class _Layout:
     """The slots of order <= MAX_TRUNCATION + 1, each at its rank.
 
     Slot (u, dx, dy) of order o sits at ``start[o] + 2 dx + u``, its rank
@@ -120,11 +118,15 @@ class _Layout(NamedTuple):
     the falling factorials n!/(n-k)! and the binomials C(n, k).
     """
 
-    slots: Tuple[int, ...]
-    meta: Tuple[Tuple[int, int, int, int], ...]
-    start: Tuple[int, ...]
-    fall: Tuple[Tuple[int, ...], ...]
-    binom: Tuple[Tuple[int, ...], ...]
+    def __init__(self, slots: Tuple[int, ...],
+                 meta: Tuple[Tuple[int, int, int, int], ...],
+                 start: Tuple[int, ...], fall: Tuple[Tuple[int, ...], ...],
+                 binom: Tuple[Tuple[int, ...], ...]):
+        self.slots = slots
+        self.meta = meta
+        self.start = start
+        self.fall = fall
+        self.binom = binom
 
 
 @lru_cache(maxsize=None)
@@ -289,7 +291,6 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
     return rows
 
 
-@dataclasses.dataclass(frozen=True)
 class SeriesBasis:
     """Truncated Taylor data of the delta basis, on integers.
 
@@ -302,11 +303,13 @@ class SeriesBasis:
     order.
     """
 
-    point: Point
-    N: int
-    parametric: Tuple[int, ...]
-    cols: Tuple[Tuple[Tuple[int, int], ...], ...]
-    den: int
+    def __init__(self, point: Point, N: int, parametric: Tuple[int, ...],
+                 cols: Tuple[Tuple[Tuple[int, int], ...], ...], den: int):
+        self.point = point
+        self.N = N
+        self.parametric = parametric
+        self.cols = cols
+        self.den = den
 
 
 def series_basis(inv: InvolutiveSystem,
@@ -342,7 +345,6 @@ def series_basis(inv: InvolutiveSystem,
     return SeriesBasis(at, N, params, tuple(map(tuple, cols)), D)
 
 
-@dataclasses.dataclass
 class LieAlgebraTable:
     """Structure constants [X_i, X_j] = sum_k C[i][j][k] X_k, on integers.
 
@@ -351,25 +353,29 @@ class LieAlgebraTable:
     numerators, so E is the least common denominator of the constants.
     Brackets (``bracket_numerators``) and the checks run on those integers.
     ``C``, the constants over the rationals, is built when first read.
+    Two tables are equal when their m, numerators and denominator are.
     """
 
-    m: int
-    num: List[List[List[int]]]
-    den: int
-
-    def __post_init__(self) -> None:
-        g = self.den
-        for row in self.num:
+    def __init__(self, m: int, num: List[List[List[int]]], den: int):
+        g = den
+        for row in num:
             if g == 1:
                 break
             g = gcd(g, *itertools.chain.from_iterable(row))
         if g > 1:
-            self.den //= g
-            self.num = [[[c // g for c in vec] for vec in row]
-                        for row in self.num]
+            den //= g
+            num = [[[c // g for c in vec] for vec in row] for row in num]
+        self.m = m
+        self.num = num
+        self.den = den
         self._sparse = [[[(k, c) for k, c in enumerate(vec) if c]
                          for vec in row] for row in self.num]
         self._C: Optional[List[List[List[Fraction]]]] = None
+
+    def __eq__(self, other):
+        if not isinstance(other, LieAlgebraTable):
+            return NotImplemented
+        return (self.m, self.num, self.den) == (other.m, other.num, other.den)
 
     @property
     def C(self) -> List[List[List[Fraction]]]:
@@ -494,12 +500,12 @@ def structure_constants(basis: SeriesBasis) -> LieAlgebraTable:
     return table
 
 
-@dataclasses.dataclass
 class Subalgebra:
     """Span of the fraction-free rref ``rows``, and whether it is abelian."""
 
-    rows: IntRows
-    abelian: bool
+    def __init__(self, rows: IntRows, abelian: bool):
+        self.rows = rows
+        self.abelian = abelian
 
     @property
     def dimension(self) -> int:
@@ -517,10 +523,14 @@ def derived_algebra(L: LieAlgebraTable) -> Subalgebra:
 
     The bracket of two rows must eliminate to zero against them (closure);
     the table is antisymmetric, so each pair is bracketed once, and the
-    same brackets say whether the derived algebra is abelian.
+    same brackets say whether the derived algebra is abelian.  With as
+    many rows as L has dimensions, the derived algebra is L: closed, and
+    not abelian, since its brackets span it and it is not zero.
     """
     rows = integer_rref(L.num[i][j] for i in range(L.m)
                         for j in range(i + 1, L.m))
+    if L.m and len(rows) == L.m:
+        return Subalgebra(rows, False)
     abelian = True
     for i, (_, u) in enumerate(rows):
         for _, v in rows[i + 1:]:
@@ -539,16 +549,28 @@ CASE_NONCONSTANT = "nonconstant-coefficients"
 CASE_NONE = "none"
 
 
-@dataclasses.dataclass(frozen=True)
 class Certificate:
-    verdict: str              # "linearizable" | "not-linearizable"
-    case: str                 # trivial | constant-coefficients | nonconstant-coefficients | none
-    m: int
-    n: int
-    derived_dimension: int
-    derived_abelian: bool
-    derived: Optional[Subalgebra] = dataclasses.field(
-        default=None, compare=False, repr=False)
+    """Equal when the fields of ``as_dict`` are: the derived algebra that
+    ``certify`` hands on is not compared."""
+
+    def __init__(self, verdict: str, case: str, m: int, n: int,
+                 derived_dimension: int, derived_abelian: bool,
+                 derived: Optional[Subalgebra] = None):
+        self.verdict = verdict    # "linearizable" | "not-linearizable"
+        self.case = case          # trivial | constant-coefficients | nonconstant-coefficients | none
+        self.m = m
+        self.n = n
+        self.derived_dimension = derived_dimension
+        self.derived_abelian = derived_abelian
+        self.derived = derived
+
+    def __eq__(self, other):
+        if not isinstance(other, Certificate):
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.as_dict().values()))
 
     @property
     def linearizable(self) -> bool:

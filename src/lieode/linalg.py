@@ -78,7 +78,9 @@ def integer_rref(vectors: Iterable[Sequence[int]]) -> IntRows:
     Each vector is eliminated against the rows so far; a nonzero remainder
     is made primitive with a positive pivot and cleared from the other rows.
     Every row then vanishes at the others' pivot columns, so dividing each
-    by its pivot gives the rref of the span, which is unique.
+    by its pivot gives the rref of the span, which is unique.  Once there
+    are as many rows as columns the span is everything, and no further
+    vector is read.
     """
     rows: IntRows = []
     for v in vectors:
@@ -92,6 +94,8 @@ def integer_rref(vectors: Iterable[Sequence[int]]) -> IntRows:
                  if row[c] else row) for d, row in rows]
         rows.append((c, v))
         rows.sort()
+        if len(rows) == len(v):
+            break
     return rows
 
 

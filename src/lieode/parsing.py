@@ -34,7 +34,6 @@ longer than ``int`` converts.
 """
 from __future__ import annotations
 
-import dataclasses
 import re
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Tuple
@@ -278,18 +277,25 @@ def parse_expr(text: str, *,
 # -- the ODE type --------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
 class OdeSpec:
-    """y^(n) + f(x, y, ..., y^(n-1)) = 0 with rational f."""
+    """y^(n) + f(x, y, ..., y^(n-1)) = 0 with rational f; equal when n and
+    f are."""
 
-    n: int
-    f: RatFunc
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise OrderTooLow(f"order {self.n}; certification needs 2 or more")
-        if jet_order(self.f) > self.n - 1:
+    def __init__(self, n: int, f: RatFunc):
+        if n < 2:
+            raise OrderTooLow(f"order {n}; certification needs 2 or more")
+        if jet_order(f) > n - 1:
             raise ValueError("f involves the highest derivative")
+        self.n = n
+        self.f = f
+
+    def __eq__(self, other):
+        if not isinstance(other, OdeSpec):
+            return NotImplemented
+        return self.n == other.n and self.f == other.f
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.f))
 
     def __str__(self) -> str:
         return print_ode(self)

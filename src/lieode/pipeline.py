@@ -14,7 +14,6 @@ bad input.
 """
 from __future__ import annotations
 
-import dataclasses
 import time
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -32,7 +31,6 @@ from .recovery import (AffineClass, CharPoly, affine_class, class_to_ode,
 NOTE_NONCONSTANT = "nonconstant coefficients — recovery out of scope"
 
 
-@dataclasses.dataclass(frozen=True)
 class RecoveryReport:
     """Constant-coefficient target, up to root maps lambda -> k*lambda + b.
 
@@ -42,29 +40,36 @@ class RecoveryReport:
     that produced it, when one was needed.
     """
 
-    char_poly: CharPoly
-    affine: AffineClass
-    representative_ode: str
-    action_matrix: Optional[Mat] = None
+    def __init__(self, char_poly: CharPoly, affine: AffineClass,
+                 representative_ode: str, action_matrix: Optional[Mat] = None):
+        self.char_poly = char_poly
+        self.affine = affine
+        self.representative_ode = representative_ode
+        self.action_matrix = action_matrix
 
 
-@dataclasses.dataclass(frozen=True)
 class RunReport:
     """Everything one analysis run produced, from raw input to verdict."""
 
-    ode: OdeSpec
-    # the determining system as collected, one equation per jet monomial,
-    # none scaled or deduplicated: completion gives each equation it
-    # inserts its canonical form
-    determining: List[LinDiffPoly]
-    involutive: InvolutiveSystem
-    basis_point: Point
-    truncation_order: int
-    algebra: LieAlgebraTable
-    certificate: Certificate
-    recovery: Optional[RecoveryReport]
-    note: Optional[str]
-    timings: Dict[str, float]
+    def __init__(self, ode: OdeSpec, determining: List[LinDiffPoly],
+                 involutive: InvolutiveSystem, basis_point: Point,
+                 truncation_order: int, algebra: LieAlgebraTable,
+                 certificate: Certificate,
+                 recovery: Optional[RecoveryReport], note: Optional[str],
+                 timings: Dict[str, float]):
+        self.ode = ode
+        # the determining system as collected, one equation per jet
+        # monomial, none scaled or deduplicated: completion gives each
+        # equation it inserts its canonical form
+        self.determining = determining
+        self.involutive = involutive
+        self.basis_point = basis_point
+        self.truncation_order = truncation_order
+        self.algebra = algebra
+        self.certificate = certificate
+        self.recovery = recovery
+        self.note = note
+        self.timings = timings
 
     @property
     def m(self) -> int:

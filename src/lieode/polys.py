@@ -633,22 +633,38 @@ def _image(p: MPoly, w: str, rest: Tuple[str, ...], alpha: int) -> MPoly:
     return _new_pruned(rest, _values(_split(p, w, rest), alpha), p.den)
 
 
-def _content_over(split: Dict[int, Dict[int, int]], w: str) -> MPoly:
-    """The content of a `_split` polynomial over its other variables: the
-    gcd of its coefficients, which are polynomials in `w` alone."""
+def _content_over(split: Dict[int, Dict[int, int]], w: str):
+    """`content` of a `_split` polynomial over its other variables: the gcd
+    of its coefficients, which are polynomials in `w` alone, and their
+    quotients by it."""
     return content([_new_pruned((w,), {e | e << _W: c for e, c in cs.items()},
-                                1) for cs in split.values()])[0]
+                                1) for cs in split.values()])
 
 
 def _primitive_over(p: MPoly, w: str, rest: Tuple[str, ...]):
     """(p divided by its content over `rest`, that quotient's `_split`, the
-    content)."""
+    content).  The quotient is put together from the coefficients'
+    quotients, which `content` returns, so p is divided only once."""
     split = _split(p, w, rest)
-    cont = _content_over(split, w)
-    if cont is not ONE:
-        p = divexact(p, cont)
-        split = _split(p, w, rest)
-    return p, split, cont
+    cont, quots = _content_over(split, w)
+    if cont is ONE:
+        return p, split, cont
+    # p / cont is the sum of key * q over p.den.  Each q = c / cont is
+    # integral: cont = G / lc(G) with G primitive in Z[w], and G divides
+    # lc(G) c in Q[w], hence in Z[w] (Gauss's lemma).
+    split = {key: {k & _FIELD: c for k, c in q.num.items()}
+             for key, q in zip(split, quots)}
+    full = _union(rest, (w,))
+    f, t = _W * full.index(w), _W * len(full)
+    moved = _remap({key: key for key in split}, rest, full)
+    q = _new_pruned(full, {k + (e << f) + (e << t): c
+                           for k, key in moved.items()
+                           for e, c in split[key].items()}, p.den)
+    g = p.den // q.den     # the factor that _new cancelled
+    if g != 1:
+        split = {key: {e: c // g for e, c in cs.items()}
+                 for key, cs in split.items()}
+    return q, split, cont
 
 
 def _gcd_interpolated(a: MPoly, b: MPoly) -> MPoly:
@@ -684,7 +700,7 @@ def _gcd_interpolated(a: MPoly, b: MPoly) -> MPoly:
     c = gcd(ca, cb)
     lead_a, lead_b = max(sa), max(sb)
     # the gcd of the leading coefficients, as the content of a split of two
-    gamma = _content_over({0: sa[lead_a], 1: sb[lead_b]}, w)
+    gamma = _content_over({0: sa[lead_a], 1: sb[lead_b]}, w)[0]
     lead = None
     alpha = -1
     while True:

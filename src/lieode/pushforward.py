@@ -42,7 +42,6 @@ the transcendental factors with the rest.
 """
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
@@ -96,17 +95,15 @@ def _partials(df: RatFunc) -> List[MPoly]:
     return parts + [ZERO] * (2 - len(parts))
 
 
-@dataclasses.dataclass
 class PointTransformation:
     """u = psi(x, y), t = phi(x, y), with symbolically nonzero Jacobian."""
 
-    psi_text: str
-    phi_text: str
-
-    def __post_init__(self):
+    def __init__(self, psi_text: str, phi_text: str):
+        self.psi_text = psi_text
+        self.phi_text = phi_text
         self.registry = reg = TranscendentalRegistry()
-        self.psi = parse_expr(self.psi_text, call=reg.adjoin)
-        self.phi = parse_expr(self.phi_text, call=reg.adjoin)
+        self.psi = parse_expr(psi_text, call=reg.adjoin)
+        self.phi = parse_expr(phi_text, call=reg.adjoin)
         self.dphi = reg.total_dx(self.phi)     # kept for push_linear
         (a0, a1), (b0, b1) = (_partials(d)
                               for d in (self.dphi, reg.total_dx(self.psi)))
@@ -118,12 +115,13 @@ class PointTransformation:
         return "u=%s, t=%s" % (self.psi_text, self.phi_text)
 
 
-@dataclasses.dataclass
 class OracleInstance:
-    ode: OdeSpec
-    source_poly: CharPoly
-    transformation: PointTransformation
-    expected_case: str  # "trivial" | "constant-coefficients"
+    def __init__(self, ode: OdeSpec, source_poly: CharPoly,
+                 transformation: PointTransformation, expected_case: str):
+        self.ode = ode
+        self.source_poly = source_poly
+        self.transformation = transformation
+        self.expected_case = expected_case  # "trivial" | "constant-coefficients"
 
     @property
     def label(self) -> str:

@@ -20,7 +20,6 @@ T-ratio, which always exists over the complex numbers.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
@@ -35,15 +34,19 @@ _0 = Fraction(0)
 _1 = Fraction(1)
 
 
-@dataclasses.dataclass(frozen=True)
 class CharPoly:
     """Monic polynomial z^n + a_{n-1} z^{n-1} + ... + a_0, ascending coeffs."""
 
-    coeffs: Tuple[Fraction, ...]
+    def __init__(self, coeffs: Sequence[Fraction]):
+        self.coeffs: Tuple[Fraction, ...] = tuple(Fraction(c) for c in coeffs)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs",
-                           tuple(Fraction(c) for c in self.coeffs))
+    def __eq__(self, other):
+        if not isinstance(other, CharPoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
 
     @property
     def degree(self) -> int:
@@ -137,20 +140,33 @@ def _extended_gcd_combination(values: Sequence[int]) -> Tuple[int, Dict[int, int
     return g, weights
 
 
-@dataclasses.dataclass(frozen=True)
 class AffineClass:
     """Complete invariant of a spectrum under root maps lambda -> k*lambda + b.
 
     ``support`` lists the indices j (2..n) whose centered coefficient c_j is
     nonzero, and ``canonical`` the scale-normalized values c_j / T^(j/g);
     equality of (degree, support, canonical) is equivalence.  The centered
-    representative rides along for reporting.
+    representative rides along for reporting, and is not compared.
     """
 
-    degree: int
-    support: Tuple[int, ...]
-    canonical: Tuple[Fraction, ...]
-    centered_coeffs: Tuple[Fraction, ...] = dataclasses.field(compare=False)
+    def __init__(self, degree: int, support: Tuple[int, ...],
+                 canonical: Tuple[Fraction, ...],
+                 centered_coeffs: Tuple[Fraction, ...]):
+        self.degree = degree
+        self.support = support
+        self.canonical = canonical
+        self.centered_coeffs = centered_coeffs
+
+    def _key(self) -> tuple:
+        return self.degree, self.support, self.canonical
+
+    def __eq__(self, other):
+        if not isinstance(other, AffineClass):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def is_trivial(self) -> bool:

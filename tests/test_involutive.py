@@ -510,10 +510,11 @@ def test_cross_writes_into_no_equation(ode, mirrored):
 @pytest.mark.parametrize("ode,mirrored", bench_ranking_cases(),
                          indirect=["ode"])
 def test_completion_takes_no_gcd_of_a_constant(ode, mirrored, monkeypatch):
-    # the gcd of a constant and a polynomial is 1, so polys.cofactors skips
-    # it for _eliminate and primitive; with a gcd that refuses a constant
-    # operand, completion still runs and gives the system of the unpatched
-    # run, which test_completion_matches_the_pairwise_reference certifies
+    # the gcd of a constant and a polynomial is 1, so _eliminate and
+    # primitive (through polys.content) never take it; with a gcd that
+    # refuses a constant operand, completion still runs and gives the system
+    # of the unpatched run, which test_completion_matches_the_pairwise_reference
+    # certifies
     def strict(a, b):
         assert not (a.is_const() or b.is_const()), (a, b)
 
@@ -521,6 +522,27 @@ def test_completion_takes_no_gcd_of_a_constant(ode, mirrored, monkeypatch):
     expected = complete(detsys)
     _check_outer_gcds(monkeypatch, strict)
     _assert_same_completion(complete(detsys), expected)
+
+
+def test_elimination_takes_cofactors_of_nonconstant_coefficients_only(
+        monkeypatch):
+    # a constant p[s] or q[s] has cofactors (1, p[s], q[s]), so _eliminate
+    # calls polys.cofactors only when both are nonconstant; the completions
+    # are those of the unpatched runs
+    cofactors, seen = involutive.cofactors, []
+
+    def strict(a, b):
+        assert not (a.is_const() or b.is_const()), (a, b)
+        seen.append((a, b))
+        return cofactors(a, b)
+
+    detsys = [determining_system(parse_ode(text))
+              for text in CANONICAL_INPUTS.values()]
+    expected = [complete(d) for d in detsys]
+    monkeypatch.setattr(involutive, "cofactors", strict)
+    for d, inv in zip(detsys, expected):
+        _assert_same_completion(complete(d), inv)
+    assert seen
 
 
 def test_a_divisor_coefficient_that_is_a_multiple_takes_no_gcd(monkeypatch):

@@ -1,5 +1,4 @@
 """Series bases, structure constants, derived algebras, certificates."""
-import dataclasses
 import functools
 import itertools
 import json
@@ -16,7 +15,8 @@ from lieode.determining import determining_system, fields, rank
 from lieode.errors import InputError, InternalInvariantError, SingularPoint
 from lieode.involutive import complete
 from lieode.liealgebra import (CASE_CONSTANT, CASE_NONCONSTANT, CASE_NONE,
-                               CASE_TRIVIAL, Certificate, Subalgebra,
+                               CASE_TRIVIAL, Certificate, LieAlgebraTable,
+                               SeriesBasis, Subalgebra,
                                assert_dimension_bounds, certify,
                                derived_algebra, expansion_points,
                                normal_form_table, series_basis,
@@ -617,6 +617,59 @@ def test_derived_algebra_closure_guard_fires(monkeypatch):
         derived_algebra(lie_table(_sl2_table(F(1, 3))))
 
 
+def _sl2_plus_center_table():
+    # sl2 beside a central e3: the derived algebra is sl2, a proper
+    # subspace, and not abelian  [DERIVED]
+    C = [[[F(0)] * 4 for _ in range(4)] for _ in range(4)]
+    for i, row in enumerate(_sl2_table(F(1))):
+        for j, vec in enumerate(row):
+            C[i][j] = vec + [F(0)]
+    return C
+
+
+def _counted_brackets(monkeypatch):
+    calls = []
+    bracket = LieAlgebraTable.bracket_numerators
+
+    def counted(self, u, v):
+        calls.append((u, v))
+        return bracket(self, u, v)
+
+    monkeypatch.setattr(LieAlgebraTable, "bracket_numerators", counted)
+    return calls
+
+
+def test_derived_algebra_of_full_rank_brackets_is_the_whole_algebra(
+        monkeypatch):
+    # y'' = 0 has sl(3, R): D = L, dimension 8 and not abelian; with as many
+    # rows as the algebra's dimension no bracket of rows is taken
+    _, _, table = run("y'' = 0")
+    calls = _counted_brackets(monkeypatch)
+    D = derived_algebra(table)
+    assert (D.dimension, D.abelian) == (8, False)
+    assert D.rows == [(k, [int(c == k) for c in range(8)]) for k in range(8)]
+    assert calls == []
+    cert = certify(2, table)
+    assert (cert.derived_dimension, cert.derived_abelian) == (8, False)
+
+
+def test_derived_algebra_of_a_proper_subspace_runs_the_closure_check(
+        monkeypatch):
+    table = lie_table(_sl2_plus_center_table())
+    table.validate()
+    calls = _counted_brackets(monkeypatch)
+    D = derived_algebra(table)
+    assert (D.dimension, D.abelian) == (3, False)
+    assert len(calls) == 3
+    # dropping a row, as in the sl2 guard test, leaves a span that the
+    # brackets leave: the check still runs and fires
+    reduce_rows = lieode.liealgebra.integer_rref
+    monkeypatch.setattr(lieode.liealgebra, "integer_rref",
+                        lambda vs: reduce_rows(vs)[:-1])
+    with pytest.raises(InternalInvariantError, match="not closed"):
+        derived_algebra(table)
+
+
 @pytest.mark.parametrize("text", list(REFERENCE_INPUTS.values()) + [
     "y'''=2*y*y''-3*(y')^2",
 ])
@@ -662,7 +715,8 @@ def _moved(basis, k, s, by):
     col[q] = col.get(q, 0) + by
     cols = list(basis.cols)
     cols[k] = tuple(sorted((p, v) for p, v in col.items() if v))
-    return dataclasses.replace(basis, cols=tuple(cols))
+    return SeriesBasis(basis.point, basis.N, basis.parametric, tuple(cols),
+                       basis.den)
 
 
 def test_closure_check_fires_on_a_corrupted_datum():
@@ -683,9 +737,9 @@ def test_closure_check_fires_on_a_corrupted_datum():
 
 def _over_seven(basis):
     """The basis over 7 times its denominator, with the same values."""
-    return dataclasses.replace(
-        basis, cols=tuple(tuple((k, 7 * v) for k, v in col)
-                          for col in basis.cols), den=7 * basis.den)
+    return SeriesBasis(basis.point, basis.N, basis.parametric,
+                       tuple(tuple((k, 7 * v) for k, v in col)
+                             for col in basis.cols), 7 * basis.den)
 
 
 def test_closure_check_fires_on_a_fractional_datum():
@@ -891,3 +945,29 @@ def test_certificate_serialization():
     d = cert.as_dict()
     assert d == {"verdict": "linearizable", "case": "trivial", "m": 8,
                  "n": 2, "derived_dimension": 8, "derived_abelian": False}
+
+
+def test_certificate_equality_ignores_the_derived_algebra():
+    cert = Certificate("linearizable", CASE_TRIVIAL, 8, 2, 8, False)
+    assert cert.derived is None
+    same = Certificate("linearizable", CASE_TRIVIAL, 8, 2, 8, False,
+                       derived=Subalgebra([(0, [1, 0])], True))
+    assert cert == same and hash(cert) == hash(same)
+    assert len({cert, same}) == 1
+    assert cert != Certificate("linearizable", CASE_TRIVIAL, 8, 2, 8, True)
+    assert cert != Certificate("linearizable", CASE_TRIVIAL, 8, 3, 8, False)
+    assert cert != cert.as_dict()
+
+
+def test_lie_algebra_tables_compare_by_their_reduced_constants():
+    # [e0, e1] = e1 over denominator 2, given twice over 4: the constructor
+    # divides out the common factor, so the two compare equal  [DERIVED]
+    halves = LieAlgebraTable(2, [[[0, 0], [0, 1]], [[0, -1], [0, 0]]], 2)
+    quarters = LieAlgebraTable(2, [[[0, 0], [0, 2]], [[0, -2], [0, 0]]], 4)
+    assert (quarters.num, quarters.den) == (halves.num, halves.den)
+    assert quarters == halves
+    assert halves != LieAlgebraTable(2, [[[0, 0], [0, 1]],
+                                         [[0, -1], [0, 0]]], 3)
+    assert halves != LieAlgebraTable(2, [[[0, 0], [0, 0]],
+                                         [[0, 0], [0, 0]]], 2)
+    assert halves != halves.num

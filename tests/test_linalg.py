@@ -41,6 +41,19 @@ def test_integer_rref_divided_by_pivots_is_the_rref(rows):
             == row_space_basis(rows))
 
 
+def test_integer_rref_stops_at_full_rank():
+    # once the rows span every column, later vectors add nothing: the rows
+    # are the same with or without them, and none of them is read
+    full = [[2, 1, 0], [0, 3, 1], [1, 0, 1]]
+    extra = [[5, -1, 7], [0, 0, 0], [1, 1, 1]]
+    rows = integer_rref(full)
+    assert rows == [(c, [int(k == c) for k in range(3)]) for c in range(3)]
+    vectors = iter(full + extra)
+    assert integer_rref(vectors) == rows
+    assert list(vectors) == extra
+    assert integer_rref(extra[:1] + full) == rows
+
+
 @settings(max_examples=60)
 @given(low_rank_rows(), st.lists(rationals(), min_size=WIDTH,
                                  max_size=WIDTH))

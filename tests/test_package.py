@@ -1,4 +1,5 @@
 """The package's top-level names."""
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -37,6 +38,25 @@ def test_every_benchmark_hook_point_resolves():
     for hook, _ in tracer.HOOKS:
         found = t._resolve(hook)
         assert found is not None and callable(found[2]), hook
+
+
+def test_no_module_generates_record_classes():
+    # the record types are plain classes: a fresh import compiles every
+    # module and should compile nothing more, which dataclasses and
+    # NamedTuple do for each class they make
+    for path in sorted(pathlib.Path(lieode.__path__[0]).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.ClassDef):
+                names = [getattr(b, "id", getattr(b, "attr", ""))
+                         for b in node.bases]
+            else:
+                continue
+            assert not {"dataclasses", "dataclass",
+                        "NamedTuple"} & set(names), (path.name, node.lineno)
 
 
 def _bindings(*functions):

@@ -248,6 +248,18 @@ def test_ode_spec_validates_its_order():
     assert OdeSpec(2, jet(1) * jet(0)).n == 2
 
 
+def test_ode_spec_compares_and_hashes_by_value():
+    # two spellings of one equation are one OdeSpec: the oracle benchmark
+    # checks each pushed image against the parsed frozen text this way
+    a, b = parse_ode("y'' = x*y"), parse_ode("y'' - y*x = 0")
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b) and len({a, b}) == 1
+    assert a == OdeSpec(2, a.f)
+    assert a != OdeSpec(3, a.f)
+    assert a != parse_ode("y'' = y")
+    assert a != "y'' = x*y"
+
+
 def test_missing_equals_sign():
     with pytest.raises(OdeSyntaxError):
         parse_ode("y'' + y")

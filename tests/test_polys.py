@@ -340,6 +340,28 @@ def test_gcd_interpolation_skips_a_vanishing_leading_coefficient(monkeypatch):
     assert seen == [X - Fraction(1, 2), X - 1, X + 1]
 
 
+@settings(max_examples=60)
+@given(mpolys(("x", "y", "y1"), max_terms=3, max_exp=2),
+       st.sampled_from(["x", "y"]).flatmap(lambda w: st.tuples(
+           st.just(w), mpolys((w,), max_terms=3, max_exp=2))))
+@example(a=Y.scaled(1, 2), wc=("x", 2 * X + 1))
+@example(a=X * Y + 1, wc=("x", MPoly.const(3)))
+def test_primitive_part_over_the_other_variables_is_the_divided_split(a, wc):
+    # the quotient by the content over the variables other than w, and its
+    # split, are the ones dividing p and splitting the quotient again give;
+    # in the first example, y (2x + 1) / 2, the content x + 1/2 leaves the
+    # quotient 2y over p's denominator 2, which cancels  [DERIVED]
+    w, c = wc
+    assume(not (a.is_zero() or c.is_zero()))
+    p = a * c
+    rest = tuple(v for v in p.vars if v != w)
+    q, split, cont = polys._primitive_over(p, w, rest)
+    assert cont == polys._content_over(polys._split(p, w, rest), w)[0]
+    d = divexact(p, cont)
+    assert (q.vars, q.num, q.den) == (d.vars, d.num, d.den)
+    assert split == polys._split(d, w, rest)
+
+
 def _over_xy_or_x(max_terms):
     return st.sampled_from([("x", "y"), ("x",)]).flatmap(
         lambda names: mpolys(names, max_terms=max_terms, max_exp=2))

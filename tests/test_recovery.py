@@ -11,7 +11,8 @@ from lieode.liealgebra import derived_algebra
 from lieode.linalg import (charpoly as matrix_charpoly, eliminate,
                            integer_rref, is_scalar_matrix)
 from lieode.recovery import (REASON_DEGREE, REASON_EQUIVALENT, REASON_PATTERN,
-                             REASON_SCALE, CharPoly, adjoint_on_derived,
+                             REASON_SCALE, AffineClass, CharPoly,
+                             adjoint_on_derived,
                              affine_class, centered, class_to_ode,
                              classify_pair, recovery_details,
                              root_affine_image)
@@ -135,6 +136,28 @@ def test_scale_invariant_separates_close_quartics():
     a1, a2 = affine_class(p1), affine_class(p2)
     assert classify_pair(p1, p2) == (False, REASON_SCALE)
     assert a1 != a2
+
+
+def test_char_poly_coerces_its_coefficients_and_hashes_by_value():
+    p = CharPoly([0, 1, F(2, 4)])
+    assert p.coeffs == (F(0), F(1), F(1, 2))
+    assert all(type(c) is Fraction for c in p.coeffs)
+    q = CharPoly((F(0), F(1), F(1, 2)))
+    assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+    assert p != CharPoly((0, 1)) and p != CharPoly((0, 1, 1))
+    assert p != p.coeffs
+
+
+def test_affine_class_equality_ignores_the_centered_representative():
+    # z^2 - 1 and z^2 - 4 (roots -1, 1 and -2, 2) are one class, centered
+    # at different polynomials  [DERIVED]
+    a, b = affine_class(P(-1, 0)), affine_class(P(-4, 0))
+    assert a.centered_coeffs != b.centered_coeffs
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    moved = AffineClass(a.degree, a.support, a.canonical, (F(7), F(0)))
+    assert moved == a and hash(moved) == hash(a)
+    assert AffineClass(a.degree, a.support, (F(2),), a.centered_coeffs) != a
+    assert AffineClass(3, a.support, a.canonical, a.centered_coeffs) != a
 
 
 def test_trivial_class_helper():
