@@ -51,7 +51,7 @@ from .jets import dx_images, jet_name
 from .parsing import OdeSpec, parse_expr
 from .polys import ONE, ZERO, MPoly
 from .ratfunc import RatFunc, polynomial_derivation
-from .recovery import AffineClass, CharPoly, affine_class
+from .recovery import CharPoly, affine_numerators
 
 
 class TranscendentalRegistry:
@@ -137,15 +137,39 @@ def is_staircase_class(p: CharPoly) -> bool:
     {a, a+d, ...} onto polynomials of degree < n.  Degree-2 spectra are
     always such an image, matching the classical fact that every linear
     second-order equation is equivalent to the trivial one.
+
+    Decided on integers, as the equality of affine classes (``recovery``)
+    is: with C_j/s the centered coefficient of z^(n-j) of p and S_j/u the
+    staircase's (its odd S_j vanish, S_2 does not), p's roots are
+    k lambda + b over the staircase's, k possibly non-real, iff
+    C_j/s = k^j S_j/u for every j >= 2.  So the test is: every C_j is 0, or
+    C_2 != 0, every odd C_j is 0 and C_j u (s S_2)^(j/2) = s S_j (C_2 u)^(j/2)
+    for every even j.
     """
-    cls = affine_class(p)
-    return cls.is_trivial or cls == _staircase_class(p.degree)
+    n = p.degree
+    if n < 3:
+        return True     # no j >= 3 to test
+    c, s = _centered_numerators(p)
+    if not any(c[2:]):
+        return True
+    stair, u = _staircase_numerators(n)
+    c2, s2 = c[2] * u, s * stair[2]
+    return bool(c2) and all(
+        c[j] * u * s2 ** (j // 2) == s * stair[j] * c2 ** (j // 2)
+        if j % 2 == 0 else not c[j] for j in range(3, n + 1))
+
+
+def _centered_numerators(p: CharPoly) -> Tuple[List[int], int]:
+    """(c, s): c[j] / s is the coefficient of z^(n-j) of p centered."""
+    n = p.degree
+    c, s = affine_numerators(p, 1, p.coeffs[n - 1] / n)
+    return c[::-1], s
 
 
 @lru_cache(maxsize=None)
-def _staircase_class(n: int) -> AffineClass:
-    """Affine class of the spectrum {0, 1, ..., n-1}."""
-    return affine_class(CharPoly.from_roots([Fraction(i) for i in range(n)]))
+def _staircase_numerators(n: int) -> Tuple[List[int], int]:
+    """The centered numerators of the spectrum {0, 1, ..., n-1}."""
+    return _centered_numerators(CharPoly.from_roots(range(n)))
 
 
 def push_linear(p: CharPoly, T: PointTransformation) -> OracleInstance:

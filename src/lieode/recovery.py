@@ -74,8 +74,10 @@ class CharPoly:
             for k in reversed(range(len(full))))
 
 
-def root_affine_image(p: CharPoly, k: Fraction, b: Fraction) -> CharPoly:
-    """The monic polynomial whose roots are k*lambda + b over p's roots."""
+def affine_numerators(p: CharPoly, k: Fraction,
+                      b: Fraction) -> Tuple[List[int], int]:
+    """(out, s) with s > 0 and out[i] / s the coefficient of z^i, i = 0..n,
+    of the monic polynomial whose roots are k*lambda + b over p's roots."""
     k = Fraction(k)
     b = Fraction(b)
     if k == 0:
@@ -102,7 +104,13 @@ def root_affine_image(p: CharPoly, k: Fraction, b: Fraction) -> CharPoly:
     s = d * k.denominator ** n * f_pow[n]
     if out[n] != s:
         raise InternalInvariantError("affine root image lost monicity")
-    return CharPoly(tuple(Fraction(c, s) for c in out[:n]))
+    return out, s
+
+
+def root_affine_image(p: CharPoly, k: Fraction, b: Fraction) -> CharPoly:
+    """The monic polynomial whose roots are k*lambda + b over p's roots."""
+    out, s = affine_numerators(p, k, b)
+    return CharPoly(tuple(Fraction(c, s) for c in out[:-1]))
 
 
 def centered(p: CharPoly) -> CharPoly:

@@ -76,6 +76,67 @@ def test_derivative_oracle():
     assert p.derivative("x") == 2 * X * Y + MPoly.const(3)
 
 
+def _sum_of_partials(p, images):
+    """sum over v of dp/dv * images[v], one product per variable."""
+    out = ZERO
+    for v in p.vars:
+        if images.get(v):
+            out = out + p.derivative(v) * images[v]
+    return out
+
+
+T1 = MPoly.variable("t1")
+
+
+@pytest.mark.parametrize("p, images", [
+    # an image that brings a new variable
+    (X * X * Y + 3 * X, {"x": T1}),
+    (X * Y * T1, {"x": T1 * T1, "t1": X * T1 + Y}),
+    # images with rational coefficients and different denominators
+    (X ** 3 * Y - Fraction(5, 2) * Y * Y,
+     {"x": Fraction(2, 3) * Y + Fraction(1, 5), "y": Fraction(1, 7) * X}),
+    (Fraction(3, 4) * X * Y + X, {"x": Fraction(4, 3) * X * T1,
+                                  "y": Fraction(1, 6) * (Y + T1)}),
+    # a zero image and an absent image
+    (X * X * Y + Y, {"x": ZERO, "y": X + 1}),
+    (X * X * Y + Y, {"y": X * T1}),
+    (X * Y + 1, {"t1": X}),
+], ids=["new-variable", "new-variable-twice", "rational", "rational-scaled",
+        "zero-image", "absent-image", "no-variable-of-p"])
+def test_derive_in_one_pass_is_the_sum_of_partials(p, images):
+    # == compares (vars, den, num), so the result is also canonical
+    assert p.derive(images) == _sum_of_partials(p, images)
+
+
+def test_derive_drops_what_cancels():
+    # x y under x -> x, y -> -y: y x - x y = 0, and every variable goes
+    # (== compares vars too)
+    assert (X * Y).derive({"x": X, "y": -Y}) == ZERO
+    # x y + t1 under x -> x, y -> -y, t1 -> t1: only t1 is left
+    assert (X * Y + T1).derive({"x": X, "y": -Y, "t1": T1}) == T1
+
+
+def test_derive_of_a_constant_is_zero():
+    for c in (ZERO, ONE, MPoly.const(Fraction(-7, 3))):
+        assert c.derive({"x": X, "y": ONE}) == ZERO
+        assert c.derive({}) == ZERO
+
+
+@given(mpolys(), mpolys(("x", "t1")), mpolys(("y",)), mpolys(("t1", "y1")))
+def test_derive_matches_the_sum_of_partials(p, wx, wy, wt):
+    images = {"x": wx, "y": wy, "t1": wt}
+    assert p.derive(images) == _sum_of_partials(p, images)
+
+
+def test_derive_keeps_the_total_degree_bound():
+    # d/dx x^(2^30) = 2^30 x^(2^30 - 1), times x^(2^30 + 1): degree 2^31
+    p = X ** (2 ** 30)
+    with pytest.raises(InputError, match=r"total degree 2147483648: .*"
+                                         r"below 2\^31"):
+        p.derive({"x": X ** (2 ** 30 + 1)})
+    assert p.derive({"x": X ** 2 ** 30}) == 2 ** 30 * X ** (2 ** 31 - 1)
+
+
 def test_scalar_queries_return_fractions():
     # no int or float escapes: every exact scalar a polynomial hands out
     # is a Fraction

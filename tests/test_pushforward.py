@@ -9,6 +9,7 @@ import pytest
 import lieode.polys
 import lieode.pushforward
 import lieode.ratfunc
+import lieode.recovery
 from lieode import analyze
 from lieode.determining import determining_system
 from lieode.errors import (InputError, InternalInvariantError,
@@ -328,24 +329,76 @@ def test_staircase_classification():
     assert not is_staircase_class(roots(-1, 0, 1, 3))
 
 
+def _staircase_reference(p):
+    """The staircase test on affine classes."""
+    cls = affine_class(p)
+    return cls.is_trivial or cls == affine_class(roots(*range(p.degree)))
+
+
+def _staircase_inputs(rng, n):
+    """Monic polynomials of degree n: shuffled arithmetic progressions
+    with rational start and step, all-equal roots, random rational roots,
+    and random rational coefficients (non-real roots included)."""
+    def q():
+        return F(rng.randint(-9, 9), rng.randint(1, 5))
+
+    out = []
+    for _ in range(10):
+        start, step = q(), q() or F(1)
+        ap = [start + i * step for i in range(n)]
+        rng.shuffle(ap)
+        out.append(roots(*ap))
+        out.append(roots(*[start] * n))
+        out.append(roots(*[q() for _ in range(n)]))
+        out.append(CharPoly([q() for _ in range(n)]))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_staircase_test_agrees_with_affine_classes(n):
+    rng = random.Random(5000 + n)
+    inputs = _staircase_inputs(rng, n)
+    if n >= 3:
+        # z^n + 1 (c_2 = 0, c_n != 0) and z^n + z^(n-2)
+        inputs += [CharPoly([1] + [0] * (n - 1)),
+                   CharPoly([0] * (n - 2) + [1, 0])]
+    if n == 3:
+        # scale k may be non-real: z^3 + z has roots -i, 0, i = i {-1, 0, 1}
+        assert is_staircase_class(inputs[-1])
+    hits = 0
+    for p in inputs:
+        got = is_staircase_class(p)
+        assert got == _staircase_reference(p), p
+        hits += got
+    # both answers occur from degree 3 on
+    assert hits == len(inputs) if n <= 2 else 0 < hits < len(inputs)
+
+
 def test_staircase_class_is_built_once_per_degree(monkeypatch):
-    # the staircase's class depends only on the degree, so repeated calls
-    # classify only their own spectra  [DERIVED]
+    # the test compares integer centered numerators and builds no
+    # AffineClass; the staircase's numerators depend only on the degree,
+    # so repeated calls center only their own spectra  [DERIVED]
+    def no_affine_class(*args):
+        raise AssertionError("is_staircase_class built an AffineClass")
+
     seen = []
 
-    def counting_affine_class(p):
+    def counting(p):
         seen.append(p)
-        return affine_class(p)
+        return centered_numerators(p)
 
-    monkeypatch.setattr(lieode.pushforward, "affine_class",
-                        counting_affine_class)
+    centered_numerators = lieode.pushforward._centered_numerators
+    monkeypatch.setattr(lieode.recovery.AffineClass, "__init__",
+                        no_affine_class)
+    monkeypatch.setattr(lieode.pushforward, "_centered_numerators", counting)
+    lieode.pushforward._staircase_numerators.cache_clear()
     sources = [roots(0, 1, 3), roots(-1, 0, 1, 3), roots(0, 1, 1),
                roots(2, 5, 7), roots(1, 2, 4, 9), roots(1, 3, 5, 7)] * 2
     for p in sources:
         is_staircase_class(p)
     staircases = [p for p in seen if p not in sources]
     assert len(seen) - len(staircases) == len(sources)
-    assert len(staircases) == len({p.degree for p in staircases}) <= 2
+    assert staircases == [roots(0, 1, 2), roots(0, 1, 2, 3)]
 
 
 # -- degenerate inputs ----------------------------------------------------------------
