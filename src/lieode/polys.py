@@ -31,6 +31,12 @@ sum that cancelled a term, a derivative, coefficient extraction, a
 monomial strip and a quotient).  A product of nonzero polynomials keeps
 all its variables, since degrees add in an integral domain.
 
+``FixedLayout`` serves a chain of products, scaled sums and one derivation
+(``MPoly.derive`` is the shortest such chain): it lifts the operands and
+the derivation's images once into the union of their variables and works
+on raw numerator dicts there, skipping the per-step pruning and
+normalization; its ``build`` prunes and normalizes once, at the end.
+
 ``cofactors(a, b)`` and ``content(coeffs)`` give a gcd g with every c/g
 (content and primitive part, Geddes, Czapor and Labahn, *Algorithms for
 Computer Algebra*, 1992, section 2.7): both divide exactly before any gcd.
@@ -50,6 +56,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .errors import InputError
 
 Exps = Tuple[int, ...]
+Lifted = Tuple[Dict[int, int], int]     # FixedLayout's (numerators, den)
 
 _W = 32                      # bits per exponent field
 _FIELD = (1 << _W) - 1
@@ -352,44 +359,13 @@ class MPoly:
 
     def derive(self, images: Mapping[str, "MPoly"]) -> "MPoly":
         """The derivation that sends each variable v to images[v] (to 0 when
-        v has no image), applied to self: sum over v of dself/dv * images[v].
-
-        A derivation is linear in its images, so the sum is taken in one
-        pass: over the union of the variables, each term of dself/dv times
-        each term of images[v], with the images over the lcm of their
-        denominators, is added into one dict.  As in a product, the leading
-        keys decide the total degree bound before any term is formed."""
-        pairs = [(v, w) for v in self.vars if (w := images.get(v))]
-        if not pairs:
+        v has no image), applied to self: sum over v of dself/dv * images[v],
+        in one pass (``FixedLayout.derive``)."""
+        images = {v: w for v in self.vars if (w := images.get(v))}
+        if not images:
             return ZERO
-        vs, den = self.vars, 1
-        for _, w in pairs:
-            vs = _union(vs, w.vars)
-            den = _ilcm(den, w.den)
-        a = self.num if self.vars == vs else _remap(self.num, self.vars, vs)
-        top = _W * len(vs)
-        out: Dict[int, int] = {}
-        get = out.get
-        for v, w in pairs:
-            s = _W * vs.index(v)
-            step = 1 << s | 1 << top
-            d = {k - step: c * e for k, c in a.items()
-                 if (e := (k >> s) & _FIELD)}
-            b = w.num if w.vars == vs else _remap(w.num, w.vars, vs)
-            degree = (max(d) + max(b)) >> top
-            if degree >= _DEGREE_BOUND:
-                raise _degree_error(degree)
-            m = den // w.den
-            for eb, cb in b.items():
-                cb *= m
-                for ed, cd in d.items():
-                    key = ed + eb
-                    t = get(key, 0) + cd * cb
-                    if t:
-                        out[key] = t
-                    else:
-                        del out[key]
-        return _new_pruned(vs, out, self.den * den)
+        ring = FixedLayout(images, self)
+        return ring.build(ring.derive(ring.lifted[0]))
 
     def coeffs_in(self, name: str):
         """Dense coefficient list in one variable; entries are MPoly without it."""
@@ -493,6 +469,90 @@ def _packed_product(a: Dict[int, int], b: Dict[int, int], n: int
             else:
                 del out[key]
     return out
+
+
+class FixedLayout:
+    """Polynomials lifted once into one packed layout, for a chain of
+    products, scaled sums and one derivation whose results all stay in it.
+
+    The layout is the union of the variables of `polys` and of the values of
+    `images`, so the derivation that sends v to images[v] (to 0 when v has
+    no image) never leaves it; each operand and each image is remapped once,
+    here, and the images are put over the lcm of their denominators.  A
+    lifted polynomial is a pair (numerators, denominator) that only this
+    class reads: ``lifted`` holds those of `polys`, in order, and ``zero``
+    that of 0.  Results are neither pruned nor normalized between steps;
+    ``build`` does both once."""
+
+    __slots__ = ("vars", "lifted", "zero", "_n", "_den", "_images")
+
+    def __init__(self, images: Mapping[str, MPoly], *polys: MPoly):
+        vs: Tuple[str, ...] = ()
+        for p in (*polys, *images.values()):
+            vs = _union(vs, p.vars)
+        self.vars, self._n = vs, len(vs)
+        self.lifted = [(self._lift(p), p.den) for p in polys]
+        self.zero = ({}, 1)
+        live = [(v, w) for v, w in images.items() if w.num and v in vs]
+        self._den = den = _ilcm(*[w.den for _, w in live])
+        self._images = [(_W * vs.index(v), self._lift(w, den // w.den))
+                        for v, w in live]
+
+    def _lift(self, p: MPoly, m: int = 1) -> Dict[int, int]:
+        num = p.num if p.vars == self.vars else _remap(p.num, p.vars, self.vars)
+        return num if m == 1 else {k: c * m for k, c in num.items()}
+
+    def mul(self, a: Lifted, b: Lifted) -> Lifted:
+        if not a[0] or not b[0]:
+            return self.zero
+        return _packed_product(a[0], b[0], self._n), a[1] * b[1]
+
+    def add_scaled(self, a: Lifted, b: Lifted, n: int, d: int = 1) -> Lifted:
+        """a + (n / d) * b for integers n and d > 0."""
+        (na, da), (nb, db) = a, b
+        if not n or not nb:
+            return a
+        db *= d
+        den = da if da == db else _ilcm(da, db)
+        sa, sb = den // da, n * (den // db)
+        out = dict(na) if sa == 1 else {k: c * sa for k, c in na.items()}
+        for k, c in nb.items():
+            t = out.get(k, 0) + c * sb
+            if t:
+                out[k] = t
+            else:
+                del out[k]
+        return out, den
+
+    def derive(self, a: Lifted) -> Lifted:
+        """The derivation applied to a: for each variable with an image, the
+        partial of a times the image is added into one dict.  As in a
+        product, the leading keys decide the total degree bound before any
+        term is formed."""
+        top = _W * self._n
+        out: Dict[int, int] = {}
+        get = out.get
+        for s, b in self._images:
+            step = 1 << s | 1 << top
+            d = {k - step: c * e for k, c in a[0].items()
+                 if (e := (k >> s) & _FIELD)}
+            if not d:
+                continue
+            degree = (max(d) + max(b)) >> top
+            if degree >= _DEGREE_BOUND:
+                raise _degree_error(degree)
+            for eb, cb in b.items():
+                for ed, cd in d.items():
+                    key = ed + eb
+                    t = get(key, 0) + cd * cb
+                    if t:
+                        out[key] = t
+                    else:
+                        del out[key]
+        return out, a[1] * self._den
+
+    def build(self, a: Lifted) -> MPoly:
+        return _new_pruned(self.vars, *a)
 
 
 # -- exact division ---------------------------------------------------------

@@ -34,11 +34,15 @@ E_k = Q^(k+1) (AM)^(2k-1): then
 
 so step k takes L = QAM and S = (k+1) DD(Q) AM + (2k-1) (DD(A) M + DD(M) A) Q,
 and E_{k+1} = QAM AM E_k keeps the form.  A constant Q or M is 1 (the
-denominators are monic), and a constant A folds into B.  The equation
-sum_k a_k u_k is summed once over E_n, and ``RatFunc(low, lead)`` on its
-coefficients of y^(n) is the only normalization: it takes the one gcd that
-can be nontrivial (Henrici's rule, Knuth, TAOCP vol. 2, 4.5.1) and cancels
-the transcendental factors with the rest.
+denominators are monic), and a constant A folds into B.  The chain runs on
+one layout (``polys.FixedLayout``), into which P, Q, A, B, M and the
+symbols' images are lifted once.  The equation sum_k a_k u_k, over E_n, is
+summed by Horner's rule as the N_k come: eq <- eq E_{k+1}/E_k + a_{k+1}
+N_{k+1}, with E_1/E_0 = QAM and E_{k+1}/E_k = QAM AM for k >= 1.
+``RatFunc(low, lead)`` on its coefficients of y^(n) is the only
+normalization: it takes the one gcd that can be nontrivial (Henrici's rule,
+Knuth, TAOCP vol. 2, 4.5.1) and cancels the transcendental factors with the
+rest.
 """
 from __future__ import annotations
 
@@ -49,7 +53,7 @@ from typing import Dict, List, Tuple
 from .errors import InputError, InternalInvariantError, NonRationalInstance
 from .jets import dx_images, jet_name
 from .parsing import OdeSpec, parse_expr
-from .polys import ONE, ZERO, MPoly
+from .polys import ONE, ZERO, FixedLayout, MPoly
 from .ratfunc import RatFunc, polynomial_derivation
 from .recovery import CharPoly, affine_numerators
 
@@ -186,29 +190,32 @@ def push_linear(p: CharPoly, T: PointTransformation) -> OracleInstance:
     if a.is_const():
         # 1/A folds into B
         a, b = ONE, b.scaled(a.den, a.leading_numerator())
-    q = T.psi.den
-    dq = q.derive(images)
-    am = a * m
-    qam = q * am
-    dq_am = dq * am
-    dam_q = (a.derive(images) * m + m.derive(images) * a) * q
+    ring = FixedLayout(images, T.psi.num, T.psi.den, a, b, m)
+    P, Q, A, B, M = ring.lifted
+    mul, add, dd = ring.mul, ring.add_scaled, ring.derive
+    dq = dd(Q)
+    am = mul(A, M)
+    qam = mul(Q, am)
+    dq_am = mul(dq, am)
+    dam_q = mul(add(mul(dd(A), M), mul(dd(M), A), 1), Q)
     # step 0 takes L = Q and S = DD(Q), step k >= 1 L = QAM and
-    # S = (k+1) DD(Q) AM + (2k-1) (DD(A) M + DD(M) A) Q
-    p0 = T.psi.num
-    num = [p0, b * (p0.derive(images) * q - p0 * dq)]
-    for k in range(1, n):
-        s = dq_am.scaled(k + 1).add_scaled(dam_q, 2 * k - 1)
-        num.append(b * (num[-1].derive(images) * qam - num[-1] * s))
-    later = qam * am    # E_{k+1} / E_k for k >= 1; it is QAM for k = 0
-    eq = ZERO
-    cofactor = ONE      # E_n / E_k
+    # S = (k+1) DD(Q) AM + (2k-1) (DD(A) M + DD(M) A) Q: s starts at this
+    # formula's k = 0 and grows by ds from k to k + 1
+    s, ds = add(dq_am, dam_q, -1), add(dq_am, dam_q, 2)
+    nk = mul(B, add(mul(dd(P), Q), mul(P, dq), -1))
     full = p.full_coeffs()
-    for k in reversed(range(n + 1)):
-        if full[k]:
-            eq = eq.add_scaled(num[k] * cofactor, full[k].numerator,
-                               full[k].denominator)
-        if k:
-            cofactor = cofactor * (later if k > 1 else qam)
+    eq = add(ring.zero, P, full[0].numerator, full[0].denominator)
+    ratio = qam                 # E_{k+1} / E_k: QAM for k = 0, then QAM AM
+    later = mul(qam, am)
+    for k in range(1, n + 1):
+        # Horner's rule: eq = sum_{j<k} a_j N_j E_{k-1}/E_j becomes
+        # sum_{j<=k} a_j N_j E_k/E_j
+        eq = add(mul(eq, ratio), nk, full[k].numerator, full[k].denominator)
+        if k < n:
+            s = add(s, ds, 1)
+            nk = mul(B, add(mul(dd(nk), qam), mul(nk, s), -1))
+            ratio = later
+    eq = ring.build(eq)
     top = jet_name(n)
     if eq.degree_in(top) != 1:
         raise InternalInvariantError(

@@ -137,6 +137,87 @@ def test_derive_keeps_the_total_degree_bound():
     assert p.derive({"x": X ** 2 ** 30}) == 2 ** 30 * X ** (2 ** 31 - 1)
 
 
+# -- one fixed layout for a chain ----------------------------------------------------
+# FixedLayout's products, scaled sums and derivation against MPoly arithmetic;
+# == compares (vars, den, num), so every build is also canonical.
+
+
+@pytest.mark.parametrize("a, b", [
+    (X + 1, Y * Y - 3),
+    (Fraction(1, 2) * X * Y, Fraction(2, 3) * T1 + Y),
+    (MPoly.const(Fraction(5, 7)), X * T1),
+    (X * Y + 1, ZERO),
+], ids=["x-by-y", "rational-with-t1", "constant", "zero"])
+def test_layout_products_match_mpoly(a, b):
+    ring = polys.FixedLayout({}, a, b)
+    la, lb = ring.lifted
+    assert ring.build(ring.mul(la, lb)) == a * b
+    assert ring.build(ring.mul(lb, la)) == a * b
+
+
+def test_layout_scaled_sums_match_mpoly():
+    a, b = X * Y + Fraction(1, 3) * T1, Fraction(2, 9) * T1 + 5
+    ring = polys.FixedLayout({}, a, b)
+    la, lb = ring.lifted
+    # a - (3/2) b cancels t1, which the build prunes
+    got = ring.build(ring.add_scaled(la, lb, -3, 2))
+    assert got == a.add_scaled(b, -3, 2) == X * Y - Fraction(15, 2)
+    assert got.vars == ("x", "y")
+    assert ring.build(ring.add_scaled(la, la, -1)) == ZERO
+    assert ring.build(ring.add_scaled(ring.zero, lb, 7, 3)) == b * Fraction(7, 3)
+    assert ring.build(ring.add_scaled(la, lb, 0)) == a
+
+
+def test_layout_derivation_matches_mpoly():
+    # images over different denominators, one bringing in t1; y1 has none
+    Y1 = MPoly.variable("y1")
+    p = X ** 3 * Y - Fraction(5, 2) * Y * Y1 + X
+    images = {"x": Fraction(2, 3) * T1 + Fraction(1, 5),
+              "y": Fraction(1, 7) * X, "t1": Fraction(3, 4) * T1 * Y}
+    ring = polys.FixedLayout(images, p)
+    assert ring.vars == ("x", "y", "y1", "t1")
+    (lp,) = ring.lifted
+    once = ring.derive(lp)
+    assert ring.build(once) == p.derive(images) == _sum_of_partials(p, images)
+    assert (ring.build(ring.derive(once))
+            == p.derive(images).derive(images))
+
+
+def test_layout_build_prunes_what_cancelled():
+    # x y under x -> x, y -> -y is 0; x y + t1 keeps only t1
+    ring = polys.FixedLayout({"x": X, "y": -Y, "t1": T1}, X * Y, X * Y + T1)
+    la, lb = ring.lifted
+    assert ring.build(ring.derive(la)) == ZERO
+    assert ring.build(ring.derive(lb)) == T1
+    assert ring.build(ring.derive(lb)).vars == ("t1",)
+
+
+@given(mpolys(), mpolys(("x", "t1")), mpolys(("y", "t1")), mpolys(("y1",)),
+       nonzero_rationals())
+def test_layout_chain_matches_mpoly(a, b, wx, wt, r):
+    # a chain of each step: b a' + r a, then its product with a
+    images = {"x": wx, "y": wt, "t1": wx * wt}
+    ring = polys.FixedLayout(images, a, b)
+    la, lb = ring.lifted
+    step = ring.add_scaled(ring.mul(lb, ring.derive(la)), la, r.numerator,
+                           r.denominator)
+    want = b * a.derive(images) + r * a
+    assert ring.build(step) == want
+    assert ring.build(ring.mul(step, la)) == want * a
+
+
+def test_layout_product_keeps_the_total_degree_bound():
+    # x^(2^30) times x^(2^30) y has degree 2^31 + 1
+    a, b = X ** (2 ** 30), X ** (2 ** 30) * Y
+    ring = polys.FixedLayout({}, a, b)
+    with pytest.raises(InputError) as got:
+        ring.mul(*ring.lifted)
+    with pytest.raises(InputError) as want:
+        a * b
+    assert str(got.value) == str(want.value)
+    assert "total degree 2147483649" in str(got.value)
+
+
 def test_scalar_queries_return_fractions():
     # no int or float escapes: every exact scalar a polynomial hands out
     # is a Fraction
