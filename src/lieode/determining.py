@@ -53,6 +53,7 @@ _FIELD = (1 << _W) - 1
 _X, _O = 1 + _W, 1 + 2 * _W
 DX, DY = 1 << _X | 1 << _O, 1 << 1 | 1 << _O
 GUARDS = 1 | 1 << _W | 1 << _X + _W - 1 | 1 << _O + _W - 1
+_MX, _MY = _FIELD << _X, _FIELD << 1
 
 
 def slot(u: int, dx: int, dy: int) -> int:
@@ -70,6 +71,13 @@ def fields(s: int) -> Tuple[int, int, int]:
 def divides(s: int, t: int) -> bool:
     """Whether t is a derivative of s, of the same unknown."""
     return not (t - s) & GUARDS
+
+
+def lcm(s: int, t: int) -> int:
+    """Least common derivative of two slots of one unknown: the larger dx
+    and dy fields, taken in place, and their sum as the order."""
+    dx, dy = max(s & _MX, t & _MX), max(s & _MY, t & _MY)
+    return ((dx >> _X) + (dy >> 1)) << _O | dx | dy | s & 1
 
 
 def label(s: int) -> str:

@@ -75,12 +75,17 @@ c only against the current equation list keeps doomed equations out.
 Ownership in the inner loop: ``reduce`` copies its argument once and owns
 that working copy, and ``_eliminate`` writes each step into it in place.
 ``_cross`` hands ``_eliminate`` a copy of the cached prolongation, so no
-equation's terms or cached derivatives are ever written.  The divisor
-coefficient of an elimination is the lead coefficient of a primitive
-equation, which is monic, so when it divides the other coefficient it is
-their gcd and ``polys.cofactors`` takes no gcd; nor when the other
-coefficient divides it, or either is constant.  ``primitive`` takes the
-content and every quotient by it from one ``polys.content`` search.
+equation's terms or cached derivatives are ever written; ``primitive`` may
+return the working copy it is given.  The divisor coefficient of an
+elimination is the lead coefficient of a primitive equation, which is
+monic, so when it divides the other coefficient it is their gcd and
+``polys.cofactors`` takes no gcd; nor when the other coefficient divides
+it, or either is constant.  Most coefficients an elimination meets are
+rational constants, which ``MPoly.scaled`` and ``MPoly.add_scaled`` sum as
+scalars.  ``primitive`` takes the content and every quotient by it from
+one ``polys.content`` search, and none when a coefficient is constant.
+Slots are compared and joined (``determining.lcm``) as packed ints, never
+decoded.
 
 The parametric slots (those outside the cone of the leading slots) index the
 free Taylor data of the solution space; their count is its dimension.
@@ -92,7 +97,7 @@ import itertools
 from typing import Dict, List, Sequence, Tuple
 
 from .determining import (DX, DY, ETA, GUARDS, XI, LinDiffPoly, divides,
-                          fields, slot)
+                          fields, lcm, slot)
 from .errors import InternalInvariantError
 from .polys import cofactors, content
 
@@ -110,9 +115,12 @@ def primitive(eq: LinDiffPoly, top: int) -> LinDiffPoly:
     Every nonzero multiple of eq by a rational function has the same
     primitive form, so it is a canonical representative of the equation.
     The scaling is by integers: the leading coefficient of the quotient at
-    top is its leading numerator over its denominator.
+    top is its leading numerator over its denominator.  A constant
+    coefficient makes the content 1, and eq itself is returned when it
+    needs no scaling either.
     """
-    out = dict(zip(eq, content(eq.values())[1]))
+    out = (eq if any(not c.vars for c in eq.values())
+           else dict(zip(eq, content(eq.values())[1])))
     ln, ld = out[top].leading_numerator(), out[top].den
     return out if ln == ld else {s: c.scaled(ld, ln) for s, c in out.items()}
 
@@ -127,8 +135,10 @@ def lin_derive(eq: LinDiffPoly, var: str) -> LinDiffPoly:
     for s, c in eq.items():
         if var in c.vars:
             old = get(s)
-            d = c.derivative(var) if old is None else old + c.derivative(var)
-            if d:
+            d = c.derivative(var)
+            if old is not None:
+                d = old.add_scaled(d, 1)
+            if d.num:
                 out[s] = d
             else:
                 del out[s]
@@ -137,8 +147,8 @@ def lin_derive(eq: LinDiffPoly, var: str) -> LinDiffPoly:
         if old is None:
             out[t] = c
         else:
-            v = old + c
-            if v:
+            v = old.add_scaled(c, 1)
+            if v.num:
                 out[t] = v
             else:
                 del out[t]
@@ -160,7 +170,8 @@ class _Eq:
         """The derivative that takes the lead to the slot lead + d."""
         got = self._dcache.get(d)
         if got is None:
-            step, var = (DX, "x") if fields(d)[1] else (DY, "y")
+            # d - DX borrows into a guard bit when d has no x-derivative
+            step, var = (DY, "y") if (d - DX) & GUARDS else (DX, "x")
             got = self._dcache[d] = lin_derive(self.derived(d - step), var)
         return got
 
@@ -178,22 +189,22 @@ def _eliminate(p: LinDiffPoly, q: LinDiffPoly, s: int) -> None:
     coefficient unchanged to the slot lead + d, so b is that coefficient:
     it has leading coefficient 1, like g, and a constant b/g is 1.  A
     constant a/g, its numerator over its denominator, scales each slot of
-    q inside the subtraction.
+    q inside the subtraction; a polynomial one multiplies it first.
     """
     a, b = p[s], q[s]
-    if not (a.is_const() or b.is_const()):
+    if a.vars and b.vars:
         _, a, b = cofactors(a, b)
-    if not b.is_const():
+    if b.vars:
         for t, c in p.items():
             p[t] = c * b
-    k = (-a.leading_numerator(), a.den) if a.is_const() else None
+    multiply = a.vars
+    n, d = (-1, 1) if multiply else (-a.num[0], a.den)
     for t, c in q.items():
+        if multiply:
+            c = c * a
         old = p.get(t)
-        if k is not None:
-            new = c.scaled(*k) if old is None else old.add_scaled(c, *k)
-        else:
-            new = -(c * a) if old is None else old - c * a
-        if new:
+        new = c.scaled(n, d) if old is None else old.add_scaled(c, n, d)
+        if new.num:
             p[t] = new
         else:
             del p[t]
@@ -222,18 +233,12 @@ def reduce(p: LinDiffPoly, eqs: Sequence[_Eq]) -> LinDiffPoly:
             raise InternalInvariantError("reduction failed to eliminate a slot")
 
 
-def _lcm(s: int, t: int) -> int:
-    """Least common derivative of two slots of one unknown."""
-    (u, sx, sy), (_, tx, ty) = fields(s), fields(t)
-    return slot(u, max(sx, tx), max(sy, ty))
-
-
 def _cross(a: _Eq, b: _Eq) -> LinDiffPoly:
     """Cofactor difference of the two prolongations to the least common
     derivative, formed in a copy of a's prolongation."""
-    lcm = _lcm(a.lead, b.lead)
-    out = dict(a.derived(lcm - a.lead))
-    _eliminate(out, b.derived(lcm - b.lead), lcm)
+    top = lcm(a.lead, b.lead)
+    out = dict(a.derived(top - a.lead))
+    _eliminate(out, b.derived(top - b.lead), top)
     return out
 
 
@@ -243,12 +248,12 @@ def _chain_redundant(a: _Eq, b: _Eq, eqs: Sequence[_Eq],
     equation c has a lead dividing their least common derivative L, meets
     a and b at derivatives strictly below L, and neither (a, c) nor (b, c)
     is still pending (see the module docstring)."""
-    lcm = _lcm(a.lead, b.lead)
+    top = lcm(a.lead, b.lead)
     pending = None
     for c in eqs:
-        if (c is a or c is b or not divides(c.lead, lcm)
-                or _lcm(a.lead, c.lead) == lcm
-                or _lcm(b.lead, c.lead) == lcm):
+        if (c is a or c is b or not divides(c.lead, top)
+                or lcm(a.lead, c.lead) == top
+                or lcm(b.lead, c.lead) == top):
             continue
         if pending is None:
             pending = {(i, j) for (_, i, j), _, _ in pairs}
@@ -332,16 +337,17 @@ def complete(system: Sequence[LinDiffPoly]) -> InvolutiveSystem:
                      if a not in doomed and b not in doomed]
         eqs.append(new)
         # keep tails fully reduced: rewrite tails containing derivatives of
-        # the new lead
+        # the new lead.  Such a derivative ranks at or above lead and below
+        # the tail's own lead, which is none since the doomed are gone
         for e in eqs:
-            if e is not new and any(not (s - lead) & GUARDS for s in e.terms
-                                    if s != e.lead):
+            if e.lead > lead and any(not (s - lead) & GUARDS
+                                     for s in e.terms):
                 others = [f for f in eqs if f is not e]
                 e.terms = primitive(reduce(e.terms, others), e.lead)
                 e.invalidate()
         for e in eqs:
-            if e is not new and fields(e.lead)[0] == fields(lead)[0]:
-                pairs.append(((_lcm(e.lead, lead), e.ident, new.ident),
+            if e is not new and not (e.lead ^ lead) & 1:
+                pairs.append(((lcm(e.lead, lead), e.ident, new.ident),
                               e, new))
 
     eqs.sort(key=lambda e: e.lead)

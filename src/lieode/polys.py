@@ -31,6 +31,12 @@ sum that cancelled a term, a derivative, coefficient extraction, a
 monomial strip and a quotient).  A product of nonzero polynomials keeps
 all its variables, since degrees add in an integral domain.
 
+``scaled`` and ``add_scaled`` take constants, which most eliminations of
+``involutive`` meet, as scalars: one integer numerator over one
+denominator and one gcd, the shared ``ZERO`` when a sum cancels, and no
+alignment, dict merge or variable scan; the result, hash included, is the
+general path's.
+
 ``FixedLayout`` serves a chain of products, scaled sums and one derivation
 (``MPoly.derive`` is the shortest such chain): it lifts the operands and
 the derivation's images once into the union of their variables and works
@@ -267,6 +273,11 @@ class MPoly:
             return self
         if not self.num:
             return other if n == d == 1 else other.scaled(n, d)
+        if not (self.vars or other.vars):
+            # a / da + n b / (d db), one gcd in _new; ZERO if it cancels
+            db = other.den * d
+            s = self.num[0] * db + n * other.num[0] * self.den
+            return _new((), {0: s}, self.den * db) if s else ZERO
         vs, a, b = self._aligned(other)
         da, db = self.den, other.den * d
         den = da if da == db else _ilcm(da, db)
@@ -312,6 +323,8 @@ class MPoly:
             return self
         if d < 0:
             n, d = -n, -d
+        if not self.vars:
+            return _new((), {0: self.num[0] * n}, self.den * d)
         return _new(self.vars, {e: c * n for e, c in self.num.items()},
                     self.den * d)
 
@@ -844,6 +857,13 @@ def cofactors(a: MPoly, b: MPoly) -> Tuple[MPoly, MPoly, MPoly]:
     return g, divexact(a, g), divexact(b, g)
 
 
+def _size_order(p: MPoly) -> tuple:
+    """(term count, leading degree), ties broken by value alone: neither
+    the order of a dict nor string hashing decides between two operands."""
+    return (len(p.num), max(p.num) >> _W * len(p.vars), p.vars,
+            sorted(p.num.items()), p.den)
+
+
 def content(coeffs: Sequence[MPoly]) -> Tuple[MPoly, List[MPoly]]:
     """(g, [c/g for c in coeffs]) with g the monic gcd of the coefficients
     (0 if all are 0); a zero keeps the quotient 0.
@@ -851,16 +871,17 @@ def content(coeffs: Sequence[MPoly]) -> Tuple[MPoly, List[MPoly]]:
     A constant coefficient gives (1, the inputs) with no gcd.  Otherwise g
     starts as the monic smallest coefficient, by term count and then by the
     degree of its leading monomial (of two with as many terms, a divisor
-    comes first), and ``cofactors`` folds over the rest: when g shrinks to
-    h, the quotients kept so far are multiplied by g/h, and a constant h
-    ends the search with (1, the inputs).  Each coefficient is divided once.
+    comes first, and ties go by value, so the gcd calls depend on the
+    coefficients and not on their order), and ``cofactors`` folds over the
+    rest in that order: when g shrinks to h, the quotients kept so far are
+    multiplied by g/h, and a constant h ends the search with (1, the
+    inputs).  Each coefficient is divided once.
     """
     out = list(coeffs)
     live = [i for i, c in enumerate(out) if c.num]
     if not live or any(out[i].is_const() for i in live):
         return ONE if live else ZERO, out
-    live.sort(key=lambda i: (len(out[i].num),
-                             max(out[i].num) >> _W * len(out[i].vars)))
+    live.sort(key=lambda i: _size_order(out[i]))
     first = out[live[0]]
     g = _monic(first)
     quots = {live[0]: ONE.scaled(first.leading_numerator(), first.den)}

@@ -1,12 +1,15 @@
 """Determining systems: prolongation formulas, jet collection, known kernels."""
+import itertools
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lieode.determining import (DX, DY, _prolongation_terms,
                                 determining_system, divides,
-                                invariance_coefficients, label, rank, slot)
-from lieode.involutive import _lcm, complete, primitive
+                                invariance_coefficients, label, lcm, rank,
+                                slot)
+from lieode.involutive import complete, primitive
 from lieode.jets import jet_name, jet_order_of
 from lieode.parsing import OdeSpec, parse_ode
 from lieode import polys
@@ -194,10 +197,22 @@ def test_packed_slot_operations_match_the_reference(pair):
     assert (a + DX, a + DY) == (to_int(s.derive(1, 0)),
                                 to_int(s.derive(0, 1)))
     if s.unknown == t.unknown:
-        assert _lcm(a, b) == to_int(Slot(s.unknown, max(s.dx, t.dx),
-                                         max(s.dy, t.dy)))
+        assert lcm(a, b) == to_int(Slot(s.unknown, max(s.dx, t.dx),
+                                      max(s.dy, t.dy)))
     assert label(a) == s.label()
     assert to_slot(a) == s
+
+
+@pytest.mark.parametrize("u", [0, 1])
+def test_lcm_takes_each_field_at_its_larger_value(u):
+    # every pair of slots of one unknown with dx, dy <= 8: the least common
+    # derivative is the slot of the larger fields, and both slots divide it
+    grid = [(dx, dy) for dx in range(9) for dy in range(9)]
+    for (sx, sy), (tx, ty) in itertools.product(grid, grid):
+        s, t = slot(u, sx, sy), slot(u, tx, ty)
+        m = lcm(s, t)
+        assert m == slot(u, max(sx, tx), max(sy, ty))
+        assert divides(s, m) and divides(t, m)
 
 
 @pytest.mark.parametrize("N", range(26))

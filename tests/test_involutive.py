@@ -7,6 +7,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lieode import analyze
 from lieode import involutive, polys
@@ -20,9 +22,10 @@ from lieode.polys import ZERO, MPoly, try_divexact
 from lieode.polys import gcd as poly_gcd
 from lieode.ratfunc import RatFunc
 
+from conftest import lin_derive as reference_lin_derive
 from conftest import (ETA, XI, Slot, audit_involutive, bench_odes,
                       bench_ranking_cases, default_key, int_keyed, mirror,
-                      mirror_key, mirror_slot, normal_form,
+                      mirror_key, mirror_slot, mpolys, normal_form,
                       ranking_case_system, slot_keyed, substitute_generator,
                       to_int, to_slot)
 
@@ -80,6 +83,32 @@ def test_lin_derive_product_rule():
     eq = int_keyed({Slot(XI, 0, 0): X * Y})
     d = lin_derive(eq, "x")
     assert slot_keyed(d) == {Slot(XI, 0, 0): Y, Slot(XI, 1, 0): X * Y}
+
+
+@st.composite
+def derivable_equations(draw):
+    """(equation, var): a ``Slot``-keyed equation of order <= 2, and half
+    the time one whose shifted coefficient cancels the derivative of the
+    coefficient at the shifted slot, so that slot drops out."""
+    slots = st.builds(Slot, st.sampled_from([XI, ETA]), st.integers(0, 2),
+                      st.integers(0, 2))
+    coeffs = mpolys(max_terms=3, max_exp=2).filter(bool)
+    eq = draw(st.dictionaries(slots, coeffs, max_size=4))
+    var = draw(st.sampled_from(["x", "y"]))
+    if draw(st.booleans()):
+        s = draw(slots)
+        c = draw(coeffs.filter(lambda c: var in c.vars))
+        eq[s.derive(*((1, 0) if var == "x" else (0, 1)))] = c
+        eq[s] = -c.derivative(var)
+    return eq, var
+
+
+@given(derivable_equations())
+def test_lin_derive_matches_the_reference(case):
+    eq, var = case
+    out = lin_derive(int_keyed(eq), var)
+    assert slot_keyed(out) == reference_lin_derive(eq, var)
+    assert all(c.num for c in out.values())
 
 
 # -- completion of reference systems ------------------------------------------------

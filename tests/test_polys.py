@@ -1,5 +1,6 @@
 """Multivariate polynomial arithmetic: ring laws, calculus, gcd."""
 import contextlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -611,6 +612,54 @@ def test_a_divisor_comes_before_its_multiple_and_takes_no_gcd(a, b, g):
     assert _monic(g) is g
 
 
+def _counted_gcd_calls(monkeypatch):
+    """The (a, b) of every polys.gcd call from here on, recursive ones too."""
+    calls = []
+    real = polys.gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(polys, "gcd", counted)
+    return calls
+
+
+# three coefficients of one size, pairwise without a divisor: which two meet
+# in the one gcd call depends on which comes first
+_TIED = [(X + Y) * (X + 2 * Y), (X + Y) * (X + 3 * Y), (X + Y) * (2 * X + Y)]
+
+
+def test_content_takes_the_same_gcds_in_every_input_order(monkeypatch):
+    calls = _counted_gcd_calls(monkeypatch)
+    seen = []
+    for perm in itertools.permutations(range(3)):
+        del calls[:]
+        g, quots = content([_TIED[i] for i in perm])
+        assert g == X + Y
+        assert [q * g for q in quots] == [_TIED[i] for i in perm]
+        seen.append(list(calls))
+    assert seen[0] and all(c == seen[0] for c in seen)
+
+
+def test_gcd_of_equal_polynomials_built_in_two_orders(monkeypatch):
+    # p = A + B y1 over (x, y, y1), its numerator dict built with A's terms
+    # first and with B y1's first; gcd(p, C) takes the content of A, B and
+    # C, in an order that must not follow the dict's
+    names = ("x", "y", "y1")
+    a, b = ({e + (k,): c for e, c in p.terms.items()}
+            for p, k in zip(_TIED, (0, 1)))
+    first, second = MPoly(names, {**a, **b}), MPoly(names, {**b, **a})
+    assert first == second and list(first.num) != list(second.num)
+    calls = _counted_gcd_calls(monkeypatch)
+    seen = []
+    for p in (first, second):
+        del calls[:]
+        assert polys.gcd(p, _TIED[2]) == X + Y
+        seen.append(list(calls))
+    assert seen[0] and seen[0] == seen[1]
+
+
 # -- canonical form --------------------------------------------------------------
 
 
@@ -654,6 +703,46 @@ def test_results_are_canonical(a, b, c, name):
 def test_scaled_is_the_product_with_a_fraction(p, n, d):
     r = p.scaled(n, d)
     assert r == p * Fraction(n, d)
+    _assert_canonical(r)
+
+
+@given(rationals(), rationals(), st.integers(-12, 12), st.integers(1, 6),
+       st.integers(-6, 6).filter(bool))
+def test_constant_scaled_sums_match_fractions(a, b, n, d, e):
+    # the scalar branch: normalized, the shared ZERO when the sum cancels,
+    # and the value and hash of the Fraction
+    p, q = MPoly.const(a), MPoly.const(b)
+    for r, want in ((p.add_scaled(q, n, d), a + Fraction(n, d) * b),
+                    (p.add_scaled(p, -1), 0),
+                    (q.scaled(n, e), b * Fraction(n, e))):
+        assert r == want and hash(r) == hash(Fraction(want))
+        assert as_const(r) == want
+        _assert_canonical(r)
+        if not want:
+            assert r is ZERO
+
+
+def _reference_sum(a, b, c):
+    """a + c b from the ``Fraction`` terms, by the canonicalizing
+    constructor."""
+    names = sorted(set(a.vars) | set(b.vars), key=var_rank)
+    out = {}
+    for p, k in ((a, 1), (b, c)):
+        for e, v in p.terms.items():
+            at = dict(zip(p.vars, e))
+            key = tuple(at.get(v, 0) for v in names)
+            out[key] = out.get(key, 0) + k * v
+    return MPoly(names, out)
+
+
+@given(st.one_of(rationals().map(MPoly.const), mpolys(JET_NAMES)),
+       st.one_of(rationals().map(MPoly.const), mpolys(JET_NAMES)),
+       st.integers(-12, 12), st.integers(1, 6))
+@example(a=MPoly.const(2), b=X + 1, n=-2, d=1)
+@example(a=X + 3, b=MPoly.const(Fraction(3, 2)), n=2, d=1)
+def test_scaled_sums_of_mixed_operands_match_the_reference(a, b, n, d):
+    r = a.add_scaled(b, n, d)
+    assert r == _reference_sum(a, b, Fraction(n, d))
     _assert_canonical(r)
 
 
