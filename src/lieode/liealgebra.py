@@ -21,10 +21,13 @@ differentiated symbolically, no power series is divided, and no polynomial
 gcd runs.  The series exist exactly where no lead coefficient vanishes:
 each P_lead is shifted first, and a zero constant term raises
 ``SingularPoint`` before any tail is shifted.  The automatic expansion
-point is the first candidate at which no lead coefficient vanishes.  At
-the origin, where most tables are taken, the shift is no work: the Taylor
-coefficients are the polynomial's own terms, those above the order needed
-dropped.
+point is the first candidate at which no lead coefficient vanishes.  The
+Taylor data are read straight from the packed keys of the coefficients
+(``MPoly.xy_numerators``); at the origin, where most tables are taken,
+that read is the whole shift: the Taylor coefficients are the polynomial's
+own terms, those above the order needed dropped.  A Leibniz sum reads only
+the nonzero rows, and a slot none of whose terms reads one gets the zero
+row at once.
 
 The table, the basis and the brackets keep each slot at its rank
 (``determining.rank``), its index in int order, which is completion's
@@ -89,6 +92,8 @@ MAX_TRUNCATION = 24
 
 _0 = Fraction(0)
 _1 = Fraction(1)
+_FIXED_POINTS = ((_0, _0), (_1, _1), (_1, Fraction(2)), (Fraction(2), _1),
+                 (Fraction(1, 2), Fraction(1, 3)))
 
 
 def expansion_points() -> Iterator[Point]:
@@ -98,13 +103,11 @@ def expansion_points() -> Iterator[Point]:
     (x + y = 0, 1, 2, ...; x ascending).  A nonzero polynomial cannot
     vanish on all of N^2, so some candidate is regular for any system.
     """
-    fixed = [(_0, _0), (_1, _1), (_1, Fraction(2)), (Fraction(2), _1),
-             (Fraction(1, 2), Fraction(1, 3))]
-    yield from fixed
+    yield from _FIXED_POINTS
     for total in itertools.count():
         for i in range(total + 1):
             at = (Fraction(i), Fraction(total - i))
-            if at not in fixed:
+            if at not in _FIXED_POINTS:
                 yield at
 
 
@@ -151,15 +154,16 @@ def _shifted(p: MPoly, point: Point,
     and their common positive denominator.  With x0 = a/b and y0 = c/d, a
     term x^e y^f of p adds C(e, i) C(f, j) a^(e-i) b^(E-e+i) c^(f-j)
     d^(F-f+j) to (i, j), over p's denominator times b^E d^F, where E and F
-    are p's degrees in x and y.  At the origin that is p's own terms of
-    degree <= K, over p's denominator.
+    are p's degrees in x and y.  The exponents are read from p's packed
+    keys (``MPoly.xy_numerators``); at the origin that read is the whole
+    shift, p's own terms of degree <= K over p's denominator.  A
+    coefficient in any variable other than x and y is an engine fault and
+    raises, at every point.
     """
-    idx = [p.vars.index(v) if v in p.vars else None for v in ("x", "y")]
-    if len(p.vars) != sum(i is not None for i in idx):
+    terms = p.xy_numerators()
+    if terms is None:
         raise InternalInvariantError(
             "coefficient %r is not a function of (x, y) alone" % (p,))
-    terms = [tuple(e[i] if i is not None else 0 for i in idx) + (n,)
-             for e, n in p.numerators()]
     if not any(point):
         return {(e, f): n for e, f, n in terms if e + f <= K}, p.den
     E = max((e for e, _, _ in terms), default=0)
@@ -200,9 +204,11 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
     - sum_t sum_{b <= a} a!/(a-b)! T_t[b] u_{t+a-b}, and every slot on the
     right is already tabled.  Each coefficient is shifted to the point once,
     to order N - |L|, all of one equation over one common scale, so the sums
-    run on integers: the rows on the right are brought over the lcm of their
+    run on integers: a term is added only when the row it reads is
+    nonzero, the rows on the right are brought over the lcm of their
     denominators, the division by -P_L(point) goes into the denominator, and
-    each slot takes one gcd (none when every denominator is 1).  Every lead
+    each slot takes one gcd (none when every denominator is 1); a slot with
+    no nonzero term gets the zero row ({}, 1) with no lcm or gcd.  Every lead
     coefficient is checked first: if one vanishes at the point, it raises
     ``SingularPoint`` before any tail is shifted.  No equation is prolonged
     symbolically.  Every t + a must already be tabled (the lower t + a - b
@@ -271,8 +277,12 @@ def normal_form_table(inv: InvolutiveSystem, N: int,
                     break
                 if j <= ay:
                     q = b + start[o - i - j] - i2
-                    coef[q] = coef.get(q, 0) + fx[i] * fy[j] * n
+                    if rows[q][0]:
+                        coef[q] = coef.get(q, 0) + fx[i] * fy[j] * n
         live = [(rows[q], w) for q, w in coef.items() if w]
+        if not live:
+            rows[k] = ({}, 1)
+            continue
         d = 1
         for (_, dq), _ in live:
             if dq != 1:
@@ -316,6 +326,13 @@ def series_basis(inv: InvolutiveSystem,
                  point: Optional[Point] = None,
                  N: Optional[int] = None) -> SeriesBasis:
     """Delta-initial-data basis of the solution space, one per parametric slot."""
+    if point is not None and not (
+            isinstance(point, tuple) and len(point) == 2
+            and all(isinstance(v, (int, Fraction)) for v in point)):
+        raise InputError("expansion point %r is not two rationals (int or "
+                         "Fraction)" % (point,))
+    if N is not None and not isinstance(N, int):
+        raise InputError("truncation order %r is not an int" % (N,))
     min_n = inv.max_parametric_order() + 2
     if N is None:
         N = min_n
@@ -339,9 +356,10 @@ def series_basis(inv: InvolutiveSystem,
     D = lcm(*(d for _, d in rows))
     cols: List[List[Tuple[int, int]]] = [[] for _ in params]
     for k, (vals, d) in enumerate(rows):
-        f = D // d
-        for p, v in vals.items():
-            cols[element[p]].append((k, v * f))
+        if vals:
+            f = D // d
+            for p, v in vals.items():
+                cols[element[p]].append((k, v * f))
     return SeriesBasis(at, N, params, tuple(map(tuple, cols)), D)
 
 
@@ -483,13 +501,15 @@ def structure_constants(basis: SeriesBasis) -> LieAlgebraTable:
                         br[b + start[o + og] + p2] += (
                             binom[p + r][p] * binom[q + t][q] * fv * gv)
             coords = [br[k] for k in coord_at]
-            span = [0] * size
+            # the residual D br - sum c col, which closure makes zero
+            if D != 1:
+                br = [D * a for a in br]
             for c, col in zip(coords, cols):
                 if c:
                     for k, v in col:
-                        span[k] += c * v
-            if (br if D == 1 else [D * a for a in br]) != span:
-                bad = next(k for k in range(size) if D * br[k] != span[k])
+                        br[k] -= c * v
+            if any(br):
+                bad = next(k for k, r in enumerate(br) if r)
                 raise InternalInvariantError(
                     "bracket of basis elements %d,%d leaves the solution "
                     "space at slot %s" % (i, j, label(lay.slots[bad])))

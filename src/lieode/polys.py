@@ -9,7 +9,9 @@ term.  Under these invariants the representation of a value is unique, so
 ``==`` and ``hash`` are equality of mathematical values; a constant hashes
 as its ``Fraction`` value, which it compares equal to.  ``terms`` (a dict
 of ``Fraction`` values) and ``numerators`` (integer numerators, highest
-monomial first) give the monomials as exponent tuples.
+monomial first) give the monomials as exponent tuples; ``xy_numerators``
+gives the (x, y) exponents and numerator of each term of a polynomial in
+x and y alone, read from the packed keys with no sort.
 
 A monomial is packed into one ``int`` (Bachmann and Schönemann, ISSAC 1998;
 Monagan and Pearce, CASC 2007): the exponent of ``vars[i]`` sits in bits
@@ -179,6 +181,19 @@ class MPoly:
         n = len(self.vars)
         return [(_unpack(k, n), c)
                 for k, c in sorted(self.num.items(), reverse=True)]
+
+    def xy_numerators(self) -> Optional[List[Tuple[int, int, int]]]:
+        """(i, j, integer numerator) for each term x^i y^j, in no set
+        order, read from the packed keys; None if a variable other than x
+        and y occurs."""
+        vs, num = self.vars, self.num
+        if vs == ("x", "y"):
+            return [(k & _FIELD, k >> _W & _FIELD, c) for k, c in num.items()]
+        if vs == ("y",):
+            return [(0, k & _FIELD, c) for k, c in num.items()]
+        if vs in ((), ("x",)):
+            return [(k & _FIELD, 0, c) for k, c in num.items()]
+        return None
 
     # -- constructors ------------------------------------------------------
 

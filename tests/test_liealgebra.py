@@ -2,6 +2,7 @@
 import functools
 import itertools
 import json
+import re
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -21,20 +22,20 @@ from lieode.liealgebra import (CASE_CONSTANT, CASE_NONCONSTANT, CASE_NONE,
                                derived_algebra, expansion_points,
                                normal_form_table, series_basis,
                                structure_constants)
-from lieode.parsing import parse_ode
+from lieode.parsing import OdeSpec, parse_ode
 from lieode.polys import MPoly
 from lieode.ratfunc import RatFunc
 
 from conftest import (BENCH_DATA, ETA, MIRROR_RANKING, XI, REFERENCE_INPUTS,
-                      Slot, basis_values, bench_inputs, bench_odes,
-                      bench_ranking_cases, fraction_bracket, fraction_table,
-                      int_keyed, keyed_columns, lie_table, mirror, mpolys,
-                      normal_form, plain_eval, pointwise_rows,
+                      Slot, _bench_items, basis_values, bench_inputs,
+                      bench_odes, bench_ranking_cases, fraction_bracket,
+                      fraction_table, int_keyed, keyed_columns, lie_table,
+                      mirror, mpolys, normal_form, plain_eval, pointwise_rows,
                       ranking_case_system, rationals, reference_slot_index,
                       row_space_basis, satisfies, series_faults,
                       solution_data_from_components,
-                      sparse_structure_constants, to_int, to_slot,
-                      tresse_holds)
+                      sparse_structure_constants, substitute, to_int,
+                      to_slot, tresse_holds)
 
 F = Fraction
 UNIT = MPoly.const(1)   # equation coefficient
@@ -85,6 +86,34 @@ def test_singular_expansion_point_is_reported():
                        for e in inv.eqs)
         with pytest.raises(SingularPoint):
             series_basis(inv, point=(F(x), F(y)))
+
+
+@pytest.mark.parametrize("point,max_order", [
+    ((0.5, 0.25), None), (("1", "2"), None), ((F(1),), None),
+    (None, 4.5)], ids=["float", "string", "one-coordinate", "float-order"])
+def test_bad_point_or_order_is_an_input_error(point, max_order):
+    # a point that is not two rationals, or an order that is not an int,
+    # is refused by name, not left to fail inside the arithmetic
+    bad = repr(max_order if point is None else point)
+    with pytest.raises(InputError) as err:
+        analyze("y''=0", point=point, max_order=max_order)
+    assert bad in str(err.value)
+    inv = complete(determining_system(parse_ode("y''=0")))
+    with pytest.raises(InputError, match=re.escape(bad)):
+        series_basis(inv, point=point, N=max_order)
+
+
+@pytest.mark.parametrize("point", [(F(0), F(0)), (F(1, 2), F(1, 3))],
+                         ids=["origin", "off-origin"])
+@pytest.mark.parametrize("name", ["y1", "t1", "x*y1"])
+def test_shift_refuses_a_coefficient_outside_x_and_y(name, point):
+    # an equation coefficient is a polynomial in x and y alone; one in a
+    # jet variable or an auxiliary symbol is an engine fault, at the
+    # origin as elsewhere
+    x, y1 = MPoly.variable("x"), MPoly.variable("y1")
+    p = {"y1": y1, "t1": MPoly.variable("t1"), "x*y1": x * y1}[name]
+    with pytest.raises(InternalInvariantError, match="not a function of"):
+        lieode.liealgebra._shifted(p, point, 4)
 
 
 def test_automatic_point_avoids_singularities():
@@ -191,6 +220,30 @@ def test_table_at_a_singular_point_raises(text, point):
     assert not all(plain_eval(e.terms[e.lead], env) for e in inv.eqs)
     with pytest.raises(SingularPoint):
         normal_form_table(inv, inv.max_parametric_order() + 2, point)
+
+
+@pytest.mark.parametrize("item", [pytest.param(item, id=item["id"])
+                                  for item in _bench_items()])
+def test_table_of_a_translate_at_the_origin_is_the_table_at_the_shift(item):
+    # E translated by (b, d) has at the origin, where the Taylor data are
+    # read straight from the coefficients' terms, the table E has at
+    # (b, d), where they are shifted: row for row, exactly.  The shifts
+    # are the bench's, b = 0 for an input marked "shift_x": false; a pair
+    # whose shifted point is singular is skipped  [DERIVED]
+    ode = parse_ode(item["text"])
+    inv = complete(determining_system(ode))
+    N = inv.max_parametric_order() + 3
+    keep_x = item.get("shift_x", True)
+    for b, d in sorted({(b * keep_x, d) for b in (1, 2) for d in (1, 2)}):
+        try:
+            want = normal_form_table(inv, N, (F(b), F(d)))
+        except SingularPoint:
+            continue
+        moved = OdeSpec(ode.n, substitute(substitute(ode.f, "x", X + b),
+                                          "y", Y + d))
+        got = normal_form_table(complete(determining_system(moved)), N,
+                                (F(0), F(0)))
+        assert got == want, (b, d)
 
 
 def test_singular_point_raises_before_any_tail_work(monkeypatch):

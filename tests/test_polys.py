@@ -71,6 +71,19 @@ def test_derivative_kills_missing_variable(a):
     assert a.derivative("z").is_zero()
 
 
+@given(mpolys(max_exp=5), mpolys(("x", "y1")))
+def test_xy_numerators_read_the_terms(p, q):
+    # each term x^i y^j of a polynomial in x and y alone, as (i, j, its
+    # numerator over den); None once another variable occurs
+    def xy(e, c):
+        d = dict(zip(p.vars, e))
+        return d.get("x", 0), d.get("y", 0), c * p.den
+
+    got = p.xy_numerators()
+    assert sorted(got) == sorted(xy(e, c) for e, c in p.terms.items())
+    assert (q.xy_numerators() is None) == ("y1" in q.vars)
+
+
 def test_derivative_oracle():
     # d/dx (x^2 y + 3 x) = 2 x y + 3  [TRIVIAL]
     p = X * X * Y + 3 * X
