@@ -322,10 +322,9 @@ class SeriesBasis:
         self.den = den
 
 
-def series_basis(inv: InvolutiveSystem,
-                 point: Optional[Point] = None,
-                 N: Optional[int] = None) -> SeriesBasis:
-    """Delta-initial-data basis of the solution space, one per parametric slot."""
+def check_series_request(point: Optional[Point], N: Optional[int]) -> None:
+    """Refuse a `point` that is not two rationals and an `N` that is not an
+    int or is above MAX_TRUNCATION (the bound below needs the system)."""
     if point is not None and not (
             isinstance(point, tuple) and len(point) == 2
             and all(isinstance(v, (int, Fraction)) for v in point)):
@@ -333,13 +332,21 @@ def series_basis(inv: InvolutiveSystem,
                          "Fraction)" % (point,))
     if N is not None and not isinstance(N, int):
         raise InputError("truncation order %r is not an int" % (N,))
+    if N is not None and N > MAX_TRUNCATION:
+        raise InputError("truncation order %d above limit %d" % (N, MAX_TRUNCATION))
+
+
+def series_basis(inv: InvolutiveSystem,
+                 point: Optional[Point] = None,
+                 N: Optional[int] = None) -> SeriesBasis:
+    """Delta-initial-data basis of the solution space, one per parametric slot."""
     min_n = inv.max_parametric_order() + 2
+    # the default order, the minimum, has the same limit
+    check_series_request(point, min_n if N is None else N)
     if N is None:
         N = min_n
     elif N < min_n:
         raise InputError("truncation order %d below required %d" % (N, min_n))
-    if N > MAX_TRUNCATION:
-        raise InputError("truncation order %d above limit %d" % (N, MAX_TRUNCATION))
     # the first candidate whose lead coefficients are nonzero there; the
     # candidates are unbounded, so one is found
     for at in [point] if point is not None else expansion_points():

@@ -22,7 +22,8 @@ from .determining import LinDiffPoly, determining_system
 from .involutive import InvolutiveSystem, complete
 from .liealgebra import (CASE_CONSTANT, CASE_NONCONSTANT, CASE_TRIVIAL,
                          Certificate, LieAlgebraTable, Point, certify,
-                         series_basis, structure_constants)
+                         check_series_request, series_basis,
+                         structure_constants)
 from .linalg import Mat
 from .parsing import OdeSpec, parse_ode
 from .recovery import (AffineClass, CharPoly, affine_class, class_to_ode,
@@ -87,7 +88,8 @@ def analyze(source,
 
     ``point`` fixes the series expansion point instead of the automatic
     choice; ``max_order`` raises the Taylor truncation order above the
-    minimum the completion dictates.
+    minimum the completion dictates.  Both are checked right after parsing
+    (``InputError``), except the minimum, which needs the completion.
     """
     timings: Dict[str, float] = {}
     t_all = time.perf_counter()
@@ -102,6 +104,7 @@ def analyze(source,
 
     ode = timed("parse", lambda: parse_ode(source)
                 if isinstance(source, str) else source)
+    check_series_request(point, max_order)
     detsys = timed("determining", determining_system, ode)
     inv = timed("completion", complete, detsys)
     basis = timed("series", series_basis, inv, point=point, N=max_order)

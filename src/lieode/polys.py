@@ -48,6 +48,9 @@ normalization; its ``build`` prunes and normalizes once, at the end.
 ``cofactors(a, b)`` and ``content(coeffs)`` give a gcd g with every c/g
 (content and primitive part, Geddes, Czapor and Labahn, *Algorithms for
 Computer Algebra*, 1992, section 2.7): both divide exactly before any gcd.
+``gcd`` of operands that share one variable w folds the integer numerators
+of their coefficients in w by one primitive Euclid over Z (``_euclid``),
+with no ``MPoly`` per coefficient.
 
 The monomial order is graded lexicographic with higher-ranked variables
 more significant; the variable ranking is x < y < y' < y'' < ... < t1 < t2
@@ -683,35 +686,50 @@ def _primitive(f: Dict[int, int]) -> Dict[int, int]:
     return f if g == 1 else {k: v // g for k, v in f.items()}
 
 
-def _gcd_univar(a: MPoly, b: MPoly, name: str) -> MPoly:
-    """Primitive Euclid over Z[name] for polynomials involving only `name`."""
-    fa = _primitive({k & _FIELD: c for k, c in a.num.items()})
-    fb = _primitive({k & _FIELD: c for k, c in b.num.items()})
-    while fb:
-        db = max(fb)
-        if max(fa) < db:
-            fa, fb = fb, fa
-            continue
-        lc = fb[db]
-        while fa and max(fa) >= db:
-            dd = max(fa)
-            # fa <- (lc * fa - c * name^(dd - db) * fb) / gcd(lc, c)
-            g = _igcd(lc, fa[dd])
-            m1, m2 = lc // g, fa[dd] // g
-            if m1 != 1:
-                fa = {k: v * m1 for k, v in fa.items()}
-            for k, v in fb.items():
+def _euclid(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
+    """The primitive gcd over Z of two nonzero polynomials in one variable,
+    given and returned as {exponent: numerator} dicts: Euclid on primitive
+    pseudo-remainders.  The arguments are not changed."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        db = max(b)
+        lc = b[db]
+        r = a
+        while r and max(r) >= db:
+            dd = max(r)
+            # r <- (lc * r - c * w^(dd - db) * b) / gcd(lc, c), on a copy of a
+            g = _igcd(lc, r[dd])
+            m1, m2 = lc // g, r[dd] // g
+            if m1 != 1 or r is a:
+                r = {k: v * m1 for k, v in r.items()}
+            for k, v in b.items():
                 kk = k + dd - db
-                s = fa.get(kk, 0) - m2 * v
+                s = r.get(kk, 0) - m2 * v
                 if s:
-                    fa[kk] = s
+                    r[kk] = s
                 else:
-                    fa.pop(kk, None)
-        if fa:
-            fa = _primitive(fa)
-        fa, fb = fb, fa
-    return _monic(_new_pruned((name,), {k | k << _W: v for k, v in fa.items()},
-                              1))
+                    r.pop(kk, None)
+        a, b = b, _primitive(r) if r else r
+    return a
+
+
+def _gcd_one_shared(a: MPoly, b: MPoly, w: str) -> MPoly:
+    """gcd, up to a constant, of a and b, free of monomial factors and
+    sharing only w: the `_euclid` fold of their coefficients over their
+    other variables (`_split`), smallest first and ties by value.  A part of
+    one term shares at most a power of w, which divides neither: then 1."""
+    parts = [f for p in (a, b)
+             for f in _split(p, w, tuple([v for v in p.vars if v != w]))
+             .values()]
+    parts.sort(key=lambda f: (len(f), sorted(f.items())))
+    g = parts[0]
+    for f in parts[1:]:
+        if len(g) == 1:
+            return ONE
+        g = _euclid(g, f)
+    if len(g) == 1:
+        return ONE
+    return _new((w,), {e | e << _W: c for e, c in g.items()}, 1)
 
 
 def _divides(d: MPoly, a: MPoly) -> bool:
@@ -918,15 +936,13 @@ def gcd(a: MPoly, b: MPoly) -> MPoly:
     Then the common monomial is split off; operands that share no variable
     have it as their gcd.  Variables that only one operand has are
     eliminated next: the gcd cannot contain them, so it divides every
-    coefficient of that operand taken over them, and it is the content of
-    those coefficients together with the other operand's (Geddes, Czapor
-    and Labahn, *Algorithms for Computer Algebra*, 1992, section 7.1).  The
-    content folds smallest coefficients first and stops at the first
-    constant, which is where most calls from `RatFunc` end.  Operands over
-    the same one variable go to Euclid (`_gcd_univar`).  Over the same two
-    or more variables, an operand that divides the other is the gcd, and
-    every other pair goes to evaluation and interpolation
-    (`_gcd_interpolated`).
+    coefficient of that operand taken over them (Geddes, Czapor and Labahn,
+    *Algorithms for Computer Algebra*, 1992, section 7.1).  Over one shared
+    variable these are polynomials in it, folded by integer Euclid
+    (`_gcd_one_shared`; operands in it alone are the case with no other
+    variable).  Over more, the gcd is the `content` of both operands'
+    coefficients, or, over the same variables, an operand that divides the
+    other, or else evaluation and interpolation (`_gcd_interpolated`).
     """
     if a.is_zero():
         return _monic(b)
@@ -942,14 +958,12 @@ def gcd(a: MPoly, b: MPoly) -> MPoly:
     if not shared:
         out = _mono_poly(common) if common else ONE
         return _monic(out)
-    only_a = set(a0.vars).difference(shared)
-    only_b = set(b0.vars).difference(shared)
-    if only_a or only_b:
-        parts = [*a0.coeffs_over(only_a).values(),
-                 *b0.coeffs_over(only_b).values()]
+    if len(shared) == 1:
+        g = _gcd_one_shared(a0, b0, shared[0])
+    elif a0.vars != b0.vars:
+        parts = [*a0.coeffs_over(set(a0.vars).difference(shared)).values(),
+                 *b0.coeffs_over(set(b0.vars).difference(shared)).values()]
         g = content(parts)[0]
-    elif len(a0.vars) == 1:
-        g = _gcd_univar(a0, b0, a0.vars[0])
     elif _divides(b0, a0):
         g = b0
     elif _divides(a0, b0):

@@ -103,6 +103,33 @@ def test_bad_point_or_order_is_an_input_error(point, max_order):
         series_basis(inv, point=point, N=max_order)
 
 
+@pytest.mark.parametrize("point,max_order,message", [
+    ((0.5, 0.5), None,
+     "expansion point (0.5, 0.5) is not two rationals (int or Fraction)"),
+    ("a", None, "expansion point 'a' is not two rationals (int or Fraction)"),
+    ((1,), None, "expansion point (1,) is not two rationals (int or Fraction)"),
+    (None, 4.5, "truncation order 4.5 is not an int"),
+    (None, 25, "truncation order 25 above limit 24"),
+], ids=["float", "string", "one-coordinate", "float-order", "above-limit"])
+def test_bad_point_or_order_is_refused_before_the_determining_system(
+        monkeypatch, point, max_order, message):
+    # analyze checks the request right after parsing, so neither the
+    # determining system nor completion runs on a request that must fail;
+    # a text error still comes first
+    import lieode.pipeline
+
+    def refuse(*args):
+        raise AssertionError("a stage ran on a malformed request")
+
+    monkeypatch.setattr(lieode.pipeline, "determining_system", refuse)
+    monkeypatch.setattr(lieode.pipeline, "complete", refuse)
+    with pytest.raises(InputError) as err:
+        analyze("y''=0", point=point, max_order=max_order)
+    assert str(err.value) == message
+    with pytest.raises(InputError, match="at position"):
+        analyze("y''=", point=point, max_order=max_order)
+
+
 @pytest.mark.parametrize("point", [(F(0), F(0)), (F(1, 2), F(1, 3))],
                          ids=["origin", "off-origin"])
 @pytest.mark.parametrize("name", ["y1", "t1", "x*y1"])

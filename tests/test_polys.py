@@ -375,8 +375,9 @@ def test_gcd_image_test_oracle():
 
 
 # Values for the other variables when a coprimality is checked in one: far
-# from the small integers where the test polynomials tend to share roots
-SPECIALIZATIONS = [tuple(random.Random(k).randrange(MODULUS) for _ in range(3))
+# from the small integers where the test polynomials tend to share roots,
+# and distinct, or x y1 + 1 and x y2 + 1 would have one image
+SPECIALIZATIONS = [tuple(random.Random(k).sample(range(MODULUS), 3))
                    for k in range(4)]
 
 
@@ -538,6 +539,91 @@ def test_gcd_over_unequal_variable_sets(a, b, c):
     assert _associate(g, c * gcd(a, b))
 
 
+Y1 = MPoly.variable("y1")
+_JET = ("x", "y", "y1", "y2")
+
+
+@st.composite
+def _one_shared_operands(draw):
+    """(g, u, v): g in Z[w] for one w of _JET, u and v over w and disjoint
+    sets of the other names (either may be empty)."""
+    def nonzero(names, coeffs, max_exp):
+        return MPoly(names, draw(st.dictionaries(
+            st.tuples(*(st.integers(0, max_exp),) * len(names)), coeffs,
+            min_size=1, max_size=3)))
+
+    w = draw(st.sampled_from(_JET))
+    sides = draw(st.lists(st.sampled_from("-uv"), min_size=3, max_size=3))
+    others = [v for v in _JET if v != w]
+    g = nonzero((w,), st.sampled_from((-3, -2, -1, 1, 2, 3)), 3)
+    u, v = (nonzero((w, *[n for n, s in zip(others, sides) if s == side]),
+                    nonzero_rationals(), 2) for side in "uv")
+    return g, u, v
+
+
+@settings(max_examples=80)
+@given(_one_shared_operands())
+@example(((X + 1) ** 2, X * Y + 1, X - 3))
+@example((X + 1, Y * Y * X + X * X + 2, Y1 * X + 1))
+def test_gcd_over_one_shared_variable_is_the_content_of_the_coefficients(
+        triple):
+    # without their monomials, g u and g v share only w: their gcd is the
+    # content of both operands' coefficients over their other variables,
+    # the route that operands sharing more variables still take; with
+    # them, the gcd divides both operands, g divides it, and the cofactors
+    # are coprime
+    g, u, v = triple
+    a, b = g * u, g * v
+    a0, b0 = _strip_monomial(a)[1], _strip_monomial(b)[1]
+    shared = set(a0.vars) & set(b0.vars)
+    assume(len(shared) == 1)
+    parts = [*a0.coeffs_over(set(a0.vars) - shared).values(),
+             *b0.coeffs_over(set(b0.vars) - shared).values()]
+    assert gcd(a0, b0) == content(parts)[0]
+    G = gcd(a, b)
+    assert G == gcd(b, a)
+    cu, cv = try_divexact(a, G), try_divexact(b, G)
+    assert cu is not None and cv is not None
+    if not g.is_const():
+        assert try_divexact(G, g) is not None
+    _assert_coprime(cu, cv)
+
+
+@pytest.mark.parametrize("a, b, g", [
+    (X * Y + 1, X + 1, ONE),
+    (X ** 2 * Y + X + 1, X + 1, ONE),
+    ((X + 1) ** 8 * (Y1 * X + 2), (X + 1) ** 8 * (X - 3), (X + 1) ** 8),
+    ((X + 1) ** 8 * (X ** 3 + 2), (X + 1) ** 8 * (X ** 2 - 3), (X + 1) ** 8),
+    ((X ** 2 - 1).scaled(1, 3), X ** 2 + 2 * X + 1, X + 1),
+    ((Y + 1) * (X * Y + 3), (Y + 1) * (Y - 2), Y + 1),
+    (X * Y * (X + 1), X ** 2 * (X + 1), X * (X + 1)),
+    (MPoly.const(3), X + 1, ONE),
+], ids=["one-term-part", "one-term-part-of-degree-2", "content-(x+1)^8",
+        "univariate-(x+1)^8", "univariate", "shared-y", "common-monomial",
+        "constant-operand"])
+def test_gcd_over_one_shared_variable_oracle(a, b, g):
+    # a coefficient of one term (x y + 1 has x and 1 over y, x^2 y + x + 1
+    # has x^2 first) ends the fold at 1; the others are the common factor
+    # [DERIVED]
+    assert gcd(a, b) == g and gcd(b, a) == g
+
+
+@pytest.mark.parametrize("a, b, g", [
+    ({2: 1, 0: -1}, {1: 2, 0: 2}, {1: 1, 0: 1}),
+    ({1: 2, 0: 2}, {2: 1, 0: -1}, {1: 1, 0: 1}),
+    ({2: 6, 0: -6}, {2: 4, 1: 8, 0: 4}, {1: 1, 0: 1}),
+    ({1: 3, 0: 6}, {1: 5, 0: 1}, {0: 1}),
+])
+def test_euclid_returns_the_primitive_gcd_and_keeps_its_arguments(a, b, g):
+    # in the first case 2 w + 2 divides w^2 - 1 and is the last remainder:
+    # the gcd is primitive only because the operands were made so first
+    # [DERIVED]
+    copies = dict(a), dict(b)
+    out = polys._euclid(a, b)
+    assert out in (g, {k: -v for k, v in g.items()})
+    assert (a, b) == copies
+
+
 # -- cofactors and contents -------------------------------------------------------
 
 
@@ -671,6 +757,50 @@ def test_gcd_of_equal_polynomials_built_in_two_orders(monkeypatch):
         assert polys.gcd(p, _TIED[2]) == X + Y
         seen.append(list(calls))
     assert seen[0] and seen[0] == seen[1]
+
+
+def test_gcd_over_one_shared_variable_takes_the_same_euclid_steps_in_every_order(
+        monkeypatch):
+    # p = A + B y1 over (x, y1), its numerator dict built with A's terms
+    # first and with B y1's first; A, B and gcd's other operand C share x
+    # alone and have three terms each, so the fold's order is set by their
+    # values, not by p's dict
+    A, B, C = (X + 1) * (X + 2), (X + 1) * (X + 3), (X + 1) * (2 * X + 1)
+    a, b = ({e + (k,): c for e, c in p.terms.items()}
+            for p, k in ((A, 0), (B, 1)))
+    first, second = (MPoly(("x", "y1"), {**a, **b}),
+                     MPoly(("x", "y1"), {**b, **a}))
+    assert first == second and list(first.num) != list(second.num)
+    calls = []
+    real = polys._euclid
+
+    def counted(f, g):
+        calls.append((dict(f), dict(g)))
+        return real(f, g)
+
+    monkeypatch.setattr(polys, "_euclid", counted)
+    seen = []
+    for p in (first, second):
+        del calls[:]
+        assert polys.gcd(p, C) == X + 1
+        seen.append(list(calls))
+    assert seen[0] and seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("a, b", [
+    ((X + 1) * (X * Y1 + 2), (X + 1) * (X * Y - 1)),
+    ((X + 1) ** 8 * (X ** 3 + 2), (X + 1) ** 8 * (X ** 2 - 3)),
+], ids=["other-variables", "univariate"])
+def test_gcd_over_one_shared_variable_takes_no_nested_gcd(monkeypatch, a, b):
+    calls = _counted_gcd_calls(monkeypatch)
+
+    def refuse(*args):
+        raise AssertionError("content or cofactors called")
+
+    monkeypatch.setattr(polys, "content", refuse)
+    monkeypatch.setattr(polys, "cofactors", refuse)
+    assert polys.gcd(a, b) in (X + 1, (X + 1) ** 8)
+    assert len(calls) == 1
 
 
 # -- canonical form --------------------------------------------------------------
